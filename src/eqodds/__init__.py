@@ -13,7 +13,6 @@ from .core import (
     FunctionRule,
     GroupRates,
     InvalidParameterError,
-    LabeledSample,
     TooFewSamplesError,
     empirical_loss,
     empirical_rates,
@@ -35,7 +34,6 @@ __all__ = [
     "FunctionRule",
     "GroupRates",
     "InvalidParameterError",
-    "LabeledSample",
     "TooFewSamplesError",
     "empirical_loss",
     "empirical_rates",

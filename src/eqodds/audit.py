@@ -28,12 +28,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .core import (
     CellProbabilities,
     Dataset,
-    EmptyCellError,
     GroupRates,
     InvalidParameterError,
     PredictorInput,
@@ -50,11 +47,7 @@ def required_sample_size(alpha: float, delta: float,
                          cells: CellProbabilities) -> int:
     """Samples needed before the detection test's guarantee applies."""
     _check_alpha_delta(alpha, delta)
-    min_cell = cells.min_cell
-    if min_cell <= 0.0:
-        raise EmptyCellError(
-            [tuple(i) for i in np.argwhere(cells.table == 0)],
-            "required sample size")
+    min_cell = cells.positive_min_cell("required sample size")
     return math.ceil(16.0 * math.log(32.0 / delta) / (alpha ** 2 * min_cell))
 
 
@@ -80,11 +73,7 @@ def concentration_radius(cells: CellProbabilities, n: int, delta: float) -> Radi
         raise InvalidParameterError(f"delta must lie in (0, 1/2), got {delta}")
     if n < 1:
         raise InvalidParameterError(f"n must be positive, got {n}")
-    min_cell = cells.min_cell
-    if min_cell <= 0.0:
-        raise EmptyCellError(
-            [tuple(i) for i in np.argwhere(cells.table == 0)],
-            "concentration radius")
+    min_cell = cells.positive_min_cell("concentration radius")
     radius = 2.0 * math.sqrt(math.log(16.0 / delta) / (n * min_cell))
     min_n = math.floor(8.0 * math.log(8.0 / delta) / min_cell) + 1
     return RadiusBound(radius=radius, certified=n >= min_n, min_n=min_n,
@@ -147,9 +136,8 @@ def detect(dataset: Dataset, predictor: PredictorInput, alpha: float,
     requirement. All four (y, a) cells must be populated.
     """
     _check_alpha_delta(alpha, delta)
+    dataset.require_all_cells("detection test")
     rates = empirical_rates(dataset, predictor)
-    if not rates.all_cells_present:
-        raise EmptyCellError(rates.empty_cells, "detection test")
     cells_source = "supplied"
     if cells is None:
         cells = CellProbabilities.from_dataset(dataset)

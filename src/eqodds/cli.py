@@ -20,7 +20,7 @@ import argparse
 import csv
 import json
 import sys
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .core import (
     EqoddsError,
     FeatureThresholdRule,
     FiniteHypothesisClass,
+    GroupRates,
     empirical_loss,
 )
 from .data_io import load_csv, write_csv, write_json_atomic
@@ -62,25 +63,29 @@ def _emit(payload: dict, out: Optional[str]) -> None:
         sys.stdout.write("\n")
 
 
-def _score_predictions(dataset: Dataset, threshold: Optional[float]) -> np.ndarray:
+def _score_predictions(args) -> Tuple[Dataset, np.ndarray]:
+    """Load ``--data`` and read its score column as per-row acceptance values."""
+    dataset = load_csv(args.data, score_col=args.score_col)
     if dataset.scores is None:
         raise CliError("dataset has no score column; audit/correct need one")
-    if threshold is not None:
-        return (dataset.scores >= threshold).astype(float)
-    scores = dataset.scores
-    if ((scores < 0) | (scores > 1)).any():
+    if args.threshold is not None:
+        return dataset, (dataset.scores >= args.threshold).astype(float)
+    if (~((dataset.scores >= 0) & (dataset.scores <= 1))).any():  # NaN fails too
         raise CliError("scores outside [0, 1]; pass --threshold to binarize them")
-    return scores
+    return dataset, dataset.scores
 
 
 def _parse_cell_probs(text: Optional[str]) -> Optional[CellProbabilities]:
     if text is None:
         return None
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise CliError("--cell-probs wants four comma-separated values "
-                       "(p00,p01,p10,p11 in (y,a) order)")
-    return CellProbabilities.from_flat([float(p) for p in parts])
+    try:
+        values = [float(p) for p in text.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != 4:
+        raise CliError("--cell-probs wants four comma-separated numbers "
+                       f"(p00,p01,p10,p11 in (y,a) order), got {text!r}")
+    return CellProbabilities.from_flat(values)
 
 
 def _tolerance_arg(text: str):
@@ -97,35 +102,37 @@ def build_hypothesis_class(spec: dict, dataset: Dataset) -> FiniteHypothesisClas
     {"type": "threshold-grid", "feature": j, "max_cuts": k} which expands
     to data-derived cut points.
     """
-    entries = spec.get("rules")
+    entries = spec.get("rules") if isinstance(spec, dict) else None
     if not entries:
         raise CliError("hypothesis spec needs a nonempty 'rules' list")
     rules = []
     for k, entry in enumerate(entries):
         kind = entry.get("type")
-        if kind == "threshold":
-            rules.append(FeatureThresholdRule(int(entry["feature"]),
-                                              float(entry["cut"]),
-                                              name=entry.get("name")))
-        elif kind == "attribute":
-            rules.append(AttributeRule(name=entry.get("name", "attr")))
-        elif kind == "constant":
-            rules.append(ConstantRule(float(entry["value"]), name=entry.get("name")))
-        elif kind == "threshold-grid":
-            grid = threshold_class(dataset, features=[int(entry["feature"])],
-                                   max_cuts_per_feature=int(entry.get("max_cuts", 32)),
-                                   include_constants=False)
-            rules.extend(grid.rules)
-        else:
-            raise CliError(f"rules[{k}]: unknown type {kind!r}")
+        try:
+            if kind == "threshold":
+                rules.append(FeatureThresholdRule(int(entry["feature"]),
+                                                  float(entry["cut"]),
+                                                  name=entry.get("name")))
+            elif kind == "attribute":
+                rules.append(AttributeRule(name=entry.get("name", "attr")))
+            elif kind == "constant":
+                rules.append(ConstantRule(float(entry["value"]), name=entry.get("name")))
+            elif kind == "threshold-grid":
+                grid = threshold_class(dataset, features=[int(entry["feature"])],
+                                       max_cuts_per_feature=int(entry.get("max_cuts", 32)),
+                                       include_constants=False)
+                rules.extend(grid.rules)
+            else:
+                raise CliError(f"rules[{k}]: unknown type {kind!r}")
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            raise CliError(f"rules[{k}] ({kind}): {type(exc).__name__}: {exc}") from None
     return FiniteHypothesisClass(tuple(rules))
 
 
 # ---- subcommand handlers --------------------------------------------------
 
 def _cmd_audit(args) -> int:
-    ds = load_csv(args.data, score_col=args.score_col)
-    preds = _score_predictions(ds, args.threshold)
+    ds, preds = _score_predictions(args)
     report = detect(ds, preds, alpha=args.alpha, delta=args.delta,
                     cells=_parse_cell_probs(args.cell_probs))
     _emit(report.to_dict(), args.out)
@@ -133,8 +140,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_correct(args) -> int:
-    ds = load_csv(args.data, score_col=args.score_col)
-    preds = _score_predictions(ds, args.threshold)
+    ds, preds = _score_predictions(args)
     stats = RateStatistics.from_sample(ds, preds)
     derived = optimal_derived(stats, args.tolerance)
     out_rates = induced_rates(derived, stats)
@@ -143,7 +149,7 @@ def _cmd_correct(args) -> int:
         "accept": derived.accept.tolist(),
         "base_rates": stats.rates.tolist(),
         "induced_rates": out_rates.rates.tolist(),
-        "base_gap": float(np.abs(stats.rates[:, 0] - stats.rates[:, 1]).max()),
+        "base_gap": GroupRates(stats.rates).gap(),
         "induced_gap": out_rates.gap(),
         "loss_before": empirical_loss(ds, preds),
         "loss_after": derived_loss(derived, stats),
@@ -155,7 +161,10 @@ def _cmd_correct(args) -> int:
 def _cmd_train(args) -> int:
     ds = load_csv(args.data)
     with open(args.hypotheses, encoding="utf-8") as fh:
-        spec = json.load(fh)
+        try:
+            spec = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CliError(f"{args.hypotheses}: not valid JSON: {exc}") from None
     hclass = build_hypothesis_class(spec, ds)
     config = TwoStepConfig(delta=args.delta, train_tolerance=args.train_tolerance,
                            correct_tolerance=args.correct_tolerance, seed=args.seed)
@@ -247,8 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", help="write the JSON report here (default stdout)")
-        p.add_argument("--format", choices=["json"], default="json",
-                       help="output format (json only)")
 
     p = sub.add_parser("audit", help="run the discrimination detection test")
     p.add_argument("--data", required=True)
@@ -332,13 +339,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EqoddsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (CliError, EqoddsError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

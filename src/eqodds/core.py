@@ -17,6 +17,7 @@ pure function, so concurrent use needs no coordination.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -45,13 +46,19 @@ class TooFewSamplesError(EqoddsError, ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    """One observation: feature vector, binary group, binary label."""
+def cell_sums(cell: np.ndarray, weights: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per-cell sums of ``weights`` (row counts when omitted), a (2, 2) [y][a] table.
 
-    x: np.ndarray
-    a: int
-    y: int
+    The one kernel behind sample and finite-law rates, counts and cell tables.
+    """
+    return np.bincount(cell, weights, minlength=4).reshape(2, 2)
+
+
+def _require_nonzero_cells(table: np.ndarray, context: str) -> None:
+    """Raise EmptyCellError naming every zero entry of a (2, 2) [y][a] table."""
+    empty = np.argwhere(table == 0)
+    if empty.size:
+        raise EmptyCellError(empty, context)
 
 
 @dataclass(frozen=True)
@@ -62,7 +69,8 @@ class Dataset:
     the protected attribute and the target. Binary operations require both
     to take values in {0, 1}; real-valued targets are allowed so the same
     container feeds the least-squares machinery. ``scores`` is an optional
-    per-row prediction column.
+    per-row prediction column. The per-row cell index and the cell counts
+    are derived on first use and cached; the columns never change.
     """
 
     features: np.ndarray
@@ -105,26 +113,31 @@ class Dataset:
         )
 
     def require_binary(self) -> "Dataset":
-        if not self.is_binary:
-            raise InvalidParameterError("attr and labels must take values in {0, 1}")
+        _ = self.cell  # computing the cell index checks binarity, once
         return self
 
-    def sample(self, i: int) -> LabeledSample:
-        return LabeledSample(self.features[i].copy(), int(self.attr[i]), int(self.labels[i]))
+    @cached_property
+    def cell(self) -> np.ndarray:
+        """Per-row cell code 2*y + a, the flat form of [y][a]; checks binarity once."""
+        if not self.is_binary:
+            raise InvalidParameterError("attr and labels must take values in {0, 1}")
+        return (2 * self.labels + self.attr).astype(np.intp)
+
+    @cached_property
+    def cell_counts(self) -> np.ndarray:
+        """Rows per (y, a) cell, a read-only (2, 2) integer table."""
+        counts = cell_sums(self.cell)
+        counts.flags.writeable = False
+        return counts
+
+    def require_all_cells(self, context: str) -> None:
+        """Raise EmptyCellError unless all four (y, a) cells hold a row."""
+        _require_nonzero_cells(self.cell_counts, context)
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.intp)
         scores = None if self.scores is None else self.scores[idx]
         return Dataset(self.features[idx], self.attr[idx], self.labels[idx], scores)
-
-    @classmethod
-    def from_samples(cls, samples: Sequence[LabeledSample],
-                     scores: Optional[Sequence[float]] = None) -> "Dataset":
-        feats = np.stack([np.asarray(s.x, dtype=np.float64).ravel() for s in samples])
-        return cls(feats,
-                   np.array([s.a for s in samples], dtype=np.float64),
-                   np.array([s.y for s in samples], dtype=np.float64),
-                   None if scores is None else np.asarray(scores, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -151,14 +164,14 @@ class CellProbabilities:
         """P(Y = 0), P(Y = 1)."""
         return self.table.sum(axis=1)
 
+    def positive_min_cell(self, context: str) -> float:
+        """``min_cell``; raises EmptyCellError when some cell has no mass."""
+        _require_nonzero_cells(self.table, context)
+        return self.min_cell
+
     @classmethod
     def from_dataset(cls, dataset: Dataset) -> "CellProbabilities":
-        dataset.require_binary()
-        t = np.empty((2, 2))
-        for y in (0, 1):
-            for a in (0, 1):
-                t[y, a] = np.mean((dataset.labels == y) & (dataset.attr == a))
-        return cls(t)
+        return cls(dataset.cell_counts / len(dataset))
 
     @classmethod
     def from_flat(cls, values: Iterable[float]) -> "CellProbabilities":
@@ -197,15 +210,13 @@ class GroupRates:
             if c.shape != (2, 2) or (c < 0).any():
                 raise InvalidParameterError("counts must be a nonnegative 2x2 table")
             object.__setattr__(self, "counts", c)
-        finite = r[~np.isnan(r)]
-        if finite.size and ((finite < -1e-12) | (finite > 1 + 1e-12)).any():
+        if ((r < -1e-12) | (r > 1 + 1e-12)).any():  # NaN (an empty cell) passes
             raise InvalidParameterError("rates must lie in [0, 1]")
 
     @property
     def empty_cells(self):
-        if self.counts is None:
-            return [tuple(idx) for idx in np.argwhere(np.isnan(self.rates))]
-        return [tuple(idx) for idx in np.argwhere(self.counts == 0)]
+        present = ~np.isnan(self.rates) if self.counts is None else self.counts
+        return [tuple(idx) for idx in np.argwhere(present == 0)]
 
     @property
     def all_cells_present(self) -> bool:
@@ -239,14 +250,13 @@ class BinaryPredictor:
     def predict_proba(self, features: np.ndarray, attr: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def acceptance(self, features: np.ndarray, attr: np.ndarray) -> np.ndarray:
+        """``predict_proba`` checked to give one value in [0, 1] per row."""
+        return acceptance_values(self.predict_proba(features, attr), len(attr),
+                                 f"{self.name}: outputs")
+
     def on_dataset(self, dataset: Dataset) -> np.ndarray:
-        out = np.asarray(self.predict_proba(dataset.features, dataset.attr),
-                         dtype=np.float64).ravel()
-        if out.shape[0] != len(dataset):
-            raise InvalidParameterError(f"{self.name}: wrong output length")
-        if ((out < -1e-12) | (out > 1 + 1e-12)).any():
-            raise InvalidParameterError(f"{self.name}: outputs outside [0, 1]")
-        return np.clip(out, 0.0, 1.0)
+        return self.acceptance(dataset.features, dataset.attr)
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
@@ -322,15 +332,20 @@ class FiniteHypothesisClass:
         return [r.name for r in self.rules]
 
 
+def acceptance_values(values, n: int, what: str = "acceptance values") -> np.ndarray:
+    """Per-row acceptance probabilities: n values in [0, 1], NaN rejected."""
+    vals = np.asarray(values, dtype=np.float64).ravel()
+    if vals.shape[0] != n:
+        raise InvalidParameterError(f"{what}: wrong length {vals.shape[0]}, expected {n}")
+    if (~((vals >= -1e-12) & (vals <= 1 + 1e-12))).any():
+        raise InvalidParameterError(f"{what} outside [0, 1]")
+    return np.clip(vals, 0.0, 1.0)
+
+
 def _acceptance_values(dataset: Dataset, predictor: PredictorInput) -> np.ndarray:
     if isinstance(predictor, BinaryPredictor):
         return predictor.on_dataset(dataset)
-    vals = np.asarray(predictor, dtype=np.float64).ravel()
-    if vals.shape[0] != len(dataset):
-        raise InvalidParameterError("per-row acceptance values have wrong length")
-    if ((vals < -1e-12) | (vals > 1 + 1e-12)).any():
-        raise InvalidParameterError("acceptance values outside [0, 1]")
-    return np.clip(vals, 0.0, 1.0)
+    return acceptance_values(predictor, len(dataset))
 
 
 def empirical_rates(dataset: Dataset, predictor: PredictorInput) -> GroupRates:
@@ -339,18 +354,12 @@ def empirical_rates(dataset: Dataset, predictor: PredictorInput) -> GroupRates:
     ``predictor`` is either a BinaryPredictor or a precomputed per-row
     acceptance array (e.g. a score column). Cells with no samples get a
     NaN rate and a zero count rather than an error; consumers that need
-    all four conditionals check ``all_cells_present``.
+    all four conditionals call ``Dataset.require_all_cells``.
     """
-    dataset.require_binary()
+    counts = dataset.cell_counts  # checks binarity on first use
     vals = _acceptance_values(dataset, predictor)
-    rates = np.full((2, 2), np.nan)
-    counts = np.zeros((2, 2), dtype=np.int64)
-    for y in (0, 1):
-        for a in (0, 1):
-            mask = (dataset.labels == y) & (dataset.attr == a)
-            counts[y, a] = int(mask.sum())
-            if counts[y, a]:
-                rates[y, a] = float(vals[mask].sum()) / counts[y, a]
+    with np.errstate(invalid="ignore"):  # 0 / 0 marks an empty cell NaN
+        rates = cell_sums(dataset.cell, vals) / counts
     return GroupRates(rates, counts)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import os
 import tempfile
 
@@ -37,6 +38,7 @@ def load_csv(path, attr_col: str = "a", label_col: str = "y",
     Feature columns must be named ``x0..x{d-1}``; unknown columns are
     rejected so that files round-trip exactly. ``require_binary`` enforces
     {0, 1} attribute and label values (turn off for real-valued targets).
+    Non-finite cells (nan, inf) are rejected with their line and column.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -58,37 +60,54 @@ def load_csv(path, attr_col: str = "a", label_col: str = "y",
                 f"got {feature_names}")
         col_index = {name: i for i, name in enumerate(header)}
         has_score = score_col in col_index
+        names = feature_names + [attr_col, label_col] + ([score_col] if has_score else [])
+        order = [col_index[name] for name in names]
+        pick = operator.itemgetter(*order)  # names has at least two entries
 
-        feats, attr, labels, scores = [], [], [], []
+        rows, blank_lines = [], []
         for line_no, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
-                continue  # ignore trailing blank lines
+                blank_lines.append(line_no)
+                continue  # ignore blank lines
             if len(row) != len(header):
                 raise ParseError(line_no, f"expected {len(header)} fields, got {len(row)}")
+            try:
+                # an exact-size tuple: a list would over-allocate every row
+                rows.append(tuple(map(float, pick(row))))
+            except ValueError:
+                for name, i in zip(names, order):
+                    try:
+                        float(row[i])
+                    except ValueError:
+                        raise ParseError(line_no, f"column {name!r}: not a number: "
+                                                  f"{row[i].strip()!r}") from None
 
-            def cell(name):
-                text = row[col_index[name]].strip()
-                try:
-                    return float(text)
-                except ValueError:
-                    raise ParseError(line_no,
-                                     f"column {name!r}: not a number: {text!r}") from None
-
-            feats.append([cell(n) for n in feature_names])
-            a_val, y_val = cell(attr_col), cell(label_col)
-            if require_binary and a_val not in (0.0, 1.0):
-                raise ParseError(line_no, f"column {attr_col!r} must be 0 or 1, got {a_val}")
-            if require_binary and y_val not in (0.0, 1.0):
-                raise ParseError(line_no, f"column {label_col!r} must be 0 or 1, got {y_val}")
-            attr.append(a_val)
-            labels.append(y_val)
-            if has_score:
-                scores.append(cell(score_col))
-
-    if not feats:
+    if not rows:
         raise SchemaError("no data rows")
-    return Dataset(np.array(feats, dtype=np.float64), attr, labels,
-                   scores if has_score else None)
+    table = np.array(rows, dtype=np.float64)
+    _reject_bad_cells(table, names, {attr_col, label_col} if require_binary else set(),
+                      blank_lines)
+    d = len(feature_names)
+    return Dataset(table[:, :d], table[:, d], table[:, d + 1],
+                   table[:, d + 2] if has_score else None)
+
+
+def _reject_bad_cells(table: np.ndarray, names: list, binary: set,
+                      blank_lines: list) -> None:
+    """ParseError at the first cell that is nan or inf, or not 0/1 in ``binary``."""
+    bad = ~np.isfinite(table)
+    for j, name in enumerate(names):
+        if name in binary:
+            bad[:, j] |= ~np.isin(table[:, j], (0.0, 1.0))
+    if not bad.any():
+        return
+    row, col = divmod(int(np.argmax(bad)), len(names))
+    line_no = row + 2  # after the header, pushed down by each skipped blank line above
+    for blank in blank_lines:  # ascending
+        line_no += blank <= line_no
+    value = table[row, col]
+    why = "not finite" if not np.isfinite(value) else "must be 0 or 1"
+    raise ParseError(line_no, f"column {names[col]!r} {why}, got {value}")
 
 
 def _format_value(v: float) -> str:
@@ -102,21 +121,19 @@ def write_csv(dataset: Dataset, path, attr_col: str = "a",
               label_col: str = "y", score_col: str = "score") -> None:
     """Write a dataset in the loadable format (atomic: temp file + rename)."""
     header = [f"x{i}" for i in range(dataset.n_features)] + [attr_col, label_col]
+    columns = [dataset.features, dataset.attr[:, None], dataset.labels[:, None]]
     if dataset.scores is not None:
         header.append(score_col)
+        columns.append(dataset.scores[:, None])
+    table = np.hstack(columns)  # the row layout load_csv reads back
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for i in range(len(dataset)):
-                row = [_format_value(v) for v in dataset.features[i]]
-                row.append(_format_value(dataset.attr[i]))
-                row.append(_format_value(dataset.labels[i]))
-                if dataset.scores is not None:
-                    row.append(_format_value(dataset.scores[i]))
-                writer.writerow(row)
+            for row in table:
+                writer.writerow([_format_value(v) for v in row.tolist()])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -127,8 +127,12 @@ class ExperimentReport:
 
 
 def _scaled(default: int, floor: int = 8) -> int:
-    scale = float(os.environ.get(TRIAL_SCALE_ENV, "1") or "1")
-    return max(floor, int(round(default * scale)))
+    text = os.environ.get(TRIAL_SCALE_ENV, "1") or "1"
+    try:  # float() rejects words; round() rejects nan and inf
+        return max(floor, int(round(default * float(text))))
+    except (ValueError, OverflowError):
+        raise InvalidParameterError(
+            f"{TRIAL_SCALE_ENV} must be a finite number, got {text!r}") from None
 
 
 def _mc_slack(delta: float, trials: int) -> float:

@@ -30,10 +30,10 @@ from .core import (
     BinaryPredictor,
     CellProbabilities,
     Dataset,
-    EmptyCellError,
     GroupRates,
     InvalidParameterError,
     PredictorInput,
+    acceptance_values,
     empirical_rates,
 )
 
@@ -59,16 +59,14 @@ class RateStatistics:
         r = np.asarray(self.rates, dtype=np.float64)
         if r.shape != (2, 2):
             raise InvalidParameterError("rates must be 2x2")
-        if np.isnan(r).any() or ((r < -1e-12) | (r > 1 + 1e-12)).any():
-            raise InvalidParameterError("rates must be finite values in [0, 1]")
-        object.__setattr__(self, "rates", np.clip(r, 0.0, 1.0))
+        # conditional acceptance probabilities: the per-row check applies as is
+        object.__setattr__(self, "rates", acceptance_values(r, 4, "rates").reshape(2, 2))
 
     @classmethod
     def from_sample(cls, dataset: Dataset, predictor: PredictorInput) -> "RateStatistics":
-        gr = empirical_rates(dataset, predictor)
-        if not gr.all_cells_present:
-            raise EmptyCellError(gr.empty_cells, "rate statistics")
-        return cls(gr.rates, CellProbabilities.from_dataset(dataset))
+        dataset.require_all_cells("rate statistics")
+        return cls(empirical_rates(dataset, predictor).rates,
+                   CellProbabilities.from_dataset(dataset))
 
     @classmethod
     def from_population(cls, law, predictor: BinaryPredictor) -> "RateStatistics":
@@ -95,10 +93,6 @@ class DerivedPredictor:
     def as_rule(self, base: BinaryPredictor, name: Optional[str] = None) -> "DerivedRule":
         return DerivedRule(base, self, name)
 
-    def to_flat(self) -> np.ndarray:
-        """(accept[0,0], accept[0,1], accept[1,0], accept[1,1])."""
-        return self.accept.ravel().copy()
-
 
 class DerivedRule(BinaryPredictor):
     """A DerivedPredictor bound to its base rule; evaluates in expectation."""
@@ -120,11 +114,8 @@ class DerivedRule(BinaryPredictor):
 def induced_rates(derived: DerivedPredictor, stats: RateStatistics) -> GroupRates:
     """Rates of the derived rule from the base rates via the affine identity."""
     g = stats.rates
-    acc = derived.accept
-    rates = np.empty((2, 2))
-    for a in (0, 1):
-        rates[:, a] = acc[1, a] * g[:, a] + acc[0, a] * (1.0 - g[:, a])
-    return GroupRates(np.clip(rates, 0.0, 1.0))
+    acc = derived.accept  # rows broadcast over labels, columns match groups
+    return GroupRates(np.clip(acc[1] * g + acc[0] * (1.0 - g), 0.0, 1.0))
 
 
 def expected_loss_from_rates(rates: np.ndarray, cells: CellProbabilities,
@@ -135,13 +126,9 @@ def expected_loss_from_rates(rates: np.ndarray, cells: CellProbabilities,
     the default is plain 0-1 loss.
     """
     r = np.asarray(rates, dtype=np.float64)
-    t = cells.table
-    total = 0.0
-    for y in (0, 1):
-        for a in (0, 1):
-            total += t[y, a] * (r[y, a] * cell_loss[y, 1]
-                                + (1.0 - r[y, a]) * cell_loss[y, 0])
-    return float(total)
+    per_cell = r * cell_loss[:, 1:] + (1.0 - r) * cell_loss[:, :1]
+    # a four-term sum adds in [y][a] order, as the per-cell formula reads
+    return float((cells.table * per_cell).sum())
 
 
 def derived_loss(derived: DerivedPredictor, stats: RateStatistics,
@@ -150,34 +137,23 @@ def derived_loss(derived: DerivedPredictor, stats: RateStatistics,
                                     stats.cells, cell_loss)
 
 
-def _lp_coefficients(stats: RateStatistics, cell_loss: np.ndarray):
-    """Objective c.v + const and constraint rows A v <= b over the flat accept vector.
+def _lp_coefficients(stats: RateStatistics, cell_loss: np.ndarray) -> np.ndarray:
+    """Objective c.v over the flat accept vector, up to a constant no argmin needs.
 
     Flat order v = (accept[0,0], accept[0,1], accept[1,0], accept[1,1]).
     """
     g = stats.rates
-    t = stats.cells.table
-    c = np.zeros(4)
-    const = 0.0
-    for y in (0, 1):
-        for a in (0, 1):
-            # rate[y,a] = v[2 + a] * g[y,a] + v[a] * (1 - g[y,a])
-            gain = cell_loss[y, 1] - cell_loss[y, 0]
-            c[2 + a] += t[y, a] * gain * g[y, a]
-            c[a] += t[y, a] * gain * (1.0 - g[y, a])
-            const += t[y, a] * cell_loss[y, 0]
-    return c, const
+    # rate[y,a] = v[2 + a] * g[y,a] + v[a] * (1 - g[y,a]); sum over labels y
+    weight = stats.cells.table * (cell_loss[:, 1] - cell_loss[:, 0])[:, None]
+    return np.concatenate([(weight * (1.0 - g)).sum(axis=0), (weight * g).sum(axis=0)])
 
 
 def _gap_rows(stats: RateStatistics):
     """Rows of rate[y,0] - rate[y,1] as linear functionals of the flat accept vector."""
     g = stats.rates
-    rows = np.zeros((2, 4))
-    for y in (0, 1):
-        rows[y, 2 + 0] += g[y, 0]
-        rows[y, 0] += 1.0 - g[y, 0]
-        rows[y, 2 + 1] -= g[y, 1]
-        rows[y, 1] -= 1.0 - g[y, 1]
+    rows = np.hstack([1.0 - g, g])
+    # group 1 enters with a minus sign; 0.0 - x, unlike -x, keeps +0.0 zeros
+    rows[:, 1::2] = 0.0 - rows[:, 1::2]
     return rows
 
 
@@ -194,7 +170,7 @@ def optimal_derived(stats: RateStatistics, tolerance: float) -> DerivedPredictor
     if tolerance < 0.0:
         raise InvalidParameterError(f"tolerance must be nonnegative, got {tolerance}")
     cap = min(float(tolerance), 1.0)  # a gap can never exceed 1
-    c, const = _lp_coefficients(stats, LOSS_01)
+    c = _lp_coefficients(stats, LOSS_01)
     gap_rows = _gap_rows(stats)
 
     # rows: v_i <= 1, -v_i <= 0, +-gap_y <= cap
@@ -273,20 +249,14 @@ def conservative_correction(stats: RateStatistics) -> DerivedPredictor:
     f_target = float(g[0].max())
     t_target = float(g[1].min())
 
-    accept = np.empty((2, 2))
-    reachable = t_target >= f_target - 1e-12
+    pairs = [_accept_for_target(g[0, a], g[1, a], f_target, t_target) for a in (0, 1)]
+    reachable = t_target >= f_target - 1e-12 and None not in pairs
     if reachable:
-        for a in (0, 1):
-            pair = _accept_for_target(g[0, a], g[1, a], f_target, t_target)
-            if pair is None:
-                reachable = False
-                break
-            accept[0, a], accept[1, a] = pair
-        reachable = reachable and ((accept >= -1e-9) & (accept <= 1 + 1e-9)).all()
+        accept = np.array(pairs).T  # group a's (p0, p1) pair becomes column a
+        reachable = ((accept >= -1e-9) & (accept <= 1 + 1e-9)).all()
     if not reachable:
         # below-diagonal target: the better constant dominates it and is derivable
-        const = _majority_constant(stats.cells)
-        accept[:] = const
+        accept = np.full((2, 2), _majority_constant(stats.cells))
         provenance.append("constant_fallback")
 
     if flipped:

@@ -367,9 +367,11 @@ def fit_constrained_convex(dataset: Dataset, loss: str = "squared",
     Each step descends the analytic gradient with backtracking and then
     projects the weights orthogonally back onto the hyperplane c' w = 0
     with c from ``model`` (estimated from the data when omitted), so every
-    iterate satisfies the constraint to machine precision. Stops once the
-    projected gradient norm drops below ``tol``; hitting ``max_iter`` first
-    returns the best iterate flagged as unconverged.
+    iterate satisfies the constraint to machine precision. Three rules stop
+    it: the projected gradient norm drops to ``tol`` (converged); the norm
+    fails to improve by 0.1% for 200 steps in a row (a float-precision
+    plateau); or ``max_iter`` steps run out. The last two return the last
+    iterate, flagged as unconverged unless its norm is within ``tol``.
     """
     if loss not in _LOSSES:
         raise InvalidParameterError(f"unknown loss {loss!r}; choose from {_LOSSES}")

@@ -28,7 +28,9 @@ The two benchmark constructions:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
@@ -42,7 +44,9 @@ from .core import (
     FiniteHypothesisClass,
     GroupRates,
     InvalidParameterError,
+    cell_sums,
 )
+from .posthoc import expected_loss_from_rates
 
 CODING_01 = "zero_one"
 CODING_PM1 = "pm_one"
@@ -86,20 +90,19 @@ class FiniteJointLaw:
         return self.x.shape[1]
 
     def label01(self) -> np.ndarray:
-        """Labels mapped to {0, 1} regardless of coding."""
-        return (self.labels > 0).astype(np.int64) if self.coding == CODING_PM1 \
-            else self.labels.astype(np.int64)
+        """Labels mapped to {0, 1} regardless of coding: positive values map to 1."""
+        return (self.labels > 0).astype(np.int64)
 
     def attr01(self) -> np.ndarray:
-        return (self.attr > 0).astype(np.int64) if self.coding == CODING_PM1 \
-            else self.attr.astype(np.int64)
+        return (self.attr > 0).astype(np.int64)
+
+    @cached_property
+    def cell(self) -> np.ndarray:
+        """Per-atom cell index: the atoms read as a 0/1-coded dataset."""
+        return Dataset(self.x, self.attr01(), self.label01()).cell
 
     def cell_probabilities(self) -> CellProbabilities:
-        t = np.zeros((2, 2))
-        y01, a01 = self.label01(), self.attr01()
-        for i in range(self.probs.shape[0]):
-            t[y01[i], a01[i]] += self.probs[i]
-        return CellProbabilities(t)
+        return CellProbabilities(cell_sums(self.cell, self.probs))
 
 
 @dataclass(frozen=True)
@@ -139,21 +142,18 @@ class CellProductLaw:
             raise InvalidParameterError(
                 f"refusing to enumerate 2^{d} atoms; dimension above {_MAX_ENUM_COORDS}")
         xs, attrs, labels, probs = [], [], [], []
-        for y in (0, 1):
-            for a in (0, 1):
-                p_cell = self.cells.table[y, a]
-                if p_cell == 0:
-                    continue
-                h = self.heads[y, a]
-                for bits in itertools.product((0, 1), repeat=d):
-                    p = p_cell
-                    for j, b in enumerate(bits):
-                        p *= h[j] if b else 1.0 - h[j]
-                    if p > 0:
-                        xs.append(bits)
-                        attrs.append(a)
-                        labels.append(y)
-                        probs.append(p)
+        for (y, a), p_cell in np.ndenumerate(self.cells.table):
+            if p_cell == 0:
+                continue
+            h = self.heads[y, a]
+            for bits in itertools.product((0, 1), repeat=d):
+                factors = (h[j] if b else 1.0 - h[j] for j, b in enumerate(bits))
+                p = math.prod(factors, start=p_cell)  # left to right from p_cell
+                if p > 0:
+                    xs.append(bits)
+                    attrs.append(a)
+                    labels.append(y)
+                    probs.append(p)
         return FiniteJointLaw(np.array(xs, dtype=np.float64), attrs, labels, probs)
 
 
@@ -198,19 +198,12 @@ def two_proxy_law(eps: float, coding: str = CODING_01) -> FiniteJointLaw:
     """
     if not 0.0 < eps < 0.25:
         raise InvalidParameterError(f"eps must lie in (0, 1/4), got {eps}")
-    xs, attrs, labels, probs = [], [], [], []
-    for y in (0, 1):
-        for a in (0, 1):
-            pa = (1.0 - eps) if a == y else eps
-            for xv in (0, 1):
-                px = (1.0 - 2.0 * eps) if xv == y else 2.0 * eps
-                xs.append([xv])
-                attrs.append(a)
-                labels.append(y)
-                probs.append(0.5 * pa * px)
-    x = np.array(xs, dtype=np.float64)
-    attr = np.array(attrs, dtype=np.float64)
-    lab = np.array(labels, dtype=np.float64)
+    # the eight (y, a, x) atoms in lexicographic order
+    lab, attr, x = np.array(list(itertools.product((0.0, 1.0), repeat=3))).T
+    pa = np.where(attr == lab, 1.0 - eps, eps)
+    px = np.where(x == lab, 1.0 - 2.0 * eps, 2.0 * eps)
+    probs = 0.5 * pa * px
+    x = x[:, None]
     if coding == CODING_PM1:
         x, attr, lab = 2 * x - 1, 2 * attr - 1, 2 * lab - 1
     return FiniteJointLaw(x, attr, lab, probs, coding=coding)
@@ -237,17 +230,12 @@ def erm_trap_family(n_features: int, alpha: float,
     cells = cells or CellProbabilities.uniform()
     # ties prefer (1, 1): the canonical orientation for the construction
     noisy = min(((1, 1), (1, 0), (0, 1), (0, 0)), key=lambda c: cells.table[c])
-    heads = np.zeros((2, 2, n_features))
-    for y in (0, 1):
-        for a in (0, 1):
-            # coordinate 0: noisy copy of the label, same in every cell
-            heads[y, a, 0] = 1.0 - alpha if y == 1 else alpha
-            # others: exact copy of the label outside the noisy cell
-            clean = float(y)
-            if (y, a) == noisy:
-                heads[y, a, 1:] = clean + (alpha if y == 0 else -alpha)
-            else:
-                heads[y, a, 1:] = clean
+    heads = np.empty((2, 2, n_features))
+    # coordinate 0: noisy copy of the label, same in every cell
+    heads[:, :, 0] = np.array([[alpha], [1.0 - alpha]])
+    # others: exact copy of the label, except for an alpha flip in the noisy cell
+    heads[:, :, 1:] = np.array([[[0.0]], [[1.0]]])
+    heads[noisy][1:] = alpha if noisy[0] == 0 else 1.0 - alpha
     law = CellProductLaw(cells, heads)
     rules = tuple(FeatureThresholdRule(j, 0.5, name=f"x{j}") for j in range(n_features))
     return law, FiniteHypothesisClass(rules)
@@ -275,15 +263,6 @@ def gaussian_law(d: int, seed: int, eig_low: float = 0.5,
     return GaussianJointLaw(mean, cov)
 
 
-def _atom_acceptance(law: FiniteJointLaw, predictor: BinaryPredictor) -> np.ndarray:
-    vals = np.asarray(predictor.predict_proba(law.x, law.attr), dtype=np.float64).ravel()
-    if vals.shape[0] != law.probs.shape[0]:
-        raise InvalidParameterError("predictor returned wrong number of atom values")
-    if ((vals < -1e-12) | (vals > 1 + 1e-12)).any():
-        raise InvalidParameterError("predictor outputs outside [0, 1]")
-    return np.clip(vals, 0.0, 1.0)
-
-
 def population_rates(law: Law, predictor: BinaryPredictor) -> GroupRates:
     """Exact conditional acceptance rates P(pred = 1 | y, a) by enumeration."""
     if isinstance(law, CellProductLaw):
@@ -292,26 +271,19 @@ def population_rates(law: Law, predictor: BinaryPredictor) -> GroupRates:
         if isinstance(predictor, ConstantRule):
             return GroupRates(np.full((2, 2), predictor.value))
         return population_rates(law.to_finite_law(), predictor)
-    vals = _atom_acceptance(law, predictor)
-    y01, a01 = law.label01(), law.attr01()
-    rates = np.zeros((2, 2))
-    for y in (0, 1):
-        for a in (0, 1):
-            mask = (y01 == y) & (a01 == a)
-            pc = float(law.probs[mask].sum())
-            if pc == 0:
-                raise InvalidParameterError(f"law has no mass in cell (y={y}, a={a})")
-            rates[y, a] = float((law.probs[mask] * vals[mask]).sum()) / pc
-    return GroupRates(rates)
+    vals = predictor.acceptance(law.x, law.attr)
+    mass = cell_sums(law.cell, law.probs)
+    if (mass == 0).any():
+        empty = np.argwhere(mass == 0).tolist()
+        raise InvalidParameterError(f"law has no mass in (y, a) cells {empty}")
+    return GroupRates(cell_sums(law.cell, law.probs * vals) / mass)
 
 
 def population_loss01(law: Law, predictor: BinaryPredictor) -> float:
     """Exact expected 0-1 loss over the law."""
     if isinstance(law, CellProductLaw):
-        rates = population_rates(law, predictor).rates
-        t = law.cells.table
-        return float((t[0] * rates[0]).sum() + (t[1] * (1.0 - rates[1])).sum())
-    vals = _atom_acceptance(law, predictor)
+        return expected_loss_from_rates(population_rates(law, predictor).rates, law.cells)
+    vals = predictor.acceptance(law.x, law.attr)
     y01 = law.label01().astype(np.float64)
     return float((law.probs * np.abs(vals - y01)).sum())
 
@@ -389,15 +361,13 @@ def _probe_l1_optimum(law: FiniteJointLaw, radius: float, w: Tuple[float, float,
     base = _sq_loss_on_law(law, *w)
     worst = np.inf
     offsets = (-step, 0.0, step)
-    for dx in offsets:
-        for da in offsets:
-            for db in offsets:
-                if dx == da == db == 0.0:
-                    continue
-                wx, wa, wb = w[0] + dx, w[1] + da, w[2] + db
-                if abs(wx) + abs(wa) > radius + 1e-15:
-                    continue
-                worst = min(worst, _sq_loss_on_law(law, wx, wa, wb) - base)
+    for dx, da, db in itertools.product(offsets, repeat=3):
+        if dx == da == db == 0.0:
+            continue
+        wx, wa, wb = w[0] + dx, w[1] + da, w[2] + db
+        if abs(wx) + abs(wa) > radius + 1e-15:
+            continue
+        worst = min(worst, _sq_loss_on_law(law, wx, wa, wb) - base)
     return float(worst)
 
 

@@ -34,9 +34,9 @@ from .core import (
     CellProbabilities,
     ConstantRule,
     Dataset,
-    EmptyCellError,
     FeatureThresholdRule,
     FiniteHypothesisClass,
+    GroupRates,
     InvalidParameterError,
     empirical_loss,
     empirical_rates,
@@ -47,6 +47,7 @@ from .posthoc import (
     DerivedRule,
     RateStatistics,
     derived_loss,
+    expected_loss_from_rates,
     induced_rates,
     optimal_derived,
 )
@@ -77,10 +78,7 @@ def auto_tolerance(n: int, delta: float, cells: CellProbabilities) -> float:
     """Gap-tolerance schedule shrinking at the sample-gap concentration rate."""
     if n < 1:
         raise InvalidParameterError("n must be positive")
-    min_cell = cells.min_cell
-    if min_cell <= 0:
-        raise EmptyCellError(
-            [tuple(i) for i in np.argwhere(cells.table == 0)], "auto tolerance")
+    min_cell = cells.positive_min_cell("auto tolerance")
     return 2.0 * math.sqrt(2.0 * math.log(64.0 / delta) / (n * min_cell))
 
 
@@ -103,21 +101,21 @@ def constrained_erm(dataset: Dataset, hclass: FiniteHypothesisClass,
     Exhaustive scan in class order; ties keep the earlier rule. When no
     member is feasible the better constant rule is returned with the
     ``forced_constant`` flag set. All four (y, a) cells must be populated.
+    Each rule is evaluated once; its loss is computed only when feasible.
     """
     if tolerance < 0:
         raise InvalidParameterError("tolerance must be nonnegative")
-    probe = empirical_rates(dataset, ConstantRule(1.0))
-    if not probe.all_cells_present:
-        raise EmptyCellError(probe.empty_cells, "constrained risk minimization")
+    dataset.require_all_cells("constrained risk minimization")
 
     best = None
     feasible_names = []
     for rule in hclass:
-        gap = empirical_rates(dataset, rule).gap()
+        vals = rule.on_dataset(dataset)
+        gap = empirical_rates(dataset, vals).gap()
         if gap >= tolerance:
             continue
         feasible_names.append(rule.name)
-        loss = empirical_loss(dataset, rule)
+        loss = empirical_loss(dataset, vals)
         if best is None or loss < best[1]:  # strict: earlier rule wins ties
             best = (rule, loss, gap)
 
@@ -176,39 +174,32 @@ def train_two_step(data: Dataset, hclass: FiniteHypothesisClass,
     if len(data) < 8:
         raise InvalidParameterError(f"need at least 8 samples, got {len(data)}")
     s1, s2 = split_dataset(data, config.seed)
-    for name, half in (("first half", s1), ("second half", s2)):
-        probe = empirical_rates(half, ConstantRule(1.0))
-        if not probe.all_cells_present:
-            raise EmptyCellError(probe.empty_cells, name)
+    s1.require_all_cells("first half")
+    s2.require_all_cells("second half")
 
-    cells_hat = CellProbabilities.from_dataset(data)
-    n = len(data)
-    t_train = (auto_tolerance(n, config.delta, cells_hat)
-               if config.train_tolerance == "auto" else float(config.train_tolerance))
-    t_correct = (auto_tolerance(n, config.delta, cells_hat)
-                 if config.correct_tolerance == "auto" else float(config.correct_tolerance))
+    auto = auto_tolerance(len(data), config.delta, CellProbabilities.from_dataset(data))
+    t_train = auto if config.train_tolerance == "auto" else float(config.train_tolerance)
+    t_correct = auto if config.correct_tolerance == "auto" else float(config.correct_tolerance)
 
     step1 = constrained_erm(s1, hclass, t_train)
-    derived = fit_correction(s2, step1.rule, t_correct)
+    s2_vals = step1.rule.on_dataset(s2)
+    s2_stats = RateStatistics.from_sample(s2, s2_vals)
+    derived = optimal_derived(s2_stats, t_correct)
     corrected = derived.as_rule(step1.rule)
 
-    s2_stats = RateStatistics.from_sample(s2, step1.rule)
     diagnostics = {
         "s1_loss": step1.loss,
         "s1_gap": step1.gap,
-        "s2_base_loss": empirical_loss(s2, step1.rule),
-        "s2_base_gap": empirical_rates(s2, step1.rule).gap(),
+        "s2_base_loss": empirical_loss(s2, s2_vals),
+        "s2_base_gap": GroupRates(s2_stats.rates).gap(),
         "s2_corrected_loss": derived_loss(derived, s2_stats),
         "s2_corrected_gap": induced_rates(derived, s2_stats).gap(),
     }
     if population is not None:
-        from .synthetic import population_rates
         pop_stats = RateStatistics.from_population(population, step1.rule)
         diagnostics["population"] = {
-            "base_loss": float(
-                (pop_stats.cells.table[0] * pop_stats.rates[0]).sum()
-                + (pop_stats.cells.table[1] * (1 - pop_stats.rates[1])).sum()),
-            "base_gap": population_rates(population, step1.rule).gap(),
+            "base_loss": expected_loss_from_rates(pop_stats.rates, pop_stats.cells),
+            "base_gap": GroupRates(pop_stats.rates).gap(),
             "corrected_loss": derived_loss(derived, pop_stats),
             "corrected_gap": induced_rates(derived, pop_stats).gap(),
         }

@@ -55,6 +55,16 @@ class TestCsv:
         ds = load_csv(path, require_binary=False)
         assert ds.attr[0] == 0.5
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_nonfinite_cell_names_line_and_column(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        # the blank line shifts the bad row from line 4 to line 5
+        path.write_text(f"x0,a,y,score\n0.1,1,0,0.5\n\n0.2,0,1,0.5\n0.3,1,1,{cell}\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(path)
+        assert err.value.line == 5
+        assert "'score'" in str(err.value)
+
     def test_round_trip_bit_identical(self, tmp_path):
         law = two_proxy_law(0.1)
         rng_ds = sample_law(law, 10_000, seed=1)
@@ -207,3 +217,41 @@ class TestCliCommands:
         code = main(["audit", "--data", str(data), "--alpha", "0.5",
                      "--delta", "0.1", "--threshold", "0.5"])
         assert code == 0
+
+
+def test_nan_score_audit_exits_2(tmp_path, capsys):
+    data = tmp_path / "nan.csv"
+    rows = ["0,0,0,0.1", "1,0,0,0.2", "0,1,0,0.3", "1,1,0,nan",
+            "0,0,1,0.5", "1,0,1,0.6", "0,1,1,0.7", "1,1,1,0.8"]
+    data.write_text("x0,a,y,score\n" + "\n".join(rows) + "\n")
+    code = main(["audit", "--data", str(data), "--alpha", "0.5", "--delta", "0.1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 5" in captured.err and "'score'" in captured.err
+
+
+@pytest.mark.parametrize("case, needle", [
+    ("cell-probs", "--cell-probs"),
+    ("rule-without-feature", "'feature'"),
+    ("hypotheses-not-json", "not valid JSON"),
+    ("trial-scale", "EQODDS_TRIAL_SCALE"),
+])
+def test_malformed_input_exits_2(case, needle, tmp_path, monkeypatch, capsys):
+    data = tmp_path / "d.csv"
+    write_scored_csv(data, n=400, seed=15)
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps({"rules": [{"type": "threshold", "cut": 0.5}]}))
+    argv = {
+        "cell-probs": ["audit", "--data", str(data), "--alpha", "0.5",
+                       "--delta", "0.1", "--cell-probs", "a,b,c,d"],
+        "rule-without-feature": ["train", "--data", str(data),
+                                 "--hypotheses", str(rules)],
+        "hypotheses-not-json": ["train", "--data", str(data),
+                                "--hypotheses", str(data)],
+        "trial-scale": ["reproduce", "--experiment", "detection-error-rates"],
+    }[case]
+    if case == "trial-scale":
+        monkeypatch.setenv("EQODDS_TRIAL_SCALE", "abc")
+    assert main(argv) == 2
+    assert needle in capsys.readouterr().err

@@ -20,6 +20,7 @@ from eqodds.core import (
     empirical_rates,
     split_dataset,
 )
+from oracles import counting_rates_oracle as counting_oracle_rates
 
 
 def random_binary_dataset(rng, n, d=2):
@@ -35,24 +36,6 @@ def full_cells_dataset(rng, n, d=2):
         ds = random_binary_dataset(rng, n, d)
         if empirical_rates(ds, ConstantRule(1.0)).all_cells_present:
             return ds
-
-
-def counting_oracle_rates(ds, values):
-    """Per-cell loop oracle: sum of 0/1 predictions over count."""
-    rates = np.full((2, 2), np.nan)
-    counts = np.zeros((2, 2), dtype=int)
-    for i in range(len(ds)):
-        y, a = int(ds.labels[i]), int(ds.attr[i])
-        counts[y, a] += 1
-    sums = np.zeros((2, 2))
-    for i in range(len(ds)):
-        y, a = int(ds.labels[i]), int(ds.attr[i])
-        sums[y, a] += values[i]
-    for y in (0, 1):
-        for a in (0, 1):
-            if counts[y, a]:
-                rates[y, a] = sums[y, a] / counts[y, a]
-    return rates, counts
 
 
 def test_constant_rule_rates_all_one():
@@ -218,3 +201,23 @@ def test_group_rates_population_table():
     gr = GroupRates(np.array([[0.1, 0.1], [0.9, 0.6]]))
     assert gr.all_cells_present
     assert gr.gap() == pytest.approx(0.3)
+
+
+def test_nan_acceptance_values_rejected():
+    ds = Dataset(np.zeros((4, 1)), [0, 1, 0, 1], [0, 0, 1, 1])
+    with pytest.raises(InvalidParameterError):
+        empirical_rates(ds, np.array([0.2, np.nan, 0.4, 0.9]))
+    nan_rule = FunctionRule(lambda X, a: np.full(len(a), np.nan), "nan")
+    with pytest.raises(InvalidParameterError):
+        empirical_rates(ds, nan_rule)
+
+
+def test_cell_index_and_counts_cached():
+    ds = Dataset(np.zeros((5, 1)), [0, 1, 1, 0, 1], [0, 0, 1, 1, 1])
+    assert np.array_equal(ds.cell, [0, 1, 3, 2, 3])
+    assert np.array_equal(ds.cell_counts, [[1, 1], [1, 2]])
+    assert ds.cell_counts is ds.cell_counts
+    ds.require_all_cells("test")
+    with pytest.raises(EmptyCellError) as err:
+        Dataset(np.zeros((2, 1)), [0, 1], [1, 1]).require_all_cells("test")
+    assert err.value.cells == [(0, 0), (0, 1)]

@@ -1,0 +1,51 @@
+"""Fixed-seed reports must not change across code versions.
+
+``golden_reports.json`` holds, for each reproduction experiment at seed 0
+with ``trials=30`` (the floors raise this to 50/50/30 where they apply),
+the report's ``params`` and ``rows`` and the SHA-256 of its per-trial
+``raw`` rows. A refactor that reorders a floating-point sum shows up here
+as a changed digit. Regenerate the file only for a change that is meant to
+alter reports, and say why in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_golden_reports.py > tests/golden_reports.json
+"""
+
+import hashlib
+import json
+import os
+import sys
+
+import pytest
+
+from eqodds.experiments import EXPERIMENTS, TRIAL_SCALE_ENV, run_experiment
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_reports.json")
+SEED, TRIALS = 0, 30
+
+
+def golden_entry(experiment: str) -> dict:
+    """JSON-normal form of one report: params, rows and a hash of raw."""
+    report = run_experiment(experiment, seed=SEED, trials=TRIALS)
+    body = report.to_dict()
+    raw = json.dumps(report.raw, sort_keys=True).encode()
+    # a JSON round trip turns tuples into lists, as in the stored file
+    return json.loads(json.dumps({
+        "params": body["params"],
+        "rows": body["rows"],
+        "raw_sha256": hashlib.sha256(raw).hexdigest(),
+    }))
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_report_matches_golden(experiment, monkeypatch):
+    monkeypatch.delenv(TRIAL_SCALE_ENV, raising=False)
+    with open(GOLDEN_PATH, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    assert golden_entry(experiment) == golden[experiment]
+
+
+if __name__ == "__main__":
+    os.environ.pop(TRIAL_SCALE_ENV, None)
+    json.dump({name: golden_entry(name) for name in sorted(EXPERIMENTS)},
+              sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")

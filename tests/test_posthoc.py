@@ -172,3 +172,38 @@ def test_expected_loss_from_rates_hand_value():
     cells = CellProbabilities.from_flat([0.1, 0.2, 0.3, 0.4])
     want = 0.1 * 0.2 + 0.2 * 0.4 + 0.3 * (1 - 0.9) + 0.4 * (1 - 0.5)
     assert expected_loss_from_rates(rates, cells) == pytest.approx(want, abs=1e-15)
+
+
+def test_array_forms_equal_per_cell_loops():
+    # the per-cell loops the array expressions replaced; same arithmetic in
+    # the same order, so the results must agree bit for bit
+    from eqodds.posthoc import LOSS_HINGE_PM1, _gap_rows, _lp_coefficients
+
+    rng = np.random.default_rng(11)
+    for trial in range(200):
+        stats = random_rate_statistics(rng)
+        if trial % 4 == 0:
+            stats = RateStatistics(np.round(stats.rates), stats.cells)  # 0/1 rates
+        g, t = stats.rates, stats.cells.table
+        acc = rng.random((2, 2))
+        rates, c, rows = np.empty((2, 2)), np.zeros(4), np.zeros((2, 4))
+        for a in (0, 1):
+            rates[:, a] = acc[1, a] * g[:, a] + acc[0, a] * (1.0 - g[:, a])
+        for cell_loss in (np.array([[0.0, 1.0], [1.0, 0.0]]), LOSS_HINGE_PM1):
+            total, c[:] = 0.0, 0.0
+            for y in (0, 1):
+                for a in (0, 1):
+                    total += t[y, a] * (g[y, a] * cell_loss[y, 1]
+                                        + (1.0 - g[y, a]) * cell_loss[y, 0])
+                    gain = cell_loss[y, 1] - cell_loss[y, 0]
+                    c[2 + a] += t[y, a] * gain * g[y, a]
+                    c[a] += t[y, a] * gain * (1.0 - g[y, a])
+            assert expected_loss_from_rates(g, stats.cells, cell_loss) == total
+            assert np.array_equal(_lp_coefficients(stats, cell_loss), c)
+        for y in (0, 1):
+            rows[y] = [1.0 - g[y, 0], 0.0 - (1.0 - g[y, 1]), g[y, 0], 0.0 - g[y, 1]]
+        assert np.array_equal(induced_rates(DerivedPredictor(acc), stats).rates,
+                              np.clip(rates, 0.0, 1.0))
+        assert np.array_equal(_gap_rows(stats), rows)
+        # a 0 or 1 base rate must give +0.0 entries, as the loop's 0.0 - x did
+        assert np.array_equal(np.signbit(_gap_rows(stats)), np.signbit(rows))
