@@ -103,22 +103,28 @@ def build_hypothesis_class(spec: dict, dataset: Dataset) -> FiniteHypothesisClas
     to data-derived cut points.
     """
     entries = spec.get("rules") if isinstance(spec, dict) else None
-    if not entries:
+    if not entries or not isinstance(entries, list):
         raise CliError("hypothesis spec needs a nonempty 'rules' list")
     rules = []
     for k, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise CliError(f"rules[{k}]: expected an object, got {entry!r}")
         kind = entry.get("type")
         try:
+            if kind in ("threshold", "threshold-grid"):
+                feature = int(entry["feature"])
+                if not 0 <= feature < dataset.n_features:
+                    raise CliError(f"rules[{k}] ({kind}): feature {feature} is not a column "
+                                   f"of the data (x0..x{dataset.n_features - 1})")
             if kind == "threshold":
-                rules.append(FeatureThresholdRule(int(entry["feature"]),
-                                                  float(entry["cut"]),
+                rules.append(FeatureThresholdRule(feature, float(entry["cut"]),
                                                   name=entry.get("name")))
             elif kind == "attribute":
                 rules.append(AttributeRule(name=entry.get("name", "attr")))
             elif kind == "constant":
                 rules.append(ConstantRule(float(entry["value"]), name=entry.get("name")))
             elif kind == "threshold-grid":
-                grid = threshold_class(dataset, features=[int(entry["feature"])],
+                grid = threshold_class(dataset, features=[feature],
                                        max_cuts_per_feature=int(entry.get("max_cuts", 32)),
                                        include_constants=False)
                 rules.extend(grid.rules)

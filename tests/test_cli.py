@@ -1,13 +1,19 @@
 """CSV contract, CLI subcommands, and report plumbing."""
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from eqodds import data_io
 from eqodds.cli import main
 from eqodds.core import Dataset
-from eqodds.data_io import ParseError, SchemaError, load_csv, write_csv
+from eqodds.data_io import (ParseError, SchemaError, _format_column, _format_value,
+                            load_csv, write_csv, write_json_atomic)
 from eqodds.synthetic import sample_law, two_proxy_law
 
 
@@ -80,6 +86,96 @@ class TestCsv:
         again = load_csv(p2)
         assert np.array_equal(loaded.features, again.features)
         assert np.array_equal(loaded.scores, again.scores)
+
+    @pytest.mark.parametrize("text, error", [
+        ("a,y,x0,score\n1,0,0.5,0.25\n0,1,-1.5,0.75\n", None),
+        ("x0,a,y,score\r\n0.5,1,0,0.25\r\n1,0,1,0.75\r\n", None),
+        ("x0,a,y,score\n\n0.5,1,0,0.25\n   \n\t\n1,0,1,0.75\n\n", None),
+        ('x0,a,y,score\n"0.5",1,0,0.25\n1_0,0,1,"0.75"\n', None),
+        ("x0,a,y,score\n+0.5,+1,0,+0.25\n", None),
+        ("x0,a,y,score\n-0,1,0,-0.0\n", None),
+        ("x0,a,y\n0.5,1,0", None),
+        ("x0,a,y,score\n", (SchemaError, None)),
+        ("x0,a,y,score\n0.5,1,0,0.25\n0.5,1,0\n", (ParseError, 3)),
+        ("x0,a,y,score\n0.5,,0,0.25\n", (ParseError, 2)),
+        ("x0,a,y\n0.5,1,0,9\n0.5,1,0,9\n", (ParseError, 2)),
+        ("x0,a,y,score\n0.5,1,0,0.25,\n0.5,1,0,0.25,\n", (ParseError, 2)),
+        ("x0,a,y,score\n0.5,1,0,0.25\n\n1,0,1,nan\n", (ParseError, 4)),
+        ("x0,a,y,score\n0.5,1,0,0.25\n0.5\x1c,1,0,0.25\n", (ParseError, 3)),
+    ], ids=["reordered", "crlf", "blank-lines", "quoted-underscore", "plus",
+            "signed-zero", "one-row", "header-only", "short-row", "empty-field",
+            "extra-field", "trailing-comma", "nan-after-blank", "separator-char"])
+    def test_bulk_parse_matches_row_loop(self, tmp_path, monkeypatch, text, error):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+
+        def outcome():
+            try:
+                ds = load_csv(path)
+            except (ParseError, SchemaError) as exc:
+                return type(exc), getattr(exc, "line", None), str(exc)
+            return [None if c is None else (c.shape, c.tobytes())
+                    for c in (ds.features, ds.attr, ds.labels, ds.scores)]
+
+        bulk = outcome()
+        monkeypatch.setattr(data_io, "_bulk_table", lambda *args: None)
+        assert bulk == outcome()  # the row loop alone
+        if error is not None:
+            assert bulk[:2] == error
+        else:
+            assert isinstance(bulk, list)
+
+    def test_signed_zero_round_trip(self, tmp_path):
+        path = tmp_path / "z.csv"
+        path.write_text("x0,a,y,score\n-0,0,1,-0.0\n0,1,0,0\n")
+        ds = load_csv(path)
+        assert np.signbit(ds.features[:, 0]).tolist() == [True, False]
+        write_csv(ds, path)
+        assert path.read_text().splitlines()[1] == "-0.0,0,1,-0.0"
+        again = load_csv(path)
+        assert np.signbit(again.features[:, 0]).tolist() == [True, False]
+        assert np.signbit(again.scores).tolist() == [True, False]
+
+    @pytest.mark.parametrize("values", [
+        [0.0, -0.0, 1.0, -7.0, 1e15 - 1, -(1e15 - 1), 1e15, 2.0**53, 0.5, 5e-324, -1e300],
+        [0.0, 1.0, -3.0, 1e15 - 1],
+        [-0.0, 0.5, 1e15, -1e16, 5e-324, 0.1],
+    ], ids=["mixed", "whole", "none-whole"])
+    def test_column_format_matches_value_rule(self, values):
+        assert list(_format_column(np.array(values))) == list(map(_format_value, values))
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_round_trip_arbitrary_finite_floats(self, tmp_path, data):
+        n = data.draw(st.integers(1, 12))
+        d = data.draw(st.integers(1, 3))
+        edge = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+                                1e15, -1e15, 1e15 - 1, -(1e15 - 1), 1e15 + 0.5,
+                                999999999999999.9, 2.0**53 + 2])
+        cells = st.one_of(edge, st.floats(allow_nan=False, allow_infinity=False))
+        binary = st.sampled_from([0.0, 1.0])
+        ds = Dataset(data.draw(hnp.arrays(np.float64, (n, d), elements=cells)),
+                     data.draw(hnp.arrays(np.float64, n, elements=binary)),
+                     data.draw(hnp.arrays(np.float64, n, elements=binary)),
+                     data.draw(st.none() | hnp.arrays(np.float64, n, elements=cells)))
+        path = tmp_path / "h.csv"
+        write_csv(ds, path)
+        back = load_csv(path)
+        for name in ("features", "attr", "labels", "scores"):
+            want, got = getattr(ds, name), getattr(back, name)
+            assert (got is None) if want is None else got.tobytes() == want.tobytes()
+
+    def test_output_files_get_plain_open_mode(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            write_csv(write_scored_csv(tmp_path / "seed.csv", n=20), tmp_path / "d.csv")
+            write_json_atomic({"k": 1}, tmp_path / "r.json")
+        finally:
+            os.umask(old)
+        for name in ("seed.csv", "d.csv", "r.json"):
+            assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o644
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "r.json", "seed.csv"]
 
 
 class TestCliCommands:
@@ -236,17 +332,28 @@ def test_nan_score_audit_exits_2(tmp_path, capsys):
     ("rule-without-feature", "'feature'"),
     ("hypotheses-not-json", "not valid JSON"),
     ("trial-scale", "EQODDS_TRIAL_SCALE"),
+    ("feature-past-last-column", "rules[1] (threshold): feature 3"),
+    ("negative-feature", "rules[0] (threshold-grid): feature -1"),
+    ("rule-not-object", "rules[0]: expected an object"),
 ])
 def test_malformed_input_exits_2(case, needle, tmp_path, monkeypatch, capsys):
     data = tmp_path / "d.csv"
-    write_scored_csv(data, n=400, seed=15)
+    write_scored_csv(data, n=400, seed=15)  # one feature column, x0
     rules = tmp_path / "rules.json"
-    rules.write_text(json.dumps({"rules": [{"type": "threshold", "cut": 0.5}]}))
+    rules.write_text(json.dumps({"rules": {
+        "feature-past-last-column": [{"type": "attribute"},
+                                     {"type": "threshold", "feature": 3, "cut": 0.5}],
+        "negative-feature": [{"type": "threshold-grid", "feature": -1}],
+        "rule-not-object": [1],
+    }.get(case, [{"type": "threshold", "cut": 0.5}])}))
+    train = ["train", "--data", str(data), "--hypotheses", str(rules)]
     argv = {
         "cell-probs": ["audit", "--data", str(data), "--alpha", "0.5",
                        "--delta", "0.1", "--cell-probs", "a,b,c,d"],
-        "rule-without-feature": ["train", "--data", str(data),
-                                 "--hypotheses", str(rules)],
+        "rule-without-feature": train,
+        "feature-past-last-column": train,
+        "negative-feature": train,
+        "rule-not-object": train,
         "hypotheses-not-json": ["train", "--data", str(data),
                                 "--hypotheses", str(data)],
         "trial-scale": ["reproduce", "--experiment", "detection-error-rates"],
