@@ -63,9 +63,17 @@ def _emit(payload: dict, out: Optional[str]) -> None:
         sys.stdout.write("\n")
 
 
+def _load_data(path: str, **kwargs) -> Dataset:
+    """``load_csv`` of ``--data``; a file that cannot be opened is a CliError."""
+    try:
+        return load_csv(path, **kwargs)
+    except OSError as exc:
+        raise CliError(f"cannot read --data {path}: {exc.strerror or exc}") from None
+
+
 def _score_predictions(args) -> Tuple[Dataset, np.ndarray]:
     """Load ``--data`` and read its score column as per-row acceptance values."""
-    dataset = load_csv(args.data, score_col=args.score_col)
+    dataset = _load_data(args.data, score_col=args.score_col)
     if dataset.scores is None:
         raise CliError("dataset has no score column; audit/correct need one")
     if args.threshold is not None:
@@ -165,12 +173,15 @@ def _cmd_correct(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    ds = load_csv(args.data)
-    with open(args.hypotheses, encoding="utf-8") as fh:
-        try:
+    ds = _load_data(args.data)
+    try:
+        with open(args.hypotheses, encoding="utf-8") as fh:
             spec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CliError(f"{args.hypotheses}: not valid JSON: {exc}") from None
+    except OSError as exc:
+        raise CliError(f"cannot read --hypotheses {args.hypotheses}: "
+                       f"{exc.strerror or exc}") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise CliError(f"{args.hypotheses}: not valid JSON: {exc}") from None
     hclass = build_hypothesis_class(spec, ds)
     config = TwoStepConfig(delta=args.delta, train_tolerance=args.train_tolerance,
                            correct_tolerance=args.correct_tolerance, seed=args.seed)
@@ -185,8 +196,8 @@ def _cmd_fit_linear_fair(args) -> int:
     if args.method in ("closed-form", "derived") and args.loss != "squared":
         raise CliError(f"method {args.method!r} is squared-loss only; "
                        f"use --method pgd for {args.loss!r}")
-    ds = load_csv(args.data, attr_col=args.protected_col, label_col=args.label_col,
-                  require_binary=False)
+    ds = _load_data(args.data, attr_col=args.protected_col, label_col=args.label_col,
+                    require_binary=False)
     model = estimate_moments(ds)
     raw = fit_unconstrained(model)
     payload = {

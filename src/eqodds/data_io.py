@@ -60,8 +60,25 @@ def load_csv(path, attr_col: str = "a", label_col: str = "y",
     Feature columns must be named ``x0..x{d-1}``; unknown columns are
     rejected so that files round-trip exactly. ``require_binary`` enforces
     {0, 1} attribute and label values (turn off for real-valued targets).
-    Non-finite cells (nan, inf) are rejected with their line and column.
+    Non-finite cells (nan, inf) are rejected with their line and column,
+    bytes that are not UTF-8 with their line, and a repeated header column
+    by name.
     """
+    try:
+        return _read_dataset(path, attr_col, label_col, score_col, require_binary)
+    except UnicodeDecodeError:
+        with open(path, "rb") as raw:
+            data = raw.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ParseError(line, f"{path}: byte 0x{data[exc.start]:02x} is not "
+                                   f"UTF-8 text") from None
+        raise
+
+
+def _read_dataset(path, attr_col, label_col, score_col, require_binary) -> Dataset:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -69,6 +86,9 @@ def load_csv(path, attr_col: str = "a", label_col: str = "y",
         except StopIteration:
             raise SchemaError("empty file: missing header row") from None
         header = [h.strip() for h in header]
+        repeated = [h for i, h in enumerate(header) if h in header[:i]]
+        if repeated:
+            raise SchemaError(f"repeated column {repeated[0]!r}")
 
         for required in (attr_col, label_col):
             if required not in header:

@@ -308,10 +308,9 @@ _HINGE_WIDTH = 1e-3  # quadratic smoothing width around the hinge kink
 
 
 def _signed_labels(labels: np.ndarray) -> np.ndarray:
-    vals = np.unique(labels)
-    if np.isin(vals, (0.0, 1.0)).all():
+    if ((labels == 0.0) | (labels == 1.0)).all():
         return 2.0 * labels - 1.0
-    if np.isin(vals, (-1.0, 1.0)).all():
+    if ((labels == -1.0) | (labels == 1.0)).all():
         return labels.astype(np.float64)
     raise InvalidParameterError("margin losses need labels in {0,1} or {-1,+1}")
 

@@ -38,8 +38,8 @@ from .core import (
     FiniteHypothesisClass,
     GroupRates,
     InvalidParameterError,
+    acceptance_values,
     empirical_loss,
-    empirical_rates,
     split_dataset,
 )
 from .posthoc import (
@@ -53,6 +53,9 @@ from .posthoc import (
 )
 
 Tolerance = Union[float, str]
+
+# Acceptance values held at once by the hypothesis scan: 65,536 float64, 512 KB.
+_SCAN_ELEMENTS = 65_536
 
 
 @dataclass(frozen=True)
@@ -98,31 +101,56 @@ def constrained_erm(dataset: Dataset, hclass: FiniteHypothesisClass,
                     tolerance: float) -> Step1Result:
     """Lowest-loss rule with sample gap strictly under ``tolerance``.
 
-    Exhaustive scan in class order; ties keep the earlier rule. When no
-    member is feasible the better constant rule is returned with the
-    ``forced_constant`` flag set. All four (y, a) cells must be populated.
-    Each rule is evaluated once; its loss is computed only when feasible.
+    Exhaustive scan in class order. Rules are evaluated a block at a time:
+    each block holds one row of acceptance values per rule, at most
+    ``_SCAN_ELEMENTS`` values in all (never fewer than one rule), is checked
+    and clipped once, and yields every rule's four cell sums from one product
+    with the cell-indicator matrix. Rates, gaps and 0-1 losses then follow as
+    vectors. The first feasible rule of least loss wins, so ties keep the
+    earlier rule. For 0/1 rules every sum is an exact integer and the result
+    equals a rule-by-rule evaluation bit for bit. When no member is feasible
+    the better constant rule is returned with the ``forced_constant`` flag
+    set. All four (y, a) cells must be populated.
     """
     if tolerance < 0:
         raise InvalidParameterError("tolerance must be nonnegative")
     dataset.require_all_cells("constrained risk minimization")
 
-    best = None
-    feasible_names = []
-    for rule in hclass:
-        vals = rule.on_dataset(dataset)
-        gap = empirical_rates(dataset, vals).gap()
-        if gap >= tolerance:
-            continue
-        feasible_names.append(rule.name)
-        loss = empirical_loss(dataset, vals)
-        if best is None or loss < best[1]:  # strict: earlier rule wins ties
-            best = (rule, loss, gap)
+    n = len(dataset)
+    rules = hclass.rules
+    indicator = (dataset.cell[:, None] == np.arange(4)).astype(np.float64)
+    sums = np.empty((len(rules), 4))  # per rule: S00, S01, S10, S11
+    width = max(1, _SCAN_ELEMENTS // n)
+    for lo in range(0, len(rules), width):
+        chunk = rules[lo:lo + width]
+        block = np.empty((len(chunk), n))
+        for row, rule in zip(block, chunk):
+            vals = np.asarray(rule.predict_proba(dataset.features, dataset.attr),
+                              dtype=np.float64).ravel()
+            if vals.shape[0] != n:  # a scalar must not broadcast over the row
+                acceptance_values(vals, n, f"{rule.name}: outputs")
+            row[:] = vals
+        try:
+            block = acceptance_values(block, block.size).reshape(block.shape)
+        except InvalidParameterError:  # name the first offending rule
+            for row, rule in zip(block, chunk):
+                acceptance_values(row, n, f"{rule.name}: outputs")
+            raise
+        np.matmul(block, indicator, out=sums[lo:lo + len(chunk)])
 
-    if best is not None:
-        rule, loss, gap = best
-        return Step1Result(rule=rule, loss=loss, gap=gap, tolerance=tolerance,
-                           forced_constant=False, feasible=tuple(feasible_names))
+    counts = dataset.cell_counts.ravel()
+    rates = sums / counts
+    gaps = np.maximum(np.abs(rates[:, 0] - rates[:, 1]), np.abs(rates[:, 2] - rates[:, 3]))
+    losses = (sums[:, 0] + sums[:, 1] + (counts[2] - sums[:, 2])
+              + (counts[3] - sums[:, 3])) / n
+    feasible = np.flatnonzero(gaps < tolerance)
+
+    if feasible.size:
+        pick = feasible[np.argmin(losses[feasible])]  # first minimum: earlier rule wins
+        return Step1Result(rule=rules[pick], loss=float(losses[pick]),
+                           gap=float(gaps[pick]), tolerance=tolerance,
+                           forced_constant=False,
+                           feasible=tuple(rules[i].name for i in feasible))
 
     # constants always have zero sample gap; pick the better one
     candidates = [ConstantRule(0.0), ConstantRule(1.0)]

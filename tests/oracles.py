@@ -6,8 +6,9 @@ generic LP feasibility) without touching the code paths under test.
 
 import numpy as np
 
-from eqodds.core import CellProbabilities
+from eqodds.core import CellProbabilities, ConstantRule, empirical_loss, empirical_rates
 from eqodds.posthoc import RateStatistics
+from eqodds.two_step import Step1Result
 
 
 def counting_rates_oracle(dataset, values):
@@ -26,6 +27,37 @@ def counting_rates_oracle(dataset, values):
     return rates, counts
 
 
+def constrained_erm_oracle(dataset, hclass, tolerance):
+    """Rule-by-rule constrained risk minimization: the scan the block scan replaced.
+
+    Each rule is evaluated on its own; its loss is computed only when it is
+    feasible, and a strictly smaller loss is needed to displace the best so far.
+    """
+    dataset.require_all_cells("constrained risk minimization")
+    best = None
+    feasible_names = []
+    for rule in hclass:
+        vals = rule.on_dataset(dataset)
+        gap = empirical_rates(dataset, vals).gap()
+        if gap >= tolerance:
+            continue
+        feasible_names.append(rule.name)
+        loss = empirical_loss(dataset, vals)
+        if best is None or loss < best[1]:  # strict: earlier rule wins ties
+            best = (rule, loss, gap)
+
+    if best is not None:
+        rule, loss, gap = best
+        return Step1Result(rule=rule, loss=loss, gap=gap, tolerance=tolerance,
+                           forced_constant=False, feasible=tuple(feasible_names))
+
+    candidates = [ConstantRule(0.0), ConstantRule(1.0)]
+    losses = [empirical_loss(dataset, c) for c in candidates]
+    pick = int(np.argmin(losses))
+    return Step1Result(rule=candidates[pick], loss=losses[pick], gap=0.0,
+                       tolerance=tolerance, forced_constant=True, feasible=())
+
+
 def random_rate_statistics(rng, min_cell=0.02):
     """Random base-rule rates and a random cell table bounded away from zero."""
     rates = rng.random((2, 2))
@@ -34,8 +66,7 @@ def random_rate_statistics(rng, min_cell=0.02):
     return RateStatistics(rates, CellProbabilities(cells.reshape(2, 2)))
 
 
-def derived_grid_minima(stats, tolerance, n_steps=101, slack=0.0101,
-                        chunk=512):
+def derived_grid_minima(stats, tolerance, n_steps=101, slack=0.0101, side=0.03):
     """Brute-force minima of the derived-rule objective over an accept grid.
 
     Scans every acceptance table with entries on a uniform grid and returns
@@ -45,6 +76,12 @@ def derived_grid_minima(stats, tolerance, n_steps=101, slack=0.0101,
     constraint). Group pairs are enumerated separately and combined by
     broadcasting, since the objective is additive across groups and only
     the gap couples them.
+
+    The minima equal those of the scan over every pair of group points,
+    bit for bit, but most pairs are ruled out in bulk: each group's points
+    are bucketed into square tiles of ``side`` in the (false positive, true
+    positive) plane, and pairs of tiles are visited in order of the least
+    objective they could hold (see ``_paired_minimum``).
     """
     grid = np.linspace(0.0, 1.0, n_steps)
     p1, p0 = np.meshgrid(grid, grid, indexing="ij")
@@ -52,41 +89,76 @@ def derived_grid_minima(stats, tolerance, n_steps=101, slack=0.0101,
 
     g = stats.rates
     t = stats.cells.table
-    f, tp, obj = {}, {}, {}
-    for a in (0, 1):
-        f[a] = p1 * g[0, a] + p0 * (1.0 - g[0, a])
-        tp[a] = p1 * g[1, a] + p0 * (1.0 - g[1, a])
-        obj[a] = t[0, a] * f[a] + t[1, a] * (1.0 - tp[a])
+    tiles = []
+    for a, pad in ((0, np.inf), (1, -np.inf)):  # pads of the two groups never meet
+        f = p1 * g[0, a] + p0 * (1.0 - g[0, a])
+        tp = p1 * g[1, a] + p0 * (1.0 - g[1, a])
+        obj = t[0, a] * f + t[1, a] * (1.0 - tp)
+        tiles.append(_tiles(f, tp, obj, side, pad))
 
     strict_cap = tolerance + 1e-12
     relaxed_cap = tolerance + slack
+    return _paired_minimum(*tiles, strict_cap), _paired_minimum(*tiles, relaxed_cap)
 
-    # sort both groups by their false positive coordinate so each chunk of
-    # group-0 points only meets a narrow group-1 window; the constraint is
-    # still evaluated exactly inside the window
-    o0 = np.argsort(f[0], kind="stable")
-    o1 = np.argsort(f[1], kind="stable")
-    f0, t0, c0 = f[0][o0], tp[0][o0], obj[0][o0]
-    f1, t1, c1 = f[1][o1], tp[1][o1], obj[1][o1]
 
-    best_strict, best_relaxed = np.inf, np.inf
-    m = f0.shape[0]
-    for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
-        w_lo = int(np.searchsorted(f1, f0[lo] - relaxed_cap, side="left"))
-        w_hi = int(np.searchsorted(f1, f0[hi - 1] + relaxed_cap, side="right"))
-        if w_lo >= w_hi:
-            continue
-        df = np.abs(f0[lo:hi, None] - f1[None, w_lo:w_hi])
-        dt = np.abs(t0[lo:hi, None] - t1[None, w_lo:w_hi])
-        total = c0[lo:hi, None] + c1[None, w_lo:w_hi]
-        ok = (df <= strict_cap) & (dt <= strict_cap)
+def _tiles(f, tp, obj, side, pad):
+    """Points bucketed into square tiles of ``side`` in the (f, tp) plane.
+
+    Returns the points as three (tiles, largest tile) arrays, rows padded with
+    ``pad`` (and an infinite objective), and per tile the ranges of f and tp
+    and the least objective.
+    """
+    key = np.floor(f / side) * 1024 + np.floor(tp / side)
+    order = np.argsort(key, kind="stable")
+    key, f, tp, obj = key[order], f[order], tp[order], obj[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    sizes = np.diff(np.r_[starts, key.size])
+    rows = np.repeat(np.arange(starts.size), sizes)
+    cols = np.arange(key.size) - np.repeat(starts, sizes)
+    points = []
+    for values, fill in ((f, pad), (tp, pad), (obj, np.inf)):
+        padded = np.full((starts.size, sizes.max()), fill)
+        padded[rows, cols] = values
+        points.append(padded)
+    ranges = (np.minimum.reduceat(f, starts), np.maximum.reduceat(f, starts),
+              np.minimum.reduceat(tp, starts), np.maximum.reduceat(tp, starts),
+              np.minimum.reduceat(obj, starts))
+    return points, ranges
+
+
+def _paired_minimum(tiles0, tiles1, cap):
+    """Least obj0 + obj1 over point pairs with |df| <= cap and |dtp| <= cap.
+
+    Exact. fl(x - y) is monotone in x and in y, so a tile pair whose f or tp
+    ranges lie more than ``cap`` apart holds no pair within the cap and is
+    skipped. Rounded addition is monotone too, so no pair of a tile pair sums
+    below the sum of the tiles' least objectives: tile pairs are visited in
+    order of that bound, and the scan stops once it cannot beat the best pair
+    found. Inside a visited tile pair every point pair's constraint is
+    evaluated exactly, about 2**15 pairs at a time.
+    """
+    (f0, t0, c0), (f0_lo, f0_hi, t0_lo, t0_hi, c0_min) = tiles0
+    (f1, t1, c1), (f1_lo, f1_hi, t1_lo, t1_hi, c1_min) = tiles1
+    near = ((f0_lo[:, None] - f1_hi <= cap) & (f1_lo - f0_hi[:, None] <= cap)
+            & (t0_lo[:, None] - t1_hi <= cap) & (t1_lo - t0_hi[:, None] <= cap))
+    q, r = np.nonzero(near)
+    bound = c0_min[q] + c1_min[r]
+    order = np.argsort(bound, kind="stable")
+    q, r, bound = q[order], r[order], bound[order]
+
+    batch = max(1, 2**15 // (f0.shape[1] * f1.shape[1]))
+    best = np.inf
+    for lo in range(0, q.size, batch):
+        if bound[lo] >= best:
+            break
+        qq, rr = q[lo:lo + batch], r[lo:lo + batch]
+        df = np.abs(f0[qq][:, :, None] - f1[rr][:, None, :])
+        dt = np.abs(t0[qq][:, :, None] - t1[rr][:, None, :])
+        total = c0[qq][:, :, None] + c1[rr][:, None, :]
+        ok = (df <= cap) & (dt <= cap)
         if ok.any():
-            best_strict = min(best_strict, float(total[ok].min()))
-        ok = (df <= relaxed_cap) & (dt <= relaxed_cap)
-        if ok.any():
-            best_relaxed = min(best_relaxed, float(total[ok].min()))
-    return best_strict, best_relaxed
+            best = min(best, float(total[ok].min()))
+    return best
 
 
 def point_in_hull(point, vertices, tol=1e-9):

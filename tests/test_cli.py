@@ -46,6 +46,12 @@ class TestCsv:
         with pytest.raises(SchemaError):
             load_csv(path)
 
+    def test_repeated_column_rejected(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("x0,a,a,y\n0.5,0,1,1\n1.5,1,0,0\n")
+        with pytest.raises(SchemaError, match="repeated column 'a'"):
+            load_csv(path)
+
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x0,a,y\n0.1,1,0\nnot_a_number,0,1\n")
@@ -335,10 +341,15 @@ def test_nan_score_audit_exits_2(tmp_path, capsys):
     ("feature-past-last-column", "rules[1] (threshold): feature 3"),
     ("negative-feature", "rules[0] (threshold-grid): feature -1"),
     ("rule-not-object", "rules[0]: expected an object"),
+    ("data-not-utf8", "line 3: {tmp}/bad.csv: byte 0xff is not UTF-8"),
+    ("data-is-directory", "cannot read --data {tmp}: Is a directory"),
+    ("hypotheses-is-directory", "cannot read --hypotheses {tmp}: Is a directory"),
 ])
 def test_malformed_input_exits_2(case, needle, tmp_path, monkeypatch, capsys):
     data = tmp_path / "d.csv"
     write_scored_csv(data, n=400, seed=15)  # one feature column, x0
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"x0,a,y,score\n0,0,0,0.5\n1,\xff,0,0.5\n")
     rules = tmp_path / "rules.json"
     rules.write_text(json.dumps({"rules": {
         "feature-past-last-column": [{"type": "attribute"},
@@ -357,8 +368,13 @@ def test_malformed_input_exits_2(case, needle, tmp_path, monkeypatch, capsys):
         "hypotheses-not-json": ["train", "--data", str(data),
                                 "--hypotheses", str(data)],
         "trial-scale": ["reproduce", "--experiment", "detection-error-rates"],
+        "data-not-utf8": ["audit", "--data", str(bad), "--alpha", "0.5", "--delta", "0.1"],
+        "data-is-directory": ["audit", "--data", str(tmp_path), "--alpha", "0.5",
+                              "--delta", "0.1"],
+        "hypotheses-is-directory": ["train", "--data", str(data),
+                                    "--hypotheses", str(tmp_path)],
     }[case]
     if case == "trial-scale":
         monkeypatch.setenv("EQODDS_TRIAL_SCALE", "abc")
     assert main(argv) == 2
-    assert needle in capsys.readouterr().err
+    assert needle.replace("{tmp}", str(tmp_path)) in capsys.readouterr().err

@@ -100,6 +100,26 @@ class TestOptimalDerived:
                 assert lp <= strict + 1e-9
                 assert relaxed <= lp + 0.02 + 1e-9
 
+    def test_grid_minima_equal_exhaustive_scan(self):
+        # the tile search of the grid oracle against every pair of grid points
+        rng = np.random.default_rng(3)
+        for k in range(12):
+            stats = random_rate_statistics(rng)
+            n_steps, side = (21, 31)[k % 2], (0.03, 0.011, 0.2)[k % 3]
+            grid = np.linspace(0.0, 1.0, n_steps)
+            p1, p0 = (m.ravel() for m in np.meshgrid(grid, grid, indexing="ij"))
+            g, t = stats.rates, stats.cells.table
+            f = [p1 * g[0, a] + p0 * (1.0 - g[0, a]) for a in (0, 1)]
+            tp = [p1 * g[1, a] + p0 * (1.0 - g[1, a]) for a in (0, 1)]
+            obj = [t[0, a] * f[a] + t[1, a] * (1.0 - tp[a]) for a in (0, 1)]
+            df = np.abs(f[0][:, None] - f[1][None, :])
+            dt = np.abs(tp[0][:, None] - tp[1][None, :])
+            total = obj[0][:, None] + obj[1][None, :]
+            for tol in (0.0, 0.05, float(rng.uniform(0.0, 0.3))):
+                want = tuple(float(total[(df <= cap) & (dt <= cap)].min())
+                             for cap in (tol + 1e-12, tol + 0.0101))
+                assert derived_grid_minima(stats, tol, n_steps=n_steps, side=side) == want
+
     def test_deterministic_tie_break(self):
         stats = attr_rule_stats()
         a = optimal_derived(stats, 0.0)

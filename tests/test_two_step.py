@@ -13,12 +13,14 @@ from eqodds.core import (
     EmptyCellError,
     FeatureThresholdRule,
     FiniteHypothesisClass,
+    FunctionRule,
     InvalidParameterError,
     empirical_loss,
     empirical_rates,
 )
 from eqodds.posthoc import RateStatistics, derived_loss, induced_rates, optimal_derived
 from eqodds.synthetic import population_loss01, population_rates, sample_law, two_proxy_law
+from eqodds import two_step
 from eqodds.two_step import (
     TwoStepConfig,
     auto_tolerance,
@@ -27,6 +29,7 @@ from eqodds.two_step import (
     threshold_class,
     train_two_step,
 )
+from oracles import constrained_erm_oracle
 
 X_RULE = FeatureThresholdRule(0, 0.5, name="x")
 SMALL_CLASS = FiniteHypothesisClass((X_RULE, AttributeRule(),
@@ -94,6 +97,125 @@ class TestConstrainedErm:
         ds = Dataset(np.zeros((4, 1)), [0, 0, 0, 0], [0, 1, 0, 1])
         with pytest.raises(EmptyCellError):
             constrained_erm(ds, SMALL_CLASS, 0.5)
+
+
+def assert_same_step1(got, want):
+    assert got.rule.name == want.rule.name
+    assert got.loss == want.loss
+    assert got.gap == want.gap
+    assert got.feasible == want.feasible
+    assert got.forced_constant == want.forced_constant
+
+
+def random_rule_class(rng, ds, k):
+    """Threshold, attribute and constant rules; coarse cuts make exact ties common."""
+    rules = []
+    for i in range(k):
+        kind = rng.integers(0, 10)
+        if kind == 0:
+            rules.append(AttributeRule(name=f"attr{i}"))
+        elif kind == 1:
+            rules.append(ConstantRule(float(rng.integers(0, 2)), name=f"const{i}"))
+        else:
+            j = int(rng.integers(0, ds.n_features))
+            cut = float(np.round(rng.uniform(-1.0, 2.0), 1))
+            rules.append(FeatureThresholdRule(j, cut, name=f"t{i}"))
+    return FiniteHypothesisClass(tuple(rules))
+
+
+class TestBlockScan:
+    """The block scan against the rule-by-rule oracle in tests/oracles.py."""
+
+    def test_matches_rule_by_rule_oracle(self):
+        rng = np.random.default_rng(11)
+        checked = 0
+        for trial in range(60):
+            n = int(rng.integers(8, 400))
+            ds = Dataset(rng.normal(0.5, 0.6, size=(n, 2)), rng.integers(0, 2, n),
+                         rng.integers(0, 2, n))
+            if (ds.cell_counts == 0).any():
+                continue
+            hclass = random_rule_class(rng, ds, int(rng.integers(1, 40)))
+            tol = float(rng.choice([0.0, rng.uniform(0.0, 0.6), 1.5]))
+            assert_same_step1(constrained_erm(ds, hclass, tol),
+                              constrained_erm_oracle(ds, hclass, tol))
+            checked += 1
+        assert checked > 40
+
+    def test_exact_tie_keeps_earlier_rule(self):
+        ds = proxy_sample(300, seed=5)
+        # cuts 0.4 and 0.6 split the {0, 1} feature identically: equal losses
+        hclass = FiniteHypothesisClass((ConstantRule(1.0), FeatureThresholdRule(0, 0.4),
+                                        FeatureThresholdRule(0, 0.6)))
+        res = constrained_erm(ds, hclass, 1.0)
+        assert res.rule.name == "x0>=0.4"
+        assert_same_step1(res, constrained_erm_oracle(ds, hclass, 1.0))
+
+    def test_zero_tolerance_and_all_infeasible(self):
+        ds = proxy_sample(300, seed=6)
+        hclass = FiniteHypothesisClass((AttributeRule(), FeatureThresholdRule(0, 0.5)))
+        for tol in (0.0, 0.05):
+            res = constrained_erm(ds, hclass, tol)
+            assert res.forced_constant and res.feasible == ()
+            assert_same_step1(res, constrained_erm_oracle(ds, hclass, tol))
+        with_constant = FiniteHypothesisClass(hclass.rules + (ConstantRule(0.0),))
+        for tol, forced in ((0.0, True), (0.05, False)):  # gap 0 is not < 0
+            res = constrained_erm(ds, with_constant, tol)
+            assert res.forced_constant == forced
+            assert_same_step1(res, constrained_erm_oracle(ds, with_constant, tol))
+
+    def test_blocks_split_inside_a_run_of_ties(self):
+        n = 200
+        ds = proxy_sample(n, seed=7)
+        width = two_step._SCAN_ELEMENTS // n
+        rng = np.random.default_rng(8)
+        filler = [FeatureThresholdRule(0, float(c), name=f"f{k}")
+                  for k, c in enumerate(rng.uniform(1.5, 3.0, size=2 * width))]
+        # every filler rule rejects all rows; the tied run accepts x0 = 1 rows
+        ties = [FeatureThresholdRule(0, 0.5, name=f"tie{k}") for k in range(6)]
+        start = width - 3  # three ties at the end of block one, three at block two's start
+        hclass = FiniteHypothesisClass(tuple(filler[:start] + ties + filler[start:]))
+        assert len(hclass) > 2 * width  # three blocks
+        res = constrained_erm(ds, hclass, 1.0)
+        assert res.rule.name == "tie0"
+        assert_same_step1(res, constrained_erm_oracle(ds, hclass, 1.0))
+
+    @pytest.mark.parametrize("bad", ["nan", "above-one", "scalar"])
+    def test_bad_rule_output_names_the_rule(self, bad):
+        ds = proxy_sample(200, seed=9)
+        outputs = {
+            "nan": lambda X, a: np.where(np.arange(len(a)) == 7, np.nan, 0.5),
+            "above-one": lambda X, a: np.where(np.arange(len(a)) == 3, 1.5, 0.0),
+            "scalar": lambda X, a: 0.5,
+        }[bad]
+        rules = [FeatureThresholdRule(0, 0.1 * k, name=f"t{k}") for k in range(5)]
+        hclass = FiniteHypothesisClass(tuple(rules[:3]) + (FunctionRule(outputs, "bad"),)
+                                       + tuple(rules[3:]))
+        with pytest.raises(InvalidParameterError, match="bad: outputs"):
+            constrained_erm(ds, hclass, 1.0)
+
+    def test_fractional_rules_agree_to_rounding(self):
+        # fractional sums may be added in another order than the oracle's
+        rng = np.random.default_rng(12)
+        for trial in range(20):
+            ds = proxy_sample(int(rng.integers(100, 600)), seed=500 + trial)
+            if (ds.cell_counts == 0).any():
+                continue
+            rules = []
+            for k in range(12):
+                w, b = rng.normal(size=2)
+                rules.append(FunctionRule(
+                    lambda X, a, w=w, b=b: 1.0 / (1.0 + np.exp(-(w * X[:, 0] + b * a))),
+                    name=f"s{k}"))
+            hclass = FiniteHypothesisClass(tuple(rules))
+            tol = float(rng.uniform(0.05, 0.5))
+            got = constrained_erm(ds, hclass, tol)
+            want = constrained_erm_oracle(ds, hclass, tol)
+            assert got.rule.name == want.rule.name
+            assert got.feasible == want.feasible
+            assert got.forced_constant == want.forced_constant
+            assert got.loss == pytest.approx(want.loss, rel=1e-12)
+            assert got.gap == pytest.approx(want.gap, rel=1e-12)
 
 
 class TestFitCorrection:
