@@ -20,6 +20,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from typing import Optional, Tuple
 
 import numpy as np
@@ -55,12 +56,22 @@ class CliError(Exception):
     """Configuration problem; maps to exit status 2."""
 
 
+@contextmanager
+def _writing(flag: str, path: str):
+    """Turn an OSError on an output path (a directory, say) into a CliError."""
+    try:
+        yield
+    except OSError as exc:
+        raise CliError(f"cannot write {flag} {path}: {exc.strerror or exc}") from None
+
+
 def _emit(payload: dict, out: Optional[str]) -> None:
+    """The report as JSON on ``out`` or stdout; nan or inf raises before any output."""
     if out:
-        write_json_atomic(payload, out)
+        with _writing("--out", out):
+            write_json_atomic(payload, out)
     else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _load_data(path: str, **kwargs) -> Dataset:
@@ -220,8 +231,8 @@ def _cmd_fit_linear_fair(args) -> int:
     else:  # pgd
         fit = fit_constrained_convex(ds, loss=args.loss, model=model)
         fitted = fit.predictor
-        extra = {"converged": fit.converged, "iterations": fit.iterations,
-                 "objective": fit.objective,
+        extra = {"converged": fit.converged, "stop_reason": fit.stop_reason,
+                 "iterations": fit.iterations, "objective": fit.objective,
                  "projected_gradient_norm": fit.projected_gradient_norm,
                  "residual": fit.constraint_residual}
     payload["constrained"] = {"weights": fitted.weights.tolist(),
@@ -240,7 +251,8 @@ def _cmd_simulate(args) -> int:
     else:
         law = gaussian_law(args.dim, seed=args.seed)
     ds = sample_law(law, args.n, seed=args.seed)
-    write_csv(ds, args.out)
+    with _writing("--out", args.out):
+        write_csv(ds, args.out)
     return 0
 
 
@@ -257,7 +269,8 @@ def _cmd_reproduce(args) -> int:
     _emit(report.to_dict(), args.out)
     if args.raw_out and report.raw:
         fieldnames = list(report.raw[0])
-        with open(args.raw_out, "w", newline="", encoding="utf-8") as fh:
+        with _writing("--raw-out", args.raw_out), \
+                open(args.raw_out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=fieldnames)
             writer.writeheader()
             writer.writerows(report.raw)

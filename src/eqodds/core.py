@@ -69,8 +69,10 @@ class Dataset:
     the protected attribute and the target. Binary operations require both
     to take values in {0, 1}; real-valued targets are allowed so the same
     container feeds the least-squares machinery. ``scores`` is an optional
-    per-row prediction column. The per-row cell index and the cell counts
-    are derived on first use and cached; the columns never change.
+    per-row prediction column. Every column must be finite: nan or inf
+    raises InvalidParameterError naming the column. The per-row cell index
+    and the cell counts are derived on first use and cached; the columns
+    never change.
     """
 
     features: np.ndarray
@@ -97,6 +99,12 @@ class Dataset:
             if scores.shape[0] != feats.shape[0]:
                 raise InvalidParameterError("scores length does not match rows")
             object.__setattr__(self, "scores", scores)
+        if not np.isfinite(feats).all():
+            j = int(np.argmin(np.isfinite(feats).all(axis=0)))
+            raise InvalidParameterError(f"feature column x{j} holds nan or inf")
+        for name, column in (("attr", attr), ("labels", labels), ("scores", self.scores)):
+            if column is not None and not np.isfinite(column).all():
+                raise InvalidParameterError(f"{name} column holds nan or inf")
 
     def __len__(self) -> int:
         return self.features.shape[0]

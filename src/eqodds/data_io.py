@@ -222,10 +222,14 @@ def write_csv(dataset: Dataset, path, attr_col: str = "a",
 
 
 def write_json_atomic(obj, path) -> None:
-    """Serialize to JSON via a temp file + rename so readers never see partials."""
+    """Serialize to JSON via a temp file + rename so readers never see partials.
+
+    The text is built first, so a nan or inf (which strict JSON cannot hold)
+    raises ValueError before any file is created.
+    """
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with _atomic_open(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 @contextmanager

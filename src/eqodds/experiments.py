@@ -334,7 +334,7 @@ def run_two_step_rate_sweep(eps: float = 0.1, delta: float = 0.1,
 
 
 # ---------------------------------------------------------------------------
-# second-moment-equivalence: closed form vs oracle vs correction vs descent
+# second-moment-equivalence: closed form vs oracle vs correction vs Newton fit
 # ---------------------------------------------------------------------------
 
 def _kkt_reference_solution(model: SecondMomentModel) -> np.ndarray:

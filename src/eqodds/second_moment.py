@@ -25,9 +25,9 @@ with a scalar m' computable from the joint second moments of
 (Rhat, A, Y) alone. Means are subtracted before all covariance formulas
 and the intercept is restored afterward as E[Y] - w' E[Z].
 
-Everything here is plain linear algebra on immutable inputs and is safe
-for concurrent use; the projected-descent solver is single-threaded per
-call.
+Other convex losses are fitted by damped Newton on the empirical risk
+over an orthonormal basis of the hyperplane c' w = 0, where no constraint
+is left. Everything here works on immutable inputs and is thread-safe.
 """
 
 from __future__ import annotations
@@ -90,18 +90,15 @@ class SecondMomentModel:
 
     @property
     def sigma_zz(self) -> np.ndarray:
-        q = self.n_features + 1
-        return self.cov[:q, :q]
+        return self.cov[:-1, :-1]
 
     @property
     def sigma_za(self) -> np.ndarray:
-        q = self.n_features + 1
-        return self.cov[:q, self.n_features]
+        return self.cov[:-1, -2]
 
     @property
     def sigma_zy(self) -> np.ndarray:
-        q = self.n_features + 1
-        return self.cov[:q, q]
+        return self.cov[:-1, -1]
 
     @property
     def var_y(self) -> float:
@@ -215,9 +212,8 @@ def check_equalized_correlations(model: SecondMomentModel,
     var(Y) > 0. No data pass is involved.
     """
     cov_ra, cov_ry, _ = score_covariances(model, predictor)
-    residual = cov_ra * model.var_y - cov_ry * model.cov_ya
-    conditional = cov_ra - cov_ry * model.cov_ya / model.var_y
-    return residual, conditional
+    return (cov_ra * model.var_y - cov_ry * model.cov_ya,
+            cov_ra - cov_ry * model.cov_ya / model.var_y)
 
 
 def _intercept_for(model: SecondMomentModel, w: np.ndarray) -> float:
@@ -243,18 +239,15 @@ def fit_closed_form(model: SecondMomentModel) -> FairLinearSolution:
                   float(np.abs(model.sigma_zy).max(initial=0.0))
                   * abs(model.cov_ya) / model.var_y, 1e-300)
     if float(np.abs(v).max()) <= 1e-12 * v_scale:
-        return FairLinearSolution(predictor=unconstrained, direction=v,
-                                  multiplier=0.0,
-                                  residual=abs(float(unconstrained.weights
-                                                     @ model.constraint_vector())),
-                                  unconstrained=unconstrained)
-    s_inv_v = np.linalg.solve(model.sigma_zz, v)
-    mult = float(v @ unconstrained.weights) / float(v @ s_inv_v)
-    w = unconstrained.weights - mult * s_inv_v
-    predictor = LinearPredictor(w, _intercept_for(model, w))
-    residual = abs(float(w @ model.constraint_vector()))
-    return FairLinearSolution(predictor=predictor, direction=v, multiplier=mult,
-                              residual=residual, unconstrained=unconstrained)
+        mult, w = 0.0, unconstrained.weights
+    else:
+        s_inv_v = np.linalg.solve(model.sigma_zz, v)
+        mult = float(v @ unconstrained.weights) / float(v @ s_inv_v)
+        w = unconstrained.weights - mult * s_inv_v
+    return FairLinearSolution(predictor=LinearPredictor(w, _intercept_for(model, w)),
+                              direction=v, multiplier=mult,
+                              residual=abs(float(w @ model.constraint_vector())),
+                              unconstrained=unconstrained)
 
 
 def _correction_multiplier(var_a: float, cov_ya: float, var_y: float,
@@ -293,15 +286,14 @@ def derived_correction(model: SecondMomentModel) -> DerivedCorrection:
     _, cov_ry, _ = score_covariances(model, base)
     mult = _correction_multiplier(model.var_a, model.cov_ya, model.var_y, cov_ry)
     score_weight = 1.0 + mult * model.cov_ya / model.var_y
-    attr_weight = -mult
-    w = score_weight * base.weights.copy()
-    w[-1] += attr_weight
+    w = score_weight * base.weights
+    w[-1] -= mult
     predictor = LinearPredictor(w, _intercept_for(model, w))
     return DerivedCorrection(multiplier=mult, base=base, predictor=predictor,
-                             score_weight=score_weight, attr_weight=attr_weight)
+                             score_weight=score_weight, attr_weight=-mult)
 
 
-# ---- empirical risk and projected descent --------------------------------
+# ---- empirical risk and null-space Newton --------------------------------
 
 _LOSSES = ("squared", "logistic", "hinge_smooth")
 _HINGE_WIDTH = 1e-3  # quadratic smoothing width around the hinge kink
@@ -315,34 +307,81 @@ def _signed_labels(labels: np.ndarray) -> np.ndarray:
     raise InvalidParameterError("margin losses need labels in {0,1} or {-1,+1}")
 
 
+def _row_terms(r: np.ndarray, y: np.ndarray, loss: str) -> Tuple[float, np.ndarray, np.ndarray]:
+    """Mean loss at scores ``r``, and each row's first and second derivative in r."""
+    if loss == "squared":
+        res = r - y
+        return float(res @ res) / r.shape[0], 2.0 * res, np.full_like(r, 2.0)
+    s = _signed_labels(y)
+    m = s * r
+    if loss == "logistic":
+        with np.errstate(over="ignore"):  # exp(m) = inf gives the limit p = 0
+            p = 1.0 / (1.0 + np.exp(m))
+        return float(np.logaddexp(0.0, -m).mean()), -s * p, p * (1.0 - p)
+    if loss == "hinge_smooth":
+        h = _HINGE_WIDTH
+        lin, flat = m <= 1.0 - h, m >= 1.0
+        value = float(np.where(flat, 0.0, np.where(lin, 1.0 - m - h / 2.0,
+                                                   (1.0 - m) ** 2 / (2.0 * h))).mean())
+        dloss_dm = np.where(flat, 0.0, np.where(lin, -1.0, -(1.0 - m) / h))
+        return value, s * dloss_dm, np.where(lin | flat, 0.0, 1.0 / h)
+    raise InvalidParameterError(f"unknown loss {loss!r}; choose from {_LOSSES}")
+
+
 def empirical_risk(w: np.ndarray, b: float, z: np.ndarray, y: np.ndarray,
                    loss: str) -> Tuple[float, np.ndarray, float]:
     """Mean loss and its analytic gradient in (w, b)."""
-    r = z @ w + b
-    n = z.shape[0]
-    if loss == "squared":
-        res = r - y
-        value = float(res @ res) / n
-        grad_r = 2.0 * res / n
-    elif loss == "logistic":
-        s = _signed_labels(y)
-        m = s * r
-        value = float(np.logaddexp(0.0, -m).mean())
-        grad_r = -s / (1.0 + np.exp(m)) / n
-    elif loss == "hinge_smooth":
-        s = _signed_labels(y)
-        m = s * r
-        h = _HINGE_WIDTH
-        value = float(np.where(
-            m >= 1.0, 0.0,
-            np.where(m <= 1.0 - h, 1.0 - m - h / 2.0,
-                     (1.0 - m) ** 2 / (2.0 * h))).mean())
-        dloss_dm = np.where(m >= 1.0, 0.0,
-                            np.where(m <= 1.0 - h, -1.0, -(1.0 - m) / h))
-        grad_r = s * dloss_dm / n
-    else:
-        raise InvalidParameterError(f"unknown loss {loss!r}; choose from {_LOSSES}")
+    value, d1, _ = _row_terms(z @ w + b, y, loss)
+    grad_r = d1 / z.shape[0]
     return value, z.T @ grad_r, float(grad_r.sum())
+
+
+def _smooth_search(r: np.ndarray, dr: np.ndarray, y: np.ndarray, loss: str, df0: float) -> float:
+    """Root of f'(t), f(t) = risk at scores r + t dr, f'(0) = df0 < 0: Newton from
+    t = 1, bisecting the bracket of known signs of f' when Newton leaves it. The
+    bracket ends at 2^40, the step where f falls forever (separable data)."""
+    lo, hi, t = 0.0, 2.0 ** 40, 1.0
+    for _ in range(60):
+        _, d1, d2 = _row_terms(r + t * dr, y, loss)
+        slope = float(dr @ d1)
+        lo, hi = (t, hi) if slope < 0.0 else (lo, t)
+        if abs(slope) <= -1e-9 * df0 or hi - lo <= 1e-12 * hi:
+            break
+        t_newton = t - slope / max(float((dr * dr) @ d2), 1e-300)
+        t = t_newton if lo < t_newton < hi else 0.5 * (lo + hi)
+    return t
+
+
+def _hinge_search(r: np.ndarray, dr: np.ndarray, y: np.ndarray) -> float:
+    """Exact minimiser t > 0 of the smooth-hinge risk at scores r + t dr.
+
+    n f'(t) is a line alpha + beta t between breakpoints, where a margin m
+    crosses 1 - h, adding (|dm| - a, b) to (alpha, beta), or 1, adding (a, -b),
+    with a = |dm| (1 - m) / h, b = dm |dm| / h. From the line at t = -inf, the
+    breakpoints behind t = 0 are summed; those ahead are sorted nearest first
+    (the nearest 256, else 4096, else all) until the segment holding the root."""
+    h, n = _HINGE_WIDTH, r.shape[0]
+    m, dm = _signed_labels(y) * np.stack([r, dr])  # margins and their rates
+    a, b = np.abs(dm) * (1.0 - m) / h, dm * np.abs(dm) / h
+    with np.errstate(divide="ignore", invalid="ignore"):  # dm = 0, or 0 * inf at the end
+        times = (np.stack([1.0 - h - m, 1.0 - m]) / dm).ravel()  # crossing 1 - h, then 1
+        behind = times <= 0.0
+        alpha = float((np.abs(dm) - a) @ behind[:n] + a @ behind[n:] - np.maximum(dm, 0.0).sum())
+        beta = float(b @ behind[:n] - b @ behind[n:])
+        times = np.where(behind, math.inf, times)  # sorted last, where the search ends
+        for nearest in (256, 4096, times.size):
+            head = np.argpartition(times, nearest - 1)[:nearest] if nearest < times.size else None
+            head = np.argsort(times) if head is None else head[np.argsort(times[head])]
+            rows, past_one = head % n, head >= n
+            d_alpha = np.where(past_one, a[rows], np.abs(dm[rows]) - a[rows])
+            starts, ends = np.append(0.0, times[head]), np.append(times[head], math.inf)
+            alphas = alpha + np.cumsum(np.append(0.0, d_alpha))
+            betas = beta + np.cumsum(np.append(0.0, np.where(past_one, -b[rows], b[rows])))
+            stop = (alphas[:-1] + betas[:-1] * ends[:-1] >= 0.0) | np.isinf(ends[:-1])
+            if stop.any() or head.size == times.size:  # the root is on segment k
+                k = int(np.argmax(stop)) if stop.any() else head.size
+                root = -alphas[k] / betas[k] if betas[k] > 0.0 else starts[k]
+                return float(min(max(root, starts[k]), ends[k]))
 
 
 @dataclass(frozen=True)
@@ -354,6 +393,7 @@ class ProjectedFitResult:
     objective: float
     projected_gradient_norm: float
     constraint_residual: float
+    stop_reason: str  # "converged", "max_iter" or "stalled"
 
 
 def fit_constrained_convex(dataset: Dataset, loss: str = "squared",
@@ -361,91 +401,50 @@ def fit_constrained_convex(dataset: Dataset, loss: str = "squared",
                            w0: Optional[np.ndarray] = None, b0: float = 0.0,
                            tol: float = 1e-9, max_iter: int = 20_000
                            ) -> ProjectedFitResult:
-    """Projected descent on the empirical risk under the moment constraint.
+    """Damped Newton on the empirical risk in the null space of the constraint.
 
-    Each step descends the analytic gradient with backtracking and then
-    projects the weights orthogonally back onto the hyperplane c' w = 0
-    with c from ``model`` (estimated from the data when omitted), so every
-    iterate satisfies the constraint to machine precision. Three rules stop
-    it: the projected gradient norm drops to ``tol`` (converged); the norm
-    fails to improve by 0.1% for 200 steps in a row (a float-precision
-    plateau); or ``max_iter`` steps run out. The last two return the last
-    iterate, flagged as unconverged unless its norm is within ``tol``.
+    Weights are w = N u, N an orthonormal basis of c' w = 0 (c from ``model``,
+    estimated when omitted; N = I for a degenerate c) from one QR of [c, I], so
+    (u, b) is unconstrained and every iterate meets c' w = 0 up to the rounding
+    of N (``w0`` is projected). The Hessian sums rows with curvature (the band,
+    for the smooth hinge) in blocks, with no n-by-q temporary; the line search
+    is exact for squared loss and the smooth hinge, a safeguarded root of f' for
+    logistic loss. ``stop_reason``: "converged" once the gradient in (u, b),
+    whose u part has the projected gradient's norm, is within ``tol``; "stalled"
+    when a step left the iterate unchanged; else "max_iter".
     """
-    if loss not in _LOSSES:
-        raise InvalidParameterError(f"unknown loss {loss!r}; choose from {_LOSSES}")
     model = model or estimate_moments(dataset)
-    z_raw = np.column_stack([dataset.features, dataset.attr])
-    z_mean = z_raw.mean(axis=0)
-    z = z_raw - z_mean
-    y = dataset.labels
-
+    design = np.column_stack([dataset.features, dataset.attr])  # z, centered, then [z N, 1]
+    z_mean = design.mean(axis=0)
+    y, (n, q) = dataset.labels, design.shape
     c = model.constraint_vector()
-    c_norm2 = float(c @ c)
+    basis = (np.eye(q) if float(c @ c) <= 1e-300
+             else np.linalg.qr(np.column_stack([c, np.eye(q)]))[0][:, 1:])
+    design -= z_mean
+    design = design @ np.column_stack([basis, np.zeros(q)])
+    design[:, -1] = 1.0
+    ridge = 1e-14 * np.vdot(design, design) / design.size * np.eye(q)  # keeps H definite
+    x = np.append(np.zeros(q - 1) if w0 is None else basis.T @ np.asarray(w0, float), b0)
 
-    def project(w):
-        if c_norm2 <= 1e-300:
-            return w
-        return w - c * (float(c @ w) / c_norm2)
-
-    q = z.shape[1]
-    w = project(np.zeros(q) if w0 is None else np.asarray(w0, dtype=np.float64).copy())
-    b = float(b0)
-    value, grad_w, grad_b = empirical_risk(w, b, z, y, loss)
-
-    # curvature bound of the mean loss over (w, b); 1/L is always stable, so
-    # descent can continue ungated once loss deltas quantize to zero
-    gram_top = float(np.linalg.eigvalsh(z.T @ z / z.shape[0])[-1])
-    curvature = {"squared": 2.0, "logistic": 0.25,
-                 "hinge_smooth": 1.0 / _HINGE_WIDTH}[loss]
-    eta_safe = 1.0 / (curvature * (gram_top + 1.0) * 1.05)
-    eta = eta_safe
-
-    iterations = 0
-    best_pg = math.inf
-    no_improve = 0
-    for iterations in range(1, max_iter + 1):
-        pg = project(grad_w)
-        pg_norm = math.hypot(float(np.linalg.norm(pg)), grad_b)
-        if pg_norm <= tol:
-            iterations -= 1
+    for iterations in range(max_iter + 1):
+        r = design @ x
+        value, d1, d2 = _row_terms(r, y, loss)
+        grad = design.T @ d1 / n
+        stop_reason = ("converged" if float(np.linalg.norm(grad)) <= tol else
+                       "stalled" if iterations and np.array_equal(x, x_last) else "max_iter")
+        if stop_reason != "max_iter" or iterations == max_iter:
             break
-        # float-precision floor: the gradient norm has stopped shrinking
-        if pg_norm < 0.999 * best_pg:
-            best_pg = pg_norm
-            no_improve = 0
-        else:
-            no_improve += 1
-            if no_improve >= 200:
-                break
-        step = eta
-        accepted = False
-        while step > eta_safe:
-            w_new = project(w - step * grad_w)
-            b_new = b - step * grad_b
-            v_new, g_w_new, g_b_new = empirical_risk(w_new, b_new, z, y, loss)
-            if v_new <= value:  # strict gate; the safe step handles ulp-flat tails
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            step = eta_safe  # guaranteed non-increasing; no value gate needed
-            w_new = project(w - step * grad_w)
-            b_new = b - step * grad_b
-            v_new, g_w_new, g_b_new = empirical_risk(w_new, b_new, z, y, loss)
-        w, b, value, grad_w, grad_b = w_new, b_new, v_new, g_w_new, g_b_new
-        eta = min(step * 1.5, 1e6)
+        a, aw = (design, d2) if d2.all() else (design[d2 != 0.0], d2[d2 != 0.0])  # curved rows
+        hess = sum(a[i:i + 4096].T * aw[i:i + 4096] @ a[i:i + 4096] for i in range(0, len(a), 4096))
+        step = np.linalg.solve(hess / n + ridge, -grad)
+        dr = design @ step
+        t = (_hinge_search(r, dr, y) if loss == "hinge_smooth"
+             else _smooth_search(r, dr, y, loss, float(dr @ d1)))
+        x_last, x = x, x + t * step
 
-    intercept = b - float(w @ z_mean)
-    predictor = LinearPredictor(w, intercept)
-    pg = project(grad_w)
-    pg_norm = math.hypot(float(np.linalg.norm(pg)), grad_b)
-    return ProjectedFitResult(
-        predictor=predictor,
-        converged=pg_norm <= tol,
-        iterations=iterations,
-        loss=loss,
-        objective=value,
-        projected_gradient_norm=pg_norm,
-        constraint_residual=abs(float(w @ c)),
-    )
+    w = basis @ x[:-1]
+    return ProjectedFitResult(predictor=LinearPredictor(w, x[-1] - float(w @ z_mean)),
+                              converged=stop_reason == "converged", iterations=iterations,
+                              loss=loss, objective=value, stop_reason=stop_reason,
+                              projected_gradient_norm=float(np.linalg.norm(grad)),
+                              constraint_residual=abs(float(w @ c)))

@@ -200,3 +200,39 @@ def kkt_elimination_solve(sigma, rhs, constraint):
     reduced = basis.T @ sigma @ basis
     u = np.linalg.solve(reduced, basis.T @ rhs)
     return basis @ u
+
+
+def scipy_constrained_risk(features, attr, labels, c, loss, h=1e-3):
+    """Minimum of a margin loss of w'z + b over w with c'w = 0, by scipy's BFGS.
+
+    z is [features, attr] centered, as the fitter uses it; labels are 0/1.
+    The constraint is eliminated through the coordinate with the largest
+    |c_j| (w_j = -c_{-j}' w_{-j} / c_j), not through an orthonormal basis.
+    ``loss`` is "logistic" or "hinge_smooth" (width ``h``). Returns the
+    objective, w and b.
+    """
+    from scipy.optimize import minimize
+    z = np.column_stack([features, attr])
+    z = z - z.mean(axis=0)
+    s = 2.0 * np.asarray(labels, dtype=float) - 1.0
+    j = int(np.argmax(np.abs(c)))
+    keep = np.arange(len(c)) != j
+    basis = np.eye(len(c))[:, keep]
+    basis[j] = -c[keep] / c[j]  # w = basis @ v satisfies c'w = 0 for every v
+    zb = z @ basis
+
+    def risk(v):
+        m = s * (zb @ v[:-1] + v[-1])
+        if loss == "logistic":
+            value = np.logaddexp(0.0, -m).mean()
+            dloss = -np.exp(-np.logaddexp(0.0, m))
+        else:
+            value = np.where(m >= 1, 0.0, np.where(m <= 1 - h, 1 - m - h / 2,
+                                                    (1 - m) ** 2 / (2 * h))).mean()
+            dloss = np.where(m >= 1, 0.0, np.where(m <= 1 - h, -1.0, -(1 - m) / h))
+        g = s * dloss / len(m)
+        return value, np.append(zb.T @ g, g.sum())
+
+    res = minimize(risk, np.zeros(zb.shape[1] + 1), jac=True, method="BFGS",
+                   options={"gtol": 1e-13, "maxiter": 20_000})
+    return float(res.fun), basis @ res.x[:-1], float(res.x[-1])

@@ -172,6 +172,19 @@ class TestCsv:
             want, got = getattr(ds, name), getattr(back, name)
             assert (got is None) if want is None else got.tobytes() == want.tobytes()
 
+    def test_nan_payload_leaves_no_file(self, tmp_path):
+        out = tmp_path / "r.json"
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                write_json_atomic({"ok": 1.0, "bad": [bad]}, out)
+        assert list(tmp_path.iterdir()) == []  # neither the file nor a temp file
+
+    def test_nan_payload_writes_nothing_to_stdout(self, capsys):
+        from eqodds.cli import _emit
+        with pytest.raises(ValueError):
+            _emit({"ok": 1.0, "bad": float("nan")}, None)
+        assert capsys.readouterr().out == ""
+
     def test_output_files_get_plain_open_mode(self, tmp_path):
         old = os.umask(0o022)
         try:
@@ -249,6 +262,8 @@ class TestCliCommands:
         for method in ("derived", "pgd"):
             assert np.allclose(payloads[method]["constrained"]["weights"],
                                w_cf, atol=1e-5)
+        assert payloads["pgd"]["constrained"]["stop_reason"] == "converged"
+        assert payloads["pgd"]["constrained"]["iterations"] == 1  # one Newton step
 
     def test_fit_linear_fair_rejects_bad_combo(self, tmp_path):
         data = tmp_path / "g.csv"
@@ -344,6 +359,8 @@ def test_nan_score_audit_exits_2(tmp_path, capsys):
     ("data-not-utf8", "line 3: {tmp}/bad.csv: byte 0xff is not UTF-8"),
     ("data-is-directory", "cannot read --data {tmp}: Is a directory"),
     ("hypotheses-is-directory", "cannot read --hypotheses {tmp}: Is a directory"),
+    ("out-is-directory", "cannot write --out {tmp}: Is a directory"),
+    ("raw-out-is-directory", "cannot write --raw-out {tmp}: Is a directory"),
 ])
 def test_malformed_input_exits_2(case, needle, tmp_path, monkeypatch, capsys):
     data = tmp_path / "d.csv"
@@ -373,6 +390,10 @@ def test_malformed_input_exits_2(case, needle, tmp_path, monkeypatch, capsys):
                               "--delta", "0.1"],
         "hypotheses-is-directory": ["train", "--data", str(data),
                                     "--hypotheses", str(tmp_path)],
+        "out-is-directory": ["reproduce", "--experiment", "posthoc-binary-gap",
+                             "--trials", "5", "--out", str(tmp_path)],
+        "raw-out-is-directory": ["reproduce", "--experiment", "detection-error-rates",
+                                 "--trials", "50", "--raw-out", str(tmp_path)],
     }[case]
     if case == "trial-scale":
         monkeypatch.setenv("EQODDS_TRIAL_SCALE", "abc")

@@ -197,6 +197,24 @@ def test_dataset_validation():
         ds.require_binary()
 
 
+@pytest.mark.parametrize("column, needle", [
+    ("features", "feature column x1"), ("attr", "attr column"),
+    ("labels", "labels column"), ("scores", "scores column"),
+])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_columns(column, needle, bad):
+    cols = {"features": np.zeros((3, 2)), "attr": np.array([0.0, 1.0, 0.0]),
+            "labels": np.array([1.0, 0.0, 1.0]), "scores": np.array([0.2, 0.4, 0.6])}
+    if column == "features":
+        cols["features"][2, 1] = bad
+    else:
+        cols[column][1] = bad
+    with pytest.raises(InvalidParameterError, match=needle):
+        Dataset(**cols)
+    with pytest.raises(InvalidParameterError, match="feature column x0"):
+        Dataset([[np.nan], [1]], [0, 1], [1, 0])
+
+
 def test_group_rates_population_table():
     gr = GroupRates(np.array([[0.1, 0.1], [0.9, 0.6]]))
     assert gr.all_cells_present

@@ -1,5 +1,7 @@
 """Correlation-constrained linear prediction: closed forms, correction,
-projected descent, and their independent oracles."""
+the null-space Newton fitter, and their independent oracles."""
+
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from eqodds.second_moment import (
     SecondMomentModel,
     SingularCovarianceError,
     _correction_multiplier,
+    _hinge_search,
+    _smooth_search,
     check_equalized_correlations,
     derived_correction,
     empirical_risk,
@@ -24,7 +28,7 @@ from eqodds.second_moment import (
 )
 from eqodds.synthetic import gaussian_law, sample_law
 
-from oracles import kkt_elimination_solve
+from oracles import kkt_elimination_solve, scipy_constrained_risk
 
 
 def random_model(seed, d=3):
@@ -280,6 +284,159 @@ class TestProjectedDescent:
         ds = self._dataset(21)  # real-valued labels
         with pytest.raises(InvalidParameterError):
             fit_constrained_convex(ds, "logistic")
+
+
+def binarized_gaussian(law_seed, sample_seed, n=20_000, d=8):
+    """A gaussian_law(d) sample with a and y thresholded at the law's means."""
+    law = gaussian_law(d, seed=law_seed)
+    g = sample_law(law, n, seed=sample_seed)
+    return Dataset(g.features, (g.attr > law.mean[d]).astype(float),
+                   (g.labels > law.mean[d + 1]).astype(float))
+
+
+# Objectives the projected-descent fitter reached on 2e4-row samples
+# (law seed, sample seed): gaussian_law(8, 0) samples 0-5, where descent took
+# 230-4846 smooth-hinge steps, and gaussian_law(8, 1) sample 3, where it
+# stopped unconverged (gradient norm 2.5e-9) on its plateau rule.
+DESCENT_OBJECTIVES = {
+    (0, 0): {"logistic": 0.6711563465868652, "hinge_smooth": 0.8886100295735935},
+    (0, 1): {"logistic": 0.6688815094635262, "hinge_smooth": 0.8826516452189491},
+    (0, 2): {"logistic": 0.6691517452340954, "hinge_smooth": 0.8834652898272051},
+    (0, 3): {"logistic": 0.6698506997003562, "hinge_smooth": 0.8845260173856839},
+    (0, 4): {"logistic": 0.6683622041950619, "hinge_smooth": 0.8813430160737631},
+    (0, 5): {"logistic": 0.6695852095272552, "hinge_smooth": 0.8844474703026848},
+    (1, 3): {"logistic": 0.6680845707921822, "hinge_smooth": 0.8800319724105077},
+}
+
+
+class TestNullSpaceNewton:
+    def _binary(self, seed, n=300, d=3):
+        g = sample_law(gaussian_law(d, seed=seed), n, seed=seed + 500)
+        return Dataset(g.features, (g.attr > np.median(g.attr)).astype(float),
+                       (g.labels > np.median(g.labels)).astype(float))
+
+    @pytest.mark.parametrize("loss", ["logistic", "hinge_smooth"])
+    def test_matches_scipy_on_small_problems(self, loss):
+        for seed in range(8):
+            ds = self._binary(seed, d=2 + seed % 3)
+            model = estimate_moments(ds)
+            c = model.constraint_vector()
+            fit = fit_constrained_convex(ds, loss, model=model, tol=1e-12)
+            assert fit.stop_reason == "converged" and fit.converged
+            objective, w, _ = scipy_constrained_risk(ds.features, ds.attr, ds.labels, c, loss)
+            assert fit.objective <= objective + 1e-12
+            assert fit.objective >= objective - 1e-9
+            if loss == "logistic":  # strictly convex: one minimizer
+                assert rel_err(fit.predictor.weights, w) < 1e-6
+
+    def test_seven_samples_converge_no_worse_than_descent(self):
+        start = time.perf_counter()
+        for (law_seed, sample_seed), pinned in DESCENT_OBJECTIVES.items():
+            ds = binarized_gaussian(law_seed, sample_seed)
+            model = estimate_moments(ds)
+            c = model.constraint_vector()
+            for loss, descent_objective in pinned.items():
+                fit = fit_constrained_convex(ds, loss, model=model)
+                assert fit.stop_reason == "converged", (law_seed, sample_seed, loss)
+                assert fit.projected_gradient_norm <= 1e-9
+                assert fit.constraint_residual <= 1e-12 * max(1.0, np.abs(c).max())
+                assert abs(fit.predictor.weights @ c) <= 1e-12 * max(1.0, np.abs(c).max())
+                assert fit.objective <= descent_objective + 1e-12
+                # Newton's count: descent took 23-64 logistic and 230-4846 hinge steps
+                assert fit.iterations <= {"logistic": 8, "hinge_smooth": 50}[loss]
+        assert time.perf_counter() - start < 3.0
+
+    def test_separable_logistic_stops(self):
+        rng = np.random.default_rng(31)
+        side = rng.integers(0, 2, 400)
+        x0 = (2 * side - 1) * (1 + np.abs(rng.normal(size=400)))  # margin gap of 2
+        ds = Dataset(np.column_stack([x0, rng.normal(size=(400, 2))]),
+                     rng.integers(0, 2, 400), side)
+        fit = fit_constrained_convex(ds, "logistic")
+        assert fit.stop_reason in ("converged", "max_iter")
+        capped = fit_constrained_convex(ds, "logistic", tol=0.0, max_iter=25)
+        assert capped.stop_reason == "max_iter" and not capped.converged
+        assert capped.iterations == 25
+        for result in (fit, capped):
+            margins = (2 * side - 1) * result.predictor.predict(ds.features, ds.attr)
+            assert margins.min() > 0  # the fit separates the classes
+            assert np.isfinite(result.objective)
+
+    def test_squared_loss_is_one_newton_step(self):
+        for rows in (400, 10_000):  # one block of Hessian rows, and several
+            ds = sample_law(gaussian_law(3, seed=41), rows, seed=42)
+            fit = fit_constrained_convex(ds, "squared")
+            assert fit.stop_reason == "converged" and fit.iterations == 1
+            assert fit.projected_gradient_norm <= 1e-13
+
+    def test_iteration_cap_reports_max_iter(self):
+        ds = binarized_gaussian(0, 0, n=2000)
+        fit = fit_constrained_convex(ds, "hinge_smooth", max_iter=2)
+        assert fit.stop_reason == "max_iter" and not fit.converged
+        assert fit.iterations == 2 and fit.projected_gradient_norm > 1e-9
+
+    def test_unreachable_tolerance_stops_at_a_repeated_iterate(self):
+        # the gradient never reaches 0 exactly; at the piecewise-quadratic optimum
+        # the exact line search returns a step that leaves every weight unchanged
+        ds = self._binary(5, n=400)
+        fit = fit_constrained_convex(ds, "hinge_smooth", tol=0.0)
+        assert fit.stop_reason == "stalled" and not fit.converged
+        assert fit.iterations < 200 and fit.projected_gradient_norm < 1e-12
+
+
+def margin_slope(loss, r, dr, y, t, h=1e-3):
+    """f'(t) for the mean margin loss at scores r + t dr, written out independently."""
+    s = 2.0 * y - 1.0
+    m = s * (r + t * dr)
+    if loss == "logistic":
+        dloss = -1.0 / (1.0 + np.exp(np.clip(m, -700, 700)))
+    else:
+        dloss = np.where(m >= 1, 0.0, np.where(m <= 1 - h, -1.0, -(1 - m) / h))
+    return float(np.mean(s * dr * dloss))
+
+
+class TestLineSearches:
+    """Each search returns the root of the directional derivative along dr."""
+
+    def _descent_problem(self, loss, seed, n, scale):
+        rng = np.random.default_rng(seed)
+        r, dr = rng.normal(size=n), scale * rng.normal(size=n)
+        y = rng.integers(0, 2, n).astype(float)
+        return (r, -dr, y) if margin_slope(loss, r, dr, y, 0.0) > 0 else (r, dr, y)
+
+    def test_logistic_search_finds_the_derivative_root(self):
+        for seed in range(20):
+            r, dr, y = self._descent_problem("logistic", seed, 300, 10.0 ** (seed % 5 - 2))
+            slope0 = margin_slope("logistic", r, dr, y, 0.0)
+            t = _smooth_search(r, dr, y, "logistic", slope0 * len(r))
+            assert t > 0.0
+            assert abs(margin_slope("logistic", r, dr, y, t)) <= 1e-8 * abs(slope0)
+
+    def test_hinge_search_is_exact_at_every_scale(self):
+        # scales put the root among the nearest 256 breakpoints, among 4096, or past them
+        for seed in range(30):
+            n = (40, 800, 5000)[seed % 3]
+            r, dr, y = self._descent_problem("hinge", seed, n, 10.0 ** (seed % 5 - 2))
+            slope0 = margin_slope("hinge", r, dr, y, 0.0)
+            t = _hinge_search(r, dr, y)
+            assert t > 0.0
+            assert abs(margin_slope("hinge", r, dr, y, t)) <= 1e-9 * abs(slope0)
+            # f' is nondecreasing: just before t it is negative, just after it is not
+            assert margin_slope("hinge", r, dr, y, t * (1 - 1e-6)) < 1e-12
+            assert margin_slope("hinge", r, dr, y, t * (1 + 1e-6)) > -1e-12
+
+    def test_hinge_search_stops_where_the_risk_bottoms_out(self):
+        # no margin falls along dr, so the risk sinks until the last rising margin
+        # reaches 1 and is flat after it; rounding can leave f' a hair below 0 there,
+        # and the search must still stop at that breakpoint, not at t = inf
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            y = rng.integers(0, 2, 60).astype(float)
+            s = 2.0 * y - 1.0
+            m, dm = rng.uniform(-2.0, 0.9, 60), rng.uniform(0.1, 1.0, 60)
+            m[:10], dm[:5] = 1.5, 0.0  # rows already past 1, some standing still
+            t = _hinge_search(s * m, s * dm, y)
+            assert t == pytest.approx(((1.0 - m[10:]) / dm[10:]).max(), rel=1e-12)
 
 
 class TestModelValidation:
