@@ -90,15 +90,18 @@ class SecondMomentModel:
 
     @property
     def sigma_zz(self) -> np.ndarray:
-        return self.cov[:-1, :-1]
+        q = self.n_features + 1
+        return self.cov[:q, :q]
 
     @property
     def sigma_za(self) -> np.ndarray:
-        return self.cov[:-1, -2]
+        q = self.n_features + 1
+        return self.cov[:q, self.n_features]
 
     @property
     def sigma_zy(self) -> np.ndarray:
-        return self.cov[:-1, -1]
+        q = self.n_features + 1
+        return self.cov[:q, q]
 
     @property
     def var_y(self) -> float:
@@ -212,8 +215,9 @@ def check_equalized_correlations(model: SecondMomentModel,
     var(Y) > 0. No data pass is involved.
     """
     cov_ra, cov_ry, _ = score_covariances(model, predictor)
-    return (cov_ra * model.var_y - cov_ry * model.cov_ya,
-            cov_ra - cov_ry * model.cov_ya / model.var_y)
+    residual = cov_ra * model.var_y - cov_ry * model.cov_ya
+    conditional = cov_ra - cov_ry * model.cov_ya / model.var_y
+    return residual, conditional
 
 
 def _intercept_for(model: SecondMomentModel, w: np.ndarray) -> float:
@@ -239,15 +243,18 @@ def fit_closed_form(model: SecondMomentModel) -> FairLinearSolution:
                   float(np.abs(model.sigma_zy).max(initial=0.0))
                   * abs(model.cov_ya) / model.var_y, 1e-300)
     if float(np.abs(v).max()) <= 1e-12 * v_scale:
-        mult, w = 0.0, unconstrained.weights
-    else:
-        s_inv_v = np.linalg.solve(model.sigma_zz, v)
-        mult = float(v @ unconstrained.weights) / float(v @ s_inv_v)
-        w = unconstrained.weights - mult * s_inv_v
-    return FairLinearSolution(predictor=LinearPredictor(w, _intercept_for(model, w)),
-                              direction=v, multiplier=mult,
-                              residual=abs(float(w @ model.constraint_vector())),
-                              unconstrained=unconstrained)
+        return FairLinearSolution(predictor=unconstrained, direction=v,
+                                  multiplier=0.0,
+                                  residual=abs(float(unconstrained.weights
+                                                     @ model.constraint_vector())),
+                                  unconstrained=unconstrained)
+    s_inv_v = np.linalg.solve(model.sigma_zz, v)
+    mult = float(v @ unconstrained.weights) / float(v @ s_inv_v)
+    w = unconstrained.weights - mult * s_inv_v
+    predictor = LinearPredictor(w, _intercept_for(model, w))
+    residual = abs(float(w @ model.constraint_vector()))
+    return FairLinearSolution(predictor=predictor, direction=v, multiplier=mult,
+                              residual=residual, unconstrained=unconstrained)
 
 
 def _correction_multiplier(var_a: float, cov_ya: float, var_y: float,
@@ -286,11 +293,12 @@ def derived_correction(model: SecondMomentModel) -> DerivedCorrection:
     _, cov_ry, _ = score_covariances(model, base)
     mult = _correction_multiplier(model.var_a, model.cov_ya, model.var_y, cov_ry)
     score_weight = 1.0 + mult * model.cov_ya / model.var_y
-    w = score_weight * base.weights
-    w[-1] -= mult
+    attr_weight = -mult
+    w = score_weight * base.weights.copy()
+    w[-1] += attr_weight
     predictor = LinearPredictor(w, _intercept_for(model, w))
     return DerivedCorrection(multiplier=mult, base=base, predictor=predictor,
-                             score_weight=score_weight, attr_weight=-mult)
+                             score_weight=score_weight, attr_weight=attr_weight)
 
 
 # ---- empirical risk and null-space Newton --------------------------------
@@ -358,8 +366,9 @@ def _hinge_search(r: np.ndarray, dr: np.ndarray, y: np.ndarray) -> float:
     n f'(t) is a line alpha + beta t between breakpoints, where a margin m
     crosses 1 - h, adding (|dm| - a, b) to (alpha, beta), or 1, adding (a, -b),
     with a = |dm| (1 - m) / h, b = dm |dm| / h. From the line at t = -inf, the
-    breakpoints behind t = 0 are summed; those ahead are sorted nearest first
-    (the nearest 256, else 4096, else all) until the segment holding the root."""
+    breakpoints behind t = 0 are summed; the root is on the first segment ahead
+    whose end has f' >= 0. The nearest 4096 breakpoints ahead are sorted first,
+    and all of them only when the root lies beyond those."""
     h, n = _HINGE_WIDTH, r.shape[0]
     m, dm = _signed_labels(y) * np.stack([r, dr])  # margins and their rates
     a, b = np.abs(dm) * (1.0 - m) / h, dm * np.abs(dm) / h
@@ -368,18 +377,18 @@ def _hinge_search(r: np.ndarray, dr: np.ndarray, y: np.ndarray) -> float:
         behind = times <= 0.0
         alpha = float((np.abs(dm) - a) @ behind[:n] + a @ behind[n:] - np.maximum(dm, 0.0).sum())
         beta = float(b @ behind[:n] - b @ behind[n:])
-        times = np.where(behind, math.inf, times)  # sorted last, where the search ends
-        for nearest in (256, 4096, times.size):
-            head = np.argpartition(times, nearest - 1)[:nearest] if nearest < times.size else None
-            head = np.argsort(times) if head is None else head[np.argsort(times[head])]
+        ahead = np.flatnonzero(times > 0.0)
+        for nearest in (4096, ahead.size):
+            head = (ahead if nearest >= ahead.size
+                    else ahead[np.argpartition(times[ahead], nearest - 1)[:nearest]])
+            head = head[np.argsort(times[head])]
             rows, past_one = head % n, head >= n
             d_alpha = np.where(past_one, a[rows], np.abs(dm[rows]) - a[rows])
             starts, ends = np.append(0.0, times[head]), np.append(times[head], math.inf)
             alphas = alpha + np.cumsum(np.append(0.0, d_alpha))
             betas = beta + np.cumsum(np.append(0.0, np.where(past_one, -b[rows], b[rows])))
-            stop = (alphas[:-1] + betas[:-1] * ends[:-1] >= 0.0) | np.isinf(ends[:-1])
-            if stop.any() or head.size == times.size:  # the root is on segment k
-                k = int(np.argmax(stop)) if stop.any() else head.size
+            k = int(np.argmax((alphas + betas * ends >= 0.0) | np.isinf(ends)))  # root's segment
+            if k < head.size or head.size == ahead.size:
                 root = -alphas[k] / betas[k] if betas[k] > 0.0 else starts[k]
                 return float(min(max(root, starts[k]), ends[k]))
 
@@ -423,8 +432,8 @@ def fit_constrained_convex(dataset: Dataset, loss: str = "squared",
     design -= z_mean
     design = design @ np.column_stack([basis, np.zeros(q)])
     design[:, -1] = 1.0
-    ridge = 1e-14 * np.vdot(design, design) / design.size * np.eye(q)  # keeps H definite
-    x = np.append(np.zeros(q - 1) if w0 is None else basis.T @ np.asarray(w0, float), b0)
+    x = np.append(np.zeros(basis.shape[1]) if w0 is None else basis.T @ np.asarray(w0, float), b0)
+    ridge = 1e-14 * np.vdot(design, design) / design.size * np.eye(x.size)  # keeps H definite
 
     for iterations in range(max_iter + 1):
         r = design @ x

@@ -207,18 +207,20 @@ def scipy_constrained_risk(features, attr, labels, c, loss, h=1e-3):
 
     z is [features, attr] centered, as the fitter uses it; labels are 0/1.
     The constraint is eliminated through the coordinate with the largest
-    |c_j| (w_j = -c_{-j}' w_{-j} / c_j), not through an orthonormal basis.
-    ``loss`` is "logistic" or "hinge_smooth" (width ``h``). Returns the
-    objective, w and b.
+    |c_j| (w_j = -c_{-j}' w_{-j} / c_j), not through an orthonormal basis;
+    c = 0 leaves w free. ``loss`` is "logistic" or "hinge_smooth" (width
+    ``h``). Returns the objective, w and b.
     """
     from scipy.optimize import minimize
     z = np.column_stack([features, attr])
     z = z - z.mean(axis=0)
     s = 2.0 * np.asarray(labels, dtype=float) - 1.0
-    j = int(np.argmax(np.abs(c)))
-    keep = np.arange(len(c)) != j
-    basis = np.eye(len(c))[:, keep]
-    basis[j] = -c[keep] / c[j]  # w = basis @ v satisfies c'w = 0 for every v
+    basis = np.eye(len(c))
+    if np.any(c):
+        j = int(np.argmax(np.abs(c)))
+        keep = np.arange(len(c)) != j
+        basis = basis[:, keep]
+        basis[j] = -c[keep] / c[j]  # w = basis @ v satisfies c'w = 0 for every v
     zb = z @ basis
 
     def risk(v):

@@ -265,6 +265,20 @@ class TestCliCommands:
         assert payloads["pgd"]["constrained"]["stop_reason"] == "converged"
         assert payloads["pgd"]["constrained"]["iterations"] == 1  # one Newton step
 
+    def test_fit_linear_fair_pgd_with_labels_equal_to_attr(self, tmp_path, capsys):
+        # y == a makes the constraint vector exactly 0, so every fit is unconstrained
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(300, 2))
+        a = (x[:, 0] + rng.normal(size=300) > 0).astype(float)
+        data = tmp_path / "ya.csv"
+        write_csv(Dataset(x, a, a.copy()), data)
+        for loss in ("squared", "logistic", "hinge_smooth"):
+            code = main(["fit-linear-fair", "--data", str(data), "--method", "pgd",
+                         "--loss", loss])
+            assert code == 0, loss
+            fit = json.loads(capsys.readouterr().out)["constrained"]
+            assert fit["stop_reason"] == "converged"
+
     def test_fit_linear_fair_rejects_bad_combo(self, tmp_path):
         data = tmp_path / "g.csv"
         from eqodds.synthetic import gaussian_law

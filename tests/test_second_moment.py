@@ -375,6 +375,28 @@ class TestNullSpaceNewton:
         assert fit.stop_reason == "max_iter" and not fit.converged
         assert fit.iterations == 2 and fit.projected_gradient_norm > 1e-9
 
+    def test_degenerate_constraint_fits_unconstrained(self):
+        # cov(Z, A) = cov(Z, Y) and var(A) = cov(A, Y) = var(Y) make c exactly 0:
+        # every w meets the identity, so the fit is the unconstrained optimum
+        cov = np.array([[1.0, 0.2, 0.3, 0.3], [0.2, 1.0, -0.1, -0.1],
+                        [0.3, -0.1, 1.0, 1.0], [0.3, -0.1, 1.0, 1.0]])
+        model = SecondMomentModel(np.zeros(4), cov)
+        assert not model.constraint_vector().any()
+        ds = self._binary(7, d=2)
+        z = np.column_stack([ds.features, ds.attr, np.ones(len(ds))])
+        for loss in ("squared", "logistic", "hinge_smooth"):
+            fit = fit_constrained_convex(ds, loss, model=model)
+            assert fit.stop_reason == "converged" and fit.converged, loss
+            assert fit.constraint_residual == 0.0
+            coef = np.append(fit.predictor.weights, fit.predictor.intercept)
+            if loss == "squared":
+                want = np.linalg.lstsq(z, ds.labels, rcond=None)[0]
+                assert rel_err(coef, want) < 1e-9
+            else:
+                objective, _, _ = scipy_constrained_risk(ds.features, ds.attr, ds.labels,
+                                                         np.zeros(3), loss)
+                assert objective - 1e-9 <= fit.objective <= objective + 1e-12
+
     def test_unreachable_tolerance_stops_at_a_repeated_iterate(self):
         # the gradient never reaches 0 exactly; at the piecewise-quadratic optimum
         # the exact line search returns a step that leaves every weight unchanged
@@ -413,7 +435,7 @@ class TestLineSearches:
             assert abs(margin_slope("logistic", r, dr, y, t)) <= 1e-8 * abs(slope0)
 
     def test_hinge_search_is_exact_at_every_scale(self):
-        # scales put the root among the nearest 256 breakpoints, among 4096, or past them
+        # scales put the root among the nearest 4096 breakpoints, or past them
         for seed in range(30):
             n = (40, 800, 5000)[seed % 3]
             r, dr, y = self._descent_problem("hinge", seed, n, 10.0 ** (seed % 5 - 2))
@@ -437,6 +459,17 @@ class TestLineSearches:
             m[:10], dm[:5] = 1.5, 0.0  # rows already past 1, some standing still
             t = _hinge_search(s * m, s * dm, y)
             assert t == pytest.approx(((1.0 - m[10:]) / dm[10:]).max(), rel=1e-12)
+
+    def test_hinge_search_root_past_the_nearest_breakpoints(self):
+        # 3000 rising margins put 6000 breakpoints ahead and the root at the last
+        # one, so the search must go on from the nearest 4096 to all of them
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            y = rng.integers(0, 2, 3000).astype(float)
+            s = 2.0 * y - 1.0
+            m, dm = rng.uniform(-2.0, 0.9, 3000), rng.uniform(0.1, 1.0, 3000)
+            t = _hinge_search(s * m, s * dm, y)
+            assert t == pytest.approx(((1.0 - m) / dm).max(), rel=1e-12)
 
 
 class TestModelValidation:
