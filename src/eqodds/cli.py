@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from contextlib import contextmanager
 from typing import Optional, Tuple
@@ -107,10 +108,30 @@ def _parse_cell_probs(text: Optional[str]) -> Optional[CellProbabilities]:
     return CellProbabilities.from_flat(values)
 
 
+def _finite_float(text: str) -> float:
+    """A float flag value; nan, inf and non-numbers exit 2 naming the flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _tolerance_arg(text: str):
-    if text == "auto":
-        return "auto"
-    return float(text)
+    return "auto" if text == "auto" else _finite_float(text)
+
+
+def _seed_arg(text: str) -> int:
+    """A seed flag value: numpy's generators take only nonnegative integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
 
 
 def build_hypothesis_class(spec: dict, dataset: Dataset) -> FiniteHypothesisClass:
@@ -290,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="run the discrimination detection test")
     p.add_argument("--data", required=True)
     p.add_argument("--score-col", default="score")
-    p.add_argument("--threshold", type=float, default=None,
+    p.add_argument("--threshold", type=_finite_float, default=None,
                    help="binarize scores at this cut (default: treat scores "
                         "as acceptance probabilities)")
     p.add_argument("--alpha", type=float, required=True,
@@ -305,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correct", help="fit the optimal derived rule for a score column")
     p.add_argument("--data", required=True)
     p.add_argument("--score-col", default="score")
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--tolerance", type=float, required=True,
+    p.add_argument("--threshold", type=_finite_float, default=None)
+    p.add_argument("--tolerance", type=_finite_float, required=True,
                    help="cap on the corrected rule's cross-group gap")
     common(p)
     p.set_defaults(func=_cmd_correct)
@@ -318,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--train-tolerance", type=_tolerance_arg, default="auto")
     p.add_argument("--correct-tolerance", type=_tolerance_arg, default="auto")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     common(p)
     p.set_defaults(func=_cmd_train)
 
@@ -345,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="erm-trap: flip probability in the rare cell")
     p.add_argument("--dim", type=int, default=3, help="gaussian: feature dimension")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=_cmd_simulate)
 
@@ -356,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--raw-out", help="also write per-trial rows as CSV")
     common(p)
     p.set_defaults(func=_cmd_reproduce)
@@ -366,7 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error (2) or help (0)
+        return exc.code
     try:
         return args.func(args)
     except (CliError, EqoddsError, FileNotFoundError) as exc:

@@ -56,9 +56,8 @@ def cell_sums(cell: np.ndarray, weights: Optional[np.ndarray] = None) -> np.ndar
 
 def _require_nonzero_cells(table: np.ndarray, context: str) -> None:
     """Raise EmptyCellError naming every zero entry of a (2, 2) [y][a] table."""
-    empty = np.argwhere(table == 0)
-    if empty.size:
-        raise EmptyCellError(empty, context)
+    if not table.all():  # argwhere only on the error path
+        raise EmptyCellError(np.argwhere(table == 0), context)
 
 
 @dataclass(frozen=True)
@@ -73,6 +72,12 @@ class Dataset:
     raises InvalidParameterError naming the column. The per-row cell index
     and the cell counts are derived on first use and cached; the columns
     never change.
+
+    ``Dataset(...)`` converts and checks every column. ``subset`` (and so
+    ``split_dataset``), ``synthetic.sample_law`` on finite and cell-product
+    laws, and ``data_io.load_csv`` build through ``_trusted`` instead: their
+    columns are valid by construction, so only emptiness is checked, and a
+    subset or a cell-product sample inherits its cell index ready-made.
     """
 
     features: np.ndarray
@@ -142,10 +147,33 @@ class Dataset:
         """Raise EmptyCellError unless all four (y, a) cells hold a row."""
         _require_nonzero_cells(self.cell_counts, context)
 
+    @classmethod
+    def _trusted(cls, features: np.ndarray, attr: np.ndarray, labels: np.ndarray,
+                 scores: Optional[np.ndarray] = None,
+                 cell: Optional[np.ndarray] = None) -> "Dataset":
+        """A Dataset over columns that already pass every check but emptiness.
+
+        ``features`` must be a 2-D float64 array, the other columns 1-D
+        contiguous float64 arrays of the same length, all finite. ``cell``,
+        when given, must equal ``2 * labels + attr`` as intp; it is cached as
+        is, so binarity is not rechecked.
+        """
+        if features.shape[0] == 0:
+            raise InvalidParameterError("dataset must be nonempty")
+        dataset = object.__new__(cls)
+        dataset.__dict__.update(features=features, attr=attr, labels=labels, scores=scores)
+        if cell is not None:
+            dataset.__dict__["cell"] = cell  # what the cached property would store
+        return dataset
+
     def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.intp)
+        idx = np.atleast_1d(np.asarray(indices, dtype=np.intp))
+        if idx.ndim != 1:
+            raise InvalidParameterError("subset indices must be one-dimensional")
         scores = None if self.scores is None else self.scores[idx]
-        return Dataset(self.features[idx], self.attr[idx], self.labels[idx], scores)
+        cell = self.__dict__.get("cell")  # the parent's code, when computed
+        return Dataset._trusted(self.features[idx], self.attr[idx], self.labels[idx],
+                                scores, None if cell is None else cell[idx])
 
 
 @dataclass(frozen=True)
@@ -158,9 +186,10 @@ class CellProbabilities:
         t = np.asarray(self.table, dtype=np.float64)
         if t.shape != (2, 2):
             raise InvalidParameterError("cell table must be 2x2")
-        if (t < -1e-15).any():
-            raise InvalidParameterError("cell probabilities must be nonnegative")
-        if abs(float(t.sum()) - 1.0) > 1e-9:
+        if not (t >= -1e-15).all():  # NaN fails too
+            raise InvalidParameterError(
+                f"cell probabilities must be nonnegative numbers, got {t.ravel().tolist()}")
+        if not abs(float(t.sum()) - 1.0) <= 1e-9:
             raise InvalidParameterError(f"cell probabilities sum to {t.sum()}, not 1")
         object.__setattr__(self, "table", np.clip(t, 0.0, None))
 
@@ -223,8 +252,10 @@ class GroupRates:
 
     @property
     def empty_cells(self):
-        present = ~np.isnan(self.rates) if self.counts is None else self.counts
-        return [tuple(idx) for idx in np.argwhere(present == 0)]
+        empty = np.isnan(self.rates) if self.counts is None else self.counts == 0
+        if not empty.any():
+            return []
+        return [tuple(idx) for idx in np.argwhere(empty)]
 
     @property
     def all_cells_present(self) -> bool:

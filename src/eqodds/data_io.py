@@ -116,8 +116,9 @@ def _read_dataset(path, attr_col, label_col, score_col, require_binary) -> Datas
             table, blank_lines = _row_table(reader, len(header), names, order)
             _reject_bad_cells(table, names, binary, blank_lines)
     d = len(feature_names)
-    return Dataset(table[:, :d], table[:, d], table[:, d + 1],
-                   table[:, d + 2] if has_score else None)
+    # every cell is finite by now; the 1-D columns are made contiguous, as Dataset() would
+    attr, labels, *score = (np.ascontiguousarray(col) for col in table[:, d:].T)
+    return Dataset._trusted(table[:, :d], attr, labels, score[0] if score else None)
 
 
 def _bulk_table(fh, path, n_fields: int):

@@ -16,6 +16,11 @@ That polytope is small enough to solve by exact vertex enumeration, which
 is deterministic and needs no iterative solver; ties are broken by the
 lexicographically smallest acceptance vector. Equality (zero-tolerance)
 constraints run through the same path with the cap at zero.
+
+A vertex is where 4 of the 12 constraint rows are active. The rows come in
+six antipodal pairs (v_i <= 1 and -v_i <= 0, and the two caps on each gap),
+and 4 rows holding both rows of a pair are singular, so only the 240 picks
+of one row from each of 4 distinct pairs are solved, not all 495.
 """
 
 from __future__ import annotations
@@ -39,8 +44,51 @@ from .core import (
 
 _FEAS_TOL = 1e-9      # vertex feasibility slack
 _TIE_TOL = 1e-12      # objective tie window for the lexicographic tie-break
-# all ways to pick 4 active constraints out of the 12 rows (box + gap caps)
-_COMBOS = np.array(list(itertools.combinations(range(12), 4)), dtype=np.intp)
+_SINGULAR_TOL = 1e-12  # a pick whose |det| is no larger has no unique vertex
+
+
+def _pair(row: int) -> int:
+    """Antipodal pair of a constraint row, numbered 0 to 5.
+
+    Pair i < 4 holds v_i <= 1 (row i) and -v_i <= 0 (row 4 + i); pair 4 + y
+    holds the caps +gap_y <= cap (row 8 + y) and -gap_y <= cap (row 10 + y).
+    """
+    return row % 4 if row < 8 else 4 + row % 2
+
+
+def _vertex_picks() -> Tuple[np.ndarray, np.ndarray]:
+    """The picks of 4 active rows that can be a vertex, and their minor terms.
+
+    Picks keep combinations() order. A pick that holds both rows of a pair
+    has two rows that are exact negatives: its determinant is 0 (LU leaves at
+    most ~1e-16, far under ``_SINGULAR_TOL``), so it is dropped, leaving the
+    C(6, 4) * 2^4 = 240 picks of one row from each of 4 distinct pairs.
+
+    Box rows are signed unit vectors, so |det| of a kept pick is |minor| of
+    its gap rows on the columns no box row covers. With t the flat gap rows
+    followed by 1.0 and 0.0 (at 8 and 9), the minor terms (i, j, k, l) give
+    that minor as t[i] * t[j] - t[k] * t[l]: 1 with no gap row, one entry
+    with one, and a 2x2 determinant with two (then one cap of each gap).
+    """
+    picks, terms = [], []
+    for pick in itertools.combinations(range(12), 4):
+        pairs = [_pair(r) for r in pick]
+        if len(set(pairs)) < 4:
+            continue
+        free = [i for i in range(4) if i not in pairs]  # the columns no box row covers
+        gaps = [4 * (p - 4) for p in pairs if p >= 4]   # where each gap row starts in t
+        if not gaps:
+            terms.append((8, 8, 9, 9))
+        elif len(gaps) == 1:
+            terms.append((gaps[0] + free[0], 8, 9, 9))
+        else:
+            j, k = free
+            terms.append((j, 4 + k, k, 4 + j))
+        picks.append(pick)
+    return np.array(picks, dtype=np.intp), np.array(terms, dtype=np.intp)
+
+
+_COMBOS, _MINOR = _vertex_picks()
 
 # expected per-sample 0-1 loss of outputting `out` when the label is `y`
 LOSS_01 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -85,7 +133,7 @@ class DerivedPredictor:
         acc = np.asarray(self.accept, dtype=np.float64)
         if acc.shape != (2, 2):
             raise InvalidParameterError("accept table must be 2x2")
-        if ((acc < -1e-9) | (acc > 1 + 1e-9)).any():
+        if not ((acc >= -1e-9) & (acc <= 1 + 1e-9)).all():  # NaN fails too
             raise InvalidParameterError("acceptance probabilities must lie in [0, 1]")
         object.__setattr__(self, "accept", np.clip(acc, 0.0, 1.0))
         object.__setattr__(self, "provenance", tuple(self.provenance))
@@ -157,6 +205,12 @@ def _gap_rows(stats: RateStatistics):
     return rows
 
 
+def _nonsingular(gap_rows: np.ndarray) -> np.ndarray:
+    """Mask over ``_COMBOS``: picks whose |det| exceeds ``_SINGULAR_TOL``, in closed form."""
+    t = np.append(gap_rows.ravel(), (1.0, 0.0))[_MINOR]
+    return np.abs(t[:, 0] * t[:, 1] - t[:, 2] * t[:, 3]) > _SINGULAR_TOL
+
+
 def optimal_derived(stats: RateStatistics, tolerance: float) -> DerivedPredictor:
     """Loss-minimizing derived rule with cross-group gap at most ``tolerance``.
 
@@ -167,7 +221,7 @@ def optimal_derived(stats: RateStatistics, tolerance: float) -> DerivedPredictor
     deterministic. The returned rule's induced gap is re-checked against
     the tolerance before returning.
     """
-    if tolerance < 0.0:
+    if not tolerance >= 0.0:  # NaN fails too
         raise InvalidParameterError(f"tolerance must be nonnegative, got {tolerance}")
     cap = min(float(tolerance), 1.0)  # a gap can never exceed 1
     c = _lp_coefficients(stats, LOSS_01)
@@ -177,9 +231,8 @@ def optimal_derived(stats: RateStatistics, tolerance: float) -> DerivedPredictor
     rows = np.vstack([np.eye(4), -np.eye(4), gap_rows, -gap_rows])
     rhs = np.concatenate([np.ones(4), np.zeros(4), np.full(4, cap)])
 
-    mats = rows[_COMBOS]                      # (495, 4, 4)
-    keep = np.abs(np.linalg.det(mats)) > 1e-12
-    verts = np.linalg.solve(mats[keep], rhs[_COMBOS[keep]][..., None])[..., 0]
+    picks = _COMBOS[_nonsingular(gap_rows)]
+    verts = np.linalg.solve(rows[picks], rhs[picks][..., None])[..., 0]
     verts = verts[np.isfinite(verts).all(axis=1)]
     feas = (verts @ rows.T <= rhs + _FEAS_TOL).all(axis=1)
     verts = np.clip(verts[feas], 0.0, 1.0)
@@ -188,7 +241,7 @@ def optimal_derived(stats: RateStatistics, tolerance: float) -> DerivedPredictor
 
     objs = verts @ c
     tied = verts[objs <= objs.min() + _TIE_TOL]
-    v_star = min(tied, key=lambda v: tuple(v))
+    v_star = tied[np.lexsort(tied.T[::-1])[0]]  # stable: the first of equal vertices
     derived = DerivedPredictor(v_star.reshape(2, 2),
                                provenance=(f"optimal@tol={tolerance:g}",))
     gap = induced_rates(derived, stats).gap()

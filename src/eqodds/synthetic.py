@@ -73,9 +73,9 @@ class FiniteJointLaw:
         m = probs.shape[0]
         if not (x.shape[0] == attr.shape[0] == labels.shape[0] == m and m > 0):
             raise InvalidParameterError("atom arrays must share a nonzero length")
-        if (probs <= 0).any():
+        if not (probs > 0).all():  # NaN fails too
             raise InvalidParameterError("atom probabilities must be positive")
-        if abs(float(probs.sum()) - 1.0) > 1e-12:
+        if not abs(float(probs.sum()) - 1.0) <= 1e-12:
             raise InvalidParameterError(f"atom probabilities sum to {probs.sum()}")
         if self.coding not in (CODING_01, CODING_PM1):
             raise InvalidParameterError(f"unknown coding {self.coding!r}")
@@ -120,7 +120,7 @@ class CellProductLaw:
         h = np.asarray(self.heads, dtype=np.float64)
         if h.ndim != 3 or h.shape[:2] != (2, 2):
             raise InvalidParameterError("heads must have shape (2, 2, d)")
-        if ((h < 0) | (h > 1)).any():
+        if not ((h >= 0) & (h <= 1)).all():  # NaN fails too
             raise InvalidParameterError("head probabilities must lie in [0, 1]")
         object.__setattr__(self, "heads", h)
 
@@ -313,16 +313,20 @@ def sample_law(law: Union[Law, GaussianJointLaw], n: int, seed: int) -> Dataset:
         z = rng.multivariate_normal(law.mean, law.cov, size=n, method="cholesky")
         d = law.n_features
         return Dataset(z[:, :d], z[:, d], z[:, d + 1])
+    # built columns are finite and 0/1 where they must be, so they skip the checks
     if isinstance(law, CellProductLaw):
         cell_idx = rng.choice(4, size=n, p=law.cells.table.ravel())
+        cell_idx = cell_idx.astype(np.intp, copy=False)
         ys, as_ = cell_idx // 2, cell_idx % 2
         u = rng.random(size=(n, law.n_features))
         feats = (u < law.heads[ys, as_, :]).astype(np.float64)
-        return Dataset(feats, as_, ys)
+        return Dataset._trusted(feats, as_.astype(np.float64), ys.astype(np.float64),
+                                cell=cell_idx)
     if law.coding != CODING_01:
         raise InvalidParameterError("sampling is defined for zero_one coded laws")
     idx = rng.choice(law.probs.shape[0], size=n, p=law.probs)
-    return Dataset(law.x[idx], law.attr[idx], law.labels[idx])
+    # law.cell builds the atoms as a checked Dataset, once per law
+    return Dataset._trusted(law.x[idx], law.attr[idx], law.labels[idx], cell=law.cell[idx])
 
 
 @dataclass(frozen=True)

@@ -73,8 +73,8 @@ class TwoStepConfig:
             if isinstance(v, str):
                 if v != "auto":
                     raise InvalidParameterError(f"{name} must be a float or 'auto'")
-            elif v < 0:
-                raise InvalidParameterError(f"{name} must be nonnegative")
+            elif not v >= 0:  # NaN fails too
+                raise InvalidParameterError(f"{name} must be nonnegative, got {v}")
 
 
 def auto_tolerance(n: int, delta: float, cells: CellProbabilities) -> float:
@@ -112,13 +112,13 @@ def constrained_erm(dataset: Dataset, hclass: FiniteHypothesisClass,
     the better constant rule is returned with the ``forced_constant`` flag
     set. All four (y, a) cells must be populated.
     """
-    if tolerance < 0:
-        raise InvalidParameterError("tolerance must be nonnegative")
+    if not tolerance >= 0:  # NaN fails too
+        raise InvalidParameterError(f"tolerance must be nonnegative, got {tolerance}")
     dataset.require_all_cells("constrained risk minimization")
 
     n = len(dataset)
     rules = hclass.rules
-    indicator = (dataset.cell[:, None] == np.arange(4)).astype(np.float64)
+    indicator = np.eye(4).take(dataset.cell, axis=0)  # one-hot row per cell code
     sums = np.empty((len(rules), 4))  # per rule: S00, S01, S10, S11
     width = max(1, _SCAN_ELEMENTS // n)
     for lo in range(0, len(rules), width):

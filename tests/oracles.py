@@ -4,6 +4,8 @@ Everything here recomputes results by brute force (grids, enumeration,
 generic LP feasibility) without touching the code paths under test.
 """
 
+import itertools
+
 import numpy as np
 
 from eqodds.core import CellProbabilities, ConstantRule, empirical_loss, empirical_rates
@@ -64,6 +66,47 @@ def random_rate_statistics(rng, min_cell=0.02):
     cells = rng.random(4) + 4 * min_cell
     cells = cells / cells.sum()
     return RateStatistics(rates, CellProbabilities(cells.reshape(2, 2)))
+
+
+ALL_PICKS = np.array(list(itertools.combinations(range(12), 4)), dtype=np.intp)
+
+
+def derived_lp_rows(stats, tolerance):
+    """Constraint rows and right-hand sides of the derived-rule LP, written out afresh.
+
+    Rows over v = (accept[0,0], accept[0,1], accept[1,0], accept[1,1]):
+    v_i <= 1, -v_i <= 0, then +-(rate[y,0] - rate[y,1]) <= min(tolerance, 1).
+    """
+    g = stats.rates
+    gap = np.hstack([1.0 - g, g])
+    gap[:, 1::2] = 0.0 - gap[:, 1::2]
+    rows = np.vstack([np.eye(4), -np.eye(4), gap, -gap])
+    cap = min(float(tolerance), 1.0)
+    return rows, np.concatenate([np.ones(4), np.zeros(4), np.full(4, cap)])
+
+
+def optimal_derived_all_picks(stats, tolerance):
+    """Accept table of the derived-rule LP by solving every one of the 495 picks.
+
+    The enumeration the pruned solver replaced: a 4-row pick is skipped only
+    when ``np.linalg.det`` puts it within 1e-12 of singular; the feasible
+    vertex of least objective wins, ties within 1e-12 going to the
+    lexicographically smallest vector, first found among equals. Returns the
+    table and ``|det|`` of every pick, in ``ALL_PICKS`` order.
+    """
+    g, t = stats.rates, stats.cells.table
+    weight = t * np.array([1.0, -1.0])[:, None]  # 0-1 loss: cost of accepting on y
+    c = np.concatenate([(weight * (1.0 - g)).sum(axis=0), (weight * g).sum(axis=0)])
+    rows, rhs = derived_lp_rows(stats, tolerance)
+    mats = rows[ALL_PICKS]
+    dets = np.abs(np.linalg.det(mats))
+    keep = dets > 1e-12
+    verts = np.linalg.solve(mats[keep], rhs[ALL_PICKS[keep]][..., None])[..., 0]
+    verts = verts[np.isfinite(verts).all(axis=1)]
+    verts = np.clip(verts[(verts @ rows.T <= rhs + 1e-9).all(axis=1)], 0.0, 1.0)
+    objs = verts @ c
+    tied = verts[objs <= objs.min() + 1e-12]
+    return np.clip(min(tied, key=tuple).reshape(2, 2), 0.0, 1.0), dets
 
 
 def derived_grid_minima(stats, tolerance, n_steps=101, slack=0.0101, side=0.03):

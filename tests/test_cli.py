@@ -375,6 +375,16 @@ def test_nan_score_audit_exits_2(tmp_path, capsys):
     ("hypotheses-is-directory", "cannot read --hypotheses {tmp}: Is a directory"),
     ("out-is-directory", "cannot write --out {tmp}: Is a directory"),
     ("raw-out-is-directory", "cannot write --raw-out {tmp}: Is a directory"),
+    ("tolerance-nan", "argument --tolerance: expected a finite number, got 'nan'"),
+    ("tolerance-inf", "argument --tolerance: expected a finite number, got 'inf'"),
+    ("train-tolerance-nan", "argument --train-tolerance: expected a finite number"),
+    ("train-tolerance-inf", "argument --train-tolerance: expected a finite number"),
+    ("correct-tolerance-nan", "argument --correct-tolerance: expected a finite number"),
+    ("correct-tolerance-inf", "argument --correct-tolerance: expected a finite number"),
+    ("threshold-nan", "argument --threshold: expected a finite number, got 'nan'"),
+    ("threshold-inf", "argument --threshold: expected a finite number, got 'inf'"),
+    ("cell-probs-nan", "cell probabilities must be nonnegative numbers"),
+    ("seed-negative", "argument --seed: expected a nonnegative integer, got '-1'"),
 ])
 def test_malformed_input_exits_2(case, needle, tmp_path, monkeypatch, capsys):
     data = tmp_path / "d.csv"
@@ -408,6 +418,20 @@ def test_malformed_input_exits_2(case, needle, tmp_path, monkeypatch, capsys):
                              "--trials", "5", "--out", str(tmp_path)],
         "raw-out-is-directory": ["reproduce", "--experiment", "detection-error-rates",
                                  "--trials", "50", "--raw-out", str(tmp_path)],
+        "tolerance-nan": ["correct", "--data", str(data), "--tolerance", "nan"],
+        "tolerance-inf": ["correct", "--data", str(data), "--tolerance", "inf"],
+        "train-tolerance-nan": train + ["--train-tolerance", "nan"],
+        "train-tolerance-inf": train + ["--train-tolerance", "inf"],
+        "correct-tolerance-nan": train + ["--correct-tolerance", "nan"],
+        "correct-tolerance-inf": train + ["--correct-tolerance", "inf"],
+        "threshold-nan": ["correct", "--data", str(data), "--tolerance", "0",
+                          "--threshold", "nan"],
+        "threshold-inf": ["audit", "--data", str(data), "--alpha", "0.5", "--delta", "0.1",
+                          "--threshold", "inf"],
+        "cell-probs-nan": ["audit", "--data", str(data), "--alpha", "0.5", "--delta", "0.1",
+                           "--cell-probs", "nan,0.25,0.25,0.25"],
+        "seed-negative": ["simulate", "--law", "two-proxy", "--n", "10", "--seed", "-1",
+                          "--out", str(tmp_path / "s.csv")],
     }[case]
     if case == "trial-scale":
         monkeypatch.setenv("EQODDS_TRIAL_SCALE", "abc")

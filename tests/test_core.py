@@ -7,6 +7,7 @@ import pytest
 
 from eqodds.core import (
     AttributeRule,
+    CellProbabilities,
     ConstantRule,
     Dataset,
     EmptyCellError,
@@ -20,6 +21,10 @@ from eqodds.core import (
     empirical_rates,
     split_dataset,
 )
+from eqodds.data_io import load_csv
+from eqodds.posthoc import DerivedPredictor
+from eqodds.synthetic import (CellProductLaw, FiniteJointLaw, erm_trap_family, sample_law,
+                              two_proxy_law)
 from oracles import counting_rates_oracle as counting_oracle_rates
 
 
@@ -239,3 +244,105 @@ def test_cell_index_and_counts_cached():
     with pytest.raises(EmptyCellError) as err:
         Dataset(np.zeros((2, 1)), [0, 1], [1, 1]).require_all_cells("test")
     assert err.value.cells == [(0, 0), (0, 1)]
+
+
+# ---- datasets built without re-validation --------------------------------
+
+def assert_same_dataset(got, want):
+    """Equal columns (dtype, shape, contiguity, bits), cell code and cell counts."""
+    for name in ("features", "attr", "labels", "scores"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert (a.dtype, a.shape, a.flags.c_contiguous) == \
+                (b.dtype, b.shape, b.flags.c_contiguous), name
+            assert a.tobytes() == b.tobytes(), name
+    assert got.cell.dtype == want.cell.dtype
+    assert np.array_equal(got.cell, want.cell)
+    assert np.array_equal(got.cell_counts, want.cell_counts)
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_subset_and_split_equal_checked_datasets(cached):
+    rng = np.random.default_rng(31)
+    ds = Dataset(rng.normal(size=(101, 3)), rng.integers(0, 2, 101),
+                 rng.integers(0, 2, 101), rng.random(101))
+    if cached:
+        _ = ds.cell
+    idx = rng.permutation(101)[:40]
+    sub = ds.subset(idx)
+    assert ("cell" in sub.__dict__) == cached  # the parent's code is passed on
+    want = Dataset(ds.features[idx], ds.attr[idx], ds.labels[idx], ds.scores[idx])
+    assert_same_dataset(sub, want)
+    for half in split_dataset(ds, seed=5):
+        assert_same_dataset(half, Dataset(half.features, half.attr, half.labels,
+                                          half.scores))
+    assert_same_dataset(ds.subset(3), Dataset(ds.features[3], ds.attr[3], ds.labels[3],
+                                              ds.scores[3]))
+
+
+def test_subset_keeps_its_checks():
+    ds = Dataset(np.zeros((3, 1)), [0, 1, 0], [0.5, 1.0, 0.0])  # real-valued labels
+    with pytest.raises(InvalidParameterError, match="nonempty"):
+        ds.subset([])
+    with pytest.raises(InvalidParameterError, match="one-dimensional"):
+        ds.subset([[0], [1]])
+    with pytest.raises(IndexError):
+        ds.subset([3])
+    with pytest.raises(InvalidParameterError, match="values in"):
+        ds.subset([0, 2]).require_binary()  # binarity is still checked on first use
+    assert ds.subset([1, 2]).require_binary()
+
+
+@pytest.mark.parametrize("kind", ["finite", "cell-product"])
+def test_sample_law_equals_checked_dataset_of_the_same_draws(kind):
+    law = two_proxy_law(0.1) if kind == "finite" else erm_trap_family(5, 0.2)[0]
+    ds = sample_law(law, 700, seed=4)
+    assert "cell" in ds.__dict__
+    # the draws as the sampler makes them, built by the checking constructor
+    rng = np.random.default_rng(4)
+    if kind == "finite":
+        idx = rng.choice(law.probs.shape[0], size=700, p=law.probs)
+        want = Dataset(law.x[idx], law.attr[idx], law.labels[idx])
+    else:
+        cell = rng.choice(4, size=700, p=law.cells.table.ravel())
+        u = rng.random(size=(700, law.n_features))
+        want = Dataset((u < law.heads[cell // 2, cell % 2, :]).astype(float),
+                       cell % 2, cell // 2)
+    assert_same_dataset(ds, want)
+
+
+@pytest.mark.parametrize("text", [
+    "x0,x1,a,y,score\n0.5,-1,1,0,0.25\n2,3e-3,0,1,1\n1,1,1,1,0\n",       # bulk parse
+    'x0,x1,a,y,score\n0.5,-1,1,0,0.25\n"2",3e-3,0,1,1\n1,1,1,1,0\n',     # row loop
+    "y,score,x0,a,x1\n0,0.25,0.5,1,-1\n1,1,2,0,3e-3\n1,0,1,1,1\n",       # reordered
+])
+def test_load_csv_equals_checked_dataset(tmp_path, text):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    table = np.array([[0.5, -1, 1, 0, 0.25], [2, 3e-3, 0, 1, 1], [1, 1, 1, 1, 0]])
+    assert_same_dataset(load_csv(path),
+                        Dataset(table[:, :2], table[:, 2], table[:, 3], table[:, 4]))
+
+
+def test_load_csv_real_valued_columns_equal_checked_dataset(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("x0,a,y\n1,0.5,-2\n0,3,0.25\n")
+    table = np.array([[1, 0.5, -2], [0, 3, 0.25]])
+    want = Dataset(table[:, :1], table[:, 1], table[:, 2])
+    got = load_csv(path, require_binary=False)
+    for name in ("features", "attr", "labels"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.tobytes() == b.tobytes() and a.strides == b.strides, name
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_probability_tables_reject_nan_and_inf(bad):
+    with pytest.raises(InvalidParameterError, match="cell probabilities"):
+        CellProbabilities(np.array([[bad, 0.25], [0.25, 0.25]]))
+    with pytest.raises(InvalidParameterError, match="acceptance probabilities"):
+        DerivedPredictor(np.array([[0.5, bad], [0.5, 0.5]]))
+    with pytest.raises(InvalidParameterError, match="head probabilities"):
+        CellProductLaw(CellProbabilities.uniform(), np.full((2, 2, 1), bad))
+    with pytest.raises(InvalidParameterError, match="atom probabilities"):
+        FiniteJointLaw(np.zeros((2, 1)), [0, 1], [1, 0], [bad, 0.5])

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from eqodds.core import AttributeRule, CellProbabilities, GroupRates
+from eqodds.core import AttributeRule, CellProbabilities, GroupRates, InvalidParameterError
 from eqodds.posthoc import (
+    _COMBOS,
     DerivedPredictor,
     RateStatistics,
+    _nonsingular,
     conservative_correction,
     derived_loss,
     expected_loss_from_rates,
@@ -15,7 +17,8 @@ from eqodds.posthoc import (
 )
 from eqodds.synthetic import two_proxy_law
 
-from oracles import derived_grid_minima, point_in_hull, random_rate_statistics
+from oracles import (ALL_PICKS, derived_grid_minima, derived_lp_rows,
+                     optimal_derived_all_picks, point_in_hull, random_rate_statistics)
 
 
 def attr_rule_stats(eps=0.1):
@@ -126,9 +129,58 @@ class TestOptimalDerived:
         b = optimal_derived(stats, 0.0)
         assert np.array_equal(a.accept, b.accept)
 
+    def test_pruned_enumeration_equals_all_picks(self):
+        """The 240-pick solver against the 495-pick one: the same bits on 3,200 cases.
+
+        A fifth of the cases each: random rates; a group whose two rates are
+        equal (singular picks beyond the antipodal ones); rates and cells on a
+        1/50 grid (many exact objective ties); both groups equal; a group whose
+        rates differ by 1e-13, 1e-11 or 1e-9 (minors on either side of the
+        singularity cutoff). Tolerances are 0, random, 1 and 1.5 in turn. On
+        every case the closed-form minor mask equals ``|det| > 1e-12``, and
+        every pick left out (its determinant is 0 in exact arithmetic) falls
+        under that filter too.
+        """
+        pruned = (ALL_PICKS[:, None, :] == _COMBOS[None]).all(axis=2).any(axis=1)
+        assert pruned.sum() == 240 and np.array_equal(ALL_PICKS[pruned], _COMBOS)
+        rng = np.random.default_rng(20)
+        for k in range(3200):
+            kind = k % 5
+            rates = rng.random((2, 2))
+            cells = rng.random(4) + 0.08
+            cells = (cells / cells.sum()).reshape(2, 2)
+            if kind == 1:
+                a = rng.integers(2)
+                rates[1, a] = rates[0, a]
+            elif kind == 2:
+                rates = rng.integers(0, 51, (2, 2)) / 50
+                parts = np.diff(np.r_[0, np.sort(rng.choice(np.arange(1, 50), 3, False)), 50])
+                cells = parts.reshape(2, 2) / 50
+            elif kind == 3:
+                rates[:, 1] = rates[:, 0]
+            elif kind == 4:
+                a = rng.integers(2)
+                rates[1, a] = rates[0, a] + (1e-13, 1e-11, 1e-9)[k // 5 % 3]
+            tol = (0.0, rng.random() * 0.5, 1.0, 1.5)[k // 5 % 4]
+            stats = RateStatistics(rates, CellProbabilities(cells))
+            want, dets = optimal_derived_all_picks(stats, tol)
+            gap_rows = derived_lp_rows(stats, tol)[0][8:10]
+            assert np.array_equal(_nonsingular(gap_rows), dets[pruned] > 1e-12), k
+            assert (dets[~pruned] <= 1e-12).all(), k
+            if induced_rates(DerivedPredictor(want), stats).gap() > min(tol, 1.0) + 1e-10:
+                # the final gap re-check rejects the reference's vertex too (a few
+                # cases 1e-9 from singular, whose vertices miss the cap by ~1e-10)
+                with pytest.raises(RuntimeError, match="above tolerance"):
+                    optimal_derived(stats, tol)
+                continue
+            got = optimal_derived(stats, tol).accept
+            assert got.tobytes() == want.tobytes(), (k, got, want)
+
     def test_tolerance_validation(self):
         with pytest.raises(Exception):
             optimal_derived(attr_rule_stats(), -0.1)
+        with pytest.raises(InvalidParameterError, match="nonnegative"):
+            optimal_derived(attr_rule_stats(), float("nan"))
         # above-1 tolerances are legal (schedules can exceed 1) and inert
         derived = optimal_derived(attr_rule_stats(), 1.7)
         assert derived_loss(derived, attr_rule_stats()) <= 0.1 + 1e-12

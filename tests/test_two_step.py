@@ -332,6 +332,9 @@ class TestTrainTwoStep:
             TwoStepConfig(train_tolerance="bogus")
         with pytest.raises(InvalidParameterError):
             TwoStepConfig(correct_tolerance=-0.1)
+        for name in ("train_tolerance", "correct_tolerance"):
+            with pytest.raises(InvalidParameterError, match=f"{name} must be nonnegative"):
+                TwoStepConfig(**{name: float("nan")})
 
 
 class TestThresholdClass:
