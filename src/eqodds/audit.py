@@ -38,17 +38,16 @@ from .core import (
 )
 
 
-def discrimination_gap(rates: GroupRates) -> float:
-    """Largest cross-group difference of conditional acceptance rates."""
-    return rates.gap()
-
-
 def required_sample_size(alpha: float, delta: float,
                          cells: CellProbabilities) -> int:
     """Samples needed before the detection test's guarantee applies."""
     _check_alpha_delta(alpha, delta)
     min_cell = cells.positive_min_cell("required sample size")
-    return math.ceil(16.0 * math.log(32.0 / delta) / (alpha ** 2 * min_cell))
+    try:  # alpha ** 2 * min_cell can underflow to 0, or the quotient overflow
+        return math.ceil(16.0 * math.log(32.0 / delta) / (alpha ** 2 * min_cell))
+    except (ZeroDivisionError, OverflowError):
+        raise InvalidParameterError(
+            f"alpha = {alpha} is too small: the required sample size is not finite") from None
 
 
 @dataclass(frozen=True)

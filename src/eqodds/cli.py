@@ -278,9 +278,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    if args.experiment not in EXPERIMENTS:
-        raise CliError(f"unknown experiment {args.experiment!r}; "
-                       f"choose from {sorted(EXPERIMENTS)}")
     params = {}
     for key in ("eps", "alpha", "delta", "trials"):
         value = getattr(args, key)

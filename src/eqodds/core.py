@@ -197,10 +197,6 @@ class CellProbabilities:
     def min_cell(self) -> float:
         return float(self.table.min())
 
-    def label_marginals(self) -> np.ndarray:
-        """P(Y = 0), P(Y = 1)."""
-        return self.table.sum(axis=1)
-
     def positive_min_cell(self, context: str) -> float:
         """``min_cell``; raises EmptyCellError when some cell has no mass."""
         _require_nonzero_cells(self.table, context)
@@ -256,10 +252,6 @@ class GroupRates:
         if not empty.any():
             return []
         return [tuple(idx) for idx in np.argwhere(empty)]
-
-    @property
-    def all_cells_present(self) -> bool:
-        return not self.empty_cells
 
     def gap(self) -> float:
         """Largest cross-group rate difference, max over labels.

@@ -4,9 +4,8 @@ Each experiment recomputes a set of documented claims (exact oracle values,
 Monte Carlo error-rate bounds, or scaling-law slope bands) and reports one
 row per claim: the reference value or bound, the computed value, the
 tolerance, and a pass flag. Reports embed the seed and every run is
-deterministic given it; trial counts can be scaled through the
-``EQODDS_TRIAL_SCALE`` environment variable (floors keep the statistics
-meaningful).
+deterministic given it. Monte Carlo experiments take their trial count from
+``trials``; a floor per experiment keeps the statistics meaningful.
 
 One reference value is reproduced as documented even though exact
 arithmetic contradicts it: the bounded-L1 fair-on-feature squared loss
@@ -19,7 +18,6 @@ with the exact value recorded in its note.  All sibling claims pass.
 from __future__ import annotations
 
 import math
-import os
 import platform
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional
@@ -64,8 +62,6 @@ from .synthetic import (
     two_proxy_law,
 )
 from .two_step import TwoStepConfig, constrained_erm, train_two_step
-
-TRIAL_SCALE_ENV = "EQODDS_TRIAL_SCALE"
 
 
 @dataclass(frozen=True)
@@ -124,15 +120,6 @@ class ExperimentReport:
             "rows": [asdict(r) for r in self.rows],
             "meta": self.meta,
         }
-
-
-def _scaled(default: int, floor: int = 8) -> int:
-    text = os.environ.get(TRIAL_SCALE_ENV, "1") or "1"
-    try:  # float() rejects words; round() rejects nan and inf
-        return max(floor, int(round(default * float(text))))
-    except (ValueError, OverflowError):
-        raise InvalidParameterError(
-            f"{TRIAL_SCALE_ENV} must be a finite number, got {text!r}") from None
 
 
 def _mc_slack(delta: float, trials: int) -> float:
@@ -207,7 +194,7 @@ def run_posthoc_regression_gap(eps: float = 0.1, seed: int = 0, **_):
 def run_detection_error_rates(eps: float = 0.1, alpha: float = 0.5,
                               delta: float = 0.1, trials: int = 1000,
                               seed: int = 0, **_):
-    trials = _scaled(trials, floor=50)
+    trials = max(50, trials)
     law = two_proxy_law(eps)
     cells = law.cell_probabilities()
     n = required_sample_size(alpha, delta, cells)
@@ -247,7 +234,7 @@ def run_detection_error_rates(eps: float = 0.1, alpha: float = 0.5,
 
 def run_erm_trap_floor(n_features: int = 64, n: int = 200, trials: int = 400,
                        seed: int = 0, **_):
-    trials = _scaled(trials, floor=50)
+    trials = max(50, trials)
     cells = CellProbabilities.uniform()
     p_min = cells.min_cell
     alpha = 3.0 * math.log((n_features - 1) / 5.0) / (4.0 * n * p_min)
@@ -291,7 +278,7 @@ def _loglog_slope(ns, values):
 def run_two_step_rate_sweep(eps: float = 0.1, delta: float = 0.1,
                             trials: int = 200, n_grid: Optional[List[int]] = None,
                             seed: int = 0, **_):
-    trials = _scaled(trials, floor=30)
+    trials = max(30, trials)
     n_grid = n_grid or [2 ** k for k in range(9, 15)]
     law = two_proxy_law(eps)
     fair_loss = 2 * eps
@@ -359,7 +346,7 @@ def run_second_moment_equivalence(models: int = 100, pgd_models: int = 20,
     worst_corr = 0.0
     worst_orth = 0.0
     for k in range(models):
-        model = SecondMomentModel.from_law(gaussian_law(dim, seed=seed + k))
+        model = gaussian_law(dim, seed=seed + k)
         sol = fit_closed_form(model)
         worst_residual_ratio = max(worst_residual_ratio,
                                    sol.residual / model.scale())

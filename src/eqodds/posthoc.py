@@ -138,9 +138,6 @@ class DerivedPredictor:
         object.__setattr__(self, "accept", np.clip(acc, 0.0, 1.0))
         object.__setattr__(self, "provenance", tuple(self.provenance))
 
-    def as_rule(self, base: BinaryPredictor, name: Optional[str] = None) -> "DerivedRule":
-        return DerivedRule(base, self, name)
-
 
 class DerivedRule(BinaryPredictor):
     """A DerivedPredictor bound to its base rule; evaluates in expectation."""
@@ -159,11 +156,14 @@ class DerivedRule(BinaryPredictor):
         return p_base * acc[1, a] + (1.0 - p_base) * acc[0, a]
 
 
+def _mixed_rates(accept: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """accept[1][a] g[y][a] + accept[0][a] (1 - g[y][a]) for (..., 2, 2) accept tables."""
+    return np.clip(accept[..., 1:, :] * g + accept[..., :1, :] * (1.0 - g), 0.0, 1.0)
+
+
 def induced_rates(derived: DerivedPredictor, stats: RateStatistics) -> GroupRates:
     """Rates of the derived rule from the base rates via the affine identity."""
-    g = stats.rates
-    acc = derived.accept  # rows broadcast over labels, columns match groups
-    return GroupRates(np.clip(acc[1] * g + acc[0] * (1.0 - g), 0.0, 1.0))
+    return GroupRates(_mixed_rates(derived.accept, stats.rates))
 
 
 def expected_loss_from_rates(rates: np.ndarray, cells: CellProbabilities,
@@ -236,6 +236,9 @@ def optimal_derived(stats: RateStatistics, tolerance: float) -> DerivedPredictor
     verts = verts[np.isfinite(verts).all(axis=1)]
     feas = (verts @ rows.T <= rhs + _FEAS_TOL).all(axis=1)
     verts = np.clip(verts[feas], 0.0, 1.0)
+    # inside the 1e-9 row slack a vertex can still miss the cap by over the re-check's 1e-10
+    rates = _mixed_rates(verts.reshape(-1, 2, 2), stats.rates)
+    verts = verts[np.abs(rates[:, :, 0] - rates[:, :, 1]).max(axis=1) <= cap + 1e-10]
     if verts.shape[0] == 0:
         raise RuntimeError("vertex enumeration found no feasible point")  # unreachable
 
@@ -268,7 +271,7 @@ def _accept_for_target(g0: float, g1: float, f: float, t: float):
 
 
 def _majority_constant(cells: CellProbabilities) -> float:
-    p0, p1 = cells.label_marginals()
+    p0, p1 = cells.table.sum(axis=1)  # P(Y = 0), P(Y = 1)
     return 1.0 if p1 > p0 else 0.0
 
 

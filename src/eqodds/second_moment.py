@@ -135,10 +135,6 @@ class SecondMomentModel:
         """Reference magnitude for residual tolerances."""
         return self.var_y * float(np.abs(self.cov).max())
 
-    @classmethod
-    def from_law(cls, law) -> "SecondMomentModel":
-        return cls(law.mean, law.cov)
-
 
 @dataclass(frozen=True)
 class LinearPredictor:
@@ -168,14 +164,6 @@ class FairLinearSolution:
     unconstrained: LinearPredictor
 
 
-def sample_mean_cov(dataset: Dataset) -> Tuple[np.ndarray, np.ndarray]:
-    """Unbiased (1/(n-1)) mean and covariance of the stacked (X..., A, Y) rows."""
-    if len(dataset) < 2:
-        raise InvalidParameterError("need at least 2 rows for a covariance")
-    stacked = np.column_stack([dataset.features, dataset.attr, dataset.labels])
-    return stacked.mean(axis=0), np.atleast_2d(np.cov(stacked.T, ddof=1))
-
-
 def estimate_moments(dataset: Dataset) -> SecondMomentModel:
     """Unbiased sample moments of (X..., A, Y) with the model's positivity gates.
 
@@ -186,8 +174,8 @@ def estimate_moments(dataset: Dataset) -> SecondMomentModel:
     n, d = len(dataset), dataset.n_features
     if n < d + 2:
         raise InvalidParameterError(f"need at least {d + 2} rows, got {n}")
-    mean, cov = sample_mean_cov(dataset)
-    return SecondMomentModel(mean, cov)
+    stacked = np.column_stack([dataset.features, dataset.attr, dataset.labels])
+    return SecondMomentModel(stacked.mean(axis=0), np.cov(stacked.T, ddof=1))
 
 
 def model_squared_loss(model: SecondMomentModel, predictor: LinearPredictor) -> float:

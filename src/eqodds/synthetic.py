@@ -10,8 +10,9 @@ ground truth:
   Bernoulli feature coordinates. Its support is exponential in the number
   of coordinates, so coordinate rules are evaluated analytically and
   generic rules only by enumeration at small dimension.
-* ``GaussianJointLaw`` -- mean and covariance over (X..., A, Y) feeding the
-  second-moment machinery.
+* ``gaussian_law`` -- a random jointly Gaussian (X..., A, Y), returned as
+  the ``SecondMomentModel`` of its mean and covariance; ``sample_law``
+  draws from it.
 
 The two benchmark constructions:
 
@@ -47,6 +48,7 @@ from .core import (
     cell_sums,
 )
 from .posthoc import expected_loss_from_rates
+from .second_moment import SecondMomentModel
 
 CODING_01 = "zero_one"
 CODING_PM1 = "pm_one"
@@ -131,10 +133,6 @@ class CellProductLaw:
     def cell_probabilities(self) -> CellProbabilities:
         return self.cells
 
-    def coordinate_rates(self, feature: int) -> np.ndarray:
-        """Exact acceptance rates of the rule 1(x[feature] >= 1/2)."""
-        return self.heads[:, :, feature].copy()
-
     def to_finite_law(self) -> FiniteJointLaw:
         """Explicit atom expansion; only viable at small dimension."""
         d = self.n_features
@@ -155,33 +153,6 @@ class CellProductLaw:
                     labels.append(y)
                     probs.append(p)
         return FiniteJointLaw(np.array(xs, dtype=np.float64), attrs, labels, probs)
-
-
-@dataclass(frozen=True)
-class GaussianJointLaw:
-    """Jointly Gaussian (X..., A, Y): a mean vector and a covariance matrix.
-
-    Component order is (X_0 .. X_{d-1}, A, Y), matching SecondMomentModel.
-    """
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64).ravel()
-        cov = np.asarray(self.cov, dtype=np.float64)
-        if cov.shape != (mean.shape[0], mean.shape[0]):
-            raise InvalidParameterError("covariance shape does not match mean")
-        if not np.allclose(cov, cov.T, atol=1e-12):
-            raise InvalidParameterError("covariance must be symmetric")
-        if np.linalg.eigvalsh(cov).min() < -1e-10:
-            raise InvalidParameterError("covariance must be positive semidefinite")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-
-    @property
-    def n_features(self) -> int:
-        return self.mean.shape[0] - 2
 
 
 Law = Union[FiniteJointLaw, CellProductLaw]
@@ -242,12 +213,13 @@ def erm_trap_family(n_features: int, alpha: float,
 
 
 def gaussian_law(d: int, seed: int, eig_low: float = 0.5,
-                 eig_high: float = 2.0, mean_scale: float = 0.5) -> GaussianJointLaw:
+                 eig_high: float = 2.0, mean_scale: float = 0.5) -> SecondMomentModel:
     """Random (X..., A, Y) Gaussian with controlled spectrum, reproducible.
 
     The covariance is Q diag(lambda) Q^T for a seeded orthogonal Q and
     eigenvalues drawn uniformly from [eig_low, eig_high]; the smallest
-    eigenvalue therefore never falls below ``eig_low``.
+    eigenvalue therefore never falls below ``eig_low``. The model
+    symmetrises it as 0.5 * (cov + cov^T).
     """
     if d < 1:
         raise InvalidParameterError("need at least one feature dimension")
@@ -258,16 +230,15 @@ def gaussian_law(d: int, seed: int, eig_low: float = 0.5,
     lam = rng.uniform(eig_low, eig_high, size=k)
     q, _ = np.linalg.qr(rng.normal(size=(k, k)))
     cov = (q * lam) @ q.T
-    cov = 0.5 * (cov + cov.T)
     mean = mean_scale * rng.normal(size=k)
-    return GaussianJointLaw(mean, cov)
+    return SecondMomentModel(mean, cov)
 
 
 def population_rates(law: Law, predictor: BinaryPredictor) -> GroupRates:
     """Exact conditional acceptance rates P(pred = 1 | y, a) by enumeration."""
     if isinstance(law, CellProductLaw):
         if isinstance(predictor, FeatureThresholdRule) and 0.0 < predictor.cut <= 1.0:
-            return GroupRates(law.coordinate_rates(predictor.feature))
+            return GroupRates(law.heads[:, :, predictor.feature].copy())
         if isinstance(predictor, ConstantRule):
             return GroupRates(np.full((2, 2), predictor.value))
         return population_rates(law.to_finite_law(), predictor)
@@ -304,13 +275,17 @@ def population_loss_hinge(law: FiniteJointLaw,
     return float((law.probs * np.maximum(0.0, 1.0 - law.labels * preds)).sum())
 
 
-def sample_law(law: Union[Law, GaussianJointLaw], n: int, seed: int) -> Dataset:
-    """Draw n i.i.d. rows; deterministic per seed."""
+def sample_law(law: Union[Law, SecondMomentModel], n: int, seed: int) -> Dataset:
+    """Draw n i.i.d. rows, a ``SecondMomentModel`` as a Gaussian; deterministic per seed."""
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    if isinstance(law, GaussianJointLaw):
-        z = rng.multivariate_normal(law.mean, law.cov, size=n, method="cholesky")
+    if isinstance(law, SecondMomentModel):
+        try:
+            z = rng.multivariate_normal(law.mean, law.cov, size=n, method="cholesky")
+        except np.linalg.LinAlgError:
+            raise InvalidParameterError(
+                "covariance is not positive definite; cannot sample") from None
         d = law.n_features
         return Dataset(z[:, :d], z[:, d], z[:, d + 1])
     # built columns are finite and 0/1 where they must be, so they skip the checks
@@ -354,13 +329,13 @@ def _sq_loss_on_law(law: FiniteJointLaw, w_x: float, w_a: float, b: float) -> fl
         law, lambda X, a: w_x * X[:, 0] + w_a * a + b)
 
 
-def _probe_l1_optimum(law: FiniteJointLaw, radius: float, w: Tuple[float, float, float],
-                      step: float = 1e-3) -> float:
+def _probe_optimum(law: FiniteJointLaw, w: Tuple[float, float, float],
+                   feasible: Callable[[float, float], bool], step: float = 1e-3) -> float:
     """Smallest loss increase over feasible grid perturbations around w.
 
-    Probes all sign/coordinate combinations at offsets {-step, 0, +step}
-    that keep |w_x| + |w_a| <= radius; a nonnegative return certifies local
-    optimality at grid resolution.
+    Probes the 26 nonzero offsets in {-step, 0, +step}^3 of (w_x, w_a, b),
+    keeping those whose weights pass ``feasible(w_x, w_a)``; a nonnegative
+    return certifies local optimality at grid resolution.
     """
     base = _sq_loss_on_law(law, *w)
     worst = np.inf
@@ -369,27 +344,8 @@ def _probe_l1_optimum(law: FiniteJointLaw, radius: float, w: Tuple[float, float,
         if dx == da == db == 0.0:
             continue
         wx, wa, wb = w[0] + dx, w[1] + da, w[2] + db
-        if abs(wx) + abs(wa) > radius + 1e-15:
-            continue
-        worst = min(worst, _sq_loss_on_law(law, wx, wa, wb) - base)
-    return float(worst)
-
-
-def _probe_sparse_optimum(law: FiniteJointLaw, w: Tuple[float, float, float],
-                          step: float = 1e-3) -> float:
-    """Grid certificate for the one-nonzero-weight class (perturb the active pair)."""
-    base = _sq_loss_on_law(law, *w)
-    worst = np.inf
-    active = 0 if w[0] != 0.0 else 1
-    for dz in (-step, step):
-        for db in (-step, 0.0, step):
-            pert = list(w)
-            pert[active] += dz
-            pert[2] += db
-            worst = min(worst, _sq_loss_on_law(law, *pert) - base)
-        pert = list(w)
-        pert[2] += dz
-        worst = min(worst, _sq_loss_on_law(law, *pert) - base)
+        if feasible(wx, wa):
+            worst = min(worst, _sq_loss_on_law(law, wx, wa, wb) - base)
     return float(worst)
 
 
@@ -421,7 +377,8 @@ def restricted_regression_solutions(eps: float) -> RegressionSolutions:
         fair_loss=_sq_loss_on_law(law, *fair_l1),
         optimal_weights=opt_l1,
         optimal_loss=_sq_loss_on_law(law, *opt_l1),
-        certificate_margin=_probe_l1_optimum(law, radius, opt_l1),
+        certificate_margin=_probe_optimum(
+            law, opt_l1, lambda wx, wa: abs(wx) + abs(wa) <= radius + 1e-15),
         corrected_loss=_sq_loss_on_law(law, 0.0, 0.0, 0.5),
     )
 
@@ -432,7 +389,8 @@ def restricted_regression_solutions(eps: float) -> RegressionSolutions:
         fair_loss=_sq_loss_on_law(law, *fair_sp),
         optimal_weights=opt_sp,
         optimal_loss=_sq_loss_on_law(law, *opt_sp),
-        certificate_margin=_probe_sparse_optimum(law, opt_sp),
+        certificate_margin=_probe_optimum(
+            law, opt_sp, lambda wx, wa: wx == 0.0 or wa == 0.0),
         corrected_loss=_sq_loss_on_law(law, 0.0, 0.0, 0.5),
     )
     return RegressionSolutions(eps=eps, l1_radius=radius,

@@ -160,13 +160,6 @@ def constrained_erm(dataset: Dataset, hclass: FiniteHypothesisClass,
                        tolerance=tolerance, forced_constant=True, feasible=())
 
 
-def fit_correction(dataset: Dataset, base: BinaryPredictor,
-                   tolerance: float) -> DerivedPredictor:
-    """Step 2: optimal derived rule for ``base`` fitted on an independent sample."""
-    stats = RateStatistics.from_sample(dataset, base)
-    return optimal_derived(stats, tolerance)
-
-
 @dataclass(frozen=True)
 class TwoStepResult:
     step1: Step1Result
@@ -213,7 +206,7 @@ def train_two_step(data: Dataset, hclass: FiniteHypothesisClass,
     s2_vals = step1.rule.on_dataset(s2)
     s2_stats = RateStatistics.from_sample(s2, s2_vals)
     derived = optimal_derived(s2_stats, t_correct)
-    corrected = derived.as_rule(step1.rule)
+    corrected = DerivedRule(step1.rule, derived)
 
     diagnostics = {
         "s1_loss": step1.loss,

@@ -44,12 +44,6 @@ from eqodds.synthetic import restricted_regression_solutions, two_proxy_law
 from oracles import counting_rates_oracle, derived_grid_minima, random_rate_statistics
 
 
-@pytest.fixture(autouse=True)
-def pinned_trial_counts(monkeypatch):
-    # acceptance runs at the documented trial counts regardless of the env
-    monkeypatch.setenv("EQODDS_TRIAL_SCALE", "1")
-
-
 class Budget:
     """Times a criterion and prints its verdict line."""
 

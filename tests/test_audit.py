@@ -8,7 +8,6 @@ import pytest
 from eqodds.audit import (
     concentration_radius,
     detect,
-    discrimination_gap,
     required_sample_size,
 )
 from eqodds.core import (
@@ -28,21 +27,21 @@ X_RULE = FeatureThresholdRule(0, 0.5, name="x")
 
 class TestGap:
     def test_equal_rates_zero(self):
-        assert discrimination_gap(GroupRates(np.array([[0.3, 0.3], [0.8, 0.8]]))) == 0.0
+        assert GroupRates(np.array([[0.3, 0.3], [0.8, 0.8]])).gap() == 0.0
 
     def test_maximal_gap(self):
-        assert discrimination_gap(GroupRates(np.array([[0.0, 1.0], [0.0, 1.0]]))) == 1.0
+        assert GroupRates(np.array([[0.0, 1.0], [0.0, 1.0]])).gap() == 1.0
 
     def test_attribute_rule_on_two_proxy_population(self):
         rates = population_rates(two_proxy_law(0.1), AttributeRule())
-        assert discrimination_gap(rates) == pytest.approx(1.0)
+        assert rates.gap() == pytest.approx(1.0)
 
     def test_empty_cell_raises(self):
         ds = Dataset(np.zeros((3, 1)), [0, 1, 1], [1, 1, 1])
         rates = __import__("eqodds.core", fromlist=["empirical_rates"]).empirical_rates(
             ds, ConstantRule(1.0))
         with pytest.raises(EmptyCellError):
-            discrimination_gap(rates)
+            rates.gap()
 
 
 class TestRequiredSampleSize:
@@ -60,6 +59,10 @@ class TestRequiredSampleSize:
         for alpha, delta in [(0, 0.1), (1.0, 0.1), (0.5, 0.0), (0.5, 0.5)]:
             with pytest.raises(InvalidParameterError):
                 required_sample_size(alpha, delta, cells)
+        # alpha ** 2 * min_cell underflows to 0 (1e-200), or the bound to inf (1e-160)
+        for alpha in (1e-200, 1e-160):
+            with pytest.raises(InvalidParameterError, match="alpha"):
+                required_sample_size(alpha, 0.1, cells)
 
 
 class TestConcentrationRadius:

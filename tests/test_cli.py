@@ -318,11 +318,10 @@ class TestCliCommands:
         assert report["passed"] is False
         assert sum(not row["passed"] for row in report["rows"]) == 1
 
-    def test_reproduce_raw_csv(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("EQODDS_TRIAL_SCALE", "0.05")
+    def test_reproduce_raw_csv(self, tmp_path):
         out = tmp_path / "r.json"
         raw = tmp_path / "raw.csv"
-        code = main(["reproduce", "--experiment", "detection-error-rates",
+        code = main(["reproduce", "--experiment", "detection-error-rates", "--trials", "50",
                      "--out", str(out), "--raw-out", str(raw)])
         assert code == 0
         lines = raw.read_text().strip().splitlines()
@@ -366,7 +365,6 @@ def test_nan_score_audit_exits_2(tmp_path, capsys):
     ("cell-probs", "--cell-probs"),
     ("rule-without-feature", "'feature'"),
     ("hypotheses-not-json", "not valid JSON"),
-    ("trial-scale", "EQODDS_TRIAL_SCALE"),
     ("feature-past-last-column", "rules[1] (threshold): feature 3"),
     ("negative-feature", "rules[0] (threshold-grid): feature -1"),
     ("rule-not-object", "rules[0]: expected an object"),
@@ -385,8 +383,11 @@ def test_nan_score_audit_exits_2(tmp_path, capsys):
     ("threshold-inf", "argument --threshold: expected a finite number, got 'inf'"),
     ("cell-probs-nan", "cell probabilities must be nonnegative numbers"),
     ("seed-negative", "argument --seed: expected a nonnegative integer, got '-1'"),
+    ("alpha-1e-200", "alpha = 1e-200 is too small"),
+    ("alpha-1e-160", "alpha = 1e-160 is too small"),
+    ("reproduce-alpha-1e-200", "alpha = 1e-200 is too small"),
 ])
-def test_malformed_input_exits_2(case, needle, tmp_path, monkeypatch, capsys):
+def test_malformed_input_exits_2(case, needle, tmp_path, capsys):
     data = tmp_path / "d.csv"
     write_scored_csv(data, n=400, seed=15)  # one feature column, x0
     bad = tmp_path / "bad.csv"
@@ -408,7 +409,6 @@ def test_malformed_input_exits_2(case, needle, tmp_path, monkeypatch, capsys):
         "rule-not-object": train,
         "hypotheses-not-json": ["train", "--data", str(data),
                                 "--hypotheses", str(data)],
-        "trial-scale": ["reproduce", "--experiment", "detection-error-rates"],
         "data-not-utf8": ["audit", "--data", str(bad), "--alpha", "0.5", "--delta", "0.1"],
         "data-is-directory": ["audit", "--data", str(tmp_path), "--alpha", "0.5",
                               "--delta", "0.1"],
@@ -432,8 +432,11 @@ def test_malformed_input_exits_2(case, needle, tmp_path, monkeypatch, capsys):
                            "--cell-probs", "nan,0.25,0.25,0.25"],
         "seed-negative": ["simulate", "--law", "two-proxy", "--n", "10", "--seed", "-1",
                           "--out", str(tmp_path / "s.csv")],
+        # alpha ** 2 * min_cell underflows to 0 (1e-200), or the bound to inf (1e-160)
+        "alpha-1e-200": ["audit", "--data", str(data), "--alpha", "1e-200", "--delta", "0.1"],
+        "alpha-1e-160": ["audit", "--data", str(data), "--alpha", "1e-160", "--delta", "0.1"],
+        "reproduce-alpha-1e-200": ["reproduce", "--experiment", "detection-error-rates",
+                                   "--alpha", "1e-200"],
     }[case]
-    if case == "trial-scale":
-        monkeypatch.setenv("EQODDS_TRIAL_SCALE", "abc")
     assert main(argv) == 2
     assert needle.replace("{tmp}", str(tmp_path)) in capsys.readouterr().err

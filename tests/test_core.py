@@ -39,7 +39,7 @@ def full_cells_dataset(rng, n, d=2):
     # force all four (y, a) cells to be populated
     while True:
         ds = random_binary_dataset(rng, n, d)
-        if empirical_rates(ds, ConstantRule(1.0)).all_cells_present:
+        if not empirical_rates(ds, ConstantRule(1.0)).empty_cells:
             return ds
 
 
@@ -144,7 +144,7 @@ def test_gap_in_unit_interval():
 def test_gap_raises_on_empty_cell():
     ds = Dataset(np.zeros((3, 1)), [0, 0, 1], [1, 1, 1])  # no y=0 rows
     gr = empirical_rates(ds, ConstantRule(1.0))
-    assert not gr.all_cells_present
+    assert gr.empty_cells == [(0, 0), (0, 1)]
     with pytest.raises(EmptyCellError):
         gr.gap()
 
@@ -222,7 +222,7 @@ def test_dataset_rejects_non_finite_columns(column, needle, bad):
 
 def test_group_rates_population_table():
     gr = GroupRates(np.array([[0.1, 0.1], [0.9, 0.6]]))
-    assert gr.all_cells_present
+    assert gr.empty_cells == []
     assert gr.gap() == pytest.approx(0.3)
 
 

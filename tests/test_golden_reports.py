@@ -17,7 +17,7 @@ import sys
 
 import pytest
 
-from eqodds.experiments import EXPERIMENTS, TRIAL_SCALE_ENV, run_experiment
+from eqodds.experiments import EXPERIMENTS, run_experiment
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_reports.json")
 SEED, TRIALS = 0, 30
@@ -37,15 +37,13 @@ def golden_entry(experiment: str) -> dict:
 
 
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
-def test_report_matches_golden(experiment, monkeypatch):
-    monkeypatch.delenv(TRIAL_SCALE_ENV, raising=False)
+def test_report_matches_golden(experiment):
     with open(GOLDEN_PATH, encoding="utf-8") as fh:
         golden = json.load(fh)
     assert golden_entry(experiment) == golden[experiment]
 
 
 if __name__ == "__main__":
-    os.environ.pop(TRIAL_SCALE_ENV, None)
     json.dump({name: golden_entry(name) for name in sorted(EXPERIMENTS)},
               sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")

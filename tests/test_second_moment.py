@@ -23,7 +23,6 @@ from eqodds.second_moment import (
     fit_constrained_convex,
     fit_unconstrained,
     model_squared_loss,
-    sample_mean_cov,
     score_covariances,
 )
 from eqodds.synthetic import gaussian_law, sample_law
@@ -32,7 +31,7 @@ from oracles import kkt_elimination_solve, scipy_constrained_risk
 
 
 def random_model(seed, d=3):
-    return SecondMomentModel.from_law(gaussian_law(d, seed=seed))
+    return gaussian_law(d, seed=seed)
 
 
 def rel_err(got, want):
@@ -41,11 +40,15 @@ def rel_err(got, want):
 
 
 class TestEstimateMoments:
-    def test_two_row_covariance_closed_form(self):
-        ds = Dataset(np.array([[1.0], [4.0]]), [0, 1], [0.2, 0.9])
-        mean, cov = sample_mean_cov(ds)
-        assert cov[0, 0] == pytest.approx((4.0 - 1.0) ** 2 / 2, abs=1e-15)
-        assert mean[0] == pytest.approx(2.5)
+    def test_three_row_covariance_closed_form(self):
+        # the fewest rows one feature allows; unbiased (1/(n-1)) moments
+        ds = Dataset(np.array([[1.0], [4.0], [10.0]]), [0, 1, 1], [0.2, 0.9, 0.4])
+        model = estimate_moments(ds)
+        assert model.cov[0, 0] == pytest.approx((16 + 1 + 25) / 2, abs=1e-14)
+        assert model.cov[0, 1] == pytest.approx((8 / 3 - 1 / 3 + 5 / 3) / 2, abs=1e-14)
+        assert model.var_a == pytest.approx(1 / 3, abs=1e-15)
+        assert model.mean[0] == pytest.approx(5.0)
+        assert model.mean_y == pytest.approx(0.5)
 
     def test_duplicated_feature_column_is_singular(self):
         rng = np.random.default_rng(0)
@@ -486,9 +489,8 @@ class TestModelValidation:
             SecondMomentModel(np.zeros(4), cov)
 
     def test_model_loss_matches_direct_expectation(self):
-        law = gaussian_law(2, seed=23)
-        model = SecondMomentModel.from_law(law)
+        model = gaussian_law(2, seed=23)
         pred = LinearPredictor([0.4, -0.2, 0.7], intercept=0.1)
-        ds = sample_law(law, 200_000, seed=24)
+        ds = sample_law(model, 200_000, seed=24)
         emp = float(np.mean((pred.predict(ds.features, ds.attr) - ds.labels) ** 2))
         assert model_squared_loss(model, pred) == pytest.approx(emp, rel=0.02)

@@ -11,10 +11,10 @@ from eqodds.core import (
     FunctionRule,
     InvalidParameterError,
 )
+from eqodds.second_moment import SecondMomentModel
 from eqodds.synthetic import (
     CODING_PM1,
     CellProductLaw,
-    GaussianJointLaw,
     erm_trap_family,
     gaussian_law,
     population_loss01,
@@ -259,8 +259,14 @@ def test_population_rates_requires_mass_in_every_cell():
 
 def test_gaussian_law_validation():
     with pytest.raises(InvalidParameterError):
-        GaussianJointLaw(np.zeros(3), np.eye(4))
+        SecondMomentModel(np.zeros(3), np.eye(4))
     bad = np.eye(3)
     bad[0, 1] = 0.5
     with pytest.raises(InvalidParameterError):
-        GaussianJointLaw(np.zeros(3), bad)
+        SecondMomentModel(np.zeros(3), bad)
+    # valid moments whose full covariance Cholesky cannot factor: Y = X exactly
+    # (singular), and a cross term larger than both variances (indefinite)
+    for xy in (1.0, 2.0):
+        law = SecondMomentModel(np.zeros(3), [[1.0, 0.0, xy], [0.0, 1.0, 0.0], [xy, 0.0, 1.0]])
+        with pytest.raises(InvalidParameterError, match="not positive definite"):
+            sample_law(law, 10, seed=0)

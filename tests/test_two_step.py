@@ -17,15 +17,22 @@ from eqodds.core import (
     InvalidParameterError,
     empirical_loss,
     empirical_rates,
+    split_dataset,
 )
-from eqodds.posthoc import RateStatistics, derived_loss, induced_rates, optimal_derived
+from eqodds.posthoc import (
+    DerivedPredictor,
+    DerivedRule,
+    RateStatistics,
+    derived_loss,
+    induced_rates,
+    optimal_derived,
+)
 from eqodds.synthetic import population_loss01, population_rates, sample_law, two_proxy_law
 from eqodds import two_step
 from eqodds.two_step import (
     TwoStepConfig,
     auto_tolerance,
     constrained_erm,
-    fit_correction,
     threshold_class,
     train_two_step,
 )
@@ -53,7 +60,7 @@ class TestConstrainedErm:
         rng = np.random.default_rng(0)
         for trial in range(30):
             ds = proxy_sample(60, seed=100 + trial)
-            if not empirical_rates(ds, ConstantRule(1.0)).all_cells_present:
+            if empirical_rates(ds, ConstantRule(1.0)).empty_cells:
                 continue  # the rare cell can miss at n=60; the op rejects those
             rules = [FeatureThresholdRule(0, c, name=f"t{k}")
                      for k, c in enumerate(rng.uniform(-0.5, 1.5, size=6))]
@@ -219,34 +226,66 @@ class TestBlockScan:
 
 
 class TestFitCorrection:
+    """Step 2: the optimal derived rule fitted on an independent sample."""
+
     def test_zero_gap_base_with_loose_tolerance_keeps_loss(self):
         ds = proxy_sample(500, seed=2)
-        derived = fit_correction(ds, X_RULE, tolerance=1.0)
         stats = RateStatistics.from_sample(ds, X_RULE)
+        derived = optimal_derived(stats, tolerance=1.0)
         assert derived_loss(derived, stats) <= empirical_loss(ds, X_RULE) + 1e-12
 
     def test_equals_direct_lp_on_same_stats(self):
+        # train_two_step's correction is the LP on the second half's statistics
         for seed in range(10):
             ds = proxy_sample(300, seed=300 + seed)
             tol = 0.07
-            derived = fit_correction(ds, X_RULE, tol)
-            stats = RateStatistics.from_sample(ds, X_RULE)
-            direct = optimal_derived(stats, tol)
-            assert np.array_equal(derived.accept, direct.accept)
+            res = train_two_step(ds, SMALL_CLASS,
+                                 TwoStepConfig(correct_tolerance=tol, seed=seed))
+            _, s2 = split_dataset(ds, seed)
+            direct = optimal_derived(RateStatistics.from_sample(s2, res.step1.rule), tol)
+            assert np.array_equal(res.derived.accept, direct.accept)
 
     def test_attribute_base_large_sample_loss_near_half(self):
         ds = proxy_sample(20_000, seed=3)
-        derived = fit_correction(ds, AttributeRule(), tolerance=0.01)
         stats = RateStatistics.from_sample(ds, AttributeRule())
+        derived = optimal_derived(stats, tolerance=0.01)
         assert derived_loss(derived, stats) == pytest.approx(0.5, abs=0.03)
 
     def test_sample_gap_respects_tolerance(self):
         for seed in range(10):
             ds = proxy_sample(400, seed=400 + seed)
             tol = 0.05
-            derived = fit_correction(ds, X_RULE, tol)
             stats = RateStatistics.from_sample(ds, X_RULE)
+            derived = optimal_derived(stats, tol)
             assert induced_rates(derived, stats).gap() <= tol + 1e-12
+
+
+class TestDerivedRule:
+    """The corrected predictor: rows evaluated one by one against the rate identity."""
+
+    BASES = (X_RULE, AttributeRule(), ConstantRule(1.0),
+             FunctionRule(lambda X, a: (X[:, 0] != a).astype(float), name="x-xor-a"))
+
+    def test_sample_rates_match_induced_rates(self):
+        rng = np.random.default_rng(50)
+        for k, base in enumerate(self.BASES):
+            ds = proxy_sample(400, seed=500 + k)
+            stats = RateStatistics.from_sample(ds, base)
+            for derived in (DerivedPredictor(rng.random((2, 2))), optimal_derived(stats, 0.02)):
+                got = empirical_rates(ds, DerivedRule(base, derived)).rates
+                want = induced_rates(derived, stats).rates
+                assert np.abs(got - want).max() <= 1e-12, (base.name, derived.accept)
+
+    def test_train_two_step_corrected_rule_on_second_half(self):
+        for seed in range(5):
+            ds = proxy_sample(600, seed=550 + seed)
+            res = train_two_step(ds, SMALL_CLASS, TwoStepConfig(seed=seed))
+            assert res.corrected_rule.base is res.step1.rule
+            _, s2 = split_dataset(ds, seed)
+            want = induced_rates(res.derived, RateStatistics.from_sample(s2, res.step1.rule))
+            got = empirical_rates(s2, res.corrected_rule)
+            assert np.abs(got.rates - want.rates).max() <= 1e-12
+            assert got.gap() == pytest.approx(res.diagnostics["s2_corrected_gap"], abs=1e-12)
 
 
 class TestAutoTolerance:
