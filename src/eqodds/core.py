@@ -23,8 +23,21 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 
 
+def _restore_error(cls, args, state):
+    error = cls.__new__(cls, *args)  # skips __init__, whose signature may differ
+    error.__dict__.update(state)
+    return error
+
+
 class EqoddsError(Exception):
-    """Base class for library errors."""
+    """Base class for library errors.
+
+    Errors pickle by message and attributes, not by ``__init__`` arguments,
+    so every subclass survives the trip back from a worker process.
+    """
+
+    def __reduce__(self):
+        return _restore_error, (type(self), self.args, self.__dict__)
 
 
 class InvalidParameterError(EqoddsError, ValueError):

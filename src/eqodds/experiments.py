@@ -7,6 +7,14 @@ tolerance, and a pass flag. Reports embed the seed and every run is
 deterministic given it. Monte Carlo experiments take their trial count from
 ``trials``; a floor per experiment keeps the statistics meaningful.
 
+Each trial draws from its own seed, so the Monte Carlo trials of
+``detection-error-rates``, ``erm-trap-floor`` and ``two-step-rate-sweep``
+run on every usable CPU (``_map_trials``, forked worker processes) and
+the reports are the same bytes as a serial run. The serial loop runs
+when one CPU is usable, ``os.sched_getaffinity`` or the ``fork`` start
+method is missing, the caller is a daemon process, or another thread is
+alive.
+
 One reference value is reproduced as documented even though exact
 arithmetic contradicts it: the bounded-L1 fair-on-feature squared loss
 (see ``posthoc-regression-gap``). Enumeration over the eight atoms of the
@@ -18,9 +26,11 @@ with the exact value recorded in its note.  All sibling claims pass.
 from __future__ import annotations
 
 import math
+import os
 import platform
+import traceback
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, TypeVar
 
 import numpy as np
 
@@ -128,6 +138,85 @@ def _mc_slack(delta: float, trials: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# trial map: seeded Monte Carlo trials on every usable CPU
+# ---------------------------------------------------------------------------
+
+_T = TypeVar("_T")
+_STRIDE = None  # (trial, workers, count) in a forked worker
+
+
+def _worker_count(count: int) -> int:
+    """Worker processes for ``count`` trials; 1 means run them serially.
+
+    Forking is safe only from a single-threaded, non-daemon process (a
+    daemon may not have children), and it needs the ``fork`` start method.
+    """
+    import multiprocessing
+    import threading
+
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    workers = min(len(os.sched_getaffinity(0)), count)
+    if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon
+            or threading.active_count() > 1):
+        return 1
+    return workers
+
+
+def _set_stride(trial, workers: int, count: int) -> None:
+    global _STRIDE
+    _STRIDE = (trial, workers, count)
+
+
+def _run_stride(start: int):
+    """Trials start, start + W, ... in one worker, up to the first error.
+
+    Returns the results and, when a trial failed, its index, error and
+    formatted traceback (else None).
+    """
+    trial, workers, count = _STRIDE
+    done = []
+    for i in range(start, count, workers):
+        try:
+            done.append(trial(i))
+        except Exception as exc:  # re-raised by the parent
+            return done, (i, exc, traceback.format_exc())
+    return done, None
+
+
+def _map_trials(trial: Callable[[int], _T], count: int) -> List[_T]:
+    """``[trial(i) for i in range(count)]``, on every usable CPU when safe.
+
+    Worker w of W runs trials w, w + W, ... as one task, which balances
+    trials whose cost grows with the index. Workers are forked, so
+    ``trial`` may be a closure; only its results (and an error) are
+    pickled. The error raised is the one the serial loop would raise
+    first: the one of the lowest failing trial, caused by a RuntimeError
+    that carries the worker's traceback. A worker that dies raises
+    ``BrokenProcessPool``.
+    """
+    workers = _worker_count(count)
+    if workers < 2:
+        return [trial(i) for i in range(count)]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_set_stride,
+                             initargs=(trial, workers, count)) as pool:
+        strides = list(pool.map(_run_stride, range(workers)))
+    failures = [failure for _, failure in strides if failure is not None]
+    if failures:
+        _, error, trace = min(failures, key=lambda failure: failure[0])
+        raise error from RuntimeError(f"in a trial worker:\n{trace}")
+    results = [None] * count
+    for w, (done, _) in enumerate(strides):
+        results[w::workers] = done
+    return results
+
+
+# ---------------------------------------------------------------------------
 # posthoc-binary-gap: exact failure of post hoc correction for 0-1 and hinge
 # ---------------------------------------------------------------------------
 
@@ -202,13 +291,14 @@ def run_detection_error_rates(eps: float = 0.1, alpha: float = 0.5,
     x_rule = FeatureThresholdRule(0, 0.5, name="x")
     a_rule = AttributeRule()
 
+    def trial(i):
+        ds = sample_law(law, n, seed=seed + i)
+        return empirical_rates(ds, x_rule).gap(), empirical_rates(ds, a_rule).gap()
+
     false_flags = 0
     misses = 0
     raw = []
-    for i in range(trials):
-        ds = sample_law(law, n, seed=seed + i)
-        gap_fair = empirical_rates(ds, x_rule).gap()
-        gap_biased = empirical_rates(ds, a_rule).gap()
+    for i, (gap_fair, gap_biased) in enumerate(_map_trials(trial, trials)):
         ff = gap_fair > threshold
         miss = not (gap_biased > threshold)
         false_flags += ff
@@ -241,15 +331,18 @@ def run_erm_trap_floor(n_features: int = 64, n: int = 200, trials: int = 400,
     law, hclass = erm_trap_family(n_features, alpha, cells)
 
     pop_gap = {rule.name: population_rates(law, rule).gap() for rule in hclass}
+
+    def trial(i):
+        res = constrained_erm(sample_law(law, n, seed=seed + i), hclass, alpha)
+        return res.rule.name, res.forced_constant
+
     hits = 0
     raw = []
-    for i in range(trials):
-        ds = sample_law(law, n, seed=seed + i)
-        res = constrained_erm(ds, hclass, alpha)
-        gap = 0.0 if res.forced_constant else pop_gap[res.rule.name]
+    for i, (picked, forced_constant) in enumerate(_map_trials(trial, trials)):
+        gap = 0.0 if forced_constant else pop_gap[picked]
         hit = gap >= alpha - 1e-12
         hits += hit
-        raw.append({"trial": i, "picked": res.rule.name,
+        raw.append({"trial": i, "picked": picked,
                     "population_gap": gap, "hit": int(hit)})
 
     slack = _mc_slack(0.25, trials)  # binomial variance cap at p = 1/2
@@ -289,19 +382,21 @@ def run_two_step_rate_sweep(eps: float = 0.1, delta: float = 0.1,
         ConstantRule(1.0),
     ))
 
+    def trial(k):  # trial k % trials at n_grid[k // trials]
+        n, i = n_grid[k // trials], k % trials
+        trial_seed = seed + 100_000 * n + i
+        ds = sample_law(law, n, seed=trial_seed)
+        res = train_two_step(ds, hclass, TwoStepConfig(delta=delta, seed=trial_seed),
+                             population=law)
+        pop = res.diagnostics["population"]
+        return pop["corrected_gap"], pop["corrected_loss"] - fair_loss
+
+    outcomes = _map_trials(trial, len(n_grid) * trials)
     median_gap, median_excess, raw = [], [], []
-    for n in n_grid:
-        gaps, excesses = [], []
-        for i in range(trials):
-            trial_seed = seed + 100_000 * n + i
-            ds = sample_law(law, n, seed=trial_seed)
-            res = train_two_step(ds, hclass,
-                                 TwoStepConfig(delta=delta, seed=trial_seed),
-                                 population=law)
-            pop = res.diagnostics["population"]
-            gaps.append(pop["corrected_gap"])
-            excesses.append(pop["corrected_loss"] - fair_loss)
-            raw.append({"n": n, "trial": i, "gap": gaps[-1], "excess": excesses[-1]})
+    for j, n in enumerate(n_grid):
+        gaps, excesses = zip(*outcomes[j * trials:(j + 1) * trials])
+        raw.extend({"n": n, "trial": i, "gap": g, "excess": e}
+                   for i, (g, e) in enumerate(zip(gaps, excesses)))
         median_gap.append(float(np.median(gaps)))
         median_excess.append(float(np.median(excesses)))
 

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eqodds.core import (
     AttributeRule,
@@ -73,6 +74,25 @@ def test_rates_match_counting_oracle_exactly():
         both = ~np.isnan(oracle_rates)
         assert np.array_equal(gr.rates[both], oracle_rates[both])
         assert np.isnan(gr.rates[~both]).all()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_rates_invariant_under_row_permutation(data):
+    n = data.draw(st.integers(1, 40), label="n")
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    attr, labels = data.draw(bits, label="attr"), data.draw(bits, label="labels")
+    scores = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n),
+                                label="scores"))
+    order = np.array(data.draw(st.permutations(range(n)), label="order"))
+    attr, labels = np.array(attr), np.array(labels)
+    rates = empirical_rates(Dataset(np.zeros((n, 1)), attr, labels), scores)
+    moved = empirical_rates(Dataset(np.zeros((n, 1)), attr[order], labels[order]),
+                            scores[order])
+    assert np.array_equal(rates.counts, moved.counts)
+    # a reordered floating sum may differ in its last bits
+    np.testing.assert_allclose(moved.rates, rates.rates, rtol=0, atol=1e-12,
+                               equal_nan=True)
 
 
 def test_attainable_rate_sets_on_small_cells():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eqodds.core import AttributeRule, CellProbabilities, GroupRates, InvalidParameterError
 from eqodds.posthoc import (
@@ -223,6 +224,19 @@ class TestConservativeCorrection:
             base_gap = GroupRates(stats.rates).gap()
             assert induced_rates(derived, stats).gap() <= 1e-9
             assert derived_loss(derived, stats) <= base_loss + base_gap + 1e-9
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+           st.lists(st.floats(0.02, 1.0), min_size=4, max_size=4))
+    def test_loss_bound_property(self, rates, weights):
+        cells = np.array(weights) / sum(weights)
+        stats = RateStatistics(np.array(rates).reshape(2, 2),
+                               CellProbabilities(cells.reshape(2, 2)))
+        derived = conservative_correction(stats)
+        base_loss = expected_loss_from_rates(stats.rates, stats.cells)
+        base_gap = GroupRates(stats.rates).gap()
+        assert induced_rates(derived, stats).gap() <= 1e-9
+        assert derived_loss(derived, stats) <= base_loss + base_gap + 1e-9
 
     def test_optimal_never_worse_than_conservative(self):
         rng = np.random.default_rng(10)
