@@ -164,9 +164,7 @@ def build_hypothesis_class(spec: dict, dataset: Dataset) -> FiniteHypothesisClas
             elif kind == "constant":
                 rules.append(ConstantRule(float(entry["value"]), name=entry.get("name")))
             elif kind == "threshold-grid":
-                grid = threshold_class(dataset, features=[feature],
-                                       max_cuts_per_feature=int(entry.get("max_cuts", 32)),
-                                       include_constants=False)
+                grid = threshold_class(dataset, feature, int(entry.get("max_cuts", 32)))
                 rules.extend(grid.rules)
             else:
                 raise CliError(f"rules[{k}]: unknown type {kind!r}")

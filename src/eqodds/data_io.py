@@ -206,13 +206,13 @@ def _format_column(col: np.ndarray):
     return map(_format_value, col.tolist())
 
 
-def write_csv(dataset: Dataset, path, attr_col: str = "a",
-              label_col: str = "y", score_col: str = "score") -> None:
-    """Write a dataset in the loadable format (atomic: temp file + rename)."""
-    header = [f"x{i}" for i in range(dataset.n_features)] + [attr_col, label_col]
+def write_csv(dataset: Dataset, path) -> None:
+    """Write columns x0..x{d-1}, a, y[, score], as ``load_csv`` reads them by
+    default (atomic: temp file + rename)."""
+    header = [f"x{i}" for i in range(dataset.n_features)] + ["a", "y"]
     columns = [*dataset.features.T, dataset.attr, dataset.labels]  # load_csv's order
     if dataset.scores is not None:
-        header.append(score_col)
+        header.append("score")
         columns.append(dataset.scores)
     with _atomic_open(path, newline="") as fh:
         csv.writer(fh).writerow(header)

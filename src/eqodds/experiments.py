@@ -227,8 +227,6 @@ def run_posthoc_binary_gap(eps: float = 0.1, seed: int = 0, **_):
     stats = RateStatistics.from_population(law, a_rule)
     corrected = optimal_derived(stats, 0.0)
 
-    law_pm = two_proxy_law(eps, coding="pm_one")
-
     rows = [
         _check("fair-rule-01-loss", "value", 2 * eps,
                population_loss01(law, x_rule), 1e-12),
@@ -238,7 +236,7 @@ def run_posthoc_binary_gap(eps: float = 0.1, seed: int = 0, **_):
                derived_loss(corrected, stats), 1e-12,
                note="zero-gap correction of the attribute rule is chance-level"),
         _check("fair-rule-hinge-loss", "value", 4 * eps,
-               population_loss_hinge(law_pm, lambda X, a: X[:, 0]), 1e-12),
+               population_loss_hinge(law, lambda X, a: 2.0 * X[:, 0] - 1.0), 1e-12),
         _check("corrected-hinge-loss", "value", 1.0,
                derived_loss(corrected, stats, LOSS_HINGE_PM1), 1e-12,
                note="same mixing evaluated under the +-1 margin loss"),
@@ -322,9 +320,9 @@ def run_detection_error_rates(eps: float = 0.1, alpha: float = 0.5,
 # erm-trap-floor: constrained risk minimization picks a gap-alpha rule
 # ---------------------------------------------------------------------------
 
-def run_erm_trap_floor(n_features: int = 64, n: int = 200, trials: int = 400,
-                       seed: int = 0, **_):
+def run_erm_trap_floor(trials: int = 400, seed: int = 0, **_):
     trials = max(50, trials)
+    n_features, n = 64, 200
     cells = CellProbabilities.uniform()
     p_min = cells.min_cell
     alpha = 3.0 * math.log((n_features - 1) / 5.0) / (4.0 * n * p_min)
@@ -369,10 +367,9 @@ def _loglog_slope(ns, values):
 
 
 def run_two_step_rate_sweep(eps: float = 0.1, delta: float = 0.1,
-                            trials: int = 200, n_grid: Optional[List[int]] = None,
-                            seed: int = 0, **_):
+                            trials: int = 200, seed: int = 0, **_):
     trials = max(30, trials)
-    n_grid = n_grid or [2 ** k for k in range(9, 15)]
+    n_grid = [2 ** k for k in range(9, 15)]
     law = two_proxy_law(eps)
     fair_loss = 2 * eps
     hclass = FiniteHypothesisClass((
@@ -435,7 +432,8 @@ def _kkt_reference_solution(model: SecondMomentModel) -> np.ndarray:
 
 
 def run_second_moment_equivalence(models: int = 100, pgd_models: int = 20,
-                                  dim: int = 3, seed: int = 0, **_):
+                                  seed: int = 0, **_):
+    dim = 3
     worst_residual_ratio = 0.0
     worst_kkt = 0.0
     worst_corr = 0.0

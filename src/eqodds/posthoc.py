@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -142,11 +142,10 @@ class DerivedPredictor:
 class DerivedRule(BinaryPredictor):
     """A DerivedPredictor bound to its base rule; evaluates in expectation."""
 
-    def __init__(self, base: BinaryPredictor, derived: DerivedPredictor,
-                 name: Optional[str] = None):
+    def __init__(self, base: BinaryPredictor, derived: DerivedPredictor):
         self.base = base
         self.derived = derived
-        self.name = name or f"derived({base.name})"
+        self.name = f"derived({base.name})"
 
     def predict_proba(self, features, attr):
         p_base = np.clip(np.asarray(self.base.predict_proba(features, attr),

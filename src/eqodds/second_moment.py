@@ -395,7 +395,6 @@ class ProjectedFitResult:
 
 def fit_constrained_convex(dataset: Dataset, loss: str = "squared",
                            model: Optional[SecondMomentModel] = None,
-                           w0: Optional[np.ndarray] = None, b0: float = 0.0,
                            tol: float = 1e-9, max_iter: int = 20_000
                            ) -> ProjectedFitResult:
     """Damped Newton on the empirical risk in the null space of the constraint.
@@ -403,12 +402,13 @@ def fit_constrained_convex(dataset: Dataset, loss: str = "squared",
     Weights are w = N u, N an orthonormal basis of c' w = 0 (c from ``model``,
     estimated when omitted; N = I for a degenerate c) from one QR of [c, I], so
     (u, b) is unconstrained and every iterate meets c' w = 0 up to the rounding
-    of N (``w0`` is projected). The Hessian sums rows with curvature (the band,
-    for the smooth hinge) in blocks, with no n-by-q temporary; the line search
-    is exact for squared loss and the smooth hinge, a safeguarded root of f' for
-    logistic loss. ``stop_reason``: "converged" once the gradient in (u, b),
-    whose u part has the projected gradient's norm, is within ``tol``; "stalled"
-    when a step left the iterate unchanged; else "max_iter".
+    of N; descent starts at (u, b) = 0. The Hessian sums rows with curvature
+    (the band, for the smooth hinge) in blocks, with no n-by-q temporary; the
+    line search is exact for squared loss and the smooth hinge, a safeguarded
+    root of f' for logistic loss. ``stop_reason``: "converged" once the
+    gradient in (u, b), whose u part has the projected gradient's norm, is
+    within ``tol``; "stalled" when a step left the iterate unchanged; else
+    "max_iter".
     """
     model = model or estimate_moments(dataset)
     design = np.column_stack([dataset.features, dataset.attr])  # z, centered, then [z N, 1]
@@ -420,7 +420,7 @@ def fit_constrained_convex(dataset: Dataset, loss: str = "squared",
     design -= z_mean
     design = design @ np.column_stack([basis, np.zeros(q)])
     design[:, -1] = 1.0
-    x = np.append(np.zeros(basis.shape[1]) if w0 is None else basis.T @ np.asarray(w0, float), b0)
+    x = np.zeros(basis.shape[1] + 1)
     ridge = 1e-14 * np.vdot(design, design) / design.size * np.eye(x.size)  # keeps H definite
 
     for iterations in range(max_iter + 1):

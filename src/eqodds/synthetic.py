@@ -50,9 +50,6 @@ from .core import (
 from .posthoc import expected_loss_from_rates
 from .second_moment import SecondMomentModel
 
-CODING_01 = "zero_one"
-CODING_PM1 = "pm_one"
-
 # enumeration guard for generic rules on product laws
 _MAX_ENUM_COORDS = 16
 
@@ -62,10 +59,9 @@ class FiniteJointLaw:
     """Finite-support distribution over (x, a, y) with exact probabilities."""
 
     x: np.ndarray        # (m, d) atom feature vectors
-    attr: np.ndarray     # (m,) atom attribute values (0/1, or +-1 under pm_one)
-    labels: np.ndarray   # (m,) atom label values
+    attr: np.ndarray     # (m,) atom attribute values in {0, 1}
+    labels: np.ndarray   # (m,) atom label values in {0, 1}
     probs: np.ndarray    # (m,) strictly positive, sums to 1
-    coding: str = CODING_01
 
     def __post_init__(self):
         x = np.atleast_2d(np.asarray(self.x, dtype=np.float64))
@@ -79,11 +75,8 @@ class FiniteJointLaw:
             raise InvalidParameterError("atom probabilities must be positive")
         if not abs(float(probs.sum()) - 1.0) <= 1e-12:
             raise InvalidParameterError(f"atom probabilities sum to {probs.sum()}")
-        if self.coding not in (CODING_01, CODING_PM1):
-            raise InvalidParameterError(f"unknown coding {self.coding!r}")
-        lo = -1.0 if self.coding == CODING_PM1 else 0.0
-        if not np.isin(attr, (lo, 1.0)).all() or not np.isin(labels, (lo, 1.0)).all():
-            raise InvalidParameterError("attribute/label atoms outside coding alphabet")
+        if not np.isin(attr, (0.0, 1.0)).all() or not np.isin(labels, (0.0, 1.0)).all():
+            raise InvalidParameterError("attribute/label atoms must be 0 or 1")
         for name, arr in (("x", x), ("attr", attr), ("labels", labels), ("probs", probs)):
             object.__setattr__(self, name, arr)
 
@@ -91,17 +84,10 @@ class FiniteJointLaw:
     def n_features(self) -> int:
         return self.x.shape[1]
 
-    def label01(self) -> np.ndarray:
-        """Labels mapped to {0, 1} regardless of coding: positive values map to 1."""
-        return (self.labels > 0).astype(np.int64)
-
-    def attr01(self) -> np.ndarray:
-        return (self.attr > 0).astype(np.int64)
-
     @cached_property
     def cell(self) -> np.ndarray:
-        """Per-atom cell index: the atoms read as a 0/1-coded dataset."""
-        return Dataset(self.x, self.attr01(), self.label01()).cell
+        """Per-atom cell index: the atoms read as a dataset."""
+        return Dataset(self.x, self.attr, self.labels).cell
 
     def cell_probabilities(self) -> CellProbabilities:
         return CellProbabilities(cell_sums(self.cell, self.probs))
@@ -158,14 +144,12 @@ class CellProductLaw:
 Law = Union[FiniteJointLaw, CellProductLaw]
 
 
-def two_proxy_law(eps: float, coding: str = CODING_01) -> FiniteJointLaw:
+def two_proxy_law(eps: float) -> FiniteJointLaw:
     """Fair coin label with two conditionally independent noisy proxies.
 
     P(Y=1) = 1/2, P(A = y | Y = y) = 1 - eps, P(X = y | Y = y) = 1 - 2*eps,
     with X and A independent given Y. Needs eps in (0, 1/4) so that the
-    attribute beats the feature but both beat chance. Under ``pm_one``
-    coding the same eight atoms carry values in {-1, +1} for use with
-    margin losses.
+    attribute beats the feature but both beat chance.
     """
     if not 0.0 < eps < 0.25:
         raise InvalidParameterError(f"eps must lie in (0, 1/4), got {eps}")
@@ -174,10 +158,7 @@ def two_proxy_law(eps: float, coding: str = CODING_01) -> FiniteJointLaw:
     pa = np.where(attr == lab, 1.0 - eps, eps)
     px = np.where(x == lab, 1.0 - 2.0 * eps, 2.0 * eps)
     probs = 0.5 * pa * px
-    x = x[:, None]
-    if coding == CODING_PM1:
-        x, attr, lab = 2 * x - 1, 2 * attr - 1, 2 * lab - 1
-    return FiniteJointLaw(x, attr, lab, probs, coding=coding)
+    return FiniteJointLaw(x[:, None], attr, lab, probs)
 
 
 def erm_trap_family(n_features: int, alpha: float,
@@ -212,25 +193,22 @@ def erm_trap_family(n_features: int, alpha: float,
     return law, FiniteHypothesisClass(rules)
 
 
-def gaussian_law(d: int, seed: int, eig_low: float = 0.5,
-                 eig_high: float = 2.0, mean_scale: float = 0.5) -> SecondMomentModel:
+def gaussian_law(d: int, seed: int) -> SecondMomentModel:
     """Random (X..., A, Y) Gaussian with controlled spectrum, reproducible.
 
     The covariance is Q diag(lambda) Q^T for a seeded orthogonal Q and
-    eigenvalues drawn uniformly from [eig_low, eig_high]; the smallest
-    eigenvalue therefore never falls below ``eig_low``. The model
-    symmetrises it as 0.5 * (cov + cov^T).
+    eigenvalues drawn uniformly from [0.5, 2], so the smallest eigenvalue
+    never falls below 0.5; the model symmetrises it as 0.5 * (cov + cov^T).
+    The mean is 0.5 times a standard normal draw.
     """
     if d < 1:
         raise InvalidParameterError("need at least one feature dimension")
-    if not 0.0 < eig_low <= eig_high:
-        raise InvalidParameterError("need 0 < eig_low <= eig_high")
     rng = np.random.default_rng(seed)
     k = d + 2
-    lam = rng.uniform(eig_low, eig_high, size=k)
+    lam = rng.uniform(0.5, 2.0, size=k)
     q, _ = np.linalg.qr(rng.normal(size=(k, k)))
     cov = (q * lam) @ q.T
-    mean = mean_scale * rng.normal(size=k)
+    mean = 0.5 * rng.normal(size=k)
     return SecondMomentModel(mean, cov)
 
 
@@ -255,8 +233,7 @@ def population_loss01(law: Law, predictor: BinaryPredictor) -> float:
     if isinstance(law, CellProductLaw):
         return expected_loss_from_rates(population_rates(law, predictor).rates, law.cells)
     vals = predictor.acceptance(law.x, law.attr)
-    y01 = law.label01().astype(np.float64)
-    return float((law.probs * np.abs(vals - y01)).sum())
+    return float((law.probs * np.abs(vals - law.labels)).sum())
 
 
 def population_loss_squared(law: FiniteJointLaw,
@@ -268,11 +245,9 @@ def population_loss_squared(law: FiniteJointLaw,
 
 def population_loss_hinge(law: FiniteJointLaw,
                           fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> float:
-    """Exact expected hinge loss max(0, 1 - y * r); requires pm_one coding."""
-    if law.coding != CODING_PM1:
-        raise InvalidParameterError("hinge loss needs a law with pm_one coding")
+    """Exact expected hinge loss max(0, 1 - s * r), s = 2y - 1 the +-1 label."""
     preds = np.asarray(fn(law.x, law.attr), dtype=np.float64).ravel()
-    return float((law.probs * np.maximum(0.0, 1.0 - law.labels * preds)).sum())
+    return float((law.probs * np.maximum(0.0, 1.0 - (2.0 * law.labels - 1.0) * preds)).sum())
 
 
 def sample_law(law: Union[Law, SecondMomentModel], n: int, seed: int) -> Dataset:
@@ -297,8 +272,6 @@ def sample_law(law: Union[Law, SecondMomentModel], n: int, seed: int) -> Dataset
         feats = (u < law.heads[ys, as_, :]).astype(np.float64)
         return Dataset._trusted(feats, as_.astype(np.float64), ys.astype(np.float64),
                                 cell=cell_idx)
-    if law.coding != CODING_01:
-        raise InvalidParameterError("sampling is defined for zero_one coded laws")
     idx = rng.choice(law.probs.shape[0], size=n, p=law.probs)
     # law.cell builds the atoms as a checked Dataset, once per law
     return Dataset._trusted(law.x[idx], law.attr[idx], law.labels[idx], cell=law.cell[idx])

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -229,28 +229,23 @@ def train_two_step(data: Dataset, hclass: FiniteHypothesisClass,
                          diagnostics=diagnostics)
 
 
-def threshold_class(dataset: Dataset, features: Optional[list] = None,
-                    max_cuts_per_feature: int = 32,
-                    include_constants: bool = True) -> FiniteHypothesisClass:
-    """One-dimensional threshold rules at observed cut points.
+def threshold_class(dataset: Dataset, feature: int, max_cuts: int) -> FiniteHypothesisClass:
+    """One-dimensional threshold rules on ``feature`` at observed cut points.
 
-    For each requested feature, cuts are midpoints between consecutive
-    distinct observed values (subsampled evenly past the cap) plus one cut
-    below all values. Constants are appended so the class always contains
-    feasible members.
+    Cuts are midpoints between consecutive distinct observed values
+    (subsampled evenly past ``max_cuts``) plus one cut below all values. A
+    rule is named ``x{feature}>={cut:.6g}``, or ``x{feature}>={cut!r}`` for
+    every cut when six significant digits would give two cuts one name.
     """
-    features = list(range(dataset.n_features)) if features is None else list(features)
-    rules = []
-    for j in features:
-        vals = np.unique(dataset.features[:, j])
-        cuts = [float(vals[0]) - 1.0]
-        mids = (vals[1:] + vals[:-1]) / 2.0
-        if mids.shape[0] > max_cuts_per_feature:
-            idx = np.linspace(0, mids.shape[0] - 1, max_cuts_per_feature).astype(int)
-            mids = mids[np.unique(idx)]
-        cuts.extend(float(m) for m in mids)
-        for k, cut in enumerate(cuts):
-            rules.append(FeatureThresholdRule(j, cut, name=f"x{j}>={cut:.6g}"))
-    if include_constants:
-        rules.extend([ConstantRule(0.0), ConstantRule(1.0)])
-    return FiniteHypothesisClass(tuple(rules))
+    vals = np.unique(dataset.features[:, feature])
+    mids = (vals[1:] + vals[:-1]) / 2.0
+    if mids.shape[0] > max_cuts:
+        idx = np.linspace(0, mids.shape[0] - 1, max_cuts).astype(int)
+        mids = mids[np.unique(idx)]
+    # a cut can round onto another (the midpoint of two adjacent floats): keep one
+    cuts = list(dict.fromkeys([float(vals[0]) - 1.0, *mids.tolist()]))
+    names = [f"x{feature}>={cut:.6g}" for cut in cuts]
+    if len(set(names)) < len(cuts):
+        names = [f"x{feature}>={cut!r}" for cut in cuts]
+    return FiniteHypothesisClass(tuple(FeatureThresholdRule(feature, cut, name=name)
+                                       for cut, name in zip(cuts, names)))

@@ -128,8 +128,7 @@ def test_criterion_4_detection_error_rates():
 
 def test_criterion_5_erm_trap_discrimination_floor():
     with Budget("criterion 5: constrained-scan trap frequency, 400 trials", 120.0):
-        rows, _, params = run_erm_trap_floor(n_features=64, n=200, trials=400,
-                                             seed=0)
+        rows, _, params = run_erm_trap_floor(trials=400, seed=0)
         want_alpha = 3 * math.log(63 / 5) / (4 * 200 * 0.25)
         assert params["alpha"] == pytest.approx(want_alpha, abs=1e-15)
         assert rows[0].computed >= 0.5 - 0.08
@@ -148,7 +147,7 @@ def test_criterion_6_two_step_rate_sweep():
 def test_criterion_7_second_moment_equivalences():
     with Budget("criterion 7: second-moment closed-form equivalences", 5.0):
         rows, _, _ = run_second_moment_equivalence(models=100, pgd_models=0,
-                                                   dim=3, seed=0)
+                                                   seed=0)
         by_claim = {r.claim: r for r in rows}
         assert by_claim["constraint-residual-over-scale"].computed <= 1e-10
         assert by_claim["kkt-oracle-relative-mismatch"].computed <= 1e-8
@@ -159,7 +158,7 @@ def test_criterion_7_second_moment_equivalences():
 def test_criterion_8_convex_solver_agreement():
     with Budget("criterion 8: projected descent vs closed form", 30.0):
         rows, _, _ = run_second_moment_equivalence(models=1, pgd_models=20,
-                                                   dim=3, seed=0)
+                                                   seed=0)
         by_claim = {r.claim: r for r in rows}
         assert by_claim["projected-descent-relative-mismatch"].computed <= 1e-6
         assert by_claim["gradient-finite-difference-mismatch"].computed <= 1e-5

@@ -247,6 +247,20 @@ class TestCliCommands:
         assert payload["diagnostics"]["s2_corrected_gap"] <= \
             payload["correct_tolerance"] + 1e-12
 
+    def test_train_threshold_grid_where_six_digits_merge_cuts(self, tmp_path, capsys):
+        # 123456.0 to 123460.9 in steps of 0.1: "x0>={cut:.6g}" names collide
+        rng = np.random.default_rng(8)
+        vals = 123456.0 + np.arange(400) % 50 / 10.0
+        data = tmp_path / "d.csv"
+        write_csv(Dataset(vals[:, None], rng.integers(0, 2, 400), rng.integers(0, 2, 400)),
+                  data)
+        spec = tmp_path / "rules.json"
+        spec.write_text(json.dumps({"rules": [
+            {"type": "threshold-grid", "feature": 0, "max_cuts": 32},
+            {"type": "constant", "value": 0}]}))
+        assert main(["train", "--data", str(data), "--hypotheses", str(spec)]) == 0
+        assert json.loads(capsys.readouterr().out)["step1_rule"]
+
     def test_fit_linear_fair_methods_agree(self, tmp_path, capsys):
         from eqodds.synthetic import gaussian_law
         data = tmp_path / "g.csv"

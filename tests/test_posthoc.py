@@ -104,6 +104,19 @@ class TestOptimalDerived:
                 assert lp <= strict + 1e-9
                 assert relaxed <= lp + 0.02 + 1e-9
 
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+           st.lists(st.floats(0.02, 1.0), min_size=4, max_size=4),
+           st.one_of(st.just(0.0), st.floats(0.0, 1.5)))
+    def test_grid_search_property(self, rates, weights, tol):
+        cells = np.array(weights) / sum(weights)
+        stats = RateStatistics(np.array(rates).reshape(2, 2),
+                               CellProbabilities(cells.reshape(2, 2)))
+        lp = derived_loss(optimal_derived(stats, tol), stats)
+        strict, relaxed = derived_grid_minima(stats, tol)
+        assert lp <= strict + 1e-9
+        assert relaxed <= lp + 0.02 + 1e-9
+
     def test_grid_minima_equal_exhaustive_scan(self):
         # the tile search of the grid oracle against every pair of grid points
         rng = np.random.default_rng(3)

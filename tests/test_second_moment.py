@@ -1,6 +1,7 @@
 """Correlation-constrained linear prediction: closed forms, correction,
 the null-space Newton fitter, and their independent oracles."""
 
+import itertools
 import time
 
 import numpy as np
@@ -64,8 +65,7 @@ class TestEstimateMoments:
             estimate_moments(ds)
 
     def test_large_sample_recovers_identity_covariance(self):
-        law = gaussian_law(3, seed=1, eig_low=1.0, eig_high=1.0, mean_scale=0.0)
-        ds = sample_law(law, 100_000, seed=2)
+        ds = sample_law(SecondMomentModel(np.zeros(5), np.eye(5)), 100_000, seed=2)
         model = estimate_moments(ds)
         assert np.abs(model.cov - np.eye(5)).max() < 0.05
 
@@ -202,15 +202,16 @@ class TestProjectedDescent:
         assert abs(fit.predictor.weights @ c) <= 1e-12 * max(1.0, np.abs(c).max())
 
     def test_fixed_point_start_converges_immediately(self):
-        ds = self._dataset(7)
-        model = estimate_moments(ds)
-        sol = fit_closed_form(model)
-        # optimal intercept of the centered problem is the plain label mean
-        fit = fit_constrained_convex(ds, "squared", model=model,
-                                     w0=sol.predictor.weights,
-                                     b0=float(ds.labels.mean()), tol=1e-6)
+        # a 2^3 factorial design with y = x0 * a: the labels have mean 0 and are
+        # orthogonal to every centered column, so the start (u, b) = 0 is optimal
+        x0, x1, a = (np.array(col, dtype=float) for col in
+                     zip(*itertools.product((1.0, -1.0), repeat=3)))
+        ds = Dataset(np.column_stack([x0, x1]), a, x0 * a)
+        fit = fit_constrained_convex(ds, "squared", tol=1e-6)
         assert fit.converged
         assert fit.iterations == 0
+        assert np.abs(fit.predictor.weights).max() <= 1e-12
+        assert abs(fit.predictor.intercept) <= 1e-12
 
     def test_analytic_gradients_match_finite_differences(self):
         rng = np.random.default_rng(11)

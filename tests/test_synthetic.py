@@ -13,7 +13,6 @@ from eqodds.core import (
 )
 from eqodds.second_moment import SecondMomentModel
 from eqodds.synthetic import (
-    CODING_PM1,
     CellProductLaw,
     erm_trap_family,
     gaussian_law,
@@ -72,13 +71,18 @@ class TestTwoProxyLaw:
         assert np.allclose(rates.rates[:, 0], 0.0)
         assert rates.gap() == pytest.approx(1.0)
 
-    def test_hinge_values_under_pm_one(self):
-        eps = 0.1
-        law = two_proxy_law(eps, coding=CODING_PM1)
-        assert population_loss_hinge(law, lambda X, a: X[:, 0]) == pytest.approx(
-            4 * eps, abs=1e-12)
-        assert population_loss_hinge(law, lambda X, a: np.zeros(len(a))) == pytest.approx(
-            1.0, abs=1e-15)
+    def test_hinge_of_pm_one_scores_is_twice_the_01_loss(self):
+        # a 0/1 rule r scored as 2r - 1 has margin +-1: hinge 0 or 2 where 0-1 loss is 0 or 1
+        for eps in (0.01, 0.1, 0.17, 0.2499):
+            law = two_proxy_law(eps)
+            for rule in (X_RULE, AttributeRule(), ConstantRule(0.0), ConstantRule(1.0)):
+                hinge = population_loss_hinge(
+                    law, lambda X, a, rule=rule: 2.0 * rule.predict_proba(X, a) - 1.0)
+                assert hinge == 2.0 * population_loss01(law, rule), (eps, rule.name)
+            assert population_loss_hinge(law, lambda X, a: 2.0 * X[:, 0] - 1.0) == \
+                pytest.approx(4 * eps, abs=1e-12)
+            assert population_loss_hinge(law, lambda X, a: np.zeros(len(a))) == \
+                pytest.approx(1.0, abs=1e-15)
 
     def test_constant_rule_loss_is_negative_class_mass(self):
         law = two_proxy_law(0.08)
@@ -118,14 +122,22 @@ class TestErmTrapFamily:
         assert np.allclose(population_rates(law, generic).rates,
                            population_rates(finite, generic).rates, atol=1e-12)
 
+    def test_hinge_of_pm_one_scores_matches_analytic_01_loss(self):
+        # atom enumeration of the hinge against the product law's analytic rates
+        law, hclass = erm_trap_family(4, 0.2)
+        finite = law.to_finite_law()
+        for rule in hclass.rules:
+            hinge = population_loss_hinge(
+                finite, lambda X, a, rule=rule: 2.0 * rule.predict_proba(X, a) - 1.0)
+            assert hinge == pytest.approx(2.0 * population_loss01(law, rule), abs=1e-12)
+
     def test_coordinates_independent_within_each_cell(self):
         # inside each (y, a) cell the coordinate predictions factorize exactly
         law, hclass = erm_trap_family(4, 0.15)
         finite = law.to_finite_law()
-        y01, a01 = finite.label01(), finite.attr01()
         for y in (0, 1):
             for a in (0, 1):
-                mask = (y01 == y) & (a01 == a)
+                mask = (finite.labels == y) & (finite.attr == a)
                 pc = finite.probs[mask].sum()
                 for i, j in [(0, 1), (1, 2), (0, 3)]:
                     pi = (finite.probs[mask] * finite.x[mask, i]).sum() / pc
@@ -147,10 +159,6 @@ class TestErmTrapFamily:
 
 
 class TestGaussianLaw:
-    def test_identity_spectrum_gives_identity(self):
-        law = gaussian_law(3, seed=5, eig_low=1.0, eig_high=1.0)
-        assert np.allclose(law.cov, np.eye(5), atol=1e-12)
-
     def test_deterministic_per_seed(self):
         a = gaussian_law(4, seed=9)
         b = gaussian_law(4, seed=9)
@@ -160,8 +168,15 @@ class TestGaussianLaw:
 
     def test_eigenvalue_floor(self):
         for seed in range(10):
-            law = gaussian_law(5, seed=seed, eig_low=0.3, eig_high=3.0)
-            assert np.linalg.eigvalsh(law.cov).min() >= 0.3 - 1e-9
+            law = gaussian_law(5, seed=seed)
+            assert np.linalg.eigvalsh(law.cov).min() >= 0.5 - 1e-9
+
+    def test_spectrum_in_fixed_band(self):
+        # the spectrum is drawn from [0.5, 2] over the d + 2 coordinates (X..., A, Y)
+        for d, seed in [(1, 0), (3, 5), (5, 2)]:
+            eig = np.linalg.eigvalsh(gaussian_law(d, seed=seed).cov)
+            assert eig.shape == (d + 2,)
+            assert eig.min() >= 0.5 - 1e-9 and eig.max() <= 2.0 + 1e-9
 
 
 class TestSampling:
@@ -208,11 +223,6 @@ class TestSampling:
         z = np.column_stack([ds.features, ds.attr, ds.labels])
         assert np.allclose(z.mean(axis=0), law.mean, atol=0.05)
         assert np.allclose(np.cov(z.T), law.cov, atol=0.08)
-
-    def test_pm_one_law_refuses_sampling(self):
-        law = two_proxy_law(0.1, coding=CODING_PM1)
-        with pytest.raises(InvalidParameterError):
-            sample_law(law, 10, seed=0)
 
 
 class TestRestrictedRegression:

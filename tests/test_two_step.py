@@ -377,19 +377,40 @@ class TestTrainTwoStep:
 
 
 class TestThresholdClass:
-    def test_contains_separating_cut_and_constants(self):
+    def test_contains_separating_cut(self):
         rng = np.random.default_rng(11)
         feats = np.sort(rng.normal(size=(40, 1)), axis=0)
         ds = Dataset(feats, rng.integers(0, 2, 40), (feats[:, 0] > 0).astype(float))
-        hclass = threshold_class(ds)
+        hclass = threshold_class(ds, 0, 64)
         losses = [empirical_loss(ds, r) for r in hclass]
         assert min(losses) == 0.0
-        assert "const0" in hclass.names and "const1" in hclass.names
+        assert len(hclass) == 40  # every midpoint and the cut below all values
+        assert all(isinstance(r, FeatureThresholdRule) for r in hclass)
 
     def test_cut_cap_respected(self):
         rng = np.random.default_rng(12)
         ds = Dataset(rng.normal(size=(500, 2)), rng.integers(0, 2, 500),
                      rng.integers(0, 2, 500))
-        hclass = threshold_class(ds, max_cuts_per_feature=8)
-        per_feature = sum(1 for n in hclass.names if n.startswith("x0"))
-        assert per_feature <= 9  # cap + the below-all cut
+        for feature in (0, 1):
+            hclass = threshold_class(ds, feature, 8)
+            assert len(hclass) == 9  # cap + the below-all cut
+            assert all(n.startswith(f"x{feature}>=") for n in hclass.names)
+
+    def test_cuts_six_digits_cannot_tell_apart_get_repr_names(self):
+        # 123456.0 to 123460.9 in steps of 0.1: 6 significant digits merge the cuts
+        vals = 123456.0 + np.arange(50) / 10.0
+        ds = Dataset(vals[:, None], np.arange(50) % 2, (vals > 123458.0).astype(float))
+        hclass = threshold_class(ds, 0, 32)
+        assert len(set(hclass.names)) == len(hclass) == 33
+        assert hclass.names == [f"x0>={r.cut!r}" for r in hclass]
+        # where six digits keep the names apart, they stay
+        assert threshold_class(Dataset(vals[:3, None] - 123456.0, [0, 1, 0], [0, 1, 1]),
+                               0, 32).names == ["x0>=-1", "x0>=0.05", "x0>=0.15"]
+
+    def test_cut_that_rounds_onto_another_is_one_rule(self):
+        # at 1e17 floats are 16 apart: value - 1 rounds back to the value, and the
+        # midpoint of two adjacent floats onto one of them
+        vals = np.array([1e17, 1e17 + 16, 1e17 + 32])
+        ds = Dataset(vals[:, None], [0, 1, 0], [0, 1, 1])
+        hclass = threshold_class(ds, 0, 32)
+        assert len(set(r.cut for r in hclass)) == len(hclass)
