@@ -33,7 +33,8 @@ class EqoddsError(Exception):
     """Base class for library errors.
 
     Errors pickle by message and attributes, not by ``__init__`` arguments,
-    so every subclass survives the trip back from a worker process.
+    so every subclass unpickles equal to the original, whatever its
+    constructor takes.
     """
 
     def __reduce__(self):
@@ -414,15 +415,17 @@ def empirical_loss(dataset: Dataset, predictor: PredictorInput) -> float:
     return float(np.mean(np.abs(vals - dataset.labels)))
 
 
-def split_dataset(dataset: Dataset, seed: int):
-    """Seeded shuffle-and-halve; the first half gets the extra odd sample.
-
-    The union of the two halves equals the input as a multiset, and the
-    same seed always reproduces the same split.
-    """
-    n = len(dataset)
+def split_indices(n: int, seed: int):
+    """Row indices of the two halves of a seeded shuffle of n rows, the first
+    with the odd row; the same seed always gives the same split."""
     if n < 2:
         raise TooFewSamplesError(f"need at least 2 samples to split, got {n}")
     order = np.random.default_rng(seed).permutation(n)
     k = (n + 1) // 2
-    return dataset.subset(order[:k]), dataset.subset(order[k:])
+    return order[:k], order[k:]
+
+
+def split_dataset(dataset: Dataset, seed: int):
+    """The two halves of ``split_indices(len(dataset), seed)`` as datasets."""
+    first, second = split_indices(len(dataset), seed)
+    return dataset.subset(first), dataset.subset(second)

@@ -7,13 +7,12 @@ tolerance, and a pass flag. Reports embed the seed and every run is
 deterministic given it. Monte Carlo experiments take their trial count from
 ``trials``; a floor per experiment keeps the statistics meaningful.
 
-Each trial draws from its own seed, so the Monte Carlo trials of
-``detection-error-rates``, ``erm-trap-floor`` and ``two-step-rate-sweep``
-run on every usable CPU (``_map_trials``, forked worker processes) and
-the reports are the same bytes as a serial run. The serial loop runs
-when one CPU is usable, ``os.sched_getaffinity`` or the ``fork`` start
-method is missing, the caller is a daemon process, or another thread is
-alive.
+Each Monte Carlo trial draws from its own seed. ``detection-error-rates``
+and ``two-step-rate-sweep`` make the draws of ``sample_law`` and
+``split_dataset`` (``sample_atoms``, ``split_indices``) but tally them per
+atom of the two-proxy law instead of building rows; every cell sum of a
+0/1 rule is an exact integer either way, so the results equal the row
+path's bit for bit.
 
 One reference value is reproduced as documented even though exact
 arithmetic contradicts it: the bounded-L1 fair-on-feature squared loss
@@ -25,12 +24,11 @@ with the exact value recorded in its note.  All sibling claims pass.
 
 from __future__ import annotations
 
+import inspect
 import math
-import os
 import platform
-import traceback
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Optional, TypeVar
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -42,8 +40,10 @@ from .core import (
     ConstantRule,
     FeatureThresholdRule,
     FiniteHypothesisClass,
+    GroupRates,
     InvalidParameterError,
-    empirical_rates,
+    cell_sums,
+    split_indices,
 )
 from .posthoc import (
     LOSS_HINGE_PM1,
@@ -68,10 +68,18 @@ from .synthetic import (
     population_loss_hinge,
     population_rates,
     restricted_regression_solutions,
+    sample_atoms,
     sample_law,
     two_proxy_law,
 )
-from .two_step import TwoStepConfig, constrained_erm, train_two_step
+from .two_step import (
+    TwoStepConfig,
+    _correct,
+    _scan,
+    _select,
+    _tolerances,
+    constrained_erm,
+)
 
 
 @dataclass(frozen=True)
@@ -138,89 +146,10 @@ def _mc_slack(delta: float, trials: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# trial map: seeded Monte Carlo trials on every usable CPU
-# ---------------------------------------------------------------------------
-
-_T = TypeVar("_T")
-_STRIDE = None  # (trial, workers, count) in a forked worker
-
-
-def _worker_count(count: int) -> int:
-    """Worker processes for ``count`` trials; 1 means run them serially.
-
-    Forking is safe only from a single-threaded, non-daemon process (a
-    daemon may not have children), and it needs the ``fork`` start method.
-    """
-    import multiprocessing
-    import threading
-
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    workers = min(len(os.sched_getaffinity(0)), count)
-    if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon
-            or threading.active_count() > 1):
-        return 1
-    return workers
-
-
-def _set_stride(trial, workers: int, count: int) -> None:
-    global _STRIDE
-    _STRIDE = (trial, workers, count)
-
-
-def _run_stride(start: int):
-    """Trials start, start + W, ... in one worker, up to the first error.
-
-    Returns the results and, when a trial failed, its index, error and
-    formatted traceback (else None).
-    """
-    trial, workers, count = _STRIDE
-    done = []
-    for i in range(start, count, workers):
-        try:
-            done.append(trial(i))
-        except Exception as exc:  # re-raised by the parent
-            return done, (i, exc, traceback.format_exc())
-    return done, None
-
-
-def _map_trials(trial: Callable[[int], _T], count: int) -> List[_T]:
-    """``[trial(i) for i in range(count)]``, on every usable CPU when safe.
-
-    Worker w of W runs trials w, w + W, ... as one task, which balances
-    trials whose cost grows with the index. Workers are forked, so
-    ``trial`` may be a closure; only its results (and an error) are
-    pickled. The error raised is the one the serial loop would raise
-    first: the one of the lowest failing trial, caused by a RuntimeError
-    that carries the worker's traceback. A worker that dies raises
-    ``BrokenProcessPool``.
-    """
-    workers = _worker_count(count)
-    if workers < 2:
-        return [trial(i) for i in range(count)]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_set_stride,
-                             initargs=(trial, workers, count)) as pool:
-        strides = list(pool.map(_run_stride, range(workers)))
-    failures = [failure for _, failure in strides if failure is not None]
-    if failures:
-        _, error, trace = min(failures, key=lambda failure: failure[0])
-        raise error from RuntimeError(f"in a trial worker:\n{trace}")
-    results = [None] * count
-    for w, (done, _) in enumerate(strides):
-        results[w::workers] = done
-    return results
-
-
-# ---------------------------------------------------------------------------
 # posthoc-binary-gap: exact failure of post hoc correction for 0-1 and hinge
 # ---------------------------------------------------------------------------
 
-def run_posthoc_binary_gap(eps: float = 0.1, seed: int = 0, **_):
+def run_posthoc_binary_gap(eps: float = 0.1, seed: int = 0):
     law = two_proxy_law(eps)
     x_rule = FeatureThresholdRule(0, 0.5, name="x")
     a_rule = AttributeRule()
@@ -248,7 +177,7 @@ def run_posthoc_binary_gap(eps: float = 0.1, seed: int = 0, **_):
 # posthoc-regression-gap: restricted least squares and its correction
 # ---------------------------------------------------------------------------
 
-def run_posthoc_regression_gap(eps: float = 0.1, seed: int = 0, **_):
+def run_posthoc_regression_gap(eps: float = 0.1, seed: int = 0):
     sol = restricted_regression_solutions(eps)
     documented_l1_fair = 1 / 16 + 1.5 * eps + 3 * eps ** 2
     exact_l1_fair = 1 / 16 + 1.5 * eps - 3 * eps ** 2
@@ -280,29 +209,28 @@ def run_posthoc_regression_gap(eps: float = 0.1, seed: int = 0, **_):
 
 def run_detection_error_rates(eps: float = 0.1, alpha: float = 0.5,
                               delta: float = 0.1, trials: int = 1000,
-                              seed: int = 0, **_):
+                              seed: int = 0):
     trials = max(50, trials)
     law = two_proxy_law(eps)
     cells = law.cell_probabilities()
     n = required_sample_size(alpha, delta, cells)
     threshold = alpha / 2.0
-    x_rule = FeatureThresholdRule(0, 0.5, name="x")
-    a_rule = AttributeRule()
+    rules = (FeatureThresholdRule(0, 0.5, name="x"), AttributeRule())
+    accepts = [rule.acceptance(law.x, law.attr) for rule in rules]
 
-    def trial(i):
-        ds = sample_law(law, n, seed=seed + i)
-        return empirical_rates(ds, x_rule).gap(), empirical_rates(ds, a_rule).gap()
-
-    false_flags = 0
-    misses = 0
     raw = []
-    for i, (gap_fair, gap_biased) in enumerate(_map_trials(trial, trials)):
-        ff = gap_fair > threshold
-        miss = not (gap_biased > threshold)
-        false_flags += ff
-        misses += miss
+    for i in range(trials):
+        # the gaps empirical_rates gives on sample_law(law, n, seed + i)
+        atoms = np.bincount(sample_atoms(law, n, seed + i), minlength=law.probs.shape[0])
+        counts = cell_sums(law.cell, atoms)
+        gap_fair, gap_biased = (
+            GroupRates(cell_sums(law.cell, acc * atoms) / counts, counts).gap()
+            for acc in accepts)
         raw.append({"trial": i, "gap_fair": gap_fair, "gap_biased": gap_biased,
-                    "false_flag": int(ff), "miss": int(miss)})
+                    "false_flag": int(gap_fair > threshold),
+                    "miss": int(not gap_biased > threshold)})
+    false_flags = sum(row["false_flag"] for row in raw)
+    misses = sum(row["miss"] for row in raw)
 
     slack = _mc_slack(delta, trials)
     rows = [
@@ -320,7 +248,7 @@ def run_detection_error_rates(eps: float = 0.1, alpha: float = 0.5,
 # erm-trap-floor: constrained risk minimization picks a gap-alpha rule
 # ---------------------------------------------------------------------------
 
-def run_erm_trap_floor(trials: int = 400, seed: int = 0, **_):
+def run_erm_trap_floor(trials: int = 400, seed: int = 0):
     trials = max(50, trials)
     n_features, n = 64, 200
     cells = CellProbabilities.uniform()
@@ -330,18 +258,13 @@ def run_erm_trap_floor(trials: int = 400, seed: int = 0, **_):
 
     pop_gap = {rule.name: population_rates(law, rule).gap() for rule in hclass}
 
-    def trial(i):
-        res = constrained_erm(sample_law(law, n, seed=seed + i), hclass, alpha)
-        return res.rule.name, res.forced_constant
-
-    hits = 0
     raw = []
-    for i, (picked, forced_constant) in enumerate(_map_trials(trial, trials)):
-        gap = 0.0 if forced_constant else pop_gap[picked]
-        hit = gap >= alpha - 1e-12
-        hits += hit
-        raw.append({"trial": i, "picked": picked,
-                    "population_gap": gap, "hit": int(hit)})
+    for i in range(trials):
+        res = constrained_erm(sample_law(law, n, seed=seed + i), hclass, alpha)
+        gap = 0.0 if res.forced_constant else pop_gap[res.rule.name]
+        raw.append({"trial": i, "picked": res.rule.name,
+                    "population_gap": gap, "hit": int(gap >= alpha - 1e-12)})
+    hits = sum(row["hit"] for row in raw)
 
     slack = _mc_slack(0.25, trials)  # binomial variance cap at p = 1/2
     rows = [
@@ -359,6 +282,24 @@ def run_erm_trap_floor(trials: int = 400, seed: int = 0, **_):
 # two-step-rate-sweep: gap and excess loss shrink like n^(-1/2)
 # ---------------------------------------------------------------------------
 
+def _two_step_on_atoms(law, hclass, n, config, population):
+    """``train_two_step(sample_law(law, n, config.seed), hclass, config, law)`` from the
+    same draws, tallied per atom; ``population`` maps each rule of ``hclass`` (both
+    constants among them) by name to its statistics under ``law``."""
+    atoms = sample_atoms(law, n, config.seed)
+    first, _ = split_indices(n, config.seed)
+    whole = np.bincount(atoms, minlength=law.probs.shape[0])
+    half1 = np.bincount(atoms[first], minlength=whole.shape[0])
+    half2 = whole - half1
+    counts1, counts2 = cell_sums(law.cell, half1), cell_sums(law.cell, half2)
+    t_train, t_correct = _tolerances(config, counts1, counts2)
+    indicator = np.eye(4).take(law.cell, axis=0) * half1[:, None]
+    step1 = _select(hclass, _scan(hclass, law.x, law.attr, indicator), counts1.ravel(),
+                    t_train)
+    sums = cell_sums(law.cell, step1.rule.acceptance(law.x, law.attr) * half2)
+    return _correct(step1, sums, counts2, t_train, t_correct, population[step1.rule.name])
+
+
 def _loglog_slope(ns, values):
     x = np.log(np.asarray(ns, dtype=float))
     y = np.log(np.asarray(values, dtype=float))
@@ -367,7 +308,7 @@ def _loglog_slope(ns, values):
 
 
 def run_two_step_rate_sweep(eps: float = 0.1, delta: float = 0.1,
-                            trials: int = 200, seed: int = 0, **_):
+                            trials: int = 200, seed: int = 0):
     trials = max(30, trials)
     n_grid = [2 ** k for k in range(9, 15)]
     law = two_proxy_law(eps)
@@ -378,22 +319,18 @@ def run_two_step_rate_sweep(eps: float = 0.1, delta: float = 0.1,
         ConstantRule(0.0),
         ConstantRule(1.0),
     ))
+    population = {rule.name: RateStatistics.from_population(law, rule) for rule in hclass}
 
-    def trial(k):  # trial k % trials at n_grid[k // trials]
-        n, i = n_grid[k // trials], k % trials
-        trial_seed = seed + 100_000 * n + i
-        ds = sample_law(law, n, seed=trial_seed)
-        res = train_two_step(ds, hclass, TwoStepConfig(delta=delta, seed=trial_seed),
-                             population=law)
-        pop = res.diagnostics["population"]
-        return pop["corrected_gap"], pop["corrected_loss"] - fair_loss
-
-    outcomes = _map_trials(trial, len(n_grid) * trials)
     median_gap, median_excess, raw = [], [], []
-    for j, n in enumerate(n_grid):
-        gaps, excesses = zip(*outcomes[j * trials:(j + 1) * trials])
+    for n in n_grid:
+        outcomes = []
+        for i in range(trials):
+            config = TwoStepConfig(delta=delta, seed=seed + 100_000 * n + i)
+            pop = _two_step_on_atoms(law, hclass, n, config, population).diagnostics["population"]
+            outcomes.append((pop["corrected_gap"], pop["corrected_loss"] - fair_loss))
+        gaps, excesses = zip(*outcomes)
         raw.extend({"n": n, "trial": i, "gap": g, "excess": e}
-                   for i, (g, e) in enumerate(zip(gaps, excesses)))
+                   for i, (g, e) in enumerate(outcomes))
         median_gap.append(float(np.median(gaps)))
         median_excess.append(float(np.median(excesses)))
 
@@ -432,7 +369,7 @@ def _kkt_reference_solution(model: SecondMomentModel) -> np.ndarray:
 
 
 def run_second_moment_equivalence(models: int = 100, pgd_models: int = 20,
-                                  seed: int = 0, **_):
+                                  seed: int = 0):
     dim = 3
     worst_residual_ratio = 0.0
     worst_kkt = 0.0
@@ -520,7 +457,14 @@ def run_experiment(experiment: str, seed: int = 0, **params) -> ExperimentReport
     if experiment not in EXPERIMENTS:
         raise InvalidParameterError(
             f"unknown experiment {experiment!r}; choose from {sorted(EXPERIMENTS)}")
-    rows, raw, used = EXPERIMENTS[experiment](seed=seed, **params)
+    run = EXPERIMENTS[experiment]
+    takes = [name for name in inspect.signature(run).parameters if name != "seed"]
+    unknown = [name for name in params if name not in takes]
+    if unknown:
+        raise InvalidParameterError(
+            f"{experiment} does not take {', '.join(unknown)}; "
+            f"it takes {', '.join(takes)}")
+    rows, raw, used = run(seed=seed, **params)
     meta = {
         "package": f"eqodds {__version__}",
         "numpy": np.__version__,

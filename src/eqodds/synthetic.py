@@ -52,6 +52,9 @@ from .second_moment import SecondMomentModel
 
 # enumeration guard for generic rules on product laws
 _MAX_ENUM_COORDS = 16
+# Largest draw, refused before allocating: a finite-law draw holds n float64
+# uniforms and n int64 atom indices, 16 bytes a row, about 1.6 GB at the cap.
+_MAX_ROWS = 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -250,11 +253,30 @@ def population_loss_hinge(law: FiniteJointLaw,
     return float((law.probs * np.maximum(0.0, 1.0 - (2.0 * law.labels - 1.0) * preds)).sum())
 
 
-def sample_law(law: Union[Law, SecondMomentModel], n: int, seed: int) -> Dataset:
-    """Draw n i.i.d. rows, a ``SecondMomentModel`` as a Gaussian; deterministic per seed."""
+def _generator(n: int, seed: int) -> np.random.Generator:
+    """The seeded generator of an n-row draw; refuses n outside [1, _MAX_ROWS]."""
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
-    rng = np.random.default_rng(seed)
+    if n > _MAX_ROWS:
+        raise InvalidParameterError(
+            f"n = {n} rows is more than one draw may hold ({_MAX_ROWS})")
+    return np.random.default_rng(seed)
+
+
+def sample_atoms(law: FiniteJointLaw, n: int, seed: int) -> np.ndarray:
+    """Atom index of each of n i.i.d. rows: the draw of ``sample_law(law, n, seed)``."""
+    return _generator(n, seed).choice(law.probs.shape[0], size=n, p=law.probs)
+
+
+def sample_law(law: Union[Law, SecondMomentModel], n: int, seed: int) -> Dataset:
+    """Draw n i.i.d. rows, a ``SecondMomentModel`` as a Gaussian; deterministic per seed."""
+    # built columns are finite and 0/1 where they must be, so they skip the checks
+    if isinstance(law, FiniteJointLaw):
+        idx = sample_atoms(law, n, seed)
+        # law.cell builds the atoms as a checked Dataset, once per law
+        return Dataset._trusted(law.x[idx], law.attr[idx], law.labels[idx],
+                                cell=law.cell[idx])
+    rng = _generator(n, seed)
     if isinstance(law, SecondMomentModel):
         try:
             z = rng.multivariate_normal(law.mean, law.cov, size=n, method="cholesky")
@@ -263,18 +285,13 @@ def sample_law(law: Union[Law, SecondMomentModel], n: int, seed: int) -> Dataset
                 "covariance is not positive definite; cannot sample") from None
         d = law.n_features
         return Dataset(z[:, :d], z[:, d], z[:, d + 1])
-    # built columns are finite and 0/1 where they must be, so they skip the checks
-    if isinstance(law, CellProductLaw):
-        cell_idx = rng.choice(4, size=n, p=law.cells.table.ravel())
-        cell_idx = cell_idx.astype(np.intp, copy=False)
-        ys, as_ = cell_idx // 2, cell_idx % 2
-        u = rng.random(size=(n, law.n_features))
-        feats = (u < law.heads[ys, as_, :]).astype(np.float64)
-        return Dataset._trusted(feats, as_.astype(np.float64), ys.astype(np.float64),
-                                cell=cell_idx)
-    idx = rng.choice(law.probs.shape[0], size=n, p=law.probs)
-    # law.cell builds the atoms as a checked Dataset, once per law
-    return Dataset._trusted(law.x[idx], law.attr[idx], law.labels[idx], cell=law.cell[idx])
+    cell_idx = rng.choice(4, size=n, p=law.cells.table.ravel())
+    cell_idx = cell_idx.astype(np.intp, copy=False)
+    ys, as_ = cell_idx // 2, cell_idx % 2
+    u = rng.random(size=(n, law.n_features))
+    feats = (u < law.heads[ys, as_, :]).astype(np.float64)
+    return Dataset._trusted(feats, as_.astype(np.float64), ys.astype(np.float64),
+                            cell=cell_idx)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -38,15 +38,15 @@ from .core import (
     FiniteHypothesisClass,
     GroupRates,
     InvalidParameterError,
+    _require_nonzero_cells,
     acceptance_values,
-    empirical_loss,
+    cell_sums,
     split_dataset,
 )
 from .posthoc import (
     DerivedPredictor,
     DerivedRule,
     RateStatistics,
-    derived_loss,
     expected_loss_from_rates,
     induced_rates,
     optimal_derived,
@@ -97,36 +97,30 @@ class Step1Result:
     feasible: tuple = ()             # names of feasible class members
 
 
-def constrained_erm(dataset: Dataset, hclass: FiniteHypothesisClass,
-                    tolerance: float) -> Step1Result:
-    """Lowest-loss rule with sample gap strictly under ``tolerance``.
+def _losses(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """0-1 losses from (..., 4) cell sums S00, S01, S10, S11 and the flat cell counts."""
+    return (sums[..., 0] + sums[..., 1] + (counts[2] - sums[..., 2])
+            + (counts[3] - sums[..., 3])) / counts.sum()
 
-    Exhaustive scan in class order. Rules are evaluated a block at a time:
-    each block holds one row of acceptance values per rule, at most
-    ``_SCAN_ELEMENTS`` values in all (never fewer than one rule), is checked
-    and clipped once, and yields every rule's four cell sums from one product
-    with the cell-indicator matrix. Rates, gaps and 0-1 losses then follow as
-    vectors. The first feasible rule of least loss wins, so ties keep the
-    earlier rule. For 0/1 rules every sum is an exact integer and the result
-    equals a rule-by-rule evaluation bit for bit. When no member is feasible
-    the better constant rule is returned with the ``forced_constant`` flag
-    set. All four (y, a) cells must be populated.
+
+def _scan(hclass: FiniteHypothesisClass, features: np.ndarray, attr: np.ndarray,
+          indicator: np.ndarray) -> np.ndarray:
+    """Every rule's four cell sums: its acceptance values times ``indicator``.
+
+    ``indicator`` holds per row the one-hot of its cell code, times the rows
+    it stands for. Each block of rules (at most ``_SCAN_ELEMENTS`` values,
+    never fewer than one rule) is checked and clipped once and multiplied by
+    ``indicator``; for 0/1 rules and integer counts every sum is exact.
     """
-    if not tolerance >= 0:  # NaN fails too
-        raise InvalidParameterError(f"tolerance must be nonnegative, got {tolerance}")
-    dataset.require_all_cells("constrained risk minimization")
-
-    n = len(dataset)
+    n = indicator.shape[0]
     rules = hclass.rules
-    indicator = np.eye(4).take(dataset.cell, axis=0)  # one-hot row per cell code
     sums = np.empty((len(rules), 4))  # per rule: S00, S01, S10, S11
     width = max(1, _SCAN_ELEMENTS // n)
     for lo in range(0, len(rules), width):
         chunk = rules[lo:lo + width]
         block = np.empty((len(chunk), n))
         for row, rule in zip(block, chunk):
-            vals = np.asarray(rule.predict_proba(dataset.features, dataset.attr),
-                              dtype=np.float64).ravel()
+            vals = np.asarray(rule.predict_proba(features, attr), dtype=np.float64).ravel()
             if vals.shape[0] != n:  # a scalar must not broadcast over the row
                 acceptance_values(vals, n, f"{rule.name}: outputs")
             row[:] = vals
@@ -137,12 +131,16 @@ def constrained_erm(dataset: Dataset, hclass: FiniteHypothesisClass,
                 acceptance_values(row, n, f"{rule.name}: outputs")
             raise
         np.matmul(block, indicator, out=sums[lo:lo + len(chunk)])
+    return sums
 
-    counts = dataset.cell_counts.ravel()
+
+def _select(hclass: FiniteHypothesisClass, sums: np.ndarray, counts: np.ndarray,
+            tolerance: float) -> Step1Result:
+    """``constrained_erm`` from every rule's cell sums and the flat, positive cell counts."""
+    rules = hclass.rules
     rates = sums / counts
     gaps = np.maximum(np.abs(rates[:, 0] - rates[:, 1]), np.abs(rates[:, 2] - rates[:, 3]))
-    losses = (sums[:, 0] + sums[:, 1] + (counts[2] - sums[:, 2])
-              + (counts[3] - sums[:, 3])) / n
+    losses = _losses(sums, counts)
     feasible = np.flatnonzero(gaps < tolerance)
 
     if feasible.size:
@@ -152,12 +150,31 @@ def constrained_erm(dataset: Dataset, hclass: FiniteHypothesisClass,
                            forced_constant=False,
                            feasible=tuple(rules[i].name for i in feasible))
 
-    # constants always have zero sample gap; pick the better one
+    # constants always have zero sample gap; pick the better one (ties: const0)
     candidates = [ConstantRule(0.0), ConstantRule(1.0)]
-    losses = [empirical_loss(dataset, c) for c in candidates]
+    losses = _losses(np.stack([np.zeros_like(counts), counts]), counts)
     pick = int(np.argmin(losses))
-    return Step1Result(rule=candidates[pick], loss=losses[pick], gap=0.0,
+    return Step1Result(rule=candidates[pick], loss=float(losses[pick]), gap=0.0,
                        tolerance=tolerance, forced_constant=True, feasible=())
+
+
+def constrained_erm(dataset: Dataset, hclass: FiniteHypothesisClass,
+                    tolerance: float) -> Step1Result:
+    """Lowest-loss rule with sample gap strictly under ``tolerance``.
+
+    Exhaustive scan in class order; the first feasible rule of least loss
+    wins, so ties keep the earlier rule. When no member is feasible the
+    better constant rule is returned with the ``forced_constant`` flag set.
+    For 0/1 rules every cell sum is an exact integer and the result equals a
+    rule-by-rule evaluation bit for bit. All four (y, a) cells must be
+    populated.
+    """
+    if not tolerance >= 0:  # NaN fails too
+        raise InvalidParameterError(f"tolerance must be nonnegative, got {tolerance}")
+    dataset.require_all_cells("constrained risk minimization")
+    indicator = np.eye(4).take(dataset.cell, axis=0)  # one-hot row per cell code
+    sums = _scan(hclass, dataset.features, dataset.attr, indicator)
+    return _select(hclass, sums, dataset.cell_counts.ravel(), tolerance)
 
 
 @dataclass(frozen=True)
@@ -182,6 +199,48 @@ class TwoStepResult:
         }
 
 
+def _tolerances(config: TwoStepConfig, first: np.ndarray, second: np.ndarray):
+    """Step-1 and step-2 gap tolerances for halves with (2, 2) cell counts
+    ``first`` and ``second``; every cell of both halves must hold a row."""
+    _require_nonzero_cells(first, "first half")
+    _require_nonzero_cells(second, "second half")
+    whole = first + second
+    n = int(whole.sum())
+    auto = auto_tolerance(n, config.delta, CellProbabilities(whole / n))
+    t_train = auto if config.train_tolerance == "auto" else float(config.train_tolerance)
+    t_correct = auto if config.correct_tolerance == "auto" else float(config.correct_tolerance)
+    return t_train, t_correct
+
+
+def _correct(step1: Step1Result, sums: np.ndarray, counts: np.ndarray, t_train: float,
+             t_correct: float, population: Optional[RateStatistics]) -> TwoStepResult:
+    """Step 2 from the step-1 rule's (2, 2) cell sums and the cell counts of
+    the second half; ``population`` holds the rule's population statistics."""
+    stats = RateStatistics(sums / counts, CellProbabilities(counts / counts.sum()))
+    derived = optimal_derived(stats, t_correct)
+    induced = induced_rates(derived, stats)
+    diagnostics = {
+        "s1_loss": step1.loss,
+        "s1_gap": step1.gap,
+        "s2_base_loss": float(_losses(sums.ravel(), counts.ravel())),
+        "s2_base_gap": GroupRates(stats.rates).gap(),
+        "s2_corrected_loss": expected_loss_from_rates(induced.rates, stats.cells),
+        "s2_corrected_gap": induced.gap(),
+    }
+    if population is not None:
+        induced = induced_rates(derived, population)
+        diagnostics["population"] = {
+            "base_loss": expected_loss_from_rates(population.rates, population.cells),
+            "base_gap": GroupRates(population.rates).gap(),
+            "corrected_loss": expected_loss_from_rates(induced.rates, population.cells),
+            "corrected_gap": induced.gap(),
+        }
+    return TwoStepResult(step1=step1, derived=derived,
+                         corrected_rule=DerivedRule(step1.rule, derived),
+                         train_tolerance=t_train, correct_tolerance=t_correct,
+                         diagnostics=diagnostics)
+
+
 def train_two_step(data: Dataset, hclass: FiniteHypothesisClass,
                    config: TwoStepConfig = TwoStepConfig(),
                    population=None) -> TwoStepResult:
@@ -195,38 +254,12 @@ def train_two_step(data: Dataset, hclass: FiniteHypothesisClass,
     if len(data) < 8:
         raise InvalidParameterError(f"need at least 8 samples, got {len(data)}")
     s1, s2 = split_dataset(data, config.seed)
-    s1.require_all_cells("first half")
-    s2.require_all_cells("second half")
-
-    auto = auto_tolerance(len(data), config.delta, CellProbabilities.from_dataset(data))
-    t_train = auto if config.train_tolerance == "auto" else float(config.train_tolerance)
-    t_correct = auto if config.correct_tolerance == "auto" else float(config.correct_tolerance)
-
+    t_train, t_correct = _tolerances(config, s1.cell_counts, s2.cell_counts)
     step1 = constrained_erm(s1, hclass, t_train)
-    s2_vals = step1.rule.on_dataset(s2)
-    s2_stats = RateStatistics.from_sample(s2, s2_vals)
-    derived = optimal_derived(s2_stats, t_correct)
-    corrected = DerivedRule(step1.rule, derived)
-
-    diagnostics = {
-        "s1_loss": step1.loss,
-        "s1_gap": step1.gap,
-        "s2_base_loss": empirical_loss(s2, s2_vals),
-        "s2_base_gap": GroupRates(s2_stats.rates).gap(),
-        "s2_corrected_loss": derived_loss(derived, s2_stats),
-        "s2_corrected_gap": induced_rates(derived, s2_stats).gap(),
-    }
-    if population is not None:
-        pop_stats = RateStatistics.from_population(population, step1.rule)
-        diagnostics["population"] = {
-            "base_loss": expected_loss_from_rates(pop_stats.rates, pop_stats.cells),
-            "base_gap": GroupRates(pop_stats.rates).gap(),
-            "corrected_loss": derived_loss(derived, pop_stats),
-            "corrected_gap": induced_rates(derived, pop_stats).gap(),
-        }
-    return TwoStepResult(step1=step1, derived=derived, corrected_rule=corrected,
-                         train_tolerance=t_train, correct_tolerance=t_correct,
-                         diagnostics=diagnostics)
+    sums = cell_sums(s2.cell, step1.rule.on_dataset(s2))
+    pop_stats = (None if population is None
+                 else RateStatistics.from_population(population, step1.rule))
+    return _correct(step1, sums, s2.cell_counts, t_train, t_correct, pop_stats)
 
 
 def threshold_class(dataset: Dataset, feature: int, max_cuts: int) -> FiniteHypothesisClass:

@@ -1,19 +1,25 @@
 """CSV contract, CLI subcommands, and report plumbing."""
 
+import inspect
 import json
 import os
+import resource
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import eqodds
 from eqodds import data_io
 from eqodds.cli import main
 from eqodds.core import Dataset
 from eqodds.data_io import (ParseError, SchemaError, _format_column, _format_value,
                             load_csv, write_csv, write_json_atomic)
+from eqodds.experiments import EXPERIMENTS
 from eqodds.synthetic import sample_law, two_proxy_law
 
 
@@ -400,6 +406,7 @@ def test_nan_score_audit_exits_2(tmp_path, capsys):
     ("alpha-1e-200", "alpha = 1e-200 is too small"),
     ("alpha-1e-160", "alpha = 1e-160 is too small"),
     ("reproduce-alpha-1e-200", "alpha = 1e-200 is too small"),
+    ("sweep-empty-half-cell", "error: first half: empty (y, a) cells: [(0, 1), (1, 0)]"),
 ])
 def test_malformed_input_exits_2(case, needle, tmp_path, capsys):
     data = tmp_path / "d.csv"
@@ -429,7 +436,7 @@ def test_malformed_input_exits_2(case, needle, tmp_path, capsys):
         "hypotheses-is-directory": ["train", "--data", str(data),
                                     "--hypotheses", str(tmp_path)],
         "out-is-directory": ["reproduce", "--experiment", "posthoc-binary-gap",
-                             "--trials", "5", "--out", str(tmp_path)],
+                             "--out", str(tmp_path)],
         "raw-out-is-directory": ["reproduce", "--experiment", "detection-error-rates",
                                  "--trials", "50", "--raw-out", str(tmp_path)],
         "tolerance-nan": ["correct", "--data", str(data), "--tolerance", "nan"],
@@ -451,6 +458,62 @@ def test_malformed_input_exits_2(case, needle, tmp_path, capsys):
         "alpha-1e-160": ["audit", "--data", str(data), "--alpha", "1e-160", "--delta", "0.1"],
         "reproduce-alpha-1e-200": ["reproduce", "--experiment", "detection-error-rates",
                                    "--alpha", "1e-200"],
+        # at eps = 1e-4 the (0, 1) and (1, 0) cells hold 5e-5 of the mass each
+        "sweep-empty-half-cell": ["reproduce", "--experiment", "two-step-rate-sweep",
+                                  "--eps", "0.0001", "--trials", "30"],
     }[case]
     assert main(argv) == 2
     assert needle.replace("{tmp}", str(tmp_path)) in capsys.readouterr().err
+
+
+# a value every experiment that takes the flag accepts, and the report key it sets
+REPRODUCE_FLAGS = {"--eps": "0.1", "--alpha": "0.5", "--delta": "0.1", "--trials": "50"}
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+@pytest.mark.parametrize("flag", sorted(REPRODUCE_FLAGS))
+def test_reproduce_takes_only_the_experiments_parameters(experiment, flag, tmp_path,
+                                                         capsys):
+    takes = [p for p in inspect.signature(EXPERIMENTS[experiment]).parameters
+             if p != "seed"]
+    key, value = flag[2:], REPRODUCE_FLAGS[flag]
+    argv = ["reproduce", "--experiment", experiment, flag, value,
+            "--out", str(tmp_path / "r.json")]
+    if "trials" in takes and flag != "--trials":
+        argv += ["--trials", "30"]  # the floors keep a quick run meaningful
+    status = main(argv)
+    if key in takes:
+        assert status in (0, 1)  # posthoc-regression-gap fails one row by design
+        params = json.loads((tmp_path / "r.json").read_text())["params"]
+        assert str(params[key]) == value
+    else:
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {experiment} does not take {key}; "
+                       f"it takes {', '.join(takes)}\n")
+        assert not (tmp_path / "r.json").exists()
+
+
+def _limit_address_space():
+    limit = 2 << 30  # 2 GiB: a draw the cap misses fails at once, not the machine
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("argv, needle", [
+    # alpha = 1e-3 asks for about 1.8e9 rows per trial
+    (["reproduce", "--experiment", "detection-error-rates", "--alpha", "1e-3"],
+     "error: n = 18"),
+    (["simulate", "--law", "two-proxy", "--n", "3000000000", "--out", "{tmp}/s.csv"],
+     "error: n = 3000000000 rows is more than one draw may hold"),
+], ids=["detection-alpha-1e-3", "simulate-n-3e9"])
+def test_impossible_draw_exits_2_before_allocating(argv, needle, tmp_path):
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eqodds.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    code = f"import sys; from eqodds.cli import main; sys.exit(main({argv!r}))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, preexec_fn=_limit_address_space)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith(needle)
+    assert "MemoryError" not in done.stderr
+    assert not (tmp_path / "s.csv").exists()

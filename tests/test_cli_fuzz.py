@@ -6,8 +6,9 @@ never raise, whatever the numeric flags hold: nan, +-inf, -0.0, 1e308,
 negatives, empty strings and words, or a mix of valid values. Tiny positive
 values are left out on purpose: they are valid input that asks for
 astronomically many rows (``reproduce --alpha``), which is a size question,
-not a parsing one. Trial counts are always passed and are small, so a valid
-draw runs at the experiments' trial floors.
+not a parsing one. The Monte Carlo experiments always get a small trial
+count, so a valid draw runs at their trial floors; a flag an experiment does
+not take exits 2.
 """
 
 import contextlib
@@ -21,6 +22,7 @@ from eqodds.cli import main
 from eqodds.experiments import EXPERIMENTS
 
 from test_cli import write_scored_csv
+from test_golden_reports import MONTE_CARLO
 
 # nan comes first: the first, simplest example of every flag passes it nan
 FLOATS = ["nan", "inf", "-inf", "-0.0", "0", "0.25", "0.5", "1", "2", "-1", "1e308",
@@ -48,7 +50,8 @@ SUBCOMMANDS = {
                  {"--noise": (FLOATS, None), "--features": (INTS, None),
                   "--alpha": (FLOATS, None), "--dim": (INTS, None), "--n": (INTS, "50"),
                   "--seed": (INTS, None)}),
-    # a small trial count keeps a valid draw at the experiments' trial floors
+    # a small trial count keeps a valid draw at the experiments' trial floors;
+    # its default is passed only to the experiments that take a trial count
     "reproduce": (["reproduce"],
                   {"--eps": (FLOATS, None), "--alpha": (FLOATS, None),
                    "--delta": (FLOATS, None), "--trials": (INTS, "1"),
@@ -82,13 +85,15 @@ def test_numeric_flags_keep_the_exit_contract(fuzz_files, name, fuzzed, data):
     argv = [arg.format(**fuzz_files) for arg in fixed]
     if name == "simulate":
         argv += ["--law", data.draw(st.sampled_from(["two-proxy", "erm-trap", "gaussian"]))]
+    experiment = None
     if name == "reproduce":
-        argv += ["--experiment", data.draw(st.sampled_from(sorted(EXPERIMENTS)))]
+        experiment = data.draw(st.sampled_from(sorted(EXPERIMENTS)))
+        argv += ["--experiment", experiment]
     for flag, (values, default) in flags.items():
         if flag == fuzzed or data.draw(st.booleans()):
             # --flag=value: argparse would take "-inf" after a space for a flag
             argv.append(f"{flag}={data.draw(_values(values))}")
-        elif default is not None:
+        elif default is not None and (flag != "--trials" or experiment in MONTE_CARLO):
             argv += [flag, default]
     note(argv)
 

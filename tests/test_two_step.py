@@ -1,5 +1,6 @@
 """Two-step training: constrained scan, sample correction, end-to-end runs."""
 
+import json
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from eqodds.posthoc import (
 )
 from eqodds.synthetic import population_loss01, population_rates, sample_law, two_proxy_law
 from eqodds import two_step
+from eqodds.experiments import _two_step_on_atoms, run_detection_error_rates
 from eqodds.two_step import (
     TwoStepConfig,
     auto_tolerance,
@@ -288,6 +290,52 @@ class TestDerivedRule:
             assert got.gap() == pytest.approx(res.diagnostics["s2_corrected_gap"], abs=1e-12)
 
 
+def population_stats(law):
+    return {rule.name: RateStatistics.from_population(law, rule) for rule in SMALL_CLASS}
+
+
+class TestCountPath:
+    """Monte Carlo trials on atom counts equal the row path bit for bit."""
+
+    def test_two_step_on_atoms_equals_train_two_step_on_rows(self):
+        pairs = 0
+        for n in [2 ** k for k in range(9, 15)]:  # the sweep's n-grid
+            for seed in range(36):
+                law = two_proxy_law((0.1, 0.05, 0.2)[seed % 3])
+                config = TwoStepConfig(delta=0.1, seed=100_000 * n + seed)
+                rows = train_two_step(sample_law(law, n, config.seed), SMALL_CLASS, config,
+                                      population=law)
+                counts = _two_step_on_atoms(law, SMALL_CLASS, n, config, population_stats(law))
+                assert json.dumps(counts.to_dict()) == json.dumps(rows.to_dict())
+                assert counts.step1.feasible == rows.step1.feasible
+                pairs += 1
+        assert pairs >= 200
+
+    def test_forced_constant_and_empty_half_cells_match(self):
+        law = two_proxy_law(0.2)
+        config = TwoStepConfig(train_tolerance=0.0, seed=3)
+        rows = train_two_step(sample_law(law, 101, 3), SMALL_CLASS, config, population=law)
+        counts = _two_step_on_atoms(law, SMALL_CLASS, 101, config, population_stats(law))
+        assert counts.step1.forced_constant
+        assert json.dumps(counts.to_dict()) == json.dumps(rows.to_dict())
+        law = two_proxy_law(0.0001)  # the rare cells miss a half
+        config = TwoStepConfig(seed=100_000 * 512)
+        with pytest.raises(EmptyCellError) as want:
+            train_two_step(sample_law(law, 512, config.seed), SMALL_CLASS, config)
+        with pytest.raises(EmptyCellError) as got:
+            _two_step_on_atoms(law, SMALL_CLASS, 512, config, population_stats(law))
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("eps, alpha", [(0.1, 0.5), (0.05, 0.9)])
+    def test_detection_trials_equal_empirical_rates_on_rows(self, eps, alpha):
+        law = two_proxy_law(eps)
+        _, raw, params = run_detection_error_rates(eps=eps, alpha=alpha, trials=50, seed=9)
+        for row in raw:
+            ds = sample_law(law, params["n"], 9 + row["trial"])
+            assert row["gap_fair"] == empirical_rates(ds, X_RULE).gap()
+            assert row["gap_biased"] == empirical_rates(ds, AttributeRule()).gap()
+
+
 class TestAutoTolerance:
     def test_formula(self):
         cells = CellProbabilities.from_flat([0.05, 0.45, 0.05, 0.45])
@@ -363,6 +411,36 @@ class TestTrainTwoStep:
             train_two_step(Dataset(feats, attr, labels), SMALL_CLASS,
                            TwoStepConfig(seed=0, train_tolerance=0.5,
                                          correct_tolerance=0.5))
+
+    @pytest.mark.parametrize("seed, want", [
+        (1, {"step1_rule": "const0", "step1_loss": 0.43137254901960786, "step1_gap": 0.0,
+             "forced_constant": True, "accept": [[-0.0, 1.0], [-0.0, -0.0]],
+             "train_tolerance": 0.0, "correct_tolerance": 2.2735818747260836,
+             "diagnostics": {"s1_loss": 0.43137254901960786, "s1_gap": 0.0,
+                             "s2_base_loss": 0.64, "s2_base_gap": 0.0,
+                             "s2_corrected_loss": 0.18000000000000002,
+                             "s2_corrected_gap": 1.0,
+                             "population": {"base_loss": 0.5, "base_gap": 0.0,
+                                            "corrected_loss": 0.2,
+                                            "corrected_gap": 1.0}}}),
+        (3, {"step1_rule": "const1", "step1_loss": 0.47058823529411764, "step1_gap": 0.0,
+             "forced_constant": True, "accept": [[-0.0, -0.0], [-0.0, 1.0]],
+             "train_tolerance": 0.0, "correct_tolerance": 2.3965657236700126,
+             "diagnostics": {"s1_loss": 0.47058823529411764, "s1_gap": 0.0,
+                             "s2_base_loss": 0.48, "s2_base_gap": 0.0,
+                             "s2_corrected_loss": 0.18, "s2_corrected_gap": 1.0,
+                             "population": {"base_loss": 0.5, "base_gap": 0.0,
+                                            "corrected_loss": 0.2,
+                                            "corrected_gap": 1.0}}}),
+    ])
+    def test_zero_train_tolerance_forces_the_better_constant(self, seed, want):
+        # no sample gap is < 0, so step 1 falls back to a constant; the values are
+        # those of the row-by-row empirical_loss fallback this replaced
+        law = two_proxy_law(0.2)
+        res = train_two_step(sample_law(law, 101, seed), SMALL_CLASS,
+                             TwoStepConfig(train_tolerance=0.0, seed=seed), population=law)
+        assert res.step1.feasible == () and res.step1.tolerance == 0.0
+        assert json.dumps(res.to_dict()) == json.dumps(want)
 
     def test_config_validation(self):
         with pytest.raises(InvalidParameterError):
