@@ -391,6 +391,9 @@ def main(argv=None) -> int:
     except (CliError, EqoddsError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # an input too large for this machine is bad input too
+        print(f"error: out of memory: {str(exc) or 'the request does not fit'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -68,10 +68,17 @@ def cell_sums(cell: np.ndarray, weights: Optional[np.ndarray] = None) -> np.ndar
     return np.bincount(cell, weights, minlength=4).reshape(2, 2)
 
 
+def _gaps(rates: np.ndarray) -> np.ndarray:
+    """Largest cross-group difference of (..., 2, 2) [y][a] rate tables, max over labels."""
+    return np.abs(rates[..., 0] - rates[..., 1]).max(axis=-1)
+
+
 def _require_nonzero_cells(table: np.ndarray, context: str) -> None:
-    """Raise EmptyCellError naming every zero entry of a (2, 2) [y][a] table."""
+    """Raise EmptyCellError naming every zero entry of a (2, 2) [y][a] table, or of
+    the first such table in a stack."""
     if not table.all():  # argwhere only on the error path
-        raise EmptyCellError(np.argwhere(table == 0), context)
+        tables = table.reshape(-1, 2, 2)
+        raise EmptyCellError(np.argwhere(tables[~tables.all(axis=(1, 2))][0] == 0), context)
 
 
 @dataclass(frozen=True)
@@ -276,8 +283,7 @@ class GroupRates:
         empty = self.empty_cells
         if empty:
             raise EmptyCellError(empty, "discrimination gap")
-        d = np.abs(self.rates[:, 0] - self.rates[:, 1])
-        return float(d.max())
+        return float(_gaps(self.rates))
 
 
 PredictorInput = Union["BinaryPredictor", np.ndarray, Sequence[float]]
@@ -415,17 +421,15 @@ def empirical_loss(dataset: Dataset, predictor: PredictorInput) -> float:
     return float(np.mean(np.abs(vals - dataset.labels)))
 
 
-def split_indices(n: int, seed: int):
-    """Row indices of the two halves of a seeded shuffle of n rows, the first
-    with the odd row; the same seed always gives the same split."""
+def split_dataset(dataset: Dataset, seed: int):
+    """Seeded shuffle-and-halve; the first half gets the extra odd sample.
+
+    The union of the two halves equals the input as a multiset, and the
+    same seed always reproduces the same split.
+    """
+    n = len(dataset)
     if n < 2:
         raise TooFewSamplesError(f"need at least 2 samples to split, got {n}")
     order = np.random.default_rng(seed).permutation(n)
     k = (n + 1) // 2
-    return order[:k], order[k:]
-
-
-def split_dataset(dataset: Dataset, seed: int):
-    """The two halves of ``split_indices(len(dataset), seed)`` as datasets."""
-    first, second = split_indices(len(dataset), seed)
-    return dataset.subset(first), dataset.subset(second)
+    return dataset.subset(order[:k]), dataset.subset(order[k:])

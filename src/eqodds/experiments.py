@@ -7,12 +7,12 @@ tolerance, and a pass flag. Reports embed the seed and every run is
 deterministic given it. Monte Carlo experiments take their trial count from
 ``trials``; a floor per experiment keeps the statistics meaningful.
 
-Each Monte Carlo trial draws from its own seed. ``detection-error-rates``
-and ``two-step-rate-sweep`` make the draws of ``sample_law`` and
-``split_dataset`` (``sample_atoms``, ``split_indices``) but tally them per
-atom of the two-proxy law instead of building rows; every cell sum of a
-0/1 rule is an exact integer either way, so the results equal the row
-path's bit for bit.
+Each Monte Carlo trial draws, from its own seed, the sufficient statistics
+of its sample, not rows (``sample_counts``): atom counts, halved for the
+sweep by one multivariate hypergeometric draw (the law of a uniformly random
+halving), or for ``erm-trap-floor`` cell counts and each coordinate's cell
+sums. Cell sums of 0/1 rules are exact integers, and the trials of one n
+run as arrays: one scan, one selection, one batched derived-rule LP.
 
 One reference value is reproduced as documented even though exact
 arithmetic contradicts it: the bounded-L1 fair-on-feature squared loss
@@ -40,15 +40,16 @@ from .core import (
     ConstantRule,
     FeatureThresholdRule,
     FiniteHypothesisClass,
-    GroupRates,
     InvalidParameterError,
-    cell_sums,
-    split_indices,
+    _gaps,
+    _require_nonzero_cells,
 )
 from .posthoc import (
     LOSS_HINGE_PM1,
     RateStatistics,
+    _mixed_rates,
     derived_loss,
+    expected_loss_from_rates,
     optimal_derived,
 )
 from .second_moment import (
@@ -68,18 +69,11 @@ from .synthetic import (
     population_loss_hinge,
     population_rates,
     restricted_regression_solutions,
-    sample_atoms,
+    sample_counts,
     sample_law,
     two_proxy_law,
 )
-from .two_step import (
-    TwoStepConfig,
-    _correct,
-    _scan,
-    _select,
-    _tolerances,
-    constrained_erm,
-)
+from .two_step import _CONSTANTS, TwoStepConfig, _select, _train_on_counts
 
 
 @dataclass(frozen=True)
@@ -216,19 +210,16 @@ def run_detection_error_rates(eps: float = 0.1, alpha: float = 0.5,
     n = required_sample_size(alpha, delta, cells)
     threshold = alpha / 2.0
     rules = (FeatureThresholdRule(0, 0.5, name="x"), AttributeRule())
-    accepts = [rule.acceptance(law.x, law.attr) for rule in rules]
-
-    raw = []
-    for i in range(trials):
-        # the gaps empirical_rates gives on sample_law(law, n, seed + i)
-        atoms = np.bincount(sample_atoms(law, n, seed + i), minlength=law.probs.shape[0])
-        counts = cell_sums(law.cell, atoms)
-        gap_fair, gap_biased = (
-            GroupRates(cell_sums(law.cell, acc * atoms) / counts, counts).gap()
-            for acc in accepts)
-        raw.append({"trial": i, "gap_fair": gap_fair, "gap_biased": gap_biased,
-                    "false_flag": int(gap_fair > threshold),
-                    "miss": int(not gap_biased > threshold)})
+    accept = np.array([rule.acceptance(law.x, law.attr) for rule in rules])
+    onehot = np.eye(4)[law.cell]
+    atoms = np.array([sample_counts(law, n, np.random.default_rng(seed + i))
+                      for i in range(trials)])
+    counts = atoms @ onehot
+    _require_nonzero_cells(counts.reshape(-1, 2, 2), "discrimination gap")
+    gaps = _gaps(((accept[:, None] * atoms) @ onehot / counts).reshape(2, -1, 2, 2))
+    raw = [{"trial": i, "gap_fair": fair, "gap_biased": biased,
+            "false_flag": int(fair > threshold), "miss": int(not biased > threshold)}
+           for i, (fair, biased) in enumerate(zip(*gaps.tolist()))]
     false_flags = sum(row["false_flag"] for row in raw)
     misses = sum(row["miss"] for row in raw)
 
@@ -256,14 +247,17 @@ def run_erm_trap_floor(trials: int = 400, seed: int = 0):
     alpha = 3.0 * math.log((n_features - 1) / 5.0) / (4.0 * n * p_min)
     law, hclass = erm_trap_family(n_features, alpha, cells)
 
-    pop_gap = {rule.name: population_rates(law, rule).gap() for rule in hclass}
+    rules = hclass.rules + _CONSTANTS  # the picks _select may return
+    pop_gap = [population_rates(law, rule).gap() for rule in rules]
 
-    raw = []
-    for i in range(trials):
-        res = constrained_erm(sample_law(law, n, seed=seed + i), hclass, alpha)
-        gap = 0.0 if res.forced_constant else pop_gap[res.rule.name]
-        raw.append({"trial": i, "picked": res.rule.name,
-                    "population_gap": gap, "hit": int(gap >= alpha - 1e-12)})
+    # per trial: the cell counts, then the cell sums of each coordinate rule x_j >= 0.5
+    tables = np.array([sample_counts(law, n, np.random.default_rng(seed + i))
+                       for i in range(trials)])
+    _require_nonzero_cells(tables[:, :, 0].reshape(-1, 2, 2), "constrained risk minimization")
+    picks = _select(tables[:, :, 1:].transpose(0, 2, 1), tables[:, :, 0],
+                    np.full(trials, alpha))[0]
+    raw = [{"trial": i, "picked": rules[pick].name, "population_gap": pop_gap[pick],
+            "hit": int(pop_gap[pick] >= alpha - 1e-12)} for i, pick in enumerate(picks.tolist())]
     hits = sum(row["hit"] for row in raw)
 
     slack = _mc_slack(0.25, trials)  # binomial variance cap at p = 1/2
@@ -282,22 +276,13 @@ def run_erm_trap_floor(trials: int = 400, seed: int = 0):
 # two-step-rate-sweep: gap and excess loss shrink like n^(-1/2)
 # ---------------------------------------------------------------------------
 
-def _two_step_on_atoms(law, hclass, n, config, population):
-    """``train_two_step(sample_law(law, n, config.seed), hclass, config, law)`` from the
-    same draws, tallied per atom; ``population`` maps each rule of ``hclass`` (both
-    constants among them) by name to its statistics under ``law``."""
-    atoms = sample_atoms(law, n, config.seed)
-    first, _ = split_indices(n, config.seed)
-    whole = np.bincount(atoms, minlength=law.probs.shape[0])
-    half1 = np.bincount(atoms[first], minlength=whole.shape[0])
-    half2 = whole - half1
-    counts1, counts2 = cell_sums(law.cell, half1), cell_sums(law.cell, half2)
-    t_train, t_correct = _tolerances(config, counts1, counts2)
-    indicator = np.eye(4).take(law.cell, axis=0) * half1[:, None]
-    step1 = _select(hclass, _scan(hclass, law.x, law.attr, indicator), counts1.ravel(),
-                    t_train)
-    sums = cell_sums(law.cell, step1.rule.acceptance(law.x, law.attr) * half2)
-    return _correct(step1, sums, counts2, t_train, t_correct, population[step1.rule.name])
+def _halves(law, n, seed):
+    """Atom counts of the halves of ``split_dataset(sample_law(law, n, seed), seed)``,
+    in law: multinomial atom counts, then a multivariate hypergeometric first half."""
+    rng = np.random.default_rng(seed)
+    atoms = sample_counts(law, n, rng)
+    first = rng.multivariate_hypergeometric(atoms, (n + 1) // 2)
+    return first, atoms - first
 
 
 def _loglog_slope(ns, values):
@@ -319,18 +304,21 @@ def run_two_step_rate_sweep(eps: float = 0.1, delta: float = 0.1,
         ConstantRule(0.0),
         ConstantRule(1.0),
     ))
-    population = {rule.name: RateStatistics.from_population(law, rule) for rule in hclass}
+    accept = np.array([rule.acceptance(law.x, law.attr) for rule in hclass])
+    base = np.array([RateStatistics.from_population(law, rule).rates
+                     for rule in hclass.rules + _CONSTANTS])
 
     median_gap, median_excess, raw = [], [], []
     for n in n_grid:
-        outcomes = []
-        for i in range(trials):
-            config = TwoStepConfig(delta=delta, seed=seed + 100_000 * n + i)
-            pop = _two_step_on_atoms(law, hclass, n, config, population).diagnostics["population"]
-            outcomes.append((pop["corrected_gap"], pop["corrected_loss"] - fair_loss))
-        gaps, excesses = zip(*outcomes)
+        first, second = np.array([_halves(law, n, seed + 100_000 * n + i)
+                                  for i in range(trials)]).transpose(1, 0, 2)
+        (pick, *_), _, _, derived = _train_on_counts(accept, law.cell, first, second,
+                                                     TwoStepConfig(delta=delta))
+        rates = _mixed_rates(derived, base[pick])  # of each corrected rule, on the population
+        gaps = _gaps(rates)
+        excesses = expected_loss_from_rates(rates, law.cell_probabilities()) - fair_loss
         raw.extend({"n": n, "trial": i, "gap": g, "excess": e}
-                   for i, (g, e) in enumerate(outcomes))
+                   for i, (g, e) in enumerate(zip(gaps.tolist(), excesses.tolist())))
         median_gap.append(float(np.median(gaps)))
         median_excess.append(float(np.median(excesses)))
 

@@ -38,6 +38,7 @@ from .core import (
     GroupRates,
     InvalidParameterError,
     PredictorInput,
+    _gaps,
     acceptance_values,
     empirical_rates,
 )
@@ -45,6 +46,7 @@ from .core import (
 _FEAS_TOL = 1e-9      # vertex feasibility slack
 _TIE_TOL = 1e-12      # objective tie window for the lexicographic tie-break
 _SINGULAR_TOL = 1e-12  # a pick whose |det| is no larger has no unique vertex
+_LP_TRIALS = 32        # trials per block of the batched LP: its pick matrices take < 1 MB
 
 
 def _pair(row: int) -> int:
@@ -166,16 +168,18 @@ def induced_rates(derived: DerivedPredictor, stats: RateStatistics) -> GroupRate
 
 
 def expected_loss_from_rates(rates: np.ndarray, cells: CellProbabilities,
-                             cell_loss: np.ndarray = LOSS_01) -> float:
+                             cell_loss: np.ndarray = LOSS_01):
     """Population/expected loss of a rule given its conditional rates.
 
     ``cell_loss[y][out]`` is the loss of emitting ``out`` on label ``y``;
-    the default is plain 0-1 loss.
+    the default is plain 0-1 loss. A (..., 2, 2) stack of rate tables gives
+    an array of losses, one (2, 2) table a float.
     """
     r = np.asarray(rates, dtype=np.float64)
     per_cell = r * cell_loss[:, 1:] + (1.0 - r) * cell_loss[:, :1]
     # a four-term sum adds in [y][a] order, as the per-cell formula reads
-    return float((cells.table * per_cell).sum())
+    total = (cells.table * per_cell).reshape(*r.shape[:-2], 4).sum(axis=-1)
+    return total if total.ndim else float(total)
 
 
 def derived_loss(derived: DerivedPredictor, stats: RateStatistics,
@@ -184,30 +188,69 @@ def derived_loss(derived: DerivedPredictor, stats: RateStatistics,
                                     stats.cells, cell_loss)
 
 
-def _lp_coefficients(stats: RateStatistics, cell_loss: np.ndarray) -> np.ndarray:
-    """Objective c.v over the flat accept vector, up to a constant no argmin needs.
+def _lp_coefficients(g: np.ndarray, table: np.ndarray, cell_loss: np.ndarray) -> np.ndarray:
+    """Objective c.v over the flat accept vector for (..., 2, 2) base rates and cell
+    tables, up to a constant no argmin needs.
 
     Flat order v = (accept[0,0], accept[0,1], accept[1,0], accept[1,1]).
     """
-    g = stats.rates
     # rate[y,a] = v[2 + a] * g[y,a] + v[a] * (1 - g[y,a]); sum over labels y
-    weight = stats.cells.table * (cell_loss[:, 1] - cell_loss[:, 0])[:, None]
-    return np.concatenate([(weight * (1.0 - g)).sum(axis=0), (weight * g).sum(axis=0)])
+    weight = table * (cell_loss[:, 1] - cell_loss[:, 0])[:, None]
+    return np.concatenate([(weight * (1.0 - g)).sum(axis=-2), (weight * g).sum(axis=-2)],
+                          axis=-1)
 
 
-def _gap_rows(stats: RateStatistics):
-    """Rows of rate[y,0] - rate[y,1] as linear functionals of the flat accept vector."""
-    g = stats.rates
-    rows = np.hstack([1.0 - g, g])
+def _gap_rows(g: np.ndarray) -> np.ndarray:
+    """Rows of rate[y,0] - rate[y,1] as linear functionals of the flat accept vector,
+    (..., 2, 4) for (..., 2, 2) base rates."""
+    rows = np.concatenate([1.0 - g, g], axis=-1)
     # group 1 enters with a minus sign; 0.0 - x, unlike -x, keeps +0.0 zeros
-    rows[:, 1::2] = 0.0 - rows[:, 1::2]
+    rows[..., 1::2] = 0.0 - rows[..., 1::2]
     return rows
 
 
 def _nonsingular(gap_rows: np.ndarray) -> np.ndarray:
-    """Mask over ``_COMBOS``: picks whose |det| exceeds ``_SINGULAR_TOL``, in closed form."""
-    t = np.append(gap_rows.ravel(), (1.0, 0.0))[_MINOR]
-    return np.abs(t[:, 0] * t[:, 1] - t[:, 2] * t[:, 3]) > _SINGULAR_TOL
+    """Mask (..., 240) over ``_COMBOS`` for (..., 2, 4) gap rows: picks whose |det|
+    exceeds ``_SINGULAR_TOL``, in closed form."""
+    lead = gap_rows.shape[:-2]
+    t = np.concatenate([gap_rows.reshape(*lead, 8), np.broadcast_to((1.0, 0.0), (*lead, 2))],
+                       axis=-1)[..., _MINOR]
+    return np.abs(t[..., 0] * t[..., 1] - t[..., 2] * t[..., 3]) > _SINGULAR_TOL
+
+
+def _derived_accept(g: np.ndarray, table: np.ndarray, tolerance: np.ndarray) -> np.ndarray:
+    """Accept tables (T, 2, 2) of the derived-rule LP for base rates ``g``, cell tables
+    ``table`` and gap caps ``min(tolerance, 1)`` of T trials, ``_LP_TRIALS`` at a time.
+    One ``np.linalg.solve`` takes every nonsingular pick, each on its own, so a trial
+    gets the same bits in any batch."""
+    out = np.empty((len(g), 4))
+    for lo in range(0, len(g), _LP_TRIALS):
+        rates, hi = g[lo:lo + _LP_TRIALS], lo + _LP_TRIALS
+        k, cap = len(rates), np.minimum(tolerance[lo:hi], 1.0)[:, None]  # a gap never exceeds 1
+        c = _lp_coefficients(rates, table[lo:hi], LOSS_01)
+        gap_rows = _gap_rows(rates)
+        box = np.broadcast_to(np.eye(4), (k, 4, 4))
+        # rows: v_i <= 1, -v_i <= 0, +-gap_y <= cap
+        rows = np.concatenate([box, -box, gap_rows, -gap_rows], axis=1)
+        rhs = np.concatenate([np.ones((k, 4)), np.zeros((k, 4)), np.repeat(cap, 4, axis=1)], 1)
+        trial, pick = np.nonzero(_nonsingular(gap_rows))
+        picked = (trial[:, None], _COMBOS[pick])
+        verts = np.full((k, len(_COMBOS), 4), np.nan)  # a singular pick has no vertex
+        verts[trial, pick] = np.linalg.solve(rows[picked], rhs[picked][..., None])[..., 0]
+        # a NaN or infinite vertex fails some row
+        keep = (rows @ verts.transpose(0, 2, 1) <= rhs[..., None] + _FEAS_TOL).all(axis=1)
+        verts = np.clip(verts, 0.0, 1.0)
+        # inside the 1e-9 row slack a vertex can still miss the cap by over 1e-10
+        keep &= _gaps(_mixed_rates(verts.reshape(k, -1, 2, 2), rates[:, None])) <= cap + 1e-10
+        objs = np.where(keep, (verts @ c[..., None])[..., 0], np.inf)
+        if not np.isfinite(objs.min(axis=1)).all():
+            raise RuntimeError("vertex enumeration found no feasible point")  # unreachable
+        tied = objs <= objs.min(axis=1, keepdims=True) + _TIE_TOL
+        for j in range(4):  # lexicographic: narrow the ties coordinate by coordinate
+            col = np.where(tied, verts[..., j], np.inf)
+            tied &= col == col.min(axis=1, keepdims=True)
+        out[lo:hi] = verts[np.arange(k), tied.argmax(axis=1)]  # the first of equal vertices
+    return out.reshape(-1, 2, 2)
 
 
 def optimal_derived(stats: RateStatistics, tolerance: float) -> DerivedPredictor:
@@ -217,39 +260,12 @@ def optimal_derived(stats: RateStatistics, tolerance: float) -> DerivedPredictor
     cut by the four gap half-spaces); the feasible set is never empty since
     constant mixes have zero gap. Among optimal vertices the
     lexicographically smallest acceptance vector wins, so the result is
-    deterministic. The returned rule's induced gap is re-checked against
-    the tolerance before returning.
+    deterministic. This is the one-trial case of ``_derived_accept``.
     """
     if not tolerance >= 0.0:  # NaN fails too
         raise InvalidParameterError(f"tolerance must be nonnegative, got {tolerance}")
-    cap = min(float(tolerance), 1.0)  # a gap can never exceed 1
-    c = _lp_coefficients(stats, LOSS_01)
-    gap_rows = _gap_rows(stats)
-
-    # rows: v_i <= 1, -v_i <= 0, +-gap_y <= cap
-    rows = np.vstack([np.eye(4), -np.eye(4), gap_rows, -gap_rows])
-    rhs = np.concatenate([np.ones(4), np.zeros(4), np.full(4, cap)])
-
-    picks = _COMBOS[_nonsingular(gap_rows)]
-    verts = np.linalg.solve(rows[picks], rhs[picks][..., None])[..., 0]
-    verts = verts[np.isfinite(verts).all(axis=1)]
-    feas = (verts @ rows.T <= rhs + _FEAS_TOL).all(axis=1)
-    verts = np.clip(verts[feas], 0.0, 1.0)
-    # inside the 1e-9 row slack a vertex can still miss the cap by over the re-check's 1e-10
-    rates = _mixed_rates(verts.reshape(-1, 2, 2), stats.rates)
-    verts = verts[np.abs(rates[:, :, 0] - rates[:, :, 1]).max(axis=1) <= cap + 1e-10]
-    if verts.shape[0] == 0:
-        raise RuntimeError("vertex enumeration found no feasible point")  # unreachable
-
-    objs = verts @ c
-    tied = verts[objs <= objs.min() + _TIE_TOL]
-    v_star = tied[np.lexsort(tied.T[::-1])[0]]  # stable: the first of equal vertices
-    derived = DerivedPredictor(v_star.reshape(2, 2),
-                               provenance=(f"optimal@tol={tolerance:g}",))
-    gap = induced_rates(derived, stats).gap()
-    if gap > cap + 1e-10:
-        raise RuntimeError(f"solver returned gap {gap} above tolerance {cap}")
-    return derived
+    accept = _derived_accept(stats.rates[None], stats.cells.table[None], np.array([tolerance]))
+    return DerivedPredictor(accept[0], provenance=(f"optimal@tol={tolerance:g}",))
 
 
 def _accept_for_target(g0: float, g1: float, f: float, t: float):

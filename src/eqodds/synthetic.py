@@ -52,9 +52,11 @@ from .second_moment import SecondMomentModel
 
 # enumeration guard for generic rules on product laws
 _MAX_ENUM_COORDS = 16
-# Largest draw, refused before allocating: a finite-law draw holds n float64
-# uniforms and n int64 atom indices, 16 bytes a row, about 1.6 GB at the cap.
-_MAX_ROWS = 10 ** 8
+# Largest row draw, refused before allocating: its dataset holds n * (d + 2)
+# float64 values, 0.8 GB at the cap, and the draw's temporaries about twice that.
+_MAX_VALUES = 10 ** 8
+# Largest count draw: every cell sum of up to 2^53 rows is an exact float64 integer.
+_MAX_COUNT = 2 ** 53
 
 
 @dataclass(frozen=True)
@@ -253,30 +255,39 @@ def population_loss_hinge(law: FiniteJointLaw,
     return float((law.probs * np.maximum(0.0, 1.0 - (2.0 * law.labels - 1.0) * preds)).sum())
 
 
-def _generator(n: int, seed: int) -> np.random.Generator:
-    """The seeded generator of an n-row draw; refuses n outside [1, _MAX_ROWS]."""
+def sample_counts(law: Law, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The sufficient statistics of n i.i.d. rows of ``law``, drawn without rows: a
+    finite law's (m,) atom counts (a multinomial), or a product law's (4, 1 + d)
+    table of each cell's count and its rows with X_j = 1 (binomial given the count,
+    coordinates being independent in a cell): the cell sums of the rules x_j >= 0.5."""
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
-    if n > _MAX_ROWS:
+    if n > _MAX_COUNT:
         raise InvalidParameterError(
-            f"n = {n} rows is more than one draw may hold ({_MAX_ROWS})")
-    return np.random.default_rng(seed)
-
-
-def sample_atoms(law: FiniteJointLaw, n: int, seed: int) -> np.ndarray:
-    """Atom index of each of n i.i.d. rows: the draw of ``sample_law(law, n, seed)``."""
-    return _generator(n, seed).choice(law.probs.shape[0], size=n, p=law.probs)
+            f"n = {n} rows is more than a count draw keeps exact (2^53 = {_MAX_COUNT})")
+    if isinstance(law, FiniteJointLaw):
+        return rng.multinomial(n, law.probs)
+    counts = rng.multinomial(n, law.cells.table.ravel())
+    return np.column_stack([counts, rng.binomial(counts[:, None], law.heads.reshape(4, -1))])
 
 
 def sample_law(law: Union[Law, SecondMomentModel], n: int, seed: int) -> Dataset:
-    """Draw n i.i.d. rows, a ``SecondMomentModel`` as a Gaussian; deterministic per seed."""
+    """Draw n i.i.d. rows, a ``SecondMomentModel`` as a Gaussian; deterministic per seed.
+    More than ``_MAX_VALUES`` values (n rows of d + 2) are refused before allocating."""
+    width = law.n_features + 2
+    if n < 1:
+        raise InvalidParameterError(f"need n >= 1, got {n}")
+    if n * width > _MAX_VALUES:
+        raise InvalidParameterError(
+            f"n = {n} rows is more than one draw may hold "
+            f"({_MAX_VALUES // width} rows of {width} values)")
+    rng = np.random.default_rng(seed)
     # built columns are finite and 0/1 where they must be, so they skip the checks
     if isinstance(law, FiniteJointLaw):
-        idx = sample_atoms(law, n, seed)
+        idx = rng.choice(law.probs.shape[0], size=n, p=law.probs)
         # law.cell builds the atoms as a checked Dataset, once per law
         return Dataset._trusted(law.x[idx], law.attr[idx], law.labels[idx],
                                 cell=law.cell[idx])
-    rng = _generator(n, seed)
     if isinstance(law, SecondMomentModel):
         try:
             z = rng.multivariate_normal(law.mean, law.cov, size=n, method="cholesky")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .core import (
     FiniteHypothesisClass,
     GroupRates,
     InvalidParameterError,
+    _gaps,
     _require_nonzero_cells,
     acceptance_values,
     cell_sums,
@@ -47,6 +48,7 @@ from .posthoc import (
     DerivedPredictor,
     DerivedRule,
     RateStatistics,
+    _derived_accept,
     expected_loss_from_rates,
     induced_rates,
     optimal_derived,
@@ -56,6 +58,8 @@ Tolerance = Union[float, str]
 
 # Acceptance values held at once by the hypothesis scan: 65,536 float64, 512 KB.
 _SCAN_ELEMENTS = 65_536
+# step 1 falls back to the better constant: picks R and R + 1 of ``_select``
+_CONSTANTS = (ConstantRule(0.0), ConstantRule(1.0))
 
 
 @dataclass(frozen=True)
@@ -98,9 +102,10 @@ class Step1Result:
 
 
 def _losses(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """0-1 losses from (..., 4) cell sums S00, S01, S10, S11 and the flat cell counts."""
-    return (sums[..., 0] + sums[..., 1] + (counts[2] - sums[..., 2])
-            + (counts[3] - sums[..., 3])) / counts.sum()
+    """0-1 losses from (..., 4) cell sums S00, S01, S10, S11 and the (..., 4) flat
+    cell counts they broadcast with."""
+    return (sums[..., 0] + sums[..., 1] + (counts[..., 2] - sums[..., 2])
+            + (counts[..., 3] - sums[..., 3])) / counts.sum(axis=-1)
 
 
 def _scan(hclass: FiniteHypothesisClass, features: np.ndarray, attr: np.ndarray,
@@ -134,28 +139,23 @@ def _scan(hclass: FiniteHypothesisClass, features: np.ndarray, attr: np.ndarray,
     return sums
 
 
-def _select(hclass: FiniteHypothesisClass, sums: np.ndarray, counts: np.ndarray,
-            tolerance: float) -> Step1Result:
-    """``constrained_erm`` from every rule's cell sums and the flat, positive cell counts."""
-    rules = hclass.rules
-    rates = sums / counts
-    gaps = np.maximum(np.abs(rates[:, 0] - rates[:, 1]), np.abs(rates[:, 2] - rates[:, 3]))
-    losses = _losses(sums, counts)
-    feasible = np.flatnonzero(gaps < tolerance)
-
-    if feasible.size:
-        pick = feasible[np.argmin(losses[feasible])]  # first minimum: earlier rule wins
-        return Step1Result(rule=rules[pick], loss=float(losses[pick]),
-                           gap=float(gaps[pick]), tolerance=tolerance,
-                           forced_constant=False,
-                           feasible=tuple(rules[i].name for i in feasible))
-
-    # constants always have zero sample gap; pick the better one (ties: const0)
-    candidates = [ConstantRule(0.0), ConstantRule(1.0)]
-    losses = _losses(np.stack([np.zeros_like(counts), counts]), counts)
-    pick = int(np.argmin(losses))
-    return Step1Result(rule=candidates[pick], loss=float(losses[pick]), gap=0.0,
-                       tolerance=tolerance, forced_constant=True, feasible=())
+def _select(sums: np.ndarray, counts: np.ndarray, tolerance: np.ndarray):
+    """``constrained_erm`` for T trials from every rule's (T, R, 4) cell sums, the
+    (T, 4) flat, positive cell counts and the (T,) tolerances: per trial the pick,
+    its loss and gap, and the (T, R) feasible mask. Picks R and R + 1 are the
+    constants 0 and 1 (``_CONSTANTS``), which have zero sample gap."""
+    rows, width = np.arange(len(sums)), sums.shape[1]
+    counts = counts[:, None]
+    gaps = _gaps((sums / counts).reshape(*sums.shape[:2], 2, 2))
+    feasible = gaps < tolerance[:, None]
+    constants = _losses(np.stack([np.zeros_like(counts[:, 0]), counts[:, 0]], axis=1), counts)
+    losses = np.concatenate([_losses(sums, counts), constants], axis=1)
+    # first minimum: the earlier rule wins, and const0 among the constants
+    pick = np.where(feasible.any(axis=1),
+                    np.where(feasible, losses[:, :width], np.inf).argmin(axis=1),
+                    width + constants.argmin(axis=1))
+    gaps = np.concatenate([gaps, np.zeros_like(constants)], axis=1)
+    return pick, losses[rows, pick], gaps[rows, pick], feasible
 
 
 def constrained_erm(dataset: Dataset, hclass: FiniteHypothesisClass,
@@ -174,7 +174,12 @@ def constrained_erm(dataset: Dataset, hclass: FiniteHypothesisClass,
     dataset.require_all_cells("constrained risk minimization")
     indicator = np.eye(4).take(dataset.cell, axis=0)  # one-hot row per cell code
     sums = _scan(hclass, dataset.features, dataset.attr, indicator)
-    return _select(hclass, sums, dataset.cell_counts.ravel(), tolerance)
+    [pick], [loss], [gap], [feasible] = _select(sums[None], dataset.cell_counts.reshape(1, 4),
+                                                np.array([tolerance]))
+    rules = hclass.rules + _CONSTANTS
+    return Step1Result(rule=rules[pick], loss=float(loss), gap=float(gap), tolerance=tolerance,
+                       forced_constant=bool(pick >= len(hclass)),
+                       feasible=tuple(rules[i].name for i in np.flatnonzero(feasible)))
 
 
 @dataclass(frozen=True)
@@ -200,45 +205,14 @@ class TwoStepResult:
 
 
 def _tolerances(config: TwoStepConfig, first: np.ndarray, second: np.ndarray):
-    """Step-1 and step-2 gap tolerances for halves with (2, 2) cell counts
-    ``first`` and ``second``; every cell of both halves must hold a row."""
+    """Step-1 and step-2 gap tolerances, (T,) each, for T trials whose halves have
+    the (T, 2, 2) cell counts ``first`` and ``second``; every cell must hold a row."""
     _require_nonzero_cells(first, "first half")
     _require_nonzero_cells(second, "second half")
-    whole = first + second
-    n = int(whole.sum())
-    auto = auto_tolerance(n, config.delta, CellProbabilities(whole / n))
-    t_train = auto if config.train_tolerance == "auto" else float(config.train_tolerance)
-    t_correct = auto if config.correct_tolerance == "auto" else float(config.correct_tolerance)
-    return t_train, t_correct
-
-
-def _correct(step1: Step1Result, sums: np.ndarray, counts: np.ndarray, t_train: float,
-             t_correct: float, population: Optional[RateStatistics]) -> TwoStepResult:
-    """Step 2 from the step-1 rule's (2, 2) cell sums and the cell counts of
-    the second half; ``population`` holds the rule's population statistics."""
-    stats = RateStatistics(sums / counts, CellProbabilities(counts / counts.sum()))
-    derived = optimal_derived(stats, t_correct)
-    induced = induced_rates(derived, stats)
-    diagnostics = {
-        "s1_loss": step1.loss,
-        "s1_gap": step1.gap,
-        "s2_base_loss": float(_losses(sums.ravel(), counts.ravel())),
-        "s2_base_gap": GroupRates(stats.rates).gap(),
-        "s2_corrected_loss": expected_loss_from_rates(induced.rates, stats.cells),
-        "s2_corrected_gap": induced.gap(),
-    }
-    if population is not None:
-        induced = induced_rates(derived, population)
-        diagnostics["population"] = {
-            "base_loss": expected_loss_from_rates(population.rates, population.cells),
-            "base_gap": GroupRates(population.rates).gap(),
-            "corrected_loss": expected_loss_from_rates(induced.rates, population.cells),
-            "corrected_gap": induced.gap(),
-        }
-    return TwoStepResult(step1=step1, derived=derived,
-                         corrected_rule=DerivedRule(step1.rule, derived),
-                         train_tolerance=t_train, correct_tolerance=t_correct,
-                         diagnostics=diagnostics)
+    auto = np.array([auto_tolerance(int(n.sum()), config.delta, CellProbabilities(n / n.sum()))
+                     for n in first + second])
+    return tuple(auto if t == "auto" else np.full(len(auto), float(t))
+                 for t in (config.train_tolerance, config.correct_tolerance))
 
 
 def train_two_step(data: Dataset, hclass: FiniteHypothesisClass,
@@ -254,12 +228,55 @@ def train_two_step(data: Dataset, hclass: FiniteHypothesisClass,
     if len(data) < 8:
         raise InvalidParameterError(f"need at least 8 samples, got {len(data)}")
     s1, s2 = split_dataset(data, config.seed)
-    t_train, t_correct = _tolerances(config, s1.cell_counts, s2.cell_counts)
+    t_train, t_correct = (float(t[0]) for t in
+                          _tolerances(config, s1.cell_counts[None], s2.cell_counts[None]))
     step1 = constrained_erm(s1, hclass, t_train)
-    sums = cell_sums(s2.cell, step1.rule.on_dataset(s2))
-    pop_stats = (None if population is None
-                 else RateStatistics.from_population(population, step1.rule))
-    return _correct(step1, sums, s2.cell_counts, t_train, t_correct, pop_stats)
+    # step 2 from the step-1 rule's cell sums on the second half
+    sums, counts = cell_sums(s2.cell, step1.rule.on_dataset(s2)), s2.cell_counts
+    stats = RateStatistics(sums / counts, CellProbabilities(counts / counts.sum()))
+    derived = optimal_derived(stats, t_correct)
+    induced = induced_rates(derived, stats)
+    diagnostics = {
+        "s1_loss": step1.loss,
+        "s1_gap": step1.gap,
+        "s2_base_loss": float(_losses(sums.ravel(), counts.ravel())),
+        "s2_base_gap": GroupRates(stats.rates).gap(),
+        "s2_corrected_loss": expected_loss_from_rates(induced.rates, stats.cells),
+        "s2_corrected_gap": induced.gap(),
+    }
+    if population is not None:
+        pop = RateStatistics.from_population(population, step1.rule)
+        induced = induced_rates(derived, pop)
+        diagnostics["population"] = {
+            "base_loss": expected_loss_from_rates(pop.rates, pop.cells),
+            "base_gap": GroupRates(pop.rates).gap(),
+            "corrected_loss": expected_loss_from_rates(induced.rates, pop.cells),
+            "corrected_gap": induced.gap(),
+        }
+    return TwoStepResult(step1=step1, derived=derived,
+                         corrected_rule=DerivedRule(step1.rule, derived),
+                         train_tolerance=t_train, correct_tolerance=t_correct,
+                         diagnostics=diagnostics)
+
+
+def _train_on_counts(accept: np.ndarray, cell: np.ndarray, first: np.ndarray,
+                     second: np.ndarray, config: TwoStepConfig):
+    """``train_two_step`` for T trials from the (T, m) atom counts of their halves,
+    ``accept`` (R, m) holding each rule's acceptance of the m atoms of cell codes
+    ``cell``: the ``_select`` result, both (T,) tolerances and the (T, 2, 2) step-2
+    accept tables. Cell sums are exact integer products, so each trial equals
+    ``train_two_step`` on rows of its counts bit for bit."""
+    onehot = np.eye(4)[cell]
+    counts1, counts2 = first @ onehot, second @ onehot
+    t_train, t_correct = _tolerances(config, counts1.reshape(-1, 2, 2),
+                                     counts2.reshape(-1, 2, 2))
+    selection = _select(accept @ (first[:, :, None] * onehot), counts1, t_train)
+    picked = np.vstack([accept, np.zeros_like(accept[0]), np.ones_like(accept[0])])  # + _CONSTANTS
+    sums2 = (picked[selection[0]] * second) @ onehot
+    derived = _derived_accept((sums2 / counts2).reshape(-1, 2, 2),
+                              (counts2 / counts2.sum(axis=1, keepdims=True)).reshape(-1, 2, 2),
+                              t_correct)
+    return selection, t_train, t_correct, derived
 
 
 def threshold_class(dataset: Dataset, feature: int, max_cuts: int) -> FiniteHypothesisClass:

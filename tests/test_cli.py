@@ -499,21 +499,53 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
-@pytest.mark.parametrize("argv, needle", [
-    # alpha = 1e-3 asks for about 1.8e9 rows per trial
-    (["reproduce", "--experiment", "detection-error-rates", "--alpha", "1e-3"],
-     "error: n = 18"),
-    (["simulate", "--law", "two-proxy", "--n", "3000000000", "--out", "{tmp}/s.csv"],
-     "error: n = 3000000000 rows is more than one draw may hold"),
-], ids=["detection-alpha-1e-3", "simulate-n-3e9"])
-def test_impossible_draw_exits_2_before_allocating(argv, needle, tmp_path):
+def _run_limited(argv, tmp_path, prelude=""):
+    """``main(argv)`` in a fresh interpreter under the 2 GiB address-space limit."""
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     src = os.path.dirname(os.path.dirname(os.path.abspath(eqodds.__file__)))
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-    code = f"import sys; from eqodds.cli import main; sys.exit(main({argv!r}))"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    code = f"import sys; from eqodds.cli import main; {prelude}sys.exit(main({argv!r}))"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, preexec_fn=_limit_address_space)
+
+
+@pytest.mark.parametrize("argv, needle", [
+    # alpha = 1e-8 asks for about 1.8e19 rows per trial, past exact float64 counts
+    (["reproduce", "--experiment", "detection-error-rates", "--alpha", "1e-8"],
+     "error: n = 18458627186540064768 rows is more than a count draw keeps exact"),
+    (["simulate", "--law", "two-proxy", "--n", "3000000000", "--out", "{tmp}/s.csv"],
+     "error: n = 3000000000 rows is more than one draw may hold"),
+    # 10^8 rows of 42 values would take 31 GiB
+    (["simulate", "--law", "gaussian", "--dim", "40", "--n", "100000000",
+      "--out", "{tmp}/s.csv"],
+     "error: n = 100000000 rows is more than one draw may hold (2380952 rows of 42 values)"),
+], ids=["detection-alpha-1e-8", "simulate-n-3e9", "simulate-gaussian-dim-40"])
+def test_impossible_draw_exits_2_before_allocating(argv, needle, tmp_path):
+    done = _run_limited(argv, tmp_path)
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith(needle)
     assert "MemoryError" not in done.stderr
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_count_draw_of_two_billion_rows_runs(tmp_path):
+    # alpha = 1e-3 asks for n = 1,845,862,719 rows per trial: one multinomial each
+    done = _run_limited(["reproduce", "--experiment", "detection-error-rates",
+                         "--alpha", "1e-3", "--out", "{tmp}/r.json"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["passed"] and report["params"]["n"] == 1_845_862_719
+
+
+def test_memory_error_exits_2_with_a_named_message(tmp_path):
+    # hold all but 96 MB of the address space, untouched, so that a draw under
+    # the cap (3e7 rows of 3 values, 0.7 GB) cannot get its first column
+    hold = ("import mmap; vm = int([line for line in open('/proc/self/status') "
+            "if line.startswith('VmSize')][0].split()[1]) * 1024; "
+            "hold = mmap.mmap(-1, (2 << 30) - vm - (96 << 20)); ")
+    done = _run_limited(["simulate", "--law", "two-proxy", "--n", "30000000",
+                         "--out", "{tmp}/s.csv"], tmp_path, prelude=hold)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: out of memory: Unable to allocate")
+    assert "Traceback" not in done.stderr
     assert not (tmp_path / "s.csv").exists()

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from eqodds.core import AttributeRule, CellProbabilities, GroupRates, InvalidParameterError
 from eqodds.posthoc import (
     _COMBOS,
+    _LP_TRIALS,
+    _derived_accept,
     DerivedPredictor,
     RateStatistics,
     _nonsingular,
@@ -205,6 +207,41 @@ class TestOptimalDerived:
         derived = optimal_derived(stats, tol)
         assert induced_rates(derived, stats).gap() <= tol + 1e-10
 
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(
+        st.one_of(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+                  st.lists(st.integers(0, 8).map(lambda k: k / 8), min_size=4, max_size=4)),
+        st.lists(st.integers(1, 8), min_size=4, max_size=4),
+        st.sampled_from([None, 0, 1]),
+        st.one_of(st.just(0.0), st.floats(0.0, 0.6), st.floats(1.0, 2.0))),
+        min_size=1, max_size=40))
+    def test_batch_equals_one_trial_at_a_time(self, trials):
+        """The batched LP gives every trial the bits of its own ``optimal_derived``:
+        degenerate groups (g0 == g1), tolerance 0 and >= 1, and rates and cells on
+        a 1/8 grid, where vertices tie exactly."""
+        rates, tables, tols = [], [], []
+        for flat, weights, degenerate, tol in trials:
+            g = np.array(flat).reshape(2, 2)
+            if degenerate is not None:
+                g[1, degenerate] = g[0, degenerate]
+            rates.append(g)
+            tables.append(np.array(weights).reshape(2, 2) / sum(weights))
+            tols.append(tol)
+        got = _derived_accept(np.array(rates), np.array(tables), np.array(tols))
+        for g, table, tol, accept in zip(rates, tables, tols, got):
+            want = optimal_derived(RateStatistics(g, CellProbabilities(table)), tol).accept
+            assert accept.tobytes() == want.tobytes()
+
+    def test_batch_blocks_equal_one_trial_at_a_time(self):
+        # more trials than one block, of every kind the pruning test draws
+        rng = np.random.default_rng(21)
+        stats = [random_rate_statistics(rng) for _ in range(3 * _LP_TRIALS + 5)]
+        tols = rng.choice([0.0, 0.02, 0.3, 1.0, 1.5], size=len(stats))
+        got = _derived_accept(np.array([s.rates for s in stats]),
+                              np.array([s.cells.table for s in stats]), tols)
+        want = np.array([optimal_derived(s, t).accept for s, t in zip(stats, tols)])
+        assert got.tobytes() == want.tobytes()
+
     def test_tolerance_validation(self):
         with pytest.raises(Exception):
             optimal_derived(attr_rule_stats(), -0.1)
@@ -313,11 +350,11 @@ def test_array_forms_equal_per_cell_loops():
                     c[2 + a] += t[y, a] * gain * g[y, a]
                     c[a] += t[y, a] * gain * (1.0 - g[y, a])
             assert expected_loss_from_rates(g, stats.cells, cell_loss) == total
-            assert np.array_equal(_lp_coefficients(stats, cell_loss), c)
+            assert np.array_equal(_lp_coefficients(g, t, cell_loss), c)
         for y in (0, 1):
             rows[y] = [1.0 - g[y, 0], 0.0 - (1.0 - g[y, 1]), g[y, 0], 0.0 - g[y, 1]]
         assert np.array_equal(induced_rates(DerivedPredictor(acc), stats).rates,
                               np.clip(rates, 0.0, 1.0))
-        assert np.array_equal(_gap_rows(stats), rows)
+        assert np.array_equal(_gap_rows(g), rows)
         # a 0 or 1 base rate must give +0.0 entries, as the loop's 0.0 - x did
-        assert np.array_equal(np.signbit(_gap_rows(stats)), np.signbit(rows))
+        assert np.array_equal(np.signbit(_gap_rows(g)), np.signbit(rows))

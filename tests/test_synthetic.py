@@ -8,9 +8,11 @@ from eqodds.core import (
     CellProbabilities,
     ConstantRule,
     FeatureThresholdRule,
+    FiniteHypothesisClass,
     FunctionRule,
     InvalidParameterError,
 )
+from eqodds.experiments import _halves, run_two_step_rate_sweep
 from eqodds.second_moment import SecondMomentModel
 from eqodds.synthetic import (
     CellProductLaw,
@@ -20,9 +22,11 @@ from eqodds.synthetic import (
     population_loss_hinge,
     population_rates,
     restricted_regression_solutions,
+    sample_counts,
     sample_law,
     two_proxy_law,
 )
+from eqodds.two_step import TwoStepConfig, train_two_step
 
 X_RULE = FeatureThresholdRule(0, 0.5, name="x")
 
@@ -223,6 +227,71 @@ class TestSampling:
         z = np.column_stack([ds.features, ds.attr, ds.labels])
         assert np.allclose(z.mean(axis=0), law.mean, atol=0.05)
         assert np.allclose(np.cov(z.T), law.cov, atol=0.08)
+
+
+def assert_binomial_moments(counts, trials, p):
+    """Column means and variances of ``counts`` (draws, ...) against binomial(trials, p)
+    marginals, within 5 standard errors; a zero-variance marginal must be exact."""
+    m = counts.shape[0]
+    mean, var = trials * p, trials * p * (1.0 - p)
+    assert (np.abs(counts.mean(axis=0) - mean) <= 5.0 * np.sqrt(var / m)).all()
+    spread = var > 0
+    kurtosis = (1.0 - 6.0 * p * (1.0 - p))[spread] / var[spread]  # excess, of a binomial
+    ratio = counts.var(axis=0, ddof=1)[spread] / var[spread]
+    assert (np.abs(ratio - 1.0) <= 5.0 * np.sqrt(2.0 / (m - 1) + kurtosis / m)).all()
+
+
+class TestCountDraws:
+    """The count draws against closed forms, and the sweep on counts against rows."""
+
+    def test_atom_and_half_counts_match_their_moments(self):
+        law, n = two_proxy_law(0.1), 512
+        first, second = np.array([_halves(law, n, seed) for seed in range(4000)]
+                                 ).transpose(1, 0, 2)
+        atoms = first + second
+        assert (atoms.sum(axis=1) == n).all() and (first.sum(axis=1) == (n + 1) // 2).all()
+        assert_binomial_moments(atoms, n, law.probs)
+        # a uniformly random half of i.i.d. rows is an i.i.d. sample of its size
+        assert_binomial_moments(first, (n + 1) // 2, law.probs)
+
+    def test_erm_trap_coordinate_sums_match_their_moments(self):
+        law, _ = erm_trap_family(64, 0.0277)
+        rng = np.random.default_rng(12)
+        tables = np.array([sample_counts(law, 200, rng) for _ in range(2000)])
+        assert (tables[:, :, 0].sum(axis=1) == 200).all()
+        assert (tables[:, :, 1:] <= tables[:, :, :1]).all()
+        cells = law.cells.table.ravel()[:, None]
+        # a row lands in cell c with X_j = 1 with probability P(c) heads[c, j]
+        assert_binomial_moments(tables[:, :, 0], 200, cells[:, 0])
+        assert_binomial_moments(tables[:, :, 1:], 200, cells * law.heads.reshape(4, -1))
+
+    def test_refuses_n_past_exact_counts(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(InvalidParameterError, match="need n >= 1"):
+            sample_counts(two_proxy_law(0.1), 0, rng)
+        with pytest.raises(InvalidParameterError, match="n = 9007199254740993 rows"):
+            sample_counts(two_proxy_law(0.1), 2 ** 53 + 1, rng)
+        assert sample_counts(two_proxy_law(0.1), 2 ** 53, rng).sum() == 2 ** 53
+
+    def test_sweep_medians_match_the_row_path(self):
+        # at n = 512 and 2048, each path's median gap and excess lie in the
+        # other's 4-sigma order-statistic interval over 300 independent trials
+        law = two_proxy_law(0.1)
+        hclass = FiniteHypothesisClass((X_RULE, AttributeRule(),
+                                        ConstantRule(0.0), ConstantRule(1.0)))
+        raw = run_two_step_rate_sweep(trials=300, seed=0)[1]
+        lo, hi = 150 - 2 * int(np.sqrt(300)), 150 + 2 * int(np.sqrt(300))
+        for n in (512, 2048):
+            counts = np.array([[row["gap"], row["excess"]] for row in raw if row["n"] == n]).T
+            rows = np.array([[pop["corrected_gap"], pop["corrected_loss"] - 0.2] for pop in (
+                train_two_step(sample_law(law, n, seed), hclass, TwoStepConfig(seed=seed),
+                               population=law).diagnostics["population"]
+                for seed in range(7_000_000, 7_000_300))]).T
+            for a, b in ((counts, rows), (rows, counts)):
+                interval = np.sort(b, axis=1)[:, [lo, hi]]
+                median = np.median(a, axis=1)
+                inside = (interval[:, 0] <= median) & (median <= interval[:, 1])
+                assert inside.all(), (n, median, interval)
 
 
 class TestRestrictedRegression:

@@ -28,11 +28,14 @@ from eqodds.posthoc import (
     induced_rates,
     optimal_derived,
 )
-from eqodds.synthetic import population_loss01, population_rates, sample_law, two_proxy_law
-from eqodds import two_step
-from eqodds.experiments import _two_step_on_atoms, run_detection_error_rates
+from eqodds.synthetic import (erm_trap_family, population_loss01, population_rates, sample_law,
+                              two_proxy_law)
+from eqodds import experiments, two_step
+from eqodds.experiments import (run_detection_error_rates, run_erm_trap_floor,
+                                run_two_step_rate_sweep)
 from eqodds.two_step import (
     TwoStepConfig,
+    _train_on_counts,
     auto_tolerance,
     constrained_erm,
     threshold_class,
@@ -290,50 +293,124 @@ class TestDerivedRule:
             assert got.gap() == pytest.approx(res.diagnostics["s2_corrected_gap"], abs=1e-12)
 
 
-def population_stats(law):
-    return {rule.name: RateStatistics.from_population(law, rule) for rule in SMALL_CLASS}
+def tally(ds):
+    """Per-atom counts of two-proxy rows; ``two_proxy_law`` lists its atoms in (y, a, x) order."""
+    atoms = (4 * ds.labels + 2 * ds.attr + ds.features[:, 0]).astype(np.intp)
+    return np.bincount(atoms, minlength=8)
+
+
+def tallied_halves(law, n, seed):
+    """What ``experiments._halves`` draws, tallied from the halves ``train_two_step`` splits."""
+    return tuple(tally(half) for half in split_dataset(sample_law(law, n, seed), seed))
+
+
+def erm_table(ds):
+    """What ``sample_counts`` draws for a product law, tallied from its rows."""
+    sums = [np.bincount(ds.cell, column, minlength=4) for column in ds.features.T]
+    return np.column_stack([np.bincount(ds.cell, minlength=4)] + sums)
+
+
+def selected(hclass, selection, i):
+    """Trial ``i`` of a ``_select`` result, as ``step1_fields`` reads a Step1Result."""
+    pick, loss, gap, feasible = (part[i] for part in selection)
+    rules = hclass.rules + two_step._CONSTANTS
+    return repr((rules[pick].name, float(loss), float(gap), bool(pick >= len(hclass)),
+                 tuple(rules[j].name for j in np.flatnonzero(feasible))))
+
+
+def step1_fields(step1):
+    return repr((step1.rule.name, step1.loss, step1.gap, step1.forced_constant, step1.feasible))
 
 
 class TestCountPath:
-    """Monte Carlo trials on atom counts equal the row path bit for bit."""
+    """The Monte Carlo code, fed the counts of row samples, equals the row path bit for bit."""
 
-    def test_two_step_on_atoms_equals_train_two_step_on_rows(self):
-        pairs = 0
-        for n in [2 ** k for k in range(9, 15)]:  # the sweep's n-grid
-            for seed in range(36):
-                law = two_proxy_law((0.1, 0.05, 0.2)[seed % 3])
-                config = TwoStepConfig(delta=0.1, seed=100_000 * n + seed)
-                rows = train_two_step(sample_law(law, n, config.seed), SMALL_CLASS, config,
-                                      population=law)
-                counts = _two_step_on_atoms(law, SMALL_CLASS, n, config, population_stats(law))
-                assert json.dumps(counts.to_dict()) == json.dumps(rows.to_dict())
-                assert counts.step1.feasible == rows.step1.feasible
-                pairs += 1
-        assert pairs >= 200
+    def test_two_step_on_atoms_equals_train_two_step_on_rows(self, monkeypatch):
+        # the sweep on the tallied halves of its trials' rows: 216 (n, seed) pairs
+        monkeypatch.setattr(experiments, "_halves", tallied_halves)
+        _, raw, _ = run_two_step_rate_sweep(eps=0.1, delta=0.1, trials=36, seed=0)
+        law = two_proxy_law(0.1)
+        for row in raw:
+            seed = 100_000 * row["n"] + row["trial"]
+            res = train_two_step(sample_law(law, row["n"], seed), SMALL_CLASS,
+                                 TwoStepConfig(delta=0.1, seed=seed), population=law)
+            pop = res.diagnostics["population"]
+            assert repr((row["gap"], row["excess"])) == repr(
+                (pop["corrected_gap"], pop["corrected_loss"] - 0.2)), row
+        assert len(raw) == 216
+
+    @pytest.mark.parametrize("eps", [0.1, 0.05, 0.2])
+    def test_count_core_equals_train_two_step_on_rows(self, eps):
+        law = two_proxy_law(eps)
+        accept = np.array([rule.acceptance(law.x, law.attr) for rule in SMALL_CLASS])
+        for n in [2 ** k for k in range(9, 15)]:
+            seeds = [100_000 * n + i for i in range(12)]
+            first, second = np.array([tallied_halves(law, n, seed) for seed in seeds]
+                                     ).transpose(1, 0, 2)
+            selection, t_train, t_correct, accepts = _train_on_counts(
+                accept, law.cell, first, second, TwoStepConfig())
+            for i, seed in enumerate(seeds):
+                rows = train_two_step(sample_law(law, n, seed), SMALL_CLASS,
+                                      TwoStepConfig(seed=seed))
+                assert selected(SMALL_CLASS, selection, i) == step1_fields(rows.step1)
+                assert json.dumps([accepts[i].tolist(), t_train[i], t_correct[i]]) == json.dumps(
+                    [rows.derived.accept.tolist(), rows.train_tolerance, rows.correct_tolerance])
 
     def test_forced_constant_and_empty_half_cells_match(self):
         law = two_proxy_law(0.2)
+        accept = np.array([rule.acceptance(law.x, law.attr) for rule in SMALL_CLASS])
         config = TwoStepConfig(train_tolerance=0.0, seed=3)
-        rows = train_two_step(sample_law(law, 101, 3), SMALL_CLASS, config, population=law)
-        counts = _two_step_on_atoms(law, SMALL_CLASS, 101, config, population_stats(law))
-        assert counts.step1.forced_constant
-        assert json.dumps(counts.to_dict()) == json.dumps(rows.to_dict())
+        rows = train_two_step(sample_law(law, 101, 3), SMALL_CLASS, config)
+        first, second = (half[None] for half in tallied_halves(law, 101, 3))
+        selection, _, _, accepts = _train_on_counts(accept, law.cell, first, second, config)
+        assert rows.step1.forced_constant
+        assert selected(SMALL_CLASS, selection, 0) == step1_fields(rows.step1)
+        assert accepts[0].tobytes() == rows.derived.accept.tobytes()
         law = two_proxy_law(0.0001)  # the rare cells miss a half
         config = TwoStepConfig(seed=100_000 * 512)
         with pytest.raises(EmptyCellError) as want:
             train_two_step(sample_law(law, 512, config.seed), SMALL_CLASS, config)
+        first, second = (half[None] for half in tallied_halves(law, 512, config.seed))
         with pytest.raises(EmptyCellError) as got:
-            _two_step_on_atoms(law, SMALL_CLASS, 512, config, population_stats(law))
+            _train_on_counts(accept, law.cell, first, second, config)
         assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("eps, alpha", [(0.1, 0.5), (0.05, 0.9)])
-    def test_detection_trials_equal_empirical_rates_on_rows(self, eps, alpha):
-        law = two_proxy_law(eps)
-        _, raw, params = run_detection_error_rates(eps=eps, alpha=alpha, trials=50, seed=9)
-        for row in raw:
-            ds = sample_law(law, params["n"], 9 + row["trial"])
+    def test_detection_trials_equal_empirical_rates_on_rows(self, eps, alpha, monkeypatch):
+        samples = []
+
+        def tallied(law, n, rng):  # trial i's rows are sample_law(law, n, 9 + i)
+            samples.append(sample_law(law, n, 9 + len(samples)))
+            return tally(samples[-1])
+
+        monkeypatch.setattr(experiments, "sample_counts", tallied)
+        _, raw, _ = run_detection_error_rates(eps=eps, alpha=alpha, trials=50, seed=9)
+        assert len(samples) == len(raw) == 50
+        for row, ds in zip(raw, samples):
             assert row["gap_fair"] == empirical_rates(ds, X_RULE).gap()
             assert row["gap_biased"] == empirical_rates(ds, AttributeRule()).gap()
+
+    def test_erm_trap_picks_equal_constrained_erm_on_rows(self, monkeypatch):
+        samples = []
+
+        def tallied(law, n, rng):
+            samples.append(sample_law(law, n, len(samples)))
+            return erm_table(samples[-1])
+
+        monkeypatch.setattr(experiments, "sample_counts", tallied)
+        _, raw, params = run_erm_trap_floor(trials=60, seed=0)
+        law, hclass = erm_trap_family(64, params["alpha"])
+        for row, ds in zip(raw, samples):
+            assert row["picked"] == constrained_erm(ds, hclass, params["alpha"]).rule.name
+        # every trial, the forced constant included, field by field
+        tables = np.array([erm_table(ds) for ds in samples])
+        for tolerance in (params["alpha"], 0.0):
+            selection = two_step._select(tables[:, :, 1:].transpose(0, 2, 1), tables[:, :, 0],
+                                         np.full(len(samples), tolerance))
+            for i, ds in enumerate(samples):
+                want = constrained_erm(ds, hclass, tolerance)
+                assert selected(hclass, selection, i) == step1_fields(want)
+            assert (selection[0] >= 64).all() == (tolerance == 0.0)
 
 
 class TestAutoTolerance:
