@@ -168,7 +168,7 @@ def build_hypothesis_class(spec: dict, dataset: Dataset) -> FiniteHypothesisClas
                 rules.extend(grid.rules)
             else:
                 raise CliError(f"rules[{k}]: unknown type {kind!r}")
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
             raise CliError(f"rules[{k}] ({kind}): {type(exc).__name__}: {exc}") from None
     return FiniteHypothesisClass(tuple(rules))
 
@@ -210,7 +210,7 @@ def _cmd_train(args) -> int:
     except OSError as exc:
         raise CliError(f"cannot read --hypotheses {args.hypotheses}: "
                        f"{exc.strerror or exc}") from None
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
         raise CliError(f"{args.hypotheses}: not valid JSON: {exc}") from None
     hclass = build_hypothesis_class(spec, ds)
     config = TwoStepConfig(delta=args.delta, train_tolerance=args.train_tolerance,

@@ -16,6 +16,7 @@ pure function, so concurrent use needs no coordination.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -61,11 +62,18 @@ class TooFewSamplesError(EqoddsError, ValueError):
 
 
 def cell_sums(cell: np.ndarray, weights: Optional[np.ndarray] = None) -> np.ndarray:
-    """Per-cell sums of ``weights`` (row counts when omitted), a (2, 2) [y][a] table.
+    """Per-cell sums of ``weights`` (row counts when omitted) over its last axis: a
+    (2, 2) [y][a] table, or a (..., 2, 2) stack of them for a (..., n) weight stack.
 
-    The one kernel behind sample and finite-law rates, counts and cell tables.
+    The one kernel behind rates, counts, cell tables and the Monte Carlo count
+    tables. A stack is one bincount of the codes ``cell + 4k`` over its rows k; each
+    row is summed in order, as the one-row call sums it, so bit for bit the same.
     """
-    return np.bincount(cell, weights, minlength=4).reshape(2, 2)
+    lead = () if weights is None else np.shape(weights)[:-1]
+    if lead:
+        cell = (cell + 4 * np.arange(math.prod(lead))[:, None]).ravel()
+        weights = np.ravel(weights)
+    return np.bincount(cell, weights, minlength=4 * math.prod(lead)).reshape(*lead, 2, 2)
 
 
 def _gaps(rates: np.ndarray) -> np.ndarray:
@@ -92,13 +100,8 @@ class Dataset:
     per-row prediction column. Every column must be finite: nan or inf
     raises InvalidParameterError naming the column. The per-row cell index
     and the cell counts are derived on first use and cached; the columns
-    never change.
-
-    ``Dataset(...)`` converts and checks every column. ``subset`` (and so
-    ``split_dataset``), ``synthetic.sample_law`` on finite and cell-product
-    laws, and ``data_io.load_csv`` build through ``_trusted`` instead: their
-    columns are valid by construction, so only emptiness is checked, and a
-    subset or a cell-product sample inherits its cell index ready-made.
+    never change. Every dataset, a subset, a sample or a loaded file too, is
+    built by this constructor, which converts and checks every column.
     """
 
     features: np.ndarray
@@ -168,33 +171,16 @@ class Dataset:
         """Raise EmptyCellError unless all four (y, a) cells hold a row."""
         _require_nonzero_cells(self.cell_counts, context)
 
-    @classmethod
-    def _trusted(cls, features: np.ndarray, attr: np.ndarray, labels: np.ndarray,
-                 scores: Optional[np.ndarray] = None,
-                 cell: Optional[np.ndarray] = None) -> "Dataset":
-        """A Dataset over columns that already pass every check but emptiness.
-
-        ``features`` must be a 2-D float64 array, the other columns 1-D
-        contiguous float64 arrays of the same length, all finite. ``cell``,
-        when given, must equal ``2 * labels + attr`` as intp; it is cached as
-        is, so binarity is not rechecked.
-        """
-        if features.shape[0] == 0:
-            raise InvalidParameterError("dataset must be nonempty")
-        dataset = object.__new__(cls)
-        dataset.__dict__.update(features=features, attr=attr, labels=labels, scores=scores)
-        if cell is not None:
-            dataset.__dict__["cell"] = cell  # what the cached property would store
-        return dataset
-
     def subset(self, indices) -> "Dataset":
-        idx = np.atleast_1d(np.asarray(indices, dtype=np.intp))
+        """The rows at integer ``indices``, in their order; repeats allowed."""
+        idx = np.atleast_1d(np.asarray(indices))
         if idx.ndim != 1:
             raise InvalidParameterError("subset indices must be one-dimensional")
+        if idx.size and not np.issubdtype(idx.dtype, np.integer):  # a mask would read as 0/1
+            raise InvalidParameterError(f"subset indices must be integers, got dtype {idx.dtype}")
+        idx = idx.astype(np.intp, copy=False)  # [] reads as float; the constructor names it
         scores = None if self.scores is None else self.scores[idx]
-        cell = self.__dict__.get("cell")  # the parent's code, when computed
-        return Dataset._trusted(self.features[idx], self.attr[idx], self.labels[idx],
-                                scores, None if cell is None else cell[idx])
+        return Dataset(self.features[idx], self.attr[idx], self.labels[idx], scores)
 
 
 @dataclass(frozen=True)

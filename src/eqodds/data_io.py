@@ -85,6 +85,8 @@ def _read_dataset(path, attr_col, label_col, score_col, require_binary) -> Datas
             header = next(reader)
         except StopIteration:
             raise SchemaError("empty file: missing header row") from None
+        except csv.Error as exc:  # a field past csv's limit, say
+            raise ParseError(reader.line_num, str(exc)) from None
         header = [h.strip() for h in header]
         repeated = [h for i, h in enumerate(header) if h in header[:i]]
         if repeated:
@@ -113,12 +115,14 @@ def _read_dataset(path, attr_col, label_col, score_col, require_binary) -> Datas
             fh.seek(0)
             reader = csv.reader(fh)
             next(reader)  # the header, checked above
-            table, blank_lines = _row_table(reader, len(header), names, order)
+            try:
+                table, blank_lines = _row_table(reader, len(header), names, order)
+            except csv.Error as exc:
+                raise ParseError(reader.line_num, str(exc)) from None
             _reject_bad_cells(table, names, binary, blank_lines)
     d = len(feature_names)
-    # every cell is finite by now; the 1-D columns are made contiguous, as Dataset() would
-    attr, labels, *score = (np.ascontiguousarray(col) for col in table[:, d:].T)
-    return Dataset._trusted(table[:, :d], attr, labels, score[0] if score else None)
+    attr, labels, *score = table[:, d:].T
+    return Dataset(table[:, :d], attr, labels, score[0] if score else None)
 
 
 def _bulk_table(fh, path, n_fields: int):

@@ -43,6 +43,7 @@ from .core import (
     InvalidParameterError,
     _gaps,
     _require_nonzero_cells,
+    cell_sums,
 )
 from .posthoc import (
     LOSS_HINGE_PM1,
@@ -63,6 +64,7 @@ from .second_moment import (
     score_covariances,
 )
 from .synthetic import (
+    _MAX_VALUES,
     erm_trap_family,
     gaussian_law,
     population_loss01,
@@ -132,6 +134,17 @@ class ExperimentReport:
             "rows": [asdict(r) for r in self.rows],
             "meta": self.meta,
         }
+
+
+def _trial_count(trials: int, floor: int, values: int) -> int:
+    """``trials`` raised to ``floor``, refused before the first draw when its count
+    tables, ``values`` numbers a trial, would pass ``sample_law``'s ``_MAX_VALUES``."""
+    trials = max(floor, trials)
+    if trials * values > _MAX_VALUES:
+        raise InvalidParameterError(
+            f"trials = {trials} is more than one run may hold "
+            f"({_MAX_VALUES // values} trials of {values} count values)")
+    return trials
 
 
 def _mc_slack(delta: float, trials: int) -> float:
@@ -204,19 +217,18 @@ def run_posthoc_regression_gap(eps: float = 0.1, seed: int = 0):
 def run_detection_error_rates(eps: float = 0.1, alpha: float = 0.5,
                               delta: float = 0.1, trials: int = 1000,
                               seed: int = 0):
-    trials = max(50, trials)
     law = two_proxy_law(eps)
+    trials = _trial_count(trials, 50, law.probs.size)
     cells = law.cell_probabilities()
     n = required_sample_size(alpha, delta, cells)
     threshold = alpha / 2.0
     rules = (FeatureThresholdRule(0, 0.5, name="x"), AttributeRule())
     accept = np.array([rule.acceptance(law.x, law.attr) for rule in rules])
-    onehot = np.eye(4)[law.cell]
     atoms = np.array([sample_counts(law, n, np.random.default_rng(seed + i))
                       for i in range(trials)])
-    counts = atoms @ onehot
-    _require_nonzero_cells(counts.reshape(-1, 2, 2), "discrimination gap")
-    gaps = _gaps(((accept[:, None] * atoms) @ onehot / counts).reshape(2, -1, 2, 2))
+    counts = cell_sums(law.cell, atoms)
+    _require_nonzero_cells(counts, "discrimination gap")
+    gaps = _gaps(cell_sums(law.cell, accept[:, None] * atoms) / counts)
     raw = [{"trial": i, "gap_fair": fair, "gap_biased": biased,
             "false_flag": int(fair > threshold), "miss": int(not biased > threshold)}
            for i, (fair, biased) in enumerate(zip(*gaps.tolist()))]
@@ -240,12 +252,12 @@ def run_detection_error_rates(eps: float = 0.1, alpha: float = 0.5,
 # ---------------------------------------------------------------------------
 
 def run_erm_trap_floor(trials: int = 400, seed: int = 0):
-    trials = max(50, trials)
     n_features, n = 64, 200
     cells = CellProbabilities.uniform()
     p_min = cells.min_cell
     alpha = 3.0 * math.log((n_features - 1) / 5.0) / (4.0 * n * p_min)
     law, hclass = erm_trap_family(n_features, alpha, cells)
+    trials = _trial_count(trials, 50, 4 * (1 + n_features))  # (4, 1 + d) a trial
 
     rules = hclass.rules + _CONSTANTS  # the picks _select may return
     pop_gap = [population_rates(law, rule).gap() for rule in rules]
@@ -253,7 +265,7 @@ def run_erm_trap_floor(trials: int = 400, seed: int = 0):
     # per trial: the cell counts, then the cell sums of each coordinate rule x_j >= 0.5
     tables = np.array([sample_counts(law, n, np.random.default_rng(seed + i))
                        for i in range(trials)])
-    _require_nonzero_cells(tables[:, :, 0].reshape(-1, 2, 2), "constrained risk minimization")
+    _require_nonzero_cells(tables[:, :, 0], "constrained risk minimization")
     picks = _select(tables[:, :, 1:].transpose(0, 2, 1), tables[:, :, 0],
                     np.full(trials, alpha))[0]
     raw = [{"trial": i, "picked": rules[pick].name, "population_gap": pop_gap[pick],
@@ -294,9 +306,9 @@ def _loglog_slope(ns, values):
 
 def run_two_step_rate_sweep(eps: float = 0.1, delta: float = 0.1,
                             trials: int = 200, seed: int = 0):
-    trials = max(30, trials)
     n_grid = [2 ** k for k in range(9, 15)]
     law = two_proxy_law(eps)
+    trials = _trial_count(trials, 30, 2 * law.probs.size)  # both halves
     fair_loss = 2 * eps
     hclass = FiniteHypothesisClass((
         FeatureThresholdRule(0, 0.5, name="x"),

@@ -91,8 +91,8 @@ class FiniteJointLaw:
 
     @cached_property
     def cell(self) -> np.ndarray:
-        """Per-atom cell index: the atoms read as a dataset."""
-        return Dataset(self.x, self.attr, self.labels).cell
+        """Per-atom cell code 2*y + a, as ``Dataset.cell`` reads rows."""
+        return (2 * self.labels + self.attr).astype(np.intp)
 
     def cell_probabilities(self) -> CellProbabilities:
         return CellProbabilities(cell_sums(self.cell, self.probs))
@@ -282,12 +282,9 @@ def sample_law(law: Union[Law, SecondMomentModel], n: int, seed: int) -> Dataset
             f"n = {n} rows is more than one draw may hold "
             f"({_MAX_VALUES // width} rows of {width} values)")
     rng = np.random.default_rng(seed)
-    # built columns are finite and 0/1 where they must be, so they skip the checks
     if isinstance(law, FiniteJointLaw):
         idx = rng.choice(law.probs.shape[0], size=n, p=law.probs)
-        # law.cell builds the atoms as a checked Dataset, once per law
-        return Dataset._trusted(law.x[idx], law.attr[idx], law.labels[idx],
-                                cell=law.cell[idx])
+        return Dataset(law.x[idx], law.attr[idx], law.labels[idx])
     if isinstance(law, SecondMomentModel):
         try:
             z = rng.multivariate_normal(law.mean, law.cov, size=n, method="cholesky")
@@ -297,12 +294,9 @@ def sample_law(law: Union[Law, SecondMomentModel], n: int, seed: int) -> Dataset
         d = law.n_features
         return Dataset(z[:, :d], z[:, d], z[:, d + 1])
     cell_idx = rng.choice(4, size=n, p=law.cells.table.ravel())
-    cell_idx = cell_idx.astype(np.intp, copy=False)
     ys, as_ = cell_idx // 2, cell_idx % 2
     u = rng.random(size=(n, law.n_features))
-    feats = (u < law.heads[ys, as_, :]).astype(np.float64)
-    return Dataset._trusted(feats, as_.astype(np.float64), ys.astype(np.float64),
-                            cell=cell_idx)
+    return Dataset((u < law.heads[ys, as_, :]).astype(np.float64), as_, ys)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ from .core import (
     InvalidParameterError,
     _gaps,
     _require_nonzero_cells,
-    acceptance_values,
     cell_sums,
     split_dataset,
 )
@@ -102,51 +101,41 @@ class Step1Result:
 
 
 def _losses(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """0-1 losses from (..., 4) cell sums S00, S01, S10, S11 and the (..., 4) flat
-    cell counts they broadcast with."""
-    return (sums[..., 0] + sums[..., 1] + (counts[..., 2] - sums[..., 2])
-            + (counts[..., 3] - sums[..., 3])) / counts.sum(axis=-1)
+    """0-1 losses from (..., 2, 2) [y][a] cell sums of acceptances and the
+    (..., 2, 2) cell counts they broadcast with."""
+    return (sums[..., 0, 0] + sums[..., 0, 1] + (counts[..., 1, 0] - sums[..., 1, 0])
+            + (counts[..., 1, 1] - sums[..., 1, 1])) / counts.sum(axis=(-2, -1))
 
 
-def _scan(hclass: FiniteHypothesisClass, features: np.ndarray, attr: np.ndarray,
-          indicator: np.ndarray) -> np.ndarray:
-    """Every rule's four cell sums: its acceptance values times ``indicator``.
+def _scan(hclass: FiniteHypothesisClass, dataset: Dataset) -> np.ndarray:
+    """Every rule's (2, 2) cell sums on ``dataset``, an (R, 2, 2) stack.
 
-    ``indicator`` holds per row the one-hot of its cell code, times the rows
-    it stands for. Each block of rules (at most ``_SCAN_ELEMENTS`` values,
-    never fewer than one rule) is checked and clipped once and multiplied by
-    ``indicator``; for 0/1 rules and integer counts every sum is exact.
+    A block of rules (at most ``_SCAN_ELEMENTS`` acceptance values, never fewer
+    than one rule) is filled with their checked acceptances and multiplied by the
+    one-hot indicator of the rows' cell codes; for 0/1 rules every sum is exact.
     """
-    n = indicator.shape[0]
-    rules = hclass.rules
+    n, rules = len(dataset), hclass.rules
+    indicator = np.eye(4).take(dataset.cell, axis=0)  # one-hot row per cell code
     sums = np.empty((len(rules), 4))  # per rule: S00, S01, S10, S11
     width = max(1, _SCAN_ELEMENTS // n)
     for lo in range(0, len(rules), width):
         chunk = rules[lo:lo + width]
         block = np.empty((len(chunk), n))
         for row, rule in zip(block, chunk):
-            vals = np.asarray(rule.predict_proba(features, attr), dtype=np.float64).ravel()
-            if vals.shape[0] != n:  # a scalar must not broadcast over the row
-                acceptance_values(vals, n, f"{rule.name}: outputs")
-            row[:] = vals
-        try:
-            block = acceptance_values(block, block.size).reshape(block.shape)
-        except InvalidParameterError:  # name the first offending rule
-            for row, rule in zip(block, chunk):
-                acceptance_values(row, n, f"{rule.name}: outputs")
-            raise
+            row[:] = rule.acceptance(dataset.features, dataset.attr)
         np.matmul(block, indicator, out=sums[lo:lo + len(chunk)])
-    return sums
+    return sums.reshape(-1, 2, 2)
 
 
 def _select(sums: np.ndarray, counts: np.ndarray, tolerance: np.ndarray):
-    """``constrained_erm`` for T trials from every rule's (T, R, 4) cell sums, the
-    (T, 4) flat, positive cell counts and the (T,) tolerances: per trial the pick,
-    its loss and gap, and the (T, R) feasible mask. Picks R and R + 1 are the
-    constants 0 and 1 (``_CONSTANTS``), which have zero sample gap."""
+    """``constrained_erm`` for T trials from every rule's (T, R, 2, 2) cell sums,
+    the (T, 2, 2) positive cell counts and the (T,) tolerances (flat (..., 4) cell
+    axes read the same): per trial the pick, its loss and gap, and the (T, R)
+    feasible mask. Picks R and R + 1 are the constants 0 and 1 (``_CONSTANTS``),
+    which have zero sample gap."""
     rows, width = np.arange(len(sums)), sums.shape[1]
-    counts = counts[:, None]
-    gaps = _gaps((sums / counts).reshape(*sums.shape[:2], 2, 2))
+    sums, counts = sums.reshape(len(sums), width, 2, 2), counts.reshape(-1, 1, 2, 2)
+    gaps = _gaps(sums / counts)
     feasible = gaps < tolerance[:, None]
     constants = _losses(np.stack([np.zeros_like(counts[:, 0]), counts[:, 0]], axis=1), counts)
     losses = np.concatenate([_losses(sums, counts), constants], axis=1)
@@ -172,10 +161,8 @@ def constrained_erm(dataset: Dataset, hclass: FiniteHypothesisClass,
     if not tolerance >= 0:  # NaN fails too
         raise InvalidParameterError(f"tolerance must be nonnegative, got {tolerance}")
     dataset.require_all_cells("constrained risk minimization")
-    indicator = np.eye(4).take(dataset.cell, axis=0)  # one-hot row per cell code
-    sums = _scan(hclass, dataset.features, dataset.attr, indicator)
-    [pick], [loss], [gap], [feasible] = _select(sums[None], dataset.cell_counts.reshape(1, 4),
-                                                np.array([tolerance]))
+    [pick], [loss], [gap], [feasible] = _select(_scan(hclass, dataset)[None],
+                                                dataset.cell_counts[None], np.array([tolerance]))
     rules = hclass.rules + _CONSTANTS
     return Step1Result(rule=rules[pick], loss=float(loss), gap=float(gap), tolerance=tolerance,
                        forced_constant=bool(pick >= len(hclass)),
@@ -239,7 +226,7 @@ def train_two_step(data: Dataset, hclass: FiniteHypothesisClass,
     diagnostics = {
         "s1_loss": step1.loss,
         "s1_gap": step1.gap,
-        "s2_base_loss": float(_losses(sums.ravel(), counts.ravel())),
+        "s2_base_loss": float(_losses(sums, counts)),
         "s2_base_gap": GroupRates(stats.rates).gap(),
         "s2_corrected_loss": expected_loss_from_rates(induced.rates, stats.cells),
         "s2_corrected_gap": induced.gap(),
@@ -264,18 +251,15 @@ def _train_on_counts(accept: np.ndarray, cell: np.ndarray, first: np.ndarray,
     """``train_two_step`` for T trials from the (T, m) atom counts of their halves,
     ``accept`` (R, m) holding each rule's acceptance of the m atoms of cell codes
     ``cell``: the ``_select`` result, both (T,) tolerances and the (T, 2, 2) step-2
-    accept tables. Cell sums are exact integer products, so each trial equals
+    accept tables. Cell sums are exact integer sums, so each trial equals
     ``train_two_step`` on rows of its counts bit for bit."""
-    onehot = np.eye(4)[cell]
-    counts1, counts2 = first @ onehot, second @ onehot
-    t_train, t_correct = _tolerances(config, counts1.reshape(-1, 2, 2),
-                                     counts2.reshape(-1, 2, 2))
-    selection = _select(accept @ (first[:, :, None] * onehot), counts1, t_train)
+    counts1, counts2 = cell_sums(cell, first), cell_sums(cell, second)
+    t_train, t_correct = _tolerances(config, counts1, counts2)
+    selection = _select(cell_sums(cell, accept * first[:, None]), counts1, t_train)
     picked = np.vstack([accept, np.zeros_like(accept[0]), np.ones_like(accept[0])])  # + _CONSTANTS
-    sums2 = (picked[selection[0]] * second) @ onehot
-    derived = _derived_accept((sums2 / counts2).reshape(-1, 2, 2),
-                              (counts2 / counts2.sum(axis=1, keepdims=True)).reshape(-1, 2, 2),
-                              t_correct)
+    sums2 = cell_sums(cell, picked[selection[0]] * second)
+    derived = _derived_accept(sums2 / counts2,
+                              counts2 / counts2.sum(axis=(1, 2), keepdims=True), t_correct)
     return selection, t_train, t_correct, derived
 
 

@@ -407,12 +407,19 @@ def test_nan_score_audit_exits_2(tmp_path, capsys):
     ("alpha-1e-160", "alpha = 1e-160 is too small"),
     ("reproduce-alpha-1e-200", "alpha = 1e-200 is too small"),
     ("sweep-empty-half-cell", "error: first half: empty (y, a) cells: [(0, 1), (1, 0)]"),
+    ("header-field-over-csv-limit", "error: line 1: field larger than field limit (131072)"),
+    ("body-field-over-csv-limit", "error: line 3: field larger than field limit (131072)"),
+    ("hypotheses-nested-too-deep", "not valid JSON: maximum recursion depth exceeded"),
+    ("feature-1e400", "rules[0] (threshold): OverflowError: cannot convert float infinity"),
 ])
 def test_malformed_input_exits_2(case, needle, tmp_path, capsys):
     data = tmp_path / "d.csv"
     write_scored_csv(data, n=400, seed=15)  # one feature column, x0
     bad = tmp_path / "bad.csv"
     bad.write_bytes(b"x0,a,y,score\n0,0,0,0.5\n1,\xff,0,0.5\n")
+    over = "9" * 131_073  # one character past the csv module's field limit
+    (tmp_path / "long-header.csv").write_text(f"x0,a,y,{over}\n0,0,0,0.5\n")
+    (tmp_path / "long-body.csv").write_text(f"x0,a,y,score\n0,0,0,0.5\n1,1,0,{over}\n")
     rules = tmp_path / "rules.json"
     rules.write_text(json.dumps({"rules": {
         "feature-past-last-column": [{"type": "attribute"},
@@ -420,6 +427,10 @@ def test_malformed_input_exits_2(case, needle, tmp_path, capsys):
         "negative-feature": [{"type": "threshold-grid", "feature": -1}],
         "rule-not-object": [1],
     }.get(case, [{"type": "threshold", "cut": 0.5}])}))
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    # json reads 1e400 as inf, which int() cannot take
+    (tmp_path / "inf.json").write_text(
+        '{"rules": [{"type": "threshold", "feature": 1e400, "cut": 0}]}')
     train = ["train", "--data", str(data), "--hypotheses", str(rules)]
     argv = {
         "cell-probs": ["audit", "--data", str(data), "--alpha", "0.5",
@@ -461,6 +472,14 @@ def test_malformed_input_exits_2(case, needle, tmp_path, capsys):
         # at eps = 1e-4 the (0, 1) and (1, 0) cells hold 5e-5 of the mass each
         "sweep-empty-half-cell": ["reproduce", "--experiment", "two-step-rate-sweep",
                                   "--eps", "0.0001", "--trials", "30"],
+        "header-field-over-csv-limit": ["audit", "--data", str(tmp_path / "long-header.csv"),
+                                        "--alpha", "0.5", "--delta", "0.1"],
+        "body-field-over-csv-limit": ["correct", "--data", str(tmp_path / "long-body.csv"),
+                                      "--tolerance", "0"],
+        "hypotheses-nested-too-deep": ["train", "--data", str(data),
+                                       "--hypotheses", str(tmp_path / "deep.json")],
+        "feature-1e400": ["train", "--data", str(data),
+                          "--hypotheses", str(tmp_path / "inf.json")],
     }[case]
     assert main(argv) == 2
     assert needle.replace("{tmp}", str(tmp_path)) in capsys.readouterr().err
@@ -499,14 +518,14 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
-def _run_limited(argv, tmp_path, prelude=""):
+def _run_limited(argv, tmp_path, prelude="", timeout=60):
     """``main(argv)`` in a fresh interpreter under the 2 GiB address-space limit."""
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     src = os.path.dirname(os.path.dirname(os.path.abspath(eqodds.__file__)))
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
     code = f"import sys; from eqodds.cli import main; {prelude}sys.exit(main({argv!r}))"
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60, preexec_fn=_limit_address_space)
+                          text=True, timeout=timeout, preexec_fn=_limit_address_space)
 
 
 @pytest.mark.parametrize("argv, needle", [
@@ -526,6 +545,20 @@ def test_impossible_draw_exits_2_before_allocating(argv, needle, tmp_path):
     assert done.stderr.startswith(needle)
     assert "MemoryError" not in done.stderr
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("experiment, trials, needle", [
+    ("detection-error-rates", "100000000", "(12500000 trials of 8 count values)"),
+    ("erm-trap-floor", "100000000", "(384615 trials of 260 count values)"),
+    ("erm-trap-floor", str(10 ** 20), "(384615 trials of 260 count values)"),
+    ("two-step-rate-sweep", "100000000", "(6250000 trials of 16 count values)"),
+])
+def test_too_many_trials_exit_2_before_the_first_draw(experiment, trials, needle, tmp_path):
+    done = _run_limited(["reproduce", "--experiment", experiment, "--trials", trials],
+                        tmp_path, timeout=10)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == (f"error: trials = {trials} is more than one run may hold "
+                           f"{needle}\n")
 
 
 def test_count_draw_of_two_billion_rows_runs(tmp_path):

@@ -1,4 +1,5 @@
-"""Exit-contract fuzz: every numeric flag of every subcommand.
+"""Exit-contract fuzz: every numeric flag of every subcommand, malformed CSV
+bytes, and the structure of the argument list.
 
 ``cli.main`` must return 0 (success), 2 (bad input, with an ``error:`` line on
 stderr) or 1 only for a ``reproduce`` report with a failed claim, and must
@@ -8,7 +9,9 @@ values are left out on purpose: they are valid input that asks for
 astronomically many rows (``reproduce --alpha``), which is a size question,
 not a parsing one. The Monte Carlo experiments always get a small trial
 count, so a valid draw runs at their trial floors; a flag an experiment does
-not take exits 2.
+not take exits 2. The same contract holds for a data file of any bytes and for
+an argument list with missing values, repeated or unknown flags, or an unknown
+subcommand.
 """
 
 import contextlib
@@ -16,9 +19,9 @@ import io
 import json
 
 import pytest
-from hypothesis import given, note, settings, strategies as st
+from hypothesis import example, given, note, settings, strategies as st
 
-from eqodds.cli import main
+from eqodds.cli import build_parser, main
 from eqodds.experiments import EXPERIMENTS
 
 from test_cli import write_scored_csv
@@ -69,7 +72,26 @@ def fuzz_files(tmp_path_factory):
     rules.write_text(json.dumps({"rules": [
         {"type": "attribute"}, {"type": "threshold", "feature": 0, "cut": 0.5},
         {"type": "constant", "value": 0}, {"type": "constant", "value": 1}]}))
-    return {"data": str(data), "rules": str(rules), "out": str(tmp / "sim.csv")}
+    return {"data": str(data), "rules": str(rules), "out": str(tmp / "sim.csv"),
+            "csv": str(tmp / "fuzzed.csv"), "dir": str(tmp)}
+
+
+def _run(argv):
+    """``main(argv)``, checked against the exit contract."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    assert status in (0, 1, 2), status
+    if status == 1:  # a report with a failed claim, on stdout or the last --out
+        assert argv[0] == "reproduce"
+        report = out.getvalue()
+        if not report:
+            with open(argv[len(argv) - argv[::-1].index("--out")], encoding="utf-8") as fh:
+                report = fh.read()
+        assert json.loads(report)["passed"] is False
+    if status == 2:
+        assert "error:" in err.getvalue()
+    return status
 
 
 def _values(values):
@@ -105,3 +127,102 @@ def test_numeric_flags_keep_the_exit_contract(fuzz_files, name, fuzzed, data):
         assert name == "reproduce" and json.loads(out.getvalue())["passed"] is False
     if status == 2:
         assert "error:" in err.getvalue()
+
+
+# ---- malformed data files ----------------------------------------------------
+
+OVER_LIMIT = "9" * 131_073  # one character past the csv module's field limit
+HEADERS = ["x0,a,y,score", "\ufeffx0,a,y,score", "x0,a,y", "x0,a", "x0,x0,a,y",
+           f"x0,a,y,{OVER_LIMIT}"]
+VALID_ROWS = ["0,0,0,0.5", "1,0,1,1", "0,1,0,0.25", "1,1,1,0"] * 2  # each (a, y) cell twice
+BAD_ROWS = ["0,1", "0,1,0,", "0,1,0,0.5,9", "0,\x00,1,0.5", "0,1,1,0.5\x00", '"1",0,1,0.5',
+            "", " ", "#,0,0,0", "0,2,1,0.5", "nan,0,1,0.5", "1,1,0,1e999", "0,1,0,\"0.5",
+            f"0,1,0,{OVER_LIMIT}"]
+CSV_COMMANDS = {
+    "audit": ["audit", "--data", "{csv}", "--alpha", "0.5", "--delta", "0.1"],
+    "correct": ["correct", "--data", "{csv}", "--tolerance", "0"],
+    "train": ["train", "--data", "{csv}", "--hypotheses", "{rules}"],
+    "fit-linear-fair": ["fit-linear-fair", "--data", "{csv}", "--method", "pgd",
+                        "--loss", "logistic"],
+}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(header=st.just(HEADERS[0]) | st.sampled_from(HEADERS),
+       bad=st.lists(st.tuples(st.integers(0, len(VALID_ROWS)), st.sampled_from(BAD_ROWS)),
+                    max_size=3),
+       ends=st.lists(st.sampled_from(["\r\n", "\n", "\r"]), min_size=1, max_size=4),
+       cut=st.none() | st.none() | st.integers(0, 200),
+       command=st.sampled_from(sorted(CSV_COMMANDS)))
+@example(header=HEADERS[-1], bad=[], ends=["\n"], cut=None, command="audit")
+@example(header=HEADERS[0], bad=[(3, BAD_ROWS[-1])], ends=["\r\n"], cut=None,
+         command="correct")
+def test_malformed_csv_keeps_the_exit_contract(fuzz_files, header, bad, ends, cut, command):
+    """A valid file with bad lines put in, line ends mixed, or cut off at a byte
+    exits 0 or 2."""
+    lines = list(VALID_ROWS)
+    for at, row in bad:
+        lines.insert(at, row)
+    text = "".join(line + ends[i % len(ends)] for i, line in enumerate([header] + lines))
+    data = text.encode("utf-8")[:cut]
+    with open(fuzz_files["csv"], "wb") as fh:
+        fh.write(data)
+    argv = [arg.format(**fuzz_files) for arg in CSV_COMMANDS[command]]
+    note(data[:200])
+    assert _run(argv) in (0, 2)
+
+
+# ---- argument-list structure -------------------------------------------------
+
+# a valid command line per subcommand, which the mutations below break
+VALID_ARGV = {
+    "audit": ["audit", "--data", "{data}", "--alpha", "0.5", "--delta", "0.1"],
+    "correct": ["correct", "--data", "{data}", "--tolerance", "0"],
+    "train": ["train", "--data", "{data}", "--hypotheses", "{rules}"],
+    "fit-linear-fair": ["fit-linear-fair", "--data", "{data}", "--method", "pgd"],
+    "simulate": ["simulate", "--law", "two-proxy", "--n", "50", "--out", "{out}"],
+    "reproduce": ["reproduce", "--experiment", "detection-error-rates", "--trials", "50"],
+}
+# values a flag may be given: paths for the path flags, short tokens otherwise
+PATH_VALUES = {"--data": ["{data}", "{rules}", "{dir}", "{dir}/missing.csv"],
+               "--hypotheses": ["{rules}", "{data}", "{dir}", "{dir}/missing.json"],
+               "--out": ["{dir}/o.json", "{dir}", ""], "--raw-out": ["{dir}/r.csv", "{dir}"]}
+VALUES = ["0", "1", "0.5", "50", "-1", "abc", "", "auto", "two-proxy", "gaussian", "erm-trap",
+          "posthoc-binary-gap", "posthoc-regression-gap", "erm-trap-floor", "squared",
+          "hinge_smooth", "closed-form", "derived", "score", "a", "y", "x0"]
+SUBCOMMAND_FLAGS = {name: sorted(opt for action in sub._actions for opt in action.option_strings
+                                 if opt.startswith("--") and opt != "--help")
+                    for name, sub in build_parser()._subparsers._group_actions[0].choices.items()}
+
+
+@st.composite
+def mutated_argv(draw):
+    """A valid command line after one or two edits: a token dropped (a flag loses
+    its value, or a required flag goes), a flag repeated with another value, an
+    unknown flag or subcommand, or a flag left without a value at the end."""
+    name = draw(st.sampled_from(sorted(VALID_ARGV)))
+    argv, flags = list(VALID_ARGV[name]), SUBCOMMAND_FLAGS[name]
+    for _ in range(draw(st.integers(1, 2))):
+        edit = draw(st.sampled_from(["drop", "repeat", "unknown-flag", "unknown-command",
+                                     "dangling"]))
+        if edit == "drop" and len(argv) > 1:
+            del argv[draw(st.integers(1, len(argv) - 1))]
+        elif edit == "repeat":
+            flag = draw(st.sampled_from(flags))
+            argv += [flag, draw(st.sampled_from(PATH_VALUES.get(flag, VALUES)))]
+        elif edit == "unknown-flag":
+            argv.insert(draw(st.integers(1, len(argv))),
+                        draw(st.sampled_from(["--bogus", "-q", "--data-file", "--=1"])))
+        elif edit == "unknown-command":
+            argv[0] = draw(st.sampled_from(["bogus", "", "audits", "-x"]))
+        else:
+            argv.append(draw(st.sampled_from(flags)))
+    return argv
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(argv=mutated_argv())
+def test_argv_structure_keeps_the_exit_contract(fuzz_files, argv):
+    argv = [arg.format(**fuzz_files) for arg in argv]
+    note(argv)
+    _run(argv)

@@ -269,7 +269,24 @@ def test_cell_index_and_counts_cached():
     assert err.value.cells == [(0, 0), (0, 1)]
 
 
-# ---- datasets built without re-validation --------------------------------
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(n=st.integers(1, 40), lead=st.sampled_from([(), (3,), (1,), (4, 2), (2, 5)]),
+       integer=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_cell_sums_of_a_stack_equal_each_rows_sums(n, lead, integer, seed):
+    """Each table of a stacked call is the one-row call on its row, bit for bit."""
+    rng = np.random.default_rng(seed)
+    cell = rng.integers(0, 4, size=n)  # some cells may stay empty
+    weights = (rng.integers(0, 1000, size=(*lead, n)) if integer
+               else rng.random(size=(*lead, n)) * 10.0 ** rng.integers(-3, 4, size=(*lead, n)))
+    tables = core.cell_sums(cell, weights)
+    assert tables.shape == (*lead, 2, 2) and tables.dtype == np.float64
+    for idx in np.ndindex(*lead):
+        assert tables[idx].tobytes() == core.cell_sums(cell, weights[idx]).tobytes()
+    counts = core.cell_sums(cell)
+    assert counts.shape == (2, 2) and counts.sum() == n
+
+
+# ---- subsets, splits and samples equal checked datasets ------------------
 
 def assert_same_dataset(got, want):
     """Equal columns (dtype, shape, contiguity, bits), cell code and cell counts."""
@@ -294,7 +311,6 @@ def test_subset_and_split_equal_checked_datasets(cached):
         _ = ds.cell
     idx = rng.permutation(101)[:40]
     sub = ds.subset(idx)
-    assert ("cell" in sub.__dict__) == cached  # the parent's code is passed on
     want = Dataset(ds.features[idx], ds.attr[idx], ds.labels[idx], ds.scores[idx])
     assert_same_dataset(sub, want)
     for half in split_dataset(ds, seed=5):
@@ -312,6 +328,11 @@ def test_subset_keeps_its_checks():
         ds.subset([[0], [1]])
     with pytest.raises(IndexError):
         ds.subset([3])
+    # a mask or float indices would read as row numbers 0/1 or truncate
+    for indices, dtype in (([True, False, True], "bool"), ([0.0, 2.7], "float64"),
+                           (np.array([True]), "bool")):
+        with pytest.raises(InvalidParameterError, match=f"integers, got dtype {dtype}"):
+            ds.subset(indices)
     with pytest.raises(InvalidParameterError, match="values in"):
         ds.subset([0, 2]).require_binary()  # binarity is still checked on first use
     assert ds.subset([1, 2]).require_binary()
@@ -321,7 +342,6 @@ def test_subset_keeps_its_checks():
 def test_sample_law_equals_checked_dataset_of_the_same_draws(kind):
     law = two_proxy_law(0.1) if kind == "finite" else erm_trap_family(5, 0.2)[0]
     ds = sample_law(law, 700, seed=4)
-    assert "cell" in ds.__dict__
     # the draws as the sampler makes them, built by the checking constructor
     rng = np.random.default_rng(4)
     if kind == "finite":
