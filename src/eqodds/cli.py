@@ -20,6 +20,7 @@ import argparse
 import csv
 import json
 import math
+import reprlib
 import sys
 from contextlib import contextmanager
 from typing import Optional, Tuple
@@ -148,7 +149,7 @@ def build_hypothesis_class(spec: dict, dataset: Dataset) -> FiniteHypothesisClas
     rules = []
     for k, entry in enumerate(entries):
         if not isinstance(entry, dict):
-            raise CliError(f"rules[{k}]: expected an object, got {entry!r}")
+            raise CliError(f"rules[{k}]: expected an object, got {reprlib.repr(entry)}")
         kind = entry.get("type")
         try:
             if kind in ("threshold", "threshold-grid"):

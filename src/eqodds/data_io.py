@@ -4,22 +4,31 @@ Dataset files are UTF-8, comma-separated, '.' decimal point, one header
 row: feature columns ``x0..x{d-1}``, a protected-attribute column, a label
 column, and an optional ``score`` column.
 
-Reading parses the body in one ``np.loadtxt`` call. The row-by-row ``csv``
-loop is the fallback: it runs when the bulk parse fails or finds a bad
-cell, and either names the first bad line and column or accepts what only
-``csv`` and ``float()`` read (quoted cells, whitespace-only lines, ``1_0``).
-Both paths accept the same files and give the same arrays, bit for bit.
+Reading checks the header with ``csv``, then parses the body in one
+``np.loadtxt`` call on the file's path, which numpy reads in large chunks
+(``skiprows=1``, so only a header on one physical line qualifies). The
+row-by-row ``csv`` loop is the fallback: it runs when the bulk parse fails
+or finds a bad cell, and either names the first bad line and column or
+accepts what only ``csv`` and ``float()`` read (quoted cells,
+whitespace-only lines, ``1_0``). It also runs for a multi-line header, a
+file holding an ASCII separator byte (\\x1c-\\x1f) and a file whose name
+numpy would decompress (``.gz``, say). Both paths accept the same files and
+give the same arrays, bit for bit.
 
-Writing formats each column in one pass, a block of rows at a time.
-Integer-valued floats below 1e15 are written as integers and every other
-value with ``repr``, signed zero as ``-0.0``, so a load -> write -> load
-round trip is bit-identical. Output files get mode 0o666 less the umask,
-as a plain ``open()`` would give them.
+Writing runs a block of rows at a time. A table whose every column holds
+whole numbers of small range (the 0/1 ``x0,a,y`` of ``simulate``) formats
+each distinct row once and indexes those lines by each row's pattern code;
+any other block formats each column in one pass. Integer-valued floats
+below 1e15 are written as integers and every other value with ``repr``,
+signed zero as ``-0.0``, so a load -> write -> load round trip is
+bit-identical. Output files get mode 0o666 less the umask, as a plain
+``open()`` would give them.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import operator
@@ -36,6 +45,11 @@ from .core import Dataset, EqoddsError
 # Rows formatted per write: the formatted strings of one block are all that is
 # held, so memory does not grow with the dataset.
 _BLOCK_ROWS = 1024
+# Most distinct row patterns the writer formats ahead (never more than rows).
+_PATTERNS = 4096
+# Names np.loadtxt would decompress (numpy's _datasource openers): a plain
+# file named so takes the row loop.
+_COMPRESSED = (".bz2", ".gz", ".lzma", ".xz")
 # ASCII separators \x1c-\x1f: loadtxt strips them around a number as
 # whitespace, float() rejects them, so a file holding one takes the row loop.
 _SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
@@ -108,7 +122,8 @@ def _read_dataset(path, attr_col, label_col, score_col, require_binary) -> Datas
         order = [col_index[name] for name in names]
         binary = {attr_col, label_col} if require_binary else set()
 
-        table = _bulk_table(fh, path, len(header))
+        # skiprows=1 counts physical lines, and csv's line_num counts them too
+        table = _bulk_table(path, len(header)) if reader.line_num == 1 else None
         if table is not None and order != list(range(len(header))):
             table = table[:, order]
         if table is None or _bad_cells(table, names, binary).any():
@@ -125,8 +140,18 @@ def _read_dataset(path, attr_col, label_col, score_col, require_binary) -> Datas
     return Dataset(table[:, :d], attr, labels, score[0] if score else None)
 
 
-def _bulk_table(fh, path, n_fields: int):
-    """The body as one (rows, n_fields) array, or None if it needs the row loop."""
+def _bulk_table(path, n_fields: int):
+    """The body after a one-line header as one (rows, n_fields) array, or None
+    if it needs the row loop.
+
+    loadtxt reads a path in large chunks (a handle line by line). It gets the
+    absolute path, since it would fetch one that reads as a URL, and decodes
+    it as UTF-8, never as raw bytes: read as latin-1, an invalid byte such as
+    0x85 beside a number would be stripped as whitespace.
+    """
+    name = os.path.abspath(os.fsdecode(path))
+    if name.endswith(_COMPRESSED):
+        return None
     with open(path, "rb") as raw:
         for chunk in iter(partial(raw.read, 1 << 20), b""):
             if any(sep in chunk for sep in _SEPARATORS):
@@ -137,8 +162,8 @@ def _bulk_table(fh, path, n_fields: int):
             warnings.filterwarnings("ignore", "loadtxt: input contained no data",
                                     UserWarning)
             # comments=None: a '#' line is a bad row to the row loop, not a comment
-            table = np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64,
-                               ndmin=2)
+            table = np.loadtxt(name, delimiter=",", comments=None, dtype=np.float64,
+                               ndmin=2, skiprows=1, encoding="utf-8")
     except ValueError:
         return None
     return table if table.shape[0] and table.shape[1] == n_fields else None
@@ -210,6 +235,40 @@ def _format_column(col: np.ndarray):
     return map(_format_value, col.tolist())
 
 
+def _row_patterns(columns: list):
+    """The line of every row the columns' ranges can hold, and how to index
+    them: ``(lows, strides, lines)``, where row r's line is
+    ``lines[(r - lows) @ strides]``. None when a column's min or max is not a
+    whole number below 1e15 in magnitude, or the ranges span more than
+    min(rows, ``_PATTERNS``) rows."""
+    lows, highs = [c.min() for c in columns], [c.max() for c in columns]
+    if not all(float(v).is_integer() and abs(v) < 1e15 for v in lows + highs):
+        return None  # nan and inf fail is_integer too
+    spans = [int(hi - lo) + 1 for lo, hi in zip(lows, highs)]
+    if math.prod(spans) > min(len(columns[0]), _PATTERNS):
+        return None
+    cells = [[_format_value(v) for v in range(int(lo), int(hi) + 1)]
+             for lo, hi in zip(lows, highs)]
+    lines = np.array([",".join(row) + "\r\n" for row in itertools.product(*cells)],
+                     dtype=object)
+    strides = np.array([math.prod(spans[j + 1:]) for j in range(len(spans))])
+    return np.array(lows, dtype=np.int64), strides, lines
+
+
+def _block_text(block: list, patterns) -> str:
+    """The CSV lines of one block of columns, each ending in \\r\\n."""
+    if patterns is not None:
+        lows, strides, lines = patterns
+        table = np.column_stack(block)
+        whole = table.astype(np.int64)  # in range: the lows and highs are below 1e15
+        # bit for bit back: every value whole and none -0.0, which prints as such
+        if whole.astype(np.float64).tobytes() == table.tobytes():
+            return "".join(lines[(whole - lows) @ strides].tolist())
+    cells = (_format_column(c) for c in block)
+    # numbers need no quoting, so joining matches csv.writer byte for byte
+    return "\r\n".join(map(",".join, zip(*cells))) + "\r\n"
+
+
 def write_csv(dataset: Dataset, path) -> None:
     """Write columns x0..x{d-1}, a, y[, score], as ``load_csv`` reads them by
     default (atomic: temp file + rename)."""
@@ -218,12 +277,12 @@ def write_csv(dataset: Dataset, path) -> None:
     if dataset.scores is not None:
         header.append("score")
         columns.append(dataset.scores)
+    patterns = _row_patterns(columns)
     with _atomic_open(path, newline="") as fh:
         csv.writer(fh).writerow(header)
         for start in range(0, len(dataset), _BLOCK_ROWS):
-            cells = (_format_column(c[start:start + _BLOCK_ROWS]) for c in columns)
-            # numbers need no quoting, so joining matches csv.writer byte for byte
-            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+            fh.write(_block_text([c[start:start + _BLOCK_ROWS] for c in columns],
+                                 patterns))
 
 
 def write_json_atomic(obj, path) -> None:

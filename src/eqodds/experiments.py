@@ -78,6 +78,11 @@ from .synthetic import (
 from .two_step import _CONSTANTS, TwoStepConfig, _select, _train_on_counts
 
 
+# Most raw rows (one dict per trial, per n for the sweep) one run keeps: each
+# costs about 0.5 KB and 20 us, so a run at the cap holds about 0.5 GB.
+_MAX_RAW_ROWS = 10 ** 6
+
+
 @dataclass(frozen=True)
 class ClaimRow:
     """One checkable claim: reference value or bound vs computed value."""
@@ -136,14 +141,19 @@ class ExperimentReport:
         }
 
 
-def _trial_count(trials: int, floor: int, values: int) -> int:
+def _trial_count(trials: int, floor: int, values: int, rows: int) -> int:
     """``trials`` raised to ``floor``, refused before the first draw when its count
-    tables, ``values`` numbers a trial, would pass ``sample_law``'s ``_MAX_VALUES``."""
+    tables, ``values`` numbers a trial, would pass ``sample_law``'s ``_MAX_VALUES``,
+    or its raw report rows, ``rows`` a trial, would pass ``_MAX_RAW_ROWS``."""
     trials = max(floor, trials)
     if trials * values > _MAX_VALUES:
         raise InvalidParameterError(
             f"trials = {trials} is more than one run may hold "
             f"({_MAX_VALUES // values} trials of {values} count values)")
+    if trials * rows > _MAX_RAW_ROWS:
+        raise InvalidParameterError(
+            f"trials = {trials} is more than one run may hold ({_MAX_RAW_ROWS // rows} "
+            f"trials; a run keeps at most {_MAX_RAW_ROWS} raw rows)")
     return trials
 
 
@@ -218,7 +228,7 @@ def run_detection_error_rates(eps: float = 0.1, alpha: float = 0.5,
                               delta: float = 0.1, trials: int = 1000,
                               seed: int = 0):
     law = two_proxy_law(eps)
-    trials = _trial_count(trials, 50, law.probs.size)
+    trials = _trial_count(trials, 50, law.probs.size, 1)
     cells = law.cell_probabilities()
     n = required_sample_size(alpha, delta, cells)
     threshold = alpha / 2.0
@@ -257,7 +267,7 @@ def run_erm_trap_floor(trials: int = 400, seed: int = 0):
     p_min = cells.min_cell
     alpha = 3.0 * math.log((n_features - 1) / 5.0) / (4.0 * n * p_min)
     law, hclass = erm_trap_family(n_features, alpha, cells)
-    trials = _trial_count(trials, 50, 4 * (1 + n_features))  # (4, 1 + d) a trial
+    trials = _trial_count(trials, 50, 4 * (1 + n_features), 1)  # (4, 1 + d) a trial
 
     rules = hclass.rules + _CONSTANTS  # the picks _select may return
     pop_gap = [population_rates(law, rule).gap() for rule in rules]
@@ -308,7 +318,7 @@ def run_two_step_rate_sweep(eps: float = 0.1, delta: float = 0.1,
                             trials: int = 200, seed: int = 0):
     n_grid = [2 ** k for k in range(9, 15)]
     law = two_proxy_law(eps)
-    trials = _trial_count(trials, 30, 2 * law.probs.size)  # both halves
+    trials = _trial_count(trials, 30, 2 * law.probs.size, len(n_grid))  # both halves
     fair_loss = 2 * eps
     hclass = FiniteHypothesisClass((
         FeatureThresholdRule(0, 0.5, name="x"),

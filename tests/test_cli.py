@@ -7,6 +7,7 @@ import resource
 import stat
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,35 @@ def write_scored_csv(path, n=400, seed=0, eps=0.1):
     scored = Dataset(ds.features, ds.attr, ds.labels, scores=ds.attr.copy())
     write_csv(scored, path)
     return scored
+
+
+def load_outcome(path):
+    """``load_csv``'s arrays, bit for bit, or its error's type, line and message."""
+    try:
+        ds = load_csv(path)
+    except (ParseError, SchemaError) as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+    return [None if c is None else (c.shape, c.tobytes())
+            for c in (ds.features, ds.attr, ds.labels, ds.scores)]
+
+
+def row_loop_outcome(path):
+    """``load_outcome`` with the bulk parse switched off: the row loop alone."""
+    with mock.patch.object(data_io, "_bulk_table", lambda *args: None):
+        return load_outcome(path)
+
+
+def written_bytes(dataset, path, patterns=True):
+    """The bytes ``write_csv`` writes, by default or with the row-pattern lookup off."""
+    with mock.patch.object(data_io, "_PATTERNS", data_io._PATTERNS if patterns else 0):
+        write_csv(dataset, path)
+    return path.read_bytes()
+
+
+# 13 KB of rows: past the first 8 KB chunk, which is decoded with the header
+PAST_HEADER_CHUNK = b"x0,a,y,score\n" + b"0.5,1,0,0.25\n" * 1000
+# a body past the 1 MiB chunk of the separator scan, then a separator byte
+PAST_SCAN_CHUNK = "x0,a,y,score\n" + "0.5,1,0,0.25\n" * 81_000 + "0.5\x1c,1,0,0.25\n"
 
 
 class TestCsv:
@@ -114,28 +144,60 @@ class TestCsv:
         ("x0,a,y,score\n0.5,1,0,0.25,\n0.5,1,0,0.25,\n", (ParseError, 2)),
         ("x0,a,y,score\n0.5,1,0,0.25\n\n1,0,1,nan\n", (ParseError, 4)),
         ("x0,a,y,score\n0.5,1,0,0.25\n0.5\x1c,1,0,0.25\n", (ParseError, 3)),
+        # a quoted header field over two physical lines, which skiprows=1 would split
+        ('x0,a,"y\n",score\n0.5,1,0,0.25\n1,0,1,0.75\n', None),
+        ('x0,a,y,"\rscore"\r0.5,1,0,0.25\r1,0,1,0.75\r', None),
+        ("x0,a,y,score\r0.5,1,0,0.25\r1,0,1,0.75\r", None),
+        ("x0,a,y,score\r0.5,1,0,0.25\r\r1,0,1,inf\r", (ParseError, 4)),
+        # invalid UTF-8 bytes that latin-1 would read as whitespace (NEL, NBSP),
+        # past the text decoded with the header
+        (PAST_HEADER_CHUNK + b"1,0,1,0.75\x85\n", (ParseError, 1002)),
+        (PAST_HEADER_CHUNK + b"\xa01,0,1,0.75\n", (ParseError, 1002)),
+        # the same characters as UTF-8 text: whitespace to float() and loadtxt
+        ("x0,a,y,score\n0.5,1,0,0.25\u0085\n\u00a01,0,1,0.75\n", None),
+        ("\ufeffx0,a,y,score\n0.5,1,0,0.25\n", (SchemaError, None)),
+        ("x0,a,y,score\n\ufeff0.5,1,0,0.25\n", (ParseError, 2)),
+        (PAST_SCAN_CHUNK, (ParseError, 81_002)),
     ], ids=["reordered", "crlf", "blank-lines", "quoted-underscore", "plus",
             "signed-zero", "one-row", "header-only", "short-row", "empty-field",
-            "extra-field", "trailing-comma", "nan-after-blank", "separator-char"])
-    def test_bulk_parse_matches_row_loop(self, tmp_path, monkeypatch, text, error):
+            "extra-field", "trailing-comma", "nan-after-blank", "separator-char",
+            "multi-line-header", "multi-line-header-cr", "cr-only", "cr-only-inf",
+            "byte-0x85", "byte-0xa0", "nel-nbsp-text", "bom-header", "bom-body",
+            "separator-past-scan-chunk"])
+    def test_bulk_parse_matches_row_loop(self, tmp_path, text, error):
         path = tmp_path / "d.csv"
-        path.write_bytes(text.encode("utf-8"))
-
-        def outcome():
-            try:
-                ds = load_csv(path)
-            except (ParseError, SchemaError) as exc:
-                return type(exc), getattr(exc, "line", None), str(exc)
-            return [None if c is None else (c.shape, c.tobytes())
-                    for c in (ds.features, ds.attr, ds.labels, ds.scores)]
-
-        bulk = outcome()
-        monkeypatch.setattr(data_io, "_bulk_table", lambda *args: None)
-        assert bulk == outcome()  # the row loop alone
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+        bulk = load_outcome(path)
+        assert bulk == row_loop_outcome(path)
         if error is not None:
             assert bulk[:2] == error
         else:
             assert isinstance(bulk, list)
+
+    @pytest.mark.parametrize("text", [
+        "x0,a,y,score\n0.5,1,0,0.25\n1,0,1,0.75\n",
+        "x0,a,y,score\r0.5,1,0,0.25\r1,0,1,0.75\r",
+        "a,y,x0\r\n1,0,0.5\r\n",
+    ], ids=["lf", "cr", "crlf-reordered"])
+    def test_plain_file_takes_the_bulk_parse(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "d.csv"
+        path.write_text(text, newline="")
+        want = row_loop_outcome(path)
+        monkeypatch.setattr(data_io, "_row_table", None)  # any fallback fails
+        assert load_outcome(path) == want
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_name_reads_as_plain_text(self, tmp_path, suffix):
+        """numpy would decompress a file of such a name; load_csv reads its text."""
+        for name in ("d.csv", f"d{suffix}"):
+            (tmp_path / name).write_text("x0,a,y,score\n0.5,1,0,0.25\n1,0,1,0.75\n")
+        assert load_outcome(tmp_path / f"d{suffix}") == load_outcome(tmp_path / "d.csv")
+
+    def test_multi_line_header_takes_the_row_loop(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.csv"
+        path.write_text('x0,a,"y\n",score\n0.5,1,0,0.25\n')
+        monkeypatch.setattr(data_io, "_bulk_table", None)  # any bulk parse fails
+        assert load_csv(path).scores.tolist() == [0.25]
 
     def test_signed_zero_round_trip(self, tmp_path):
         path = tmp_path / "z.csv"
@@ -155,6 +217,48 @@ class TestCsv:
     ], ids=["mixed", "whole", "none-whole"])
     def test_column_format_matches_value_rule(self, values):
         assert list(_format_column(np.array(values))) == list(map(_format_value, values))
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_pattern_writer_matches_block_formatter(self, tmp_path, data):
+        """Whole-number tables of small range, with -0.0, a fractional value or a
+        wider range put in, write the bytes of the per-column formatter."""
+        n = data.draw(st.sampled_from([1, 2, 1023, 1024, 1025, 2049]) | st.integers(1, 40))
+        d = data.draw(st.integers(1, 3))
+        low = data.draw(st.integers(-3, 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        features = rng.integers(low, low + data.draw(st.integers(1, 3)), (n, d)).astype(float)
+        attr, labels = rng.integers(0, 2, (2, n)).astype(float)
+        scores = data.draw(st.sampled_from([None, None, "whole", "half"]))
+        if scores is not None:
+            scores = rng.integers(-2, 3, n) / (2.0 if scores == "half" else 1.0)
+        for _ in range(data.draw(st.sampled_from([0, 0, 1, 2]))):
+            row, col = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, d - 1))
+            features[row, col] = data.draw(st.sampled_from([-0.0, -0.0, 0.5, low - 100,
+                                                             1e15]))
+        ds = Dataset(features, attr, labels, scores)
+        assert written_bytes(ds, tmp_path / "p.csv") == written_bytes(
+            ds, tmp_path / "b.csv", patterns=False)
+
+    @pytest.mark.parametrize("span", [data_io._PATTERNS // 4, data_io._PATTERNS // 4 + 1])
+    def test_pattern_bound_edge_matches_block_formatter(self, tmp_path, span):
+        """x0 over ``span`` values and binary a, y: 4 * span row patterns, at the
+        bound and one range step past it."""
+        n = 4 * span
+        ds = Dataset(np.arange(n)[:, None] % span - 7.0, np.arange(n) // span % 2,
+                     np.arange(n) // (2 * span))
+        assert written_bytes(ds, tmp_path / "p.csv") == written_bytes(
+            ds, tmp_path / "b.csv", patterns=False)
+        assert (data_io._row_patterns([*ds.features.T, ds.attr, ds.labels]) is None) == (
+            span > data_io._PATTERNS // 4)
+
+    def test_simulate_table_takes_the_pattern_writer(self, tmp_path, monkeypatch):
+        ds = sample_law(two_proxy_law(0.1), 3000, seed=5)
+        want = written_bytes(ds, tmp_path / "b.csv", patterns=False)
+        monkeypatch.setattr(data_io, "_format_column", None)  # any column pass fails
+        assert written_bytes(ds, tmp_path / "p.csv") == want
+        assert want.startswith(b"x0,a,y\r\n") and want.count(b"\r\n") == 3001
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None,
@@ -388,6 +492,7 @@ def test_nan_score_audit_exits_2(tmp_path, capsys):
     ("feature-past-last-column", "rules[1] (threshold): feature 3"),
     ("negative-feature", "rules[0] (threshold-grid): feature -1"),
     ("rule-not-object", "rules[0]: expected an object"),
+    ("rule-nested-deep", "rules[0]: expected an object, got [[[[[[[...]]]]]]]\n"),
     ("data-not-utf8", "line 3: {tmp}/bad.csv: byte 0xff is not UTF-8"),
     ("data-is-directory", "cannot read --data {tmp}: Is a directory"),
     ("hypotheses-is-directory", "cannot read --hypotheses {tmp}: Is a directory"),
@@ -428,6 +533,8 @@ def test_malformed_input_exits_2(case, needle, tmp_path, capsys):
         "rule-not-object": [1],
     }.get(case, [{"type": "threshold", "cut": 0.5}])}))
     (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    # 1,600 brackets if echoed whole; shallow enough for json to parse under pytest
+    (tmp_path / "nested.json").write_text('{"rules": [' + "[" * 800 + "]" * 800 + "]}")
     # json reads 1e400 as inf, which int() cannot take
     (tmp_path / "inf.json").write_text(
         '{"rules": [{"type": "threshold", "feature": 1e400, "cut": 0}]}')
@@ -439,6 +546,8 @@ def test_malformed_input_exits_2(case, needle, tmp_path, capsys):
         "feature-past-last-column": train,
         "negative-feature": train,
         "rule-not-object": train,
+        "rule-nested-deep": ["train", "--data", str(data),
+                             "--hypotheses", str(tmp_path / "nested.json")],
         "hypotheses-not-json": ["train", "--data", str(data),
                                 "--hypotheses", str(data)],
         "data-not-utf8": ["audit", "--data", str(bad), "--alpha", "0.5", "--delta", "0.1"],
@@ -482,7 +591,10 @@ def test_malformed_input_exits_2(case, needle, tmp_path, capsys):
                           "--hypotheses", str(tmp_path / "inf.json")],
     }[case]
     assert main(argv) == 2
-    assert needle.replace("{tmp}", str(tmp_path)) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert needle.replace("{tmp}", str(tmp_path)) in err
+    if case == "rule-nested-deep":
+        assert len(err) < 80, err  # the entry is abbreviated, not echoed whole
 
 
 # a value every experiment that takes the flag accepts, and the report key it sets
@@ -552,6 +664,12 @@ def test_impossible_draw_exits_2_before_allocating(argv, needle, tmp_path):
     ("erm-trap-floor", "100000000", "(384615 trials of 260 count values)"),
     ("erm-trap-floor", str(10 ** 20), "(384615 trials of 260 count values)"),
     ("two-step-rate-sweep", "100000000", "(6250000 trials of 16 count values)"),
+    # under the count-value cap, past the raw rows: one per trial, six for the sweep
+    ("detection-error-rates", "12500000",
+     "(1000000 trials; a run keeps at most 1000000 raw rows)"),
+    ("detection-error-rates", "1000001",
+     "(1000000 trials; a run keeps at most 1000000 raw rows)"),
+    ("two-step-rate-sweep", "6250000", "(166666 trials; a run keeps at most 1000000 raw rows)"),
 ])
 def test_too_many_trials_exit_2_before_the_first_draw(experiment, trials, needle, tmp_path):
     done = _run_limited(["reproduce", "--experiment", experiment, "--trials", trials],

@@ -11,7 +11,8 @@ not a parsing one. The Monte Carlo experiments always get a small trial
 count, so a valid draw runs at their trial floors; a flag an experiment does
 not take exits 2. The same contract holds for a data file of any bytes and for
 an argument list with missing values, repeated or unknown flags, or an unknown
-subcommand.
+subcommand. ``load_csv`` must read every fuzzed data file exactly as its row
+loop alone does.
 """
 
 import contextlib
@@ -24,7 +25,7 @@ from hypothesis import example, given, note, settings, strategies as st
 from eqodds.cli import build_parser, main
 from eqodds.experiments import EXPERIMENTS
 
-from test_cli import write_scored_csv
+from test_cli import load_outcome, row_loop_outcome, write_scored_csv
 from test_golden_reports import MONTE_CARLO
 
 # nan comes first: the first, simplest example of every flag passes it nan
@@ -159,7 +160,8 @@ CSV_COMMANDS = {
          command="correct")
 def test_malformed_csv_keeps_the_exit_contract(fuzz_files, header, bad, ends, cut, command):
     """A valid file with bad lines put in, line ends mixed, or cut off at a byte
-    exits 0 or 2."""
+    exits 0 or 2, and ``load_csv`` reads it as the row loop alone does: the same
+    arrays, or the same error type, line and message."""
     lines = list(VALID_ROWS)
     for at, row in bad:
         lines.insert(at, row)
@@ -169,6 +171,7 @@ def test_malformed_csv_keeps_the_exit_contract(fuzz_files, header, bad, ends, cu
         fh.write(data)
     argv = [arg.format(**fuzz_files) for arg in CSV_COMMANDS[command]]
     note(data[:200])
+    assert load_outcome(fuzz_files["csv"]) == row_loop_outcome(fuzz_files["csv"])
     assert _run(argv) in (0, 2)
 
 
