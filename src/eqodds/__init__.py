@@ -10,7 +10,6 @@ from .core import (
     EqoddsError,
     FeatureThresholdRule,
     FiniteHypothesisClass,
-    FunctionRule,
     GroupRates,
     InvalidParameterError,
     TooFewSamplesError,
@@ -31,7 +30,6 @@ __all__ = [
     "EqoddsError",
     "FeatureThresholdRule",
     "FiniteHypothesisClass",
-    "FunctionRule",
     "GroupRates",
     "InvalidParameterError",
     "TooFewSamplesError",

@@ -8,15 +8,10 @@ level: flag when gap > alpha / 2. With
 samples, the test separates gap-zero rules from rules whose population gap
 is at least alpha, each direction failing with probability below delta.
 Reports on smaller samples still carry the raw decision but are marked
-uncertified rather than erroring, so auditing degrades gracefully. The
-sample gap concentrates around the population gap within
-
-    radius = 2 * max_cell sqrt(log(16 / delta) / (n * P_cell)),
-
-valid once n > 8 * log(8 / delta) / min_cell. Natural logarithms
-throughout. Cell probabilities default to the audited sample's empirical
-frequencies; supply true cell probabilities to honor the guarantees
-exactly in simulations.
+uncertified rather than erroring, so auditing degrades gracefully. Natural
+logarithms throughout. Cell probabilities default to the audited sample's
+empirical frequencies; supply true cell probabilities to honor the
+guarantees exactly in simulations.
 
 Behavior on population gaps strictly between 0 and alpha is not covered by
 the guarantee; reports label that band indeterminate.
@@ -48,35 +43,6 @@ def required_sample_size(alpha: float, delta: float,
     except (ZeroDivisionError, OverflowError):
         raise InvalidParameterError(
             f"alpha = {alpha} is too small: the required sample size is not finite") from None
-
-
-@dataclass(frozen=True)
-class RadiusBound:
-    """Concentration radius for the sample gap, flagged when uncertified.
-
-    ``radius`` bounds |population gap - sample gap| with probability at
-    least 1 - delta, but only once ``n`` exceeds ``min_n``; below that the
-    value is still reported with ``certified`` False.
-    """
-
-    radius: float
-    certified: bool
-    min_n: int
-    n: int
-    delta: float
-
-
-def concentration_radius(cells: CellProbabilities, n: int, delta: float) -> RadiusBound:
-    """Two-sided deviation radius of the sample gap at confidence 1 - delta."""
-    if not 0.0 < delta < 0.5:
-        raise InvalidParameterError(f"delta must lie in (0, 1/2), got {delta}")
-    if n < 1:
-        raise InvalidParameterError(f"n must be positive, got {n}")
-    min_cell = cells.positive_min_cell("concentration radius")
-    radius = 2.0 * math.sqrt(math.log(16.0 / delta) / (n * min_cell))
-    min_n = math.floor(8.0 * math.log(8.0 / delta) / min_cell) + 1
-    return RadiusBound(radius=radius, certified=n >= min_n, min_n=min_n,
-                       n=n, delta=delta)
 
 
 @dataclass(frozen=True)

@@ -9,15 +9,15 @@ Subcommands:
 * ``simulate``         draw a dataset from a built-in synthetic law
 * ``reproduce``        run a named reproduction experiment
 
-Every command emits JSON (stdout or ``--out``, written atomically). Exit
-status: 0 on success with all claims passing, 1 when a reproduction claim
-fails, 2 on configuration errors.
+Every command emits JSON (stdout or ``--out``); every file it writes,
+``--raw-out`` too, is written atomically. Exit status: 0 on success with
+all claims passing, 1 when a reproduction claim fails, 2 on configuration
+errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import reprlib
@@ -39,7 +39,7 @@ from .core import (
     GroupRates,
     empirical_loss,
 )
-from .data_io import load_csv, write_csv, write_json_atomic
+from .data_io import load_csv, write_csv, write_json_atomic, write_rows_csv
 from .experiments import EXPERIMENTS, run_experiment
 from .posthoc import RateStatistics, derived_loss, induced_rates, optimal_derived
 from .second_moment import (
@@ -285,12 +285,8 @@ def _cmd_reproduce(args) -> int:
     report = run_experiment(args.experiment, seed=args.seed, **params)
     _emit(report.to_dict(), args.out)
     if args.raw_out and report.raw:
-        fieldnames = list(report.raw[0])
-        with _writing("--raw-out", args.raw_out), \
-                open(args.raw_out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fieldnames)
-            writer.writeheader()
-            writer.writerows(report.raw)
+        with _writing("--raw-out", args.raw_out):
+            write_rows_csv(report.raw, args.raw_out)
     return 0 if report.passed else 1
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -330,17 +330,6 @@ class FeatureThresholdRule(BinaryPredictor):
 
     def predict_proba(self, features, attr):
         return (np.asarray(features)[:, self.feature] >= self.cut).astype(np.float64)
-
-
-class FunctionRule(BinaryPredictor):
-    """Wraps a vectorized callable (features, attr) -> acceptance probabilities."""
-
-    def __init__(self, fn: Callable[[np.ndarray, np.ndarray], np.ndarray], name: str):
-        self.fn = fn
-        self.name = name
-
-    def predict_proba(self, features, attr):
-        return np.asarray(self.fn(features, attr), dtype=np.float64)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""CSV dataset format and atomic JSON report output.
+"""CSV dataset format, and atomic output of every file the commands write.
 
 Dataset files are UTF-8, comma-separated, '.' decimal point, one header
 row: feature columns ``x0..x{d-1}``, a protected-attribute column, a label
@@ -60,7 +60,7 @@ class SchemaError(EqoddsError, ValueError):
 
 
 class ParseError(EqoddsError, ValueError):
-    """A cell failed to parse; carries the 1-based line number."""
+    """A cell failed to parse; carries the 1-based physical line number."""
 
     def __init__(self, line: int, message: str):
         self.line = line
@@ -86,7 +86,8 @@ def load_csv(path, attr_col: str = "a", label_col: str = "y",
         try:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
+            # up to the bad byte: \r\n, \r and \n each end a line, as csv counts them
+            line = len(data[:exc.start + 1].splitlines())
             raise ParseError(line, f"{path}: byte 0x{data[exc.start]:02x} is not "
                                    f"UTF-8 text") from None
         raise
@@ -131,10 +132,10 @@ def _read_dataset(path, attr_col, label_col, score_col, require_binary) -> Datas
             reader = csv.reader(fh)
             next(reader)  # the header, checked above
             try:
-                table, blank_lines = _row_table(reader, len(header), names, order)
+                table = _row_table(reader, len(header), names, order)
             except csv.Error as exc:
                 raise ParseError(reader.line_num, str(exc)) from None
-            _reject_bad_cells(table, names, binary, blank_lines)
+            _reject_bad_cells(table, names, binary, partial(_record_line, fh))
     d = len(feature_names)
     attr, labels, *score = table[:, d:].T
     return Dataset(table[:, :d], attr, labels, score[0] if score else None)
@@ -169,16 +170,20 @@ def _bulk_table(path, n_fields: int):
     return table if table.shape[0] and table.shape[1] == n_fields else None
 
 
-def _row_table(reader, n_fields: int, names: list, order: list):
-    """Parse row by row; ParseError at the first malformed line."""
+def _is_blank(row: list) -> bool:
+    return not row or (len(row) == 1 and not row[0].strip())
+
+
+def _row_table(reader, n_fields: int, names: list, order: list) -> np.ndarray:
+    """Parse row by row, skipping blank lines; ParseError at the first malformed
+    record, naming the physical line it ends on."""
     pick = operator.itemgetter(*order)  # names has at least two entries
-    rows, blank_lines = [], []
-    for line_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            blank_lines.append(line_no)
-            continue  # ignore blank lines
+    rows = []
+    for row in reader:
+        if _is_blank(row):
+            continue
         if len(row) != n_fields:
-            raise ParseError(line_no, f"expected {n_fields} fields, got {len(row)}")
+            raise ParseError(reader.line_num, f"expected {n_fields} fields, got {len(row)}")
         try:
             # an exact-size tuple: a list would over-allocate every row
             rows.append(tuple(map(float, pick(row))))
@@ -187,11 +192,21 @@ def _row_table(reader, n_fields: int, names: list, order: list):
                 try:
                     float(row[i])
                 except ValueError:
-                    raise ParseError(line_no, f"column {name!r}: not a number: "
-                                              f"{row[i].strip()!r}") from None
+                    raise ParseError(reader.line_num, f"column {name!r}: not a number: "
+                                                      f"{row[i].strip()!r}") from None
     if not rows:
         raise SchemaError("no data rows")
-    return np.array(rows, dtype=np.float64), blank_lines
+    return np.array(rows, dtype=np.float64)
+
+
+def _record_line(fh, record: int) -> int:
+    """The physical line data record ``record`` (0-based, blank lines not
+    counted) ends on: a second pass over ``fh``, taken on the error path only."""
+    fh.seek(0)
+    reader = csv.reader(fh)
+    next(reader)  # the header
+    ends = (reader.line_num for row in reader if not _is_blank(row))
+    return next(itertools.islice(ends, record, None))
 
 
 def _bad_cells(table: np.ndarray, names: list, binary: set) -> np.ndarray:
@@ -203,19 +218,16 @@ def _bad_cells(table: np.ndarray, names: list, binary: set) -> np.ndarray:
     return bad
 
 
-def _reject_bad_cells(table: np.ndarray, names: list, binary: set,
-                      blank_lines: list) -> None:
-    """ParseError at the first cell that is nan or inf, or not 0/1 in ``binary``."""
+def _reject_bad_cells(table: np.ndarray, names: list, binary: set, line_of) -> None:
+    """ParseError at the first cell that is nan or inf, or not 0/1 in ``binary``;
+    ``line_of`` maps a table row to the physical line its record ends on."""
     bad = _bad_cells(table, names, binary)
     if not bad.any():
         return
     row, col = divmod(int(np.argmax(bad)), len(names))
-    line_no = row + 2  # after the header, pushed down by each skipped blank line above
-    for blank in blank_lines:  # ascending
-        line_no += blank <= line_no
     value = table[row, col]
     why = "not finite" if not np.isfinite(value) else "must be 0 or 1"
-    raise ParseError(line_no, f"column {names[col]!r} {why}, got {value}")
+    raise ParseError(line_of(row), f"column {names[col]!r} {why}, got {value}")
 
 
 def _format_value(v: float) -> str:
@@ -283,6 +295,14 @@ def write_csv(dataset: Dataset, path) -> None:
         for start in range(0, len(dataset), _BLOCK_ROWS):
             fh.write(_block_text([c[start:start + _BLOCK_ROWS] for c in columns],
                                  patterns))
+
+
+def write_rows_csv(rows: list, path) -> None:
+    """Write dicts as CSV under the first one's keys (atomic: temp file + rename)."""
+    with _atomic_open(path, newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def write_json_atomic(obj, path) -> None:

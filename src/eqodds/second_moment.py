@@ -150,18 +150,12 @@ class LinearPredictor:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "intercept", float(self.intercept))
 
-    def predict(self, features: np.ndarray, attr: np.ndarray) -> np.ndarray:
-        z = np.column_stack([np.atleast_2d(features), np.asarray(attr).ravel()])
-        return z @ self.weights + self.intercept
-
 
 @dataclass(frozen=True)
 class FairLinearSolution:
     predictor: LinearPredictor
-    direction: np.ndarray        # constraint direction v
     multiplier: float            # shrinkage applied along S^-1 v
     residual: float              # |w' (cov(Z,A) var(Y) - cov(Z,Y) cov(Y,A))|
-    unconstrained: LinearPredictor
 
 
 def estimate_moments(dataset: Dataset) -> SecondMomentModel:
@@ -194,20 +188,6 @@ def score_covariances(model: SecondMomentModel,
             float(w @ model.sigma_zz @ w))
 
 
-def check_equalized_correlations(model: SecondMomentModel,
-                                 predictor: LinearPredictor) -> Tuple[float, float]:
-    """(constraint residual, conditional covariance) from covariance algebra.
-
-    Returns cov(R,A) var(Y) - cov(R,Y) cov(Y,A) and
-    cov(R,A) - cov(R,Y) cov(Y,A) / var(Y); they vanish together whenever
-    var(Y) > 0. No data pass is involved.
-    """
-    cov_ra, cov_ry, _ = score_covariances(model, predictor)
-    residual = cov_ra * model.var_y - cov_ry * model.cov_ya
-    conditional = cov_ra - cov_ry * model.cov_ya / model.var_y
-    return residual, conditional
-
-
 def _intercept_for(model: SecondMomentModel, w: np.ndarray) -> float:
     return model.mean_y - float(w @ model.mean_z)
 
@@ -231,18 +211,14 @@ def fit_closed_form(model: SecondMomentModel) -> FairLinearSolution:
                   float(np.abs(model.sigma_zy).max(initial=0.0))
                   * abs(model.cov_ya) / model.var_y, 1e-300)
     if float(np.abs(v).max()) <= 1e-12 * v_scale:
-        return FairLinearSolution(predictor=unconstrained, direction=v,
-                                  multiplier=0.0,
-                                  residual=abs(float(unconstrained.weights
-                                                     @ model.constraint_vector())),
-                                  unconstrained=unconstrained)
+        residual = abs(float(unconstrained.weights @ model.constraint_vector()))
+        return FairLinearSolution(predictor=unconstrained, multiplier=0.0, residual=residual)
     s_inv_v = np.linalg.solve(model.sigma_zz, v)
     mult = float(v @ unconstrained.weights) / float(v @ s_inv_v)
     w = unconstrained.weights - mult * s_inv_v
     predictor = LinearPredictor(w, _intercept_for(model, w))
     residual = abs(float(w @ model.constraint_vector()))
-    return FairLinearSolution(predictor=predictor, direction=v, multiplier=mult,
-                              residual=residual, unconstrained=unconstrained)
+    return FairLinearSolution(predictor=predictor, multiplier=mult, residual=residual)
 
 
 def _correction_multiplier(var_a: float, cov_ya: float, var_y: float,
@@ -264,7 +240,6 @@ class DerivedCorrection:
     """Constrained optimum expressed as a shrinkage of the raw score."""
 
     multiplier: float
-    base: LinearPredictor          # unconstrained least-squares score Rhat
     predictor: LinearPredictor     # induced coefficients over (X..., A)
     score_weight: float            # coefficient on Rhat in the corrected score
     attr_weight: float             # coefficient on A in the corrected score
@@ -285,7 +260,7 @@ def derived_correction(model: SecondMomentModel) -> DerivedCorrection:
     w = score_weight * base.weights.copy()
     w[-1] += attr_weight
     predictor = LinearPredictor(w, _intercept_for(model, w))
-    return DerivedCorrection(multiplier=mult, base=base, predictor=predictor,
+    return DerivedCorrection(multiplier=mult, predictor=predictor,
                              score_weight=score_weight, attr_weight=attr_weight)
 
 

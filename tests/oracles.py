@@ -8,9 +8,33 @@ import itertools
 
 import numpy as np
 
-from eqodds.core import CellProbabilities, ConstantRule, empirical_loss, empirical_rates
+from eqodds.core import (BinaryPredictor, CellProbabilities, ConstantRule, empirical_loss,
+                         empirical_rates)
 from eqodds.posthoc import RateStatistics
 from eqodds.two_step import Step1Result
+
+
+class FunctionRule(BinaryPredictor):
+    """A rule fake: wraps a vectorized callable (features, attr) -> acceptance
+    probabilities, any of them, so tests can feed the library bad outputs too."""
+
+    def __init__(self, fn, name):
+        self.fn = fn
+        self.name = name
+
+    def predict_proba(self, features, attr):
+        return np.asarray(self.fn(features, attr), dtype=np.float64)
+
+
+def equalized_correlations(model, predictor):
+    """(constraint residual, conditional covariance) of a linear score, from the
+    model's covariance blocks alone: cov(R,A) var(Y) - cov(R,Y) cov(Y,A) and
+    cov(R,A) - cov(R,Y) cov(Y,A) / var(Y). They vanish together when var(Y) > 0."""
+    w = predictor.weights
+    cov_ra, cov_ry = float(w @ model.sigma_za), float(w @ model.sigma_zy)
+    residual = cov_ra * model.var_y - cov_ry * model.cov_ya
+    conditional = cov_ra - cov_ry * model.cov_ya / model.var_y
+    return residual, conditional
 
 
 def counting_rates_oracle(dataset, values):

@@ -1,15 +1,11 @@
-"""Detection test, thresholds, and concentration radii."""
+"""Detection test, thresholds, and required sample sizes."""
 
 import math
 
 import numpy as np
 import pytest
 
-from eqodds.audit import (
-    concentration_radius,
-    detect,
-    required_sample_size,
-)
+from eqodds.audit import detect, required_sample_size
 from eqodds.core import (
     AttributeRule,
     CellProbabilities,
@@ -63,51 +59,6 @@ class TestRequiredSampleSize:
         for alpha in (1e-200, 1e-160):
             with pytest.raises(InvalidParameterError, match="alpha"):
                 required_sample_size(alpha, 0.1, cells)
-
-
-class TestConcentrationRadius:
-    def test_uniform_cells_hand_value(self):
-        rb = concentration_radius(CellProbabilities.uniform(), 4096, 0.1)
-        assert rb.radius == pytest.approx(2 * math.sqrt(math.log(160) / 1024), abs=1e-15)
-        assert rb.certified
-
-    def test_quadrupling_n_halves_radius(self):
-        cells = CellProbabilities.from_flat([0.1, 0.2, 0.3, 0.4])
-        r1 = concentration_radius(cells, 2000, 0.05)
-        r2 = concentration_radius(cells, 8000, 0.05)
-        assert r1.certified and r2.certified
-        assert r2.radius == pytest.approx(r1.radius / 2, abs=1e-12)
-
-    def test_precondition_unmet_is_flagged_with_min_n(self):
-        cells = CellProbabilities.from_flat([0.02, 0.18, 0.4, 0.4])
-        rb = concentration_radius(cells, 50, 0.1)
-        assert not rb.certified
-        assert rb.min_n == math.floor(8 * math.log(80) / 0.02) + 1
-        big = concentration_radius(cells, rb.min_n, 0.1)
-        assert big.certified
-
-    def test_radius_grows_as_min_cell_shrinks(self):
-        r_broad = concentration_radius(CellProbabilities.uniform(), 10_000, 0.1)
-        r_thin = concentration_radius(
-            CellProbabilities.from_flat([0.01, 0.33, 0.33, 0.33]), 10_000, 0.1)
-        assert r_thin.radius > r_broad.radius
-
-    def test_monte_carlo_deviation_within_radius(self):
-        # empirical P(|gap_pop - gap_sample| > radius) <= delta on the
-        # two-proxy law with a fixed threshold rule
-        law = two_proxy_law(0.1)
-        cells = law.cell_probabilities()
-        pop_gap = population_rates(law, X_RULE).gap()
-        delta, n, trials = 0.1, 4000, 300
-        rb = concentration_radius(cells, n, delta)
-        assert rb.certified
-        exceed = 0
-        for i in range(trials):
-            ds = sample_law(law, n, seed=5000 + i)
-            from eqodds.core import empirical_rates
-            samp_gap = empirical_rates(ds, X_RULE).gap()
-            exceed += abs(samp_gap - pop_gap) > rb.radius
-        assert exceed / trials <= delta
 
 
 class TestDetect:

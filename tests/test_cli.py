@@ -595,6 +595,9 @@ def test_malformed_input_exits_2(case, needle, tmp_path, capsys):
     assert needle.replace("{tmp}", str(tmp_path)) in err
     if case == "rule-nested-deep":
         assert len(err) < 80, err  # the entry is abbreviated, not echoed whole
+    if case in ("out-is-directory", "raw-out-is-directory"):
+        # the atomic writer's temp file, made beside the target, is gone again
+        assert not [*tmp_path.parent.glob("tmp*.tmp"), *tmp_path.glob("tmp*.tmp")]
 
 
 # a value every experiment that takes the flag accepts, and the report key it sets

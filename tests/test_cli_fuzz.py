@@ -18,11 +18,13 @@ loop alone does.
 import contextlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import example, given, note, settings, strategies as st
 
 from eqodds.cli import build_parser, main
+from eqodds.data_io import ParseError
 from eqodds.experiments import EXPERIMENTS
 
 from test_cli import load_outcome, row_loop_outcome, write_scored_csv
@@ -133,12 +135,20 @@ def test_numeric_flags_keep_the_exit_contract(fuzz_files, name, fuzzed, data):
 # ---- malformed data files ----------------------------------------------------
 
 OVER_LIMIT = "9" * 131_073  # one character past the csv module's field limit
+# a valid header over two physical lines: the quoted name strips to "score"
+TWO_LINE_HEADER = 'x0,a,y,"\rscore"'
 HEADERS = ["x0,a,y,score", "\ufeffx0,a,y,score", "x0,a,y", "x0,a", "x0,x0,a,y",
-           f"x0,a,y,{OVER_LIMIT}"]
+           f"x0,a,y,{OVER_LIMIT}", TWO_LINE_HEADER]
 VALID_ROWS = ["0,0,0,0.5", "1,0,1,1", "0,1,0,0.25", "1,1,1,0"] * 2  # each (a, y) cell twice
-BAD_ROWS = ["0,1", "0,1,0,", "0,1,0,0.5,9", "0,\x00,1,0.5", "0,1,1,0.5\x00", '"1",0,1,0.5',
-            "", " ", "#,0,0,0", "0,2,1,0.5", "nan,0,1,0.5", "1,1,0,1e999", "0,1,0,\"0.5",
-            f"0,1,0,{OVER_LIMIT}"]
+# lines that read as data or are skipped: blank ones, quoted cells, cells over two lines
+FILLERS = ["", " ", '"1",0,1,0.5', '"0\n",1,0,0.25', '1,"1\r\n",1,1', '0,0,0,"\r0.5"']
+BAD_ROWS = ["0,1", "0,1,0,", "0,1,0,0.5,9", "0,\x00,1,0.5", "0,1,1,0.5\x00", "#,0,0,0",
+            "0,2,1,0.5", "nan,0,1,0.5", "1,1,0,1e999", "0,1,0,\"0.5", f"0,1,0,{OVER_LIMIT}",
+            *FILLERS]
+# one bad cell each, planted among fillers; the last ends a line below where it starts,
+# and \udcff writes the byte 0xff, which is not UTF-8
+PLANTED = ["nan,0,1,0.5", "0,2,1,0.5", "1,1,0,1e999", "0,1,x,0.5", "0,1", "0,1,0,0.5,9",
+           "0,\udcff,1,0.5", '0,1,0,"inf\r"']
 CSV_COMMANDS = {
     "audit": ["audit", "--data", "{csv}", "--alpha", "0.5", "--delta", "0.1"],
     "correct": ["correct", "--data", "{csv}", "--tolerance", "0"],
@@ -148,31 +158,57 @@ CSV_COMMANDS = {
 }
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+def _line_breaks(text):
+    """Line ends in ``text``: \\r\\n, \\r and \\n, as csv counts its physical lines."""
+    return len(re.findall(r"\r\n?|\n", text))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
 @given(header=st.just(HEADERS[0]) | st.sampled_from(HEADERS),
        bad=st.lists(st.tuples(st.integers(0, len(VALID_ROWS)), st.sampled_from(BAD_ROWS)),
                     max_size=3),
        ends=st.lists(st.sampled_from(["\r\n", "\n", "\r"]), min_size=1, max_size=4),
        cut=st.none() | st.none() | st.integers(0, 200),
-       command=st.sampled_from(sorted(CSV_COMMANDS)))
-@example(header=HEADERS[-1], bad=[], ends=["\n"], cut=None, command="audit")
-@example(header=HEADERS[0], bad=[(3, BAD_ROWS[-1])], ends=["\r\n"], cut=None,
-         command="correct")
-def test_malformed_csv_keeps_the_exit_contract(fuzz_files, header, bad, ends, cut, command):
+       command=st.sampled_from(sorted(CSV_COMMANDS)),
+       plant=st.none() | st.tuples(st.integers(0, len(VALID_ROWS)), st.sampled_from(PLANTED)))
+@example(header=HEADERS[5], bad=[], ends=["\n"], cut=None, command="audit", plant=None)
+@example(header=HEADERS[0], bad=[(3, BAD_ROWS[10])], ends=["\r\n"], cut=None,
+         command="correct", plant=None)
+@example(header=TWO_LINE_HEADER, bad=[], ends=["\n"], cut=None, command="audit",
+         plant=(1, PLANTED[0]))  # a nan on physical line 4, not record line 3
+@example(header=TWO_LINE_HEADER, bad=[(0, FILLERS[3]), (2, ""), (5, FILLERS[4])],
+         ends=["\r", "\n", "\r\n"], cut=None, command="train", plant=(6, PLANTED[-1]))
+def test_malformed_csv_keeps_the_exit_contract(fuzz_files, header, bad, ends, cut, command,
+                                               plant):
     """A valid file with bad lines put in, line ends mixed, or cut off at a byte
     exits 0 or 2, and ``load_csv`` reads it as the row loop alone does: the same
-    arrays, or the same error type, line and message."""
+    arrays, or the same error type, line and message. A ``plant``ed bad cell is
+    the only bad line, put among the fillers in a whole file with a valid header:
+    the command exits 2 and both parses name the physical line its record ends on."""
     lines = list(VALID_ROWS)
     for at, row in bad:
         lines.insert(at, row)
-    text = "".join(line + ends[i % len(ends)] for i, line in enumerate([header] + lines))
-    data = text.encode("utf-8")[:cut]
+    if plant:
+        header = header if header in (HEADERS[0], TWO_LINE_HEADER) else HEADERS[0]
+        lines = [row for row in lines if row in VALID_ROWS or row in FILLERS]
+        lines.insert(*plant)
+        cut = None
+    pieces = [line + ends[i % len(ends)] for i, line in enumerate([header] + lines)]
+    data = "".join(pieces).encode("utf-8", "surrogateescape")[:cut]
     with open(fuzz_files["csv"], "wb") as fh:
         fh.write(data)
     argv = [arg.format(**fuzz_files) for arg in CSV_COMMANDS[command]]
     note(data[:200])
-    assert load_outcome(fuzz_files["csv"]) == row_loop_outcome(fuzz_files["csv"])
-    assert _run(argv) in (0, 2)
+    outcome = load_outcome(fuzz_files["csv"])
+    assert outcome == row_loop_outcome(fuzz_files["csv"])
+    status = _run(argv)
+    assert status in (0, 2)
+    if plant:
+        at = lines.index(plant[1]) + 1  # in pieces, after the header
+        line = _line_breaks("".join(pieces[:at]) + plant[1]) + 1
+        assert outcome[:2] == (ParseError, line), outcome
+        assert outcome[2].startswith(f"line {line}: ")
+        assert status == 2
 
 
 # ---- argument-list structure -------------------------------------------------

@@ -15,7 +15,6 @@ from eqodds.core import (
     EmptyCellError,
     FeatureThresholdRule,
     FiniteHypothesisClass,
-    FunctionRule,
     GroupRates,
     InvalidParameterError,
     TooFewSamplesError,
@@ -29,7 +28,7 @@ from eqodds.data_io import load_csv
 from eqodds.posthoc import DerivedPredictor
 from eqodds.synthetic import (CellProductLaw, FiniteJointLaw, erm_trap_family, sample_law,
                               two_proxy_law)
-from oracles import counting_rates_oracle as counting_oracle_rates
+from oracles import FunctionRule, counting_rates_oracle as counting_oracle_rates
 
 
 def random_binary_dataset(rng, n, d=2):

@@ -16,7 +16,6 @@ from eqodds.second_moment import (
     _correction_multiplier,
     _hinge_search,
     _smooth_search,
-    check_equalized_correlations,
     derived_correction,
     empirical_risk,
     estimate_moments,
@@ -28,7 +27,7 @@ from eqodds.second_moment import (
 )
 from eqodds.synthetic import gaussian_law, sample_law
 
-from oracles import kkt_elimination_solve, scipy_constrained_risk
+from oracles import equalized_correlations, kkt_elimination_solve, scipy_constrained_risk
 
 
 def random_model(seed, d=3):
@@ -78,7 +77,7 @@ class TestClosedForm:
         model = SecondMomentModel(np.zeros(4), cov)
         sol = fit_closed_form(model)
         assert sol.multiplier == 0.0
-        assert np.allclose(sol.predictor.weights, sol.unconstrained.weights)
+        assert np.allclose(sol.predictor.weights, fit_unconstrained(model).weights)
         assert sol.residual <= 1e-10 * model.scale()
 
     def test_residual_small_on_random_models(self):
@@ -100,7 +99,7 @@ class TestClosedForm:
         for seed in range(10):
             model = random_model(seed)
             sol = fit_closed_form(model)
-            v = sol.direction
+            v = model.direction()
             base = model_squared_loss(model, sol.predictor)
             for _ in range(100):
                 u = rng.normal(size=v.shape[0])
@@ -115,7 +114,7 @@ class TestClosedForm:
             model = random_model(seed)
             sol = fit_closed_form(model)
             assert model_squared_loss(model, sol.predictor) >= \
-                model_squared_loss(model, sol.unconstrained) - 1e-12
+                model_squared_loss(model, fit_unconstrained(model)) - 1e-12
 
 
 class TestEqualizedCorrelationsCheck:
@@ -124,14 +123,14 @@ class TestEqualizedCorrelationsCheck:
         cov[0, 3] = cov[3, 0] = 0.5
         model = SecondMomentModel(np.zeros(4), cov)
         pred = LinearPredictor([1.0, 0.0, 0.0])  # weights on (x0, x1, a)
-        residual, conditional = check_equalized_correlations(model, pred)
+        residual, conditional = equalized_correlations(model, pred)
         assert residual == 0.0 and conditional == 0.0
 
     def test_closed_form_solution_passes_both_diagnostics(self):
         for seed in range(20):
             model = random_model(seed)
             sol = fit_closed_form(model)
-            residual, conditional = check_equalized_correlations(model, sol.predictor)
+            residual, conditional = equalized_correlations(model, sol.predictor)
             assert abs(residual) <= 1e-10 * model.scale()
             assert abs(conditional) <= 1e-10 * model.scale() / model.var_y
 
@@ -139,7 +138,7 @@ class TestEqualizedCorrelationsCheck:
         for seed in range(20):
             model = random_model(seed)
             raw = fit_unconstrained(model)
-            residual, conditional = check_equalized_correlations(model, raw)
+            residual, conditional = equalized_correlations(model, raw)
             cov_ra, cov_ry, _ = score_covariances(model, raw)
             want = cov_ra * model.var_y - cov_ry * model.cov_ya
             assert residual == pytest.approx(want, abs=1e-15)
@@ -361,8 +360,9 @@ class TestNullSpaceNewton:
         capped = fit_constrained_convex(ds, "logistic", tol=0.0, max_iter=25)
         assert capped.stop_reason == "max_iter" and not capped.converged
         assert capped.iterations == 25
+        z = np.column_stack([ds.features, ds.attr])
         for result in (fit, capped):
-            margins = (2 * side - 1) * result.predictor.predict(ds.features, ds.attr)
+            margins = (2 * side - 1) * (z @ result.predictor.weights + result.predictor.intercept)
             assert margins.min() > 0  # the fit separates the classes
             assert np.isfinite(result.objective)
 
@@ -493,5 +493,6 @@ class TestModelValidation:
         model = gaussian_law(2, seed=23)
         pred = LinearPredictor([0.4, -0.2, 0.7], intercept=0.1)
         ds = sample_law(model, 200_000, seed=24)
-        emp = float(np.mean((pred.predict(ds.features, ds.attr) - ds.labels) ** 2))
+        z = np.column_stack([ds.features, ds.attr])
+        emp = float(np.mean((z @ pred.weights + pred.intercept - ds.labels) ** 2))
         assert model_squared_loss(model, pred) == pytest.approx(emp, rel=0.02)

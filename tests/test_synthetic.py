@@ -9,7 +9,6 @@ from eqodds.core import (
     ConstantRule,
     FeatureThresholdRule,
     FiniteHypothesisClass,
-    FunctionRule,
     InvalidParameterError,
 )
 from eqodds.experiments import _halves, run_two_step_rate_sweep
@@ -27,6 +26,8 @@ from eqodds.synthetic import (
     two_proxy_law,
 )
 from eqodds.two_step import TwoStepConfig, train_two_step
+
+from oracles import FunctionRule
 
 X_RULE = FeatureThresholdRule(0, 0.5, name="x")
 

@@ -14,7 +14,6 @@ from eqodds.core import (
     EmptyCellError,
     FeatureThresholdRule,
     FiniteHypothesisClass,
-    FunctionRule,
     InvalidParameterError,
     empirical_loss,
     empirical_rates,
@@ -41,7 +40,7 @@ from eqodds.two_step import (
     threshold_class,
     train_two_step,
 )
-from oracles import constrained_erm_oracle
+from oracles import FunctionRule, constrained_erm_oracle
 
 X_RULE = FeatureThresholdRule(0, 0.5, name="x")
 SMALL_CLASS = FiniteHypothesisClass((X_RULE, AttributeRule(),
