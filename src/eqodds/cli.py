@@ -23,6 +23,7 @@ import math
 import reprlib
 import sys
 from contextlib import contextmanager
+from inspect import signature
 from typing import Optional, Tuple
 
 import numpy as np
@@ -277,6 +278,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    if args.raw_out and args.experiment in EXPERIMENTS:  # raw rows: Monte Carlo, with trials
+        raw = [name for name, run in EXPERIMENTS.items() if "trials" in signature(run).parameters]
+        if args.experiment not in raw:
+            raise CliError(f"--raw-out: {args.experiment} has no per-trial rows; only "
+                           + ", ".join(raw) + " do")
     params = {}
     for key in ("eps", "alpha", "delta", "trials"):
         value = getattr(args, key)

@@ -20,7 +20,8 @@ constraints run through the same path with the cap at zero.
 A vertex is where 4 of the 12 constraint rows are active. The rows come in
 six antipodal pairs (v_i <= 1 and -v_i <= 0, and the two caps on each gap),
 and 4 rows holding both rows of a pair are singular, so only the 240 picks
-of one row from each of 4 distinct pairs are solved, not all 495.
+of one row from each of 4 distinct pairs can be vertices, not all 495. Of
+those, LAPACK solves and checks only the few a closed-form screen keeps.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ from .core import (
 _FEAS_TOL = 1e-9      # vertex feasibility slack
 _TIE_TOL = 1e-12      # objective tie window for the lexicographic tie-break
 _SINGULAR_TOL = 1e-12  # a pick whose |det| is no larger has no unique vertex
-_LP_TRIALS = 32        # trials per block of the batched LP: its pick matrices take < 1 MB
+_SCREEN_TOL = 1e-12    # closed-form vertex error bound, in units of (1 + |v|) / |det|
+_LP_TRIALS = 16        # trials per block of the batched LP: its screen arrays take < 400 KB
 
 
 def _pair(row: int) -> int:
@@ -58,39 +60,33 @@ def _pair(row: int) -> int:
     return row % 4 if row < 8 else 4 + row % 2
 
 
-def _vertex_picks() -> Tuple[np.ndarray, np.ndarray]:
-    """The picks of 4 active rows that can be a vertex, and their minor terms.
+def _vertex_picks() -> Tuple[np.ndarray, ...]:
+    """The picks of 4 active rows that can be a vertex, and each one's 2x2 system.
 
-    Picks keep combinations() order. A pick that holds both rows of a pair
-    has two rows that are exact negatives: its determinant is 0 (LU leaves at
-    most ~1e-16, far under ``_SINGULAR_TOL``), so it is dropped, leaving the
-    C(6, 4) * 2^4 = 240 picks of one row from each of 4 distinct pairs.
-
-    Box rows are signed unit vectors, so |det| of a kept pick is |minor| of
-    its gap rows on the columns no box row covers. With t the flat gap rows
-    followed by 1.0 and 0.0 (at 8 and 9), the minor terms (i, j, k, l) give
-    that minor as t[i] * t[j] - t[k] * t[l]: 1 with no gap row, one entry
-    with one, and a 2x2 determinant with two (then one cap of each gap).
+    Picks keep combinations() order. A pick holding both rows of a pair is
+    singular, which leaves the C(6, 4) * 2^4 = 240 picks of one row from each
+    of 4 distinct pairs. A pick's box rows fix their coordinates at the base
+    point (1 under v_i <= 1, 0 under -v_i <= 0); its 0, 1 or 2 gap rows, padded
+    with box rows on their own coordinates, are LP rows ``rows`` on coordinates
+    ``cols`` of a 2x2 system for the step from there. Box rows are signed unit
+    vectors, so its determinant is the 4x4 one's up to sign, bit for bit. The
+    other tables hold the picks on their last axis, where numpy reduces fast.
     """
-    picks, terms = [], []
+    picks, base, rows, cols = [], [], [], []
     for pick in itertools.combinations(range(12), 4):
         pairs = [_pair(r) for r in pick]
         if len(set(pairs)) < 4:
             continue
-        free = [i for i in range(4) if i not in pairs]  # the columns no box row covers
-        gaps = [4 * (p - 4) for p in pairs if p >= 4]   # where each gap row starts in t
-        if not gaps:
-            terms.append((8, 8, 9, 9))
-        elif len(gaps) == 1:
-            terms.append((gaps[0] + free[0], 8, 9, 9))
-        else:
-            j, k = free
-            terms.append((j, 4 + k, k, 4 + j))
         picks.append(pick)
-    return np.array(picks, dtype=np.intp), np.array(terms, dtype=np.intp)
+        base.append([i in pick for i in range(4)])
+        rows.append(sorted(pick, key=lambda r: r < 8)[:2])  # gap rows first, then box rows
+        cols.append(([i for i in range(4) if i not in pairs] + [r % 4 for r in pick if r < 8])[:2])
+    return (np.array(picks, dtype=np.intp), np.array(base, dtype=float).T.copy(),
+            np.array(rows, dtype=np.intp).T.copy(), np.array(cols, dtype=np.intp).T.copy())
 
 
-_COMBOS, _MINOR = _vertex_picks()
+_COMBOS, _BASE, _SYSTEM_ROWS, _SYSTEM_COLS = _vertex_picks()
+_STEP = np.eye(4)[_SYSTEM_COLS].transpose(0, 2, 1).copy()  # (2, 4, 240): each unknown's coordinate
 
 # expected per-sample 0-1 loss of outputting `out` when the label is `y`
 LOSS_01 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -209,20 +205,37 @@ def _gap_rows(g: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _nonsingular(gap_rows: np.ndarray) -> np.ndarray:
-    """Mask (..., 240) over ``_COMBOS`` for (..., 2, 4) gap rows: picks whose |det|
-    exceeds ``_SINGULAR_TOL``, in closed form."""
-    lead = gap_rows.shape[:-2]
-    t = np.concatenate([gap_rows.reshape(*lead, 8), np.broadcast_to((1.0, 0.0), (*lead, 2))],
-                       axis=-1)[..., _MINOR]
-    return np.abs(t[..., 0] * t[..., 1] - t[..., 2] * t[..., 3]) > _SINGULAR_TOL
+def _screen(rows: np.ndarray, rhs: np.ndarray, cap: np.ndarray, c: np.ndarray):
+    """The (k, 240) candidate mask and |det| of the picks of k trials' LPs.
+
+    A pick's vertex is its base point plus its 2x2 system's Cramer solution. A
+    candidate is a nonsingular pick that may pass both exact checks and come within
+    ``_TIE_TOL`` of the optimum, "may" up to ``_SCREEN_TOL (1 + |v|) / |det|``; the
+    optimum's bound uses only picks that pass with that margin to spare (else +inf).
+    """
+    m = rows[:, _SYSTEM_ROWS[:, None], _SYSTEM_COLS[None]]  # (k, 2, 2, 240)
+    r = rhs[:, _SYSTEM_ROWS] - (rows @ _BASE)[:, _SYSTEM_ROWS, np.arange(_BASE.shape[1])]
+    det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+    nonsingular = np.abs(det) > _SINGULAR_TOL
+    div = np.where(nonsingular, det, 1.0)  # a finite vertex for a singular pick
+    v = _BASE + ((r[:, 0] * m[:, 1, 1] - m[:, 0, 1] * r[:, 1]) / div)[:, None] * _STEP[0]
+    v += ((m[:, 0, 0] * r[:, 1] - r[:, 0] * m[:, 1, 0]) / div)[:, None] * _STEP[1]
+    err = _SCREEN_TOL * (1.0 + np.abs(v).max(axis=1)) / np.abs(div)
+    clipped = np.clip(v, 0.0, 1.0)
+    # how far the worse of the two exact checks fails: the row slack, the cap slack
+    miss = np.maximum((rows @ v - rhs[..., None]).max(axis=1) - _FEAS_TOL,
+                      np.abs(rows[:, 8:10] @ clipped).max(axis=1) - cap - 1e-10)
+    objs = (c[:, None] @ clipped)[:, 0]
+    bound = np.where(nonsingular & (miss <= -err), objs + err, np.inf).min(axis=1, keepdims=True)
+    return nonsingular & (miss <= err) & (objs - err <= bound + _TIE_TOL), np.abs(det)
 
 
 def _derived_accept(g: np.ndarray, table: np.ndarray, tolerance: np.ndarray) -> np.ndarray:
     """Accept tables (T, 2, 2) of the derived-rule LP for base rates ``g``, cell tables
     ``table`` and gap caps ``min(tolerance, 1)`` of T trials, ``_LP_TRIALS`` at a time.
-    One ``np.linalg.solve`` takes every nonsingular pick, each on its own, so a trial
-    gets the same bits in any batch."""
+    Each ``_screen`` candidate is solved on its own by ``np.linalg.solve``, then
+    checked and tie-broken in pick order. Every pick those checks keep within the
+    tie window is a candidate, so a trial gets the bits of solving every pick."""
     out = np.empty((len(g), 4))
     for lo in range(0, len(g), _LP_TRIALS):
         rates, hi = g[lo:lo + _LP_TRIALS], lo + _LP_TRIALS
@@ -233,12 +246,13 @@ def _derived_accept(g: np.ndarray, table: np.ndarray, tolerance: np.ndarray) -> 
         # rows: v_i <= 1, -v_i <= 0, +-gap_y <= cap
         rows = np.concatenate([box, -box, gap_rows, -gap_rows], axis=1)
         rhs = np.concatenate([np.ones((k, 4)), np.zeros((k, 4)), np.repeat(cap, 4, axis=1)], 1)
-        trial, pick = np.nonzero(_nonsingular(gap_rows))
+        candidate, _ = _screen(rows, rhs, cap, c)
+        trial, pick = np.nonzero(candidate)
         picked = (trial[:, None], _COMBOS[pick])
-        verts = np.full((k, len(_COMBOS), 4), np.nan)  # a singular pick has no vertex
-        verts[trial, pick] = np.linalg.solve(rows[picked], rhs[picked][..., None])[..., 0]
-        # a NaN or infinite vertex fails some row
-        keep = (rows @ verts.transpose(0, 2, 1) <= rhs[..., None] + _FEAS_TOL).all(axis=1)
+        live = np.arange(candidate.sum(axis=1).max()) < candidate.sum(axis=1)[:, None]
+        verts = np.zeros((*live.shape, 4))  # each trial's candidates first, then padding
+        verts[live] = np.linalg.solve(rows[picked], rhs[picked][..., None])[..., 0]
+        keep = live & (rows @ verts.transpose(0, 2, 1) <= rhs[..., None] + _FEAS_TOL).all(axis=1)
         verts = np.clip(verts, 0.0, 1.0)
         # inside the 1e-9 row slack a vertex can still miss the cap by over 1e-10
         keep &= _gaps(_mixed_rates(verts.reshape(k, -1, 2, 2), rates[:, None])) <= cap + 1e-10

@@ -80,12 +80,13 @@ class TwoStepConfig:
                 raise InvalidParameterError(f"{name} must be nonnegative, got {v}")
 
 
-def auto_tolerance(n: int, delta: float, cells: CellProbabilities) -> float:
-    """Gap-tolerance schedule shrinking at the sample-gap concentration rate."""
-    if n < 1:
-        raise InvalidParameterError("n must be positive")
-    min_cell = cells.positive_min_cell("auto tolerance")
-    return 2.0 * math.sqrt(2.0 * math.log(64.0 / delta) / (n * min_cell))
+def auto_tolerance(counts: np.ndarray, delta: float):
+    """Gap-tolerance schedule shrinking at the sample-gap concentration rate, from
+    (..., 2, 2) cell counts: n is a table's total and P_cell its smallest share."""
+    _require_nonzero_cells(counts, "auto tolerance")
+    n = counts.sum(axis=(-2, -1))  # counts are integer-valued: every sum is exact
+    share = (counts / n[..., None, None]).min(axis=(-2, -1))
+    return 2.0 * np.sqrt(2.0 * math.log(64.0 / delta) / (n * share))
 
 
 @dataclass(frozen=True)
@@ -196,8 +197,7 @@ def _tolerances(config: TwoStepConfig, first: np.ndarray, second: np.ndarray):
     the (T, 2, 2) cell counts ``first`` and ``second``; every cell must hold a row."""
     _require_nonzero_cells(first, "first half")
     _require_nonzero_cells(second, "second half")
-    auto = np.array([auto_tolerance(int(n.sum()), config.delta, CellProbabilities(n / n.sum()))
-                     for n in first + second])
+    auto = auto_tolerance(first + second, config.delta)
     return tuple(auto if t == "auto" else np.full(len(auto), float(t))
                  for t in (config.train_tolerance, config.correct_tolerance))
 

@@ -133,6 +133,32 @@ def optimal_derived_all_picks(stats, tolerance):
     return np.clip(min(tied, key=tuple).reshape(2, 2), 0.0, 1.0), dets
 
 
+def tied_picks(stats, tolerance):
+    """Every one of the 495 picks through the derived-rule LP's exact checks.
+
+    Each pick with ``np.linalg.det`` above 1e-12 is solved; its vertex is kept
+    when it passes every row within 1e-9 and, clipped to the box, induces a
+    cross-group gap within 1e-10 of ``min(tolerance, 1)``. Returns the mask over
+    ``ALL_PICKS`` of the kept vertices whose objective lies within 1e-12 of the
+    least kept one, and the clipped vertices (NaN where not solved).
+    """
+    g, t = stats.rates, stats.cells.table
+    weight = t * np.array([1.0, -1.0])[:, None]
+    c = np.concatenate([(weight * (1.0 - g)).sum(axis=0), (weight * g).sum(axis=0)])
+    rows, rhs = derived_lp_rows(stats, tolerance)
+    mats = rows[ALL_PICKS]
+    solved = np.abs(np.linalg.det(mats)) > 1e-12
+    verts = np.full((len(ALL_PICKS), 4), np.nan)
+    verts[solved] = np.linalg.solve(mats[solved], rhs[ALL_PICKS[solved]][..., None])[..., 0]
+    keep = solved & (verts @ rows.T <= rhs + 1e-9).all(axis=1)
+    verts = np.clip(verts, 0.0, 1.0)
+    accept = verts.reshape(-1, 2, 2)  # [yhat][a] per pick
+    rates = np.clip(accept[:, 1:] * g + accept[:, :1] * (1.0 - g), 0.0, 1.0)  # [y][a]
+    keep &= np.abs(rates[..., 0] - rates[..., 1]).max(axis=1) <= min(tolerance, 1.0) + 1e-10
+    objs = np.where(keep, verts @ c, np.inf)
+    return objs <= objs.min() + 1e-12, verts
+
+
 def derived_grid_minima(stats, tolerance, n_steps=101, slack=0.0101, side=0.03):
     """Brute-force minima of the derived-rule objective over an accept grid.
 

@@ -498,6 +498,9 @@ def test_nan_score_audit_exits_2(tmp_path, capsys):
     ("hypotheses-is-directory", "cannot read --hypotheses {tmp}: Is a directory"),
     ("out-is-directory", "cannot write --out {tmp}: Is a directory"),
     ("raw-out-is-directory", "cannot write --raw-out {tmp}: Is a directory"),
+    *[(f"raw-out-{name}", f"error: --raw-out: {name} has no per-trial rows; only "
+                          "detection-error-rates, erm-trap-floor, two-step-rate-sweep do")
+      for name in ("posthoc-binary-gap", "posthoc-regression-gap", "second-moment-equivalence")],
     ("tolerance-nan", "argument --tolerance: expected a finite number, got 'nan'"),
     ("tolerance-inf", "argument --tolerance: expected a finite number, got 'inf'"),
     ("train-tolerance-nan", "argument --train-tolerance: expected a finite number"),
@@ -559,6 +562,10 @@ def test_malformed_input_exits_2(case, needle, tmp_path, capsys):
                              "--out", str(tmp_path)],
         "raw-out-is-directory": ["reproduce", "--experiment", "detection-error-rates",
                                  "--trials", "50", "--raw-out", str(tmp_path)],
+        **{f"raw-out-{name}": ["reproduce", "--experiment", name,
+                               "--raw-out", str(tmp_path / "raw.csv")]
+           for name in ("posthoc-binary-gap", "posthoc-regression-gap",
+                        "second-moment-equivalence")},
         "tolerance-nan": ["correct", "--data", str(data), "--tolerance", "nan"],
         "tolerance-inf": ["correct", "--data", str(data), "--tolerance", "inf"],
         "train-tolerance-nan": train + ["--train-tolerance", "nan"],
@@ -591,10 +598,13 @@ def test_malformed_input_exits_2(case, needle, tmp_path, capsys):
                           "--hypotheses", str(tmp_path / "inf.json")],
     }[case]
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert needle.replace("{tmp}", str(tmp_path)) in err
     if case == "rule-nested-deep":
         assert len(err) < 80, err  # the entry is abbreviated, not echoed whole
+    if case.startswith("raw-out-") and case != "raw-out-is-directory":
+        # refused before the experiment runs: no report, no file
+        assert out == "" and not (tmp_path / "raw.csv").exists()
     if case in ("out-is-directory", "raw-out-is-directory"):
         # the atomic writer's temp file, made beside the target, is gone again
         assert not [*tmp_path.parent.glob("tmp*.tmp"), *tmp_path.glob("tmp*.tmp")]

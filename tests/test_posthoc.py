@@ -1,5 +1,7 @@
 """Derived-rule optimization: LP solver, conservative build, rate identities."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,9 +11,11 @@ from eqodds.posthoc import (
     _COMBOS,
     _LP_TRIALS,
     _derived_accept,
+    LOSS_01,
     DerivedPredictor,
     RateStatistics,
-    _nonsingular,
+    _lp_coefficients,
+    _screen,
     conservative_correction,
     derived_loss,
     expected_loss_from_rates,
@@ -21,7 +25,25 @@ from eqodds.posthoc import (
 from eqodds.synthetic import two_proxy_law
 
 from oracles import (ALL_PICKS, derived_grid_minima, derived_lp_rows,
-                     optimal_derived_all_picks, point_in_hull, random_rate_statistics)
+                     optimal_derived_all_picks, point_in_hull, random_rate_statistics,
+                     tied_picks)
+
+
+# rates 1e-9 apart in group 1: the best vertex passes the 1e-9 row check but its
+# induced gap exceeds the cap by ~1.1e-10
+CAP_MISS = (RateStatistics([[0.5241109706003458, 0.9794259644111981],
+                            [0.6526120246106665, 0.9794259654111981]],
+                           CellProbabilities([[0.34364081963267484, 0.24929332004352026],
+                                              [0.049636426504731435, 0.3574294338190736]])),
+            0.11190490194696745)
+
+
+def screen(stats, tolerance):
+    """``_screen`` of one trial: its (240,) candidate mask and every pick's |det|."""
+    rows, rhs = derived_lp_rows(stats, tolerance)
+    c = _lp_coefficients(stats.rates, stats.cells.table, LOSS_01)
+    candidate, det = _screen(rows[None], rhs[None], rhs[None, 8:9], c[None])
+    return candidate[0], det[0]
 
 
 def attr_rule_stats(eps=0.1):
@@ -180,8 +202,7 @@ class TestOptimalDerived:
             tol = (0.0, rng.random() * 0.5, 1.0, 1.5)[k // 5 % 4]
             stats = RateStatistics(rates, CellProbabilities(cells))
             want, dets = optimal_derived_all_picks(stats, tol)
-            gap_rows = derived_lp_rows(stats, tol)[0][8:10]
-            assert np.array_equal(_nonsingular(gap_rows), dets[pruned] > 1e-12), k
+            assert np.array_equal(screen(stats, tol)[1] > 1e-12, dets[pruned] > 1e-12), k
             assert (dets[~pruned] <= 1e-12).all(), k
             got = optimal_derived(stats, tol)
             want_rule = DerivedPredictor(want)
@@ -194,18 +215,71 @@ class TestOptimalDerived:
             assert got.accept.tobytes() == want.tobytes(), (k, got.accept, want)
 
     def test_vertex_missing_the_cap_after_the_solve_is_dropped(self):
-        # rates 1e-9 apart in group 1: the best vertex passes the 1e-9 row
-        # check but its induced gap exceeds the cap by ~1.1e-10
-        stats = RateStatistics(
-            [[0.5241109706003458, 0.9794259644111981],
-             [0.6526120246106665, 0.9794259654111981]],
-            CellProbabilities([[0.34364081963267484, 0.24929332004352026],
-                               [0.049636426504731435, 0.3574294338190736]]))
-        tol = 0.11190490194696745
+        stats, tol = CAP_MISS
         want, _ = optimal_derived_all_picks(stats, tol)
         assert induced_rates(DerivedPredictor(want), stats).gap() > tol + 1e-10
         derived = optimal_derived(stats, tol)
         assert induced_rates(derived, stats).gap() <= tol + 1e-10
+
+    def test_screen_keeps_every_pick_the_exact_checks_tie(self):
+        """Each pick the exact checks keep within the tie window is a screen candidate,
+        and the solver returns the lexicographically least of them: the cap-miss case,
+        then random rates, one group's rates equal, rates and cells on a 1/50 grid,
+        both groups equal, a group's rates 1e-13, 1e-11 or 1e-9 apart, and base rules
+        whose rates are all 0 or all 1 (the constants). Caps 0, random, 1 and 1.5, and
+        caps that the unconstrained optimum, a box corner, misses by 5e-13 past the
+        1e-10 slack: less than the screen's error bound, so the screen cannot tell
+        whether that vertex is kept, and must not bound the optimum by it."""
+        pruned = (ALL_PICKS[:, None, :] == _COMBOS[None]).all(axis=2).any(axis=1)
+        rng = np.random.default_rng(22)
+        cases = [CAP_MISS]
+        while len(cases) < 21:
+            stats = random_rate_statistics(rng)
+            gap = induced_rates(optimal_derived(stats, 1.5), stats).gap()
+            if gap > 0.01:  # not a constant rule, whose gap is 0
+                cases.append((stats, gap - 1e-10 - 5e-13))
+        for k in range(2800):
+            kind = k % 7
+            rates = rng.random((2, 2))
+            cells = rng.random(4) + 0.08
+            cells = (cells / cells.sum()).reshape(2, 2)
+            a = rng.integers(2)
+            if kind == 1:
+                rates[1, a] = rates[0, a]
+            elif kind == 2:
+                rates = rng.integers(0, 51, (2, 2)) / 50
+                parts = np.diff(np.r_[0, np.sort(rng.choice(np.arange(1, 50), 3, False)), 50])
+                cells = parts.reshape(2, 2) / 50
+            elif kind == 3:
+                rates[:, 1] = rates[:, 0]
+            elif kind == 4:
+                rates[1, a] = rates[0, a] + (1e-13, 1e-11, 1e-9)[k // 7 % 3]
+            elif kind >= 5:
+                rates = np.full((2, 2), kind - 5.0)
+            tol = (0.0, rng.random() * 0.5, 1.0, 1.5)[k // 7 % 4]
+            cases.append((RateStatistics(rates, CellProbabilities(cells)), tol))
+        for i, (stats, tol) in enumerate(cases):
+            tied, verts = tied_picks(stats, tol)
+            assert not tied[~pruned].any(), i
+            assert not (tied[pruned] & ~screen(stats, tol)[0]).any(), i
+            want = min(verts[tied], key=tuple).reshape(2, 2)
+            assert optimal_derived(stats, tol).accept.tobytes() == want.tobytes(), i
+
+    def test_degenerate_rates_raise_no_floating_point_warning(self):
+        """Equal, constant and vanishing rates make picks whose determinant is 0 or
+        subnormal; each gets a finite stand-in vertex, so nothing overflows, divides
+        by zero or turns NaN, and every accept table is finite."""
+        tiny = np.array([[1e-160, 3e-160], [2e-160, 5e-160]])
+        rates = np.array([np.zeros((2, 2)), np.ones((2, 2)), np.full((2, 2), 0.3), tiny,
+                          1.0 - tiny, [[1e-300, 0.0], [5e-324, 1e-300]],
+                          [[0.5, 0.5 + 1e-13], [0.5, 0.5]], [[0.2, 0.2], [0.7, 0.7]]])
+        tables = np.full((len(rates), 2, 2), 0.25)
+        for tol in (0.0, 0.3, 1.0, 1.5):
+            with warnings.catch_warnings(), np.errstate(divide="warn", over="warn",
+                                                        invalid="warn"):
+                warnings.simplefilter("error")
+                got = _derived_accept(rates, tables, np.full(len(rates), tol))
+            assert np.isfinite(got).all()
 
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(st.lists(st.tuples(

@@ -8,7 +8,6 @@ import pytest
 
 from eqodds.core import (
     AttributeRule,
-    CellProbabilities,
     ConstantRule,
     Dataset,
     EmptyCellError,
@@ -414,15 +413,22 @@ class TestCountPath:
 
 class TestAutoTolerance:
     def test_formula(self):
-        cells = CellProbabilities.from_flat([0.05, 0.45, 0.05, 0.45])
-        got = auto_tolerance(1000, 0.1, cells)
+        counts = np.array([[50.0, 450.0], [50.0, 450.0]])  # n = 1000, smallest share 0.05
+        got = auto_tolerance(counts, 0.1)
         want = 2 * math.sqrt(2 * math.log(640) / (1000 * 0.05))
         assert got == pytest.approx(want, abs=1e-15)
 
     def test_shrinks_like_inverse_sqrt(self):
-        cells = CellProbabilities.uniform()
-        assert auto_tolerance(4000, 0.1, cells) == pytest.approx(
-            auto_tolerance(1000, 0.1, cells) / 2, abs=1e-12)
+        counts = np.full((2, 2), 250.0)  # n = 1000, uniform cells
+        assert auto_tolerance(4 * counts, 0.1) == pytest.approx(
+            auto_tolerance(counts, 0.1) / 2, abs=1e-12)
+
+    def test_stack_has_the_bits_of_the_scalar_formula(self):
+        counts = np.random.default_rng(4).integers(1, 10_000, (200, 2, 2)).astype(float)
+        want = [2.0 * math.sqrt(2.0 * math.log(64.0 / 0.1) / (int(c.sum()) * (c / c.sum()).min()))
+                for c in counts]
+        assert auto_tolerance(counts, 0.1).tobytes() == np.array(want).tobytes()
+        assert [auto_tolerance(c, 0.1) for c in counts] == want
 
 
 class TestTrainTwoStep:
