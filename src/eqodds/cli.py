@@ -54,6 +54,8 @@ from .second_moment import (
 from .synthetic import erm_trap_family, gaussian_law, sample_law, two_proxy_law
 from .two_step import TwoStepConfig, threshold_class, train_two_step
 
+_COMMANDS = ("audit", "correct", "train", "fit-linear-fair", "simulate", "reproduce")
+
 
 class CliError(Exception):
     """Configuration problem; maps to exit status 2."""
@@ -296,97 +298,110 @@ def _cmd_reproduce(args) -> int:
     return 0 if report.passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _parser(names) -> argparse.ArgumentParser:
+    """The parser with the subparsers of ``names`` alone. Its usage line, which argument
+    errors print, lists all six commands, as the full parser's does."""
     parser = argparse.ArgumentParser(
         prog="eqodds",
         description="Equalized-odds auditing, correction, training, and the "
                     "second-moment relaxation for linear predictors.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if len(names) == len(_COMMANDS) else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
     def common(p):
         p.add_argument("--out", help="write the JSON report here (default stdout)")
 
-    p = sub.add_parser("audit", help="run the discrimination detection test")
-    p.add_argument("--data", required=True)
-    p.add_argument("--score-col", default="score")
-    p.add_argument("--threshold", type=_finite_float, default=None,
-                   help="binarize scores at this cut (default: treat scores "
-                        "as acceptance probabilities)")
-    p.add_argument("--alpha", type=float, required=True,
-                   help="discrimination level the test should detect")
-    p.add_argument("--delta", type=float, required=True,
-                   help="allowed failure probability")
-    p.add_argument("--cell-probs",
-                   help="true joint cell probabilities p00,p01,p10,p11 in (y,a) order")
-    common(p)
-    p.set_defaults(func=_cmd_audit)
+    if "audit" in names:
+        p = sub.add_parser("audit", help="run the discrimination detection test")
+        p.add_argument("--data", required=True)
+        p.add_argument("--score-col", default="score")
+        p.add_argument("--threshold", type=_finite_float, default=None,
+                       help="binarize scores at this cut (default: treat scores "
+                            "as acceptance probabilities)")
+        p.add_argument("--alpha", type=float, required=True,
+                       help="discrimination level the test should detect")
+        p.add_argument("--delta", type=float, required=True,
+                       help="allowed failure probability")
+        p.add_argument("--cell-probs",
+                       help="true joint cell probabilities p00,p01,p10,p11 in (y,a) order")
+        common(p)
+        p.set_defaults(func=_cmd_audit)
 
-    p = sub.add_parser("correct", help="fit the optimal derived rule for a score column")
-    p.add_argument("--data", required=True)
-    p.add_argument("--score-col", default="score")
-    p.add_argument("--threshold", type=_finite_float, default=None)
-    p.add_argument("--tolerance", type=_finite_float, required=True,
-                   help="cap on the corrected rule's cross-group gap")
-    common(p)
-    p.set_defaults(func=_cmd_correct)
+    if "correct" in names:
+        p = sub.add_parser("correct", help="fit the optimal derived rule for a score column")
+        p.add_argument("--data", required=True)
+        p.add_argument("--score-col", default="score")
+        p.add_argument("--threshold", type=_finite_float, default=None)
+        p.add_argument("--tolerance", type=_finite_float, required=True,
+                       help="cap on the corrected rule's cross-group gap")
+        common(p)
+        p.set_defaults(func=_cmd_correct)
 
-    p = sub.add_parser("train", help="two-step training over a finite rule class")
-    p.add_argument("--data", required=True)
-    p.add_argument("--hypotheses", required=True,
-                   help="JSON file describing the rule class")
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--train-tolerance", type=_tolerance_arg, default="auto")
-    p.add_argument("--correct-tolerance", type=_tolerance_arg, default="auto")
-    p.add_argument("--seed", type=_seed_arg, default=0)
-    common(p)
-    p.set_defaults(func=_cmd_train)
+    if "train" in names:
+        p = sub.add_parser("train", help="two-step training over a finite rule class")
+        p.add_argument("--data", required=True)
+        p.add_argument("--hypotheses", required=True,
+                       help="JSON file describing the rule class")
+        p.add_argument("--delta", type=float, default=0.1)
+        p.add_argument("--train-tolerance", type=_tolerance_arg, default="auto")
+        p.add_argument("--correct-tolerance", type=_tolerance_arg, default="auto")
+        p.add_argument("--seed", type=_seed_arg, default=0)
+        common(p)
+        p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("fit-linear-fair",
-                       help="correlation-constrained linear predictor")
-    p.add_argument("--data", required=True)
-    p.add_argument("--label-col", default="y")
-    p.add_argument("--protected-col", default="a")
-    p.add_argument("--loss", choices=["squared", "logistic", "hinge_smooth"],
-                   default="squared")
-    p.add_argument("--method", choices=["closed-form", "derived", "pgd"],
-                   default="closed-form")
-    common(p)
-    p.set_defaults(func=_cmd_fit_linear_fair)
+    if "fit-linear-fair" in names:
+        p = sub.add_parser("fit-linear-fair", help="correlation-constrained linear predictor")
+        p.add_argument("--data", required=True)
+        p.add_argument("--label-col", default="y")
+        p.add_argument("--protected-col", default="a")
+        p.add_argument("--loss", choices=["squared", "logistic", "hinge_smooth"],
+                       default="squared")
+        p.add_argument("--method", choices=["closed-form", "derived", "pgd"],
+                       default="closed-form")
+        common(p)
+        p.set_defaults(func=_cmd_fit_linear_fair)
 
-    p = sub.add_parser("simulate", help="sample a dataset from a synthetic law")
-    p.add_argument("--law", choices=["two-proxy", "erm-trap", "gaussian"],
-                   required=True)
-    p.add_argument("--noise", type=float, default=0.1,
-                   help="two-proxy: attribute flip probability")
-    p.add_argument("--features", type=int, default=16,
-                   help="erm-trap: number of coordinates")
-    p.add_argument("--alpha", type=float, default=0.05,
-                   help="erm-trap: flip probability in the rare cell")
-    p.add_argument("--dim", type=int, default=3, help="gaussian: feature dimension")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=_seed_arg, default=0)
-    p.add_argument("--out", required=True, help="CSV output path")
-    p.set_defaults(func=_cmd_simulate)
+    if "simulate" in names:
+        p = sub.add_parser("simulate", help="sample a dataset from a synthetic law")
+        p.add_argument("--law", choices=["two-proxy", "erm-trap", "gaussian"],
+                       required=True)
+        p.add_argument("--noise", type=float, default=0.1,
+                       help="two-proxy: attribute flip probability")
+        p.add_argument("--features", type=int, default=16,
+                       help="erm-trap: number of coordinates")
+        p.add_argument("--alpha", type=float, default=0.05,
+                       help="erm-trap: flip probability in the rare cell")
+        p.add_argument("--dim", type=int, default=3, help="gaussian: feature dimension")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--seed", type=_seed_arg, default=0)
+        p.add_argument("--out", required=True, help="CSV output path")
+        p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("reproduce", help="run a reproduction experiment")
-    p.add_argument("--experiment", required=True,
-                   help=f"one of {sorted(EXPERIMENTS)}")
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=_seed_arg, default=0)
-    p.add_argument("--raw-out", help="also write per-trial rows as CSV")
-    common(p)
-    p.set_defaults(func=_cmd_reproduce)
+    if "reproduce" in names:
+        p = sub.add_parser("reproduce", help="run a reproduction experiment")
+        p.add_argument("--experiment", required=True,
+                       help=f"one of {sorted(EXPERIMENTS)}")
+        p.add_argument("--eps", type=float, default=None)
+        p.add_argument("--alpha", type=float, default=None)
+        p.add_argument("--delta", type=float, default=None)
+        p.add_argument("--trials", type=int, default=None)
+        p.add_argument("--seed", type=_seed_arg, default=0)
+        p.add_argument("--raw-out", help="also write per-trial rows as CSV")
+        common(p)
+        p.set_defaults(func=_cmd_reproduce)
 
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    return _parser(_COMMANDS)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    known = [name for name in argv[:1] if name in _COMMANDS]
+    try:  # a command's subparser alone; for help, an unknown or no command, all six
+        args = (_parser(known) if known else build_parser()).parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage error (2) or help (0)
         return exc.code
     try:

@@ -21,7 +21,8 @@ A vertex is where 4 of the 12 constraint rows are active. The rows come in
 six antipodal pairs (v_i <= 1 and -v_i <= 0, and the two caps on each gap),
 and 4 rows holding both rows of a pair are singular, so only the 240 picks
 of one row from each of 4 distinct pairs can be vertices, not all 495. Of
-those, LAPACK solves and checks only the few a closed-form screen keeps.
+those, LAPACK solves and checks only the few a closed-form screen keeps; it
+multiplies out only the two gap rows, which alone differ between trials.
 """
 
 from __future__ import annotations
@@ -48,16 +49,9 @@ _FEAS_TOL = 1e-9      # vertex feasibility slack
 _TIE_TOL = 1e-12      # objective tie window for the lexicographic tie-break
 _SINGULAR_TOL = 1e-12  # a pick whose |det| is no larger has no unique vertex
 _SCREEN_TOL = 1e-12    # closed-form vertex error bound, in units of (1 + |v|) / |det|
-_LP_TRIALS = 16        # trials per block of the batched LP: its screen arrays take < 400 KB
-
-
-def _pair(row: int) -> int:
-    """Antipodal pair of a constraint row, numbered 0 to 5.
-
-    Pair i < 4 holds v_i <= 1 (row i) and -v_i <= 0 (row 4 + i); pair 4 + y
-    holds the caps +gap_y <= cap (row 8 + y) and -gap_y <= cap (row 10 + y).
-    """
-    return row % 4 if row < 8 else 4 + row % 2
+# trials per block of the batched LP: a screen temporary is at most (16, 4, 240) float64,
+# 120 KiB, under glibc's 128 KiB mmap threshold: blocks reuse heap, not freshly mapped pages
+_LP_TRIALS = 16
 
 
 def _vertex_picks() -> Tuple[np.ndarray, ...]:
@@ -74,7 +68,8 @@ def _vertex_picks() -> Tuple[np.ndarray, ...]:
     """
     picks, base, rows, cols = [], [], [], []
     for pick in itertools.combinations(range(12), 4):
-        pairs = [_pair(r) for r in pick]
+        # pair i < 4 holds rows i and 4 + i (v_i <= 1, -v_i <= 0), pair 4 + y rows 8 + y, 10 + y
+        pairs = [r % 4 if r < 8 else 4 + r % 2 for r in pick]
         if len(set(pairs)) < 4:
             continue
         picks.append(pick)
@@ -86,7 +81,7 @@ def _vertex_picks() -> Tuple[np.ndarray, ...]:
 
 
 _COMBOS, _BASE, _SYSTEM_ROWS, _SYSTEM_COLS = _vertex_picks()
-_STEP = np.eye(4)[_SYSTEM_COLS].transpose(0, 2, 1).copy()  # (2, 4, 240): each unknown's coordinate
+_SYSTEM_SIGN = np.where(_SYSTEM_ROWS < 10, 1.0, -1.0)  # -gap_y <= cap is row 10 + y
 
 # expected per-sample 0-1 loss of outputting `out` when the label is `y`
 LOSS_01 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -205,29 +200,42 @@ def _gap_rows(g: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _screen(rows: np.ndarray, rhs: np.ndarray, cap: np.ndarray, c: np.ndarray):
+def _vertices(rows: np.ndarray, cap: np.ndarray):
+    """Each pick's vertex, (k, 4, 240): its base point plus its 2x2 system's Cramer
+    solution (a finite stand-in if singular), and the system's |det|, (k, 240). Only
+    the gap rows ``rows[:, 8:10]`` vary by trial and are multiplied out: a box row of
+    a system is active at the base point, where its right side is 0."""
+    picks = np.arange(_BASE.shape[1])
+    m = rows[:, _SYSTEM_ROWS[:, None], _SYSTEM_COLS[None]]  # (k, 2, 2, 240)
+    at_base = (rows[:, 8:10] @ _BASE)[:, _SYSTEM_ROWS % 2, picks]  # gap_y at the base points
+    r = np.where(_SYSTEM_ROWS < 8, 0.0, cap[..., None] - _SYSTEM_SIGN * at_base)
+    det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+    div = np.where(np.abs(det) > _SINGULAR_TOL, det, 1.0)
+    v = np.repeat(_BASE[None], len(rows), axis=0)
+    v[:, _SYSTEM_COLS[0], picks] += (r[:, 0] * m[:, 1, 1] - m[:, 0, 1] * r[:, 1]) / div
+    v[:, _SYSTEM_COLS[1], picks] += (m[:, 0, 0] * r[:, 1] - r[:, 0] * m[:, 1, 0]) / div
+    return v, np.abs(det)
+
+
+def _screen(rows: np.ndarray, cap: np.ndarray, c: np.ndarray):
     """The (k, 240) candidate mask and |det| of the picks of k trials' LPs.
 
-    A pick's vertex is its base point plus its 2x2 system's Cramer solution. A
-    candidate is a nonsingular pick that may pass both exact checks and come within
+    A candidate is a nonsingular pick that may pass both exact checks and come within
     ``_TIE_TOL`` of the optimum, "may" up to ``_SCREEN_TOL (1 + |v|) / |det|``; the
     optimum's bound uses only picks that pass with that margin to spare (else +inf).
+    A vertex misses the box rows by ``max(v) - 1`` and ``-min(v)``.
     """
-    m = rows[:, _SYSTEM_ROWS[:, None], _SYSTEM_COLS[None]]  # (k, 2, 2, 240)
-    r = rhs[:, _SYSTEM_ROWS] - (rows @ _BASE)[:, _SYSTEM_ROWS, np.arange(_BASE.shape[1])]
-    det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
-    nonsingular = np.abs(det) > _SINGULAR_TOL
-    div = np.where(nonsingular, det, 1.0)  # a finite vertex for a singular pick
-    v = _BASE + ((r[:, 0] * m[:, 1, 1] - m[:, 0, 1] * r[:, 1]) / div)[:, None] * _STEP[0]
-    v += ((m[:, 0, 0] * r[:, 1] - r[:, 0] * m[:, 1, 0]) / div)[:, None] * _STEP[1]
-    err = _SCREEN_TOL * (1.0 + np.abs(v).max(axis=1)) / np.abs(div)
-    clipped = np.clip(v, 0.0, 1.0)
+    v, det = _vertices(rows, cap)  # its temporaries are freed before the checks allocate
+    gap, nonsingular = rows[:, 8:10], det > _SINGULAR_TOL
+    high, low = v.max(axis=1), v.min(axis=1)
+    err = _SCREEN_TOL * (1.0 + np.maximum(high, -low)) / np.where(nonsingular, det, 1.0)
     # how far the worse of the two exact checks fails: the row slack, the cap slack
-    miss = np.maximum((rows @ v - rhs[..., None]).max(axis=1) - _FEAS_TOL,
-                      np.abs(rows[:, 8:10] @ clipped).max(axis=1) - cap - 1e-10)
+    rows_miss = np.maximum(np.maximum(high - 1.0, -low), np.abs(gap @ v).max(axis=1) - cap)
+    clipped = np.clip(v, 0.0, 1.0, out=v)
+    miss = np.maximum(rows_miss - _FEAS_TOL, np.abs(gap @ clipped).max(axis=1) - cap - 1e-10)
     objs = (c[:, None] @ clipped)[:, 0]
     bound = np.where(nonsingular & (miss <= -err), objs + err, np.inf).min(axis=1, keepdims=True)
-    return nonsingular & (miss <= err) & (objs - err <= bound + _TIE_TOL), np.abs(det)
+    return nonsingular & (miss <= err) & (objs - err <= bound + _TIE_TOL), det
 
 
 def _derived_accept(g: np.ndarray, table: np.ndarray, tolerance: np.ndarray) -> np.ndarray:
@@ -246,7 +254,7 @@ def _derived_accept(g: np.ndarray, table: np.ndarray, tolerance: np.ndarray) -> 
         # rows: v_i <= 1, -v_i <= 0, +-gap_y <= cap
         rows = np.concatenate([box, -box, gap_rows, -gap_rows], axis=1)
         rhs = np.concatenate([np.ones((k, 4)), np.zeros((k, 4)), np.repeat(cap, 4, axis=1)], 1)
-        candidate, _ = _screen(rows, rhs, cap, c)
+        candidate, _ = _screen(rows, cap, c)
         trial, pick = np.nonzero(candidate)
         picked = (trial[:, None], _COMBOS[pick])
         live = np.arange(candidate.sum(axis=1).max()) < candidate.sum(axis=1)[:, None]

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -278,42 +278,43 @@ def _signed_labels(labels: np.ndarray) -> np.ndarray:
     raise InvalidParameterError("margin losses need labels in {0,1} or {-1,+1}")
 
 
-def _row_terms(r: np.ndarray, y: np.ndarray, loss: str) -> Tuple[float, np.ndarray, np.ndarray]:
-    """Mean loss at scores ``r``, and each row's first and second derivative in r."""
+def _row_terms(m: np.ndarray, s: np.ndarray,
+               loss: str) -> Tuple[Callable[[], float], np.ndarray, np.ndarray]:
+    """The mean loss, as a function the line search never calls, and each row's first and
+    second derivative in r, at margins m = s r (for squared loss, m = r and s = y)."""
     if loss == "squared":
-        res = r - y
-        return float(res @ res) / r.shape[0], 2.0 * res, np.full_like(r, 2.0)
-    s = _signed_labels(y)
-    m = s * r
+        res = m - s
+        return lambda: float(res @ res) / m.shape[0], 2.0 * res, np.full_like(m, 2.0)
     if loss == "logistic":
         with np.errstate(over="ignore"):  # exp(m) = inf gives the limit p = 0
             p = 1.0 / (1.0 + np.exp(m))
-        return float(np.logaddexp(0.0, -m).mean()), -s * p, p * (1.0 - p)
+        return lambda: float(np.logaddexp(0.0, -m).mean()), -s * p, p * (1.0 - p)
     if loss == "hinge_smooth":
         h = _HINGE_WIDTH
         lin, flat = m <= 1.0 - h, m >= 1.0
-        value = float(np.where(flat, 0.0, np.where(lin, 1.0 - m - h / 2.0,
-                                                   (1.0 - m) ** 2 / (2.0 * h))).mean())
         dloss_dm = np.where(flat, 0.0, np.where(lin, -1.0, -(1.0 - m) / h))
-        return value, s * dloss_dm, np.where(lin | flat, 0.0, 1.0 / h)
+        return (lambda: float(np.where(flat, 0.0, np.where(lin, 1.0 - m - h / 2.0,
+                                                           (1.0 - m) ** 2 / (2.0 * h))).mean()),
+                s * dloss_dm, np.where(lin | flat, 0.0, 1.0 / h))
     raise InvalidParameterError(f"unknown loss {loss!r}; choose from {_LOSSES}")
 
 
 def empirical_risk(w: np.ndarray, b: float, z: np.ndarray, y: np.ndarray,
                    loss: str) -> Tuple[float, np.ndarray, float]:
     """Mean loss and its analytic gradient in (w, b)."""
-    value, d1, _ = _row_terms(z @ w + b, y, loss)
+    s, r = (y if loss == "squared" else _signed_labels(y)), z @ w + b
+    value, d1, _ = _row_terms(r if loss == "squared" else s * r, s, loss)
     grad_r = d1 / z.shape[0]
-    return value, z.T @ grad_r, float(grad_r.sum())
+    return value(), z.T @ grad_r, float(grad_r.sum())
 
 
-def _smooth_search(r: np.ndarray, dr: np.ndarray, y: np.ndarray, loss: str, df0: float) -> float:
-    """Root of f'(t), f(t) = risk at scores r + t dr, f'(0) = df0 < 0: Newton from
-    t = 1, bisecting the bracket of known signs of f' when Newton leaves it. The
-    bracket ends at 2^40, the step where f falls forever (separable data)."""
+def _smooth_search(r: np.ndarray, dr: np.ndarray, s: np.ndarray, loss: str, df0: float) -> float:
+    """Root of f'(t), f(t) = risk at scores r + t dr, f'(0) = df0 < 0, s the signs of
+    ``_row_terms``: Newton from t = 1, bisecting the bracket of known signs of f' when
+    Newton leaves it. The bracket ends at 2^40, where f falls forever (separable data)."""
     lo, hi, t = 0.0, 2.0 ** 40, 1.0
     for _ in range(60):
-        _, d1, d2 = _row_terms(r + t * dr, y, loss)
+        _, d1, d2 = _row_terms(r + t * dr if loss == "squared" else s * (r + t * dr), s, loss)
         slope = float(dr @ d1)
         lo, hi = (t, hi) if slope < 0.0 else (lo, t)
         if abs(slope) <= -1e-9 * df0 or hi - lo <= 1e-12 * hi:
@@ -323,17 +324,16 @@ def _smooth_search(r: np.ndarray, dr: np.ndarray, y: np.ndarray, loss: str, df0:
     return t
 
 
-def _hinge_search(r: np.ndarray, dr: np.ndarray, y: np.ndarray) -> float:
-    """Exact minimiser t > 0 of the smooth-hinge risk at scores r + t dr.
+def _hinge_search(m: np.ndarray, dm: np.ndarray) -> float:
+    """Exact minimiser t > 0 of the smooth-hinge risk at margins m + t dm.
 
     n f'(t) is a line alpha + beta t between breakpoints, where a margin m
     crosses 1 - h, adding (|dm| - a, b) to (alpha, beta), or 1, adding (a, -b),
     with a = |dm| (1 - m) / h, b = dm |dm| / h. From the line at t = -inf, the
     breakpoints behind t = 0 are summed; the root is on the first segment ahead
-    whose end has f' >= 0. The nearest 4096 breakpoints ahead are sorted first,
-    and all of them only when the root lies beyond those."""
-    h, n = _HINGE_WIDTH, r.shape[0]
-    m, dm = _signed_labels(y) * np.stack([r, dr])  # margins and their rates
+    whose end has f' >= 0. The nearest 256 breakpoints ahead are sorted first,
+    then the nearest 4096, and all of them only when the root lies beyond those."""
+    h, n = _HINGE_WIDTH, m.shape[0]
     a, b = np.abs(dm) * (1.0 - m) / h, dm * np.abs(dm) / h
     with np.errstate(divide="ignore", invalid="ignore"):  # dm = 0, or 0 * inf at the end
         times = (np.stack([1.0 - h - m, 1.0 - m]) / dm).ravel()  # crossing 1 - h, then 1
@@ -341,7 +341,7 @@ def _hinge_search(r: np.ndarray, dr: np.ndarray, y: np.ndarray) -> float:
         alpha = float((np.abs(dm) - a) @ behind[:n] + a @ behind[n:] - np.maximum(dm, 0.0).sum())
         beta = float(b @ behind[:n] - b @ behind[n:])
         ahead = np.flatnonzero(times > 0.0)
-        for nearest in (4096, ahead.size):
+        for nearest in (256, 4096, ahead.size):
             head = (ahead if nearest >= ahead.size
                     else ahead[np.argpartition(times[ahead], nearest - 1)[:nearest]])
             head = head[np.argsort(times[head])]
@@ -398,9 +398,11 @@ def fit_constrained_convex(dataset: Dataset, loss: str = "squared",
     x = np.zeros(basis.shape[1] + 1)
     ridge = 1e-14 * np.vdot(design, design) / design.size * np.eye(x.size)  # keeps H definite
 
+    s = y if loss == "squared" else _signed_labels(y)  # once a fit
     for iterations in range(max_iter + 1):
         r = design @ x
-        value, d1, d2 = _row_terms(r, y, loss)
+        m = r if loss == "squared" else s * r  # shared with the hinge search
+        value, d1, d2 = _row_terms(m, s, loss)
         grad = design.T @ d1 / n
         stop_reason = ("converged" if float(np.linalg.norm(grad)) <= tol else
                        "stalled" if iterations and np.array_equal(x, x_last) else "max_iter")
@@ -410,13 +412,13 @@ def fit_constrained_convex(dataset: Dataset, loss: str = "squared",
         hess = sum(a[i:i + 4096].T * aw[i:i + 4096] @ a[i:i + 4096] for i in range(0, len(a), 4096))
         step = np.linalg.solve(hess / n + ridge, -grad)
         dr = design @ step
-        t = (_hinge_search(r, dr, y) if loss == "hinge_smooth"
-             else _smooth_search(r, dr, y, loss, float(dr @ d1)))
+        t = (_hinge_search(m, s * dr) if loss == "hinge_smooth"
+             else _smooth_search(r, dr, s, loss, float(dr @ d1)))
         x_last, x = x, x + t * step
 
     w = basis @ x[:-1]
     return ProjectedFitResult(predictor=LinearPredictor(w, x[-1] - float(w @ z_mean)),
                               converged=stop_reason == "converged", iterations=iterations,
-                              loss=loss, objective=value, stop_reason=stop_reason,
+                              loss=loss, objective=value(), stop_reason=stop_reason,
                               projected_gradient_norm=float(np.linalg.norm(grad)),
                               constraint_residual=abs(float(w @ c)))

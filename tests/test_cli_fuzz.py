@@ -23,6 +23,7 @@ import re
 import pytest
 from hypothesis import example, given, note, settings, strategies as st
 
+from eqodds import cli
 from eqodds.cli import build_parser, main
 from eqodds.data_io import ParseError
 from eqodds.experiments import EXPERIMENTS
@@ -265,3 +266,39 @@ def test_argv_structure_keeps_the_exit_contract(fuzz_files, argv):
     argv = [arg.format(**fuzz_files) for arg in argv]
     note(argv)
     _run(argv)
+
+
+def _parse(argv):
+    """``main(argv)``'s status, stdout and stderr, and the arguments it parsed, with
+    every command's handler replaced by one that only records them."""
+    parsed = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in dir(cli):
+            if name.startswith("_cmd_"):
+                patch.setattr(cli, name, lambda args: parsed.append(vars(args)) or 0)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main(argv)
+    for args in parsed:
+        args.pop("func")
+    return status, out.getvalue(), err.getvalue(), parsed
+
+
+# help, a command's own help, no command, and bare commands
+PARSER_ARGV = [[], ["-h"], ["--help"], ["audit", "-h"], ["reproduce", "--help"], ["train"],
+               ["fit-linear-fair", "--bogus"], ["simulate", "--n"], ["correct", "extra"]]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(argv=st.one_of(st.sampled_from(list(VALID_ARGV.values()) + PARSER_ARGV),
+                      mutated_argv()))
+def test_one_command_parser_parses_as_the_full_parser(fuzz_files, argv):
+    """``main`` builds only the named command's subparser; its status, output, errors
+    and parsed arguments equal those of the parser with all six subcommands."""
+    argv = [arg.format(**fuzz_files) for arg in argv]
+    note(argv)
+    own = _parse(argv)
+    with pytest.MonkeyPatch.context() as patch:
+        full = cli._parser
+        patch.setattr(cli, "_parser", lambda names: full(cli._COMMANDS))
+        assert _parse(argv) == own

@@ -1,5 +1,6 @@
 """Derived-rule optimization: LP solver, conservative build, rate identities."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -42,7 +43,7 @@ def screen(stats, tolerance):
     """``_screen`` of one trial: its (240,) candidate mask and every pick's |det|."""
     rows, rhs = derived_lp_rows(stats, tolerance)
     c = _lp_coefficients(stats.rates, stats.cells.table, LOSS_01)
-    candidate, det = _screen(rows[None], rhs[None], rhs[None, 8:9], c[None])
+    candidate, det = _screen(rows[None], rhs[None, 8:9], c[None])
     return candidate[0], det[0]
 
 
@@ -305,6 +306,24 @@ class TestOptimalDerived:
         for g, table, tol, accept in zip(rates, tables, tols, got):
             want = optimal_derived(RateStatistics(g, CellProbabilities(table)), tol).accept
             assert accept.tobytes() == want.tobytes()
+
+    def test_one_block_stays_under_one_mib(self):
+        """A block of ``_LP_TRIALS`` trials allocates under 1 MiB at its peak: the screen
+        multiplies out the gap rows alone, so no temporary holds all 12 rows' values at
+        every pick, (16, 12, 240) float64 or 368 KiB apiece."""
+        rng = np.random.default_rng(23)
+        stats = [random_rate_statistics(rng) for _ in range(_LP_TRIALS)]
+        rates = np.array([s.rates for s in stats])
+        tables = np.array([s.cells.table for s in stats])
+        tols = rng.choice([0.0, 0.02, 0.3, 1.0], size=_LP_TRIALS)
+        _derived_accept(rates, tables, tols)  # warm the caches outside the trace
+        tracemalloc.start()
+        try:
+            _derived_accept(rates, tables, tols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
     def test_batch_blocks_equal_one_trial_at_a_time(self):
         # more trials than one block, of every kind the pruning test draws

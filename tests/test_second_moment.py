@@ -434,7 +434,7 @@ class TestLineSearches:
         for seed in range(20):
             r, dr, y = self._descent_problem("logistic", seed, 300, 10.0 ** (seed % 5 - 2))
             slope0 = margin_slope("logistic", r, dr, y, 0.0)
-            t = _smooth_search(r, dr, y, "logistic", slope0 * len(r))
+            t = _smooth_search(r, dr, 2.0 * y - 1.0, "logistic", slope0 * len(r))
             assert t > 0.0
             assert abs(margin_slope("logistic", r, dr, y, t)) <= 1e-8 * abs(slope0)
 
@@ -444,7 +444,8 @@ class TestLineSearches:
             n = (40, 800, 5000)[seed % 3]
             r, dr, y = self._descent_problem("hinge", seed, n, 10.0 ** (seed % 5 - 2))
             slope0 = margin_slope("hinge", r, dr, y, 0.0)
-            t = _hinge_search(r, dr, y)
+            s = 2.0 * y - 1.0
+            t = _hinge_search(s * r, s * dr)
             assert t > 0.0
             assert abs(margin_slope("hinge", r, dr, y, t)) <= 1e-9 * abs(slope0)
             # f' is nondecreasing: just before t it is negative, just after it is not
@@ -457,11 +458,10 @@ class TestLineSearches:
         # and the search must still stop at that breakpoint, not at t = inf
         for seed in range(40):
             rng = np.random.default_rng(seed)
-            y = rng.integers(0, 2, 60).astype(float)
-            s = 2.0 * y - 1.0
+            rng.integers(0, 2, 60)  # a label draw, which fixes the margins drawn next
             m, dm = rng.uniform(-2.0, 0.9, 60), rng.uniform(0.1, 1.0, 60)
             m[:10], dm[:5] = 1.5, 0.0  # rows already past 1, some standing still
-            t = _hinge_search(s * m, s * dm, y)
+            t = _hinge_search(m, dm)
             assert t == pytest.approx(((1.0 - m[10:]) / dm[10:]).max(), rel=1e-12)
 
     def test_hinge_search_root_past_the_nearest_breakpoints(self):
@@ -469,10 +469,9 @@ class TestLineSearches:
         # one, so the search must go on from the nearest 4096 to all of them
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            y = rng.integers(0, 2, 3000).astype(float)
-            s = 2.0 * y - 1.0
+            rng.integers(0, 2, 3000)  # a label draw, which fixes the margins drawn next
             m, dm = rng.uniform(-2.0, 0.9, 3000), rng.uniform(0.1, 1.0, 3000)
-            t = _hinge_search(s * m, s * dm, y)
+            t = _hinge_search(m, dm)
             assert t == pytest.approx(((1.0 - m) / dm).max(), rel=1e-12)
 
 
