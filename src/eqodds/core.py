@@ -16,7 +16,6 @@ pure function, so concurrent use needs no coordination.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
@@ -61,19 +60,30 @@ class TooFewSamplesError(EqoddsError, ValueError):
     pass
 
 
+# Codes one bincount of ``cell_sums`` takes: a stack of any size sums in 512 KB blocks.
+_CELL_BLOCK = 65_536
+
+
 def cell_sums(cell: np.ndarray, weights: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-cell sums of ``weights`` (row counts when omitted) over its last axis: a
     (2, 2) [y][a] table, or a (..., 2, 2) stack of them for a (..., n) weight stack.
 
     The one kernel behind rates, counts, cell tables and the Monte Carlo count
-    tables. A stack is one bincount of the codes ``cell + 4k`` over its rows k; each
-    row is summed in order, as the one-row call sums it, so bit for bit the same.
+    tables. A stack is one bincount of the codes ``cell + 4k`` over its rows k, in
+    blocks of rows of at most ``_CELL_BLOCK`` codes; each row is summed in order, as
+    the one-row call sums it, so bit for bit the same.
     """
-    lead = () if weights is None else np.shape(weights)[:-1]
-    if lead:
-        cell = (cell + 4 * np.arange(math.prod(lead))[:, None]).ravel()
-        weights = np.ravel(weights)
-    return np.bincount(cell, weights, minlength=4 * math.prod(lead)).reshape(*lead, 2, 2)
+    if weights is None or np.ndim(weights) == 1:
+        return np.bincount(cell, weights, minlength=4).reshape(2, 2)
+    lead, weights = np.shape(weights)[:-1], np.reshape(weights, (-1, len(cell)))
+    step = max(1, _CELL_BLOCK // max(1, len(cell)))
+    codes = (cell + 4 * np.arange(min(step, len(weights)))[:, None]).ravel()
+    out = np.empty((len(weights), 4))
+    for lo in range(0, len(weights), step):
+        block = weights[lo:lo + step]
+        out[lo:lo + len(block)] = np.bincount(codes[:block.size], block.ravel(),
+                                              minlength=4 * len(block)).reshape(-1, 4)
+    return out.reshape(*lead, 2, 2)
 
 
 def _gaps(rates: np.ndarray) -> np.ndarray:

@@ -11,8 +11,12 @@ Each Monte Carlo trial draws, from its own seed, the sufficient statistics
 of its sample, not rows (``sample_counts``): atom counts, halved for the
 sweep by one multivariate hypergeometric draw (the law of a uniformly random
 halving), or for ``erm-trap-floor`` cell counts and each coordinate's cell
-sums. Cell sums of 0/1 rules are exact integers, and the trials of one n
-run as arrays: one scan, one selection, one batched derived-rule LP.
+sums. Trial i draws from the state of ``np.random.default_rng(seed + i)``
+(``seed + 100_000 n + i`` in the sweep); ``synthetic._default_rngs`` hashes
+all the seeds in one pass and re-points one Generator to each state in turn.
+Cell sums of 0/1 rules are exact integers, and the trials run as arrays (the
+sweep's six sample sizes as one stack): one scan, one selection, one batched
+derived-rule LP.
 
 One reference value is reproduced as documented even though exact
 arithmetic contradicts it: the bounded-L1 fair-on-feature squared loss
@@ -65,6 +69,7 @@ from .second_moment import (
 )
 from .synthetic import (
     _MAX_VALUES,
+    _default_rngs,
     erm_trap_family,
     gaussian_law,
     population_loss01,
@@ -234,8 +239,8 @@ def run_detection_error_rates(eps: float = 0.1, alpha: float = 0.5,
     threshold = alpha / 2.0
     rules = (FeatureThresholdRule(0, 0.5, name="x"), AttributeRule())
     accept = np.array([rule.acceptance(law.x, law.attr) for rule in rules])
-    atoms = np.array([sample_counts(law, n, np.random.default_rng(seed + i))
-                      for i in range(trials)])
+    atoms = np.array([sample_counts(law, n, rng)
+                      for rng in _default_rngs(range(seed, seed + trials))])
     counts = cell_sums(law.cell, atoms)
     _require_nonzero_cells(counts, "discrimination gap")
     gaps = _gaps(cell_sums(law.cell, accept[:, None] * atoms) / counts)
@@ -273,8 +278,8 @@ def run_erm_trap_floor(trials: int = 400, seed: int = 0):
     pop_gap = [population_rates(law, rule).gap() for rule in rules]
 
     # per trial: the cell counts, then the cell sums of each coordinate rule x_j >= 0.5
-    tables = np.array([sample_counts(law, n, np.random.default_rng(seed + i))
-                       for i in range(trials)])
+    tables = np.array([sample_counts(law, n, rng)
+                       for rng in _default_rngs(range(seed, seed + trials))])
     _require_nonzero_cells(tables[:, :, 0], "constrained risk minimization")
     picks = _select(tables[:, :, 1:].transpose(0, 2, 1), tables[:, :, 0],
                     np.full(trials, alpha))[0]
@@ -298,13 +303,24 @@ def run_erm_trap_floor(trials: int = 400, seed: int = 0):
 # two-step-rate-sweep: gap and excess loss shrink like n^(-1/2)
 # ---------------------------------------------------------------------------
 
-def _halves(law, n, seed):
+def _halves(law, n, rng):
     """Atom counts of the halves of ``split_dataset(sample_law(law, n, seed), seed)``,
-    in law: multinomial atom counts, then a multivariate hypergeometric first half."""
-    rng = np.random.default_rng(seed)
+    in law, for ``rng`` in the state of ``default_rng(seed)``: multinomial atom counts,
+    then a multivariate hypergeometric first half."""
     atoms = sample_counts(law, n, rng)
     first = rng.multivariate_hypergeometric(atoms, (n + 1) // 2)
     return first, atoms - first
+
+
+def _sweep_halves(law, n_grid, trials, seed):
+    """The (len(n_grid), trials, m) atom counts of both halves of every sweep trial,
+    trial i at n drawn by ``_halves`` from the state of ``default_rng(seed + 100_000 n + i)``."""
+    first, second = np.empty((2, len(n_grid), trials, law.probs.size), dtype=np.int64)
+    rngs = _default_rngs(seed + 100_000 * n + i for n in n_grid for i in range(trials))
+    for j, n in enumerate(n_grid):
+        for i in range(trials):
+            first[j, i], second[j, i] = _halves(law, n, next(rngs))
+    return first, second
 
 
 def _loglog_slope(ns, values):
@@ -330,19 +346,18 @@ def run_two_step_rate_sweep(eps: float = 0.1, delta: float = 0.1,
     base = np.array([RateStatistics.from_population(law, rule).rates
                      for rule in hclass.rules + _CONSTANTS])
 
-    median_gap, median_excess, raw = [], [], []
-    for n in n_grid:
-        first, second = np.array([_halves(law, n, seed + 100_000 * n + i)
-                                  for i in range(trials)]).transpose(1, 0, 2)
-        (pick, *_), _, _, derived = _train_on_counts(accept, law.cell, first, second,
-                                                     TwoStepConfig(delta=delta))
-        rates = _mixed_rates(derived, base[pick])  # of each corrected rule, on the population
-        gaps = _gaps(rates)
-        excesses = expected_loss_from_rates(rates, law.cell_probabilities()) - fair_loss
-        raw.extend({"n": n, "trial": i, "gap": g, "excess": e}
-                   for i, (g, e) in enumerate(zip(gaps.tolist(), excesses.tolist())))
-        median_gap.append(float(np.median(gaps)))
-        median_excess.append(float(np.median(excesses)))
+    # the count stacks are freed once the training returns, before the raw rows are built
+    (pick, *_), _, _, derived = _train_on_counts(
+        accept, law.cell, *_sweep_halves(law, n_grid, trials, seed), TwoStepConfig(delta=delta))
+    rates = _mixed_rates(derived, base[pick])  # of each corrected rule, on the population
+    gaps = _gaps(rates).reshape(len(n_grid), trials)
+    excesses = (expected_loss_from_rates(rates, law.cell_probabilities())
+                - fair_loss).reshape(len(n_grid), trials)
+    raw = [{"n": n, "trial": i, "gap": g, "excess": e}
+           for n, row_gaps, row_excesses in zip(n_grid, gaps.tolist(), excesses.tolist())
+           for i, (g, e) in enumerate(zip(row_gaps, row_excesses))]
+    median_gap = [float(np.median(row)) for row in gaps]
+    median_excess = [float(np.median(row)) for row in excesses]
 
     gap_slope = _loglog_slope(n_grid, median_gap)
     # the slack can make the corrected rule beat the fair optimum, so the

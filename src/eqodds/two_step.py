@@ -38,7 +38,6 @@ from .core import (
     FiniteHypothesisClass,
     GroupRates,
     InvalidParameterError,
-    _gaps,
     _require_nonzero_cells,
     cell_sums,
     split_dataset,
@@ -57,6 +56,10 @@ Tolerance = Union[float, str]
 
 # Acceptance values held at once by the hypothesis scan: 65,536 float64, 512 KB.
 _SCAN_ELEMENTS = 65_536
+# Trials ``_train_on_counts`` takes through steps 1 and 2 at once: its temporaries stay
+# near 1 MB at any trial count, and as a multiple of ``_LP_TRIALS`` the LP blocks are
+# those of one pass.
+_COUNT_TRIALS = 4096
 # step 1 falls back to the better constant: picks R and R + 1 of ``_select``
 _CONSTANTS = (ConstantRule(0.0), ConstantRule(1.0))
 
@@ -133,10 +136,17 @@ def _select(sums: np.ndarray, counts: np.ndarray, tolerance: np.ndarray):
     the (T, 2, 2) positive cell counts and the (T,) tolerances (flat (..., 4) cell
     axes read the same): per trial the pick, its loss and gap, and the (T, R)
     feasible mask. Picks R and R + 1 are the constants 0 and 1 (``_CONSTANTS``),
-    which have zero sample gap."""
+    which have zero sample gap. Gaps and losses are computed on (T, R) slices of the
+    sums, with no (T, R, 2, 2) float temporary."""
     rows, width = np.arange(len(sums)), sums.shape[1]
     sums, counts = sums.reshape(len(sums), width, 2, 2), counts.reshape(-1, 1, 2, 2)
-    gaps = _gaps(sums / counts)
+
+    def group_gap(y):  # |P(1 | y, a = 0) - P(1 | y, a = 1)|, (T, R)
+        gap = sums[..., y, 0] / counts[..., y, 0]
+        gap -= sums[..., y, 1] / counts[..., y, 1]
+        return np.abs(gap, out=gap)
+
+    gaps = np.maximum(group_gap(0), group_gap(1))  # as ``_gaps`` of the rate tables
     feasible = gaps < tolerance[:, None]
     constants = _losses(np.stack([np.zeros_like(counts[:, 0]), counts[:, 0]], axis=1), counts)
     losses = np.concatenate([_losses(sums, counts), constants], axis=1)
@@ -193,11 +203,14 @@ class TwoStepResult:
 
 
 def _tolerances(config: TwoStepConfig, first: np.ndarray, second: np.ndarray):
-    """Step-1 and step-2 gap tolerances, (T,) each, for T trials whose halves have
-    the (T, 2, 2) cell counts ``first`` and ``second``; every cell must hold a row."""
-    _require_nonzero_cells(first, "first half")
-    _require_nonzero_cells(second, "second half")
-    auto = auto_tolerance(first + second, config.delta)
+    """Step-1 and step-2 gap tolerances, flat (N,) each, for the N trials whose halves
+    have the (..., T, 2, 2) cell counts ``first`` and ``second``. Every cell must hold
+    a row, checked one (T, 2, 2) stack at a time, its first halves before its second."""
+    for block1, block2 in zip(first.reshape(-1, *first.shape[-3:]),
+                              second.reshape(-1, *second.shape[-3:])):
+        _require_nonzero_cells(block1, "first half")
+        _require_nonzero_cells(block2, "second half")
+    auto = auto_tolerance((first + second).reshape(-1, 2, 2), config.delta)
     return tuple(auto if t == "auto" else np.full(len(auto), float(t))
                  for t in (config.train_tolerance, config.correct_tolerance))
 
@@ -248,19 +261,26 @@ def train_two_step(data: Dataset, hclass: FiniteHypothesisClass,
 
 def _train_on_counts(accept: np.ndarray, cell: np.ndarray, first: np.ndarray,
                      second: np.ndarray, config: TwoStepConfig):
-    """``train_two_step`` for T trials from the (T, m) atom counts of their halves,
-    ``accept`` (R, m) holding each rule's acceptance of the m atoms of cell codes
-    ``cell``: the ``_select`` result, both (T,) tolerances and the (T, 2, 2) step-2
-    accept tables. Cell sums are exact integer sums, so each trial equals
-    ``train_two_step`` on rows of its counts bit for bit."""
+    """``train_two_step`` for the N trials of the (..., T, m) atom counts of their
+    halves, ``accept`` (R, m) holding each rule's acceptance of the m atoms of cell
+    codes ``cell``: the ``_select`` result, both (N,) tolerances and the (N, 2, 2)
+    step-2 accept tables, the trials in row-major order. Empty cells are reported as
+    ``_tolerances`` checks them, a (T, m) stack at a time; steps 1 and 2 then run
+    ``_COUNT_TRIALS`` trials at a time. Cell sums are exact integer sums, so each
+    trial equals ``train_two_step`` on rows of its counts bit for bit."""
     counts1, counts2 = cell_sums(cell, first), cell_sums(cell, second)
     t_train, t_correct = _tolerances(config, counts1, counts2)
-    selection = _select(cell_sums(cell, accept * first[:, None]), counts1, t_train)
+    first, second = first.reshape(-1, first.shape[-1]), second.reshape(-1, second.shape[-1])
+    counts1, counts2 = counts1.reshape(-1, 2, 2), counts2.reshape(-1, 2, 2)
     picked = np.vstack([accept, np.zeros_like(accept[0]), np.ones_like(accept[0])])  # + _CONSTANTS
-    sums2 = cell_sums(cell, picked[selection[0]] * second)
-    derived = _derived_accept(sums2 / counts2,
-                              counts2 / counts2.sum(axis=(1, 2), keepdims=True), t_correct)
-    return selection, t_train, t_correct, derived
+    parts, derived = [], np.empty((len(first), 2, 2))
+    for lo in range(0, len(first), _COUNT_TRIALS):
+        at = slice(lo, lo + _COUNT_TRIALS)
+        parts.append(_select(cell_sums(cell, accept * first[at, None]), counts1[at], t_train[at]))
+        sums, counts = cell_sums(cell, picked[parts[-1][0]] * second[at]), counts2[at]
+        derived[at] = _derived_accept(
+            sums / counts, counts / counts.sum(axis=(1, 2), keepdims=True), t_correct[at])
+    return tuple(np.concatenate(part) for part in zip(*parts)), t_train, t_correct, derived
 
 
 def threshold_class(dataset: Dataset, feature: int, max_cuts: int) -> FiniteHypothesisClass:

@@ -2,6 +2,7 @@
 
 import itertools
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -269,15 +270,18 @@ def test_cell_index_and_counts_cached():
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
-@given(n=st.integers(1, 40), lead=st.sampled_from([(), (3,), (1,), (4, 2), (2, 5)]),
-       integer=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-def test_cell_sums_of_a_stack_equal_each_rows_sums(n, lead, integer, seed):
-    """Each table of a stacked call is the one-row call on its row, bit for bit."""
+@given(n=st.integers(1, 40), lead=st.sampled_from([(), (3,), (1,), (4, 2), (2, 5), (9,)]),
+       integer=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+       block=st.sampled_from([core._CELL_BLOCK, 1, 7, 40]))
+def test_cell_sums_of_a_stack_equal_each_rows_sums(n, lead, integer, seed, block):
+    """Each table of a stacked call is the one-row call on its row, bit for bit, also
+    when the stack is summed in blocks of rows."""
     rng = np.random.default_rng(seed)
     cell = rng.integers(0, 4, size=n)  # some cells may stay empty
     weights = (rng.integers(0, 1000, size=(*lead, n)) if integer
                else rng.random(size=(*lead, n)) * 10.0 ** rng.integers(-3, 4, size=(*lead, n)))
-    tables = core.cell_sums(cell, weights)
+    with mock.patch.object(core, "_CELL_BLOCK", block):
+        tables = core.cell_sums(cell, weights)
     assert tables.shape == (*lead, 2, 2) and tables.dtype == np.float64
     for idx in np.ndindex(*lead):
         assert tables[idx].tobytes() == core.cell_sums(cell, weights[idx]).tobytes()

@@ -15,6 +15,7 @@ from eqodds.experiments import _halves, run_two_step_rate_sweep
 from eqodds.second_moment import SecondMomentModel
 from eqodds.synthetic import (
     CellProductLaw,
+    _default_rngs,
     erm_trap_family,
     gaussian_law,
     population_loss01,
@@ -247,8 +248,8 @@ class TestCountDraws:
 
     def test_atom_and_half_counts_match_their_moments(self):
         law, n = two_proxy_law(0.1), 512
-        first, second = np.array([_halves(law, n, seed) for seed in range(4000)]
-                                 ).transpose(1, 0, 2)
+        first, second = np.array([_halves(law, n, np.random.default_rng(seed))
+                                  for seed in range(4000)]).transpose(1, 0, 2)
         atoms = first + second
         assert (atoms.sum(axis=1) == n).all() and (first.sum(axis=1) == (n + 1) // 2).all()
         assert_binomial_moments(atoms, n, law.probs)
@@ -265,6 +266,24 @@ class TestCountDraws:
         # a row lands in cell c with X_j = 1 with probability P(c) heads[c, j]
         assert_binomial_moments(tables[:, :, 0], 200, cells[:, 0])
         assert_binomial_moments(tables[:, :, 1:], 200, cells * law.heads.reshape(4, -1))
+
+    def test_default_rngs_equal_numpy_default_rng(self):
+        # edge seeds, then 1,000 seeds of 1 to 12 uint32 words in mixed order: a
+        # hash that skips the words past the fourth, or pads all to one count, fails
+        draw = np.random.default_rng(20)
+        seeds = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64, 2 ** 128 - 1, 2 ** 128, 2 ** 128 + 7,
+                 2 ** 200 + 3, 10 ** 60]
+        seeds += [int.from_bytes(draw.bytes(4 * k), "little") | 1 << (32 * k - 1)
+                  for k in draw.integers(1, 13, 1000).tolist()]
+        probs = two_proxy_law(0.1).probs
+        for seed, rng in zip(seeds, _default_rngs(seeds)):
+            want = np.random.default_rng(seed)
+            assert rng.bit_generator.state == want.bit_generator.state, seed
+            assert rng.multinomial(512, probs).tolist() == want.multinomial(512, probs).tolist()
+            # one (n, p) throughout: the reused Generator draws from its cached setup
+            assert rng.binomial(1000, 0.3) == want.binomial(1000, 0.3), seed
+        with pytest.raises(ValueError, match="non-negative"):
+            next(_default_rngs([3, -1]))
 
     def test_refuses_n_past_exact_counts(self):
         rng = np.random.default_rng(0)

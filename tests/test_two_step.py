@@ -325,7 +325,13 @@ class TestCountPath:
 
     def test_two_step_on_atoms_equals_train_two_step_on_rows(self, monkeypatch):
         # the sweep on the tallied halves of its trials' rows: 216 (n, seed) pairs
-        monkeypatch.setattr(experiments, "_halves", tallied_halves)
+        drawn = {}
+
+        def halves(law, n, rng):  # trial i at n draws from seed 100_000 n + i
+            drawn[n] = drawn.get(n, -1) + 1
+            return tallied_halves(law, n, 100_000 * n + drawn[n])
+
+        monkeypatch.setattr(experiments, "_halves", halves)
         _, raw, _ = run_two_step_rate_sweep(eps=0.1, delta=0.1, trials=36, seed=0)
         law = two_proxy_law(0.1)
         for row in raw:
@@ -336,6 +342,12 @@ class TestCountPath:
             assert repr((row["gap"], row["excess"])) == repr(
                 (pop["corrected_gap"], pop["corrected_loss"] - 0.2)), row
         assert len(raw) == 216
+
+    def test_sweep_in_blocks_of_trials_keeps_every_bit(self, monkeypatch):
+        want = run_two_step_rate_sweep(trials=30, seed=5)
+        monkeypatch.setattr(two_step, "_COUNT_TRIALS", 16)  # 12 blocks, the last one short
+        got = run_two_step_rate_sweep(trials=30, seed=5)
+        assert repr(got) == repr(want)
 
     @pytest.mark.parametrize("eps", [0.1, 0.05, 0.2])
     def test_count_core_equals_train_two_step_on_rows(self, eps):
@@ -372,6 +384,23 @@ class TestCountPath:
         with pytest.raises(EmptyCellError) as got:
             _train_on_counts(accept, law.cell, first, second, config)
         assert str(got.value) == str(want.value)
+
+    def test_sweep_reports_empty_cells_in_the_order_of_its_sample_sizes(self, monkeypatch):
+        # n = 512 checks both its halves before any half of n = 1024 is checked
+        draw = experiments._halves
+
+        def halves(law, n, rng):
+            first, second = draw(law, n, rng)
+            if n == 512:
+                second[2:4] = 0  # atoms of cell code 1, (y, a) = (0, 1)
+            if n == 1024:
+                first[4:6] = 0  # atoms of cell code 2, (y, a) = (1, 0)
+            return first, second
+
+        monkeypatch.setattr(experiments, "_halves", halves)
+        with pytest.raises(EmptyCellError) as err:
+            run_two_step_rate_sweep(trials=30, seed=0)
+        assert str(err.value) == "second half: empty (y, a) cells: [(0, 1)]"
 
     @pytest.mark.parametrize("eps, alpha", [(0.1, 0.5), (0.05, 0.9)])
     def test_detection_trials_equal_empirical_rates_on_rows(self, eps, alpha, monkeypatch):
