@@ -7,16 +7,14 @@ tolerance, and a pass flag. Reports embed the seed and every run is
 deterministic given it. Monte Carlo experiments take their trial count from
 ``trials``; a floor per experiment keeps the statistics meaningful.
 
-Each Monte Carlo trial draws, from its own seed, the sufficient statistics
-of its sample, not rows (``sample_counts``): atom counts, halved for the
-sweep by one multivariate hypergeometric draw (the law of a uniformly random
-halving), or for ``erm-trap-floor`` cell counts and each coordinate's cell
-sums. Trial i draws from the state of ``np.random.default_rng(seed + i)``
-(``seed + 100_000 n + i`` in the sweep); ``synthetic._default_rngs`` hashes
-all the seeds in one pass and re-points one Generator to each state in turn.
-Cell sums of 0/1 rules are exact integers, and the trials run as arrays (the
-sweep's six sample sizes as one stack): one scan, one selection, one batched
-derived-rule LP.
+Each Monte Carlo experiment draws, from one ``np.random.default_rng(seed)``,
+the sufficient statistics of its trials' samples, not rows, with one
+``sample_counts`` call: atom counts, or for ``erm-trap-floor`` cell counts
+and each coordinate's cell sums. The sweep draws the two halves of every
+trial as independent samples of ceil(n/2) and floor(n/2) rows, the law of a
+uniformly random halving of i.i.d. rows. Cell sums of 0/1 rules are exact
+integers, and the trials run as arrays (the sweep's six sample sizes as one
+stack): one scan, one selection, one batched derived-rule LP.
 
 One reference value is reproduced as documented even though exact
 arithmetic contradicts it: the bounded-L1 fair-on-feature squared loss
@@ -69,7 +67,6 @@ from .second_moment import (
 )
 from .synthetic import (
     _MAX_VALUES,
-    _default_rngs,
     erm_trap_family,
     gaussian_law,
     population_loss01,
@@ -84,7 +81,7 @@ from .two_step import _CONSTANTS, TwoStepConfig, _select, _train_on_counts
 
 
 # Most raw rows (one dict per trial, per n for the sweep) one run keeps: each
-# costs about 0.5 KB and 20 us, so a run at the cap holds about 0.5 GB.
+# costs about 0.5 KB and 2 us, so a run at the cap holds about 0.5 GB.
 _MAX_RAW_ROWS = 10 ** 6
 
 
@@ -239,8 +236,7 @@ def run_detection_error_rates(eps: float = 0.1, alpha: float = 0.5,
     threshold = alpha / 2.0
     rules = (FeatureThresholdRule(0, 0.5, name="x"), AttributeRule())
     accept = np.array([rule.acceptance(law.x, law.attr) for rule in rules])
-    atoms = np.array([sample_counts(law, n, rng)
-                      for rng in _default_rngs(range(seed, seed + trials))])
+    atoms = sample_counts(law, [n] * trials, np.random.default_rng(seed))
     counts = cell_sums(law.cell, atoms)
     _require_nonzero_cells(counts, "discrimination gap")
     gaps = _gaps(cell_sums(law.cell, accept[:, None] * atoms) / counts)
@@ -278,8 +274,7 @@ def run_erm_trap_floor(trials: int = 400, seed: int = 0):
     pop_gap = [population_rates(law, rule).gap() for rule in rules]
 
     # per trial: the cell counts, then the cell sums of each coordinate rule x_j >= 0.5
-    tables = np.array([sample_counts(law, n, rng)
-                       for rng in _default_rngs(range(seed, seed + trials))])
+    tables = sample_counts(law, [n] * trials, np.random.default_rng(seed))
     _require_nonzero_cells(tables[:, :, 0], "constrained risk minimization")
     picks = _select(tables[:, :, 1:].transpose(0, 2, 1), tables[:, :, 0],
                     np.full(trials, alpha))[0]
@@ -302,26 +297,6 @@ def run_erm_trap_floor(trials: int = 400, seed: int = 0):
 # ---------------------------------------------------------------------------
 # two-step-rate-sweep: gap and excess loss shrink like n^(-1/2)
 # ---------------------------------------------------------------------------
-
-def _halves(law, n, rng):
-    """Atom counts of the halves of ``split_dataset(sample_law(law, n, seed), seed)``,
-    in law, for ``rng`` in the state of ``default_rng(seed)``: multinomial atom counts,
-    then a multivariate hypergeometric first half."""
-    atoms = sample_counts(law, n, rng)
-    first = rng.multivariate_hypergeometric(atoms, (n + 1) // 2)
-    return first, atoms - first
-
-
-def _sweep_halves(law, n_grid, trials, seed):
-    """The (len(n_grid), trials, m) atom counts of both halves of every sweep trial,
-    trial i at n drawn by ``_halves`` from the state of ``default_rng(seed + 100_000 n + i)``."""
-    first, second = np.empty((2, len(n_grid), trials, law.probs.size), dtype=np.int64)
-    rngs = _default_rngs(seed + 100_000 * n + i for n in n_grid for i in range(trials))
-    for j, n in enumerate(n_grid):
-        for i in range(trials):
-            first[j, i], second[j, i] = _halves(law, n, next(rngs))
-    return first, second
-
 
 def _loglog_slope(ns, values):
     x = np.log(np.asarray(ns, dtype=float))
@@ -346,9 +321,13 @@ def run_two_step_rate_sweep(eps: float = 0.1, delta: float = 0.1,
     base = np.array([RateStatistics.from_population(law, rule).rates
                      for rule in hclass.rules + _CONSTANTS])
 
-    # the count stacks are freed once the training returns, before the raw rows are built
+    # the halves of split_dataset: the first ceil(n/2) rows of a uniformly random
+    # permutation of i.i.d. rows are i.i.d. and independent of the other floor(n/2)
+    sizes = np.repeat(n_grid, trials).reshape(len(n_grid), trials)
+    halves = sample_counts(law, [(sizes + 1) // 2, sizes // 2], np.random.default_rng(seed))
     (pick, *_), _, _, derived = _train_on_counts(
-        accept, law.cell, *_sweep_halves(law, n_grid, trials, seed), TwoStepConfig(delta=delta))
+        accept, law.cell, *halves, TwoStepConfig(delta=delta))
+    del halves  # freed before the raw rows are built
     rates = _mixed_rates(derived, base[pick])  # of each corrected rule, on the population
     gaps = _gaps(rates).reshape(len(n_grid), trials)
     excesses = (expected_loss_from_rates(rates, law.cell_probabilities())

@@ -30,10 +30,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -58,11 +57,6 @@ _MAX_ENUM_COORDS = 16
 _MAX_VALUES = 10 ** 8
 # Largest count draw: every cell sum of up to 2^53 rows is an exact float64 integer.
 _MAX_COUNT = 2 ** 53
-# numpy's SeedSequence hash (pool of four uint32 words) and PCG64's LCG multiplier
-_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
-_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -261,84 +255,23 @@ def population_loss_hinge(law: FiniteJointLaw,
     return float((law.probs * np.maximum(0.0, 1.0 - (2.0 * law.labels - 1.0) * preds)).sum())
 
 
-def sample_counts(law: Law, n: int, rng: np.random.Generator) -> np.ndarray:
+def sample_counts(law: Law, n, rng: np.random.Generator) -> np.ndarray:
     """The sufficient statistics of n i.i.d. rows of ``law``, drawn without rows: a
     finite law's (m,) atom counts (a multinomial), or a product law's (4, 1 + d)
     table of each cell's count and its rows with X_j = 1 (binomial given the count,
-    coordinates being independent in a cell): the cell sums of the rules x_j >= 0.5."""
-    if n < 1:
-        raise InvalidParameterError(f"need n >= 1, got {n}")
-    if n > _MAX_COUNT:
+    coordinates being independent in a cell): the cell sums of the rules x_j >= 0.5.
+    An integer array ``n`` draws one independent sample per entry, stacked in its shape."""
+    sizes = np.asarray(n, dtype=object)  # Python integers: no int64 overflow before the checks
+    if sizes.min() < 1:
+        raise InvalidParameterError(f"need n >= 1, got {sizes.min()}")
+    if sizes.max() > _MAX_COUNT:
         raise InvalidParameterError(
-            f"n = {n} rows is more than a count draw keeps exact (2^53 = {_MAX_COUNT})")
+            f"n = {sizes.max()} rows is more than a count draw keeps exact (2^53 = {_MAX_COUNT})")
+    sizes = sizes.astype(np.int64)
     if isinstance(law, FiniteJointLaw):
-        return rng.multinomial(n, law.probs)
-    counts = rng.multinomial(n, law.cells.table.ravel())
-    return np.column_stack([counts, rng.binomial(counts[:, None], law.heads.reshape(4, -1))])
-
-
-def _seed_words_state(words: np.ndarray) -> np.ndarray:
-    """``SeedSequence(s).generate_state(4, np.uint64)`` for a (N, W) stack of seeds'
-    little-endian uint32 words, zero-padded to W >= 4: an (N, 4) uint64 stack."""
-    mult = _HASH_INIT_A  # the hash constant runs on across every hashmix call
-
-    def hashmix(value):
-        nonlocal mult
-        value = value ^ np.uint32(mult)
-        mult = mult * _HASH_MULT_A & 0xFFFFFFFF
-        value = value * np.uint32(mult)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x, y):
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> np.uint32(16))
-
-    pool = [hashmix(words[:, i]) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(4, words.shape[1]):  # words past the pool's four
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(words[:, src]))
-    mult = _HASH_INIT_B
-    state = np.empty((len(words), 8), dtype="<u4")
-    for k in range(8):
-        value = pool[k % 4] ^ np.uint32(mult)
-        mult = mult * _HASH_MULT_B & 0xFFFFFFFF
-        value = value * np.uint32(mult)
-        state[:, k] = value ^ (value >> np.uint32(16))
-    return state.view("<u8")
-
-
-def _seed_states(seeds: Iterable[int]) -> np.ndarray:
-    """``SeedSequence(s).generate_state(4, np.uint64)`` for each of ``seeds``, an
-    (N, 4) uint64 stack: the hash runs once over all seeds of one word count."""
-    seeds = [operator.index(s) for s in seeds]
-    if seeds and min(seeds) < 0:
-        raise ValueError("expected non-negative integer")
-    widths = [max(4, -(-s.bit_length() // 32)) for s in seeds]
-    states = np.empty((len(seeds), 4), dtype=np.uint64)
-    for width in set(widths):
-        idx = [i for i, w in enumerate(widths) if w == width]
-        words = b"".join(seeds[i].to_bytes(4 * width, "little") for i in idx)
-        states[idx] = _seed_words_state(np.frombuffer(words, "<u4").reshape(len(idx), width))
-    return states
-
-
-def _default_rngs(seeds: Iterable[int]) -> Iterator[np.random.Generator]:
-    """One Generator, set before each yield to the state ``np.random.default_rng(s)``
-    starts from, for each of ``seeds`` in turn: ``_seed_states`` hashes all seeds at
-    once, then PCG64's seeding step (two LCG steps from ``inc + init``) runs per seed
-    on Python integers."""
-    rng = np.random.Generator(np.random.PCG64(0))
-    for row in _seed_states(seeds):
-        w0, w1, w2, w3 = row.tolist()
-        inc = ((w2 << 64 | w3) << 1 | 1) & (2 ** 128 - 1)
-        state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & (2 ** 128 - 1)
-        rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                                   "state": {"state": state, "inc": inc}}
-        yield rng
+        return rng.multinomial(sizes, law.probs)
+    counts = rng.multinomial(sizes, law.cells.table.ravel())[..., None]
+    return np.concatenate([counts, rng.binomial(counts, law.heads.reshape(4, -1))], axis=-1)
 
 
 def sample_law(law: Union[Law, SecondMomentModel], n: int, seed: int) -> Dataset:

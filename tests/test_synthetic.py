@@ -11,11 +11,10 @@ from eqodds.core import (
     FiniteHypothesisClass,
     InvalidParameterError,
 )
-from eqodds.experiments import _halves, run_two_step_rate_sweep
+from eqodds.experiments import run_two_step_rate_sweep
 from eqodds.second_moment import SecondMomentModel
 from eqodds.synthetic import (
     CellProductLaw,
-    _default_rngs,
     erm_trap_family,
     gaussian_law,
     population_loss01,
@@ -247,14 +246,18 @@ class TestCountDraws:
     """The count draws against closed forms, and the sweep on counts against rows."""
 
     def test_atom_and_half_counts_match_their_moments(self):
-        law, n = two_proxy_law(0.1), 512
-        first, second = np.array([_halves(law, n, np.random.default_rng(seed))
-                                  for seed in range(4000)]).transpose(1, 0, 2)
-        atoms = first + second
-        assert (atoms.sum(axis=1) == n).all() and (first.sum(axis=1) == (n + 1) // 2).all()
-        assert_binomial_moments(atoms, n, law.probs)
-        # a uniformly random half of i.i.d. rows is an i.i.d. sample of its size
+        # the sweep's halves: independent samples of ceil(n/2) and floor(n/2) rows
+        law, n, draws = two_proxy_law(0.1), 513, 4000
+        first, second = sample_counts(law, [[(n + 1) // 2] * draws, [n // 2] * draws],
+                                      np.random.default_rng(0))
+        assert (first.sum(axis=1) == (n + 1) // 2).all() and (second.sum(axis=1) == n // 2).all()
         assert_binomial_moments(first, (n + 1) // 2, law.probs)
+        assert_binomial_moments(second, n // 2, law.probs)
+        assert_binomial_moments(first + second, n, law.probs)
+        # every atom's count in one half is uncorrelated with every atom's in the other
+        cross = (first - first.mean(axis=0)).T @ (second - second.mean(axis=0)) / (draws - 1)
+        error = np.sqrt(np.outer(first.var(axis=0), second.var(axis=0)) / draws)
+        assert (np.abs(cross) <= 5.0 * error).all()
 
     def test_erm_trap_coordinate_sums_match_their_moments(self):
         law, _ = erm_trap_family(64, 0.0277)
@@ -267,30 +270,16 @@ class TestCountDraws:
         assert_binomial_moments(tables[:, :, 0], 200, cells[:, 0])
         assert_binomial_moments(tables[:, :, 1:], 200, cells * law.heads.reshape(4, -1))
 
-    def test_default_rngs_equal_numpy_default_rng(self):
-        # edge seeds, then 1,000 seeds of 1 to 12 uint32 words in mixed order: a
-        # hash that skips the words past the fourth, or pads all to one count, fails
-        draw = np.random.default_rng(20)
-        seeds = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64, 2 ** 128 - 1, 2 ** 128, 2 ** 128 + 7,
-                 2 ** 200 + 3, 10 ** 60]
-        seeds += [int.from_bytes(draw.bytes(4 * k), "little") | 1 << (32 * k - 1)
-                  for k in draw.integers(1, 13, 1000).tolist()]
-        probs = two_proxy_law(0.1).probs
-        for seed, rng in zip(seeds, _default_rngs(seeds)):
-            want = np.random.default_rng(seed)
-            assert rng.bit_generator.state == want.bit_generator.state, seed
-            assert rng.multinomial(512, probs).tolist() == want.multinomial(512, probs).tolist()
-            # one (n, p) throughout: the reused Generator draws from its cached setup
-            assert rng.binomial(1000, 0.3) == want.binomial(1000, 0.3), seed
-        with pytest.raises(ValueError, match="non-negative"):
-            next(_default_rngs([3, -1]))
-
     def test_refuses_n_past_exact_counts(self):
         rng = np.random.default_rng(0)
         with pytest.raises(InvalidParameterError, match="need n >= 1"):
             sample_counts(two_proxy_law(0.1), 0, rng)
         with pytest.raises(InvalidParameterError, match="n = 9007199254740993 rows"):
             sample_counts(two_proxy_law(0.1), 2 ** 53 + 1, rng)
+        with pytest.raises(InvalidParameterError, match="n = 9007199254740993 rows"):
+            sample_counts(two_proxy_law(0.1), [5, 2 ** 53 + 1, 5], rng)
+        with pytest.raises(InvalidParameterError, match=f"n = {10 ** 30} rows"):
+            sample_counts(two_proxy_law(0.1), 10 ** 30, rng)
         assert sample_counts(two_proxy_law(0.1), 2 ** 53, rng).sum() == 2 ** 53
 
     def test_sweep_medians_match_the_row_path(self):

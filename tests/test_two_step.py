@@ -298,7 +298,7 @@ def tally(ds):
 
 
 def tallied_halves(law, n, seed):
-    """What ``experiments._halves`` draws, tallied from the halves ``train_two_step`` splits."""
+    """Atom counts of the halves ``train_two_step`` splits ``sample_law(law, n, seed)`` into."""
     return tuple(tally(half) for half in split_dataset(sample_law(law, n, seed), seed))
 
 
@@ -325,13 +325,14 @@ class TestCountPath:
 
     def test_two_step_on_atoms_equals_train_two_step_on_rows(self, monkeypatch):
         # the sweep on the tallied halves of its trials' rows: 216 (n, seed) pairs
-        drawn = {}
+        def halves(law, sizes, rng):  # trial i at n: the rows of seed 100_000 n + i
+            sizes = np.asarray(sizes)  # (2, n, trial): the sizes of both halves
+            counts = np.array([[tallied_halves(law, n, 100_000 * n + i) for i, n in enumerate(row)]
+                               for row in sizes.sum(axis=0).tolist()]).transpose(2, 0, 1, 3)
+            assert (counts.sum(axis=-1) == sizes).all()  # split_dataset's half sizes
+            return counts
 
-        def halves(law, n, rng):  # trial i at n draws from seed 100_000 n + i
-            drawn[n] = drawn.get(n, -1) + 1
-            return tallied_halves(law, n, 100_000 * n + drawn[n])
-
-        monkeypatch.setattr(experiments, "_halves", halves)
+        monkeypatch.setattr(experiments, "sample_counts", halves)
         _, raw, _ = run_two_step_rate_sweep(eps=0.1, delta=0.1, trials=36, seed=0)
         law = two_proxy_law(0.1)
         for row in raw:
@@ -387,17 +388,15 @@ class TestCountPath:
 
     def test_sweep_reports_empty_cells_in_the_order_of_its_sample_sizes(self, monkeypatch):
         # n = 512 checks both its halves before any half of n = 1024 is checked
-        draw = experiments._halves
+        draw = experiments.sample_counts
 
-        def halves(law, n, rng):
-            first, second = draw(law, n, rng)
-            if n == 512:
-                second[2:4] = 0  # atoms of cell code 1, (y, a) = (0, 1)
-            if n == 1024:
-                first[4:6] = 0  # atoms of cell code 2, (y, a) = (1, 0)
-            return first, second
+        def halves(law, sizes, rng):  # (half, n, trial, atom) counts
+            counts = draw(law, sizes, rng)
+            counts[1, 0, :, 2:4] = 0  # n = 512: atoms of cell code 1, (y, a) = (0, 1)
+            counts[0, 1, :, 4:6] = 0  # n = 1024: atoms of cell code 2, (y, a) = (1, 0)
+            return counts
 
-        monkeypatch.setattr(experiments, "_halves", halves)
+        monkeypatch.setattr(experiments, "sample_counts", halves)
         with pytest.raises(EmptyCellError) as err:
             run_two_step_rate_sweep(trials=30, seed=0)
         assert str(err.value) == "second half: empty (y, a) cells: [(0, 1)]"
@@ -406,9 +405,9 @@ class TestCountPath:
     def test_detection_trials_equal_empirical_rates_on_rows(self, eps, alpha, monkeypatch):
         samples = []
 
-        def tallied(law, n, rng):  # trial i's rows are sample_law(law, n, 9 + i)
-            samples.append(sample_law(law, n, 9 + len(samples)))
-            return tally(samples[-1])
+        def tallied(law, sizes, rng):  # trial i's rows are sample_law(law, n, 9 + i)
+            samples.extend(sample_law(law, n, 9 + i) for i, n in enumerate(sizes))
+            return np.array([tally(ds) for ds in samples])
 
         monkeypatch.setattr(experiments, "sample_counts", tallied)
         _, raw, _ = run_detection_error_rates(eps=eps, alpha=alpha, trials=50, seed=9)
@@ -420,9 +419,9 @@ class TestCountPath:
     def test_erm_trap_picks_equal_constrained_erm_on_rows(self, monkeypatch):
         samples = []
 
-        def tallied(law, n, rng):
-            samples.append(sample_law(law, n, len(samples)))
-            return erm_table(samples[-1])
+        def tallied(law, sizes, rng):  # trial i's rows are sample_law(law, n, i)
+            samples.extend(sample_law(law, n, i) for i, n in enumerate(sizes))
+            return np.array([erm_table(ds) for ds in samples])
 
         monkeypatch.setattr(experiments, "sample_counts", tallied)
         _, raw, params = run_erm_trap_floor(trials=60, seed=0)
