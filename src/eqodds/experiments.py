@@ -51,6 +51,7 @@ from .posthoc import (
     LOSS_HINGE_PM1,
     RateStatistics,
     _mixed_rates,
+    conservative_correction,
     derived_loss,
     expected_loss_from_rates,
     optimal_derived,
@@ -174,6 +175,7 @@ def run_posthoc_binary_gap(eps: float = 0.1, seed: int = 0):
     a_rule = AttributeRule()
     stats = RateStatistics.from_population(law, a_rule)
     corrected = optimal_derived(stats, 0.0)
+    loss_bound = expected_loss_from_rates(stats.rates, stats.cells) + float(_gaps(stats.rates))
 
     rows = [
         _check("fair-rule-01-loss", "value", 2 * eps,
@@ -188,6 +190,9 @@ def run_posthoc_binary_gap(eps: float = 0.1, seed: int = 0):
         _check("corrected-hinge-loss", "value", 1.0,
                derived_loss(corrected, stats, LOSS_HINGE_PM1), 1e-12,
                note="same mixing evaluated under the +-1 margin loss"),
+        _check("conservative-01-loss", "upper", loss_bound,
+               derived_loss(conservative_correction(stats), stats), 1e-12,
+               note="zero-gap conservative correction: at most base loss plus base gap"),
     ]
     return rows, None, {"eps": eps}
 

@@ -20,9 +20,9 @@ constraints run through the same path with the cap at zero.
 A vertex is where 4 of the 12 constraint rows are active. The rows come in
 six antipodal pairs (v_i <= 1 and -v_i <= 0, and the two caps on each gap),
 and 4 rows holding both rows of a pair are singular, so only the 240 picks
-of one row from each of 4 distinct pairs can be vertices, not all 495. Of
-those, LAPACK solves and checks only the few a closed-form screen keeps; it
-multiplies out only the two gap rows, which alone differ between trials.
+of one row from each of 4 distinct pairs can be vertices, not all 495. All
+240 are solved in closed form, by Cramer's rule on a 2x2 system, and checked
+in one pass; of the rows only the two gap rows differ between trials.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .core import (
     GroupRates,
     InvalidParameterError,
     PredictorInput,
-    _gaps,
     acceptance_values,
     empirical_rates,
 )
@@ -48,10 +47,9 @@ from .core import (
 _FEAS_TOL = 1e-9      # vertex feasibility slack
 _TIE_TOL = 1e-12      # objective tie window for the lexicographic tie-break
 _SINGULAR_TOL = 1e-12  # a pick whose |det| is no larger has no unique vertex
-_SCREEN_TOL = 1e-12    # closed-form vertex error bound, in units of (1 + |v|) / |det|
-# trials per block of the batched LP: a screen temporary is at most (16, 4, 240) float64,
-# 120 KiB, under glibc's 128 KiB mmap threshold: blocks reuse heap, not freshly mapped pages
-_LP_TRIALS = 16
+# trials per block of the batched LP, the fastest of 16-48 in a bench loop: its largest
+# temporaries are (32, 4, 240) float64, 240 KiB, and a block peaks under 1 MiB
+_LP_TRIALS = 32
 
 
 def _vertex_picks() -> Tuple[np.ndarray, ...]:
@@ -59,29 +57,33 @@ def _vertex_picks() -> Tuple[np.ndarray, ...]:
 
     Picks keep combinations() order. A pick holding both rows of a pair is
     singular, which leaves the C(6, 4) * 2^4 = 240 picks of one row from each
-    of 4 distinct pairs. A pick's box rows fix their coordinates at the base
-    point (1 under v_i <= 1, 0 under -v_i <= 0); its 0, 1 or 2 gap rows, padded
-    with box rows on their own coordinates, are LP rows ``rows`` on coordinates
-    ``cols`` of a 2x2 system for the step from there. Box rows are signed unit
-    vectors, so its determinant is the 4x4 one's up to sign, bit for bit. The
-    other tables hold the picks on their last axis, where numpy reduces fast.
+    of 4 distinct pairs. A pick's box rows fix its base point, corner b of the
+    box (v_i is bit i of b); its gap rows, padded with box rows on their own
+    coordinates, give a 2x2 system on coordinates ``cols`` for the step from
+    there, with the 4x4 determinant up to sign. ``system`` (2, 3, 240) places
+    each system row's entries and right side among ``_vertices``' values: 0, 1,
+    -1 for box rows (v_i <= 1 is row i, -v_i <= 0 row 4 + i); for row 8 + s
+    (+-gap_y <= cap) 3 + 4s + j, and cap -+ gap_y.b at 19 + 16s + b.
     """
-    picks, base, rows, cols = [], [], [], []
+    picks, corner, cols, system = [], [], [], []
     for pick in itertools.combinations(range(12), 4):
         # pair i < 4 holds rows i and 4 + i (v_i <= 1, -v_i <= 0), pair 4 + y rows 8 + y, 10 + y
         pairs = [r % 4 if r < 8 else 4 + r % 2 for r in pick]
         if len(set(pairs)) < 4:
             continue
         picks.append(pick)
-        base.append([i in pick for i in range(4)])
-        rows.append(sorted(pick, key=lambda r: r < 8)[:2])  # gap rows first, then box rows
+        corner.append(sum(2 ** i for i in range(4) if i in pick))
         cols.append(([i for i in range(4) if i not in pairs] + [r % 4 for r in pick if r < 8])[:2])
-    return (np.array(picks, dtype=np.intp), np.array(base, dtype=float).T.copy(),
-            np.array(rows, dtype=np.intp).T.copy(), np.array(cols, dtype=np.intp).T.copy())
+        system.append([[1 + r // 4 if r % 4 == j else 0 for j in cols[-1]] + [0] if r < 8 else
+                       [3 + 4 * (r - 8) + j for j in cols[-1]] + [19 + 16 * (r - 8) + corner[-1]]
+                       for r in sorted(pick, key=lambda r: r < 8)[:2]])  # gap rows first
+    return (np.array(picks, dtype=np.intp), np.array(corner), np.array(cols).T.copy(),
+            np.moveaxis(np.array(system), 0, -1).copy())
 
 
-_COMBOS, _BASE, _SYSTEM_ROWS, _SYSTEM_COLS = _vertex_picks()
-_SYSTEM_SIGN = np.where(_SYSTEM_ROWS < 10, 1.0, -1.0)  # -gap_y <= cap is row 10 + y
+_COMBOS, _CORNER, _COLS, _SYSTEM = _vertex_picks()
+_CORNERS = (np.arange(16) >> np.arange(4)[:, None] & 1).astype(float)  # (4, 16) bits of b
+_BASE = _CORNERS[:, _CORNER]
 
 # expected per-sample 0-1 loss of outputting `out` when the label is `y`
 LOSS_01 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -200,78 +202,51 @@ def _gap_rows(g: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _vertices(rows: np.ndarray, cap: np.ndarray):
+def _vertices(gap: np.ndarray, cap: np.ndarray):
     """Each pick's vertex, (k, 4, 240): its base point plus its 2x2 system's Cramer
-    solution (a finite stand-in if singular), and the system's |det|, (k, 240). Only
-    the gap rows ``rows[:, 8:10]`` vary by trial and are multiplied out: a box row of
-    a system is active at the base point, where its right side is 0."""
-    picks = np.arange(_BASE.shape[1])
-    m = rows[:, _SYSTEM_ROWS[:, None], _SYSTEM_COLS[None]]  # (k, 2, 2, 240)
-    at_base = (rows[:, 8:10] @ _BASE)[:, _SYSTEM_ROWS % 2, picks]  # gap_y at the base points
-    r = np.where(_SYSTEM_ROWS < 8, 0.0, cap[..., None] - _SYSTEM_SIGN * at_base)
-    det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+    solution (a finite stand-in if singular), and the system's |det|, (k, 240), for
+    the (k, 2, 4) gap rows and (k, 1) caps of k trials."""
+    k, at_corners = len(gap), (gap @ _CORNERS).reshape(-1, 32)  # gap_y at each corner
+    entries = np.concatenate([np.broadcast_to([0.0, 1.0, -1.0], (k, 3)), gap.reshape(k, 8),
+                              -gap.reshape(k, 8), cap - at_corners, cap + at_corners], axis=1)
+    (m00, m01, r0), (m10, m11, r1) = (np.moveaxis(entries[:, row], 1, 0) for row in _SYSTEM)
+    det = m00 * m11 - m01 * m10
     div = np.where(np.abs(det) > _SINGULAR_TOL, det, 1.0)
-    v = np.repeat(_BASE[None], len(rows), axis=0)
-    v[:, _SYSTEM_COLS[0], picks] += (r[:, 0] * m[:, 1, 1] - m[:, 0, 1] * r[:, 1]) / div
-    v[:, _SYSTEM_COLS[1], picks] += (m[:, 0, 0] * r[:, 1] - r[:, 0] * m[:, 1, 0]) / div
+    v, (c0, c1), picks = np.repeat(_BASE[None], k, axis=0), _COLS, np.arange(240)
+    v[:, c0, picks] = _BASE[c0, picks] + (r0 * m11 - m01 * r1) / div
+    v[:, c1, picks] = _BASE[c1, picks] + (m00 * r1 - r0 * m10) / div
     return v, np.abs(det)
-
-
-def _screen(rows: np.ndarray, cap: np.ndarray, c: np.ndarray):
-    """The (k, 240) candidate mask and |det| of the picks of k trials' LPs.
-
-    A candidate is a nonsingular pick that may pass both exact checks and come within
-    ``_TIE_TOL`` of the optimum, "may" up to ``_SCREEN_TOL (1 + |v|) / |det|``; the
-    optimum's bound uses only picks that pass with that margin to spare (else +inf).
-    A vertex misses the box rows by ``max(v) - 1`` and ``-min(v)``.
-    """
-    v, det = _vertices(rows, cap)  # its temporaries are freed before the checks allocate
-    gap, nonsingular = rows[:, 8:10], det > _SINGULAR_TOL
-    high, low = v.max(axis=1), v.min(axis=1)
-    err = _SCREEN_TOL * (1.0 + np.maximum(high, -low)) / np.where(nonsingular, det, 1.0)
-    # how far the worse of the two exact checks fails: the row slack, the cap slack
-    rows_miss = np.maximum(np.maximum(high - 1.0, -low), np.abs(gap @ v).max(axis=1) - cap)
-    clipped = np.clip(v, 0.0, 1.0, out=v)
-    miss = np.maximum(rows_miss - _FEAS_TOL, np.abs(gap @ clipped).max(axis=1) - cap - 1e-10)
-    objs = (c[:, None] @ clipped)[:, 0]
-    bound = np.where(nonsingular & (miss <= -err), objs + err, np.inf).min(axis=1, keepdims=True)
-    return nonsingular & (miss <= err) & (objs - err <= bound + _TIE_TOL), det
 
 
 def _derived_accept(g: np.ndarray, table: np.ndarray, tolerance: np.ndarray) -> np.ndarray:
     """Accept tables (T, 2, 2) of the derived-rule LP for base rates ``g``, cell tables
     ``table`` and gap caps ``min(tolerance, 1)`` of T trials, ``_LP_TRIALS`` at a time.
-    Each ``_screen`` candidate is solved on its own by ``np.linalg.solve``, then
-    checked and tie-broken in pick order. Every pick those checks keep within the
-    tie window is a candidate, so a trial gets the bits of solving every pick."""
-    out = np.empty((len(g), 4))
+    A vertex is kept if its system is nonsingular, it holds every row within 1e-9 and,
+    clipped to the box, induces a gap within 1e-10 of the cap (vertex 0 always is); the
+    least objective wins, ties within ``_TIE_TOL`` going to the lexicographically least
+    vertex, the first in pick order. Zeros are +0.0: 0.0 or 1.0 plus a step, or clipped."""
+    out, c, gaps = np.empty((len(g), 4)), _lp_coefficients(g, table, LOSS_01), _gap_rows(g)
+    caps = np.minimum(tolerance, 1.0)[:, None]  # a gap never exceeds 1
     for lo in range(0, len(g), _LP_TRIALS):
-        rates, hi = g[lo:lo + _LP_TRIALS], lo + _LP_TRIALS
-        k, cap = len(rates), np.minimum(tolerance[lo:hi], 1.0)[:, None]  # a gap never exceeds 1
-        c = _lp_coefficients(rates, table[lo:hi], LOSS_01)
-        gap_rows = _gap_rows(rates)
-        box = np.broadcast_to(np.eye(4), (k, 4, 4))
-        # rows: v_i <= 1, -v_i <= 0, +-gap_y <= cap
-        rows = np.concatenate([box, -box, gap_rows, -gap_rows], axis=1)
-        rhs = np.concatenate([np.ones((k, 4)), np.zeros((k, 4)), np.repeat(cap, 4, axis=1)], 1)
-        candidate, _ = _screen(rows, cap, c)
-        trial, pick = np.nonzero(candidate)
-        picked = (trial[:, None], _COMBOS[pick])
-        live = np.arange(candidate.sum(axis=1).max()) < candidate.sum(axis=1)[:, None]
-        verts = np.zeros((*live.shape, 4))  # each trial's candidates first, then padding
-        verts[live] = np.linalg.solve(rows[picked], rhs[picked][..., None])[..., 0]
-        keep = live & (rows @ verts.transpose(0, 2, 1) <= rhs[..., None] + _FEAS_TOL).all(axis=1)
-        verts = np.clip(verts, 0.0, 1.0)
-        # inside the 1e-9 row slack a vertex can still miss the cap by over 1e-10
-        keep &= _gaps(_mixed_rates(verts.reshape(k, -1, 2, 2), rates[:, None])) <= cap + 1e-10
-        objs = np.where(keep, (verts @ c[..., None])[..., 0], np.inf)
-        if not np.isfinite(objs.min(axis=1)).all():
-            raise RuntimeError("vertex enumeration found no feasible point")  # unreachable
+        at = slice(lo, lo + _LP_TRIALS)
+        v, det = _vertices(gaps[at], caps[at])
+        keep = ((det > _SINGULAR_TOL) & (v.max(axis=1) <= 1.0 + _FEAS_TOL)
+                & (v.min(axis=1) >= -_FEAS_TOL)
+                & (np.abs(gaps[at] @ v).max(axis=1) <= caps[at] + _FEAS_TOL))
+        np.clip(v, 0.0, 1.0, out=v)
+        # inside the 1e-9 row slack a vertex can still miss the cap by over 1e-10: its
+        # induced rates are ``_mixed_rates``' formula, with the picks on the last axis
+        accept, g_ya = v.reshape(-1, 2, 2, 240), g[at, ..., None]  # [yhat][a][pick], [y][a]
+        induced = accept[:, 1:] * g_ya
+        induced += accept[:, :1] * (1.0 - g_ya)  # two temporaries of (k, 2, 2, 240), not four
+        np.clip(induced, 0.0, 1.0, out=induced)
+        keep &= np.abs(induced[:, :, 0] - induced[:, :, 1]).max(axis=1) <= caps[at] + 1e-10
+        objs = np.where(keep, (c[at, None] @ v)[:, 0], np.inf)
         tied = objs <= objs.min(axis=1, keepdims=True) + _TIE_TOL
         for j in range(4):  # lexicographic: narrow the ties coordinate by coordinate
-            col = np.where(tied, verts[..., j], np.inf)
+            col = np.where(tied, v[:, j], np.inf)
             tied &= col == col.min(axis=1, keepdims=True)
-        out[lo:hi] = verts[np.arange(k), tied.argmax(axis=1)]  # the first of equal vertices
+        out[at] = v[np.arange(len(v)), :, tied.argmax(axis=1)]  # the first of equal vertices
     return out.reshape(-1, 2, 2)
 
 

@@ -109,54 +109,66 @@ def derived_lp_rows(stats, tolerance):
     return rows, np.concatenate([np.ones(4), np.zeros(4), np.full(4, cap)])
 
 
+def lp_objective(stats):
+    """The derived-rule LP's 0-1 objective c over the flat accept vector, up to a
+    constant: c @ v is the expected loss of v minus that of rejecting everything."""
+    g, t = stats.rates, stats.cells.table
+    weight = t * np.array([1.0, -1.0])[:, None]  # 0-1 loss: cost of accepting on y
+    return np.concatenate([(weight * (1.0 - g)).sum(axis=0), (weight * g).sum(axis=0)])
+
+
 def optimal_derived_all_picks(stats, tolerance):
     """Accept table of the derived-rule LP by solving every one of the 495 picks.
 
-    The enumeration the pruned solver replaced: a 4-row pick is skipped only
-    when ``np.linalg.det`` puts it within 1e-12 of singular; the feasible
-    vertex of least objective wins, ties within 1e-12 going to the
-    lexicographically smallest vector, first found among equals. Returns the
-    table and ``|det|`` of every pick, in ``ALL_PICKS`` order.
+    The plain enumeration, without the check after clipping: a 4-row pick is
+    skipped only when ``np.linalg.det`` puts it within 1e-12 of singular; the
+    feasible vertex of least objective wins, ties within 1e-12 going to the
+    lexicographically smallest vector, first found among equals.
     """
-    g, t = stats.rates, stats.cells.table
-    weight = t * np.array([1.0, -1.0])[:, None]  # 0-1 loss: cost of accepting on y
-    c = np.concatenate([(weight * (1.0 - g)).sum(axis=0), (weight * g).sum(axis=0)])
     rows, rhs = derived_lp_rows(stats, tolerance)
     mats = rows[ALL_PICKS]
-    dets = np.abs(np.linalg.det(mats))
-    keep = dets > 1e-12
+    keep = np.abs(np.linalg.det(mats)) > 1e-12
     verts = np.linalg.solve(mats[keep], rhs[ALL_PICKS[keep]][..., None])[..., 0]
     verts = verts[np.isfinite(verts).all(axis=1)]
     verts = np.clip(verts[(verts @ rows.T <= rhs + 1e-9).all(axis=1)], 0.0, 1.0)
-    objs = verts @ c
+    objs = verts @ lp_objective(stats)
     tied = verts[objs <= objs.min() + 1e-12]
-    return np.clip(min(tied, key=tuple).reshape(2, 2), 0.0, 1.0), dets
+    return np.clip(min(tied, key=tuple).reshape(2, 2), 0.0, 1.0)
+
+
+def exact_checks(stats, tolerance, verts):
+    """Which of the (m, 4) points pass the derived-rule LP's exact checks, and the
+    points clipped to the box: a point is kept when it holds every row within 1e-9
+    and, clipped, induces a cross-group gap within 1e-10 of ``min(tolerance, 1)``.
+    A NaN point is not kept."""
+    g = stats.rates
+    rows, rhs = derived_lp_rows(stats, tolerance)
+    keep = (verts @ rows.T <= rhs + 1e-9).all(axis=1)
+    verts = np.clip(verts, 0.0, 1.0)
+    accept = verts.reshape(-1, 2, 2)  # [yhat][a] per point
+    rates = np.clip(accept[:, 1:] * g + accept[:, :1] * (1.0 - g), 0.0, 1.0)  # [y][a]
+    keep &= np.abs(rates[..., 0] - rates[..., 1]).max(axis=1) <= min(tolerance, 1.0) + 1e-10
+    return keep, verts
 
 
 def tied_picks(stats, tolerance):
     """Every one of the 495 picks through the derived-rule LP's exact checks.
 
-    Each pick with ``np.linalg.det`` above 1e-12 is solved; its vertex is kept
-    when it passes every row within 1e-9 and, clipped to the box, induces a
-    cross-group gap within 1e-10 of ``min(tolerance, 1)``. Returns the mask over
-    ``ALL_PICKS`` of the kept vertices whose objective lies within 1e-12 of the
-    least kept one, and the clipped vertices (NaN where not solved).
+    Each pick with ``np.linalg.det`` above 1e-12 is solved and its vertex put
+    through ``exact_checks``. Returns the mask over ``ALL_PICKS`` of the kept
+    vertices whose objective lies within 1e-12 of the least kept one, the
+    clipped vertices (NaN where not solved), that least objective, and every
+    pick's ``|det|``.
     """
-    g, t = stats.rates, stats.cells.table
-    weight = t * np.array([1.0, -1.0])[:, None]
-    c = np.concatenate([(weight * (1.0 - g)).sum(axis=0), (weight * g).sum(axis=0)])
     rows, rhs = derived_lp_rows(stats, tolerance)
     mats = rows[ALL_PICKS]
-    solved = np.abs(np.linalg.det(mats)) > 1e-12
+    dets = np.abs(np.linalg.det(mats))
+    solved = dets > 1e-12
     verts = np.full((len(ALL_PICKS), 4), np.nan)
     verts[solved] = np.linalg.solve(mats[solved], rhs[ALL_PICKS[solved]][..., None])[..., 0]
-    keep = solved & (verts @ rows.T <= rhs + 1e-9).all(axis=1)
-    verts = np.clip(verts, 0.0, 1.0)
-    accept = verts.reshape(-1, 2, 2)  # [yhat][a] per pick
-    rates = np.clip(accept[:, 1:] * g + accept[:, :1] * (1.0 - g), 0.0, 1.0)  # [y][a]
-    keep &= np.abs(rates[..., 0] - rates[..., 1]).max(axis=1) <= min(tolerance, 1.0) + 1e-10
-    objs = np.where(keep, verts @ c, np.inf)
-    return objs <= objs.min() + 1e-12, verts
+    keep, verts = exact_checks(stats, tolerance, verts)
+    objs = np.where(keep, verts @ lp_objective(stats), np.inf)
+    return objs <= objs.min() + 1e-12, verts, objs.min(), dets
 
 
 def derived_grid_minima(stats, tolerance, n_steps=101, slack=0.0101, side=0.03):

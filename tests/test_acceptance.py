@@ -144,6 +144,31 @@ def test_criterion_6_two_step_rate_sweep():
         assert -0.65 <= by_claim["excess-loss-slope"].computed <= -0.35
 
 
+def claim_margin(row):
+    """How far inside its bound a claim row's computed value sits; negative if it fails."""
+    lo, hi = {"value": (row.expected, row.expected), "upper": (-math.inf, row.expected),
+              "lower": (row.expected, math.inf), "band": row.expected}[row.kind]
+    return min(row.computed - (lo - row.tolerance), hi + row.tolerance - row.computed)
+
+
+def test_monte_carlo_claims_hold_on_seeds_0_to_99():
+    """Every Monte Carlo claim row passes at 250/100/50 trials (the benchmark's counts)
+    on seeds 0-99; a failure names each claim's worst margin and the seed giving it."""
+    worst, failed = {}, []
+    with Budget("Monte Carlo claims on seeds 0-99 at 250/100/50 trials", 10.0):
+        for seed in range(100):
+            for run, trials in ((run_detection_error_rates, 250), (run_erm_trap_floor, 100),
+                                (run_two_step_rate_sweep, 50)):
+                for row in run(trials=trials, seed=seed)[0]:
+                    margin = claim_margin(row)
+                    assert (margin >= 0) == row.passed, (row, margin)
+                    failed += [] if row.passed else [(row.claim, seed)]
+                    worst[row.claim] = min(worst.get(row.claim, (math.inf,)), (margin, seed))
+    table = "\n".join(f"{claim}: worst margin {m:.4g} at seed {seed}"
+                      for claim, (m, seed) in worst.items())
+    assert len(worst) == 5 and not failed, f"failing rows {failed}\n{table}"
+
+
 def test_criterion_7_second_moment_equivalences():
     with Budget("criterion 7: second-moment closed-form equivalences", 5.0):
         rows, _, _ = run_second_moment_equivalence(models=100, pgd_models=0,

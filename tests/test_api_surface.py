@@ -58,9 +58,7 @@ DEFAULTED = {
 }
 
 # public names that nothing in src/ or bench/ reaches -> why each stays
-UNREACHED = {
-    "eqodds.posthoc.conservative_correction": "acceptance criterion 3 pins it",
-}
+UNREACHED = {}
 
 
 def _public_callables():

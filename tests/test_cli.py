@@ -3,6 +3,7 @@
 import inspect
 import json
 import os
+import re
 import resource
 import stat
 import subprocess
@@ -337,6 +338,15 @@ class TestCliCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["induced_gap"] <= 1e-12
         assert payload["loss_after"] == pytest.approx(0.5, abs=0.05)
+
+    def test_correct_json_has_no_negative_zero(self, tmp_path, capsys):
+        # the LP returns its zeros as +0.0; on this file it ties vertices with -0.0 ones
+        data = tmp_path / "d.csv"
+        write_scored_csv(data)
+        assert main(["correct", "--data", str(data), "--tolerance", "0"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["accept"] == [[1.0, 0.0], [0.0, 1.0]]
+        assert not re.search(r"-0\.0\b", out), out
 
     def test_train_command(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

@@ -11,12 +11,12 @@ from eqodds.core import AttributeRule, CellProbabilities, GroupRates, InvalidPar
 from eqodds.posthoc import (
     _COMBOS,
     _LP_TRIALS,
+    _TIE_TOL,
     _derived_accept,
-    LOSS_01,
     DerivedPredictor,
     RateStatistics,
-    _lp_coefficients,
-    _screen,
+    _gap_rows,
+    _vertices,
     conservative_correction,
     derived_loss,
     expected_loss_from_rates,
@@ -25,7 +25,7 @@ from eqodds.posthoc import (
 )
 from eqodds.synthetic import two_proxy_law
 
-from oracles import (ALL_PICKS, derived_grid_minima, derived_lp_rows,
+from oracles import (ALL_PICKS, derived_grid_minima, exact_checks, lp_objective,
                      optimal_derived_all_picks, point_in_hull, random_rate_statistics,
                      tied_picks)
 
@@ -39,12 +39,38 @@ CAP_MISS = (RateStatistics([[0.5241109706003458, 0.9794259644111981],
             0.11190490194696745)
 
 
-def screen(stats, tolerance):
-    """``_screen`` of one trial: its (240,) candidate mask and every pick's |det|."""
-    rows, rhs = derived_lp_rows(stats, tolerance)
-    c = _lp_coefficients(stats.rates, stats.cells.table, LOSS_01)
-    candidate, det = _screen(rows[None], rhs[None, 8:9], c[None])
-    return candidate[0], det[0]
+# base rates whose picks have a determinant of 0 or subnormal: equal, constant,
+# vanishing and 1e-13-apart rates
+DEGENERATE_RATES = np.array([
+    np.zeros((2, 2)), np.ones((2, 2)), np.full((2, 2), 0.3),
+    [[1e-160, 3e-160], [2e-160, 5e-160]], 1.0 - np.array([[1e-160, 3e-160], [2e-160, 5e-160]]),
+    [[1e-300, 0.0], [5e-324, 1e-300]], [[0.5, 0.5 + 1e-13], [0.5, 0.5]], [[0.2, 0.2], [0.7, 0.7]]])
+
+
+def check_against_all_picks(stats, tolerance, case):
+    """``optimal_derived`` against the 495-pick oracle: the table it returns passes
+    the exact checks, its induced gap is within 1e-10 of ``min(tolerance, 1)``, no
+    kept vertex beats its objective by more than ``_TIE_TOL``, and its zeros are
+    +0.0 (some cases clip a coordinate of -1e-17 to 0). It is also, bit
+    for bit, the lexicographically least of the 240 closed-form vertices that the
+    oracle's checks keep within ``_TIE_TOL`` of their least objective: on a tied
+    face, a coordinate the oracle solves to 1.0 can come out 1 - 3e-16 in closed
+    form, so the order among tied vertices is the solver's own, not LAPACK's.
+    Returns ``tied_picks``' mask and |det| of the 495 picks, and the 240 closed-form
+    |det|."""
+    tied, _, best, dets = tied_picks(stats, tolerance)
+    got = optimal_derived(stats, tolerance)
+    v = got.accept.ravel()
+    assert exact_checks(stats, tolerance, v[None])[0][0], case
+    assert induced_rates(got, stats).gap() <= min(tolerance, 1.0) + 1e-10, case
+    c = lp_objective(stats)
+    assert c @ v <= best + _TIE_TOL and not np.signbit(v[v == 0]).any(), case
+    cap = np.minimum(np.array([[tolerance]]), 1.0)
+    verts, det = (a[0] for a in _vertices(_gap_rows(stats.rates[None]), cap))
+    keep, verts = exact_checks(stats, tolerance, verts.T)
+    objs = np.where(keep & (det > 1e-12), verts @ c, np.inf)
+    assert np.array_equal(v, min(verts[objs <= objs.min() + _TIE_TOL], key=tuple)), case
+    return tied, dets, det
 
 
 def attr_rule_stats(eps=0.1):
@@ -169,16 +195,17 @@ class TestOptimalDerived:
         assert np.array_equal(a.accept, b.accept)
 
     def test_pruned_enumeration_equals_all_picks(self):
-        """The 240-pick solver against the 495-pick one: the same bits on 3,200 cases.
+        """The 240-pick solver against the 495-pick oracle on 3,200 cases.
 
         A fifth of the cases each: random rates; a group whose two rates are
         equal (singular picks beyond the antipodal ones); rates and cells on a
         1/50 grid (many exact objective ties); both groups equal; a group whose
         rates differ by 1e-13, 1e-11 or 1e-9 (minors on either side of the
         singularity cutoff). Tolerances are 0, random, 1 and 1.5 in turn. On
-        every case the closed-form minor mask equals ``|det| > 1e-12``, and
-        every pick left out (its determinant is 0 in exact arithmetic) falls
-        under that filter too.
+        every case the closed-form |det| mask equals ``|det| > 1e-12``, every
+        pick left out (its determinant is 0 in exact arithmetic) falls under
+        that filter too, no pick left out ties the optimum, and the returned
+        table passes ``check_against_all_picks``.
         """
         pruned = (ALL_PICKS[:, None, :] == _COMBOS[None]).all(axis=2).any(axis=1)
         assert pruned.sum() == 240 and np.array_equal(ALL_PICKS[pruned], _COMBOS)
@@ -202,35 +229,25 @@ class TestOptimalDerived:
                 rates[1, a] = rates[0, a] + (1e-13, 1e-11, 1e-9)[k // 5 % 3]
             tol = (0.0, rng.random() * 0.5, 1.0, 1.5)[k // 5 % 4]
             stats = RateStatistics(rates, CellProbabilities(cells))
-            want, dets = optimal_derived_all_picks(stats, tol)
-            assert np.array_equal(screen(stats, tol)[1] > 1e-12, dets[pruned] > 1e-12), k
-            assert (dets[~pruned] <= 1e-12).all(), k
-            got = optimal_derived(stats, tol)
-            want_rule = DerivedPredictor(want)
-            if induced_rates(want_rule, stats).gap() > min(tol, 1.0) + 1e-10:
-                # the reference's vertex misses the cap (a few cases 1e-9 from
-                # singular, by ~1e-10); the solver must pick one that keeps it
-                assert induced_rates(got, stats).gap() <= min(tol, 1.0) + 1e-10, k
-                assert derived_loss(got, stats) >= derived_loss(want_rule, stats) - 1e-12, k
-                continue
-            assert got.accept.tobytes() == want.tobytes(), (k, got.accept, want)
+            tied, dets, det = check_against_all_picks(stats, tol, k)
+            assert np.array_equal(det > 1e-12, dets[pruned] > 1e-12), k
+            assert (dets[~pruned] <= 1e-12).all() and not tied[~pruned].any(), k
 
     def test_vertex_missing_the_cap_after_the_solve_is_dropped(self):
         stats, tol = CAP_MISS
-        want, _ = optimal_derived_all_picks(stats, tol)
+        want = optimal_derived_all_picks(stats, tol)
         assert induced_rates(DerivedPredictor(want), stats).gap() > tol + 1e-10
         derived = optimal_derived(stats, tol)
         assert induced_rates(derived, stats).gap() <= tol + 1e-10
 
-    def test_screen_keeps_every_pick_the_exact_checks_tie(self):
-        """Each pick the exact checks keep within the tie window is a screen candidate,
-        and the solver returns the lexicographically least of them: the cap-miss case,
-        then random rates, one group's rates equal, rates and cells on a 1/50 grid,
-        both groups equal, a group's rates 1e-13, 1e-11 or 1e-9 apart, and base rules
-        whose rates are all 0 or all 1 (the constants). Caps 0, random, 1 and 1.5, and
-        caps that the unconstrained optimum, a box corner, misses by 5e-13 past the
-        1e-10 slack: less than the screen's error bound, so the screen cannot tell
-        whether that vertex is kept, and must not bound the optimum by it."""
+    def test_returned_vertex_passes_the_exact_checks_and_ties_the_optimum(self):
+        """On each case the returned table passes ``check_against_all_picks`` and no
+        pick outside the 240 ties the optimum: the cap-miss case, then random rates,
+        one group's rates equal, rates and cells on a 1/50 grid, both groups equal, a
+        group's rates 1e-13, 1e-11 or 1e-9 apart, and base rules whose rates are all 0
+        or all 1 (the constants). Caps 0, random, 1 and 1.5, and caps that the
+        unconstrained optimum, a box corner, misses by 5e-13 past the 1e-10 slack,
+        which it must not keep."""
         pruned = (ALL_PICKS[:, None, :] == _COMBOS[None]).all(axis=2).any(axis=1)
         rng = np.random.default_rng(22)
         cases = [CAP_MISS]
@@ -260,27 +277,29 @@ class TestOptimalDerived:
             tol = (0.0, rng.random() * 0.5, 1.0, 1.5)[k // 7 % 4]
             cases.append((RateStatistics(rates, CellProbabilities(cells)), tol))
         for i, (stats, tol) in enumerate(cases):
-            tied, verts = tied_picks(stats, tol)
-            assert not tied[~pruned].any(), i
-            assert not (tied[pruned] & ~screen(stats, tol)[0]).any(), i
-            want = min(verts[tied], key=tuple).reshape(2, 2)
-            assert optimal_derived(stats, tol).accept.tobytes() == want.tobytes(), i
+            assert not check_against_all_picks(stats, tol, i)[0][~pruned].any(), i
 
     def test_degenerate_rates_raise_no_floating_point_warning(self):
         """Equal, constant and vanishing rates make picks whose determinant is 0 or
         subnormal; each gets a finite stand-in vertex, so nothing overflows, divides
         by zero or turns NaN, and every accept table is finite."""
-        tiny = np.array([[1e-160, 3e-160], [2e-160, 5e-160]])
-        rates = np.array([np.zeros((2, 2)), np.ones((2, 2)), np.full((2, 2), 0.3), tiny,
-                          1.0 - tiny, [[1e-300, 0.0], [5e-324, 1e-300]],
-                          [[0.5, 0.5 + 1e-13], [0.5, 0.5]], [[0.2, 0.2], [0.7, 0.7]]])
-        tables = np.full((len(rates), 2, 2), 0.25)
+        tables = np.full((len(DEGENERATE_RATES), 2, 2), 0.25)
         for tol in (0.0, 0.3, 1.0, 1.5):
             with warnings.catch_warnings(), np.errstate(divide="warn", over="warn",
                                                         invalid="warn"):
                 warnings.simplefilter("error")
-                got = _derived_accept(rates, tables, np.full(len(rates), tol))
+                got = _derived_accept(DEGENERATE_RATES, tables, np.full(len(tables), tol))
             assert np.isfinite(got).all()
+
+    def test_zeros_are_returned_positive(self):
+        """No accept table holds -0.0 (LAPACK's solve gave many): the degenerate rates
+        above, which tie many vertices at 0, under uniform and skewed cells, and caps
+        0, 0.3, 1 and 1.5."""
+        for table in (np.full((2, 2), 0.25), np.array([[0.4, 0.1], [0.2, 0.3]])):
+            tables = np.broadcast_to(table, (len(DEGENERATE_RATES), 2, 2))
+            for tol in (0.0, 0.3, 1.0, 1.5):
+                got = _derived_accept(DEGENERATE_RATES, tables, np.full(len(tables), tol))
+                assert not np.signbit(got[got == 0]).any(), (table, tol, got)
 
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(st.lists(st.tuples(
@@ -308,9 +327,9 @@ class TestOptimalDerived:
             assert accept.tobytes() == want.tobytes()
 
     def test_one_block_stays_under_one_mib(self):
-        """A block of ``_LP_TRIALS`` trials allocates under 1 MiB at its peak: the screen
-        multiplies out the gap rows alone, so no temporary holds all 12 rows' values at
-        every pick, (16, 12, 240) float64 or 368 KiB apiece."""
+        """A block of ``_LP_TRIALS`` trials allocates under 1 MiB at its peak: each
+        pick's system comes from the two gap rows alone, and the largest temporaries,
+        the vertices and their induced rates, are (k, 4, 240) float64."""
         rng = np.random.default_rng(23)
         stats = [random_rate_statistics(rng) for _ in range(_LP_TRIALS)]
         rates = np.array([s.rates for s in stats])

@@ -524,7 +524,7 @@ class TestTrainTwoStep:
 
     @pytest.mark.parametrize("seed, want", [
         (1, {"step1_rule": "const0", "step1_loss": 0.43137254901960786, "step1_gap": 0.0,
-             "forced_constant": True, "accept": [[-0.0, 1.0], [-0.0, -0.0]],
+             "forced_constant": True, "accept": [[0.0, 1.0], [0.0, 0.0]],
              "train_tolerance": 0.0, "correct_tolerance": 2.2735818747260836,
              "diagnostics": {"s1_loss": 0.43137254901960786, "s1_gap": 0.0,
                              "s2_base_loss": 0.64, "s2_base_gap": 0.0,
@@ -534,7 +534,7 @@ class TestTrainTwoStep:
                                             "corrected_loss": 0.2,
                                             "corrected_gap": 1.0}}}),
         (3, {"step1_rule": "const1", "step1_loss": 0.47058823529411764, "step1_gap": 0.0,
-             "forced_constant": True, "accept": [[-0.0, -0.0], [-0.0, 1.0]],
+             "forced_constant": True, "accept": [[0.0, 0.0], [0.0, 1.0]],
              "train_tolerance": 0.0, "correct_tolerance": 2.3965657236700126,
              "diagnostics": {"s1_loss": 0.47058823529411764, "s1_gap": 0.0,
                              "s2_base_loss": 0.48, "s2_base_gap": 0.0,
