@@ -297,12 +297,15 @@ def write_csv(dataset: Dataset, path) -> None:
                                  patterns))
 
 
-def write_rows_csv(rows: list, path) -> None:
-    """Write dicts as CSV under the first one's keys (atomic: temp file + rename)."""
+def write_rows_csv(columns: dict, path) -> None:
+    """Write named 1-D columns of numbers or plain names (none that csv would quote)
+    as CSV rows under a header of the names, ``_BLOCK_ROWS`` rows at a time, each
+    value ``str`` of its Python scalar, as ``csv`` would (atomic: temp file + rename)."""
     with _atomic_open(path, newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+        fh.write(",".join(columns) + "\r\n")
+        for lo in range(0, len(next(iter(columns.values()))), _BLOCK_ROWS):
+            cells = (map(str, c[lo:lo + _BLOCK_ROWS].tolist()) for c in columns.values())
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def write_json_atomic(obj, path) -> None:

@@ -78,12 +78,7 @@ from .synthetic import (
     sample_law,
     two_proxy_law,
 )
-from .two_step import _CONSTANTS, TwoStepConfig, _select, _train_on_counts
-
-
-# Most raw rows (one dict per trial, per n for the sweep) one run keeps: each
-# costs about 0.5 KB and 2 us, so a run at the cap holds about 0.5 GB.
-_MAX_RAW_ROWS = 10 ** 6
+from .two_step import _CONSTANTS, _COUNT_TRIALS, TwoStepConfig, _select, _train_on_counts
 
 
 @dataclass(frozen=True)
@@ -127,7 +122,7 @@ class ExperimentReport:
     seed: int
     rows: List[ClaimRow]
     meta: Dict[str, str] = field(default_factory=dict)
-    raw: Optional[List[dict]] = None
+    raw: Optional[Dict[str, np.ndarray]] = None  # per-trial rows, as named columns
 
     @property
     def passed(self) -> bool:
@@ -144,19 +139,15 @@ class ExperimentReport:
         }
 
 
-def _trial_count(trials: int, floor: int, values: int, rows: int) -> int:
-    """``trials`` raised to ``floor``, refused before the first draw when its count
-    tables, ``values`` numbers a trial, would pass ``sample_law``'s ``_MAX_VALUES``,
-    or its raw report rows, ``rows`` a trial, would pass ``_MAX_RAW_ROWS``."""
+def _trial_count(trials: int, floor: int, values: int) -> int:
+    """``trials`` raised to ``floor``, refused before the first draw when the numbers
+    the run holds, ``values`` a trial (its count tables and raw columns), would pass
+    ``sample_law``'s ``_MAX_VALUES``."""
     trials = max(floor, trials)
     if trials * values > _MAX_VALUES:
         raise InvalidParameterError(
             f"trials = {trials} is more than one run may hold "
-            f"({_MAX_VALUES // values} trials of {values} count values)")
-    if trials * rows > _MAX_RAW_ROWS:
-        raise InvalidParameterError(
-            f"trials = {trials} is more than one run may hold ({_MAX_RAW_ROWS // rows} "
-            f"trials; a run keeps at most {_MAX_RAW_ROWS} raw rows)")
+            f"({_MAX_VALUES // values} trials of {values} values)")
     return trials
 
 
@@ -235,29 +226,30 @@ def run_detection_error_rates(eps: float = 0.1, alpha: float = 0.5,
                               delta: float = 0.1, trials: int = 1000,
                               seed: int = 0):
     law = two_proxy_law(eps)
-    trials = _trial_count(trials, 50, law.probs.size, 1)
+    trials = _trial_count(trials, 50, law.probs.size + 5)  # the atom counts, 5 raw columns
     cells = law.cell_probabilities()
     n = required_sample_size(alpha, delta, cells)
     threshold = alpha / 2.0
     rules = (FeatureThresholdRule(0, 0.5, name="x"), AttributeRule())
     accept = np.array([rule.acceptance(law.x, law.attr) for rule in rules])
     atoms = sample_counts(law, [n] * trials, np.random.default_rng(seed))
-    counts = cell_sums(law.cell, atoms)
-    _require_nonzero_cells(counts, "discrimination gap")
-    gaps = _gaps(cell_sums(law.cell, accept[:, None] * atoms) / counts)
-    raw = [{"trial": i, "gap_fair": fair, "gap_biased": biased,
-            "false_flag": int(fair > threshold), "miss": int(not biased > threshold)}
-           for i, (fair, biased) in enumerate(zip(*gaps.tolist()))]
-    false_flags = sum(row["false_flag"] for row in raw)
-    misses = sum(row["miss"] for row in raw)
+    gaps = np.empty((2, trials))
+    for lo in range(0, trials, _COUNT_TRIALS):  # the (2, T, m) products a block at a time
+        at = slice(lo, lo + _COUNT_TRIALS)
+        counts = cell_sums(law.cell, atoms[at])
+        _require_nonzero_cells(counts, "discrimination gap")
+        gaps[:, at] = _gaps(cell_sums(law.cell, accept[:, None] * atoms[at]) / counts)
+    raw = {"trial": np.arange(trials), "gap_fair": gaps[0], "gap_biased": gaps[1],
+           "false_flag": (gaps[0] > threshold).astype(int),
+           "miss": (~(gaps[1] > threshold)).astype(int)}
 
     slack = _mc_slack(delta, trials)
     rows = [
         _check("false-flag-rate-on-zero-gap-rule", "upper", delta + slack,
-               false_flags / trials, 0.0,
+               raw["false_flag"].mean(), 0.0,
                note=f"n = {n} = required sample size at alpha = {alpha}"),
         _check("miss-rate-on-max-gap-rule", "upper", delta + slack,
-               misses / trials, 0.0),
+               raw["miss"].mean(), 0.0),
     ]
     params = {"eps": eps, "alpha": alpha, "delta": delta, "trials": trials, "n": n}
     return rows, raw, params
@@ -273,24 +265,24 @@ def run_erm_trap_floor(trials: int = 400, seed: int = 0):
     p_min = cells.min_cell
     alpha = 3.0 * math.log((n_features - 1) / 5.0) / (4.0 * n * p_min)
     law, hclass = erm_trap_family(n_features, alpha, cells)
-    trials = _trial_count(trials, 50, 4 * (1 + n_features), 1)  # (4, 1 + d) a trial
+    trials = _trial_count(trials, 50, 4 * (1 + n_features) + 4)  # (4, 1 + d), 4 raw columns
 
     rules = hclass.rules + _CONSTANTS  # the picks _select may return
-    pop_gap = [population_rates(law, rule).gap() for rule in rules]
+    names = np.array([rule.name for rule in rules])
+    pop_gap = np.array([population_rates(law, rule).gap() for rule in rules])
 
     # per trial: the cell counts, then the cell sums of each coordinate rule x_j >= 0.5
     tables = sample_counts(law, [n] * trials, np.random.default_rng(seed))
     _require_nonzero_cells(tables[:, :, 0], "constrained risk minimization")
     picks = _select(tables[:, :, 1:].transpose(0, 2, 1), tables[:, :, 0],
                     np.full(trials, alpha))[0]
-    raw = [{"trial": i, "picked": rules[pick].name, "population_gap": pop_gap[pick],
-            "hit": int(pop_gap[pick] >= alpha - 1e-12)} for i, pick in enumerate(picks.tolist())]
-    hits = sum(row["hit"] for row in raw)
+    raw = {"trial": np.arange(trials), "picked": names[picks], "population_gap": pop_gap[picks],
+           "hit": (pop_gap[picks] >= alpha - 1e-12).astype(int)}
 
     slack = _mc_slack(0.25, trials)  # binomial variance cap at p = 1/2
     rows = [
         _check("discriminatory-pick-frequency", "lower", 0.5 - 0.08,
-               hits / trials, 0.0,
+               raw["hit"].mean(), 0.0,
                note=f"alpha = {alpha:.6f}; a zero-error coordinate beats the "
                     f"fair one with high probability at n = {n}"),
     ]
@@ -314,7 +306,8 @@ def run_two_step_rate_sweep(eps: float = 0.1, delta: float = 0.1,
                             trials: int = 200, seed: int = 0):
     n_grid = [2 ** k for k in range(9, 15)]
     law = two_proxy_law(eps)
-    trials = _trial_count(trials, 30, 2 * law.probs.size, len(n_grid))  # both halves
+    # per n: the atom counts of both halves and 4 raw columns
+    trials = _trial_count(trials, 30, len(n_grid) * (2 * law.probs.size + 4))
     fair_loss = 2 * eps
     hclass = FiniteHypothesisClass((
         FeatureThresholdRule(0, 0.5, name="x"),
@@ -332,14 +325,13 @@ def run_two_step_rate_sweep(eps: float = 0.1, delta: float = 0.1,
     halves = sample_counts(law, [(sizes + 1) // 2, sizes // 2], np.random.default_rng(seed))
     (pick, *_), _, _, derived = _train_on_counts(
         accept, law.cell, *halves, TwoStepConfig(delta=delta))
-    del halves  # freed before the raw rows are built
+    del halves  # freed before the population rates are computed
     rates = _mixed_rates(derived, base[pick])  # of each corrected rule, on the population
     gaps = _gaps(rates).reshape(len(n_grid), trials)
     excesses = (expected_loss_from_rates(rates, law.cell_probabilities())
                 - fair_loss).reshape(len(n_grid), trials)
-    raw = [{"n": n, "trial": i, "gap": g, "excess": e}
-           for n, row_gaps, row_excesses in zip(n_grid, gaps.tolist(), excesses.tolist())
-           for i, (g, e) in enumerate(zip(row_gaps, row_excesses))]
+    raw = {"n": sizes.ravel(), "trial": np.tile(np.arange(trials), len(n_grid)),
+           "gap": gaps.ravel(), "excess": excesses.ravel()}
     median_gap = [float(np.median(row)) for row in gaps]
     median_excess = [float(np.median(row)) for row in excesses]
 

@@ -4,6 +4,7 @@ Everything here recomputes results by brute force (grids, enumeration,
 generic LP feasibility) without touching the code paths under test.
 """
 
+import csv
 import itertools
 
 import numpy as np
@@ -35,6 +36,17 @@ def equalized_correlations(model, predictor):
     residual = cov_ra * model.var_y - cov_ry * model.cov_ya
     conditional = cov_ra - cov_ry * model.cov_ya / model.var_y
     return residual, conditional
+
+
+def dict_writer_csv(columns, path):
+    """Named 1-D columns written the way per-trial rows once were: one dict of Python
+    scalars a row, through ``csv.DictWriter`` under a header of the names."""
+    rows = [dict(zip(columns, values)) for values in
+            zip(*(column.tolist() for column in columns.values()))]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(columns))
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def counting_rates_oracle(dataset, values):

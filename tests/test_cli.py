@@ -20,9 +20,10 @@ from eqodds import data_io
 from eqodds.cli import main
 from eqodds.core import Dataset
 from eqodds.data_io import (ParseError, SchemaError, _format_column, _format_value,
-                            load_csv, write_csv, write_json_atomic)
+                            load_csv, write_csv, write_json_atomic, write_rows_csv)
 from eqodds.experiments import EXPERIMENTS
 from eqodds.synthetic import sample_law, two_proxy_law
+from oracles import dict_writer_csv
 
 
 def write_scored_csv(path, n=400, seed=0, eps=0.1):
@@ -218,6 +219,19 @@ class TestCsv:
     ], ids=["mixed", "whole", "none-whole"])
     def test_column_format_matches_value_rule(self, values):
         assert list(_format_column(np.array(values))) == list(map(_format_value, values))
+
+    @pytest.mark.parametrize("length", [1, data_io._BLOCK_ROWS, data_io._BLOCK_ROWS + 1])
+    def test_raw_columns_write_the_dict_writer_bytes(self, tmp_path, length):
+        # every float in every row position, whole ones too: they keep their ".0"
+        floats = np.array([0.0, 1.0, -0.0, 1e16, 5e-324, 1 / 3])
+        columns = {"trial": np.arange(length),
+                   **{f"f{k}": np.resize(np.roll(floats, -k), length) for k in range(6)},
+                   "picked": np.resize(["x0", "const1", "x63"], length)}
+        write_rows_csv(columns, tmp_path / "got.csv")
+        dict_writer_csv(columns, tmp_path / "want.csv")
+        want = (tmp_path / "want.csv").read_bytes()
+        assert (tmp_path / "got.csv").read_bytes() == want
+        assert want.count(b"\r\n") == length + 1
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None, derandomize=True,
@@ -683,16 +697,14 @@ def test_impossible_draw_exits_2_before_allocating(argv, needle, tmp_path):
 
 
 @pytest.mark.parametrize("experiment, trials, needle", [
-    ("detection-error-rates", "100000000", "(12500000 trials of 8 count values)"),
-    ("erm-trap-floor", "100000000", "(384615 trials of 260 count values)"),
-    ("erm-trap-floor", str(10 ** 20), "(384615 trials of 260 count values)"),
-    ("two-step-rate-sweep", "100000000", "(6250000 trials of 16 count values)"),
-    # under the count-value cap, past the raw rows: one per trial, six for the sweep
-    ("detection-error-rates", "12500000",
-     "(1000000 trials; a run keeps at most 1000000 raw rows)"),
-    ("detection-error-rates", "1000001",
-     "(1000000 trials; a run keeps at most 1000000 raw rows)"),
-    ("two-step-rate-sweep", "6250000", "(166666 trials; a run keeps at most 1000000 raw rows)"),
+    # values a trial: the count tables and the raw columns, six of each for the sweep
+    ("detection-error-rates", "100000000", "(7692307 trials of 13 values)"),
+    ("erm-trap-floor", "100000000", "(378787 trials of 264 values)"),
+    ("erm-trap-floor", str(10 ** 20), "(378787 trials of 264 values)"),
+    ("two-step-rate-sweep", "100000000", "(833333 trials of 120 values)"),
+    # one trial past the ceiling
+    ("detection-error-rates", "7692308", "(7692307 trials of 13 values)"),
+    ("two-step-rate-sweep", "833334", "(833333 trials of 120 values)"),
 ])
 def test_too_many_trials_exit_2_before_the_first_draw(experiment, trials, needle, tmp_path):
     done = _run_limited(["reproduce", "--experiment", experiment, "--trials", trials],

@@ -4,8 +4,9 @@
 (the Monte Carlo ones with ``trials=30``, which their floors raise to
 50/50/30),
 the report's ``params`` and ``rows`` and the SHA-256 of its per-trial
-``raw`` rows. A refactor that reorders a floating-point sum shows up here
-as a changed digit. Regenerate the file only for a change that is meant to
+``raw`` rows, one dict a trial rebuilt from the report's raw columns. A
+refactor that reorders a floating-point sum shows up here as a changed
+digit. Regenerate the file only for a change that is meant to
 alter reports, and say why in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden_reports.py > tests/golden_reports.json
@@ -30,7 +31,10 @@ def golden_entry(experiment: str) -> dict:
     params = {"trials": TRIALS} if experiment in MONTE_CARLO else {}
     report = run_experiment(experiment, seed=SEED, **params)
     body = report.to_dict()
-    raw = json.dumps(report.raw, sort_keys=True).encode()
+    # the raw columns as the rows they were stored as: one dict per trial
+    rows = report.raw and [dict(zip(report.raw, values)) for values in
+                           zip(*(column.tolist() for column in report.raw.values()))]
+    raw = json.dumps(rows, sort_keys=True).encode()
     # a JSON round trip turns tuples into lists, as in the stored file
     return json.loads(json.dumps({
         "params": body["params"],

@@ -291,7 +291,7 @@ class TestCountDraws:
         raw = run_two_step_rate_sweep(trials=300, seed=0)[1]
         lo, hi = 150 - 2 * int(np.sqrt(300)), 150 + 2 * int(np.sqrt(300))
         for n in (512, 2048):
-            counts = np.array([[row["gap"], row["excess"]] for row in raw if row["n"] == n]).T
+            counts = np.array([raw["gap"][raw["n"] == n], raw["excess"][raw["n"] == n]])
             rows = np.array([[pop["corrected_gap"], pop["corrected_loss"] - 0.2] for pop in (
                 train_two_step(sample_law(law, n, seed), hclass, TwoStepConfig(seed=seed),
                                population=law).diagnostics["population"]

@@ -335,20 +335,24 @@ class TestCountPath:
         monkeypatch.setattr(experiments, "sample_counts", halves)
         _, raw, _ = run_two_step_rate_sweep(eps=0.1, delta=0.1, trials=36, seed=0)
         law = two_proxy_law(0.1)
-        for row in raw:
-            seed = 100_000 * row["n"] + row["trial"]
-            res = train_two_step(sample_law(law, row["n"], seed), SMALL_CLASS,
+        for n, trial, gap, excess in zip(*(raw[name].tolist() for name in raw)):
+            seed = 100_000 * n + trial
+            res = train_two_step(sample_law(law, n, seed), SMALL_CLASS,
                                  TwoStepConfig(delta=0.1, seed=seed), population=law)
             pop = res.diagnostics["population"]
-            assert repr((row["gap"], row["excess"])) == repr(
-                (pop["corrected_gap"], pop["corrected_loss"] - 0.2)), row
-        assert len(raw) == 216
+            assert repr((gap, excess)) == repr(
+                (pop["corrected_gap"], pop["corrected_loss"] - 0.2)), (n, trial)
+        assert list(raw) == ["n", "trial", "gap", "excess"]
+        assert all(len(column) == 216 for column in raw.values())
 
     def test_sweep_in_blocks_of_trials_keeps_every_bit(self, monkeypatch):
-        want = run_two_step_rate_sweep(trials=30, seed=5)
+        def listed(run):  # every digit of the raw columns, which an array's repr rounds
+            rows, raw, params = run
+            return repr((rows, {name: column.tolist() for name, column in raw.items()}, params))
+
+        want = listed(run_two_step_rate_sweep(trials=30, seed=5))
         monkeypatch.setattr(two_step, "_COUNT_TRIALS", 16)  # 12 blocks, the last one short
-        got = run_two_step_rate_sweep(trials=30, seed=5)
-        assert repr(got) == repr(want)
+        assert listed(run_two_step_rate_sweep(trials=30, seed=5)) == want
 
     @pytest.mark.parametrize("eps", [0.1, 0.05, 0.2])
     def test_count_core_equals_train_two_step_on_rows(self, eps):
@@ -410,11 +414,13 @@ class TestCountPath:
             return np.array([tally(ds) for ds in samples])
 
         monkeypatch.setattr(experiments, "sample_counts", tallied)
+        monkeypatch.setattr(experiments, "_COUNT_TRIALS", 16)  # 4 blocks, the last one short
         _, raw, _ = run_detection_error_rates(eps=eps, alpha=alpha, trials=50, seed=9)
-        assert len(samples) == len(raw) == 50
-        for row, ds in zip(raw, samples):
-            assert row["gap_fair"] == empirical_rates(ds, X_RULE).gap()
-            assert row["gap_biased"] == empirical_rates(ds, AttributeRule()).gap()
+        assert len(samples) == len(raw["trial"]) == 50
+        for fair, biased, ds in zip(raw["gap_fair"].tolist(), raw["gap_biased"].tolist(),
+                                    samples):
+            assert fair == empirical_rates(ds, X_RULE).gap()
+            assert biased == empirical_rates(ds, AttributeRule()).gap()
 
     def test_erm_trap_picks_equal_constrained_erm_on_rows(self, monkeypatch):
         samples = []
@@ -426,8 +432,8 @@ class TestCountPath:
         monkeypatch.setattr(experiments, "sample_counts", tallied)
         _, raw, params = run_erm_trap_floor(trials=60, seed=0)
         law, hclass = erm_trap_family(64, params["alpha"])
-        for row, ds in zip(raw, samples):
-            assert row["picked"] == constrained_erm(ds, hclass, params["alpha"]).rule.name
+        for picked, ds in zip(raw["picked"].tolist(), samples):
+            assert picked == constrained_erm(ds, hclass, params["alpha"]).rule.name
         # every trial, the forced constant included, field by field
         tables = np.array([erm_table(ds) for ds in samples])
         for tolerance in (params["alpha"], 0.0):
