@@ -16,29 +16,15 @@ pure function, so concurrent use needs no coordination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 
-def _restore_error(cls, args, state):
-    error = cls.__new__(cls, *args)  # skips __init__, whose signature may differ
-    error.__dict__.update(state)
-    return error
-
-
 class EqoddsError(Exception):
-    """Base class for library errors.
-
-    Errors pickle by message and attributes, not by ``__init__`` arguments,
-    so every subclass unpickles equal to the original, whatever its
-    constructor takes.
-    """
-
-    def __reduce__(self):
-        return _restore_error, (type(self), self.args, self.__dict__)
+    """Base class for library errors."""
 
 
 class InvalidParameterError(EqoddsError, ValueError):
@@ -48,12 +34,9 @@ class InvalidParameterError(EqoddsError, ValueError):
 class EmptyCellError(EqoddsError, ValueError):
     """A (label, group) cell required by the computation has no samples."""
 
-    def __init__(self, cells, context: str = ""):
+    def __init__(self, cells, context: str):
         self.cells = [(int(y), int(a)) for y, a in cells]
-        msg = f"empty (y, a) cells: {self.cells}"
-        if context:
-            msg = f"{context}: {msg}"
-        super().__init__(msg)
+        super().__init__(f"{context}: empty (y, a) cells: {self.cells}")
 
 
 class TooFewSamplesError(EqoddsError, ValueError):
@@ -346,7 +329,7 @@ class FeatureThresholdRule(BinaryPredictor):
 class FiniteHypothesisClass:
     """Ordered, named, finite list of candidate rules."""
 
-    rules: tuple = field(default_factory=tuple)
+    rules: tuple
 
     def __post_init__(self):
         rules = tuple(self.rules)

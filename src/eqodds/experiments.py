@@ -261,10 +261,9 @@ def run_detection_error_rates(eps: float = 0.1, alpha: float = 0.5,
 
 def run_erm_trap_floor(trials: int = 400, seed: int = 0):
     n_features, n = 64, 200
-    cells = CellProbabilities.uniform()
-    p_min = cells.min_cell
+    p_min = CellProbabilities.uniform().min_cell
     alpha = 3.0 * math.log((n_features - 1) / 5.0) / (4.0 * n * p_min)
-    law, hclass = erm_trap_family(n_features, alpha, cells)
+    law, hclass = erm_trap_family(n_features, alpha)
     trials = _trial_count(trials, 50, 4 * (1 + n_features) + 4)  # (4, 1 + d), 4 raw columns
 
     rules = hclass.rules + _CONSTANTS  # the picks _select may return
@@ -323,17 +322,21 @@ def run_two_step_rate_sweep(eps: float = 0.1, delta: float = 0.1,
     # permutation of i.i.d. rows are i.i.d. and independent of the other floor(n/2)
     sizes = np.repeat(n_grid, trials).reshape(len(n_grid), trials)
     halves = sample_counts(law, [(sizes + 1) // 2, sizes // 2], np.random.default_rng(seed))
+    # a trial with an empty (y, a) cell in either half cannot be trained: it is skipped
+    kept = cell_sums(law.cell, halves).all(axis=(0, -2, -1))  # (n, trial)
+    for n, row in zip(n_grid, kept):
+        if not row.any():
+            raise InvalidParameterError(f"every trial at n = {n} has an empty (y, a) cell in a half")
+    halves = halves[:, kept]  # (2, kept trials, atoms); the full draw is freed
     (pick, *_), _, _, derived = _train_on_counts(
         accept, law.cell, *halves, TwoStepConfig(delta=delta))
     del halves  # freed before the population rates are computed
     rates = _mixed_rates(derived, base[pick])  # of each corrected rule, on the population
-    gaps = _gaps(rates).reshape(len(n_grid), trials)
-    excesses = (expected_loss_from_rates(rates, law.cell_probabilities())
-                - fair_loss).reshape(len(n_grid), trials)
-    raw = {"n": sizes.ravel(), "trial": np.tile(np.arange(trials), len(n_grid)),
-           "gap": gaps.ravel(), "excess": excesses.ravel()}
-    median_gap = [float(np.median(row)) for row in gaps]
-    median_excess = [float(np.median(row)) for row in excesses]
+    gaps = _gaps(rates)
+    excesses = expected_loss_from_rates(rates, law.cell_probabilities()) - fair_loss
+    raw = {"n": sizes[kept], "trial": np.nonzero(kept)[1], "gap": gaps, "excess": excesses}
+    median_gap = [float(np.median(gaps[raw["n"] == n])) for n in n_grid]
+    median_excess = [float(np.median(excesses[raw["n"] == n])) for n in n_grid]
 
     gap_slope = _loglog_slope(n_grid, median_gap)
     # the slack can make the corrected rule beat the fair optimum, so the
@@ -346,7 +349,8 @@ def run_two_step_rate_sweep(eps: float = 0.1, delta: float = 0.1,
         _check("excess-loss-slope", "band", (-0.65, -0.35), excess_slope, 0.0,
                note=f"median excesses: {[round(e, 4) for e in median_excess]}"),
     ]
-    params = {"eps": eps, "delta": delta, "trials": trials, "n_grid": n_grid}
+    params = {"eps": eps, "delta": delta, "trials": trials,
+              "skipped_trials": int(kept.size - kept.sum()), "n_grid": n_grid}
     return rows, raw, params
 
 
@@ -369,9 +373,8 @@ def _kkt_reference_solution(model: SecondMomentModel) -> np.ndarray:
     return np.linalg.solve(kkt, rhs)[:q]
 
 
-def run_second_moment_equivalence(models: int = 100, pgd_models: int = 20,
-                                  seed: int = 0):
-    dim = 3
+def run_second_moment_equivalence(seed: int = 0):
+    models, pgd_models, dim = 100, 20, 3
     worst_residual_ratio = 0.0
     worst_kkt = 0.0
     worst_corr = 0.0
@@ -399,7 +402,7 @@ def run_second_moment_equivalence(models: int = 100, pgd_models: int = 20,
                         seed=seed + 2000 + k)
         model = estimate_moments(ds)
         sol = fit_closed_form(model)
-        fit = fit_constrained_convex(ds, "squared", model=model, tol=1e-9)
+        fit = fit_constrained_convex(ds, "squared", model)
         denom = max(float(np.abs(sol.predictor.weights).max()), 1e-12)
         worst_pgd = max(worst_pgd,
                         float(np.abs(fit.predictor.weights

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -268,6 +268,8 @@ def derived_correction(model: SecondMomentModel) -> DerivedCorrection:
 
 _LOSSES = ("squared", "logistic", "hinge_smooth")
 _HINGE_WIDTH = 1e-3  # quadratic smoothing width around the hinge kink
+_TOL = 1e-9  # the Newton fit converges at this gradient norm
+_MAX_ITER = 20_000  # and stops unconverged after this many steps
 
 
 def _signed_labels(labels: np.ndarray) -> np.ndarray:
@@ -368,24 +370,20 @@ class ProjectedFitResult:
     stop_reason: str  # "converged", "max_iter" or "stalled"
 
 
-def fit_constrained_convex(dataset: Dataset, loss: str = "squared",
-                           model: Optional[SecondMomentModel] = None,
-                           tol: float = 1e-9, max_iter: int = 20_000
-                           ) -> ProjectedFitResult:
+def fit_constrained_convex(dataset: Dataset, loss: str,
+                           model: SecondMomentModel) -> ProjectedFitResult:
     """Damped Newton on the empirical risk in the null space of the constraint.
 
-    Weights are w = N u, N an orthonormal basis of c' w = 0 (c from ``model``,
-    estimated when omitted; N = I for a degenerate c) from one QR of [c, I], so
-    (u, b) is unconstrained and every iterate meets c' w = 0 up to the rounding
-    of N; descent starts at (u, b) = 0. The Hessian sums rows with curvature
-    (the band, for the smooth hinge) in blocks, with no n-by-q temporary; the
-    line search is exact for squared loss and the smooth hinge, a safeguarded
-    root of f' for logistic loss. ``stop_reason``: "converged" once the
-    gradient in (u, b), whose u part has the projected gradient's norm, is
-    within ``tol``; "stalled" when a step left the iterate unchanged; else
-    "max_iter".
+    Weights are w = N u, N an orthonormal basis of c' w = 0 (c from ``model``; N = I
+    for a degenerate c) from one QR of [c, I], so (u, b) is unconstrained and every
+    iterate meets c' w = 0 up to the rounding of N; descent starts at (u, b) = 0.
+    The Hessian sums rows with curvature (the band, for the smooth hinge) in
+    blocks, with no n-by-q temporary; the line search is exact for squared loss
+    and the smooth hinge, a safeguarded root of f' for logistic loss.
+    ``stop_reason``: "converged" once the gradient in (u, b), whose u part has the
+    projected gradient's norm, is within ``_TOL``; "stalled" when a step left the
+    iterate unchanged; else "max_iter", after ``_MAX_ITER`` steps.
     """
-    model = model or estimate_moments(dataset)
     design = np.column_stack([dataset.features, dataset.attr])  # z, centered, then [z N, 1]
     z_mean = design.mean(axis=0)
     y, (n, q) = dataset.labels, design.shape
@@ -399,14 +397,14 @@ def fit_constrained_convex(dataset: Dataset, loss: str = "squared",
     ridge = 1e-14 * np.vdot(design, design) / design.size * np.eye(x.size)  # keeps H definite
 
     s = y if loss == "squared" else _signed_labels(y)  # once a fit
-    for iterations in range(max_iter + 1):
+    for iterations in range(_MAX_ITER + 1):
         r = design @ x
         m = r if loss == "squared" else s * r  # shared with the hinge search
         value, d1, d2 = _row_terms(m, s, loss)
         grad = design.T @ d1 / n
-        stop_reason = ("converged" if float(np.linalg.norm(grad)) <= tol else
+        stop_reason = ("converged" if float(np.linalg.norm(grad)) <= _TOL else
                        "stalled" if iterations and np.array_equal(x, x_last) else "max_iter")
-        if stop_reason != "max_iter" or iterations == max_iter:
+        if stop_reason != "max_iter" or iterations == _MAX_ITER:
             break
         a, aw = (design, d2) if d2.all() else (design[d2 != 0.0], d2[d2 != 0.0])  # curved rows
         hess = sum(a[i:i + 4096].T * aw[i:i + 4096] @ a[i:i + 4096] for i in range(0, len(a), 4096))

@@ -8,8 +8,8 @@ ground truth:
   sampling.
 * ``CellProductLaw`` -- a (Y, A) cell table with conditionally independent
   Bernoulli feature coordinates. Its support is exponential in the number
-  of coordinates, so coordinate rules are evaluated analytically and
-  generic rules only by enumeration at small dimension.
+  of coordinates, so only coordinate rules and constants are evaluated,
+  analytically.
 * ``gaussian_law`` -- a random jointly Gaussian (X..., A, Y), returned as
   the ``SecondMomentModel`` of its mean and covariance; ``sample_law``
   draws from it.
@@ -19,9 +19,9 @@ The two benchmark constructions:
 * ``two_proxy_law(eps)``: X and A are both noisy copies of a fair coin Y
   (X flips with probability 2*eps, A with eps), independent given Y. The
   attribute is the better proxy, so loss minimization alone locks onto it.
-* ``erm_trap_family(n_features, alpha, cells)``: coordinate 0 is a fair
+* ``erm_trap_family(n_features, alpha)``: coordinate 0 is a fair
   predictor with error ``alpha`` while every other coordinate is wrong only
-  inside one rare cell, making it strictly better on the population but
+  inside one cell, making it strictly better on the population but
   group-asymmetric. Sample risk minimization is routinely trapped into
   picking a group-asymmetric coordinate.
 """
@@ -29,10 +29,9 @@ The two benchmark constructions:
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Tuple, Union
 
 import numpy as np
 
@@ -50,8 +49,6 @@ from .core import (
 from .posthoc import expected_loss_from_rates
 from .second_moment import SecondMomentModel
 
-# enumeration guard for generic rules on product laws
-_MAX_ENUM_COORDS = 16
 # Largest row draw, refused before allocating: its dataset holds n * (d + 2)
 # float64 values, 0.8 GB at the cap, and the draw's temporaries about twice that.
 _MAX_VALUES = 10 ** 8
@@ -124,27 +121,6 @@ class CellProductLaw:
     def cell_probabilities(self) -> CellProbabilities:
         return self.cells
 
-    def to_finite_law(self) -> FiniteJointLaw:
-        """Explicit atom expansion; only viable at small dimension."""
-        d = self.n_features
-        if d > _MAX_ENUM_COORDS:
-            raise InvalidParameterError(
-                f"refusing to enumerate 2^{d} atoms; dimension above {_MAX_ENUM_COORDS}")
-        xs, attrs, labels, probs = [], [], [], []
-        for (y, a), p_cell in np.ndenumerate(self.cells.table):
-            if p_cell == 0:
-                continue
-            h = self.heads[y, a]
-            for bits in itertools.product((0, 1), repeat=d):
-                factors = (h[j] if b else 1.0 - h[j] for j, b in enumerate(bits))
-                p = math.prod(factors, start=p_cell)  # left to right from p_cell
-                if p > 0:
-                    xs.append(bits)
-                    attrs.append(a)
-                    labels.append(y)
-                    probs.append(p)
-        return FiniteJointLaw(np.array(xs, dtype=np.float64), attrs, labels, probs)
-
 
 Law = Union[FiniteJointLaw, CellProductLaw]
 
@@ -166,34 +142,28 @@ def two_proxy_law(eps: float) -> FiniteJointLaw:
     return FiniteJointLaw(x[:, None], attr, lab, probs)
 
 
-def erm_trap_family(n_features: int, alpha: float,
-                    cells: Optional[CellProbabilities] = None
+def erm_trap_family(n_features: int, alpha: float
                     ) -> Tuple[CellProductLaw, FiniteHypothesisClass]:
     """Coordinate-rule family where sample ERM favors a group-asymmetric pick.
 
-    Coordinate 0 equals the label except for an alpha-probability flip in
-    every cell, so the rule x0 has error ``alpha`` and zero gap. Every other
-    coordinate equals the label except inside the lowest-probability (y, a)
-    cell, where it flips with probability alpha: error ``alpha * min_cell``
-    (strictly smaller) and gap exactly ``alpha``. The returned class lists
-    the coordinate threshold rules in order x0, x1, ...
-
-    ``cells`` defaults to the uniform quarter table.
+    The four (y, a) cells are equally likely. Coordinate 0 equals the label
+    except for an alpha-probability flip in every cell, so the rule x0 has
+    error ``alpha`` and zero gap. Every other coordinate equals the label
+    except inside the cell (1, 1), where it flips with probability alpha:
+    error ``alpha / 4`` (strictly smaller) and gap exactly ``alpha``. The
+    returned class lists the coordinate threshold rules in order x0, x1, ...
     """
     if n_features < 2:
         raise InvalidParameterError("need at least 2 coordinates")
     if not 0.0 < alpha < 0.5:
         raise InvalidParameterError(f"alpha must lie in (0, 1/2), got {alpha}")
-    cells = cells or CellProbabilities.uniform()
-    # ties prefer (1, 1): the canonical orientation for the construction
-    noisy = min(((1, 1), (1, 0), (0, 1), (0, 0)), key=lambda c: cells.table[c])
     heads = np.empty((2, 2, n_features))
     # coordinate 0: noisy copy of the label, same in every cell
     heads[:, :, 0] = np.array([[alpha], [1.0 - alpha]])
-    # others: exact copy of the label, except for an alpha flip in the noisy cell
+    # others: exact copy of the label, except for an alpha flip in cell (1, 1)
     heads[:, :, 1:] = np.array([[[0.0]], [[1.0]]])
-    heads[noisy][1:] = alpha if noisy[0] == 0 else 1.0 - alpha
-    law = CellProductLaw(cells, heads)
+    heads[1, 1, 1:] = 1.0 - alpha
+    law = CellProductLaw(CellProbabilities.uniform(), heads)
     rules = tuple(FeatureThresholdRule(j, 0.5, name=f"x{j}") for j in range(n_features))
     return law, FiniteHypothesisClass(rules)
 
@@ -218,13 +188,16 @@ def gaussian_law(d: int, seed: int) -> SecondMomentModel:
 
 
 def population_rates(law: Law, predictor: BinaryPredictor) -> GroupRates:
-    """Exact conditional acceptance rates P(pred = 1 | y, a) by enumeration."""
+    """Exact conditional acceptance rates P(pred = 1 | y, a): by enumeration of a
+    finite law's atoms, and in closed form on a product law, which takes only the
+    coordinate rules x_j >= cut with cut in (0, 1] and the constants."""
     if isinstance(law, CellProductLaw):
         if isinstance(predictor, FeatureThresholdRule) and 0.0 < predictor.cut <= 1.0:
             return GroupRates(law.heads[:, :, predictor.feature].copy())
         if isinstance(predictor, ConstantRule):
             return GroupRates(np.full((2, 2), predictor.value))
-        return population_rates(law.to_finite_law(), predictor)
+        raise InvalidParameterError(
+            f"no closed form for rule {predictor.name!r} on a cell-product law")
     vals = predictor.acceptance(law.x, law.attr)
     mass = cell_sums(law.cell, law.probs)
     if (mass == 0).any():

@@ -216,14 +216,8 @@ def _tolerances(config: TwoStepConfig, first: np.ndarray, second: np.ndarray):
 
 
 def train_two_step(data: Dataset, hclass: FiniteHypothesisClass,
-                   config: TwoStepConfig = TwoStepConfig(),
-                   population=None) -> TwoStepResult:
-    """Split, constrained-minimize on half one, correct on half two.
-
-    ``population`` optionally supplies the generating law; when present the
-    diagnostics include exact population loss and gap of both the step-1
-    rule and the corrected rule.
-    """
+                   config: TwoStepConfig = TwoStepConfig()) -> TwoStepResult:
+    """Split, constrained-minimize on half one, correct on half two."""
     data.require_binary()
     if len(data) < 8:
         raise InvalidParameterError(f"need at least 8 samples, got {len(data)}")
@@ -244,15 +238,6 @@ def train_two_step(data: Dataset, hclass: FiniteHypothesisClass,
         "s2_corrected_loss": expected_loss_from_rates(induced.rates, stats.cells),
         "s2_corrected_gap": induced.gap(),
     }
-    if population is not None:
-        pop = RateStatistics.from_population(population, step1.rule)
-        induced = induced_rates(derived, pop)
-        diagnostics["population"] = {
-            "base_loss": expected_loss_from_rates(pop.rates, pop.cells),
-            "base_gap": GroupRates(pop.rates).gap(),
-            "corrected_loss": expected_loss_from_rates(induced.rates, pop.cells),
-            "corrected_gap": induced.gap(),
-        }
     return TwoStepResult(step1=step1, derived=derived,
                          corrected_rule=DerivedRule(step1.rule, derived),
                          train_tolerance=t_train, correct_tolerance=t_correct,

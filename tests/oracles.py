@@ -6,12 +6,14 @@ generic LP feasibility) without touching the code paths under test.
 
 import csv
 import itertools
+import math
 
 import numpy as np
 
-from eqodds.core import (BinaryPredictor, CellProbabilities, ConstantRule, empirical_loss,
-                         empirical_rates)
-from eqodds.posthoc import RateStatistics
+from eqodds.core import (BinaryPredictor, CellProbabilities, ConstantRule, GroupRates,
+                         empirical_loss, empirical_rates)
+from eqodds.posthoc import RateStatistics, expected_loss_from_rates, induced_rates
+from eqodds.synthetic import FiniteJointLaw
 from eqodds.two_step import Step1Result
 
 
@@ -36,6 +38,38 @@ def equalized_correlations(model, predictor):
     residual = cov_ra * model.var_y - cov_ry * model.cov_ya
     conditional = cov_ra - cov_ry * model.cov_ya / model.var_y
     return residual, conditional
+
+
+def population_two_step(law, result):
+    """Exact population loss and gap of a two-step result's step-1 rule (base) and
+    of its corrected rule, from the public rate calls."""
+    pop = RateStatistics.from_population(law, result.step1.rule)
+    induced = induced_rates(result.derived, pop)
+    return {
+        "base_loss": expected_loss_from_rates(pop.rates, pop.cells),
+        "base_gap": GroupRates(pop.rates).gap(),
+        "corrected_loss": expected_loss_from_rates(induced.rates, pop.cells),
+        "corrected_gap": induced.gap(),
+    }
+
+
+def product_law_atoms(law):
+    """A cell-product law as the finite law of its 2^d atoms per cell, enumerated
+    one by one; only viable at small dimension."""
+    xs, attrs, labels, probs = [], [], [], []
+    for (y, a), p_cell in np.ndenumerate(law.cells.table):
+        if p_cell == 0:
+            continue
+        h = law.heads[y, a]
+        for bits in itertools.product((0, 1), repeat=law.n_features):
+            factors = (h[j] if b else 1.0 - h[j] for j, b in enumerate(bits))
+            p = math.prod(factors, start=p_cell)  # left to right from p_cell
+            if p > 0:
+                xs.append(bits)
+                attrs.append(a)
+                labels.append(y)
+                probs.append(p)
+    return FiniteJointLaw(np.array(xs, dtype=np.float64), attrs, labels, probs)
 
 
 def dict_writer_csv(columns, path):

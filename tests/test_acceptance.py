@@ -171,8 +171,7 @@ def test_monte_carlo_claims_hold_on_seeds_0_to_99():
 
 def test_criterion_7_second_moment_equivalences():
     with Budget("criterion 7: second-moment closed-form equivalences", 5.0):
-        rows, _, _ = run_second_moment_equivalence(models=100, pgd_models=0,
-                                                   seed=0)
+        rows, _, _ = run_second_moment_equivalence(seed=0)
         by_claim = {r.claim: r for r in rows}
         assert by_claim["constraint-residual-over-scale"].computed <= 1e-10
         assert by_claim["kkt-oracle-relative-mismatch"].computed <= 1e-8
@@ -182,8 +181,7 @@ def test_criterion_7_second_moment_equivalences():
 
 def test_criterion_8_convex_solver_agreement():
     with Budget("criterion 8: projected descent vs closed form", 30.0):
-        rows, _, _ = run_second_moment_equivalence(models=1, pgd_models=20,
-                                                   seed=0)
+        rows, _, _ = run_second_moment_equivalence(seed=0)
         by_claim = {r.claim: r for r in rows}
         assert by_claim["projected-descent-relative-mismatch"].computed <= 1e-6
         assert by_claim["gradient-finite-difference-mismatch"].computed <= 1e-5

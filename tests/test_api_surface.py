@@ -27,9 +27,7 @@ DEFAULTED = {
     "eqodds.core.AttributeRule": ("name",),
     "eqodds.core.ConstantRule": ("name",),
     "eqodds.core.Dataset": ("scores",),
-    "eqodds.core.EmptyCellError": ("context",),
     "eqodds.core.FeatureThresholdRule": ("name",),
-    "eqodds.core.FiniteHypothesisClass": ("rules",),
     "eqodds.core.GroupRates": ("counts",),
     "eqodds.core.acceptance_values": ("what",),
     "eqodds.core.cell_sums": ("weights",),
@@ -42,19 +40,17 @@ DEFAULTED = {
     "eqodds.experiments.run_experiment": ("seed",),
     "eqodds.experiments.run_posthoc_binary_gap": ("eps", "seed"),
     "eqodds.experiments.run_posthoc_regression_gap": ("eps", "seed"),
-    "eqodds.experiments.run_second_moment_equivalence": ("models", "pgd_models", "seed"),
+    "eqodds.experiments.run_second_moment_equivalence": ("seed",),
     "eqodds.experiments.run_two_step_rate_sweep": ("eps", "delta", "trials", "seed"),
     "eqodds.posthoc.DerivedPredictor": ("provenance",),
     "eqodds.posthoc.derived_loss": ("cell_loss",),
     "eqodds.posthoc.expected_loss_from_rates": ("cell_loss",),
     "eqodds.second_moment.LinearPredictor": ("intercept",),
-    "eqodds.second_moment.fit_constrained_convex": ("loss", "model", "tol", "max_iter"),
-    "eqodds.synthetic.erm_trap_family": ("cells",),
     "eqodds.two_step.Step1Result": ("feasible",),
     "eqodds.two_step.TwoStepConfig": ("delta", "train_tolerance", "correct_tolerance",
                                       "seed"),
     "eqodds.two_step.TwoStepResult": ("diagnostics",),
-    "eqodds.two_step.train_two_step": ("config", "population"),
+    "eqodds.two_step.train_two_step": ("config",),
 }
 
 # public names that nothing in src/ or bench/ reaches -> why each stays

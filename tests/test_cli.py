@@ -538,7 +538,7 @@ def test_nan_score_audit_exits_2(tmp_path, capsys):
     ("alpha-1e-200", "alpha = 1e-200 is too small"),
     ("alpha-1e-160", "alpha = 1e-160 is too small"),
     ("reproduce-alpha-1e-200", "alpha = 1e-200 is too small"),
-    ("sweep-empty-half-cell", "error: first half: empty (y, a) cells: [(0, 1), (1, 0)]"),
+    ("sweep-empty-half-cell", "error: every trial at n = 512 has an empty (y, a) cell in a half"),
     ("header-field-over-csv-limit", "error: line 1: field larger than field limit (131072)"),
     ("body-field-over-csv-limit", "error: line 3: field larger than field limit (131072)"),
     ("hypotheses-nested-too-deep", "not valid JSON: maximum recursion depth exceeded"),

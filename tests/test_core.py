@@ -1,7 +1,6 @@
 """Data model tests: rates, losses, splits, and their counting oracles."""
 
 import itertools
-import pickle
 from unittest import mock
 
 import numpy as np
@@ -23,8 +22,7 @@ from eqodds.core import (
     empirical_rates,
     split_dataset,
 )
-from eqodds import cli, core, data_io, second_moment
-from eqodds.core import EqoddsError
+from eqodds import core
 from eqodds.data_io import load_csv
 from eqodds.posthoc import DerivedPredictor
 from eqodds.synthetic import (CellProductLaw, FiniteJointLaw, erm_trap_family, sample_law,
@@ -392,34 +390,3 @@ def test_probability_tables_reject_nan_and_inf(bad):
         CellProductLaw(CellProbabilities.uniform(), np.full((2, 2, 1), bad))
     with pytest.raises(InvalidParameterError, match="atom probabilities"):
         FiniteJointLaw(np.zeros((2, 1)), [0, 1], [1, 0], [bad, 0.5])
-
-
-# ---- library errors survive pickling ---------------------------------------
-
-ERROR_ARGS = {
-    core.InvalidParameterError: ("alpha must be positive",),
-    core.EmptyCellError: ([(0, 1), (1, 0)], "first half"),
-    core.TooFewSamplesError: ("need 12 rows",),
-    data_io.SchemaError: ("missing column 'y'",),
-    data_io.ParseError: (3, "column 'a': 'x' is not a number"),
-    second_moment.SingularCovarianceError: (1e-18,),
-    second_moment.DegenerateDenominatorError: (0.0,),
-}
-
-
-def all_subclasses(cls):
-    for sub in cls.__subclasses__():
-        yield sub
-        yield from all_subclasses(sub)
-
-
-def test_every_library_error_round_trips_through_pickle():
-    assert cli  # every module that defines an error is imported
-    assert set(all_subclasses(EqoddsError)) == set(ERROR_ARGS)
-    for cls, args in ERROR_ARGS.items():
-        error = cls(*args)
-        back = pickle.loads(pickle.dumps(error))
-        assert type(back) is cls
-        assert str(back) == str(error)
-        assert back.args == error.args
-        assert vars(back) == vars(error)

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from eqodds import second_moment
 from eqodds.core import Dataset, InvalidParameterError
 from eqodds.second_moment import (
     DegenerateDenominatorError,
@@ -188,7 +189,7 @@ class TestProjectedDescent:
             ds = self._dataset(seed)
             model = estimate_moments(ds)
             sol = fit_closed_form(model)
-            fit = fit_constrained_convex(ds, "squared", model=model, tol=1e-9)
+            fit = fit_constrained_convex(ds, "squared", model)
             assert fit.converged
             assert rel_err(fit.predictor.weights, sol.predictor.weights) < 1e-6
             assert abs(fit.predictor.intercept - sol.predictor.intercept) < 1e-6
@@ -200,13 +201,14 @@ class TestProjectedDescent:
         c = model.constraint_vector()
         assert abs(fit.predictor.weights @ c) <= 1e-12 * max(1.0, np.abs(c).max())
 
-    def test_fixed_point_start_converges_immediately(self):
+    def test_fixed_point_start_converges_immediately(self, monkeypatch):
         # a 2^3 factorial design with y = x0 * a: the labels have mean 0 and are
         # orthogonal to every centered column, so the start (u, b) = 0 is optimal
         x0, x1, a = (np.array(col, dtype=float) for col in
                      zip(*itertools.product((1.0, -1.0), repeat=3)))
         ds = Dataset(np.column_stack([x0, x1]), a, x0 * a)
-        fit = fit_constrained_convex(ds, "squared", tol=1e-6)
+        monkeypatch.setattr(second_moment, "_TOL", 1e-6)
+        fit = fit_constrained_convex(ds, "squared", estimate_moments(ds))
         assert fit.converged
         assert fit.iterations == 0
         assert np.abs(fit.predictor.weights).max() <= 1e-12
@@ -235,7 +237,7 @@ class TestProjectedDescent:
                 fd = (hi - lo) / (2 * h)
                 assert abs(gb - fd) <= 1e-5 * max(1.0, abs(fd))
 
-    def test_logistic_two_dim_matches_grid_on_constraint_line(self):
+    def test_logistic_two_dim_matches_grid_on_constraint_line(self, monkeypatch):
         rng = np.random.default_rng(13)
         n = 300
         x = rng.normal(size=(n, 1))
@@ -244,7 +246,8 @@ class TestProjectedDescent:
         labels = (rng.random(n) < 1 / (1 + np.exp(-logits))).astype(float)
         ds = Dataset(x, attr, labels)
         model = estimate_moments(ds)
-        fit = fit_constrained_convex(ds, "logistic", model=model, tol=1e-10)
+        monkeypatch.setattr(second_moment, "_TOL", 1e-10)
+        fit = fit_constrained_convex(ds, "logistic", model)
         assert fit.converged
 
         # grid over the one-dimensional constraint line w = t * u plus intercept
@@ -268,25 +271,26 @@ class TestProjectedDescent:
         assert best >= fit.objective - 1e-7      # no grid point beats the fit
         assert best <= fit.objective + 1e-4      # and the fit is grid-reachable
 
-    def test_hinge_smooth_runs_and_respects_constraint(self):
+    def test_hinge_smooth_runs_and_respects_constraint(self, monkeypatch):
         ds = self._dataset(17)
         binary = Dataset(ds.features, (ds.attr > 0).astype(float),
                          (ds.labels > 0).astype(float))
         model = estimate_moments(binary)
-        fit = fit_constrained_convex(binary, "hinge_smooth", model=model, tol=1e-8,
-                                     max_iter=50_000)
+        monkeypatch.setattr(second_moment, "_TOL", 1e-8)
+        monkeypatch.setattr(second_moment, "_MAX_ITER", 50_000)
+        fit = fit_constrained_convex(binary, "hinge_smooth", model)
         c = model.constraint_vector()
         assert abs(fit.predictor.weights @ c) <= 1e-12 * max(1.0, np.abs(c).max())
 
     def test_unknown_loss_rejected(self):
         ds = self._dataset(19)
         with pytest.raises(InvalidParameterError):
-            fit_constrained_convex(ds, "absolute")
+            fit_constrained_convex(ds, "absolute", estimate_moments(ds))
 
     def test_margin_loss_needs_binary_labels(self):
         ds = self._dataset(21)  # real-valued labels
         with pytest.raises(InvalidParameterError):
-            fit_constrained_convex(ds, "logistic")
+            fit_constrained_convex(ds, "logistic", estimate_moments(ds))
 
 
 def binarized_gaussian(law_seed, sample_seed, n=20_000, d=8):
@@ -319,12 +323,13 @@ class TestNullSpaceNewton:
                        (g.labels > np.median(g.labels)).astype(float))
 
     @pytest.mark.parametrize("loss", ["logistic", "hinge_smooth"])
-    def test_matches_scipy_on_small_problems(self, loss):
+    def test_matches_scipy_on_small_problems(self, loss, monkeypatch):
+        monkeypatch.setattr(second_moment, "_TOL", 1e-12)
         for seed in range(8):
             ds = self._binary(seed, d=2 + seed % 3)
             model = estimate_moments(ds)
             c = model.constraint_vector()
-            fit = fit_constrained_convex(ds, loss, model=model, tol=1e-12)
+            fit = fit_constrained_convex(ds, loss, model)
             assert fit.stop_reason == "converged" and fit.converged
             objective, w, _ = scipy_constrained_risk(ds.features, ds.attr, ds.labels, c, loss)
             assert fit.objective <= objective + 1e-12
@@ -349,15 +354,17 @@ class TestNullSpaceNewton:
                 assert fit.iterations <= {"logistic": 8, "hinge_smooth": 50}[loss]
         assert time.perf_counter() - start < 3.0
 
-    def test_separable_logistic_stops(self):
+    def test_separable_logistic_stops(self, monkeypatch):
         rng = np.random.default_rng(31)
         side = rng.integers(0, 2, 400)
         x0 = (2 * side - 1) * (1 + np.abs(rng.normal(size=400)))  # margin gap of 2
         ds = Dataset(np.column_stack([x0, rng.normal(size=(400, 2))]),
                      rng.integers(0, 2, 400), side)
-        fit = fit_constrained_convex(ds, "logistic")
+        fit = fit_constrained_convex(ds, "logistic", estimate_moments(ds))
         assert fit.stop_reason in ("converged", "max_iter")
-        capped = fit_constrained_convex(ds, "logistic", tol=0.0, max_iter=25)
+        monkeypatch.setattr(second_moment, "_TOL", 0.0)
+        monkeypatch.setattr(second_moment, "_MAX_ITER", 25)
+        capped = fit_constrained_convex(ds, "logistic", estimate_moments(ds))
         assert capped.stop_reason == "max_iter" and not capped.converged
         assert capped.iterations == 25
         z = np.column_stack([ds.features, ds.attr])
@@ -369,13 +376,14 @@ class TestNullSpaceNewton:
     def test_squared_loss_is_one_newton_step(self):
         for rows in (400, 10_000):  # one block of Hessian rows, and several
             ds = sample_law(gaussian_law(3, seed=41), rows, seed=42)
-            fit = fit_constrained_convex(ds, "squared")
+            fit = fit_constrained_convex(ds, "squared", estimate_moments(ds))
             assert fit.stop_reason == "converged" and fit.iterations == 1
             assert fit.projected_gradient_norm <= 1e-13
 
-    def test_iteration_cap_reports_max_iter(self):
+    def test_iteration_cap_reports_max_iter(self, monkeypatch):
         ds = binarized_gaussian(0, 0, n=2000)
-        fit = fit_constrained_convex(ds, "hinge_smooth", max_iter=2)
+        monkeypatch.setattr(second_moment, "_MAX_ITER", 2)
+        fit = fit_constrained_convex(ds, "hinge_smooth", estimate_moments(ds))
         assert fit.stop_reason == "max_iter" and not fit.converged
         assert fit.iterations == 2 and fit.projected_gradient_norm > 1e-9
 
@@ -401,11 +409,12 @@ class TestNullSpaceNewton:
                                                          np.zeros(3), loss)
                 assert objective - 1e-9 <= fit.objective <= objective + 1e-12
 
-    def test_unreachable_tolerance_stops_at_a_repeated_iterate(self):
+    def test_unreachable_tolerance_stops_at_a_repeated_iterate(self, monkeypatch):
         # the gradient never reaches 0 exactly; at the piecewise-quadratic optimum
         # the exact line search returns a step that leaves every weight unchanged
         ds = self._binary(5, n=400)
-        fit = fit_constrained_convex(ds, "hinge_smooth", tol=0.0)
+        monkeypatch.setattr(second_moment, "_TOL", 0.0)
+        fit = fit_constrained_convex(ds, "hinge_smooth", estimate_moments(ds))
         assert fit.stop_reason == "stalled" and not fit.converged
         assert fit.iterations < 200 and fit.projected_gradient_norm < 1e-12
 

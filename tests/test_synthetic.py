@@ -1,5 +1,7 @@
 """Law constructors and population oracles, checked against hand arithmetic."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ from eqodds.synthetic import (
 )
 from eqodds.two_step import TwoStepConfig, train_two_step
 
-from oracles import FunctionRule
+from oracles import FunctionRule, population_two_step, product_law_atoms
 
 X_RULE = FeatureThresholdRule(0, 0.5, name="x")
 
@@ -118,19 +120,26 @@ class TestErmTrapFamily:
 
     def test_analytic_rates_match_atom_enumeration(self):
         law, hclass = erm_trap_family(4, 0.2)
-        finite = law.to_finite_law()
-        for rule in hclass.rules:
+        finite = product_law_atoms(law)
+        for rule in hclass.rules + (ConstantRule(0.0), ConstantRule(1.0)):
             fast = population_rates(law, rule).rates
             slow = population_rates(finite, rule).rates
             assert np.allclose(fast, slow, atol=1e-12)
-        generic = FunctionRule(lambda X, a: (X[:, 1] * X[:, 2]).astype(float), "x1*x2")
-        assert np.allclose(population_rates(law, generic).rates,
-                           population_rates(finite, generic).rates, atol=1e-12)
+
+    @pytest.mark.parametrize("rule", [
+        AttributeRule(), FeatureThresholdRule(1, 0.0), FeatureThresholdRule(1, -0.5),
+        FeatureThresholdRule(1, 1.5),
+        FunctionRule(lambda X, a: (X[:, 1] * X[:, 2]).astype(float), "x1*x2")])
+    def test_rules_without_a_closed_form_are_refused(self, rule):
+        law, _ = erm_trap_family(4, 0.2)
+        with pytest.raises(InvalidParameterError,
+                           match=re.escape(f"no closed form for rule '{rule.name}'")):
+            population_rates(law, rule)
 
     def test_hinge_of_pm_one_scores_matches_analytic_01_loss(self):
         # atom enumeration of the hinge against the product law's analytic rates
         law, hclass = erm_trap_family(4, 0.2)
-        finite = law.to_finite_law()
+        finite = product_law_atoms(law)
         for rule in hclass.rules:
             hinge = population_loss_hinge(
                 finite, lambda X, a, rule=rule: 2.0 * rule.predict_proba(X, a) - 1.0)
@@ -139,7 +148,7 @@ class TestErmTrapFamily:
     def test_coordinates_independent_within_each_cell(self):
         # inside each (y, a) cell the coordinate predictions factorize exactly
         law, hclass = erm_trap_family(4, 0.15)
-        finite = law.to_finite_law()
+        finite = product_law_atoms(law)
         for y in (0, 1):
             for a in (0, 1):
                 mask = (finite.labels == y) & (finite.attr == a)
@@ -149,12 +158,6 @@ class TestErmTrapFamily:
                     pj = (finite.probs[mask] * finite.x[mask, j]).sum() / pc
                     pij = (finite.probs[mask] * finite.x[mask, i] * finite.x[mask, j]).sum() / pc
                     assert pij == pytest.approx(pi * pj, abs=1e-12)
-
-    def test_custom_cells_move_noisy_cell(self):
-        cells = CellProbabilities.from_flat([0.1, 0.3, 0.3, 0.3])
-        law, hclass = erm_trap_family(3, 0.2, cells)
-        # min cell is (y=0, a=0); trap coordinates err only there
-        assert population_loss01(law, hclass.rules[1]) == pytest.approx(0.02, abs=1e-12)
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -293,8 +296,8 @@ class TestCountDraws:
         for n in (512, 2048):
             counts = np.array([raw["gap"][raw["n"] == n], raw["excess"][raw["n"] == n]])
             rows = np.array([[pop["corrected_gap"], pop["corrected_loss"] - 0.2] for pop in (
-                train_two_step(sample_law(law, n, seed), hclass, TwoStepConfig(seed=seed),
-                               population=law).diagnostics["population"]
+                population_two_step(law, train_two_step(sample_law(law, n, seed), hclass,
+                                                        TwoStepConfig(seed=seed)))
                 for seed in range(7_000_000, 7_000_300))]).T
             for a, b in ((counts, rows), (rows, counts)):
                 interval = np.sort(b, axis=1)[:, [lo, hi]]
@@ -342,7 +345,7 @@ def test_population_rates_requires_mass_in_every_cell():
     law = CellProductLaw(CellProbabilities.from_flat([0.5, 0.5, 0.0, 0.0]),
                          np.full((2, 2, 2), 0.5))
     with pytest.raises(InvalidParameterError):
-        population_rates(law.to_finite_law(), ConstantRule(1.0))
+        population_rates(product_law_atoms(law), ConstantRule(1.0))
 
 
 def test_gaussian_law_validation():

@@ -39,7 +39,7 @@ from eqodds.two_step import (
     threshold_class,
     train_two_step,
 )
-from oracles import FunctionRule, constrained_erm_oracle
+from oracles import FunctionRule, constrained_erm_oracle, population_two_step
 
 X_RULE = FeatureThresholdRule(0, 0.5, name="x")
 SMALL_CLASS = FiniteHypothesisClass((X_RULE, AttributeRule(),
@@ -337,9 +337,8 @@ class TestCountPath:
         law = two_proxy_law(0.1)
         for n, trial, gap, excess in zip(*(raw[name].tolist() for name in raw)):
             seed = 100_000 * n + trial
-            res = train_two_step(sample_law(law, n, seed), SMALL_CLASS,
-                                 TwoStepConfig(delta=0.1, seed=seed), population=law)
-            pop = res.diagnostics["population"]
+            pop = population_two_step(law, train_two_step(sample_law(law, n, seed), SMALL_CLASS,
+                                                          TwoStepConfig(delta=0.1, seed=seed)))
             assert repr((gap, excess)) == repr(
                 (pop["corrected_gap"], pop["corrected_loss"] - 0.2)), (n, trial)
         assert list(raw) == ["n", "trial", "gap", "excess"]
@@ -391,19 +390,46 @@ class TestCountPath:
         assert str(got.value) == str(want.value)
 
     def test_sweep_reports_empty_cells_in_the_order_of_its_sample_sizes(self, monkeypatch):
-        # n = 512 checks both its halves before any half of n = 1024 is checked
+        # no trial is left at n = 1024 or 2048: the error names the first of them
         draw = experiments.sample_counts
 
         def halves(law, sizes, rng):  # (half, n, trial, atom) counts
             counts = draw(law, sizes, rng)
-            counts[1, 0, :, 2:4] = 0  # n = 512: atoms of cell code 1, (y, a) = (0, 1)
-            counts[0, 1, :, 4:6] = 0  # n = 1024: atoms of cell code 2, (y, a) = (1, 0)
+            counts[1, 1, :, 2:4] = 0  # n = 1024: atoms of cell code 1, (y, a) = (0, 1)
+            counts[0, 2, :, 4:6] = 0  # n = 2048: atoms of cell code 2, (y, a) = (1, 0)
             return counts
 
         monkeypatch.setattr(experiments, "sample_counts", halves)
-        with pytest.raises(EmptyCellError) as err:
+        with pytest.raises(InvalidParameterError) as err:
             run_two_step_rate_sweep(trials=30, seed=0)
-        assert str(err.value) == "second half: empty (y, a) cells: [(0, 1)]"
+        assert str(err.value) == "every trial at n = 1024 has an empty (y, a) cell in a half"
+
+    def test_sweep_skips_the_trials_with_an_empty_half_cell(self):
+        # at eps = 0.03 the (0, 1) and (1, 0) cells hold 0.015 of the mass each
+        law, n_grid, trials = two_proxy_law(0.03), [2 ** k for k in range(9, 15)], 200
+        rows, raw, params = run_two_step_rate_sweep(eps=0.03, trials=trials, seed=0)
+        sizes = np.repeat(n_grid, trials).reshape(len(n_grid), trials)
+        halves = experiments.sample_counts(law, [(sizes + 1) // 2, sizes // 2],
+                                           np.random.default_rng(0))  # the sweep's own draw
+        # a trial is skipped when either half misses cell (0, 1) or (1, 0): atoms 2-3, 4-5
+        empty = (halves[..., 2:4].sum(axis=-1) == 0) | (halves[..., 4:6].sum(axis=-1) == 0)
+        skipped = {(n, i) for n, row in zip(n_grid, empty.any(axis=0))
+                   for i in np.flatnonzero(row).tolist()}
+        assert params["skipped_trials"] == len(skipped) == 10
+        assert set(zip(raw["n"].tolist(), raw["trial"].tolist())) == (
+            {(n, i) for n in n_grid for i in range(trials)} - skipped)
+        medians = [[float(np.median(raw[name][raw["n"] == n])) for n in n_grid]
+                   for name in ("gap", "excess")]
+        assert rows[0].note == f"median gaps: {[round(g, 4) for g in medians[0]]}"
+        assert rows[1].note == f"median excesses: {[round(e, 4) for e in medians[1]]}"
+        assert [rows[0].computed, rows[1].computed] == [
+            float(np.polyfit(np.log(n_grid), np.log(np.abs(m)), 1)[0]) for m in medians]
+
+    def test_sweep_refuses_a_sample_size_with_no_trial_left(self):
+        # at eps = 1e-4 a half of 256 rows holds both rare cells with probability 1.6e-4
+        with pytest.raises(InvalidParameterError,
+                           match="every trial at n = 512 has an empty"):
+            run_two_step_rate_sweep(eps=0.0001, trials=30, seed=0)
 
     @pytest.mark.parametrize("eps, alpha", [(0.1, 0.5), (0.05, 0.9)])
     def test_detection_trials_equal_empirical_rates_on_rows(self, eps, alpha, monkeypatch):
@@ -469,10 +495,10 @@ class TestTrainTwoStep:
     def test_end_to_end_on_proxy_law(self):
         law = two_proxy_law(0.1)
         ds = sample_law(law, 4000, seed=4)
-        res = train_two_step(ds, SMALL_CLASS, TwoStepConfig(seed=5), population=law)
+        res = train_two_step(ds, SMALL_CLASS, TwoStepConfig(seed=5))
         assert res.step1.gap < res.train_tolerance or res.step1.forced_constant
         assert res.diagnostics["s2_corrected_gap"] <= res.correct_tolerance + 1e-12
-        assert 0 <= res.diagnostics["population"]["corrected_loss"] <= 1
+        assert 0 <= population_two_step(law, res)["corrected_loss"] <= 1
 
     def test_perfectly_separable_rule_survives_both_steps(self):
         rng = np.random.default_rng(6)
@@ -554,9 +580,11 @@ class TestTrainTwoStep:
         # those of the row-by-row empirical_loss fallback this replaced
         law = two_proxy_law(0.2)
         res = train_two_step(sample_law(law, 101, seed), SMALL_CLASS,
-                             TwoStepConfig(train_tolerance=0.0, seed=seed), population=law)
+                             TwoStepConfig(train_tolerance=0.0, seed=seed))
         assert res.step1.feasible == () and res.step1.tolerance == 0.0
-        assert json.dumps(res.to_dict()) == json.dumps(want)
+        got = res.to_dict()
+        got["diagnostics"] = {**got["diagnostics"], "population": population_two_step(law, res)}
+        assert json.dumps(got) == json.dumps(want)
 
     def test_config_validation(self):
         with pytest.raises(InvalidParameterError):
