@@ -94,7 +94,7 @@ def _score_predictions(args) -> Tuple[Dataset, np.ndarray]:
         raise CliError("dataset has no score column; audit/correct need one")
     if args.threshold is not None:
         return dataset, (dataset.scores >= args.threshold).astype(float)
-    if (~((dataset.scores >= 0) & (dataset.scores <= 1))).any():  # NaN fails too
+    if not (dataset.scores.min() >= 0 and dataset.scores.max() <= 1):
         raise CliError("scores outside [0, 1]; pass --threshold to binarize them")
     return dataset, dataset.scores
 

@@ -69,6 +69,13 @@ def cell_sums(cell: np.ndarray, weights: Optional[np.ndarray] = None) -> np.ndar
     return out.reshape(*lead, 2, 2)
 
 
+def _cell_codes(labels: np.ndarray, attr: np.ndarray) -> np.ndarray:
+    """Cell codes 2*y + a of 0/1 ``labels`` and ``attr``, built in one intp array."""
+    cell = labels.astype(np.intp)
+    cell *= 2
+    return np.add(cell, attr, out=cell, casting="unsafe")  # whole 0/1 values: exact
+
+
 def _gaps(rates: np.ndarray) -> np.ndarray:
     """Largest cross-group difference of (..., 2, 2) [y][a] rate tables, max over labels."""
     return np.abs(rates[..., 0] - rates[..., 1]).max(axis=-1)
@@ -93,8 +100,12 @@ class Dataset:
     per-row prediction column. Every column must be finite: nan or inf
     raises InvalidParameterError naming the column. The per-row cell index
     and the cell counts are derived on first use and cached; the columns
-    never change. Every dataset, a subset, a sample or a loaded file too, is
-    built by this constructor, which converts and checks every column.
+    never change: each is stored read-only. Every dataset, a subset, a sample
+    or a loaded file too, is built by this constructor, which converts and
+    checks every column. A float64 column is kept as a view, not copied, so
+    the columns of a loaded file are read-only views of its one parsed table;
+    the read-only flag is set on the dataset's own view, never on the array
+    passed in.
     """
 
     features: np.ndarray
@@ -103,9 +114,12 @@ class Dataset:
     scores: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        # reshape(-1) keeps a strided column (a table's [:, j]) a view; ravel would copy it
         feats = np.atleast_2d(np.asarray(self.features, dtype=np.float64))
-        attr = np.asarray(self.attr, dtype=np.float64).ravel()
-        labels = np.asarray(self.labels, dtype=np.float64).ravel()
+        attr = np.asarray(self.attr, dtype=np.float64).reshape(-1)
+        labels = np.asarray(self.labels, dtype=np.float64).reshape(-1)
+        scores = None if self.scores is None else \
+            np.asarray(self.scores, dtype=np.float64).reshape(-1)
         if feats.shape[0] != attr.shape[0] or attr.shape[0] != labels.shape[0]:
             raise InvalidParameterError(
                 f"row mismatch: features {feats.shape[0]}, attr {attr.shape[0]}, "
@@ -113,20 +127,20 @@ class Dataset:
             )
         if feats.shape[0] == 0:
             raise InvalidParameterError("dataset must be nonempty")
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "attr", attr)
-        object.__setattr__(self, "labels", labels)
-        if self.scores is not None:
-            scores = np.asarray(self.scores, dtype=np.float64).ravel()
-            if scores.shape[0] != feats.shape[0]:
-                raise InvalidParameterError("scores length does not match rows")
-            object.__setattr__(self, "scores", scores)
+        if scores is not None and scores.shape[0] != feats.shape[0]:
+            raise InvalidParameterError("scores length does not match rows")
         if not np.isfinite(feats).all():
             j = int(np.argmin(np.isfinite(feats).all(axis=0)))
             raise InvalidParameterError(f"feature column x{j} holds nan or inf")
-        for name, column in (("attr", attr), ("labels", labels), ("scores", self.scores)):
+        for name, column in (("attr", attr), ("labels", labels), ("scores", scores)):
             if column is not None and not np.isfinite(column).all():
                 raise InvalidParameterError(f"{name} column holds nan or inf")
+        for name, column in (("features", feats), ("attr", attr), ("labels", labels),
+                             ("scores", scores)):
+            if column is not None:
+                column = column.view()  # the flag goes on our view, not the caller's array
+                column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -151,7 +165,7 @@ class Dataset:
         """Per-row cell code 2*y + a, the flat form of [y][a]; checks binarity once."""
         if not self.is_binary:
             raise InvalidParameterError("attr and labels must take values in {0, 1}")
-        return (2 * self.labels + self.attr).astype(np.intp)
+        return _cell_codes(self.labels, self.attr)
 
     @cached_property
     def cell_counts(self) -> np.ndarray:
@@ -352,13 +366,24 @@ class FiniteHypothesisClass:
 
 
 def acceptance_values(values, n: int, what: str = "acceptance values") -> np.ndarray:
-    """Per-row acceptance probabilities: n values in [0, 1], NaN rejected."""
-    vals = np.asarray(values, dtype=np.float64).ravel()
+    """Per-row acceptance probabilities: n values in [0, 1], NaN rejected.
+
+    Values up to 1e-12 outside [0, 1] are clipped onto it. The result has the
+    bits ``np.clip(values, 0, 1)`` gives, but a float64 column already in
+    [0, 1] (no -0.0 either) comes back as is, a view and not a copy, so the
+    check holds no full-size temporary.
+    """
+    vals = np.asarray(values, dtype=np.float64).reshape(-1)
     if vals.shape[0] != n:
         raise InvalidParameterError(f"{what}: wrong length {vals.shape[0]}, expected {n}")
-    if (~((vals >= -1e-12) & (vals <= 1 + 1e-12))).any():
+    # min and max are NaN when a value is; the initial values let an empty column pass
+    lo, hi = vals.min(initial=0.0), vals.max(initial=0.0)
+    if not (lo >= -1e-12 and hi <= 1 + 1e-12):
         raise InvalidParameterError(f"{what} outside [0, 1]")
-    return np.clip(vals, 0.0, 1.0)
+    # a set sign bit is a value in the slack below 0, or -0.0: clip maps both to +0.0
+    if hi > 1.0 or vals.view(np.int64).min(initial=0) < 0:
+        return np.clip(vals, 0.0, 1.0)
+    return vals
 
 
 def _acceptance_values(dataset: Dataset, predictor: PredictorInput) -> np.ndarray:
@@ -385,8 +410,8 @@ def empirical_rates(dataset: Dataset, predictor: PredictorInput) -> GroupRates:
 def empirical_loss(dataset: Dataset, predictor: PredictorInput) -> float:
     """Mean expected 0-1 loss; randomized rules contribute expected mistakes."""
     dataset.require_binary()
-    vals = _acceptance_values(dataset, predictor)
-    return float(np.mean(np.abs(vals - dataset.labels)))
+    mistakes = _acceptance_values(dataset, predictor) - dataset.labels
+    return float(np.mean(np.abs(mistakes, out=mistakes)))
 
 
 def split_dataset(dataset: Dataset, seed: int):

@@ -13,7 +13,10 @@ accepts what only ``csv`` and ``float()`` read (quoted cells,
 whitespace-only lines, ``1_0``). It also runs for a multi-line header, a
 file holding an ASCII separator byte (\\x1c-\\x1f) and a file whose name
 numpy would decompress (``.gz``, say). Both paths accept the same files and
-give the same arrays, bit for bit.
+give the same arrays, bit for bit. Either way the parsed (rows, columns)
+table, C-ordered and its columns in ``x0.., a, y[, score]`` order, is the
+one full-size copy of the file: the loaded ``Dataset``'s columns are
+read-only views of it.
 
 Writing runs a block of rows at a time. A table whose every column holds
 whole numbers of small range (the 0/1 ``x0,a,y`` of ``simulate``) formats
@@ -126,7 +129,7 @@ def _read_dataset(path, attr_col, label_col, score_col, require_binary) -> Datas
         # skiprows=1 counts physical lines, and csv's line_num counts them too
         table = _bulk_table(path, len(header)) if reader.line_num == 1 else None
         if table is not None and order != list(range(len(header))):
-            table = table[:, order]
+            table = table.take(order, axis=1)  # C order, as the row loop's table
         if table is None or _bad_cells(table, names, binary).any():
             fh.seek(0)
             reader = csv.reader(fh)

@@ -305,8 +305,10 @@ def run_two_step_rate_sweep(eps: float = 0.1, delta: float = 0.1,
                             trials: int = 200, seed: int = 0):
     n_grid = [2 ** k for k in range(9, 15)]
     law = two_proxy_law(eps)
-    # per n: the atom counts of both halves and 4 raw columns
-    trials = _trial_count(trials, 30, len(n_grid) * (2 * law.probs.size + 4))
+    # per n, what a trial holds at the run's peak, in training: both halves' atom counts
+    # (2m), their cell counts (8), and the tolerance, selection and step-2 tables (16 at
+    # most); the raw columns come after
+    trials = _trial_count(trials, 30, len(n_grid) * (2 * law.probs.size + 24))
     fair_loss = 2 * eps
     hclass = FiniteHypothesisClass((
         FeatureThresholdRule(0, 0.5, name="x"),

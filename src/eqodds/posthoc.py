@@ -99,7 +99,7 @@ class RateStatistics:
     cells: CellProbabilities
 
     def __post_init__(self):
-        r = np.asarray(self.rates, dtype=np.float64)
+        r = np.array(self.rates, dtype=np.float64)  # our own copy: the check keeps it as is
         if r.shape != (2, 2):
             raise InvalidParameterError("rates must be 2x2")
         # conditional acceptance probabilities: the per-row check applies as is

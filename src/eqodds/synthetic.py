@@ -44,6 +44,7 @@ from .core import (
     FiniteHypothesisClass,
     GroupRates,
     InvalidParameterError,
+    _cell_codes,
     cell_sums,
 )
 from .posthoc import expected_loss_from_rates
@@ -89,7 +90,7 @@ class FiniteJointLaw:
     @cached_property
     def cell(self) -> np.ndarray:
         """Per-atom cell code 2*y + a, as ``Dataset.cell`` reads rows."""
-        return (2 * self.labels + self.attr).astype(np.intp)
+        return _cell_codes(self.labels, self.attr)
 
     def cell_probabilities(self) -> CellProbabilities:
         return CellProbabilities(cell_sums(self.cell, self.probs))

@@ -7,6 +7,7 @@ generic LP feasibility) without touching the code paths under test.
 import csv
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -27,6 +28,22 @@ class FunctionRule(BinaryPredictor):
 
     def predict_proba(self, features, attr):
         return np.asarray(self.fn(features, attr), dtype=np.float64)
+
+
+def traced_peak(fn):
+    """``fn()``'s result and the most bytes tracemalloc saw allocated during the call,
+    above what was allocated when it began."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    start = tracemalloc.get_traced_memory()[0]
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def equalized_correlations(model, predictor):

@@ -23,7 +23,7 @@ from eqodds.data_io import (ParseError, SchemaError, _format_column, _format_val
                             load_csv, write_csv, write_json_atomic, write_rows_csv)
 from eqodds.experiments import EXPERIMENTS
 from eqodds.synthetic import sample_law, two_proxy_law
-from oracles import dict_writer_csv
+from oracles import dict_writer_csv, traced_peak
 
 
 def write_scored_csv(path, n=400, seed=0, eps=0.1):
@@ -697,14 +697,14 @@ def test_impossible_draw_exits_2_before_allocating(argv, needle, tmp_path):
 
 
 @pytest.mark.parametrize("experiment, trials, needle", [
-    # values a trial: the count tables and the raw columns, six of each for the sweep
+    # values a trial: the count tables and the raw columns; the sweep's peak in training
     ("detection-error-rates", "100000000", "(7692307 trials of 13 values)"),
     ("erm-trap-floor", "100000000", "(378787 trials of 264 values)"),
     ("erm-trap-floor", str(10 ** 20), "(378787 trials of 264 values)"),
-    ("two-step-rate-sweep", "100000000", "(833333 trials of 120 values)"),
+    ("two-step-rate-sweep", "100000000", "(416666 trials of 240 values)"),
     # one trial past the ceiling
     ("detection-error-rates", "7692308", "(7692307 trials of 13 values)"),
-    ("two-step-rate-sweep", "833334", "(833333 trials of 120 values)"),
+    ("two-step-rate-sweep", "416667", "(416666 trials of 240 values)"),
 ])
 def test_too_many_trials_exit_2_before_the_first_draw(experiment, trials, needle, tmp_path):
     done = _run_limited(["reproduce", "--experiment", experiment, "--trials", trials],
@@ -735,3 +735,17 @@ def test_memory_error_exits_2_with_a_named_message(tmp_path):
     assert done.stderr.startswith("error: out of memory: Unable to allocate")
     assert "Traceback" not in done.stderr
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["audit", "--alpha", "0.5", "--delta", "0.1"],
+                                  ["correct", "--tolerance", "0"]], ids=["audit", "correct"])
+def test_audit_and_correct_hold_one_table(argv, tmp_path):
+    # a 2e5-row x0,a,y,score file, the benchmark's size: the parsed table is 6.1 MiB
+    n, path = 200_000, str(tmp_path / "scored.csv")
+    write_scored_csv(path, n=n, seed=941)
+    command = [argv[0], "--data", path, *argv[1:]]
+    assert main(command) == 0  # one-time allocations (the parser, say): not the op's
+    status, peak = traced_peak(lambda: main(command))
+    assert status == 0
+    # the table, the cached cell codes and one column-size temporary: no column copies
+    assert peak <= 1.6 * (n * 4 * 8), peak / (n * 4 * 8)

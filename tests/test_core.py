@@ -18,6 +18,7 @@ from eqodds.core import (
     GroupRates,
     InvalidParameterError,
     TooFewSamplesError,
+    acceptance_values,
     empirical_loss,
     empirical_rates,
     split_dataset,
@@ -254,6 +255,50 @@ def test_nan_acceptance_values_rejected():
     nan_rule = FunctionRule(lambda X, a: np.full(len(a), np.nan), "nan")
     with pytest.raises(InvalidParameterError):
         empirical_rates(ds, nan_rule)
+
+
+def test_dataset_columns_are_read_only_and_leave_the_callers_arrays_writable():
+    x, a, y, s = np.zeros((4, 2)), np.array([0.0, 1, 0, 1]), np.array([0.0, 0, 1, 1]), \
+        np.array([0.2, 0.8, 0.4, 0.9])
+    ds = Dataset(x, a, y, s)
+    for given, column in zip((x, a, y, s), (ds.features, ds.attr, ds.labels, ds.scores)):
+        assert np.shares_memory(given, column)  # float64 in: a view, not a copy
+        assert given.flags.writeable and not column.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1.0
+    x[0, 0] = 5.0  # the caller still writes its own arrays
+    a[0] = 1.0
+
+
+def test_loaded_columns_are_read_only_views_of_one_table(tmp_path):
+    path = tmp_path / "d.csv"
+    for header in ("x0,x1,a,y,score", "y,score,x0,a,x1"):  # reordered: one table too
+        rows = [{"x0": i % 3, "x1": i, "a": i % 2, "y": i // 2 % 2, "score": 0.5}
+                for i in range(8)]
+        path.write_text(header + "\n" + "".join(
+            ",".join(str(row[name]) for name in header.split(",")) + "\n" for row in rows))
+        ds = load_csv(path)
+        table = ds.features.base
+        assert table.shape == (8, 5) and table.flags.c_contiguous  # whatever the header order
+        for column in (ds.features, ds.attr, ds.labels, ds.scores):
+            assert column.base is table and np.shares_memory(column, table)
+            assert not column.flags.writeable
+
+
+@pytest.mark.parametrize("values", [
+    [0.0, 0.25, 1.0],                         # in range: the column itself
+    [-1e-12, 0.5, 1 + 1e-12, -5e-13],         # in the slack: clipped onto [0, 1]
+    [0.5, -0.0, 1.0],                         # -0.0: clip gives +0.0
+    np.arange(12.0)[::3] / 9.0,               # strided
+])
+def test_acceptance_values_have_the_bits_of_clip(values):
+    vals = np.asarray(values, dtype=np.float64)
+    got = acceptance_values(vals, len(vals))
+    assert got.tobytes() == np.clip(vals, 0.0, 1.0).tobytes()
+    if vals.min() >= 0 and not np.signbit(vals).any() and vals.max() <= 1:
+        assert np.shares_memory(got, vals)
+    with pytest.raises(InvalidParameterError, match="outside"):
+        acceptance_values(np.append(vals, np.nan), len(vals) + 1)
 
 
 def test_cell_index_and_counts_cached():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from eqodds.two_step import (
     threshold_class,
     train_two_step,
 )
-from oracles import FunctionRule, constrained_erm_oracle, population_two_step
+from oracles import FunctionRule, constrained_erm_oracle, population_two_step, traced_peak
 
 X_RULE = FeatureThresholdRule(0, 0.5, name="x")
 SMALL_CLASS = FiniteHypothesisClass((X_RULE, AttributeRule(),
@@ -430,6 +431,17 @@ class TestCountPath:
         with pytest.raises(InvalidParameterError,
                            match="every trial at n = 512 has an empty"):
             run_two_step_rate_sweep(eps=0.0001, trials=30, seed=0)
+
+    def test_sweep_peak_stays_within_its_trial_charge(self):
+        # the values a trial is charged against the ceiling, as the refusal names them
+        with pytest.raises(InvalidParameterError) as err:
+            run_two_step_rate_sweep(trials=10 ** 12)
+        charge = int(re.search(r"trials of (\d+) values\)$", str(err.value)).group(1))
+        trials = 4000
+        run_two_step_rate_sweep(trials=30, seed=0)  # one-time allocations: not a trial's
+        _, peak = traced_peak(lambda: run_two_step_rate_sweep(trials=trials, seed=0))
+        # a fixed allowance for the blocks of 4,096 trials that training takes at once
+        assert peak <= 8 * charge * trials + (2 << 20), (peak, charge)
 
     @pytest.mark.parametrize("eps, alpha", [(0.1, 0.5), (0.05, 0.9)])
     def test_detection_trials_equal_empirical_rates_on_rows(self, eps, alpha, monkeypatch):
