@@ -68,17 +68,21 @@ from .second_moment import (
 )
 from .synthetic import (
     _MAX_VALUES,
+    _population_rates,
     erm_trap_family,
     gaussian_law,
     population_loss01,
     population_loss_hinge,
-    population_rates,
     restricted_regression_solutions,
     sample_counts,
     sample_law,
     two_proxy_law,
 )
 from .two_step import _CONSTANTS, _COUNT_TRIALS, TwoStepConfig, _select, _train_on_counts
+
+# Trials ``run_erm_trap_floor`` selects at once: ``_select`` holds about four (T, R)
+# float arrays, near 1 MB in all at its 64 rules, at any trial count.
+_SELECT_TRIALS = 512
 
 
 @dataclass(frozen=True)
@@ -268,13 +272,17 @@ def run_erm_trap_floor(trials: int = 400, seed: int = 0):
 
     rules = hclass.rules + _CONSTANTS  # the picks _select may return
     names = np.array([rule.name for rule in rules])
-    pop_gap = np.array([population_rates(law, rule).gap() for rule in rules])
+    pop_gap = _gaps(_population_rates(law, rules))
 
     # per trial: the cell counts, then the cell sums of each coordinate rule x_j >= 0.5
     tables = sample_counts(law, [n] * trials, np.random.default_rng(seed))
     _require_nonzero_cells(tables[:, :, 0], "constrained risk minimization")
-    picks = _select(tables[:, :, 1:].transpose(0, 2, 1), tables[:, :, 0],
-                    np.full(trials, alpha))[0]
+    picks = np.empty(trials, dtype=np.intp)
+    for lo in range(0, trials, _SELECT_TRIALS):
+        block = tables[lo:lo + _SELECT_TRIALS]
+        picks[lo:lo + len(block)] = _select(block[:, :, 1:].transpose(0, 2, 1), block[:, :, 0],
+                                            np.full(len(block), alpha))[0]
+    del tables, block  # freed before the raw columns
     raw = {"trial": np.arange(trials), "picked": names[picks], "population_gap": pop_gap[picks],
            "hit": (pop_gap[picks] >= alpha - 1e-12).astype(int)}
 
@@ -317,8 +325,7 @@ def run_two_step_rate_sweep(eps: float = 0.1, delta: float = 0.1,
         ConstantRule(1.0),
     ))
     accept = np.array([rule.acceptance(law.x, law.attr) for rule in hclass])
-    base = np.array([RateStatistics.from_population(law, rule).rates
-                     for rule in hclass.rules + _CONSTANTS])
+    base = _population_rates(law, hclass.rules + _CONSTANTS)
 
     # the halves of split_dataset: the first ceil(n/2) rows of a uniformly random
     # permutation of i.i.d. rows are i.i.d. and independent of the other floor(n/2)
@@ -337,8 +344,9 @@ def run_two_step_rate_sweep(eps: float = 0.1, delta: float = 0.1,
     gaps = _gaps(rates)
     excesses = expected_loss_from_rates(rates, law.cell_probabilities()) - fair_loss
     raw = {"n": sizes[kept], "trial": np.nonzero(kept)[1], "gap": gaps, "excess": excesses}
-    median_gap = [float(np.median(gaps[raw["n"] == n])) for n in n_grid]
-    median_excess = [float(np.median(excesses[raw["n"] == n])) for n in n_grid]
+    ends = np.cumsum(kept.sum(axis=1))[:-1]  # the kept trials run in order of n
+    median_gap = [float(np.median(g)) for g in np.split(gaps, ends)]
+    median_excess = [float(np.median(e)) for e in np.split(excesses, ends)]
 
     gap_slope = _loglog_slope(n_grid, median_gap)
     # the slack can make the corrected rule beat the fair optimum, so the

@@ -14,6 +14,11 @@ ground truth:
   the ``SecondMomentModel`` of its mean and covariance; ``sample_law``
   draws from it.
 
+The exact rates of a sequence of rules come from one kernel call, one
+``cell_sums`` over the acceptance stack or one gather of ``heads``
+(``_population_rates``, which the Monte Carlo experiments call once for all
+their rules); ``population_rates`` is its stack of one.
+
 The two benchmark constructions:
 
 * ``two_proxy_law(eps)``: X and A are both noisy copies of a fair coin Y
@@ -31,7 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Tuple, Union
+from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -55,6 +60,8 @@ from .second_moment import SecondMomentModel
 _MAX_VALUES = 10 ** 8
 # Largest count draw: every cell sum of up to 2^53 rows is an exact float64 integer.
 _MAX_COUNT = 2 ** 53
+# Binomial draws a product-law ``sample_counts`` holds at once beside its table: 512 KB.
+_DRAW_VALUES = 65_536
 
 
 @dataclass(frozen=True)
@@ -191,20 +198,41 @@ def gaussian_law(d: int, seed: int) -> SecondMomentModel:
 def population_rates(law: Law, predictor: BinaryPredictor) -> GroupRates:
     """Exact conditional acceptance rates P(pred = 1 | y, a): by enumeration of a
     finite law's atoms, and in closed form on a product law, which takes only the
-    coordinate rules x_j >= cut with cut in (0, 1] and the constants."""
+    coordinate rules x_j >= cut with cut in (0, 1] and the constants. The stack of
+    one of ``_population_rates``."""
+    return GroupRates(_population_rates(law, (predictor,))[0])
+
+
+def _population_rates(law: Law, rules: Sequence[BinaryPredictor]) -> np.ndarray:
+    """The (R, 2, 2) ``population_rates`` tables of R rules from one kernel call, with
+    its errors and ``GroupRates``'s range check on the whole stack: one ``cell_sums``
+    of the (R, m) acceptance stack on a finite law (bit for bit the one-row call), one
+    gather of ``heads[:, :, j]`` and the constants' fills on a product law."""
     if isinstance(law, CellProductLaw):
-        if isinstance(predictor, FeatureThresholdRule) and 0.0 < predictor.cut <= 1.0:
-            return GroupRates(law.heads[:, :, predictor.feature].copy())
-        if isinstance(predictor, ConstantRule):
-            return GroupRates(np.full((2, 2), predictor.value))
-        raise InvalidParameterError(
-            f"no closed form for rule {predictor.name!r} on a cell-product law")
-    vals = predictor.acceptance(law.x, law.attr)
-    mass = cell_sums(law.cell, law.probs)
-    if (mass == 0).any():
-        empty = np.argwhere(mass == 0).tolist()
-        raise InvalidParameterError(f"law has no mass in (y, a) cells {empty}")
-    return GroupRates(cell_sums(law.cell, law.probs * vals) / mass)
+        rates = np.empty((len(rules), 2, 2))
+        coordinate, features = [], []
+        for i, rule in enumerate(rules):
+            if isinstance(rule, FeatureThresholdRule) and 0.0 < rule.cut <= 1.0:
+                coordinate.append(i)
+                features.append(rule.feature)
+            elif isinstance(rule, ConstantRule):
+                rates[i] = rule.value
+            else:
+                raise InvalidParameterError(
+                    f"no closed form for rule {rule.name!r} on a cell-product law")
+        rates[coordinate] = np.moveaxis(law.heads[:, :, features], -1, 0)
+    else:
+        accept = np.empty((len(rules), len(law.probs)))
+        for row, rule in zip(accept, rules):
+            row[:] = rule.acceptance(law.x, law.attr)
+        mass = cell_sums(law.cell, law.probs)
+        if (mass == 0).any():
+            empty = np.argwhere(mass == 0).tolist()
+            raise InvalidParameterError(f"law has no mass in (y, a) cells {empty}")
+        rates = cell_sums(law.cell, law.probs * accept) / mass
+    if ((rates < -1e-12) | (rates > 1 + 1e-12)).any():  # NaN passes, as in GroupRates
+        raise InvalidParameterError("rates must lie in [0, 1]")
+    return rates
 
 
 def population_loss01(law: Law, predictor: BinaryPredictor) -> float:
@@ -244,8 +272,15 @@ def sample_counts(law: Law, n, rng: np.random.Generator) -> np.ndarray:
     sizes = sizes.astype(np.int64)
     if isinstance(law, FiniteJointLaw):
         return rng.multinomial(sizes, law.probs)
-    counts = rng.multinomial(sizes, law.cells.table.ravel())[..., None]
-    return np.concatenate([counts, rng.binomial(counts, law.heads.reshape(4, -1))], axis=-1)
+    counts = rng.multinomial(sizes, law.cells.table.ravel())
+    heads = law.heads.reshape(4, -1)
+    table = np.empty(counts.shape + (1 + heads.shape[1],), dtype=counts.dtype)
+    table[..., 0] = counts
+    flat, counts = table.reshape(-1, 4, table.shape[-1]), counts.reshape(-1, 4, 1)
+    step = max(1, _DRAW_VALUES // heads.size)
+    for lo in range(0, len(flat), step):  # blocks in order draw what one call draws
+        flat[lo:lo + step, :, 1:] = rng.binomial(counts[lo:lo + step], heads)
+    return table
 
 
 def sample_law(law: Union[Law, SecondMomentModel], n: int, seed: int) -> Dataset:

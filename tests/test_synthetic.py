@@ -1,5 +1,6 @@
 """Law constructors and population oracles, checked against hand arithmetic."""
 
+import math
 import re
 
 import numpy as np
@@ -17,6 +18,7 @@ from eqodds.experiments import run_two_step_rate_sweep
 from eqodds.second_moment import SecondMomentModel
 from eqodds.synthetic import (
     CellProductLaw,
+    _population_rates,
     erm_trap_family,
     gaussian_law,
     population_loss01,
@@ -27,7 +29,7 @@ from eqodds.synthetic import (
     sample_law,
     two_proxy_law,
 )
-from eqodds.two_step import TwoStepConfig, train_two_step
+from eqodds.two_step import _CONSTANTS, TwoStepConfig, train_two_step
 
 from oracles import FunctionRule, population_two_step, product_law_atoms
 
@@ -339,6 +341,45 @@ class TestRestrictedRegression:
     def test_eps_range(self):
         with pytest.raises(InvalidParameterError):
             restricted_regression_solutions(0.05)
+
+
+class TestRateStack:
+    """The stacked kernel of the Monte Carlo experiments against ``population_rates``."""
+
+    @staticmethod
+    def error(fn):
+        with pytest.raises(InvalidParameterError) as err:
+            fn()
+        return str(err.value)
+
+    @pytest.mark.parametrize("case", ["erm-trap-floor", "two-step-rate-sweep", "atoms"])
+    def test_stack_has_the_bits_of_one_call_a_rule(self, case):
+        if case == "erm-trap-floor":  # the experiment's 64 coordinates and constants
+            law, hclass = erm_trap_family(64, 3.0 * math.log(63 / 5.0) / (4.0 * 200 * 0.25))
+            rules = hclass.rules + _CONSTANTS
+        elif case == "two-step-rate-sweep":
+            law = two_proxy_law(0.1)
+            rules = (X_RULE, AttributeRule(), ConstantRule(0.0), ConstantRule(1.0)) + _CONSTANTS
+        else:  # a finite law takes any rule, and constants other than 0 and 1
+            law = product_law_atoms(erm_trap_family(4, 0.2)[0])
+            rules = (FeatureThresholdRule(2, 0.5), AttributeRule(), ConstantRule(0.3),
+                     FunctionRule(lambda X, a: 0.5 * X[:, 1] * (1.0 - a), "half x1 at a=0"))
+        stack = _population_rates(law, rules)
+        one = np.array([population_rates(law, rule).rates for rule in rules])
+        assert stack.shape == (len(rules), 2, 2)
+        assert stack.tobytes() == one.tobytes()
+
+    def test_stack_raises_the_errors_of_one_call(self):
+        law, hclass = erm_trap_family(4, 0.2)
+        rule = AttributeRule()
+        message = self.error(lambda: population_rates(law, rule))
+        assert message == f"no closed form for rule {rule.name!r} on a cell-product law"
+        assert self.error(lambda: _population_rates(law, hclass.rules + (rule,))) == message
+        empty = product_law_atoms(CellProductLaw(
+            CellProbabilities.from_flat([0.5, 0.5, 0.0, 0.0]), np.full((2, 2, 2), 0.5)))
+        message = self.error(lambda: population_rates(empty, ConstantRule(1.0)))
+        assert message == "law has no mass in (y, a) cells [[1, 0], [1, 1]]"
+        assert self.error(lambda: _population_rates(empty, (X_RULE, ConstantRule(1.0)))) == message
 
 
 def test_population_rates_requires_mass_in_every_cell():

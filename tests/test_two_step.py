@@ -432,15 +432,19 @@ class TestCountPath:
                            match="every trial at n = 512 has an empty"):
             run_two_step_rate_sweep(eps=0.0001, trials=30, seed=0)
 
-    def test_sweep_peak_stays_within_its_trial_charge(self):
+    @pytest.mark.parametrize("run", [run_detection_error_rates, run_erm_trap_floor,
+                                     run_two_step_rate_sweep],
+                             ids=["detection-error-rates", "erm-trap-floor",
+                                  "two-step-rate-sweep"])
+    def test_monte_carlo_peak_stays_within_its_trial_charge(self, run):
         # the values a trial is charged against the ceiling, as the refusal names them
         with pytest.raises(InvalidParameterError) as err:
-            run_two_step_rate_sweep(trials=10 ** 12)
+            run(trials=10 ** 12)
         charge = int(re.search(r"trials of (\d+) values\)$", str(err.value)).group(1))
         trials = 4000
-        run_two_step_rate_sweep(trials=30, seed=0)  # one-time allocations: not a trial's
-        _, peak = traced_peak(lambda: run_two_step_rate_sweep(trials=trials, seed=0))
-        # a fixed allowance for the blocks of 4,096 trials that training takes at once
+        run(trials=50, seed=0)  # one-time allocations: not a trial's
+        _, peak = traced_peak(lambda: run(trials=trials, seed=0))
+        # a fixed allowance for the blocks of trials a run takes at once
         assert peak <= 8 * charge * trials + (2 << 20), (peak, charge)
 
     @pytest.mark.parametrize("eps, alpha", [(0.1, 0.5), (0.05, 0.9)])
