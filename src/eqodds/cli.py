@@ -138,13 +138,21 @@ def _seed_arg(text: str) -> int:
     return value
 
 
+def _whole_number(value, key: str) -> int:
+    """A JSON number with a whole value as an int: 2 or 2.0, not 2.5, true or "2"
+    (int() of inf raises OverflowError, of nan ValueError)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or int(value) != value:
+        raise ValueError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def build_hypothesis_class(spec: dict, dataset: Dataset) -> FiniteHypothesisClass:
     """Assemble a rule list from its JSON description.
 
     Entries: {"type": "threshold", "feature": j, "cut": t},
     {"type": "attribute"}, {"type": "constant", "value": 0 or 1}, and
     {"type": "threshold-grid", "feature": j, "max_cuts": k} which expands
-    to data-derived cut points.
+    to data-derived cut points; j and k are whole numbers, t is finite.
     """
     entries = spec.get("rules") if isinstance(spec, dict) else None
     if not entries or not isinstance(entries, list):
@@ -156,20 +164,22 @@ def build_hypothesis_class(spec: dict, dataset: Dataset) -> FiniteHypothesisClas
         kind = entry.get("type")
         try:
             if kind in ("threshold", "threshold-grid"):
-                feature = int(entry["feature"])
+                feature = _whole_number(entry["feature"], "feature")
                 if not 0 <= feature < dataset.n_features:
                     raise CliError(f"rules[{k}] ({kind}): feature {feature} is not a column "
                                    f"of the data (x0..x{dataset.n_features - 1})")
             if kind == "threshold":
-                rules.append(FeatureThresholdRule(feature, float(entry["cut"]),
-                                                  name=entry.get("name")))
+                cut = float(entry["cut"])
+                if not math.isfinite(cut):
+                    raise ValueError(f"cut must be finite, got {entry['cut']!r}")
+                rules.append(FeatureThresholdRule(feature, cut, name=entry.get("name")))
             elif kind == "attribute":
                 rules.append(AttributeRule(name=entry.get("name", "attr")))
             elif kind == "constant":
                 rules.append(ConstantRule(float(entry["value"]), name=entry.get("name")))
             elif kind == "threshold-grid":
-                grid = threshold_class(dataset, feature, int(entry.get("max_cuts", 32)))
-                rules.extend(grid.rules)
+                max_cuts = _whole_number(entry.get("max_cuts", 32), "max_cuts")
+                rules.extend(threshold_class(dataset, feature, max_cuts).rules)
             else:
                 raise CliError(f"rules[{k}]: unknown type {kind!r}")
         except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:

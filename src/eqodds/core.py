@@ -43,8 +43,9 @@ class TooFewSamplesError(EqoddsError, ValueError):
     pass
 
 
-# Codes one bincount of ``cell_sums`` takes: a stack of any size sums in 512 KB blocks.
-_CELL_BLOCK = 65_536
+# Values one block holds, 512 KB of float64: the codes of one ``cell_sums`` bincount,
+# the acceptances of one hypothesis scan, the binomial draws of one ``sample_counts``.
+_BLOCK_VALUES = 65_536
 
 
 def cell_sums(cell: np.ndarray, weights: Optional[np.ndarray] = None) -> np.ndarray:
@@ -53,13 +54,13 @@ def cell_sums(cell: np.ndarray, weights: Optional[np.ndarray] = None) -> np.ndar
 
     The one kernel behind rates, counts, cell tables and the Monte Carlo count
     tables. A stack is one bincount of the codes ``cell + 4k`` over its rows k, in
-    blocks of rows of at most ``_CELL_BLOCK`` codes; each row is summed in order, as
+    blocks of rows of at most ``_BLOCK_VALUES`` codes; each row is summed in order, as
     the one-row call sums it, so bit for bit the same.
     """
     if weights is None or np.ndim(weights) == 1:
         return np.bincount(cell, weights, minlength=4).reshape(2, 2)
     lead, weights = np.shape(weights)[:-1], np.reshape(weights, (-1, len(cell)))
-    step = max(1, _CELL_BLOCK // max(1, len(cell)))
+    step = max(1, _BLOCK_VALUES // max(1, len(cell)))
     codes = (cell + 4 * np.arange(min(step, len(weights)))[:, None]).ravel()
     out = np.empty((len(weights), 4))
     for lo in range(0, len(weights), step):
@@ -359,10 +360,6 @@ class FiniteHypothesisClass:
 
     def __iter__(self):
         return iter(self.rules)
-
-    @property
-    def names(self):
-        return [r.name for r in self.rules]
 
 
 def acceptance_values(values, n: int, what: str = "acceptance values") -> np.ndarray:

@@ -403,7 +403,7 @@ def run_second_moment_equivalence(seed: int = 0):
                          float(np.abs(corr.predictor.weights
                                       - sol.predictor.weights).max()) / denom)
         raw_fit = fit_unconstrained(model)
-        cov_ra, _, _ = score_covariances(model, raw_fit)
+        cov_ra, _ = score_covariances(model, raw_fit)
         worst_orth = max(worst_orth, abs(cov_ra - model.cov_ya))
 
     worst_pgd = 0.0

@@ -122,7 +122,6 @@ class DerivedPredictor:
     """Randomized post hoc rule: four acceptance probabilities over (yhat, a)."""
 
     accept: np.ndarray           # (2, 2) [yhat][a]
-    provenance: Tuple[str, ...] = ()
 
     def __post_init__(self):
         acc = np.asarray(self.accept, dtype=np.float64)
@@ -131,23 +130,6 @@ class DerivedPredictor:
         if not ((acc >= -1e-9) & (acc <= 1 + 1e-9)).all():  # NaN fails too
             raise InvalidParameterError("acceptance probabilities must lie in [0, 1]")
         object.__setattr__(self, "accept", np.clip(acc, 0.0, 1.0))
-        object.__setattr__(self, "provenance", tuple(self.provenance))
-
-
-class DerivedRule(BinaryPredictor):
-    """A DerivedPredictor bound to its base rule; evaluates in expectation."""
-
-    def __init__(self, base: BinaryPredictor, derived: DerivedPredictor):
-        self.base = base
-        self.derived = derived
-        self.name = f"derived({base.name})"
-
-    def predict_proba(self, features, attr):
-        p_base = np.clip(np.asarray(self.base.predict_proba(features, attr),
-                                    dtype=np.float64), 0.0, 1.0)
-        a = (np.asarray(attr) > 0.5).astype(np.intp)
-        acc = self.derived.accept
-        return p_base * acc[1, a] + (1.0 - p_base) * acc[0, a]
 
 
 def _mixed_rates(accept: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -262,7 +244,7 @@ def optimal_derived(stats: RateStatistics, tolerance: float) -> DerivedPredictor
     if not tolerance >= 0.0:  # NaN fails too
         raise InvalidParameterError(f"tolerance must be nonnegative, got {tolerance}")
     accept = _derived_accept(stats.rates[None], stats.cells.table[None], np.array([tolerance]))
-    return DerivedPredictor(accept[0], provenance=(f"optimal@tol={tolerance:g}",))
+    return DerivedPredictor(accept[0])
 
 
 def _accept_for_target(g0: float, g1: float, f: float, t: float):
@@ -295,24 +277,19 @@ def conservative_correction(stats: RateStatistics) -> DerivedPredictor:
     The construction wants the base rule oriented at least as well as
     chance in both groups (true positive rate >= 1/2 >= false positive
     rate); when the complemented rule satisfies that instead, the base is
-    flipped first (recorded in provenance). If the target pair is not
-    reachable inside a group (possible when no orientation holds), the
+    flipped first and the table's rows swapped back. If the target pair is
+    not reachable inside a group (possible when no orientation holds), the
     rule degrades to the better constant, which is always derivable and
     still within the loss bound.
     """
     g = stats.rates
-    provenance = ["conservative"]
 
     def oriented(tbl):
         return bool((tbl[1] >= 0.5).all() and (tbl[0] <= 0.5).all())
 
-    flipped = False
-    if not oriented(g) and oriented(1.0 - g):
+    flipped = not oriented(g) and oriented(1.0 - g)
+    if flipped:
         g = 1.0 - g
-        flipped = True
-        provenance.append("base_flipped")
-    elif not oriented(g):
-        provenance.append("orientation_unmet")
 
     f_target = float(g[0].max())
     t_target = float(g[1].min())
@@ -325,12 +302,11 @@ def conservative_correction(stats: RateStatistics) -> DerivedPredictor:
     if not reachable:
         # below-diagonal target: the better constant dominates it and is derivable
         accept = np.full((2, 2), _majority_constant(stats.cells))
-        provenance.append("constant_fallback")
 
     if flipped:
         accept = accept[::-1].copy()  # swap roles of base outputs 0 and 1
 
-    derived = DerivedPredictor(accept, provenance=tuple(provenance))
+    derived = DerivedPredictor(accept)
 
     out_rates = induced_rates(derived, stats)
     assert out_rates.gap() <= 1e-9, "conservative correction must have zero gap"

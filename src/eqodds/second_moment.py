@@ -181,11 +181,10 @@ def model_squared_loss(model: SecondMomentModel, predictor: LinearPredictor) -> 
 
 
 def score_covariances(model: SecondMomentModel,
-                      predictor: LinearPredictor) -> Tuple[float, float, float]:
-    """(cov(R, A), cov(R, Y), var(R)) of the linear score under the model."""
+                      predictor: LinearPredictor) -> Tuple[float, float]:
+    """(cov(R, A), cov(R, Y)) of the linear score R under the model."""
     w = predictor.weights
-    return (float(w @ model.sigma_za), float(w @ model.sigma_zy),
-            float(w @ model.sigma_zz @ w))
+    return float(w @ model.sigma_za), float(w @ model.sigma_zy)
 
 
 def _intercept_for(model: SecondMomentModel, w: np.ndarray) -> float:
@@ -253,7 +252,7 @@ def derived_correction(model: SecondMomentModel) -> DerivedCorrection:
     features is needed beyond the already-fitted score.
     """
     base = fit_unconstrained(model)
-    _, cov_ry, _ = score_covariances(model, base)
+    _, cov_ry = score_covariances(model, base)
     mult = _correction_multiplier(model.var_a, model.cov_ya, model.var_y, cov_ry)
     score_weight = 1.0 + mult * model.cov_ya / model.var_y
     attr_weight = -mult
@@ -363,7 +362,6 @@ class ProjectedFitResult:
     predictor: LinearPredictor
     converged: bool
     iterations: int
-    loss: str
     objective: float
     projected_gradient_norm: float
     constraint_residual: float
@@ -417,6 +415,6 @@ def fit_constrained_convex(dataset: Dataset, loss: str,
     w = basis @ x[:-1]
     return ProjectedFitResult(predictor=LinearPredictor(w, x[-1] - float(w @ z_mean)),
                               converged=stop_reason == "converged", iterations=iterations,
-                              loss=loss, objective=value(), stop_reason=stop_reason,
+                              objective=value(), stop_reason=stop_reason,
                               projected_gradient_norm=float(np.linalg.norm(grad)),
                               constraint_residual=abs(float(w @ c)))

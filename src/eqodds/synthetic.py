@@ -49,6 +49,7 @@ from .core import (
     FiniteHypothesisClass,
     GroupRates,
     InvalidParameterError,
+    _BLOCK_VALUES,
     _cell_codes,
     cell_sums,
 )
@@ -60,8 +61,6 @@ from .second_moment import SecondMomentModel
 _MAX_VALUES = 10 ** 8
 # Largest count draw: every cell sum of up to 2^53 rows is an exact float64 integer.
 _MAX_COUNT = 2 ** 53
-# Binomial draws a product-law ``sample_counts`` holds at once beside its table: 512 KB.
-_DRAW_VALUES = 65_536
 
 
 @dataclass(frozen=True)
@@ -277,7 +276,7 @@ def sample_counts(law: Law, n, rng: np.random.Generator) -> np.ndarray:
     table = np.empty(counts.shape + (1 + heads.shape[1],), dtype=counts.dtype)
     table[..., 0] = counts
     flat, counts = table.reshape(-1, 4, table.shape[-1]), counts.reshape(-1, 4, 1)
-    step = max(1, _DRAW_VALUES // heads.size)
+    step = max(1, _BLOCK_VALUES // heads.size)
     for lo in range(0, len(flat), step):  # blocks in order draw what one call draws
         flat[lo:lo + step, :, 1:] = rng.binomial(counts[lo:lo + step], heads)
     return table
@@ -315,18 +314,14 @@ def sample_law(law: Union[Law, SecondMomentModel], n: int, seed: int) -> Dataset
 class RegressionCase:
     """One norm-restricted regression scenario solved on the two-proxy law."""
 
-    fair_weights: Tuple[float, float, float]    # (w_x, w_a, b), uses the feature only
-    fair_loss: float                            # exact population squared loss
-    optimal_weights: Tuple[float, float, float]  # in-class squared-loss optimum
-    optimal_loss: float
+    fair_loss: float                            # exact loss of the feature-only rule
+    optimal_weights: Tuple[float, float, float]  # (w_x, w_a, b), in-class optimum
     certificate_margin: float                   # min loss increase over the probe grid
     corrected_loss: float                       # best rule derived from the optimum
 
 
 @dataclass(frozen=True)
 class RegressionSolutions:
-    eps: float
-    l1_radius: float
     l1_case: RegressionCase
     sparse_case: RegressionCase
 
@@ -363,9 +358,10 @@ def restricted_regression_solutions(eps: float) -> RegressionSolutions:
     bounded by 1/2 - 2*eps (needs eps in (2/25, 1/4)) has its loss optimum
     on the attribute alone, at ((0, 1/2 - 2*eps, 1/4 + eps)); the fair
     alternative puts the whole budget on the feature. The one-nonzero-weight
-    class behaves the same way with fair rule (1 - 4*eps) x + 2*eps. Every
-    reported loss is computed by exact enumeration, and each optimum carries
-    a grid certificate margin (no feasible probe improves it).
+    class behaves the same way with fair rule (1 - 4*eps) x + 2*eps. Each
+    case reports the fair rule's loss, the optimum's weights with a grid
+    certificate margin (no feasible probe improves it), and the loss of the
+    best rule derived from the optimum; every loss is an exact enumeration.
 
     Any rule ignoring A is gap-free here because X and A are independent
     given Y; a rule that is a deterministic function of A admits only
@@ -380,10 +376,8 @@ def restricted_regression_solutions(eps: float) -> RegressionSolutions:
     fair_l1 = (radius, 0.0, 0.25 + eps)
     opt_l1 = (0.0, radius, 0.25 + eps)
     l1_case = RegressionCase(
-        fair_weights=fair_l1,
         fair_loss=_sq_loss_on_law(law, *fair_l1),
         optimal_weights=opt_l1,
-        optimal_loss=_sq_loss_on_law(law, *opt_l1),
         certificate_margin=_probe_optimum(
             law, opt_l1, lambda wx, wa: abs(wx) + abs(wa) <= radius + 1e-15),
         corrected_loss=_sq_loss_on_law(law, 0.0, 0.0, 0.5),
@@ -392,13 +386,10 @@ def restricted_regression_solutions(eps: float) -> RegressionSolutions:
     fair_sp = (1.0 - 4.0 * eps, 0.0, 2.0 * eps)
     opt_sp = (0.0, 1.0 - 2.0 * eps, eps)
     sparse_case = RegressionCase(
-        fair_weights=fair_sp,
         fair_loss=_sq_loss_on_law(law, *fair_sp),
         optimal_weights=opt_sp,
-        optimal_loss=_sq_loss_on_law(law, *opt_sp),
         certificate_margin=_probe_optimum(
             law, opt_sp, lambda wx, wa: wx == 0.0 or wa == 0.0),
         corrected_loss=_sq_loss_on_law(law, 0.0, 0.0, 0.5),
     )
-    return RegressionSolutions(eps=eps, l1_radius=radius,
-                               l1_case=l1_case, sparse_case=sparse_case)
+    return RegressionSolutions(l1_case=l1_case, sparse_case=sparse_case)

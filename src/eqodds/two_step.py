@@ -38,13 +38,13 @@ from .core import (
     FiniteHypothesisClass,
     GroupRates,
     InvalidParameterError,
+    _BLOCK_VALUES,
     _require_nonzero_cells,
     cell_sums,
     split_dataset,
 )
 from .posthoc import (
     DerivedPredictor,
-    DerivedRule,
     RateStatistics,
     _derived_accept,
     expected_loss_from_rates,
@@ -54,8 +54,6 @@ from .posthoc import (
 
 Tolerance = Union[float, str]
 
-# Acceptance values held at once by the hypothesis scan: 65,536 float64, 512 KB.
-_SCAN_ELEMENTS = 65_536
 # Trials ``_train_on_counts`` takes through steps 1 and 2 at once: its temporaries stay
 # near 1 MB at any trial count, and as a multiple of ``_LP_TRIALS`` the LP blocks are
 # those of one pass.
@@ -99,7 +97,6 @@ class Step1Result:
     rule: BinaryPredictor
     loss: float                      # sample loss on the training half
     gap: float                       # sample gap on the training half
-    tolerance: float
     forced_constant: bool            # no class member was feasible
     feasible: tuple = ()             # names of feasible class members
 
@@ -114,14 +111,14 @@ def _losses(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def _scan(hclass: FiniteHypothesisClass, dataset: Dataset) -> np.ndarray:
     """Every rule's (2, 2) cell sums on ``dataset``, an (R, 2, 2) stack.
 
-    A block of rules (at most ``_SCAN_ELEMENTS`` acceptance values, never fewer
+    A block of rules (at most ``_BLOCK_VALUES`` acceptance values, never fewer
     than one rule) is filled with their checked acceptances and multiplied by the
     one-hot indicator of the rows' cell codes; for 0/1 rules every sum is exact.
     """
     n, rules = len(dataset), hclass.rules
     indicator = np.eye(4).take(dataset.cell, axis=0)  # one-hot row per cell code
     sums = np.empty((len(rules), 4))  # per rule: S00, S01, S10, S11
-    width = max(1, _SCAN_ELEMENTS // n)
+    width = max(1, _BLOCK_VALUES // n)
     for lo in range(0, len(rules), width):
         chunk = rules[lo:lo + width]
         block = np.empty((len(chunk), n))
@@ -175,7 +172,7 @@ def constrained_erm(dataset: Dataset, hclass: FiniteHypothesisClass,
     [pick], [loss], [gap], [feasible] = _select(_scan(hclass, dataset)[None],
                                                 dataset.cell_counts[None], np.array([tolerance]))
     rules = hclass.rules + _CONSTANTS
-    return Step1Result(rule=rules[pick], loss=float(loss), gap=float(gap), tolerance=tolerance,
+    return Step1Result(rule=rules[pick], loss=float(loss), gap=float(gap),
                        forced_constant=bool(pick >= len(hclass)),
                        feasible=tuple(rules[i].name for i in np.flatnonzero(feasible)))
 
@@ -184,7 +181,6 @@ def constrained_erm(dataset: Dataset, hclass: FiniteHypothesisClass,
 class TwoStepResult:
     step1: Step1Result
     derived: DerivedPredictor
-    corrected_rule: DerivedRule
     train_tolerance: float
     correct_tolerance: float
     diagnostics: dict = field(default_factory=dict)
@@ -238,10 +234,8 @@ def train_two_step(data: Dataset, hclass: FiniteHypothesisClass,
         "s2_corrected_loss": expected_loss_from_rates(induced.rates, stats.cells),
         "s2_corrected_gap": induced.gap(),
     }
-    return TwoStepResult(step1=step1, derived=derived,
-                         corrected_rule=DerivedRule(step1.rule, derived),
-                         train_tolerance=t_train, correct_tolerance=t_correct,
-                         diagnostics=diagnostics)
+    return TwoStepResult(step1=step1, derived=derived, train_tolerance=t_train,
+                         correct_tolerance=t_correct, diagnostics=diagnostics)
 
 
 def _train_on_counts(accept: np.ndarray, cell: np.ndarray, first: np.ndarray,

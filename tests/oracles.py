@@ -30,6 +30,23 @@ class FunctionRule(BinaryPredictor):
         return np.asarray(self.fn(features, attr), dtype=np.float64)
 
 
+class DerivedRule(BinaryPredictor):
+    """A DerivedPredictor bound to its base rule, evaluated row by row in expectation:
+    the mix the rate identity of ``induced_rates`` sums cell by cell."""
+
+    def __init__(self, base, derived):
+        self.base = base
+        self.derived = derived
+        self.name = f"derived({base.name})"
+
+    def predict_proba(self, features, attr):
+        p_base = np.clip(np.asarray(self.base.predict_proba(features, attr),
+                                    dtype=np.float64), 0.0, 1.0)
+        a = (np.asarray(attr) > 0.5).astype(np.intp)
+        acc = self.derived.accept
+        return p_base * acc[1, a] + (1.0 - p_base) * acc[0, a]
+
+
 def traced_peak(fn):
     """``fn()``'s result and the most bytes tracemalloc saw allocated during the call,
     above what was allocated when it began."""
@@ -137,14 +154,14 @@ def constrained_erm_oracle(dataset, hclass, tolerance):
 
     if best is not None:
         rule, loss, gap = best
-        return Step1Result(rule=rule, loss=loss, gap=gap, tolerance=tolerance,
+        return Step1Result(rule=rule, loss=loss, gap=gap,
                            forced_constant=False, feasible=tuple(feasible_names))
 
     candidates = [ConstantRule(0.0), ConstantRule(1.0)]
     losses = [empirical_loss(dataset, c) for c in candidates]
     pick = int(np.argmin(losses))
     return Step1Result(rule=candidates[pick], loss=losses[pick], gap=0.0,
-                       tolerance=tolerance, forced_constant=True, feasible=())
+                       forced_constant=True, feasible=())
 
 
 def random_rate_statistics(rng, min_cell=0.02):

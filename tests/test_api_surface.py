@@ -1,14 +1,17 @@
-"""The public API, pinned: its defaulted parameters, its reach, its imports.
+"""The public API, pinned: its defaulted parameters, its reach, its fields, its imports.
 
 Every parameter with a default is an option a caller may set. A new one
 (or a removed one) changes ``DEFAULTED``, so it shows up in review as a test
 diff next to the code that adds it. Every public function, class and method
 is named by the commands, the experiments or the benchmark, or it is listed
-in ``UNREACHED`` with the reason it stays. No module imports a name it does
-not use.
+in ``UNREACHED`` with the reason it stays. Every public dataclass field and
+property is read by them, or it is listed in ``UNREAD``. No module imports a
+name it does not use.
 """
 
 import ast
+import dataclasses
+import functools
 import importlib
 import inspect
 import pathlib
@@ -42,7 +45,6 @@ DEFAULTED = {
     "eqodds.experiments.run_posthoc_regression_gap": ("eps", "seed"),
     "eqodds.experiments.run_second_moment_equivalence": ("seed",),
     "eqodds.experiments.run_two_step_rate_sweep": ("eps", "delta", "trials", "seed"),
-    "eqodds.posthoc.DerivedPredictor": ("provenance",),
     "eqodds.posthoc.derived_loss": ("cell_loss",),
     "eqodds.posthoc.expected_loss_from_rates": ("cell_loss",),
     "eqodds.second_moment.LinearPredictor": ("intercept",),
@@ -55,6 +57,12 @@ DEFAULTED = {
 
 # public names that nothing in src/ or bench/ reaches -> why each stays
 UNREACHED = {}
+
+# public dataclass fields and properties that nothing in src/ or bench/ reads -> why each stays
+UNREAD = {}
+
+# dataclasses that ``dataclasses.asdict`` serializes whole, which reads every field
+SERIALIZED = {"eqodds.experiments.ClaimRow"}  # ExperimentReport.to_dict: asdict(row)
 
 
 def _public_callables():
@@ -105,6 +113,54 @@ def test_every_public_name_is_reached():
                    for path, lines in sources.items() for i, line in enumerate(lines, 1)):
             unreached.append(key)
     assert unreached == sorted(UNREACHED)
+
+
+def _attribute_reads():
+    """Attribute name -> where src/ and bench/ read it: the name of the class whose
+    ``__post_init__`` holds the read, or None for a read anywhere else. Stores, as in
+    ``self.x = ...``, are not reads; ``getattr`` with a literal name is."""
+    reads = {}
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                for item in child.body:
+                    visit(item, child.name if getattr(item, "name", "") == "__post_init__"
+                          else None)
+                continue
+            if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                reads.setdefault(child.attr, set()).add(where)
+            elif (isinstance(child, ast.Call) and getattr(child.func, "id", None) == "getattr"
+                  and len(child.args) > 1 and isinstance(child.args[1], ast.Constant)):
+                reads.setdefault(child.args[1].value, set()).add(where)
+            visit(child, where)
+
+    for path in [*ROOT.glob("src/eqodds/*.py"), *ROOT.glob("bench/*.py")]:
+        visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return reads
+
+
+def test_every_field_and_property_is_read():
+    """Each public dataclass field and property (``cached_property`` too) of a public
+    class is read as an attribute in src/ or bench/, outside its class's own
+    ``__post_init__``, or its class is in ``SERIALIZED``. The scan goes by name, not
+    by type: a field that shares its name with another attribute read anywhere
+    (``tolerance``, ``loss``) passes whether or not it is read itself."""
+    reads = _attribute_reads()
+    unread = []
+    for key, cls in _public_callables():
+        if not inspect.isclass(cls) or key in SERIALIZED:
+            continue
+        names = [f.name for f in dataclasses.fields(cls)] if dataclasses.is_dataclass(cls) else []
+        names += [attr for attr, obj in vars(cls).items()
+                  if isinstance(obj, (property, functools.cached_property))]
+        unread += [f"{key}.{name}" for name in names if not name.startswith("_")
+                   and not reads.get(name, set()) - {cls.__name__}]
+    assert sorted(unread) == sorted(UNREAD)
+    for key in SERIALIZED:  # each still lives in a module that calls asdict
+        module, name = key.rsplit(".", 1)
+        assert dataclasses.is_dataclass(getattr(importlib.import_module(module), name))
+        assert "asdict(" in inspect.getsource(importlib.import_module(module))
 
 
 def test_no_unused_imports():

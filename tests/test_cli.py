@@ -543,6 +543,16 @@ def test_nan_score_audit_exits_2(tmp_path, capsys):
     ("body-field-over-csv-limit", "error: line 3: field larger than field limit (131072)"),
     ("hypotheses-nested-too-deep", "not valid JSON: maximum recursion depth exceeded"),
     ("feature-1e400", "rules[0] (threshold): OverflowError: cannot convert float infinity"),
+    ("cut-nan", "rules[0] (threshold): ValueError: cut must be finite, got nan"),
+    ("cut-infinity", "rules[0] (threshold): ValueError: cut must be finite, got inf"),
+    ("cut-minus-infinity", "rules[0] (threshold): ValueError: cut must be finite, got -inf"),
+    ("cut-1e999", "rules[0] (threshold): ValueError: cut must be finite, got inf"),
+    ("feature-1.5", "rules[0] (threshold): ValueError: feature must be a whole number, got 1.5"),
+    ("feature-0.9", "rules[0] (threshold-grid): ValueError: feature must be a whole number, "
+                    "got 0.9"),
+    ("feature-true", "rules[0] (threshold): ValueError: feature must be a whole number, got True"),
+    ("max-cuts-2.7", "rules[0] (threshold-grid): ValueError: max_cuts must be a whole number, "
+                     "got 2.7"),
 ])
 def test_malformed_input_exits_2(case, needle, tmp_path, capsys):
     data = tmp_path / "d.csv"
@@ -565,6 +575,23 @@ def test_malformed_input_exits_2(case, needle, tmp_path, capsys):
     # json reads 1e400 as inf, which int() cannot take
     (tmp_path / "inf.json").write_text(
         '{"rules": [{"type": "threshold", "feature": 1e400, "cut": 0}]}')
+    # rules the checks refuse, which would train: a cut that accepts no row or every row,
+    # and a feature or cut count that int() truncates (1.5 and true to x1, 0.9 to x0)
+    loose = {
+        "cut-nan": '{"type": "threshold", "feature": 0, "cut": NaN}',
+        "cut-infinity": '{"type": "threshold", "feature": 0, "cut": Infinity}',
+        "cut-minus-infinity": '{"type": "threshold", "feature": 0, "cut": -Infinity}',
+        "cut-1e999": '{"type": "threshold", "feature": 0, "cut": 1e999}',
+        "feature-1.5": '{"type": "threshold", "feature": 1.5, "cut": 0.5}',
+        "feature-0.9": '{"type": "threshold-grid", "feature": 0.9}',
+        "feature-true": '{"type": "threshold", "feature": true, "cut": 0.5}',
+        "max-cuts-2.7": '{"type": "threshold-grid", "feature": 0, "max_cuts": 2.7}',
+    }
+    for name, entry in loose.items():
+        (tmp_path / f"{name}.json").write_text('{"rules": [' + entry + ']}')
+    wide = tmp_path / "wide.csv"  # features x0 and x1
+    ds = sample_law(two_proxy_law(0.1), 400, 15)
+    write_csv(Dataset(np.column_stack([ds.features, 1 - ds.features]), ds.attr, ds.labels), wide)
     train = ["train", "--data", str(data), "--hypotheses", str(rules)]
     argv = {
         "cell-probs": ["audit", "--data", str(data), "--alpha", "0.5",
@@ -620,6 +647,8 @@ def test_malformed_input_exits_2(case, needle, tmp_path, capsys):
                                        "--hypotheses", str(tmp_path / "deep.json")],
         "feature-1e400": ["train", "--data", str(data),
                           "--hypotheses", str(tmp_path / "inf.json")],
+        **{name: ["train", "--data", str(wide), "--hypotheses", str(tmp_path / f"{name}.json")]
+           for name in loose},
     }[case]
     assert main(argv) == 2
     out, err = capsys.readouterr()

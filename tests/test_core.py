@@ -210,7 +210,7 @@ def test_hypothesis_class_validation():
     with pytest.raises(InvalidParameterError):
         FiniteHypothesisClass((ConstantRule(0, "c"), ConstantRule(1, "c")))
     hc = FiniteHypothesisClass((ConstantRule(0), ConstantRule(1)))
-    assert hc.names == ["const0", "const1"]
+    assert [rule.name for rule in hc] == ["const0", "const1"]
 
 
 def test_dataset_validation():
@@ -315,7 +315,7 @@ def test_cell_index_and_counts_cached():
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(n=st.integers(1, 40), lead=st.sampled_from([(), (3,), (1,), (4, 2), (2, 5), (9,)]),
        integer=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
-       block=st.sampled_from([core._CELL_BLOCK, 1, 7, 40]))
+       block=st.sampled_from([core._BLOCK_VALUES, 1, 7, 40]))
 def test_cell_sums_of_a_stack_equal_each_rows_sums(n, lead, integer, seed, block):
     """Each table of a stacked call is the one-row call on its row, bit for bit, also
     when the stack is summed in blocks of rows."""
@@ -323,7 +323,7 @@ def test_cell_sums_of_a_stack_equal_each_rows_sums(n, lead, integer, seed, block
     cell = rng.integers(0, 4, size=n)  # some cells may stay empty
     weights = (rng.integers(0, 1000, size=(*lead, n)) if integer
                else rng.random(size=(*lead, n)) * 10.0 ** rng.integers(-3, 4, size=(*lead, n)))
-    with mock.patch.object(core, "_CELL_BLOCK", block):
+    with mock.patch.object(core, "_BLOCK_VALUES", block):
         tables = core.cell_sums(cell, weights)
     assert tables.shape == (*lead, 2, 2) and tables.dtype == np.float64
     for idx in np.ndindex(*lead):

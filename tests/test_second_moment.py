@@ -140,7 +140,7 @@ class TestEqualizedCorrelationsCheck:
             model = random_model(seed)
             raw = fit_unconstrained(model)
             residual, conditional = equalized_correlations(model, raw)
-            cov_ra, cov_ry, _ = score_covariances(model, raw)
+            cov_ra, cov_ry = score_covariances(model, raw)
             want = cov_ra * model.var_y - cov_ry * model.cov_ya
             assert residual == pytest.approx(want, abs=1e-15)
             assert conditional == pytest.approx(want / model.var_y, rel=1e-12)
@@ -161,7 +161,7 @@ class TestDerivedCorrection:
         for seed in range(50):
             model = random_model(seed)
             raw = fit_unconstrained(model)
-            cov_ra, _, _ = score_covariances(model, raw)
+            cov_ra, _ = score_covariances(model, raw)
             assert abs(cov_ra - model.cov_ya) <= 1e-10 * max(1.0, abs(model.cov_ya))
 
     def test_detached_attribute_gives_identity_correction(self):

@@ -23,6 +23,7 @@ from eqodds.synthetic import (
     gaussian_law,
     population_loss01,
     population_loss_hinge,
+    population_loss_squared,
     population_rates,
     restricted_regression_solutions,
     sample_counts,
@@ -308,13 +309,19 @@ class TestCountDraws:
                 assert inside.all(), (n, median, interval)
 
 
+def optimal_loss(case, eps):
+    """Exact squared loss of a case's optimum on the two-proxy law."""
+    w_x, w_a, b = case.optimal_weights
+    return population_loss_squared(two_proxy_law(eps), lambda x, a: w_x * x[:, 0] + w_a * a + b)
+
+
 class TestRestrictedRegression:
     def test_exact_losses_at_eps_01(self):
         sol = restricted_regression_solutions(0.1)
         # exact enumeration value; the quadratic term is negative
         assert sol.l1_case.fair_loss == pytest.approx(1 / 16 + 0.15 - 0.03, abs=1e-12)
         assert sol.l1_case.optimal_weights == pytest.approx((0.0, 0.3, 0.35))
-        assert sol.l1_case.optimal_loss == pytest.approx(1 / 16 + 0.1 - 0.01, abs=1e-12)
+        assert optimal_loss(sol.l1_case, 0.1) == pytest.approx(1 / 16 + 0.1 - 0.01, abs=1e-12)
         assert sol.l1_case.corrected_loss == pytest.approx(0.25, abs=1e-12)
         assert sol.sparse_case.fair_loss == pytest.approx(0.16, abs=1e-12)
         assert sol.sparse_case.corrected_loss == pytest.approx(0.25, abs=1e-12)
@@ -335,8 +342,8 @@ class TestRestrictedRegression:
 
     def test_optimum_beats_fair_rule_and_cross_branch(self):
         sol = restricted_regression_solutions(0.1)
-        assert sol.l1_case.optimal_loss < sol.l1_case.fair_loss
-        assert sol.sparse_case.optimal_loss < sol.sparse_case.fair_loss
+        assert optimal_loss(sol.l1_case, 0.1) < sol.l1_case.fair_loss
+        assert optimal_loss(sol.sparse_case, 0.1) < sol.sparse_case.fair_loss
 
     def test_eps_range(self):
         with pytest.raises(InvalidParameterError):

@@ -21,7 +21,6 @@ from eqodds.core import (
 )
 from eqodds.posthoc import (
     DerivedPredictor,
-    DerivedRule,
     RateStatistics,
     derived_loss,
     induced_rates,
@@ -29,7 +28,7 @@ from eqodds.posthoc import (
 )
 from eqodds.synthetic import (erm_trap_family, population_loss01, population_rates, sample_law,
                               two_proxy_law)
-from eqodds import experiments, two_step
+from eqodds import core, experiments, two_step
 from eqodds.experiments import (run_detection_error_rates, run_erm_trap_floor,
                                 run_two_step_rate_sweep)
 from eqodds.two_step import (
@@ -40,7 +39,8 @@ from eqodds.two_step import (
     threshold_class,
     train_two_step,
 )
-from oracles import FunctionRule, constrained_erm_oracle, population_two_step, traced_peak
+from oracles import (DerivedRule, FunctionRule, constrained_erm_oracle, population_two_step,
+                     traced_peak)
 
 X_RULE = FeatureThresholdRule(0, 0.5, name="x")
 SMALL_CLASS = FiniteHypothesisClass((X_RULE, AttributeRule(),
@@ -178,7 +178,7 @@ class TestBlockScan:
     def test_blocks_split_inside_a_run_of_ties(self):
         n = 200
         ds = proxy_sample(n, seed=7)
-        width = two_step._SCAN_ELEMENTS // n
+        width = core._BLOCK_VALUES // n
         rng = np.random.default_rng(8)
         filler = [FeatureThresholdRule(0, float(c), name=f"f{k}")
                   for k, c in enumerate(rng.uniform(1.5, 3.0, size=2 * width))]
@@ -284,10 +284,9 @@ class TestDerivedRule:
         for seed in range(5):
             ds = proxy_sample(600, seed=550 + seed)
             res = train_two_step(ds, SMALL_CLASS, TwoStepConfig(seed=seed))
-            assert res.corrected_rule.base is res.step1.rule
             _, s2 = split_dataset(ds, seed)
             want = induced_rates(res.derived, RateStatistics.from_sample(s2, res.step1.rule))
-            got = empirical_rates(s2, res.corrected_rule)
+            got = empirical_rates(s2, DerivedRule(res.step1.rule, res.derived))
             assert np.abs(got.rates - want.rates).max() <= 1e-12
             assert got.gap() == pytest.approx(res.diagnostics["s2_corrected_gap"], abs=1e-12)
 
@@ -597,7 +596,7 @@ class TestTrainTwoStep:
         law = two_proxy_law(0.2)
         res = train_two_step(sample_law(law, 101, seed), SMALL_CLASS,
                              TwoStepConfig(train_tolerance=0.0, seed=seed))
-        assert res.step1.feasible == () and res.step1.tolerance == 0.0
+        assert res.step1.feasible == () and res.train_tolerance == 0.0
         got = res.to_dict()
         got["diagnostics"] = {**got["diagnostics"], "population": population_two_step(law, res)}
         assert json.dumps(got) == json.dumps(want)
@@ -632,18 +631,19 @@ class TestThresholdClass:
         for feature in (0, 1):
             hclass = threshold_class(ds, feature, 8)
             assert len(hclass) == 9  # cap + the below-all cut
-            assert all(n.startswith(f"x{feature}>=") for n in hclass.names)
+            assert all(r.name.startswith(f"x{feature}>=") for r in hclass)
 
     def test_cuts_six_digits_cannot_tell_apart_get_repr_names(self):
         # 123456.0 to 123460.9 in steps of 0.1: 6 significant digits merge the cuts
         vals = 123456.0 + np.arange(50) / 10.0
         ds = Dataset(vals[:, None], np.arange(50) % 2, (vals > 123458.0).astype(float))
         hclass = threshold_class(ds, 0, 32)
-        assert len(set(hclass.names)) == len(hclass) == 33
-        assert hclass.names == [f"x0>={r.cut!r}" for r in hclass]
+        names = [r.name for r in hclass]
+        assert len(set(names)) == len(hclass) == 33
+        assert names == [f"x0>={r.cut!r}" for r in hclass]
         # where six digits keep the names apart, they stay
-        assert threshold_class(Dataset(vals[:3, None] - 123456.0, [0, 1, 0], [0, 1, 1]),
-                               0, 32).names == ["x0>=-1", "x0>=0.05", "x0>=0.15"]
+        small = threshold_class(Dataset(vals[:3, None] - 123456.0, [0, 1, 0], [0, 1, 1]), 0, 32)
+        assert [r.name for r in small] == ["x0>=-1", "x0>=0.05", "x0>=0.15"]
 
     def test_cut_that_rounds_onto_another_is_one_rule(self):
         # at 1e17 floats are 16 apart: value - 1 rounds back to the value, and the
