@@ -12,7 +12,7 @@ Subcommands:
 Every command emits JSON (stdout or ``--out``); every file it writes,
 ``--raw-out`` too, is written atomically. Exit status: 0 on success with
 all claims passing, 1 when a reproduction claim fails, 2 on configuration
-errors.
+errors. ``main`` parses every call with one parser, built at import.
 """
 
 from __future__ import annotations
@@ -53,9 +53,6 @@ from .second_moment import (
 )
 from .synthetic import erm_trap_family, gaussian_law, sample_law, two_proxy_law
 from .two_step import TwoStepConfig, threshold_class, train_two_step
-
-_COMMANDS = ("audit", "correct", "train", "fit-linear-fair", "simulate", "reproduce")
-
 
 class CliError(Exception):
     """Configuration problem; maps to exit status 2."""
@@ -138,6 +135,15 @@ def _seed_arg(text: str) -> int:
     return value
 
 
+def _number(value, key: str) -> float:
+    """A finite JSON number as a float: 1 or 0.5, not true, "0.5", NaN or 1e999."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {reprlib.repr(value)}")
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {reprlib.repr(value)}")
+    return float(value)
+
+
 def _whole_number(value, key: str) -> int:
     """A JSON number with a whole value as an int: 2 or 2.0, not 2.5, true or "2"
     (int() of inf raises OverflowError, of nan ValueError)."""
@@ -152,7 +158,8 @@ def build_hypothesis_class(spec: dict, dataset: Dataset) -> FiniteHypothesisClas
     Entries: {"type": "threshold", "feature": j, "cut": t},
     {"type": "attribute"}, {"type": "constant", "value": 0 or 1}, and
     {"type": "threshold-grid", "feature": j, "max_cuts": k} which expands
-    to data-derived cut points; j and k are whole numbers, t is finite.
+    to data-derived cut points; j and k >= 1 are whole numbers, t and the
+    value are finite numbers, and a "name", when given, is a string.
     """
     entries = spec.get("rules") if isinstance(spec, dict) else None
     if not entries or not isinstance(entries, list):
@@ -161,24 +168,26 @@ def build_hypothesis_class(spec: dict, dataset: Dataset) -> FiniteHypothesisClas
     for k, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise CliError(f"rules[{k}]: expected an object, got {reprlib.repr(entry)}")
-        kind = entry.get("type")
+        kind, name = entry.get("type"), entry.get("name")
         try:
+            if "name" in entry and not isinstance(name, str):
+                raise ValueError(f"name must be a string, got {reprlib.repr(name)}")
             if kind in ("threshold", "threshold-grid"):
                 feature = _whole_number(entry["feature"], "feature")
                 if not 0 <= feature < dataset.n_features:
                     raise CliError(f"rules[{k}] ({kind}): feature {feature} is not a column "
                                    f"of the data (x0..x{dataset.n_features - 1})")
             if kind == "threshold":
-                cut = float(entry["cut"])
-                if not math.isfinite(cut):
-                    raise ValueError(f"cut must be finite, got {entry['cut']!r}")
-                rules.append(FeatureThresholdRule(feature, cut, name=entry.get("name")))
+                cut = _number(entry["cut"], "cut")
+                rules.append(FeatureThresholdRule(feature, cut, name=name))
             elif kind == "attribute":
                 rules.append(AttributeRule(name=entry.get("name", "attr")))
             elif kind == "constant":
-                rules.append(ConstantRule(float(entry["value"]), name=entry.get("name")))
+                rules.append(ConstantRule(_number(entry["value"], "value"), name=name))
             elif kind == "threshold-grid":
                 max_cuts = _whole_number(entry.get("max_cuts", 32), "max_cuts")
+                if max_cuts < 1:
+                    raise ValueError(f"max_cuts must be at least 1, got {max_cuts}")
                 rules.extend(threshold_class(dataset, feature, max_cuts).rules)
             else:
                 raise CliError(f"rules[{k}]: unknown type {kind!r}")
@@ -308,110 +317,98 @@ def _cmd_reproduce(args) -> int:
     return 0 if report.passed else 1
 
 
-def _parser(names) -> argparse.ArgumentParser:
-    """The parser with the subparsers of ``names`` alone. Its usage line, which argument
-    errors print, lists all six commands, as the full parser's does."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eqodds",
         description="Equalized-odds auditing, correction, training, and the "
                     "second-moment relaxation for linear predictors.")
-    metavar = None if len(names) == len(_COMMANDS) else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--out", help="write the JSON report here (default stdout)")
 
-    if "audit" in names:
-        p = sub.add_parser("audit", help="run the discrimination detection test")
-        p.add_argument("--data", required=True)
-        p.add_argument("--score-col", default="score")
-        p.add_argument("--threshold", type=_finite_float, default=None,
-                       help="binarize scores at this cut (default: treat scores "
-                            "as acceptance probabilities)")
-        p.add_argument("--alpha", type=float, required=True,
-                       help="discrimination level the test should detect")
-        p.add_argument("--delta", type=float, required=True,
-                       help="allowed failure probability")
-        p.add_argument("--cell-probs",
-                       help="true joint cell probabilities p00,p01,p10,p11 in (y,a) order")
-        common(p)
-        p.set_defaults(func=_cmd_audit)
+    p = sub.add_parser("audit", help="run the discrimination detection test")
+    p.add_argument("--data", required=True)
+    p.add_argument("--score-col", default="score")
+    p.add_argument("--threshold", type=_finite_float, default=None,
+                   help="binarize scores at this cut (default: treat scores "
+                        "as acceptance probabilities)")
+    p.add_argument("--alpha", type=float, required=True,
+                   help="discrimination level the test should detect")
+    p.add_argument("--delta", type=float, required=True,
+                   help="allowed failure probability")
+    p.add_argument("--cell-probs",
+                   help="true joint cell probabilities p00,p01,p10,p11 in (y,a) order")
+    common(p)
+    p.set_defaults(func=_cmd_audit)
 
-    if "correct" in names:
-        p = sub.add_parser("correct", help="fit the optimal derived rule for a score column")
-        p.add_argument("--data", required=True)
-        p.add_argument("--score-col", default="score")
-        p.add_argument("--threshold", type=_finite_float, default=None)
-        p.add_argument("--tolerance", type=_finite_float, required=True,
-                       help="cap on the corrected rule's cross-group gap")
-        common(p)
-        p.set_defaults(func=_cmd_correct)
+    p = sub.add_parser("correct", help="fit the optimal derived rule for a score column")
+    p.add_argument("--data", required=True)
+    p.add_argument("--score-col", default="score")
+    p.add_argument("--threshold", type=_finite_float, default=None)
+    p.add_argument("--tolerance", type=_finite_float, required=True,
+                   help="cap on the corrected rule's cross-group gap")
+    common(p)
+    p.set_defaults(func=_cmd_correct)
 
-    if "train" in names:
-        p = sub.add_parser("train", help="two-step training over a finite rule class")
-        p.add_argument("--data", required=True)
-        p.add_argument("--hypotheses", required=True,
-                       help="JSON file describing the rule class")
-        p.add_argument("--delta", type=float, default=0.1)
-        p.add_argument("--train-tolerance", type=_tolerance_arg, default="auto")
-        p.add_argument("--correct-tolerance", type=_tolerance_arg, default="auto")
-        p.add_argument("--seed", type=_seed_arg, default=0)
-        common(p)
-        p.set_defaults(func=_cmd_train)
+    p = sub.add_parser("train", help="two-step training over a finite rule class")
+    p.add_argument("--data", required=True)
+    p.add_argument("--hypotheses", required=True,
+                   help="JSON file describing the rule class")
+    p.add_argument("--delta", type=float, default=0.1)
+    p.add_argument("--train-tolerance", type=_tolerance_arg, default="auto")
+    p.add_argument("--correct-tolerance", type=_tolerance_arg, default="auto")
+    p.add_argument("--seed", type=_seed_arg, default=0)
+    common(p)
+    p.set_defaults(func=_cmd_train)
 
-    if "fit-linear-fair" in names:
-        p = sub.add_parser("fit-linear-fair", help="correlation-constrained linear predictor")
-        p.add_argument("--data", required=True)
-        p.add_argument("--label-col", default="y")
-        p.add_argument("--protected-col", default="a")
-        p.add_argument("--loss", choices=["squared", "logistic", "hinge_smooth"],
-                       default="squared")
-        p.add_argument("--method", choices=["closed-form", "derived", "pgd"],
-                       default="closed-form")
-        common(p)
-        p.set_defaults(func=_cmd_fit_linear_fair)
+    p = sub.add_parser("fit-linear-fair", help="correlation-constrained linear predictor")
+    p.add_argument("--data", required=True)
+    p.add_argument("--label-col", default="y")
+    p.add_argument("--protected-col", default="a")
+    p.add_argument("--loss", choices=["squared", "logistic", "hinge_smooth"],
+                   default="squared")
+    p.add_argument("--method", choices=["closed-form", "derived", "pgd"],
+                   default="closed-form")
+    common(p)
+    p.set_defaults(func=_cmd_fit_linear_fair)
 
-    if "simulate" in names:
-        p = sub.add_parser("simulate", help="sample a dataset from a synthetic law")
-        p.add_argument("--law", choices=["two-proxy", "erm-trap", "gaussian"],
-                       required=True)
-        p.add_argument("--noise", type=float, default=0.1,
-                       help="two-proxy: attribute flip probability")
-        p.add_argument("--features", type=int, default=16,
-                       help="erm-trap: number of coordinates")
-        p.add_argument("--alpha", type=float, default=0.05,
-                       help="erm-trap: flip probability in the rare cell")
-        p.add_argument("--dim", type=int, default=3, help="gaussian: feature dimension")
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--seed", type=_seed_arg, default=0)
-        p.add_argument("--out", required=True, help="CSV output path")
-        p.set_defaults(func=_cmd_simulate)
+    p = sub.add_parser("simulate", help="sample a dataset from a synthetic law")
+    p.add_argument("--law", choices=["two-proxy", "erm-trap", "gaussian"],
+                   required=True)
+    p.add_argument("--noise", type=float, default=0.1,
+                   help="two-proxy: attribute flip probability")
+    p.add_argument("--features", type=int, default=16,
+                   help="erm-trap: number of coordinates")
+    p.add_argument("--alpha", type=float, default=0.05,
+                   help="erm-trap: flip probability in the rare cell")
+    p.add_argument("--dim", type=int, default=3, help="gaussian: feature dimension")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--seed", type=_seed_arg, default=0)
+    p.add_argument("--out", required=True, help="CSV output path")
+    p.set_defaults(func=_cmd_simulate)
 
-    if "reproduce" in names:
-        p = sub.add_parser("reproduce", help="run a reproduction experiment")
-        p.add_argument("--experiment", required=True,
-                       help=f"one of {sorted(EXPERIMENTS)}")
-        p.add_argument("--eps", type=float, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--seed", type=_seed_arg, default=0)
-        p.add_argument("--raw-out", help="also write per-trial rows as CSV")
-        common(p)
-        p.set_defaults(func=_cmd_reproduce)
+    p = sub.add_parser("reproduce", help="run a reproduction experiment")
+    p.add_argument("--experiment", required=True,
+                   help=f"one of {sorted(EXPERIMENTS)}")
+    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--delta", type=float, default=None)
+    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--seed", type=_seed_arg, default=0)
+    p.add_argument("--raw-out", help="also write per-trial rows as CSV")
+    common(p)
+    p.set_defaults(func=_cmd_reproduce)
 
     return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _parser(_COMMANDS)
+_PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    known = [name for name in argv[:1] if name in _COMMANDS]
-    try:  # a command's subparser alone; for help, an unknown or no command, all six
-        args = (_parser(known) if known else build_parser()).parse_args(argv)
+    try:
+        args = _PARSER.parse_args(argv)  # argv None: sys.argv[1:]
     except SystemExit as exc:  # argparse has printed the usage error (2) or help (0)
         return exc.code
     try:

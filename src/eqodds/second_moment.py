@@ -72,6 +72,8 @@ class SecondMomentModel:
             raise InvalidParameterError("model needs at least (x, a, y) components")
         if cov.shape != (k, k):
             raise InvalidParameterError("covariance shape does not match mean")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):  # moments that overflow
+            raise InvalidParameterError("mean and covariance must be finite")
         if not np.allclose(cov, cov.T, atol=1e-10 * max(1.0, float(np.abs(cov).max()))):
             raise InvalidParameterError("covariance must be symmetric")
         cov = 0.5 * (cov + cov.T)

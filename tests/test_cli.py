@@ -553,6 +553,18 @@ def test_nan_score_audit_exits_2(tmp_path, capsys):
     ("feature-true", "rules[0] (threshold): ValueError: feature must be a whole number, got True"),
     ("max-cuts-2.7", "rules[0] (threshold-grid): ValueError: max_cuts must be a whole number, "
                      "got 2.7"),
+    ("max-cuts-0", "rules[0] (threshold-grid): ValueError: max_cuts must be at least 1, got 0"),
+    ("max-cuts-minus-1", "rules[0] (threshold-grid): ValueError: max_cuts must be at least 1, "
+                         "got -1"),
+    ("name-list", "rules[0] (attribute): ValueError: name must be a string, got []"),
+    ("name-object", "rules[0] (threshold): ValueError: name must be a string, got {'a': 1}"),
+    ("name-7", "rules[0] (threshold): ValueError: name must be a string, got 7"),
+    ("name-null", "rules[0] (attribute): ValueError: name must be a string, got None"),
+    ("cut-true", "rules[0] (threshold): ValueError: cut must be a number, got True"),
+    ("cut-string", "rules[0] (threshold): ValueError: cut must be a number, got '0.5'"),
+    ("value-true", "rules[0] (constant): ValueError: value must be a number, got True"),
+    ("value-string", "rules[0] (constant): ValueError: value must be a number, got '1'"),
+    ("moments-overflow", "error: mean and covariance must be finite"),
 ])
 def test_malformed_input_exits_2(case, needle, tmp_path, capsys):
     data = tmp_path / "d.csv"
@@ -575,8 +587,11 @@ def test_malformed_input_exits_2(case, needle, tmp_path, capsys):
     # json reads 1e400 as inf, which int() cannot take
     (tmp_path / "inf.json").write_text(
         '{"rules": [{"type": "threshold", "feature": 1e400, "cut": 0}]}')
-    # rules the checks refuse, which would train: a cut that accepts no row or every row,
-    # and a feature or cut count that int() truncates (1.5 and true to x1, 0.9 to x0)
+    # rules the checks refuse, which would train or raise: a cut that accepts no row or
+    # every row, a feature or cut count that int() truncates (1.5 and true to x1, 0.9 to
+    # x0), a cut count below 1 (0 kept only the cut below every value), a name that is not
+    # a string (a list or an object raised TypeError), and a cut or value that float()
+    # took from true or a string
     loose = {
         "cut-nan": '{"type": "threshold", "feature": 0, "cut": NaN}',
         "cut-infinity": '{"type": "threshold", "feature": 0, "cut": Infinity}',
@@ -586,12 +601,25 @@ def test_malformed_input_exits_2(case, needle, tmp_path, capsys):
         "feature-0.9": '{"type": "threshold-grid", "feature": 0.9}',
         "feature-true": '{"type": "threshold", "feature": true, "cut": 0.5}',
         "max-cuts-2.7": '{"type": "threshold-grid", "feature": 0, "max_cuts": 2.7}',
+        "max-cuts-0": '{"type": "threshold-grid", "feature": 0, "max_cuts": 0}',
+        "max-cuts-minus-1": '{"type": "threshold-grid", "feature": 0, "max_cuts": -1}',
+        "name-list": '{"type": "attribute", "name": []}',
+        "name-object": '{"type": "threshold", "feature": 0, "cut": 0.5, "name": {"a": 1}}',
+        "name-7": '{"type": "threshold", "feature": 0, "cut": 0.5, "name": 7}',
+        "name-null": '{"type": "attribute", "name": null}',
+        "cut-true": '{"type": "threshold", "feature": 0, "cut": true}',
+        "cut-string": '{"type": "threshold", "feature": 0, "cut": "0.5"}',
+        "value-true": '{"type": "constant", "value": true}',
+        "value-string": '{"type": "constant", "value": "1"}',
     }
     for name, entry in loose.items():
         (tmp_path / f"{name}.json").write_text('{"rules": [' + entry + ']}')
     wide = tmp_path / "wide.csv"  # features x0 and x1
     ds = sample_law(two_proxy_law(0.1), 400, 15)
     write_csv(Dataset(np.column_stack([ds.features, 1 - ds.features]), ds.attr, ds.labels), wide)
+    huge = tmp_path / "huge.csv"  # finite x0 near 1e200, whose square overflows float64
+    write_csv(Dataset(1e200 * np.random.default_rng(15).normal(size=(200, 1)),
+                      ds.attr[:200], ds.labels[:200]), huge)
     train = ["train", "--data", str(data), "--hypotheses", str(rules)]
     argv = {
         "cell-probs": ["audit", "--data", str(data), "--alpha", "0.5",
@@ -649,6 +677,7 @@ def test_malformed_input_exits_2(case, needle, tmp_path, capsys):
                           "--hypotheses", str(tmp_path / "inf.json")],
         **{name: ["train", "--data", str(wide), "--hypotheses", str(tmp_path / f"{name}.json")]
            for name in loose},
+        "moments-overflow": ["fit-linear-fair", "--data", str(huge)],
     }[case]
     assert main(argv) == 2
     out, err = capsys.readouterr()

@@ -1,5 +1,6 @@
 """Exit-contract fuzz: every numeric flag of every subcommand, malformed CSV
-bytes, and the structure of the argument list.
+bytes, the structure of the argument list, and the rule entries of a
+``train`` hypothesis spec.
 
 ``cli.main`` must return 0 (success), 2 (bad input, with an ``error:`` line on
 stderr) or 1 only for a ``reproduce`` report with a failed claim, and must
@@ -11,8 +12,8 @@ not a parsing one. The Monte Carlo experiments always get a small trial
 count, so a valid draw runs at their trial floors; a flag an experiment does
 not take exits 2. The same contract holds for a data file of any bytes and for
 an argument list with missing values, repeated or unknown flags, or an unknown
-subcommand. ``load_csv`` must read every fuzzed data file exactly as its row
-loop alone does.
+subcommand, and for rule entries whose fields hold any JSON value. ``load_csv``
+must read every fuzzed data file exactly as its row loop alone does.
 """
 
 import contextlib
@@ -268,37 +269,86 @@ def test_argv_structure_keeps_the_exit_contract(fuzz_files, argv):
     _run(argv)
 
 
-def _parse(argv):
-    """``main(argv)``'s status, stdout and stderr, and the arguments it parsed, with
-    every command's handler replaced by one that only records them."""
-    parsed = []
+def _recording_parser():
+    """A parser whose handlers only record the arguments they get, in ``parser.calls``.
+    Handlers are bound when a parser is built, so they are patched before it is."""
+    calls = []
     with pytest.MonkeyPatch.context() as patch:
         for name in dir(cli):
             if name.startswith("_cmd_"):
-                patch.setattr(cli, name, lambda args: parsed.append(vars(args)) or 0)
-        out, err = io.StringIO(), io.StringIO()
+                patch.setattr(cli, name, lambda args: calls.append(vars(args)) or 0)
+        parser = build_parser()
+    parser.calls = calls
+    return parser
+
+
+def _parse(parser, argv):
+    """``main(argv)`` with ``parser`` as the module's parser: its status, stdout and
+    stderr, and the arguments its handler got, less the handler."""
+    start = len(parser.calls)
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_PARSER", parser)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             status = main(argv)
-    for args in parsed:
-        args.pop("func")
+    parsed = [{key: value for key, value in args.items() if key != "func"}
+              for args in parser.calls[start:]]
     return status, out.getvalue(), err.getvalue(), parsed
 
 
 # help, a command's own help, no command, and bare commands
 PARSER_ARGV = [[], ["-h"], ["--help"], ["audit", "-h"], ["reproduce", "--help"], ["train"],
                ["fit-linear-fair", "--bogus"], ["simulate", "--n"], ["correct", "extra"]]
+FIXED_ARGV = list(VALID_ARGV.values()) + PARSER_ARGV
+
+
+@pytest.fixture(scope="module")
+def used_parser(fuzz_files):
+    """One recording parser that has already parsed every fixed entry once."""
+    parser = _recording_parser()
+    for argv in FIXED_ARGV:
+        _parse(parser, [arg.format(**fuzz_files) for arg in argv])
+    assert len(parser.calls) == len(VALID_ARGV)  # each valid entry reached its handler
+    return parser
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
-@given(argv=st.one_of(st.sampled_from(list(VALID_ARGV.values()) + PARSER_ARGV),
-                      mutated_argv()))
-def test_one_command_parser_parses_as_the_full_parser(fuzz_files, argv):
-    """``main`` builds only the named command's subparser; its status, output, errors
-    and parsed arguments equal those of the parser with all six subcommands."""
+@given(argv=st.one_of(st.sampled_from(FIXED_ARGV), mutated_argv()))
+def test_used_parser_parses_as_a_fresh_one(fuzz_files, used_parser, argv):
+    """``main`` parses every call with the one parser built at import, so that parser
+    keeps nothing between calls: after it has parsed the other entries, its status,
+    output, errors and parsed arguments equal those of a freshly built parser."""
     argv = [arg.format(**fuzz_files) for arg in argv]
     note(argv)
-    own = _parse(argv)
-    with pytest.MonkeyPatch.context() as patch:
-        full = cli._parser
-        patch.setattr(cli, "_parser", lambda names: full(cli._COMMANDS))
-        assert _parse(argv) == own
+    assert _parse(used_parser, argv) == _parse(_recording_parser(), argv)
+
+
+# ---- hypothesis spec ---------------------------------------------------------
+
+# any JSON value, as text: json reads 1e400 as inf
+JSON_VALUES = ["null", "true", "false", "0", "-1", "1", "0.5", "1.5", "32", "1e400", "NaN",
+               "-Infinity", '"0.5"', '"x0"', '""', "[]", "[0]", '{"a": 1}']
+RULE_TYPES = ['"threshold"', '"threshold-grid"', '"attribute"', '"constant"']
+RULE_FIELDS = ["feature", "cut", "value", "max_cuts", "name"]
+
+
+@st.composite
+def rule_entry(draw):
+    """A rule object, as JSON text, with a known or any type and any value in any field."""
+    fields = {"type": draw(st.sampled_from(RULE_TYPES) | st.sampled_from(JSON_VALUES))}
+    for key in RULE_FIELDS:
+        if draw(st.booleans()):
+            fields[key] = draw(st.sampled_from(JSON_VALUES))
+    return "{" + ", ".join(f'"{key}": {value}' for key, value in fields.items()) + "}"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(entries=st.lists(rule_entry(), min_size=1, max_size=3))
+@example(entries=['{"type": "attribute", "name": []}'])
+def test_hypothesis_spec_keeps_the_exit_contract(fuzz_files, entries):
+    """``train`` on a rule list of any field values exits 0 or 2, and never raises."""
+    rules = f"{fuzz_files['dir']}/fuzzed-rules.json"
+    with open(rules, "w", encoding="utf-8") as fh:
+        fh.write('{"rules": [' + ", ".join(entries) + "]}")
+    note(entries)
+    assert _run(["train", "--data", fuzz_files["data"], "--hypotheses", rules]) in (0, 2)
