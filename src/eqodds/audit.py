@@ -29,6 +29,7 @@ from .core import (
     GroupRates,
     InvalidParameterError,
     PredictorInput,
+    _require_nonzero_cells,
     empirical_rates,
 )
 
@@ -37,9 +38,9 @@ def required_sample_size(alpha: float, delta: float,
                          cells: CellProbabilities) -> int:
     """Samples needed before the detection test's guarantee applies."""
     _check_alpha_delta(alpha, delta)
-    min_cell = cells.positive_min_cell("required sample size")
+    _require_nonzero_cells(cells.table, "required sample size")
     try:  # alpha ** 2 * min_cell can underflow to 0, or the quotient overflow
-        return math.ceil(16.0 * math.log(32.0 / delta) / (alpha ** 2 * min_cell))
+        return math.ceil(16.0 * math.log(32.0 / delta) / (alpha ** 2 * cells.min_cell))
     except (ZeroDivisionError, OverflowError):
         raise InvalidParameterError(
             f"alpha = {alpha} is too small: the required sample size is not finite") from None
@@ -101,7 +102,7 @@ def detect(dataset: Dataset, predictor: PredictorInput, alpha: float,
     requirement. All four (y, a) cells must be populated.
     """
     _check_alpha_delta(alpha, delta)
-    dataset.require_all_cells("detection test")
+    _require_nonzero_cells(dataset.cell_counts, "detection test")
     rates = empirical_rates(dataset, predictor)
     cells_source = "supplied"
     if cells is None:

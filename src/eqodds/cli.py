@@ -106,7 +106,7 @@ def _parse_cell_probs(text: Optional[str]) -> Optional[CellProbabilities]:
     if len(values) != 4:
         raise CliError("--cell-probs wants four comma-separated numbers "
                        f"(p00,p01,p10,p11 in (y,a) order), got {text!r}")
-    return CellProbabilities.from_flat(values)
+    return CellProbabilities(np.reshape(values, (2, 2)))
 
 
 def _finite_float(text: str) -> float:
@@ -249,8 +249,10 @@ def _cmd_fit_linear_fair(args) -> int:
     if args.method in ("closed-form", "derived") and args.loss != "squared":
         raise CliError(f"method {args.method!r} is squared-loss only; "
                        f"use --method pgd for {args.loss!r}")
+    # no score is read: a `score` column is dropped unless a flag names it
+    dropped = None if "score" in (args.protected_col, args.label_col) else "score"
     ds = _load_data(args.data, attr_col=args.protected_col, label_col=args.label_col,
-                    require_binary=False)
+                    score_col=dropped, require_binary=False)
     model = estimate_moments(ds)
     raw = fit_unconstrained(model)
     payload = {

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -175,10 +175,6 @@ class Dataset:
         counts.flags.writeable = False
         return counts
 
-    def require_all_cells(self, context: str) -> None:
-        """Raise EmptyCellError unless all four (y, a) cells hold a row."""
-        _require_nonzero_cells(self.cell_counts, context)
-
     def subset(self, indices) -> "Dataset":
         """The rows at integer ``indices``, in their order; repeats allowed."""
         idx = np.atleast_1d(np.asarray(indices))
@@ -212,22 +208,9 @@ class CellProbabilities:
     def min_cell(self) -> float:
         return float(self.table.min())
 
-    def positive_min_cell(self, context: str) -> float:
-        """``min_cell``; raises EmptyCellError when some cell has no mass."""
-        _require_nonzero_cells(self.table, context)
-        return self.min_cell
-
     @classmethod
     def from_dataset(cls, dataset: Dataset) -> "CellProbabilities":
         return cls(dataset.cell_counts / len(dataset))
-
-    @classmethod
-    def from_flat(cls, values: Iterable[float]) -> "CellProbabilities":
-        """Build from (p00, p01, p10, p11) listed in (y, a) order."""
-        vals = [float(v) for v in values]
-        if len(vals) != 4:
-            raise InvalidParameterError("expected four cell probabilities")
-        return cls(np.array(vals).reshape(2, 2))
 
     @classmethod
     def uniform(cls) -> "CellProbabilities":
@@ -395,7 +378,7 @@ def empirical_rates(dataset: Dataset, predictor: PredictorInput) -> GroupRates:
     ``predictor`` is either a BinaryPredictor or a precomputed per-row
     acceptance array (e.g. a score column). Cells with no samples get a
     NaN rate and a zero count rather than an error; consumers that need
-    all four conditionals call ``Dataset.require_all_cells``.
+    all four conditionals pass ``cell_counts`` to ``_require_nonzero_cells``.
     """
     counts = dataset.cell_counts  # checks binarity on first use
     vals = _acceptance_values(dataset, predictor)

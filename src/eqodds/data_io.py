@@ -40,6 +40,7 @@ import secrets
 import warnings
 from contextlib import contextmanager
 from functools import partial
+from typing import Optional
 
 import numpy as np
 
@@ -71,7 +72,7 @@ class ParseError(EqoddsError, ValueError):
 
 
 def load_csv(path, attr_col: str = "a", label_col: str = "y",
-             score_col: str = "score", require_binary: bool = True) -> Dataset:
+             score_col: Optional[str] = "score", require_binary: bool = True) -> Dataset:
     """Read a dataset file, validating the header and every cell.
 
     Feature columns must be named ``x0..x{d-1}``; unknown columns are
@@ -79,8 +80,13 @@ def load_csv(path, attr_col: str = "a", label_col: str = "y",
     {0, 1} attribute and label values (turn off for real-valued targets).
     Non-finite cells (nan, inf) are rejected with their line and column,
     bytes that are not UTF-8 with their line, and a repeated header column
-    by name.
+    by name. The attribute, label and score columns (``score_col=None``: no
+    score column) must be distinct names.
     """
+    roles = {"attribute": attr_col, "label": label_col, "score": score_col}
+    for (role, name), (other, other_name) in itertools.combinations(roles.items(), 2):
+        if name == other_name:
+            raise SchemaError(f"column {name!r} cannot be both the {role} and the {other} column")
     try:
         return _read_dataset(path, attr_col, label_col, score_col, require_binary)
     except UnicodeDecodeError:

@@ -40,9 +40,11 @@ from .core import (
     GroupRates,
     InvalidParameterError,
     PredictorInput,
+    _require_nonzero_cells,
     acceptance_values,
     empirical_rates,
 )
+from .synthetic import population_rates
 
 _FEAS_TOL = 1e-9      # vertex feasibility slack
 _TIE_TOL = 1e-12      # objective tie window for the lexicographic tie-break
@@ -107,13 +109,12 @@ class RateStatistics:
 
     @classmethod
     def from_sample(cls, dataset: Dataset, predictor: PredictorInput) -> "RateStatistics":
-        dataset.require_all_cells("rate statistics")
+        _require_nonzero_cells(dataset.cell_counts, "rate statistics")
         return cls(empirical_rates(dataset, predictor).rates,
                    CellProbabilities.from_dataset(dataset))
 
     @classmethod
     def from_population(cls, law, predictor: BinaryPredictor) -> "RateStatistics":
-        from .synthetic import population_rates
         return cls(population_rates(law, predictor).rates, law.cell_probabilities())
 
 

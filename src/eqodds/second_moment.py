@@ -171,7 +171,9 @@ def estimate_moments(dataset: Dataset) -> SecondMomentModel:
     if n < d + 2:
         raise InvalidParameterError(f"need at least {d + 2} rows, got {n}")
     stacked = np.column_stack([dataset.features, dataset.attr, dataset.labels])
-    return SecondMomentModel(stacked.mean(axis=0), np.cov(stacked.T, ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):  # SecondMomentModel refuses inf, nan
+        mean, cov = stacked.mean(axis=0), np.cov(stacked.T, ddof=1)
+    return SecondMomentModel(mean, cov)
 
 
 def model_squared_loss(model: SecondMomentModel, predictor: LinearPredictor) -> float:

@@ -5,11 +5,12 @@ ground truth:
 
 * ``FiniteJointLaw`` -- explicit atoms over (x, a, y) with exact
   probabilities; rates and losses are computed by enumeration, never by
-  sampling.
+  sampling. ``population_loss01`` takes only these finite laws.
 * ``CellProductLaw`` -- a (Y, A) cell table with conditionally independent
   Bernoulli feature coordinates. Its support is exponential in the number
-  of coordinates, so only coordinate rules and constants are evaluated,
-  analytically.
+  of coordinates, so only the rates of coordinate rules and constants are
+  evaluated, analytically; their 0-1 loss is ``expected_loss_from_rates``
+  of those rates and the law's ``cells``.
 * ``gaussian_law`` -- a random jointly Gaussian (X..., A, Y), returned as
   the ``SecondMomentModel`` of its mean and covariance; ``sample_law``
   draws from it.
@@ -53,7 +54,6 @@ from .core import (
     _cell_codes,
     cell_sums,
 )
-from .posthoc import expected_loss_from_rates
 from .second_moment import SecondMomentModel
 
 # Largest row draw, refused before allocating: its dataset holds n * (d + 2)
@@ -234,10 +234,11 @@ def _population_rates(law: Law, rules: Sequence[BinaryPredictor]) -> np.ndarray:
     return rates
 
 
-def population_loss01(law: Law, predictor: BinaryPredictor) -> float:
-    """Exact expected 0-1 loss over the law."""
+def population_loss01(law: FiniteJointLaw, predictor: BinaryPredictor) -> float:
+    """Exact expected 0-1 loss over a finite law, by enumeration of its atoms."""
     if isinstance(law, CellProductLaw):
-        return expected_loss_from_rates(population_rates(law, predictor).rates, law.cells)
+        raise InvalidParameterError("0-1 loss of a cell-product law: use "
+                                    "expected_loss_from_rates of its rates")
     vals = predictor.acceptance(law.x, law.attr)
     return float((law.probs * np.abs(vals - law.labels)).sum())
 

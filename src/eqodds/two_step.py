@@ -168,7 +168,7 @@ def constrained_erm(dataset: Dataset, hclass: FiniteHypothesisClass,
     """
     if not tolerance >= 0:  # NaN fails too
         raise InvalidParameterError(f"tolerance must be nonnegative, got {tolerance}")
-    dataset.require_all_cells("constrained risk minimization")
+    _require_nonzero_cells(dataset.cell_counts, "constrained risk minimization")
     [pick], [loss], [gap], [feasible] = _select(_scan(hclass, dataset)[None],
                                                 dataset.cell_counts[None], np.array([tolerance]))
     rules = hclass.rules + _CONSTANTS
@@ -199,14 +199,12 @@ class TwoStepResult:
 
 
 def _tolerances(config: TwoStepConfig, first: np.ndarray, second: np.ndarray):
-    """Step-1 and step-2 gap tolerances, flat (N,) each, for the N trials whose halves
-    have the (..., T, 2, 2) cell counts ``first`` and ``second``. Every cell must hold
-    a row, checked one (T, 2, 2) stack at a time, its first halves before its second."""
-    for block1, block2 in zip(first.reshape(-1, *first.shape[-3:]),
-                              second.reshape(-1, *second.shape[-3:])):
-        _require_nonzero_cells(block1, "first half")
-        _require_nonzero_cells(block2, "second half")
-    auto = auto_tolerance((first + second).reshape(-1, 2, 2), config.delta)
+    """Step-1 and step-2 gap tolerances, (N,) each, for the N trials whose halves
+    have the (N, 2, 2) cell counts ``first`` and ``second``. Every cell must hold a
+    row, checked on all first halves before any second half."""
+    _require_nonzero_cells(first, "first half")
+    _require_nonzero_cells(second, "second half")
+    auto = auto_tolerance(first + second, config.delta)
     return tuple(auto if t == "auto" else np.full(len(auto), float(t))
                  for t in (config.train_tolerance, config.correct_tolerance))
 
@@ -223,7 +221,7 @@ def train_two_step(data: Dataset, hclass: FiniteHypothesisClass,
     step1 = constrained_erm(s1, hclass, t_train)
     # step 2 from the step-1 rule's cell sums on the second half
     sums, counts = cell_sums(s2.cell, step1.rule.on_dataset(s2)), s2.cell_counts
-    stats = RateStatistics(sums / counts, CellProbabilities(counts / counts.sum()))
+    stats = RateStatistics(sums / counts, CellProbabilities.from_dataset(s2))
     derived = optimal_derived(stats, t_correct)
     induced = induced_rates(derived, stats)
     diagnostics = {
@@ -240,17 +238,14 @@ def train_two_step(data: Dataset, hclass: FiniteHypothesisClass,
 
 def _train_on_counts(accept: np.ndarray, cell: np.ndarray, first: np.ndarray,
                      second: np.ndarray, config: TwoStepConfig):
-    """``train_two_step`` for the N trials of the (..., T, m) atom counts of their
-    halves, ``accept`` (R, m) holding each rule's acceptance of the m atoms of cell
-    codes ``cell``: the ``_select`` result, both (N,) tolerances and the (N, 2, 2)
-    step-2 accept tables, the trials in row-major order. Empty cells are reported as
-    ``_tolerances`` checks them, a (T, m) stack at a time; steps 1 and 2 then run
-    ``_COUNT_TRIALS`` trials at a time. Cell sums are exact integer sums, so each
-    trial equals ``train_two_step`` on rows of its counts bit for bit."""
+    """``train_two_step`` for the N trials of the (N, m) atom counts of their halves,
+    ``accept`` (R, m) holding each rule's acceptance of the m atoms of cell codes
+    ``cell``: the ``_select`` result, both (N,) tolerances and the (N, 2, 2) step-2
+    accept tables. Empty cells are reported as ``_tolerances`` checks them; steps 1
+    and 2 then run ``_COUNT_TRIALS`` trials at a time. Cell sums are exact integer
+    sums, so each trial equals ``train_two_step`` on rows of its counts bit for bit."""
     counts1, counts2 = cell_sums(cell, first), cell_sums(cell, second)
     t_train, t_correct = _tolerances(config, counts1, counts2)
-    first, second = first.reshape(-1, first.shape[-1]), second.reshape(-1, second.shape[-1])
-    counts1, counts2 = counts1.reshape(-1, 2, 2), counts2.reshape(-1, 2, 2)
     picked = np.vstack([accept, np.zeros_like(accept[0]), np.ones_like(accept[0])])  # + _CONSTANTS
     parts, derived = [], np.empty((len(first), 2, 2))
     for lo in range(0, len(first), _COUNT_TRIALS):

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 
 from eqodds.core import (BinaryPredictor, CellProbabilities, ConstantRule, GroupRates,
-                         empirical_loss, empirical_rates)
+                         _require_nonzero_cells, empirical_loss, empirical_rates)
 from eqodds.posthoc import RateStatistics, expected_loss_from_rates, induced_rates
 from eqodds.synthetic import FiniteJointLaw
 from eqodds.two_step import Step1Result
@@ -139,7 +139,7 @@ def constrained_erm_oracle(dataset, hclass, tolerance):
     Each rule is evaluated on its own; its loss is computed only when it is
     feasible, and a strictly smaller loss is needed to displace the best so far.
     """
-    dataset.require_all_cells("constrained risk minimization")
+    _require_nonzero_cells(dataset.cell_counts, "constrained risk minimization")
     best = None
     feasible_names = []
     for rule in hclass:

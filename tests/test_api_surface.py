@@ -6,7 +6,7 @@ diff next to the code that adds it. Every public function, class and method
 is named by the commands, the experiments or the benchmark, or it is listed
 in ``UNREACHED`` with the reason it stays. Every public dataclass field and
 property is read by them, or it is listed in ``UNREAD``. No module imports a
-name it does not use.
+name it does not use, and no function imports a module of the package.
 """
 
 import ast
@@ -177,3 +177,22 @@ def test_no_unused_imports():
                  for name in ast.literal_eval(node.value)}
         unused += [f"{path.name}: {name}" for name in imported if name not in used]
     assert unused == []
+
+
+def _imports_eqodds(node) -> bool:
+    if isinstance(node, ast.ImportFrom):  # a relative import is always one of ours
+        return node.level > 0 or (node.module or "").split(".")[0] == "eqodds"
+    return isinstance(node, ast.Import) and any(
+        alias.name.split(".")[0] == "eqodds" for alias in node.names)
+
+
+def test_no_function_imports_a_sibling_module():
+    """No function or method body of ``src/eqodds`` imports an ``eqodds`` module: such an
+    import defers a module-level cycle to call time, where it hides."""
+    hidden = []
+    for path in sorted(ROOT.glob("src/eqodds/*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                hidden += [f"{path.name}: {fn.name}" for node in ast.walk(fn)
+                           if _imports_eqodds(node)]
+    assert hidden == []

@@ -42,7 +42,7 @@ class TestGap:
 
 class TestRequiredSampleSize:
     def test_hand_computed_value(self):
-        cells = CellProbabilities.from_flat([0.15, 0.25, 0.25, 0.35])
+        cells = CellProbabilities(np.array([[0.15, 0.25], [0.25, 0.35]]))
         want = math.ceil(16 * math.log(320) / (0.2 ** 2 * 0.15))
         assert required_sample_size(0.2, 0.1, cells) == want == 15383
 

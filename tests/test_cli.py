@@ -427,6 +427,21 @@ class TestCliCommands:
             fit = json.loads(capsys.readouterr().out)["constrained"]
             assert fit["stop_reason"] == "converged"
 
+    def test_fit_linear_fair_label_may_be_named_score(self, tmp_path, capsys):
+        # fit-linear-fair reads no score, so a target column named `score` is its label
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(300, 2))
+        a = (x[:, 0] + rng.normal(size=300) > 0).astype(float)
+        target = x @ [1.0, -0.5] + a + rng.normal(size=300)
+        payloads = []
+        for name in ("y", "score"):
+            data = tmp_path / f"{name}.csv"
+            np.savetxt(data, np.column_stack([x, a, target]), fmt="%.17g", delimiter=",",
+                       header=f"x0,x1,a,{name}", comments="")
+            assert main(["fit-linear-fair", "--data", str(data), "--label-col", name]) == 0
+            payloads.append(json.loads(capsys.readouterr().out))
+        assert payloads[0] == payloads[1]
+
     def test_fit_linear_fair_rejects_bad_combo(self, tmp_path):
         data = tmp_path / "g.csv"
         from eqodds.synthetic import gaussian_law
@@ -565,7 +580,11 @@ def test_nan_score_audit_exits_2(tmp_path, capsys):
     ("value-true", "rules[0] (constant): ValueError: value must be a number, got True"),
     ("value-string", "rules[0] (constant): ValueError: value must be a number, got '1'"),
     ("moments-overflow", "error: mean and covariance must be finite"),
+    ("score-col-is-attr", "error: column 'a' cannot be both the attribute and the score column"),
+    ("label-col-is-attr", "error: column 'a' cannot be both the attribute and the label column"),
+    ("score-col-is-label", "error: column 'y' cannot be both the label and the score column"),
 ])
+@pytest.mark.filterwarnings("error")  # no warning may reach stderr ahead of the error line
 def test_malformed_input_exits_2(case, needle, tmp_path, capsys):
     data = tmp_path / "d.csv"
     write_scored_csv(data, n=400, seed=15)  # one feature column, x0
@@ -678,6 +697,13 @@ def test_malformed_input_exits_2(case, needle, tmp_path, capsys):
         **{name: ["train", "--data", str(wide), "--hypotheses", str(tmp_path / f"{name}.json")]
            for name in loose},
         "moments-overflow": ["fit-linear-fair", "--data", str(huge)],
+        # column flags that name one column twice, refused before the feature check
+        "score-col-is-attr": ["audit", "--data", str(data), "--alpha", "0.5", "--delta", "0.1",
+                              "--score-col", "a"],
+        "label-col-is-attr": ["fit-linear-fair", "--data", str(data), "--label-col", "a",
+                              "--protected-col", "a"],
+        "score-col-is-label": ["correct", "--data", str(data), "--tolerance", "0",
+                               "--score-col", "y"],
     }[case]
     assert main(argv) == 2
     out, err = capsys.readouterr()

@@ -24,10 +24,12 @@ from eqodds.core import (
     split_dataset,
 )
 from eqodds import core
+from eqodds.audit import detect, required_sample_size
 from eqodds.data_io import load_csv
-from eqodds.posthoc import DerivedPredictor
+from eqodds.posthoc import DerivedPredictor, RateStatistics
 from eqodds.synthetic import (CellProductLaw, FiniteJointLaw, erm_trap_family, sample_law,
                               two_proxy_law)
+from eqodds.two_step import TwoStepConfig, _train_on_counts, constrained_erm
 from oracles import FunctionRule, counting_rates_oracle as counting_oracle_rates
 
 
@@ -306,10 +308,32 @@ def test_cell_index_and_counts_cached():
     assert np.array_equal(ds.cell, [0, 1, 3, 2, 3])
     assert np.array_equal(ds.cell_counts, [[1, 1], [1, 2]])
     assert ds.cell_counts is ds.cell_counts
-    ds.require_all_cells("test")
+    core._require_nonzero_cells(ds.cell_counts, "test")
     with pytest.raises(EmptyCellError) as err:
-        Dataset(np.zeros((2, 1)), [0, 1], [1, 1]).require_all_cells("test")
+        core._require_nonzero_cells(Dataset(np.zeros((2, 1)), [0, 1], [1, 1]).cell_counts, "test")
     assert err.value.cells == [(0, 0), (0, 1)]
+
+
+# each caller names itself; the two-trial stack lacks a second-half cell in trial 0 and a
+# first-half cell in trial 1, and every first half is checked before any second half
+@pytest.mark.parametrize("call, message", [
+    (lambda ds: constrained_erm(ds, FiniteHypothesisClass((ConstantRule(0.0),)), 0.1),
+     "constrained risk minimization: empty (y, a) cells: [(1, 1)]"),
+    (lambda ds: detect(ds, np.zeros(3), 0.5, 0.1), "detection test: empty (y, a) cells: [(1, 1)]"),
+    (lambda ds: RateStatistics.from_sample(ds, np.zeros(3)),
+     "rate statistics: empty (y, a) cells: [(1, 1)]"),
+    (lambda ds: required_sample_size(0.5, 0.1, CellProbabilities.from_dataset(ds)),
+     "required sample size: empty (y, a) cells: [(1, 1)]"),
+    (lambda ds: _train_on_counts(np.ones((1, 4)), np.arange(4),
+                                 np.array([[1, 1, 1, 1], [1, 0, 1, 1]]),
+                                 np.array([[1, 1, 0, 1], [1, 1, 1, 1]]), TwoStepConfig()),
+     "first half: empty (y, a) cells: [(0, 1)]"),
+], ids=["constrained_erm", "detect", "from_sample", "required_sample_size", "train_on_counts"])
+def test_empty_cell_message_names_the_caller(call, message):
+    ds = Dataset(np.zeros((3, 1)), [0, 1, 0], [0, 0, 1])  # no row in cell (1, 1)
+    with pytest.raises(EmptyCellError) as err:
+        call(ds)
+    assert str(err.value) == message
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)

@@ -434,7 +434,7 @@ class TestConservativeCorrection:
 
 def test_expected_loss_from_rates_hand_value():
     rates = np.array([[0.2, 0.4], [0.9, 0.5]])
-    cells = CellProbabilities.from_flat([0.1, 0.2, 0.3, 0.4])
+    cells = CellProbabilities(np.array([[0.1, 0.2], [0.3, 0.4]]))
     want = 0.1 * 0.2 + 0.2 * 0.4 + 0.3 * (1 - 0.9) + 0.4 * (1 - 0.5)
     assert expected_loss_from_rates(rates, cells) == pytest.approx(want, abs=1e-15)
 

@@ -15,6 +15,7 @@ from eqodds.core import (
     InvalidParameterError,
 )
 from eqodds.experiments import run_two_step_rate_sweep
+from eqodds.posthoc import expected_loss_from_rates
 from eqodds.second_moment import SecondMomentModel
 from eqodds.synthetic import (
     CellProductLaw,
@@ -35,6 +36,11 @@ from eqodds.two_step import _CONSTANTS, TwoStepConfig, train_two_step
 from oracles import FunctionRule, population_two_step, product_law_atoms
 
 X_RULE = FeatureThresholdRule(0, 0.5, name="x")
+
+
+def product_loss01(law, rule):
+    """Exact 0-1 loss of a coordinate rule or constant on a product law, from its rates."""
+    return expected_loss_from_rates(population_rates(law, rule).rates, law.cells)
 
 
 class TestTwoProxyLaw:
@@ -111,7 +117,9 @@ class TestErmTrapFamily:
         law, hclass = erm_trap_family(6, alpha)
         r0 = population_rates(law, hclass.rules[0])
         assert r0.gap() == pytest.approx(0.0, abs=1e-15)
-        assert population_loss01(law, hclass.rules[0]) == pytest.approx(alpha, abs=1e-12)
+        assert product_loss01(law, hclass.rules[0]) == pytest.approx(alpha, abs=1e-12)
+        with pytest.raises(InvalidParameterError, match="expected_loss_from_rates"):
+            population_loss01(law, hclass.rules[0])  # finite laws only
 
     def test_trap_coordinate_stats(self):
         alpha = 0.07
@@ -119,7 +127,7 @@ class TestErmTrapFamily:
         p_min = law.cells.min_cell
         for rule in hclass.rules[1:]:
             assert population_rates(law, rule).gap() == pytest.approx(alpha, abs=1e-12)
-            assert population_loss01(law, rule) == pytest.approx(alpha * p_min, abs=1e-12)
+            assert product_loss01(law, rule) == pytest.approx(alpha * p_min, abs=1e-12)
 
     def test_analytic_rates_match_atom_enumeration(self):
         law, hclass = erm_trap_family(4, 0.2)
@@ -146,7 +154,7 @@ class TestErmTrapFamily:
         for rule in hclass.rules:
             hinge = population_loss_hinge(
                 finite, lambda X, a, rule=rule: 2.0 * rule.predict_proba(X, a) - 1.0)
-            assert hinge == pytest.approx(2.0 * population_loss01(law, rule), abs=1e-12)
+            assert hinge == pytest.approx(2.0 * product_loss01(law, rule), abs=1e-12)
 
     def test_coordinates_independent_within_each_cell(self):
         # inside each (y, a) cell the coordinate predictions factorize exactly
@@ -383,14 +391,14 @@ class TestRateStack:
         assert message == f"no closed form for rule {rule.name!r} on a cell-product law"
         assert self.error(lambda: _population_rates(law, hclass.rules + (rule,))) == message
         empty = product_law_atoms(CellProductLaw(
-            CellProbabilities.from_flat([0.5, 0.5, 0.0, 0.0]), np.full((2, 2, 2), 0.5)))
+            CellProbabilities(np.array([[0.5, 0.5], [0.0, 0.0]])), np.full((2, 2, 2), 0.5)))
         message = self.error(lambda: population_rates(empty, ConstantRule(1.0)))
         assert message == "law has no mass in (y, a) cells [[1, 0], [1, 1]]"
         assert self.error(lambda: _population_rates(empty, (X_RULE, ConstantRule(1.0)))) == message
 
 
 def test_population_rates_requires_mass_in_every_cell():
-    law = CellProductLaw(CellProbabilities.from_flat([0.5, 0.5, 0.0, 0.0]),
+    law = CellProductLaw(CellProbabilities(np.array([[0.5, 0.5], [0.0, 0.0]])),
                          np.full((2, 2, 2), 0.5))
     with pytest.raises(InvalidParameterError):
         population_rates(product_law_atoms(law), ConstantRule(1.0))
