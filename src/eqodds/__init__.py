@@ -10,11 +10,11 @@ from .core import (
     EqoddsError,
     FeatureThresholdRule,
     FiniteHypothesisClass,
-    GroupRates,
     InvalidParameterError,
     TooFewSamplesError,
     empirical_loss,
     empirical_rates,
+    rate_gap,
     split_dataset,
 )
 
@@ -30,10 +30,10 @@ __all__ = [
     "EqoddsError",
     "FeatureThresholdRule",
     "FiniteHypothesisClass",
-    "GroupRates",
     "InvalidParameterError",
     "TooFewSamplesError",
     "empirical_loss",
     "empirical_rates",
+    "rate_gap",
     "split_dataset",
 ]

@@ -23,14 +23,15 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .core import (
     CellProbabilities,
     Dataset,
-    GroupRates,
     InvalidParameterError,
-    PredictorInput,
     _require_nonzero_cells,
     empirical_rates,
+    rate_gap,
 )
 
 
@@ -50,7 +51,8 @@ def required_sample_size(alpha: float, delta: float,
 class AuditReport:
     """Outcome of the detection test on one sample."""
 
-    rates: GroupRates
+    rates: np.ndarray            # (2, 2) [y][a] sample acceptance rates
+    cell_counts: np.ndarray      # (2, 2) [y][a] rows per cell
     gap: float
     threshold: float             # alpha / 2
     flagged: bool                # gap > threshold
@@ -76,9 +78,8 @@ class AuditReport:
             "delta": self.delta,
             "n": self.n,
             "required_n": self.required_n,
-            "rates": self.rates.rates.tolist(),
-            "cell_counts": None if self.rates.counts is None
-            else self.rates.counts.tolist(),
+            "rates": self.rates.tolist(),
+            "cell_counts": self.cell_counts.tolist(),
             "cell_probabilities": self.cells.table.tolist(),
             "cells_source": self.cells_source,
             "note": ("guarantee covers population gaps of 0 or >= alpha; "
@@ -93,9 +94,10 @@ def _check_alpha_delta(alpha: float, delta: float) -> None:
         raise InvalidParameterError(f"delta must lie in (0, 1/2), got {delta}")
 
 
-def detect(dataset: Dataset, predictor: PredictorInput, alpha: float,
+def detect(dataset: Dataset, values, alpha: float,
            delta: float, cells: Optional[CellProbabilities] = None) -> AuditReport:
-    """Run the detection test: flag iff the sample gap exceeds alpha / 2.
+    """Run the detection test on per-row acceptance probabilities ``values``:
+    flag iff the sample gap exceeds alpha / 2.
 
     ``cells`` supplies true joint cell probabilities when known; otherwise
     the audited sample's empirical frequencies are used for the sample-size
@@ -103,16 +105,17 @@ def detect(dataset: Dataset, predictor: PredictorInput, alpha: float,
     """
     _check_alpha_delta(alpha, delta)
     _require_nonzero_cells(dataset.cell_counts, "detection test")
-    rates = empirical_rates(dataset, predictor)
+    rates = empirical_rates(dataset, values)
     cells_source = "supplied"
     if cells is None:
         cells = CellProbabilities.from_dataset(dataset)
         cells_source = "empirical"
-    gap = rates.gap()
+    gap = float(rate_gap(rates))
     required = required_sample_size(alpha, delta, cells)
     n = len(dataset)
     return AuditReport(
         rates=rates,
+        cell_counts=dataset.cell_counts,
         gap=gap,
         threshold=alpha / 2.0,
         flagged=gap > alpha / 2.0,

@@ -37,8 +37,8 @@ from .core import (
     EqoddsError,
     FeatureThresholdRule,
     FiniteHypothesisClass,
-    GroupRates,
     empirical_loss,
+    rate_gap,
 )
 from .data_io import load_csv, write_csv, write_json_atomic, write_rows_csv
 from .experiments import EXPERIMENTS, run_experiment
@@ -148,7 +148,7 @@ def _whole_number(value, key: str) -> int:
     """A JSON number with a whole value as an int: 2 or 2.0, not 2.5, true or "2"
     (int() of inf raises OverflowError, of nan ValueError)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or int(value) != value:
-        raise ValueError(f"{key} must be a whole number, got {value!r}")
+        raise ValueError(f"{key} must be a whole number, got {reprlib.repr(value)}")
     return int(value)
 
 
@@ -215,9 +215,9 @@ def _cmd_correct(args) -> int:
         "tolerance": args.tolerance,
         "accept": derived.accept.tolist(),
         "base_rates": stats.rates.tolist(),
-        "induced_rates": out_rates.rates.tolist(),
-        "base_gap": GroupRates(stats.rates).gap(),
-        "induced_gap": out_rates.gap(),
+        "induced_rates": out_rates.tolist(),
+        "base_gap": float(rate_gap(stats.rates)),
+        "induced_gap": float(rate_gap(out_rates)),
         "loss_before": empirical_loss(ds, preds),
         "loss_after": derived_loss(derived, stats),
     }

@@ -5,7 +5,9 @@ Everything downstream works over four-cell statistics indexed by
 
     rates[y][a] = P(prediction = 1 | Y = y, A = a)
 
-their cell counts, and the joint cell probabilities P(Y = y, A = a).
+held as a plain (2, 2) array (a stack of them as (..., 2, 2)) with its
+largest cross-group difference ``rate_gap``, their cell counts, and the
+joint cell probabilities P(Y = y, A = a).
 Randomized predictors are represented by their conditional acceptance
 probability, so every rate and loss below is an expectation; nothing in
 this module draws random bits.
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
@@ -77,8 +79,9 @@ def _cell_codes(labels: np.ndarray, attr: np.ndarray) -> np.ndarray:
     return np.add(cell, attr, out=cell, casting="unsafe")  # whole 0/1 values: exact
 
 
-def _gaps(rates: np.ndarray) -> np.ndarray:
-    """Largest cross-group difference of (..., 2, 2) [y][a] rate tables, max over labels."""
+def rate_gap(rates: np.ndarray) -> np.ndarray:
+    """Largest cross-group difference of (..., 2, 2) [y][a] rate tables, max over labels:
+    the discrimination gap. An empty sample cell's NaN rate gives a NaN gap."""
     return np.abs(rates[..., 0] - rates[..., 1]).max(axis=-1)
 
 
@@ -217,55 +220,6 @@ class CellProbabilities:
         return cls(np.full((2, 2), 0.25))
 
 
-@dataclass(frozen=True)
-class GroupRates:
-    """Conditional acceptance rates with (optionally) their cell counts.
-
-    ``rates[y][a]`` estimates P(prediction = 1 | Y = y, A = a). ``counts``
-    is present for sample-based tables and ``None`` for population tables.
-    Empty sample cells carry NaN in ``rates`` and 0 in ``counts``; they do
-    not abort construction because plain loss evaluation is still valid,
-    but ``gap()`` refuses to certify on them.
-    """
-
-    rates: np.ndarray
-    counts: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        r = np.asarray(self.rates, dtype=np.float64)
-        if r.shape != (2, 2):
-            raise InvalidParameterError("rates table must be 2x2")
-        object.__setattr__(self, "rates", r)
-        if self.counts is not None:
-            c = np.asarray(self.counts, dtype=np.int64)
-            if c.shape != (2, 2) or (c < 0).any():
-                raise InvalidParameterError("counts must be a nonnegative 2x2 table")
-            object.__setattr__(self, "counts", c)
-        if ((r < -1e-12) | (r > 1 + 1e-12)).any():  # NaN (an empty cell) passes
-            raise InvalidParameterError("rates must lie in [0, 1]")
-
-    @property
-    def empty_cells(self):
-        empty = np.isnan(self.rates) if self.counts is None else self.counts == 0
-        if not empty.any():
-            return []
-        return [tuple(idx) for idx in np.argwhere(empty)]
-
-    def gap(self) -> float:
-        """Largest cross-group rate difference, max over labels.
-
-        Raises EmptyCellError when any cell is unpopulated: a gap computed
-        from a missing conditional is meaningless.
-        """
-        empty = self.empty_cells
-        if empty:
-            raise EmptyCellError(empty, "discrimination gap")
-        return float(_gaps(self.rates))
-
-
-PredictorInput = Union["BinaryPredictor", np.ndarray, Sequence[float]]
-
-
 class BinaryPredictor:
     """Evaluable decision rule (x, a) -> {0, 1}, possibly randomized.
 
@@ -366,31 +320,25 @@ def acceptance_values(values, n: int, what: str = "acceptance values") -> np.nda
     return vals
 
 
-def _acceptance_values(dataset: Dataset, predictor: PredictorInput) -> np.ndarray:
-    if isinstance(predictor, BinaryPredictor):
-        return predictor.on_dataset(dataset)
-    return acceptance_values(predictor, len(dataset))
+def empirical_rates(dataset: Dataset, values) -> np.ndarray:
+    """Sample conditional acceptance rates, cell by cell: the (2, 2) [y][a] table.
 
-
-def empirical_rates(dataset: Dataset, predictor: PredictorInput) -> GroupRates:
-    """Sample conditional acceptance rates of a rule, cell by cell.
-
-    ``predictor`` is either a BinaryPredictor or a precomputed per-row
-    acceptance array (e.g. a score column). Cells with no samples get a
-    NaN rate and a zero count rather than an error; consumers that need
-    all four conditionals pass ``cell_counts`` to ``_require_nonzero_cells``.
+    ``values`` are per-row acceptance probabilities, a score column or a rule's
+    ``on_dataset``. Cells with no samples get a NaN rate rather than an error;
+    consumers that need all four conditionals pass ``cell_counts`` to
+    ``_require_nonzero_cells``.
     """
     counts = dataset.cell_counts  # checks binarity on first use
-    vals = _acceptance_values(dataset, predictor)
+    vals = acceptance_values(values, len(dataset))
     with np.errstate(invalid="ignore"):  # 0 / 0 marks an empty cell NaN
-        rates = cell_sums(dataset.cell, vals) / counts
-    return GroupRates(rates, counts)
+        return cell_sums(dataset.cell, vals) / counts
 
 
-def empirical_loss(dataset: Dataset, predictor: PredictorInput) -> float:
-    """Mean expected 0-1 loss; randomized rules contribute expected mistakes."""
+def empirical_loss(dataset: Dataset, values) -> float:
+    """Mean expected 0-1 loss of per-row acceptance probabilities ``values``;
+    randomized rules contribute expected mistakes."""
     dataset.require_binary()
-    mistakes = _acceptance_values(dataset, predictor) - dataset.labels
+    mistakes = acceptance_values(values, len(dataset)) - dataset.labels
     return float(np.mean(np.abs(mistakes, out=mistakes)))
 
 

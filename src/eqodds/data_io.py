@@ -123,9 +123,13 @@ def _read_dataset(path, attr_col, label_col, score_col, require_binary) -> Datas
         feature_names = [h for h in header if h not in special]
         expected = [f"x{i}" for i in range(len(feature_names))]
         if feature_names != expected:
+            # a role given the wrong column shows up here: name what each role took
+            roles = ", ".join(f"{role} {name!r}" for role, name in (
+                ("attribute", attr_col), ("label", label_col), ("score", score_col))
+                if name is not None)
             raise SchemaError(
                 f"feature columns must be x0..x{len(feature_names) - 1} in order, "
-                f"got {feature_names}")
+                f"got {feature_names} ({roles})")
         col_index = {name: i for i, name in enumerate(header)}
         has_score = score_col in col_index
         names = feature_names + [attr_col, label_col] + ([score_col] if has_score else [])

@@ -43,9 +43,9 @@ from .core import (
     FeatureThresholdRule,
     FiniteHypothesisClass,
     InvalidParameterError,
-    _gaps,
     _require_nonzero_cells,
     cell_sums,
+    rate_gap,
 )
 from .posthoc import (
     LOSS_HINGE_PM1,
@@ -170,7 +170,7 @@ def run_posthoc_binary_gap(eps: float = 0.1, seed: int = 0):
     a_rule = AttributeRule()
     stats = RateStatistics.from_population(law, a_rule)
     corrected = optimal_derived(stats, 0.0)
-    loss_bound = expected_loss_from_rates(stats.rates, stats.cells) + float(_gaps(stats.rates))
+    loss_bound = expected_loss_from_rates(stats.rates, stats.cells) + float(rate_gap(stats.rates))
 
     rows = [
         _check("fair-rule-01-loss", "value", 2 * eps,
@@ -242,7 +242,7 @@ def run_detection_error_rates(eps: float = 0.1, alpha: float = 0.5,
         at = slice(lo, lo + _COUNT_TRIALS)
         counts = cell_sums(law.cell, atoms[at])
         _require_nonzero_cells(counts, "discrimination gap")
-        gaps[:, at] = _gaps(cell_sums(law.cell, accept[:, None] * atoms[at]) / counts)
+        gaps[:, at] = rate_gap(cell_sums(law.cell, accept[:, None] * atoms[at]) / counts)
     raw = {"trial": np.arange(trials), "gap_fair": gaps[0], "gap_biased": gaps[1],
            "false_flag": (gaps[0] > threshold).astype(int),
            "miss": (~(gaps[1] > threshold)).astype(int)}
@@ -272,7 +272,7 @@ def run_erm_trap_floor(trials: int = 400, seed: int = 0):
 
     rules = hclass.rules + _CONSTANTS  # the picks _select may return
     names = np.array([rule.name for rule in rules])
-    pop_gap = _gaps(_population_rates(law, rules))
+    pop_gap = rate_gap(_population_rates(law, rules))
 
     # per trial: the cell counts, then the cell sums of each coordinate rule x_j >= 0.5
     tables = sample_counts(law, [n] * trials, np.random.default_rng(seed))
@@ -341,7 +341,7 @@ def run_two_step_rate_sweep(eps: float = 0.1, delta: float = 0.1,
         accept, law.cell, *halves, TwoStepConfig(delta=delta))
     del halves  # freed before the population rates are computed
     rates = _mixed_rates(derived, base[pick])  # of each corrected rule, on the population
-    gaps = _gaps(rates)
+    gaps = rate_gap(rates)
     excesses = expected_loss_from_rates(rates, law.cell_probabilities()) - fair_loss
     raw = {"n": sizes[kept], "trial": np.nonzero(kept)[1], "gap": gaps, "excess": excesses}
     ends = np.cumsum(kept.sum(axis=1))[:-1]  # the kept trials run in order of n

@@ -37,12 +37,11 @@ from .core import (
     BinaryPredictor,
     CellProbabilities,
     Dataset,
-    GroupRates,
     InvalidParameterError,
-    PredictorInput,
     _require_nonzero_cells,
     acceptance_values,
     empirical_rates,
+    rate_gap,
 )
 from .synthetic import population_rates
 
@@ -108,14 +107,14 @@ class RateStatistics:
         object.__setattr__(self, "rates", acceptance_values(r, 4, "rates").reshape(2, 2))
 
     @classmethod
-    def from_sample(cls, dataset: Dataset, predictor: PredictorInput) -> "RateStatistics":
+    def from_sample(cls, dataset: Dataset, values) -> "RateStatistics":
+        """Sample rates of per-row acceptance probabilities ``values``."""
         _require_nonzero_cells(dataset.cell_counts, "rate statistics")
-        return cls(empirical_rates(dataset, predictor).rates,
-                   CellProbabilities.from_dataset(dataset))
+        return cls(empirical_rates(dataset, values), CellProbabilities.from_dataset(dataset))
 
     @classmethod
     def from_population(cls, law, predictor: BinaryPredictor) -> "RateStatistics":
-        return cls(population_rates(law, predictor).rates, law.cell_probabilities())
+        return cls(population_rates(law, predictor), law.cell_probabilities())
 
 
 @dataclass(frozen=True)
@@ -138,9 +137,9 @@ def _mixed_rates(accept: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.clip(accept[..., 1:, :] * g + accept[..., :1, :] * (1.0 - g), 0.0, 1.0)
 
 
-def induced_rates(derived: DerivedPredictor, stats: RateStatistics) -> GroupRates:
-    """Rates of the derived rule from the base rates via the affine identity."""
-    return GroupRates(_mixed_rates(derived.accept, stats.rates))
+def induced_rates(derived: DerivedPredictor, stats: RateStatistics) -> np.ndarray:
+    """(2, 2) rates of the derived rule from the base rates via the affine identity."""
+    return _mixed_rates(derived.accept, stats.rates)
 
 
 def expected_loss_from_rates(rates: np.ndarray, cells: CellProbabilities,
@@ -160,8 +159,7 @@ def expected_loss_from_rates(rates: np.ndarray, cells: CellProbabilities,
 
 def derived_loss(derived: DerivedPredictor, stats: RateStatistics,
                  cell_loss: np.ndarray = LOSS_01) -> float:
-    return expected_loss_from_rates(induced_rates(derived, stats).rates,
-                                    stats.cells, cell_loss)
+    return expected_loss_from_rates(induced_rates(derived, stats), stats.cells, cell_loss)
 
 
 def _lp_coefficients(g: np.ndarray, table: np.ndarray, cell_loss: np.ndarray) -> np.ndarray:
@@ -309,10 +307,9 @@ def conservative_correction(stats: RateStatistics) -> DerivedPredictor:
 
     derived = DerivedPredictor(accept)
 
-    out_rates = induced_rates(derived, stats)
-    assert out_rates.gap() <= 1e-9, "conservative correction must have zero gap"
-    base_gap = GroupRates(stats.rates).gap()
+    assert rate_gap(induced_rates(derived, stats)) <= 1e-9, \
+        "conservative correction must have zero gap"
     base_loss = expected_loss_from_rates(stats.rates, stats.cells)
-    assert derived_loss(derived, stats) <= base_loss + base_gap + 1e-9, \
+    assert derived_loss(derived, stats) <= base_loss + rate_gap(stats.rates) + 1e-9, \
         "conservative correction exceeded its loss bound"
     return derived

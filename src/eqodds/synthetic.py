@@ -48,7 +48,6 @@ from .core import (
     Dataset,
     FeatureThresholdRule,
     FiniteHypothesisClass,
-    GroupRates,
     InvalidParameterError,
     _BLOCK_VALUES,
     _cell_codes,
@@ -194,17 +193,17 @@ def gaussian_law(d: int, seed: int) -> SecondMomentModel:
     return SecondMomentModel(mean, cov)
 
 
-def population_rates(law: Law, predictor: BinaryPredictor) -> GroupRates:
-    """Exact conditional acceptance rates P(pred = 1 | y, a): by enumeration of a
-    finite law's atoms, and in closed form on a product law, which takes only the
-    coordinate rules x_j >= cut with cut in (0, 1] and the constants. The stack of
-    one of ``_population_rates``."""
-    return GroupRates(_population_rates(law, (predictor,))[0])
+def population_rates(law: Law, predictor: BinaryPredictor) -> np.ndarray:
+    """Exact conditional acceptance rates P(pred = 1 | y, a), a (2, 2) [y][a] table:
+    by enumeration of a finite law's atoms, and in closed form on a product law,
+    which takes only the coordinate rules x_j >= cut with cut in (0, 1] and the
+    constants. The stack of one of ``_population_rates``."""
+    return _population_rates(law, (predictor,))[0]
 
 
 def _population_rates(law: Law, rules: Sequence[BinaryPredictor]) -> np.ndarray:
     """The (R, 2, 2) ``population_rates`` tables of R rules from one kernel call, with
-    its errors and ``GroupRates``'s range check on the whole stack: one ``cell_sums``
+    its errors and a [0, 1] range check on the whole stack: one ``cell_sums``
     of the (R, m) acceptance stack on a finite law (bit for bit the one-row call), one
     gather of ``heads[:, :, j]`` and the constants' fills on a product law."""
     if isinstance(law, CellProductLaw):
@@ -229,7 +228,7 @@ def _population_rates(law: Law, rules: Sequence[BinaryPredictor]) -> np.ndarray:
             empty = np.argwhere(mass == 0).tolist()
             raise InvalidParameterError(f"law has no mass in (y, a) cells {empty}")
         rates = cell_sums(law.cell, law.probs * accept) / mass
-    if ((rates < -1e-12) | (rates > 1 + 1e-12)).any():  # NaN passes, as in GroupRates
+    if ((rates < -1e-12) | (rates > 1 + 1e-12)).any():  # NaN would pass; no branch gives one
         raise InvalidParameterError("rates must lie in [0, 1]")
     return rates
 

@@ -36,11 +36,11 @@ from .core import (
     Dataset,
     FeatureThresholdRule,
     FiniteHypothesisClass,
-    GroupRates,
     InvalidParameterError,
     _BLOCK_VALUES,
     _require_nonzero_cells,
     cell_sums,
+    rate_gap,
     split_dataset,
 )
 from .posthoc import (
@@ -143,7 +143,7 @@ def _select(sums: np.ndarray, counts: np.ndarray, tolerance: np.ndarray):
         gap -= sums[..., y, 1] / counts[..., y, 1]
         return np.abs(gap, out=gap)
 
-    gaps = np.maximum(group_gap(0), group_gap(1))  # as ``_gaps`` of the rate tables
+    gaps = np.maximum(group_gap(0), group_gap(1))  # as ``rate_gap`` of the rate tables
     feasible = gaps < tolerance[:, None]
     constants = _losses(np.stack([np.zeros_like(counts[:, 0]), counts[:, 0]], axis=1), counts)
     losses = np.concatenate([_losses(sums, counts), constants], axis=1)
@@ -228,9 +228,9 @@ def train_two_step(data: Dataset, hclass: FiniteHypothesisClass,
         "s1_loss": step1.loss,
         "s1_gap": step1.gap,
         "s2_base_loss": float(_losses(sums, counts)),
-        "s2_base_gap": GroupRates(stats.rates).gap(),
-        "s2_corrected_loss": expected_loss_from_rates(induced.rates, stats.cells),
-        "s2_corrected_gap": induced.gap(),
+        "s2_base_gap": float(rate_gap(stats.rates)),
+        "s2_corrected_loss": expected_loss_from_rates(induced, stats.cells),
+        "s2_corrected_gap": float(rate_gap(induced)),
     }
     return TwoStepResult(step1=step1, derived=derived, train_tolerance=t_train,
                          correct_tolerance=t_correct, diagnostics=diagnostics)

@@ -11,8 +11,8 @@ import tracemalloc
 
 import numpy as np
 
-from eqodds.core import (BinaryPredictor, CellProbabilities, ConstantRule, GroupRates,
-                         _require_nonzero_cells, empirical_loss, empirical_rates)
+from eqodds.core import (BinaryPredictor, CellProbabilities, ConstantRule,
+                         _require_nonzero_cells, empirical_loss, empirical_rates, rate_gap)
 from eqodds.posthoc import RateStatistics, expected_loss_from_rates, induced_rates
 from eqodds.synthetic import FiniteJointLaw
 from eqodds.two_step import Step1Result
@@ -81,9 +81,9 @@ def population_two_step(law, result):
     induced = induced_rates(result.derived, pop)
     return {
         "base_loss": expected_loss_from_rates(pop.rates, pop.cells),
-        "base_gap": GroupRates(pop.rates).gap(),
-        "corrected_loss": expected_loss_from_rates(induced.rates, pop.cells),
-        "corrected_gap": induced.gap(),
+        "base_gap": float(rate_gap(pop.rates)),
+        "corrected_loss": expected_loss_from_rates(induced, pop.cells),
+        "corrected_gap": float(rate_gap(induced)),
     }
 
 
@@ -144,7 +144,7 @@ def constrained_erm_oracle(dataset, hclass, tolerance):
     feasible_names = []
     for rule in hclass:
         vals = rule.on_dataset(dataset)
-        gap = empirical_rates(dataset, vals).gap()
+        gap = float(rate_gap(empirical_rates(dataset, vals)))
         if gap >= tolerance:
             continue
         feasible_names.append(rule.name)
@@ -158,7 +158,7 @@ def constrained_erm_oracle(dataset, hclass, tolerance):
                            forced_constant=False, feasible=tuple(feasible_names))
 
     candidates = [ConstantRule(0.0), ConstantRule(1.0)]
-    losses = [empirical_loss(dataset, c) for c in candidates]
+    losses = [empirical_loss(dataset, c.on_dataset(dataset)) for c in candidates]
     pick = int(np.argmin(losses))
     return Step1Result(rule=candidates[pick], loss=losses[pick], gap=0.0,
                        forced_constant=True, feasible=())

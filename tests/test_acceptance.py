@@ -22,8 +22,8 @@ from eqodds.audit import required_sample_size
 from eqodds.core import (
     Dataset,
     FeatureThresholdRule,
-    GroupRates,
     empirical_rates,
+    rate_gap,
 )
 from eqodds.experiments import (
     run_detection_error_rates,
@@ -106,9 +106,9 @@ def test_criterion_3_conservative_correction_property_suite():
         for _ in range(1000):
             stats = random_rate_statistics(rng)
             base_loss = expected_loss_from_rates(stats.rates, stats.cells)
-            base_gap = GroupRates(stats.rates).gap()
+            base_gap = rate_gap(stats.rates)
             cons = conservative_correction(stats)
-            assert induced_rates(cons, stats).gap() <= 1e-9
+            assert rate_gap(induced_rates(cons, stats)) <= 1e-9
             cons_loss = derived_loss(cons, stats)
             assert cons_loss <= base_loss + base_gap + 1e-9
             opt_loss = derived_loss(optimal_derived(stats, 0.0), stats)
@@ -196,11 +196,12 @@ def test_criterion_9_oracle_equivalences():
             ds = Dataset(rng.normal(size=(n, 2)), rng.integers(0, 2, n),
                          rng.integers(0, 2, n))
             rule = FeatureThresholdRule(0, float(rng.normal()))
-            got = empirical_rates(ds, rule)
-            want_rates, want_counts = counting_rates_oracle(ds, rule.on_dataset(ds))
-            assert np.array_equal(got.counts, want_counts)
+            vals = rule.on_dataset(ds)
+            got = empirical_rates(ds, vals)
+            want_rates, want_counts = counting_rates_oracle(ds, vals)
+            assert np.array_equal(ds.cell_counts, want_counts)
             mask = want_counts > 0
-            assert np.array_equal(got.rates[mask], want_rates[mask])
+            assert np.array_equal(got[mask], want_rates[mask])
 
         # derived-rule optimizer against the dense acceptance-grid search
         for k in range(50):

@@ -31,7 +31,6 @@ DEFAULTED = {
     "eqodds.core.ConstantRule": ("name",),
     "eqodds.core.Dataset": ("scores",),
     "eqodds.core.FeatureThresholdRule": ("name",),
-    "eqodds.core.GroupRates": ("counts",),
     "eqodds.core.acceptance_values": ("what",),
     "eqodds.core.cell_sums": ("weights",),
     "eqodds.data_io.load_csv": ("attr_col", "label_col", "score_col", "require_binary"),

@@ -566,6 +566,8 @@ def test_nan_score_audit_exits_2(tmp_path, capsys):
     ("feature-0.9", "rules[0] (threshold-grid): ValueError: feature must be a whole number, "
                     "got 0.9"),
     ("feature-true", "rules[0] (threshold): ValueError: feature must be a whole number, got True"),
+    ("feature-long-list", "rules[0] (threshold): ValueError: feature must be a whole number, "
+                          "got [0, 0, 0, 0, 0, 0, ...]\n"),
     ("max-cuts-2.7", "rules[0] (threshold-grid): ValueError: max_cuts must be a whole number, "
                      "got 2.7"),
     ("max-cuts-0", "rules[0] (threshold-grid): ValueError: max_cuts must be at least 1, got 0"),
@@ -583,6 +585,12 @@ def test_nan_score_audit_exits_2(tmp_path, capsys):
     ("score-col-is-attr", "error: column 'a' cannot be both the attribute and the score column"),
     ("label-col-is-attr", "error: column 'a' cannot be both the attribute and the label column"),
     ("score-col-is-label", "error: column 'y' cannot be both the label and the score column"),
+    # a role flag that takes a feature column, or names no column of the file
+    ("score-col-is-feature", "error: feature columns must be x0..x0 in order, got ['score'] "
+                             "(attribute 'a', label 'y', score 'x0')"),
+    ("protected-col-is-feature", "error: feature columns must be x0..x0 in order, got ['a'] "
+                                 "(attribute 'x0', label 'y', score 'score')"),
+    ("score-col-not-in-file", "got ['x0', 'score'] (attribute 'a', label 'y', score ' score')"),
 ])
 @pytest.mark.filterwarnings("error")  # no warning may reach stderr ahead of the error line
 def test_malformed_input_exits_2(case, needle, tmp_path, capsys):
@@ -619,6 +627,7 @@ def test_malformed_input_exits_2(case, needle, tmp_path, capsys):
         "feature-1.5": '{"type": "threshold", "feature": 1.5, "cut": 0.5}',
         "feature-0.9": '{"type": "threshold-grid", "feature": 0.9}',
         "feature-true": '{"type": "threshold", "feature": true, "cut": 0.5}',
+        "feature-long-list": json.dumps({"type": "threshold", "feature": [0] * 3001, "cut": 0.5}),
         "max-cuts-2.7": '{"type": "threshold-grid", "feature": 0, "max_cuts": 2.7}',
         "max-cuts-0": '{"type": "threshold-grid", "feature": 0, "max_cuts": 0}',
         "max-cuts-minus-1": '{"type": "threshold-grid", "feature": 0, "max_cuts": -1}',
@@ -704,12 +713,20 @@ def test_malformed_input_exits_2(case, needle, tmp_path, capsys):
                               "--protected-col", "a"],
         "score-col-is-label": ["correct", "--data", str(data), "--tolerance", "0",
                                "--score-col", "y"],
+        "score-col-is-feature": ["audit", "--data", str(data), "--alpha", "0.5",
+                                 "--delta", "0.1", "--score-col", "x0"],
+        "protected-col-is-feature": ["fit-linear-fair", "--data", str(data),
+                                     "--protected-col", "x0"],
+        "score-col-not-in-file": ["audit", "--data", str(data), "--alpha", "0.5",
+                                  "--delta", "0.1", "--score-col", " score"],
     }[case]
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert needle.replace("{tmp}", str(tmp_path)) in err
     if case == "rule-nested-deep":
         assert len(err) < 80, err  # the entry is abbreviated, not echoed whole
+    if case == "feature-long-list":
+        assert len(err) < 120, err  # 3,001 entries abbreviated to six
     if case.startswith("raw-out-") and case != "raw-out-is-directory":
         # refused before the experiment runs: no report, no file
         assert out == "" and not (tmp_path / "raw.csv").exists()

@@ -15,12 +15,12 @@ from eqodds.core import (
     EmptyCellError,
     FeatureThresholdRule,
     FiniteHypothesisClass,
-    GroupRates,
     InvalidParameterError,
     TooFewSamplesError,
     acceptance_values,
     empirical_loss,
     empirical_rates,
+    rate_gap,
     split_dataset,
 )
 from eqodds import core
@@ -44,25 +44,25 @@ def full_cells_dataset(rng, n, d=2):
     # force all four (y, a) cells to be populated
     while True:
         ds = random_binary_dataset(rng, n, d)
-        if not empirical_rates(ds, ConstantRule(1.0)).empty_cells:
+        if ds.cell_counts.all():
             return ds
 
 
 def test_constant_rule_rates_all_one():
     rng = np.random.default_rng(0)
     ds = full_cells_dataset(rng, 40)
-    gr = empirical_rates(ds, ConstantRule(1.0))
-    assert np.allclose(gr.rates, 1.0)
-    assert gr.gap() == 0.0
+    rates = empirical_rates(ds, ConstantRule(1.0).on_dataset(ds))
+    assert np.allclose(rates, 1.0)
+    assert rate_gap(rates) == 0.0
 
 
 def test_perfect_rule_rates():
     rng = np.random.default_rng(1)
     ds = full_cells_dataset(rng, 50)
-    gr = empirical_rates(ds, ds.labels)  # per-row acceptance = the labels
-    assert np.allclose(gr.rates[1], 1.0)
-    assert np.allclose(gr.rates[0], 0.0)
-    assert gr.gap() == 0.0
+    rates = empirical_rates(ds, ds.labels)  # per-row acceptance = the labels
+    assert np.allclose(rates[1], 1.0)
+    assert np.allclose(rates[0], 0.0)
+    assert rate_gap(rates) == 0.0
 
 
 def test_rates_match_counting_oracle_exactly():
@@ -71,13 +71,13 @@ def test_rates_match_counting_oracle_exactly():
         ds = random_binary_dataset(rng, int(rng.integers(8, 60)))
         rule = FeatureThresholdRule(0, float(rng.normal()))
         vals = rule.on_dataset(ds)
-        gr = empirical_rates(ds, rule)
+        rates = empirical_rates(ds, vals)
         oracle_rates, oracle_counts = counting_oracle_rates(ds, vals)
         # 0/1 predictions sum exactly, so equality is bitwise
-        assert np.array_equal(gr.counts, oracle_counts)
+        assert np.array_equal(ds.cell_counts, oracle_counts)
         both = ~np.isnan(oracle_rates)
-        assert np.array_equal(gr.rates[both], oracle_rates[both])
-        assert np.isnan(gr.rates[~both]).all()
+        assert np.array_equal(rates[both], oracle_rates[both])
+        assert np.isnan(rates[~both]).all()
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -90,13 +90,12 @@ def test_rates_invariant_under_row_permutation(data):
                                 label="scores"))
     order = np.array(data.draw(st.permutations(range(n)), label="order"))
     attr, labels = np.array(attr), np.array(labels)
-    rates = empirical_rates(Dataset(np.zeros((n, 1)), attr, labels), scores)
-    moved = empirical_rates(Dataset(np.zeros((n, 1)), attr[order], labels[order]),
-                            scores[order])
-    assert np.array_equal(rates.counts, moved.counts)
-    # a reordered floating sum may differ in its last bits
-    np.testing.assert_allclose(moved.rates, rates.rates, rtol=0, atol=1e-12,
-                               equal_nan=True)
+    ds = Dataset(np.zeros((n, 1)), attr, labels)
+    ds_moved = Dataset(np.zeros((n, 1)), attr[order], labels[order])
+    rates, moved = empirical_rates(ds, scores), empirical_rates(ds_moved, scores[order])
+    assert np.array_equal(ds.cell_counts, ds_moved.cell_counts)
+    # a reordered floating sum may differ in its last bits; an empty cell is NaN in both
+    np.testing.assert_allclose(moved, rates, rtol=0, atol=1e-12, equal_nan=True)
 
 
 def test_attainable_rate_sets_on_small_cells():
@@ -108,9 +107,9 @@ def test_attainable_rate_sets_on_small_cells():
     seen0, seen1 = set(), set()
     for bits in itertools.product([0, 1], repeat=5):
         ds = Dataset(feats, attr, labels)
-        gr = empirical_rates(ds, np.array(bits, dtype=float))
-        seen0.add(round(gr.rates[1, 0], 12))
-        seen1.add(round(gr.rates[1, 1], 12))
+        rates = empirical_rates(ds, np.array(bits, dtype=float))
+        seen0.add(round(rates[1, 0], 12))
+        seen1.add(round(rates[1, 1], 12))
     assert seen0 == {0.0, 0.5, 1.0}
     assert seen1 == {0.0, round(1 / 3, 12), round(2 / 3, 12), 1.0}
 
@@ -129,15 +128,15 @@ def test_loss_matches_brute_count():
         rule = FeatureThresholdRule(0, float(rng.normal()))
         vals = rule.on_dataset(ds)
         brute = sum(int(vals[i] != ds.labels[i]) for i in range(len(ds))) / len(ds)
-        assert empirical_loss(ds, rule) == pytest.approx(brute, abs=0)
+        assert empirical_loss(ds, vals) == pytest.approx(brute, abs=0)
 
 
 def test_randomized_constant_rates_equal_mix():
     rng = np.random.default_rng(5)
     ds = full_cells_dataset(rng, 60)
     q = 0.37
-    gr = empirical_rates(ds, ConstantRule(q))
-    assert np.allclose(gr.rates, q, atol=1e-12)
+    rates = empirical_rates(ds, ConstantRule(q).on_dataset(ds))
+    assert np.allclose(rates, q, atol=1e-12)
 
 
 def test_loss_rate_consistency_identity():
@@ -146,14 +145,14 @@ def test_loss_rate_consistency_identity():
     for _ in range(20):
         ds = full_cells_dataset(rng, int(rng.integers(20, 80)))
         rule = FunctionRule(lambda X, a: (X[:, 0] + X[:, 1] > 0).astype(float), "sum>0")
-        gr = empirical_rates(ds, rule)
-        n = len(ds)
+        vals = rule.on_dataset(ds)
+        rates, counts, n = empirical_rates(ds, vals), ds.cell_counts, len(ds)
         recon = sum(
-            gr.counts[0, a] / n * gr.rates[0, a]
-            + gr.counts[1, a] / n * (1 - gr.rates[1, a])
+            counts[0, a] / n * rates[0, a]
+            + counts[1, a] / n * (1 - rates[1, a])
             for a in (0, 1)
         )
-        assert empirical_loss(ds, rule) == pytest.approx(recon, abs=1e-12)
+        assert empirical_loss(ds, vals) == pytest.approx(recon, abs=1e-12)
 
 
 def test_gap_in_unit_interval():
@@ -161,16 +160,16 @@ def test_gap_in_unit_interval():
     for _ in range(50):
         ds = full_cells_dataset(rng, int(rng.integers(12, 50)))
         rule = FeatureThresholdRule(1, float(rng.normal()))
-        g = empirical_rates(ds, rule).gap()
+        g = rate_gap(empirical_rates(ds, rule.on_dataset(ds)))
         assert 0.0 <= g <= 1.0
 
 
-def test_gap_raises_on_empty_cell():
+def test_empty_cell_rates_read_nan():
     ds = Dataset(np.zeros((3, 1)), [0, 0, 1], [1, 1, 1])  # no y=0 rows
-    gr = empirical_rates(ds, ConstantRule(1.0))
-    assert gr.empty_cells == [(0, 0), (0, 1)]
-    with pytest.raises(EmptyCellError):
-        gr.gap()
+    rates = empirical_rates(ds, np.ones(3))
+    assert np.array_equal(ds.cell_counts, [[0, 0], [2, 1]])
+    assert np.array_equal(np.isnan(rates), [[True, True], [False, False]])
+    assert np.isnan(rate_gap(rates))
 
 
 def test_split_sizes_and_multiset_union():
@@ -201,9 +200,9 @@ def test_split_too_small():
 def test_attribute_rule_and_scores_column():
     ds = Dataset(np.zeros((4, 1)), [0, 1, 0, 1], [0, 0, 1, 1], scores=[0.2, 0.8, 0.4, 0.9])
     assert np.array_equal(AttributeRule().on_dataset(ds), [0, 1, 0, 1])
-    gr = empirical_rates(ds, ds.scores)
-    assert gr.rates[0, 0] == pytest.approx(0.2)
-    assert gr.rates[1, 1] == pytest.approx(0.9)
+    rates = empirical_rates(ds, ds.scores)
+    assert rates[0, 0] == pytest.approx(0.2)
+    assert rates[1, 1] == pytest.approx(0.9)
 
 
 def test_hypothesis_class_validation():
@@ -244,10 +243,11 @@ def test_dataset_rejects_non_finite_columns(column, needle, bad):
         Dataset([[np.nan], [1]], [0, 1], [1, 0])
 
 
-def test_group_rates_population_table():
-    gr = GroupRates(np.array([[0.1, 0.1], [0.9, 0.6]]))
-    assert gr.empty_cells == []
-    assert gr.gap() == pytest.approx(0.3)
+def test_rate_gap_of_a_population_table_and_a_stack():
+    table = np.array([[0.1, 0.1], [0.9, 0.6]])
+    assert rate_gap(table) == pytest.approx(0.3)
+    stack = np.stack([table, table[::-1], np.full((2, 2), 0.5)])
+    assert np.allclose(rate_gap(stack), [0.3, 0.3, 0.0])
 
 
 def test_nan_acceptance_values_rejected():
@@ -256,7 +256,7 @@ def test_nan_acceptance_values_rejected():
         empirical_rates(ds, np.array([0.2, np.nan, 0.4, 0.9]))
     nan_rule = FunctionRule(lambda X, a: np.full(len(a), np.nan), "nan")
     with pytest.raises(InvalidParameterError):
-        empirical_rates(ds, nan_rule)
+        nan_rule.on_dataset(ds)
 
 
 def test_dataset_columns_are_read_only_and_leave_the_callers_arrays_writable():

@@ -30,10 +30,14 @@ GOLDEN = {
     "simulate-erm-trap": "e2d2f701085da1c9b33cf38901b6c9f468b518adb938ef86d1fa616f5a4a6149",
     "simulate-gaussian": "92c10dc914cdbdbf17c527a5e7b6a3a1c1cb5e3b8025e2a9237d01b9dbf8f6cd",
     "audit": "5dffb6ce91f7ec2bd648feee6bc27cad2501b3c9ce8768a65caa43a339516876",
+    "audit-supplied": "9ed83cd7004874c9d4b03edb4fcf61236c85a78ec1f10c47187841e2443b5260",
     "correct": "ce73b5f93d0ba59906413d5a7514009e68b537a08b224175171c50f03000cd13",
+    "correct-threshold": "8da9c91f9ed0da28b23b57f673cd993819abadd67c79b5c78044fa9f5d23d800",
     "train": "0bf91450e8d9a5f4bd1621cd7176ab66668daafeeee5f7f4e3e4772951663f17",
     "fit-closed-form": "d38db1bb6ec10d2e5a790b65f475f6edd5ce91427937bebbf853afa86f6b5393",
     "fit-logistic": "8129014e02fdc1bb7fe50c7990a7572ba26bc9ee79410e7da184ec701956fece",
+    "fit-derived": "674dcb9fa2bbae25297b670dfc6ad90467106a4719c73797b50e3c36953d7a3d",
+    "fit-hinge": "8f332e549fbd06ecad2d8fb57205f044c98c49f237913dc02cc3c5d0925c0aca",
 }
 
 
@@ -78,11 +82,17 @@ def cases(tmp):
         "simulate-gaussian": ["simulate", "--law", "gaussian", "--dim", "3",
                               "--n", str(ROWS), "--seed", "5"],
         "audit": ["audit", "--data", scored, "--alpha", "0.5", "--delta", "0.1"],
+        "audit-supplied": ["audit", "--data", scored, "--alpha", "0.5", "--delta", "0.1",
+                           "--cell-probs", "0.4,0.1,0.1,0.4", "--threshold", "0.5"],
         "correct": ["correct", "--data", scored, "--tolerance", "0.05"],
+        "correct-threshold": ["correct", "--data", scored, "--threshold", "0.5",
+                              "--tolerance", "0"],
         "train": ["train", "--data", data, "--hypotheses", str(tmp / "rules.json"),
                   "--train-tolerance", "0.2", "--correct-tolerance", "0.05", "--seed", "6"],
         "fit-closed-form": fit + ["--method", "closed-form"],
         "fit-logistic": fit + ["--method", "pgd", "--loss", "logistic"],
+        "fit-derived": fit + ["--method", "derived"],
+        "fit-hinge": fit + ["--method", "pgd", "--loss", "hinge_smooth"],
     }
     return {name: (args + ["--out", str(out / name)], out / name)
             for name, args in argv.items()}
