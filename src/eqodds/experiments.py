@@ -302,6 +302,17 @@ def run_erm_trap_floor(trials: int = 400, seed: int = 0):
 # two-step-rate-sweep: gap and excess loss shrink like n^(-1/2)
 # ---------------------------------------------------------------------------
 
+def _median(values: np.ndarray) -> float:
+    """``np.median``'s bits, by its own partition, without the ``numpy.ma`` import it
+    makes on first use."""
+    half, odd = values.size // 2, values.size % 2
+    part = np.partition(values, [half, -1] if odd else [half - 1, half, -1])
+    if math.isnan(part[-1]):  # a nan sorts last
+        return math.nan
+    # np.median takes np.mean of the middle: a sum from 0.0 (so -0.0 gives 0.0) over the count
+    return float(0.0 + part[half] if odd else (0.0 + part[half - 1] + part[half]) / 2.0)
+
+
 def _loglog_slope(ns, values):
     x = np.log(np.asarray(ns, dtype=float))
     y = np.log(np.asarray(values, dtype=float))
@@ -345,8 +356,8 @@ def run_two_step_rate_sweep(eps: float = 0.1, delta: float = 0.1,
     excesses = expected_loss_from_rates(rates, law.cell_probabilities()) - fair_loss
     raw = {"n": sizes[kept], "trial": np.nonzero(kept)[1], "gap": gaps, "excess": excesses}
     ends = np.cumsum(kept.sum(axis=1))[:-1]  # the kept trials run in order of n
-    median_gap = [float(np.median(g)) for g in np.split(gaps, ends)]
-    median_excess = [float(np.median(e)) for e in np.split(excesses, ends)]
+    median_gap = [_median(g) for g in np.split(gaps, ends)]
+    median_excess = [_median(e) for e in np.split(excesses, ends)]
 
     gap_slope = _loglog_slope(n_grid, median_gap)
     # the slack can make the corrected rule beat the fair optimum, so the

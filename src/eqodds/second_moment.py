@@ -166,13 +166,19 @@ def estimate_moments(dataset: Dataset) -> SecondMomentModel:
     Requires n >= n_features + 2 so the [X; A] block can be nonsingular;
     exact collinearity (for example a duplicated feature column) raises
     SingularCovarianceError.
+
+    Holds one copy of the columns, stacked (n, k), and centres it in place;
+    the steps after the copy are ``np.cov``'s own, so the moments are its bits.
     """
     n, d = len(dataset), dataset.n_features
     if n < d + 2:
         raise InvalidParameterError(f"need at least {d + 2} rows, got {n}")
     stacked = np.column_stack([dataset.features, dataset.attr, dataset.labels])
     with np.errstate(over="ignore", invalid="ignore"):  # SecondMomentModel refuses inf, nan
-        mean, cov = stacked.mean(axis=0), np.cov(stacked.T, ddof=1)
+        mean = stacked.mean(axis=0)
+        stacked -= mean
+        cov = np.dot(stacked.T, stacked)
+        cov *= np.true_divide(1, n - 1)
     return SecondMomentModel(mean, cov)
 
 
@@ -319,12 +325,13 @@ def _smooth_search(r: np.ndarray, dr: np.ndarray, s: np.ndarray, loss: str, df0:
     Newton leaves it. The bracket ends at 2^40, where f falls forever (separable data)."""
     lo, hi, t = 0.0, 2.0 ** 40, 1.0
     for _ in range(60):
-        _, d1, d2 = _row_terms(r + t * dr if loss == "squared" else s * (r + t * dr), s, loss)
-        slope = float(dr @ d1)
+        terms = _row_terms(r + t * dr if loss == "squared" else s * (r + t * dr), s, loss)
+        slope = float(dr @ terms[1])
         lo, hi = (t, hi) if slope < 0.0 else (lo, t)
         if abs(slope) <= -1e-9 * df0 or hi - lo <= 1e-12 * hi:
             break
-        t_newton = t - slope / max(float((dr * dr) @ d2), 1e-300)
+        t_newton = t - slope / max(float((dr * dr) @ terms[2]), 1e-300)
+        del terms  # before the next step's
         t = t_newton if lo < t_newton < hi else 0.5 * (lo + hi)
     return t
 
@@ -341,20 +348,27 @@ def _hinge_search(m: np.ndarray, dm: np.ndarray) -> float:
     h, n = _HINGE_WIDTH, m.shape[0]
     a, b = np.abs(dm) * (1.0 - m) / h, dm * np.abs(dm) / h
     with np.errstate(divide="ignore", invalid="ignore"):  # dm = 0, or 0 * inf at the end
-        times = (np.stack([1.0 - h - m, 1.0 - m]) / dm).ravel()  # crossing 1 - h, then 1
+        times = np.empty((2, n))  # crossing 1 - h, then 1
+        np.subtract(1.0 - h, m, out=times[0])
+        np.subtract(1.0, m, out=times[1])
+        times /= dm
+        times = times.reshape(-1)
         behind = times <= 0.0
         alpha = float((np.abs(dm) - a) @ behind[:n] + a @ behind[n:] - np.maximum(dm, 0.0).sum())
         beta = float(b @ behind[:n] - b @ behind[n:])
+        del a, b, behind  # taken again at the head rows
         ahead = np.flatnonzero(times > 0.0)
         for nearest in (256, 4096, ahead.size):
             head = (ahead if nearest >= ahead.size
                     else ahead[np.argpartition(times[ahead], nearest - 1)[:nearest]])
             head = head[np.argsort(times[head])]
             rows, past_one = head % n, head >= n
-            d_alpha = np.where(past_one, a[rows], np.abs(dm[rows]) - a[rows])
+            dm_head = dm[rows]
+            a, b = np.abs(dm_head) * (1.0 - m[rows]) / h, dm_head * np.abs(dm_head) / h
+            d_alpha = np.where(past_one, a, np.abs(dm_head) - a)
             starts, ends = np.append(0.0, times[head]), np.append(times[head], math.inf)
             alphas = alpha + np.cumsum(np.append(0.0, d_alpha))
-            betas = beta + np.cumsum(np.append(0.0, np.where(past_one, -b[rows], b[rows])))
+            betas = beta + np.cumsum(np.append(0.0, np.where(past_one, -b, b)))
             k = int(np.argmax((alphas + betas * ends >= 0.0) | np.isinf(ends)))  # root's segment
             if k < head.size or head.size == ahead.size:
                 root = -alphas[k] / betas[k] if betas[k] > 0.0 else starts[k]
@@ -385,20 +399,30 @@ def fit_constrained_convex(dataset: Dataset, loss: str,
     ``stop_reason``: "converged" once the gradient in (u, b), whose u part has the
     projected gradient's norm, is within ``_TOL``; "stalled" when a step left the
     iterate unchanged; else "max_iter", after ``_MAX_ITER`` steps.
+
+    Besides the dataset it holds one n-row design [z N, 1], built in place: its
+    first q columns take z = [X, A], then each block of rows is centred and
+    multiplied by N. A step holds a few n-vectors (scores, margins, the row
+    derivatives, the search direction), each dropped once read.
     """
-    design = np.column_stack([dataset.features, dataset.attr])  # z, centered, then [z N, 1]
-    z_mean = design.mean(axis=0)
-    y, (n, q) = dataset.labels, design.shape
+    n, q = len(dataset), dataset.n_features + 1
     c = model.constraint_vector()
     basis = (np.eye(q) if float(c @ c) <= 1e-300
              else np.linalg.qr(np.column_stack([c, np.eye(q)]))[0][:, 1:])
-    design -= z_mean
-    design = design @ np.column_stack([basis, np.zeros(q)])
+    design = np.empty((n, basis.shape[1] + 1))  # q wide, or q + 1 when N = I
+    z = design[:, :q]
+    z[:, :-1], z[:, -1] = dataset.features, dataset.attr
+    z_mean = z.mean(axis=0)
+    project = np.column_stack([basis, np.zeros(q)])
+    for i in range(0, n, 4096):
+        block = z[i:i + 4096]
+        block -= z_mean
+        design[i:i + 4096] = block @ project
     design[:, -1] = 1.0
-    x = np.zeros(basis.shape[1] + 1)
+    x = np.zeros(design.shape[1])
     ridge = 1e-14 * np.vdot(design, design) / design.size * np.eye(x.size)  # keeps H definite
 
-    s = y if loss == "squared" else _signed_labels(y)  # once a fit
+    s = dataset.labels if loss == "squared" else _signed_labels(dataset.labels)  # once a fit
     for iterations in range(_MAX_ITER + 1):
         r = design @ x
         m = r if loss == "squared" else s * r  # shared with the hinge search
@@ -410,10 +434,17 @@ def fit_constrained_convex(dataset: Dataset, loss: str,
             break
         a, aw = (design, d2) if d2.all() else (design[d2 != 0.0], d2[d2 != 0.0])  # curved rows
         hess = sum(a[i:i + 4096].T * aw[i:i + 4096] @ a[i:i + 4096] for i in range(0, len(a), 4096))
+        del a, aw, d2
         step = np.linalg.solve(hess / n + ridge, -grad)
         dr = design @ step
-        t = (_hinge_search(m, s * dr) if loss == "hinge_smooth"
-             else _smooth_search(r, dr, s, loss, float(dr @ d1)))
+        if loss == "hinge_smooth":
+            del r, d1
+            dr *= s
+            t = _hinge_search(m, dr)
+        else:
+            df0 = float(dr @ d1)
+            del d1
+            t = _smooth_search(r, dr, s, loss, df0)
         x_last, x = x, x + t * step
 
     w = basis @ x[:-1]

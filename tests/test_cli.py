@@ -22,7 +22,7 @@ from eqodds.core import Dataset
 from eqodds.data_io import (ParseError, SchemaError, _format_column, _format_value,
                             load_csv, write_csv, write_json_atomic, write_rows_csv)
 from eqodds.experiments import EXPERIMENTS
-from eqodds.synthetic import sample_law, two_proxy_law
+from eqodds.synthetic import gaussian_law, sample_law, two_proxy_law
 from oracles import dict_writer_csv, traced_peak
 
 
@@ -768,14 +768,30 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
+def _run_python(code, timeout=60):
+    """``code`` in a fresh interpreter under the 2 GiB address-space limit."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eqodds.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=timeout, preexec_fn=_limit_address_space)
+
+
 def _run_limited(argv, tmp_path, prelude="", timeout=60):
     """``main(argv)`` in a fresh interpreter under the 2 GiB address-space limit."""
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
-    src = os.path.dirname(os.path.dirname(os.path.abspath(eqodds.__file__)))
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-    code = f"import sys; from eqodds.cli import main; {prelude}sys.exit(main({argv!r}))"
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=timeout, preexec_fn=_limit_address_space)
+    return _run_python(f"import sys; from eqodds.cli import main; {prelude}"
+                       f"sys.exit(main({argv!r}))", timeout)
+
+
+def test_monte_carlo_experiments_leave_numpy_ma_unimported(tmp_path):
+    # np.median imports numpy.ma on first use; the sweep takes its medians without it
+    out = str(tmp_path / "r.json")
+    runs = [["reproduce", "--experiment", name, "--out", out]
+            for name in ("detection-error-rates", "erm-trap-floor", "two-step-rate-sweep")]
+    done = _run_python(f"import sys; from eqodds.cli import main; "
+                       f"print([main(argv) for argv in {runs!r}], 'numpy.ma' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[0, 0, 0] False\n"
 
 
 @pytest.mark.parametrize("argv, needle", [
@@ -850,3 +866,40 @@ def test_audit_and_correct_hold_one_table(argv, tmp_path):
     assert status == 0
     # the table, the cached cell codes and one column-size temporary: no column copies
     assert peak <= 1.6 * (n * 4 * 8), peak / (n * 4 * 8)
+
+
+@pytest.fixture(scope="module")
+def fit_file(tmp_path_factory):
+    """A 2e4-row binarized 8-feature Gaussian file and a 267-rule list, the benchmark's
+    fit shape: the parsed x0..x7,a,y table is 1.53 MiB."""
+    tmp = tmp_path_factory.mktemp("fit")
+    law = gaussian_law(8, seed=0)
+    g = sample_law(law, 20_000, seed=0)
+    write_csv(Dataset(g.features, (g.attr > law.mean[8]).astype(float),
+                      (g.labels > law.mean[9]).astype(float)), tmp / "fit.csv")
+    rules = [{"type": "threshold-grid", "feature": j, "max_cuts": 32} for j in range(8)]
+    rules += [{"type": "attribute"}, {"type": "constant", "value": 0},
+              {"type": "constant", "value": 1}]
+    (tmp / "rules.json").write_text(json.dumps({"rules": rules}), encoding="utf-8")
+    return tmp
+
+
+@pytest.mark.parametrize("argv, bound", [
+    # the table, both halves of the split and the scan's blocks
+    (["train", "--hypotheses", "{tmp}/rules.json"], 3.05),
+    # the table and estimate_moments' one stacked copy
+    (["fit-linear-fair", "--method", "closed-form"], 2.1),
+    (["fit-linear-fair", "--method", "derived"], 2.1),
+    # the table, the design and a few n-vectors of the step and its line search
+    (["fit-linear-fair", "--method", "pgd", "--loss", "squared"], 2.9),
+    (["fit-linear-fair", "--method", "pgd", "--loss", "logistic"], 2.9),
+    (["fit-linear-fair", "--method", "pgd", "--loss", "hinge_smooth"], 2.9),
+], ids=["train", "closed-form", "derived", "squared", "logistic", "hinge"])
+def test_fit_path_holds_one_copy(argv, bound, fit_file):
+    table = 20_000 * 10 * 8
+    command = [argv[0], "--data", str(fit_file / "fit.csv"), "--out", str(fit_file / "out"),
+               *(a.format(tmp=fit_file) for a in argv[1:])]
+    assert main(command) == 0  # one-time allocations (the parser, say): not the op's
+    status, peak = traced_peak(lambda: main(command))
+    assert status == 0
+    assert peak <= bound * table, peak / table

@@ -38,6 +38,9 @@ GOLDEN = {
     "fit-logistic": "8129014e02fdc1bb7fe50c7990a7572ba26bc9ee79410e7da184ec701956fece",
     "fit-derived": "674dcb9fa2bbae25297b670dfc6ad90467106a4719c73797b50e3c36953d7a3d",
     "fit-hinge": "8f332e549fbd06ecad2d8fb57205f044c98c49f237913dc02cc3c5d0925c0aca",
+    "fit-squared": "4d556c4efa264f683bf55d9b7a488305e22f2127007073159bfe1f10c95daf0a",
+    "fit-scored": "937e7e125f1eb736accdcfe857e02118307e306ddb4e1432b158c09fb8be74b2",
+    "fit-degenerate": "2e3854d05fd46edd5b4243f66ec88b23e648f4dc3c85373ff8af414254d08bae",
 }
 
 
@@ -50,8 +53,8 @@ def _write_rows(path, header, columns):
 
 
 def write_inputs(tmp):
-    """The scored file of ``audit`` and ``correct``, and the file and rule list of
-    ``train`` and ``fit-linear-fair``."""
+    """The scored file of ``audit`` and ``correct``, the file and rule list of
+    ``train`` and ``fit-linear-fair``, and two more ``fit-linear-fair`` files."""
     rng = np.random.default_rng(26)
     y = (rng.random(ROWS) < 0.5).astype(float)
     a = np.abs(y - (rng.random(ROWS) < 0.2))
@@ -68,6 +71,17 @@ def write_inputs(tmp):
     rules += [{"type": "threshold", "feature": 1, "cut": 0.125}, {"type": "attribute"},
               {"type": "constant", "value": 0}, {"type": "constant", "value": 1}]
     (tmp / "rules.json").write_text(json.dumps({"rules": rules}), encoding="utf-8")
+
+    # fit-linear-fair's other branches: eight features and a score column, so the
+    # fit reads strided views of an 11-column table; and labels equal to the
+    # attribute, which makes the constraint degenerate
+    rng = np.random.default_rng(27)
+    x = rng.normal(size=(ROWS, 8))
+    a = (x[:, 0] - x[:, 1] + rng.normal(size=ROWS) > 0).astype(float)
+    y = (x @ np.linspace(1.0, -0.75, 8) + 0.5 * a + rng.normal(size=ROWS) > 0).astype(float)
+    _write_rows(tmp / "scored8.csv", [f"x{j}" for j in range(8)] + ["a", "y", "score"],
+                [*x.T, a, y, rng.random(ROWS)])
+    _write_rows(tmp / "degenerate.csv", ["x0", "x1", "a", "y"], [*x[:, :2].T, a, a])
 
 
 def cases(tmp):
@@ -93,6 +107,11 @@ def cases(tmp):
         "fit-logistic": fit + ["--method", "pgd", "--loss", "logistic"],
         "fit-derived": fit + ["--method", "derived"],
         "fit-hinge": fit + ["--method", "pgd", "--loss", "hinge_smooth"],
+        "fit-squared": fit + ["--method", "pgd", "--loss", "squared"],
+        "fit-scored": ["fit-linear-fair", "--data", str(tmp / "scored8.csv"),
+                       "--method", "pgd", "--loss", "hinge_smooth"],
+        "fit-degenerate": ["fit-linear-fair", "--data", str(tmp / "degenerate.csv"),
+                           "--method", "pgd", "--loss", "logistic"],
     }
     return {name: (args + ["--out", str(out / name)], out / name)
             for name, args in argv.items()}
@@ -121,5 +140,5 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
         write_inputs(tmp)
-        for name in GOLDEN:
+        for name in cases(tmp):
             sys.stdout.write(f'    "{name}": "{output_sha256(tmp, name)}",\n')
