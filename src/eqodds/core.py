@@ -45,31 +45,34 @@ class TooFewSamplesError(EqoddsError, ValueError):
     pass
 
 
-# Values one block holds, 512 KB of float64: the codes of one ``cell_sums`` bincount,
-# the acceptances of one hypothesis scan, the binomial draws of one ``sample_counts``.
+# Values one block holds, 512 KB of float64: the codes of one ``_code_sums`` bincount,
+# the binomial draws of one ``sample_counts``.
 _BLOCK_VALUES = 65_536
+
+
+def _code_sums(codes: np.ndarray, size: int, weights: Optional[np.ndarray] = None):
+    """Per-code sums of ``weights`` (code counts when omitted) over its last axis for
+    codes in [0, size): (size,), or (..., size) for a (..., n) stack. A stack is one
+    bincount of the codes ``codes + size k`` over its rows k, in blocks of at most
+    ``_BLOCK_VALUES`` codes; each row is summed in order, as the one-row call sums it."""
+    if weights is None or np.ndim(weights) == 1:
+        return np.bincount(codes, weights, minlength=size)
+    lead, weights = np.shape(weights)[:-1], np.reshape(weights, (-1, len(codes)))
+    step = max(1, _BLOCK_VALUES // max(1, len(codes)))
+    stacked = (codes + size * np.arange(min(step, len(weights)))[:, None]).ravel()
+    out = np.empty((len(weights), size))
+    for lo in range(0, len(weights), step):
+        block = weights[lo:lo + step]
+        out[lo:lo + len(block)] = np.bincount(stacked[:block.size], block.ravel(),
+                                              minlength=size * len(block)).reshape(-1, size)
+    return out.reshape(*lead, size)
 
 
 def cell_sums(cell: np.ndarray, weights: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-cell sums of ``weights`` (row counts when omitted) over its last axis: a
-    (2, 2) [y][a] table, or a (..., 2, 2) stack of them for a (..., n) weight stack.
-
-    The one kernel behind rates, counts, cell tables and the Monte Carlo count
-    tables. A stack is one bincount of the codes ``cell + 4k`` over its rows k, in
-    blocks of rows of at most ``_BLOCK_VALUES`` codes; each row is summed in order, as
-    the one-row call sums it, so bit for bit the same.
-    """
-    if weights is None or np.ndim(weights) == 1:
-        return np.bincount(cell, weights, minlength=4).reshape(2, 2)
-    lead, weights = np.shape(weights)[:-1], np.reshape(weights, (-1, len(cell)))
-    step = max(1, _BLOCK_VALUES // max(1, len(cell)))
-    codes = (cell + 4 * np.arange(min(step, len(weights)))[:, None]).ravel()
-    out = np.empty((len(weights), 4))
-    for lo in range(0, len(weights), step):
-        block = weights[lo:lo + step]
-        out[lo:lo + len(block)] = np.bincount(codes[:block.size], block.ravel(),
-                                              minlength=4 * len(block)).reshape(-1, 4)
-    return out.reshape(*lead, 2, 2)
+    (2, 2) [y][a] table, or a (..., 2, 2) stack of them for a (..., n) weight stack;
+    ``_code_sums`` of the four cell codes, behind every rate, count and cell table."""
+    return _code_sums(cell, 4, weights).reshape(*np.shape(weights)[:-1], 2, 2)
 
 
 def _cell_codes(labels: np.ndarray, attr: np.ndarray) -> np.ndarray:
@@ -237,9 +240,6 @@ class BinaryPredictor:
         return acceptance_values(self.predict_proba(features, attr), len(attr),
                                  f"{self.name}: outputs")
 
-    def on_dataset(self, dataset: Dataset) -> np.ndarray:
-        return self.acceptance(dataset.features, dataset.attr)
-
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
 
@@ -324,7 +324,7 @@ def empirical_rates(dataset: Dataset, values) -> np.ndarray:
     """Sample conditional acceptance rates, cell by cell: the (2, 2) [y][a] table.
 
     ``values`` are per-row acceptance probabilities, a score column or a rule's
-    ``on_dataset``. Cells with no samples get a NaN rate rather than an error;
+    ``acceptance``. Cells with no samples get a NaN rate rather than an error;
     consumers that need all four conditionals pass ``cell_counts`` to
     ``_require_nonzero_cells``.
     """
@@ -342,6 +342,12 @@ def empirical_loss(dataset: Dataset, values) -> float:
     return float(np.mean(np.abs(mistakes, out=mistakes)))
 
 
+def _halves(n: int, seed: int):
+    """Row indices of ``split_dataset``'s two halves of n rows."""
+    order, k = np.random.default_rng(seed).permutation(n), (n + 1) // 2
+    return order[:k], order[k:]
+
+
 def split_dataset(dataset: Dataset, seed: int):
     """Seeded shuffle-and-halve; the first half gets the extra odd sample.
 
@@ -351,6 +357,4 @@ def split_dataset(dataset: Dataset, seed: int):
     n = len(dataset)
     if n < 2:
         raise TooFewSamplesError(f"need at least 2 samples to split, got {n}")
-    order = np.random.default_rng(seed).permutation(n)
-    k = (n + 1) // 2
-    return dataset.subset(order[:k]), dataset.subset(order[k:])
+    return tuple(dataset.subset(half) for half in _halves(n, seed))

@@ -78,7 +78,8 @@ from .synthetic import (
     sample_law,
     two_proxy_law,
 )
-from .two_step import _CONSTANTS, _COUNT_TRIALS, TwoStepConfig, _select, _train_on_counts
+from .two_step import (_CONSTANTS, _COUNT_TRIALS, TwoStepConfig, _rule_sums, _select,
+                       _train_on_counts)
 
 # Trials ``run_erm_trap_floor`` selects at once: ``_select`` holds about four (T, R)
 # float arrays, near 1 MB in all at its 64 rules, at any trial count.
@@ -235,14 +236,14 @@ def run_detection_error_rates(eps: float = 0.1, alpha: float = 0.5,
     n = required_sample_size(alpha, delta, cells)
     threshold = alpha / 2.0
     rules = (FeatureThresholdRule(0, 0.5, name="x"), AttributeRule())
-    accept = np.array([rule.acceptance(law.x, law.attr) for rule in rules])
     atoms = sample_counts(law, [n] * trials, np.random.default_rng(seed))
     gaps = np.empty((2, trials))
-    for lo in range(0, trials, _COUNT_TRIALS):  # the (2, T, m) products a block at a time
+    for lo in range(0, trials, _COUNT_TRIALS):  # the rule sums a block of trials at a time
         at = slice(lo, lo + _COUNT_TRIALS)
         counts = cell_sums(law.cell, atoms[at])
         _require_nonzero_cells(counts, "discrimination gap")
-        gaps[:, at] = rate_gap(cell_sums(law.cell, accept[:, None] * atoms[at]) / counts)
+        sums = _rule_sums(rules, law.x, law.attr, law.cell, atoms[at])  # (T, 2, 2, 2)
+        gaps[:, at] = rate_gap(sums / counts[:, None]).T
     raw = {"trial": np.arange(trials), "gap_fair": gaps[0], "gap_biased": gaps[1],
            "false_flag": (gaps[0] > threshold).astype(int),
            "miss": (~(gaps[1] > threshold)).astype(int)}
@@ -335,7 +336,6 @@ def run_two_step_rate_sweep(eps: float = 0.1, delta: float = 0.1,
         ConstantRule(0.0),
         ConstantRule(1.0),
     ))
-    accept = np.array([rule.acceptance(law.x, law.attr) for rule in hclass])
     base = _population_rates(law, hclass.rules + _CONSTANTS)
 
     # the halves of split_dataset: the first ceil(n/2) rows of a uniformly random
@@ -348,8 +348,8 @@ def run_two_step_rate_sweep(eps: float = 0.1, delta: float = 0.1,
         if not row.any():
             raise InvalidParameterError(f"every trial at n = {n} has an empty (y, a) cell in a half")
     halves = halves[:, kept]  # (2, kept trials, atoms); the full draw is freed
-    (pick, *_), _, _, derived = _train_on_counts(
-        accept, law.cell, *halves, TwoStepConfig(delta=delta))
+    (pick, *_), _, _, derived, _ = _train_on_counts(
+        hclass.rules, law.x, law.attr, law.cell, *halves, TwoStepConfig(delta=delta))
     del halves  # freed before the population rates are computed
     rates = _mixed_rates(derived, base[pick])  # of each corrected rule, on the population
     gaps = rate_gap(rates)

@@ -7,6 +7,10 @@ its own gap tolerance. Splitting matters: correcting on fresh data keeps
 the final gap guarantee free of the hypothesis-class complexity that the
 step-1 gap inevitably picks up.
 
+Both steps read each rule's cell sums under 0/1 row weights for the two
+halves of a file, or atom counts for those of Monte Carlo trials
+(``_rule_sums``): ``train_two_step`` is the one-trial case of that path.
+
 The ``auto`` tolerance schedule is
 
     2 * max_cell sqrt(2 * log(64 / delta) / (n * P_cell))
@@ -37,27 +41,20 @@ from .core import (
     FeatureThresholdRule,
     FiniteHypothesisClass,
     InvalidParameterError,
-    _BLOCK_VALUES,
+    _code_sums,
+    _halves,
     _require_nonzero_cells,
     cell_sums,
     rate_gap,
-    split_dataset,
 )
-from .posthoc import (
-    DerivedPredictor,
-    RateStatistics,
-    _derived_accept,
-    expected_loss_from_rates,
-    induced_rates,
-    optimal_derived,
-)
+from .posthoc import DerivedPredictor, _derived_accept, _mixed_rates, expected_loss_from_rates
 
 Tolerance = Union[float, str]
 
-# Trials ``_train_on_counts`` takes through steps 1 and 2 at once: its temporaries stay
-# near 1 MB at any trial count, and as a multiple of ``_LP_TRIALS`` the LP blocks are
-# those of one pass.
-_COUNT_TRIALS = 4096
+# Trials ``_train_on_counts`` takes through steps 1 and 2 at once: the rule sums of both
+# halves and their temporaries stay near 2 MB at the sweep's six rules, and as a multiple
+# of ``_LP_TRIALS`` the LP blocks are those of one pass.
+_COUNT_TRIALS = 2048
 # step 1 falls back to the better constant: picks R and R + 1 of ``_select``
 _CONSTANTS = (ConstantRule(0.0), ConstantRule(1.0))
 
@@ -108,24 +105,33 @@ def _losses(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
             + (counts[..., 1, 1] - sums[..., 1, 1])) / counts.sum(axis=(-2, -1))
 
 
-def _scan(hclass: FiniteHypothesisClass, dataset: Dataset) -> np.ndarray:
-    """Every rule's (2, 2) cell sums on ``dataset``, an (R, 2, 2) stack.
+def _rule_sums(rules, x: np.ndarray, attr: np.ndarray, cell: np.ndarray,
+               weights: np.ndarray) -> np.ndarray:
+    """Each rule's (2, 2) cell sums under a (..., m) weight stack over the m rows (or
+    atoms) of features ``x``, attribute ``attr`` and cell codes ``cell``: (..., R, 2, 2).
 
-    A block of rules (at most ``_BLOCK_VALUES`` acceptance values, never fewer
-    than one rule) is filled with their checked acceptances and multiplied by the
-    one-hot indicator of the rows' cell codes; for 0/1 rules every sum is exact.
+    The ``x_j >= cut`` rules of one feature are counted together: a row's bin is the
+    number of the feature's cuts at or below its value, ``_code_sums`` sums each (cell,
+    bin), and a cut's sums are the tail over the bins past it. Every other rule (a
+    ``FeatureThresholdRule`` subclass too) sums its checked acceptance. With 0/1 rules
+    and whole weights every sum is an exact integer, in any order of addition.
     """
-    n, rules = len(dataset), hclass.rules
-    indicator = np.eye(4).take(dataset.cell, axis=0)  # one-hot row per cell code
-    sums = np.empty((len(rules), 4))  # per rule: S00, S01, S10, S11
-    width = max(1, _BLOCK_VALUES // n)
-    for lo in range(0, len(rules), width):
-        chunk = rules[lo:lo + width]
-        block = np.empty((len(chunk), n))
-        for row, rule in zip(block, chunk):
-            row[:] = rule.acceptance(dataset.features, dataset.attr)
-        np.matmul(block, indicator, out=sums[lo:lo + len(chunk)])
-    return sums.reshape(-1, 2, 2)
+    out, groups = np.empty((*np.shape(weights)[:-1], len(rules), 4)), {}
+    for i, rule in enumerate(rules):
+        if type(rule) is FeatureThresholdRule:
+            groups.setdefault(rule.feature, []).append(i)
+        else:
+            out[..., i, :] = _code_sums(cell, 4, rule.acceptance(x, attr) * weights)
+    for feature, at in groups.items():
+        cuts = np.array([rules[i].cut for i in at])
+        grid = np.sort(cuts)  # a repeated cut leaves an empty bin; np.unique imports numpy.ma
+        width = len(grid) + 1
+        bins = np.searchsorted(grid, x[:, feature], "right")
+        per_bin = _code_sums(bins + width * cell, 4 * width, weights).reshape(-1, width)
+        # a cut's tail: the bins past its place in the grid, summed in one product
+        past = np.arange(width) > np.searchsorted(grid, cuts)[:, None]
+        out[..., at, :] = (per_bin @ past.T).reshape(*out.shape[:-2], 4, -1).swapaxes(-1, -2)
+    return out.reshape(*out.shape[:-1], 2, 2)
 
 
 def _select(sums: np.ndarray, counts: np.ndarray, tolerance: np.ndarray):
@@ -155,6 +161,14 @@ def _select(sums: np.ndarray, counts: np.ndarray, tolerance: np.ndarray):
     return pick, losses[rows, pick], gaps[rows, pick], feasible
 
 
+def _step1(rules, selection) -> Step1Result:
+    """The one trial of a ``_select`` result over ``rules`` as a Step1Result."""
+    [pick], [loss], [gap], [feasible] = selection
+    picks = tuple(rules) + _CONSTANTS
+    return Step1Result(picks[pick], float(loss), float(gap), bool(pick >= len(rules)),
+                       tuple(picks[i].name for i in np.flatnonzero(feasible)))
+
+
 def constrained_erm(dataset: Dataset, hclass: FiniteHypothesisClass,
                     tolerance: float) -> Step1Result:
     """Lowest-loss rule with sample gap strictly under ``tolerance``.
@@ -169,12 +183,9 @@ def constrained_erm(dataset: Dataset, hclass: FiniteHypothesisClass,
     if not tolerance >= 0:  # NaN fails too
         raise InvalidParameterError(f"tolerance must be nonnegative, got {tolerance}")
     _require_nonzero_cells(dataset.cell_counts, "constrained risk minimization")
-    [pick], [loss], [gap], [feasible] = _select(_scan(hclass, dataset)[None],
-                                                dataset.cell_counts[None], np.array([tolerance]))
-    rules = hclass.rules + _CONSTANTS
-    return Step1Result(rule=rules[pick], loss=float(loss), gap=float(gap),
-                       forced_constant=bool(pick >= len(hclass)),
-                       feasible=tuple(rules[i].name for i in np.flatnonzero(feasible)))
+    sums = _rule_sums(hclass.rules, dataset.features, dataset.attr, dataset.cell,
+                      np.ones((1, len(dataset))))
+    return _step1(hclass.rules, _select(sums, dataset.cell_counts[None], np.array([tolerance])))
 
 
 @dataclass(frozen=True)
@@ -198,63 +209,58 @@ class TwoStepResult:
         }
 
 
-def _tolerances(config: TwoStepConfig, first: np.ndarray, second: np.ndarray):
-    """Step-1 and step-2 gap tolerances, (N,) each, for the N trials whose halves
-    have the (N, 2, 2) cell counts ``first`` and ``second``. Every cell must hold a
-    row, checked on all first halves before any second half."""
-    _require_nonzero_cells(first, "first half")
-    _require_nonzero_cells(second, "second half")
-    auto = auto_tolerance(first + second, config.delta)
-    return tuple(auto if t == "auto" else np.full(len(auto), float(t))
-                 for t in (config.train_tolerance, config.correct_tolerance))
-
-
 def train_two_step(data: Dataset, hclass: FiniteHypothesisClass,
                    config: TwoStepConfig = TwoStepConfig()) -> TwoStepResult:
-    """Split, constrained-minimize on half one, correct on half two."""
+    """Split, constrained-minimize on half one, correct on half two: the one trial of
+    ``_train_on_counts`` whose halves are the 0/1 row weights of ``split_dataset``."""
     data.require_binary()
     if len(data) < 8:
         raise InvalidParameterError(f"need at least 8 samples, got {len(data)}")
-    s1, s2 = split_dataset(data, config.seed)
-    t_train, t_correct = (float(t[0]) for t in
-                          _tolerances(config, s1.cell_counts[None], s2.cell_counts[None]))
-    step1 = constrained_erm(s1, hclass, t_train)
-    # step 2 from the step-1 rule's cell sums on the second half
-    sums, counts = cell_sums(s2.cell, step1.rule.on_dataset(s2)), s2.cell_counts
-    stats = RateStatistics(sums / counts, CellProbabilities.from_dataset(s2))
-    derived = optimal_derived(stats, t_correct)
-    induced = induced_rates(derived, stats)
-    diagnostics = {
+    halves = np.zeros((2, 1, len(data)))
+    for weights, rows in zip(halves, _halves(len(data), config.seed)):
+        weights[0, rows] = 1.0
+    selection, (t_train,), (t_correct,), (accept,), (sums,) = _train_on_counts(
+        hclass.rules, data.features, data.attr, data.cell, *halves, config)
+    step1, counts = _step1(hclass.rules, selection), cell_sums(data.cell, halves[1, 0])
+    rates = sums / counts
+    induced = _mixed_rates(accept, rates)
+    return TwoStepResult(step1, DerivedPredictor(accept), float(t_train), float(t_correct), {
         "s1_loss": step1.loss,
         "s1_gap": step1.gap,
         "s2_base_loss": float(_losses(sums, counts)),
-        "s2_base_gap": float(rate_gap(stats.rates)),
-        "s2_corrected_loss": expected_loss_from_rates(induced, stats.cells),
+        "s2_base_gap": float(rate_gap(rates)),
+        "s2_corrected_loss": expected_loss_from_rates(
+            induced, CellProbabilities(counts / counts.sum())),
         "s2_corrected_gap": float(rate_gap(induced)),
-    }
-    return TwoStepResult(step1=step1, derived=derived, train_tolerance=t_train,
-                         correct_tolerance=t_correct, diagnostics=diagnostics)
+    })
 
 
-def _train_on_counts(accept: np.ndarray, cell: np.ndarray, first: np.ndarray,
-                     second: np.ndarray, config: TwoStepConfig):
-    """``train_two_step`` for the N trials of the (N, m) atom counts of their halves,
-    ``accept`` (R, m) holding each rule's acceptance of the m atoms of cell codes
-    ``cell``: the ``_select`` result, both (N,) tolerances and the (N, 2, 2) step-2
-    accept tables. Empty cells are reported as ``_tolerances`` checks them; steps 1
-    and 2 then run ``_COUNT_TRIALS`` trials at a time. Cell sums are exact integer
-    sums, so each trial equals ``train_two_step`` on rows of its counts bit for bit."""
+def _train_on_counts(rules, x: np.ndarray, attr: np.ndarray, cell: np.ndarray,
+                     first: np.ndarray, second: np.ndarray, config: TwoStepConfig):
+    """``train_two_step`` for N trials whose halves weigh the m rows (or atoms) of
+    ``x``, ``attr`` and cell codes ``cell`` by the (N, m) stacks ``first`` and
+    ``second``: the ``_select`` result over ``rules``, both (N,) tolerances, and the
+    step-2 accept tables and picked rules' second-half cell sums, (N, 2, 2) each. Every
+    first half's cells are checked before any second half's; then ``_COUNT_TRIALS``
+    trials at a time share one ``_rule_sums`` of both halves."""
     counts1, counts2 = cell_sums(cell, first), cell_sums(cell, second)
-    t_train, t_correct = _tolerances(config, counts1, counts2)
-    picked = np.vstack([accept, np.zeros_like(accept[0]), np.ones_like(accept[0])])  # + _CONSTANTS
-    parts, derived = [], np.empty((len(first), 2, 2))
+    _require_nonzero_cells(counts1, "first half")
+    _require_nonzero_cells(counts2, "second half")
+    auto = auto_tolerance(counts1 + counts2, config.delta)
+    t_train, t_correct = (auto if t == "auto" else np.full(len(auto), float(t))
+                          for t in (config.train_tolerance, config.correct_tolerance))
+    rules = tuple(rules) + _CONSTANTS  # second-half sums for a forced constant
+    parts, derived, picked = [], np.empty((len(first), 2, 2)), np.empty((len(first), 2, 2))
     for lo in range(0, len(first), _COUNT_TRIALS):
         at = slice(lo, lo + _COUNT_TRIALS)
-        parts.append(_select(cell_sums(cell, accept * first[at, None]), counts1[at], t_train[at]))
-        sums, counts = cell_sums(cell, picked[parts[-1][0]] * second[at]), counts2[at]
+        sums = _rule_sums(rules, x, attr, cell, np.stack([first[at], second[at]]))
+        parts.append(_select(sums[0, :, :-len(_CONSTANTS)], counts1[at], t_train[at]))
+        picked[at] = sums[1, np.arange(sums.shape[1]), parts[-1][0]]
+        del sums  # freed before the LP's temporaries
+        s2, counts = picked[at], counts2[at]
         derived[at] = _derived_accept(
-            sums / counts, counts / counts.sum(axis=(1, 2), keepdims=True), t_correct[at])
-    return tuple(np.concatenate(part) for part in zip(*parts)), t_train, t_correct, derived
+            s2 / counts, counts / counts.sum(axis=(1, 2), keepdims=True), t_correct[at])
+    return tuple(np.concatenate(part) for part in zip(*parts)), t_train, t_correct, derived, picked
 
 
 def threshold_class(dataset: Dataset, feature: int, max_cuts: int) -> FiniteHypothesisClass:

@@ -133,6 +133,18 @@ def counting_rates_oracle(dataset, values):
     return rates, counts
 
 
+def rule_sums_by_row(rules, x, attr, cell, weights):
+    """Each rule's (2, 2) cell sums under a (..., m) weight stack, one row at a time:
+    ``acceptance`` times the row's weights, added into the row's (y, a) cell."""
+    weights = np.asarray(weights, dtype=np.float64)
+    out = np.zeros((*weights.shape[:-1], len(rules), 2, 2))
+    for r, rule in enumerate(rules):
+        accept = rule.acceptance(x, attr)
+        for i, code in enumerate(np.asarray(cell).tolist()):
+            out[..., r, code // 2, code % 2] += accept[i] * weights[..., i]
+    return out
+
+
 def constrained_erm_oracle(dataset, hclass, tolerance):
     """Rule-by-rule constrained risk minimization: the scan the block scan replaced.
 
@@ -143,7 +155,7 @@ def constrained_erm_oracle(dataset, hclass, tolerance):
     best = None
     feasible_names = []
     for rule in hclass:
-        vals = rule.on_dataset(dataset)
+        vals = rule.acceptance(dataset.features, dataset.attr)
         gap = float(rate_gap(empirical_rates(dataset, vals)))
         if gap >= tolerance:
             continue
@@ -158,7 +170,8 @@ def constrained_erm_oracle(dataset, hclass, tolerance):
                            forced_constant=False, feasible=tuple(feasible_names))
 
     candidates = [ConstantRule(0.0), ConstantRule(1.0)]
-    losses = [empirical_loss(dataset, c.on_dataset(dataset)) for c in candidates]
+    losses = [empirical_loss(dataset, c.acceptance(dataset.features, dataset.attr))
+              for c in candidates]
     pick = int(np.argmin(losses))
     return Step1Result(rule=candidates[pick], loss=losses[pick], gap=0.0,
                        forced_constant=True, feasible=())

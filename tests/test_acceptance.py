@@ -196,7 +196,7 @@ def test_criterion_9_oracle_equivalences():
             ds = Dataset(rng.normal(size=(n, 2)), rng.integers(0, 2, n),
                          rng.integers(0, 2, n))
             rule = FeatureThresholdRule(0, float(rng.normal()))
-            vals = rule.on_dataset(ds)
+            vals = rule.acceptance(ds.features, ds.attr)
             got = empirical_rates(ds, vals)
             want_rates, want_counts = counting_rates_oracle(ds, vals)
             assert np.array_equal(ds.cell_counts, want_counts)

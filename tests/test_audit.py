@@ -67,18 +67,19 @@ class TestDetect:
     def test_zero_gap_passes(self):
         ds = Dataset(np.zeros((8, 1)), [0, 0, 1, 1, 0, 0, 1, 1],
                      [0, 0, 0, 0, 1, 1, 1, 1])
-        report = detect(ds, ConstantRule(1.0).on_dataset(ds), alpha=0.3, delta=0.1)
+        report = detect(ds, ConstantRule(1.0).acceptance(ds.features, ds.attr), alpha=0.3,
+                        delta=0.1)
         assert report.decision == "pass" and report.gap == 0.0
 
     def test_attribute_rule_flags(self):
         ds = self._dataset(n=4000)
-        report = detect(ds, AttributeRule().on_dataset(ds), alpha=0.5, delta=0.1)
+        report = detect(ds, AttributeRule().acceptance(ds.features, ds.attr), alpha=0.5, delta=0.1)
         assert report.decision == "flag"
         assert report.gap == pytest.approx(1.0)
 
     def test_threshold_is_half_alpha(self):
         ds = self._dataset()
-        report = detect(ds, X_RULE.on_dataset(ds), alpha=0.4, delta=0.1)
+        report = detect(ds, X_RULE.acceptance(ds.features, ds.attr), alpha=0.4, delta=0.1)
         assert report.threshold == pytest.approx(0.2)
 
     def test_monotone_in_alpha_never_flips_pass_to_flag(self):
@@ -86,39 +87,40 @@ class TestDetect:
         for trial in range(20):
             ds = self._dataset(seed=trial, n=200)
             rule = FeatureThresholdRule(0, 0.5)
-            r1 = detect(ds, rule.on_dataset(ds), alpha=0.2, delta=0.1)
-            r2 = detect(ds, rule.on_dataset(ds), alpha=0.6, delta=0.1)
+            r1 = detect(ds, rule.acceptance(ds.features, ds.attr), alpha=0.2, delta=0.1)
+            r2 = detect(ds, rule.acceptance(ds.features, ds.attr), alpha=0.6, delta=0.1)
             if r1.decision == "pass":
                 assert r2.decision == "pass"
 
     def test_uncertified_on_small_samples(self):
         ds = self._dataset(n=60)
-        report = detect(ds, X_RULE.on_dataset(ds), alpha=0.2, delta=0.1)
+        report = detect(ds, X_RULE.acceptance(ds.features, ds.attr), alpha=0.2, delta=0.1)
         assert not report.certified
         assert report.required_n > 60
 
     def test_supplied_cells_override_empirical(self):
         ds = self._dataset(n=200)
         cells = two_proxy_law(0.1).cell_probabilities()
-        report = detect(ds, X_RULE.on_dataset(ds), alpha=0.5, delta=0.1, cells=cells)
+        report = detect(ds, X_RULE.acceptance(ds.features, ds.attr), alpha=0.5, delta=0.1,
+                        cells=cells)
         assert report.cells_source == "supplied"
         assert report.required_n == required_sample_size(0.5, 0.1, cells)
 
     def test_parameter_validation(self):
         ds = self._dataset()
         with pytest.raises(InvalidParameterError):
-            detect(ds, X_RULE.on_dataset(ds), alpha=1.2, delta=0.1)
+            detect(ds, X_RULE.acceptance(ds.features, ds.attr), alpha=1.2, delta=0.1)
         with pytest.raises(InvalidParameterError):
-            detect(ds, X_RULE.on_dataset(ds), alpha=0.5, delta=0.7)
+            detect(ds, X_RULE.acceptance(ds.features, ds.attr), alpha=0.5, delta=0.7)
 
     def test_empty_cell_raises(self):
         ds = Dataset(np.zeros((4, 1)), [0, 0, 0, 0], [0, 0, 1, 1])
         with pytest.raises(EmptyCellError):
-            detect(ds, ConstantRule(1.0).on_dataset(ds), alpha=0.3, delta=0.1)
+            detect(ds, ConstantRule(1.0).acceptance(ds.features, ds.attr), alpha=0.3, delta=0.1)
 
     def test_report_serializes(self):
         ds = self._dataset()
-        report = detect(ds, X_RULE.on_dataset(ds), alpha=0.4, delta=0.1)
+        report = detect(ds, X_RULE.acceptance(ds.features, ds.attr), alpha=0.4, delta=0.1)
         d = report.to_dict()
         assert d["decision"] in ("pass", "flag")
         assert len(d["rates"]) == 2
@@ -131,7 +133,7 @@ def test_zero_gap_base_keeps_zero_sample_gap_after_correction():
 
     law = two_proxy_law(0.1)
     ds = sample_law(law, 500, seed=9)
-    base_rates = empirical_rates(ds, X_RULE.on_dataset(ds))
+    base_rates = empirical_rates(ds, X_RULE.acceptance(ds.features, ds.attr))
     if rate_gap(base_rates) > 0:  # construct an exactly-zero-gap base instead
         vals = ds.labels.copy()  # the perfect rule has zero sample gap
         stats = RateStatistics.from_sample(ds, vals)

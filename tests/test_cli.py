@@ -885,8 +885,8 @@ def fit_file(tmp_path_factory):
 
 
 @pytest.mark.parametrize("argv, bound", [
-    # the table, both halves of the split and the scan's blocks
-    (["train", "--hypotheses", "{tmp}/rules.json"], 3.05),
+    # the table, the 0/1 weights of both halves and one feature's bins: no half copies
+    (["train", "--hypotheses", "{tmp}/rules.json"], 2.2),
     # the table and estimate_moments' one stacked copy
     (["fit-linear-fair", "--method", "closed-form"], 2.1),
     (["fit-linear-fair", "--method", "derived"], 2.1),

@@ -51,7 +51,7 @@ def full_cells_dataset(rng, n, d=2):
 def test_constant_rule_rates_all_one():
     rng = np.random.default_rng(0)
     ds = full_cells_dataset(rng, 40)
-    rates = empirical_rates(ds, ConstantRule(1.0).on_dataset(ds))
+    rates = empirical_rates(ds, ConstantRule(1.0).acceptance(ds.features, ds.attr))
     assert np.allclose(rates, 1.0)
     assert rate_gap(rates) == 0.0
 
@@ -70,7 +70,7 @@ def test_rates_match_counting_oracle_exactly():
     for trial in range(100):
         ds = random_binary_dataset(rng, int(rng.integers(8, 60)))
         rule = FeatureThresholdRule(0, float(rng.normal()))
-        vals = rule.on_dataset(ds)
+        vals = rule.acceptance(ds.features, ds.attr)
         rates = empirical_rates(ds, vals)
         oracle_rates, oracle_counts = counting_oracle_rates(ds, vals)
         # 0/1 predictions sum exactly, so equality is bitwise
@@ -126,7 +126,7 @@ def test_loss_matches_brute_count():
     for _ in range(50):
         ds = random_binary_dataset(rng, int(rng.integers(5, 40)))
         rule = FeatureThresholdRule(0, float(rng.normal()))
-        vals = rule.on_dataset(ds)
+        vals = rule.acceptance(ds.features, ds.attr)
         brute = sum(int(vals[i] != ds.labels[i]) for i in range(len(ds))) / len(ds)
         assert empirical_loss(ds, vals) == pytest.approx(brute, abs=0)
 
@@ -135,7 +135,7 @@ def test_randomized_constant_rates_equal_mix():
     rng = np.random.default_rng(5)
     ds = full_cells_dataset(rng, 60)
     q = 0.37
-    rates = empirical_rates(ds, ConstantRule(q).on_dataset(ds))
+    rates = empirical_rates(ds, ConstantRule(q).acceptance(ds.features, ds.attr))
     assert np.allclose(rates, q, atol=1e-12)
 
 
@@ -145,7 +145,7 @@ def test_loss_rate_consistency_identity():
     for _ in range(20):
         ds = full_cells_dataset(rng, int(rng.integers(20, 80)))
         rule = FunctionRule(lambda X, a: (X[:, 0] + X[:, 1] > 0).astype(float), "sum>0")
-        vals = rule.on_dataset(ds)
+        vals = rule.acceptance(ds.features, ds.attr)
         rates, counts, n = empirical_rates(ds, vals), ds.cell_counts, len(ds)
         recon = sum(
             counts[0, a] / n * rates[0, a]
@@ -160,7 +160,7 @@ def test_gap_in_unit_interval():
     for _ in range(50):
         ds = full_cells_dataset(rng, int(rng.integers(12, 50)))
         rule = FeatureThresholdRule(1, float(rng.normal()))
-        g = rate_gap(empirical_rates(ds, rule.on_dataset(ds)))
+        g = rate_gap(empirical_rates(ds, rule.acceptance(ds.features, ds.attr)))
         assert 0.0 <= g <= 1.0
 
 
@@ -199,7 +199,7 @@ def test_split_too_small():
 
 def test_attribute_rule_and_scores_column():
     ds = Dataset(np.zeros((4, 1)), [0, 1, 0, 1], [0, 0, 1, 1], scores=[0.2, 0.8, 0.4, 0.9])
-    assert np.array_equal(AttributeRule().on_dataset(ds), [0, 1, 0, 1])
+    assert np.array_equal(AttributeRule().acceptance(ds.features, ds.attr), [0, 1, 0, 1])
     rates = empirical_rates(ds, ds.scores)
     assert rates[0, 0] == pytest.approx(0.2)
     assert rates[1, 1] == pytest.approx(0.9)
@@ -256,7 +256,7 @@ def test_nan_acceptance_values_rejected():
         empirical_rates(ds, np.array([0.2, np.nan, 0.4, 0.9]))
     nan_rule = FunctionRule(lambda X, a: np.full(len(a), np.nan), "nan")
     with pytest.raises(InvalidParameterError):
-        nan_rule.on_dataset(ds)
+        nan_rule.acceptance(ds.features, ds.attr)
 
 
 def test_dataset_columns_are_read_only_and_leave_the_callers_arrays_writable():
@@ -324,8 +324,8 @@ def test_cell_index_and_counts_cached():
      "rate statistics: empty (y, a) cells: [(1, 1)]"),
     (lambda ds: required_sample_size(0.5, 0.1, CellProbabilities.from_dataset(ds)),
      "required sample size: empty (y, a) cells: [(1, 1)]"),
-    (lambda ds: _train_on_counts(np.ones((1, 4)), np.arange(4),
-                                 np.array([[1, 1, 1, 1], [1, 0, 1, 1]]),
+    (lambda ds: _train_on_counts((ConstantRule(1.0),), np.zeros((4, 1)), np.zeros(4),
+                                 np.arange(4), np.array([[1, 1, 1, 1], [1, 0, 1, 1]]),
                                  np.array([[1, 1, 0, 1], [1, 1, 1, 1]]), TwoStepConfig()),
      "first half: empty (y, a) cells: [(0, 1)]"),
 ], ids=["constrained_erm", "detect", "from_sample", "required_sample_size", "train_on_counts"])

@@ -226,7 +226,7 @@ class TestSampling:
         law = two_proxy_law(0.1)
         ds = sample_law(law, 10_000, seed=3)
         from eqodds.core import empirical_loss
-        emp = empirical_loss(ds, X_RULE.on_dataset(ds))
+        emp = empirical_loss(ds, X_RULE.acceptance(ds.features, ds.attr))
         pop = population_loss01(law, X_RULE)
         assert abs(emp - pop) <= 4 * np.sqrt(1 / (4 * 10_000))
 

@@ -34,6 +34,7 @@ from eqodds.experiments import (run_detection_error_rates, run_erm_trap_floor,
                                 run_two_step_rate_sweep)
 from eqodds.two_step import (
     TwoStepConfig,
+    _rule_sums,
     _train_on_counts,
     auto_tolerance,
     constrained_erm,
@@ -41,7 +42,7 @@ from eqodds.two_step import (
     train_two_step,
 )
 from oracles import (DerivedRule, FunctionRule, constrained_erm_oracle, population_two_step,
-                     traced_peak)
+                     rule_sums_by_row, traced_peak)
 
 X_RULE = FeatureThresholdRule(0, 0.5, name="x")
 SMALL_CLASS = FiniteHypothesisClass((X_RULE, AttributeRule(),
@@ -76,7 +77,7 @@ class TestConstrainedErm:
             # oracle: explicit feasibility + argmin scan
             best_name, best_loss = None, np.inf
             for rule in rules:
-                vals = rule.on_dataset(ds)
+                vals = rule.acceptance(ds.features, ds.attr)
                 if rate_gap(empirical_rates(ds, vals)) >= tol:
                     continue
                 loss = empirical_loss(ds, vals)
@@ -101,7 +102,7 @@ class TestConstrainedErm:
         ds = Dataset(np.array([[1.0], [0.0], [1.0], [0.0]]),
                      [0, 0, 1, 1], [1, 0, 1, 0])
         rule = FeatureThresholdRule(0, 0.5, name="x")
-        gap = rate_gap(empirical_rates(ds, rule.on_dataset(ds)))
+        gap = rate_gap(empirical_rates(ds, rule.acceptance(ds.features, ds.attr)))
         assert gap == 0.0
         res = constrained_erm(ds, FiniteHypothesisClass((rule,)), tolerance=0.0)
         assert res.forced_constant  # strict: gap 0 is not < 0
@@ -137,7 +138,7 @@ def random_rule_class(rng, ds, k):
 
 
 class TestBlockScan:
-    """The block scan against the rule-by-rule oracle in tests/oracles.py."""
+    """``constrained_erm`` against the rule-by-rule oracle in tests/oracles.py."""
 
     def test_matches_rule_by_rule_oracle(self):
         rng = np.random.default_rng(11)
@@ -186,9 +187,9 @@ class TestBlockScan:
                   for k, c in enumerate(rng.uniform(1.5, 3.0, size=2 * width))]
         # every filler rule rejects all rows; the tied run accepts x0 = 1 rows
         ties = [FeatureThresholdRule(0, 0.5, name=f"tie{k}") for k in range(6)]
-        start = width - 3  # three ties at the end of block one, three at block two's start
+        start = width - 3  # a run of six ties deep inside a long class
         hclass = FiniteHypothesisClass(tuple(filler[:start] + ties + filler[start:]))
-        assert len(hclass) > 2 * width  # three blocks
+        assert len(hclass) > 2 * width  # the cuts of one feature, counted in one binning
         res = constrained_erm(ds, hclass, 1.0)
         assert res.rule.name == "tie0"
         assert_same_step1(res, constrained_erm_oracle(ds, hclass, 1.0))
@@ -231,15 +232,90 @@ class TestBlockScan:
             assert got.gap == pytest.approx(want.gap, rel=1e-12)
 
 
+class StrictThreshold(FeatureThresholdRule):
+    """1(x[feature] > cut): a subclass, so its sums must come from its own acceptance."""
+
+    def predict_proba(self, features, attr):
+        return (np.asarray(features)[:, self.feature] > self.cut).astype(np.float64)
+
+
+class TestRuleSums:
+    """``_rule_sums`` against row-by-row sums of each rule's acceptance, bit for bit."""
+
+    # values equal to cuts, repeated values, and -0.0 next to 0.0
+    COLUMNS = ([-1.0, -0.0, 0.0, 0.0, 0.5, 0.5, 0.5, 1.0, 2.5, 2.5, 3.0, -0.0],
+               [0.25, 0.25, 7.0, -3.0, 0.25, 1.5, 1.5, 7.0, -0.0, 0.0, 2.0, 7.0])
+    RULES = (
+        FeatureThresholdRule(0, 0.5, name="at-value"),
+        FeatureThresholdRule(0, 2.5, name="out-of-order"),
+        FeatureThresholdRule(0, -1.0, name="at-least-value"),
+        FeatureThresholdRule(0, 0.0, name="zero"),
+        FeatureThresholdRule(0, -0.0, name="minus-zero"),
+        FeatureThresholdRule(0, -5.0, name="below-all"),
+        FeatureThresholdRule(0, 9.0, name="above-all"),
+        FeatureThresholdRule(0, math.inf, name="inf"),
+        FeatureThresholdRule(0, -math.inf, name="minus-inf"),
+        FeatureThresholdRule(0, 0.5, name="at-value-again"),
+        AttributeRule(),
+        FeatureThresholdRule(1, 7.0, name="y-top"),
+        FeatureThresholdRule(1, -0.0, name="y-minus-zero"),
+        FeatureThresholdRule(1, 0.25, name="y-repeated"),
+        StrictThreshold(0, 0.5, name="strict"),
+        ConstantRule(0.0),
+        ConstantRule(1.0),
+    )
+
+    def rows(self):
+        x = np.column_stack([self.COLUMNS[0] * 2, self.COLUMNS[1] * 2])  # 24 rows
+        attr = np.tile([0.0, 1.0, 1.0], 8)
+        cell = (2 * np.repeat([0, 1, 1, 0, 1, 0], 4) + attr).astype(np.intp)
+        return x, attr, cell
+
+    @pytest.mark.parametrize("weights", ["unit", "halves", "atoms"])
+    def test_equals_row_by_row_sums(self, weights):
+        x, attr, cell = self.rows()
+        m = len(cell)
+        if weights == "unit":
+            w = np.ones(m)
+        elif weights == "halves":  # train_two_step's 0/1 row weights
+            w = np.zeros((2, 1, m))
+            for row, half in zip(w, core._halves(m, 3)):
+                row[0, half] = 1.0
+        else:  # integer atom counts, as sample_counts draws them
+            w = np.random.default_rng(4).integers(0, 1000, size=(3, 5, m))
+        got = _rule_sums(self.RULES, x, attr, cell, w)
+        want = rule_sums_by_row(self.RULES, x, attr, cell, w)
+        assert got.shape == want.shape == (*np.shape(w)[:-1], len(self.RULES), 2, 2)
+        assert got.tobytes() == want.tobytes()
+        # the subclass took its own acceptance: rows at the cut make it differ
+        names = [rule.name for rule in self.RULES]
+        assert (got[..., names.index("strict"), :, :]
+                != got[..., names.index("at-value"), :, :]).any()
+
+    def test_random_cuts_and_values(self):
+        rng = np.random.default_rng(5)
+        values = np.array([-2.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0])
+        for _ in range(40):
+            m, d = int(rng.integers(1, 50)), int(rng.integers(1, 4))
+            x = rng.choice(values, size=(m, d))
+            attr, cell = rng.integers(0, 2, m).astype(float), rng.integers(0, 4, m)
+            cuts = np.concatenate([values, (values[1:] + values[:-1]) / 2, [-math.inf, 5.0]])
+            rules = tuple(FeatureThresholdRule(int(rng.integers(0, d)), float(c), name=f"t{k}")
+                          for k, c in enumerate(rng.choice(cuts, size=int(rng.integers(1, 30)))))
+            w = rng.integers(0, 3, size=(2, m))
+            assert (_rule_sums(rules, x, attr, cell, w).tobytes()
+                    == rule_sums_by_row(rules, x, attr, cell, w).tobytes())
+
+
 class TestFitCorrection:
     """Step 2: the optimal derived rule fitted on an independent sample."""
 
     def test_zero_gap_base_with_loose_tolerance_keeps_loss(self):
         ds = proxy_sample(500, seed=2)
-        stats = RateStatistics.from_sample(ds, X_RULE.on_dataset(ds))
+        stats = RateStatistics.from_sample(ds, X_RULE.acceptance(ds.features, ds.attr))
         derived = optimal_derived(stats, tolerance=1.0)
         assert derived_loss(derived, stats) <= \
-            empirical_loss(ds, X_RULE.on_dataset(ds)) + 1e-12
+            empirical_loss(ds, X_RULE.acceptance(ds.features, ds.attr)) + 1e-12
 
     def test_equals_direct_lp_on_same_stats(self):
         # train_two_step's correction is the LP on the second half's statistics
@@ -249,13 +325,13 @@ class TestFitCorrection:
             res = train_two_step(ds, SMALL_CLASS,
                                  TwoStepConfig(correct_tolerance=tol, seed=seed))
             _, s2 = split_dataset(ds, seed)
-            stats = RateStatistics.from_sample(s2, res.step1.rule.on_dataset(s2))
+            stats = RateStatistics.from_sample(s2, res.step1.rule.acceptance(s2.features, s2.attr))
             direct = optimal_derived(stats, tol)
             assert np.array_equal(res.derived.accept, direct.accept)
 
     def test_attribute_base_large_sample_loss_near_half(self):
         ds = proxy_sample(20_000, seed=3)
-        stats = RateStatistics.from_sample(ds, AttributeRule().on_dataset(ds))
+        stats = RateStatistics.from_sample(ds, AttributeRule().acceptance(ds.features, ds.attr))
         derived = optimal_derived(stats, tolerance=0.01)
         assert derived_loss(derived, stats) == pytest.approx(0.5, abs=0.03)
 
@@ -263,7 +339,7 @@ class TestFitCorrection:
         for seed in range(10):
             ds = proxy_sample(400, seed=400 + seed)
             tol = 0.05
-            stats = RateStatistics.from_sample(ds, X_RULE.on_dataset(ds))
+            stats = RateStatistics.from_sample(ds, X_RULE.acceptance(ds.features, ds.attr))
             derived = optimal_derived(stats, tol)
             assert rate_gap(induced_rates(derived, stats)) <= tol + 1e-12
 
@@ -278,9 +354,10 @@ class TestDerivedRule:
         rng = np.random.default_rng(50)
         for k, base in enumerate(self.BASES):
             ds = proxy_sample(400, seed=500 + k)
-            stats = RateStatistics.from_sample(ds, base.on_dataset(ds))
+            stats = RateStatistics.from_sample(ds, base.acceptance(ds.features, ds.attr))
             for derived in (DerivedPredictor(rng.random((2, 2))), optimal_derived(stats, 0.02)):
-                got = empirical_rates(ds, DerivedRule(base, derived).on_dataset(ds))
+                got = empirical_rates(
+                    ds, DerivedRule(base, derived).acceptance(ds.features, ds.attr))
                 want = induced_rates(derived, stats)
                 assert np.abs(got - want).max() <= 1e-12, (base.name, derived.accept)
 
@@ -289,9 +366,10 @@ class TestDerivedRule:
             ds = proxy_sample(600, seed=550 + seed)
             res = train_two_step(ds, SMALL_CLASS, TwoStepConfig(seed=seed))
             _, s2 = split_dataset(ds, seed)
-            stats = RateStatistics.from_sample(s2, res.step1.rule.on_dataset(s2))
+            stats = RateStatistics.from_sample(s2, res.step1.rule.acceptance(s2.features, s2.attr))
             want = induced_rates(res.derived, stats)
-            got = empirical_rates(s2, DerivedRule(res.step1.rule, res.derived).on_dataset(s2))
+            corrected = DerivedRule(res.step1.rule, res.derived)
+            got = empirical_rates(s2, corrected.acceptance(s2.features, s2.attr))
             assert np.abs(got - want).max() <= 1e-12
             assert rate_gap(got) == pytest.approx(res.diagnostics["s2_corrected_gap"], abs=1e-12)
 
@@ -361,13 +439,12 @@ class TestCountPath:
     @pytest.mark.parametrize("eps", [0.1, 0.05, 0.2])
     def test_count_core_equals_train_two_step_on_rows(self, eps):
         law = two_proxy_law(eps)
-        accept = np.array([rule.acceptance(law.x, law.attr) for rule in SMALL_CLASS])
         for n in [2 ** k for k in range(9, 15)]:
             seeds = [100_000 * n + i for i in range(12)]
             first, second = np.array([tallied_halves(law, n, seed) for seed in seeds]
                                      ).transpose(1, 0, 2)
-            selection, t_train, t_correct, accepts = _train_on_counts(
-                accept, law.cell, first, second, TwoStepConfig())
+            selection, t_train, t_correct, accepts, _ = _train_on_counts(
+                SMALL_CLASS.rules, law.x, law.attr, law.cell, first, second, TwoStepConfig())
             for i, seed in enumerate(seeds):
                 rows = train_two_step(sample_law(law, n, seed), SMALL_CLASS,
                                       TwoStepConfig(seed=seed))
@@ -377,11 +454,11 @@ class TestCountPath:
 
     def test_forced_constant_and_empty_half_cells_match(self):
         law = two_proxy_law(0.2)
-        accept = np.array([rule.acceptance(law.x, law.attr) for rule in SMALL_CLASS])
         config = TwoStepConfig(train_tolerance=0.0, seed=3)
         rows = train_two_step(sample_law(law, 101, 3), SMALL_CLASS, config)
         first, second = (half[None] for half in tallied_halves(law, 101, 3))
-        selection, _, _, accepts = _train_on_counts(accept, law.cell, first, second, config)
+        selection, _, _, accepts, _ = _train_on_counts(
+            SMALL_CLASS.rules, law.x, law.attr, law.cell, first, second, config)
         assert rows.step1.forced_constant
         assert selected(SMALL_CLASS, selection, 0) == step1_fields(rows.step1)
         assert accepts[0].tobytes() == rows.derived.accept.tobytes()
@@ -391,7 +468,7 @@ class TestCountPath:
             train_two_step(sample_law(law, 512, config.seed), SMALL_CLASS, config)
         first, second = (half[None] for half in tallied_halves(law, 512, config.seed))
         with pytest.raises(EmptyCellError) as got:
-            _train_on_counts(accept, law.cell, first, second, config)
+            _train_on_counts(SMALL_CLASS.rules, law.x, law.attr, law.cell, first, second, config)
         assert str(got.value) == str(want.value)
 
     def test_sweep_reports_empty_cells_in_the_order_of_its_sample_sizes(self, monkeypatch):
@@ -465,8 +542,9 @@ class TestCountPath:
         assert len(samples) == len(raw["trial"]) == 50
         for fair, biased, ds in zip(raw["gap_fair"].tolist(), raw["gap_biased"].tolist(),
                                     samples):
-            assert fair == rate_gap(empirical_rates(ds, X_RULE.on_dataset(ds)))
-            assert biased == rate_gap(empirical_rates(ds, AttributeRule().on_dataset(ds)))
+            assert fair == rate_gap(empirical_rates(ds, X_RULE.acceptance(ds.features, ds.attr)))
+            assert biased == rate_gap(
+                empirical_rates(ds, AttributeRule().acceptance(ds.features, ds.attr)))
 
     def test_erm_trap_picks_equal_constrained_erm_on_rows(self, monkeypatch):
         samples = []
@@ -545,7 +623,8 @@ class TestTrainTwoStep:
         assert loose.step1.loss <= tight.step1.loss + 1e-12
         # with every rule feasible the scan is plain risk minimization
         s1, _ = __import__("eqodds.core", fromlist=["split_dataset"]).split_dataset(ds, 9)
-        unconstrained = min(empirical_loss(s1, r.on_dataset(s1)) for r in SMALL_CLASS)
+        unconstrained = min(empirical_loss(s1, r.acceptance(s1.features, s1.attr))
+                            for r in SMALL_CLASS)
         assert loose.step1.loss == pytest.approx(unconstrained, abs=1e-15)
 
     def test_population_correction_chain_bound(self):
@@ -606,6 +685,47 @@ class TestTrainTwoStep:
         got["diagnostics"] = {**got["diagnostics"], "population": population_two_step(law, res)}
         assert json.dumps(got) == json.dumps(want)
 
+    @pytest.mark.parametrize("config", [
+        TwoStepConfig(),
+        TwoStepConfig(seed=1, delta=0.3),
+        TwoStepConfig(seed=2, train_tolerance=0.0),  # step 1 forced to a constant
+        TwoStepConfig(seed=3, train_tolerance=1.5, correct_tolerance=0.0),
+        TwoStepConfig(seed=4, train_tolerance=0.08, correct_tolerance=0.03),
+    ], ids=["auto", "delta", "forced", "loose-strict", "fixed"])
+    def test_equals_the_oracles_on_a_threshold_grid(self, config):
+        rng = np.random.default_rng(40 + config.seed)
+        n = 500
+        attr = rng.integers(0, 2, n)
+        labels = (rng.random(n) < 0.3 + 0.4 * attr).astype(float)
+        feats = np.round(np.column_stack([labels + 0.6 * attr + rng.normal(0, 1, n),
+                                          rng.normal(0, 1, n)]), 1)
+        ds = Dataset(feats, attr, labels)
+        grid = threshold_class(ds, 0, 12).rules + threshold_class(ds, 1, 6).rules
+        # each cut again, moved inside the same gap between data values: a later rule
+        # with the same split and loss, which must never win
+        twins = tuple(FeatureThresholdRule(r.feature, r.cut + 0.01, name=f"{r.name}+")
+                      for r in grid)
+        hclass = FiniteHypothesisClass(grid + twins + (AttributeRule(), ConstantRule(0.0),
+                                                       ConstantRule(1.0)))
+        res = train_two_step(ds, hclass, config)
+        s1, s2 = split_dataset(ds, config.seed)
+        step1 = constrained_erm_oracle(s1, hclass, res.train_tolerance)
+        assert_same_step1(res.step1, step1)
+        assert not step1.rule.name.endswith("+")
+        assert step1.forced_constant == (config.train_tolerance == 0.0)
+        base = step1.rule.acceptance(s2.features, s2.attr)
+        stats = RateStatistics.from_sample(s2, base)
+        derived = optimal_derived(stats, res.correct_tolerance)
+        assert res.derived.accept.tobytes() == derived.accept.tobytes()
+        assert json.dumps(res.diagnostics) == json.dumps({
+            "s1_loss": step1.loss,
+            "s1_gap": step1.gap,
+            "s2_base_loss": empirical_loss(s2, base),
+            "s2_base_gap": float(rate_gap(stats.rates)),
+            "s2_corrected_loss": derived_loss(derived, stats),
+            "s2_corrected_gap": float(rate_gap(induced_rates(derived, stats))),
+        })
+
     def test_config_validation(self):
         with pytest.raises(InvalidParameterError):
             TwoStepConfig(delta=0.6)
@@ -624,7 +744,7 @@ class TestThresholdClass:
         feats = np.sort(rng.normal(size=(40, 1)), axis=0)
         ds = Dataset(feats, rng.integers(0, 2, 40), (feats[:, 0] > 0).astype(float))
         hclass = threshold_class(ds, 0, 64)
-        losses = [empirical_loss(ds, r.on_dataset(ds)) for r in hclass]
+        losses = [empirical_loss(ds, r.acceptance(ds.features, ds.attr)) for r in hclass]
         assert min(losses) == 0.0
         assert len(hclass) == 40  # every midpoint and the cut below all values
         assert all(isinstance(r, FeatureThresholdRule) for r in hclass)
