@@ -75,13 +75,6 @@ def cell_sums(cell: np.ndarray, weights: Optional[np.ndarray] = None) -> np.ndar
     return _code_sums(cell, 4, weights).reshape(*np.shape(weights)[:-1], 2, 2)
 
 
-def _cell_codes(labels: np.ndarray, attr: np.ndarray) -> np.ndarray:
-    """Cell codes 2*y + a of 0/1 ``labels`` and ``attr``, built in one intp array."""
-    cell = labels.astype(np.intp)
-    cell *= 2
-    return np.add(cell, attr, out=cell, casting="unsafe")  # whole 0/1 values: exact
-
-
 def rate_gap(rates: np.ndarray) -> np.ndarray:
     """Largest cross-group difference of (..., 2, 2) [y][a] rate tables, max over labels:
     the discrimination gap. An empty sample cell's NaN rate gives a NaN gap."""
@@ -169,10 +162,12 @@ class Dataset:
 
     @cached_property
     def cell(self) -> np.ndarray:
-        """Per-row cell code 2*y + a, the flat form of [y][a]; checks binarity once."""
+        """Per-row cell code 2*y + a, the flat [y][a], in one intp array; checks binarity once."""
         if not self.is_binary:
             raise InvalidParameterError("attr and labels must take values in {0, 1}")
-        return _cell_codes(self.labels, self.attr)
+        cell = self.labels.astype(np.intp)
+        cell *= 2
+        return np.add(cell, self.attr, out=cell, casting="unsafe")  # whole 0/1 values: exact
 
     @cached_property
     def cell_counts(self) -> np.ndarray:

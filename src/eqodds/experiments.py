@@ -236,13 +236,13 @@ def run_detection_error_rates(eps: float = 0.1, alpha: float = 0.5,
     n = required_sample_size(alpha, delta, cells)
     threshold = alpha / 2.0
     rules = (FeatureThresholdRule(0, 0.5, name="x"), AttributeRule())
-    atoms = sample_counts(law, [n] * trials, np.random.default_rng(seed))
+    draws = sample_counts(law, [n] * trials, np.random.default_rng(seed))
     gaps = np.empty((2, trials))
     for lo in range(0, trials, _COUNT_TRIALS):  # the rule sums a block of trials at a time
         at = slice(lo, lo + _COUNT_TRIALS)
-        counts = cell_sums(law.cell, atoms[at])
+        counts = cell_sums(law.atoms.cell, draws[at])
         _require_nonzero_cells(counts, "discrimination gap")
-        sums = _rule_sums(rules, law.x, law.attr, law.cell, atoms[at])  # (T, 2, 2, 2)
+        sums = _rule_sums(rules, law.atoms, draws[at])  # (T, 2, 2, 2)
         gaps[:, at] = rate_gap(sums / counts[:, None]).T
     raw = {"trial": np.arange(trials), "gap_fair": gaps[0], "gap_biased": gaps[1],
            "false_flag": (gaps[0] > threshold).astype(int),
@@ -343,13 +343,13 @@ def run_two_step_rate_sweep(eps: float = 0.1, delta: float = 0.1,
     sizes = np.repeat(n_grid, trials).reshape(len(n_grid), trials)
     halves = sample_counts(law, [(sizes + 1) // 2, sizes // 2], np.random.default_rng(seed))
     # a trial with an empty (y, a) cell in either half cannot be trained: it is skipped
-    kept = cell_sums(law.cell, halves).all(axis=(0, -2, -1))  # (n, trial)
+    kept = cell_sums(law.atoms.cell, halves).all(axis=(0, -2, -1))  # (n, trial)
     for n, row in zip(n_grid, kept):
         if not row.any():
             raise InvalidParameterError(f"every trial at n = {n} has an empty (y, a) cell in a half")
     halves = halves[:, kept]  # (2, kept trials, atoms); the full draw is freed
     (pick, *_), _, _, derived, _ = _train_on_counts(
-        hclass.rules, law.x, law.attr, law.cell, *halves, TwoStepConfig(delta=delta))
+        hclass.rules, law.atoms, halves, TwoStepConfig(delta=delta))
     del halves  # freed before the population rates are computed
     rates = _mixed_rates(derived, base[pick])  # of each corrected rule, on the population
     gaps = rate_gap(rates)

@@ -3,9 +3,10 @@
 Three law families cover everything the rest of the library needs as
 ground truth:
 
-* ``FiniteJointLaw`` -- explicit atoms over (x, a, y) with exact
-  probabilities; rates and losses are computed by enumeration, never by
-  sampling. ``population_loss01`` takes only these finite laws.
+* ``FiniteJointLaw`` -- explicit atoms over (x, a, y), the rows of a
+  ``Dataset``, with exact probabilities; rates and losses are computed by
+  enumeration, never by sampling, and a draw is a subset of the atoms.
+  ``population_loss01`` takes only these finite laws.
 * ``CellProductLaw`` -- a (Y, A) cell table with conditionally independent
   Bernoulli feature coordinates. Its support is exponential in the number
   of coordinates, so only the rates of coordinate rules and constants are
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
@@ -50,7 +50,6 @@ from .core import (
     FiniteHypothesisClass,
     InvalidParameterError,
     _BLOCK_VALUES,
-    _cell_codes,
     cell_sums,
 )
 from .second_moment import SecondMomentModel
@@ -64,41 +63,30 @@ _MAX_COUNT = 2 ** 53
 
 @dataclass(frozen=True)
 class FiniteJointLaw:
-    """Finite-support distribution over (x, a, y) with exact probabilities."""
+    """Finite-support distribution over (x, a, y): its m atoms are the rows of a binary
+    ``Dataset`` (which checks their columns and builds their cell codes), each drawn
+    with its exact probability in ``probs``."""
 
-    x: np.ndarray        # (m, d) atom feature vectors
-    attr: np.ndarray     # (m,) atom attribute values in {0, 1}
-    labels: np.ndarray   # (m,) atom label values in {0, 1}
+    atoms: Dataset
     probs: np.ndarray    # (m,) strictly positive, sums to 1
 
     def __post_init__(self):
-        x = np.atleast_2d(np.asarray(self.x, dtype=np.float64))
-        attr = np.asarray(self.attr, dtype=np.float64).ravel()
-        labels = np.asarray(self.labels, dtype=np.float64).ravel()
         probs = np.asarray(self.probs, dtype=np.float64).ravel()
-        m = probs.shape[0]
-        if not (x.shape[0] == attr.shape[0] == labels.shape[0] == m and m > 0):
-            raise InvalidParameterError("atom arrays must share a nonzero length")
+        if len(probs) != len(self.atoms):
+            raise InvalidParameterError(f"{len(probs)} probabilities for {len(self.atoms)} atoms")
         if not (probs > 0).all():  # NaN fails too
             raise InvalidParameterError("atom probabilities must be positive")
         if not abs(float(probs.sum()) - 1.0) <= 1e-12:
             raise InvalidParameterError(f"atom probabilities sum to {probs.sum()}")
-        if not np.isin(attr, (0.0, 1.0)).all() or not np.isin(labels, (0.0, 1.0)).all():
-            raise InvalidParameterError("attribute/label atoms must be 0 or 1")
-        for name, arr in (("x", x), ("attr", attr), ("labels", labels), ("probs", probs)):
-            object.__setattr__(self, name, arr)
+        self.atoms.require_binary()
+        object.__setattr__(self, "probs", probs)
 
     @property
     def n_features(self) -> int:
-        return self.x.shape[1]
-
-    @cached_property
-    def cell(self) -> np.ndarray:
-        """Per-atom cell code 2*y + a, as ``Dataset.cell`` reads rows."""
-        return _cell_codes(self.labels, self.attr)
+        return self.atoms.n_features
 
     def cell_probabilities(self) -> CellProbabilities:
-        return CellProbabilities(cell_sums(self.cell, self.probs))
+        return CellProbabilities(cell_sums(self.atoms.cell, self.probs))
 
 
 @dataclass(frozen=True)
@@ -145,7 +133,7 @@ def two_proxy_law(eps: float) -> FiniteJointLaw:
     pa = np.where(attr == lab, 1.0 - eps, eps)
     px = np.where(x == lab, 1.0 - 2.0 * eps, 2.0 * eps)
     probs = 0.5 * pa * px
-    return FiniteJointLaw(x[:, None], attr, lab, probs)
+    return FiniteJointLaw(Dataset(x[:, None], attr, lab), probs)
 
 
 def erm_trap_family(n_features: int, alpha: float
@@ -220,14 +208,14 @@ def _population_rates(law: Law, rules: Sequence[BinaryPredictor]) -> np.ndarray:
                     f"no closed form for rule {rule.name!r} on a cell-product law")
         rates[coordinate] = np.moveaxis(law.heads[:, :, features], -1, 0)
     else:
-        accept = np.empty((len(rules), len(law.probs)))
+        atoms, accept = law.atoms, np.empty((len(rules), len(law.probs)))
         for row, rule in zip(accept, rules):
-            row[:] = rule.acceptance(law.x, law.attr)
-        mass = cell_sums(law.cell, law.probs)
+            row[:] = rule.acceptance(atoms.features, atoms.attr)
+        mass = cell_sums(atoms.cell, law.probs)
         if (mass == 0).any():
             empty = np.argwhere(mass == 0).tolist()
             raise InvalidParameterError(f"law has no mass in (y, a) cells {empty}")
-        rates = cell_sums(law.cell, law.probs * accept) / mass
+        rates = cell_sums(atoms.cell, law.probs * accept) / mass
     if ((rates < -1e-12) | (rates > 1 + 1e-12)).any():  # NaN would pass; no branch gives one
         raise InvalidParameterError("rates must lie in [0, 1]")
     return rates
@@ -238,22 +226,22 @@ def population_loss01(law: FiniteJointLaw, predictor: BinaryPredictor) -> float:
     if isinstance(law, CellProductLaw):
         raise InvalidParameterError("0-1 loss of a cell-product law: use "
                                     "expected_loss_from_rates of its rates")
-    vals = predictor.acceptance(law.x, law.attr)
-    return float((law.probs * np.abs(vals - law.labels)).sum())
+    vals = predictor.acceptance(law.atoms.features, law.atoms.attr)
+    return float((law.probs * np.abs(vals - law.atoms.labels)).sum())
 
 
 def population_loss_squared(law: FiniteJointLaw,
                             fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> float:
     """Exact expected squared loss of a real-valued rule fn(x, a)."""
-    preds = np.asarray(fn(law.x, law.attr), dtype=np.float64).ravel()
-    return float((law.probs * (preds - law.labels) ** 2).sum())
+    preds = np.asarray(fn(law.atoms.features, law.atoms.attr), dtype=np.float64).ravel()
+    return float((law.probs * (preds - law.atoms.labels) ** 2).sum())
 
 
 def population_loss_hinge(law: FiniteJointLaw,
                           fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> float:
     """Exact expected hinge loss max(0, 1 - s * r), s = 2y - 1 the +-1 label."""
-    preds = np.asarray(fn(law.x, law.attr), dtype=np.float64).ravel()
-    return float((law.probs * np.maximum(0.0, 1.0 - (2.0 * law.labels - 1.0) * preds)).sum())
+    preds = np.asarray(fn(law.atoms.features, law.atoms.attr), dtype=np.float64).ravel()
+    return float((law.probs * np.maximum(0.0, 1.0 - (2.0 * law.atoms.labels - 1.0) * preds)).sum())
 
 
 def sample_counts(law: Law, n, rng: np.random.Generator) -> np.ndarray:
@@ -294,8 +282,7 @@ def sample_law(law: Union[Law, SecondMomentModel], n: int, seed: int) -> Dataset
             f"({_MAX_VALUES // width} rows of {width} values)")
     rng = np.random.default_rng(seed)
     if isinstance(law, FiniteJointLaw):
-        idx = rng.choice(law.probs.shape[0], size=n, p=law.probs)
-        return Dataset(law.x[idx], law.attr[idx], law.labels[idx])
+        return law.atoms.subset(rng.choice(law.probs.shape[0], size=n, p=law.probs))
     if isinstance(law, SecondMomentModel):
         try:
             z = rng.multivariate_normal(law.mean, law.cov, size=n, method="cholesky")

@@ -105,10 +105,9 @@ def _losses(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
             + (counts[..., 1, 1] - sums[..., 1, 1])) / counts.sum(axis=(-2, -1))
 
 
-def _rule_sums(rules, x: np.ndarray, attr: np.ndarray, cell: np.ndarray,
-               weights: np.ndarray) -> np.ndarray:
-    """Each rule's (2, 2) cell sums under a (..., m) weight stack over the m rows (or
-    atoms) of features ``x``, attribute ``attr`` and cell codes ``cell``: (..., R, 2, 2).
+def _rule_sums(rules, rows: Dataset, weights: np.ndarray) -> np.ndarray:
+    """Each rule's (2, 2) cell sums under a (..., m) weight stack over the m ``rows``, a
+    file's rows or a finite law's atoms: (..., R, 2, 2).
 
     The ``x_j >= cut`` rules of one feature are counted together: a row's bin is the
     number of the feature's cuts at or below its value, ``_code_sums`` sums each (cell,
@@ -116,18 +115,18 @@ def _rule_sums(rules, x: np.ndarray, attr: np.ndarray, cell: np.ndarray,
     ``FeatureThresholdRule`` subclass too) sums its checked acceptance. With 0/1 rules
     and whole weights every sum is an exact integer, in any order of addition.
     """
-    out, groups = np.empty((*np.shape(weights)[:-1], len(rules), 4)), {}
+    out, groups, x = np.empty((*np.shape(weights)[:-1], len(rules), 4)), {}, rows.features
     for i, rule in enumerate(rules):
         if type(rule) is FeatureThresholdRule:
             groups.setdefault(rule.feature, []).append(i)
         else:
-            out[..., i, :] = _code_sums(cell, 4, rule.acceptance(x, attr) * weights)
+            out[..., i, :] = _code_sums(rows.cell, 4, rule.acceptance(x, rows.attr) * weights)
     for feature, at in groups.items():
         cuts = np.array([rules[i].cut for i in at])
-        grid = np.sort(cuts)  # a repeated cut leaves an empty bin; np.unique imports numpy.ma
+        grid = np.sort(cuts)  # a repeated cut only leaves an empty bin: no need to drop it
         width = len(grid) + 1
         bins = np.searchsorted(grid, x[:, feature], "right")
-        per_bin = _code_sums(bins + width * cell, 4 * width, weights).reshape(-1, width)
+        per_bin = _code_sums(bins + width * rows.cell, 4 * width, weights).reshape(-1, width)
         # a cut's tail: the bins past its place in the grid, summed in one product
         past = np.arange(width) > np.searchsorted(grid, cuts)[:, None]
         out[..., at, :] = (per_bin @ past.T).reshape(*out.shape[:-2], 4, -1).swapaxes(-1, -2)
@@ -183,8 +182,7 @@ def constrained_erm(dataset: Dataset, hclass: FiniteHypothesisClass,
     if not tolerance >= 0:  # NaN fails too
         raise InvalidParameterError(f"tolerance must be nonnegative, got {tolerance}")
     _require_nonzero_cells(dataset.cell_counts, "constrained risk minimization")
-    sums = _rule_sums(hclass.rules, dataset.features, dataset.attr, dataset.cell,
-                      np.ones((1, len(dataset))))
+    sums = _rule_sums(hclass.rules, dataset, np.ones((1, len(dataset))))
     return _step1(hclass.rules, _select(sums, dataset.cell_counts[None], np.array([tolerance])))
 
 
@@ -220,7 +218,7 @@ def train_two_step(data: Dataset, hclass: FiniteHypothesisClass,
     for weights, rows in zip(halves, _halves(len(data), config.seed)):
         weights[0, rows] = 1.0
     selection, (t_train,), (t_correct,), (accept,), (sums,) = _train_on_counts(
-        hclass.rules, data.features, data.attr, data.cell, *halves, config)
+        hclass.rules, data, halves, config)
     step1, counts = _step1(hclass.rules, selection), cell_sums(data.cell, halves[1, 0])
     rates = sums / counts
     induced = _mixed_rates(accept, rates)
@@ -235,32 +233,38 @@ def train_two_step(data: Dataset, hclass: FiniteHypothesisClass,
     })
 
 
-def _train_on_counts(rules, x: np.ndarray, attr: np.ndarray, cell: np.ndarray,
-                     first: np.ndarray, second: np.ndarray, config: TwoStepConfig):
-    """``train_two_step`` for N trials whose halves weigh the m rows (or atoms) of
-    ``x``, ``attr`` and cell codes ``cell`` by the (N, m) stacks ``first`` and
-    ``second``: the ``_select`` result over ``rules``, both (N,) tolerances, and the
-    step-2 accept tables and picked rules' second-half cell sums, (N, 2, 2) each. Every
-    first half's cells are checked before any second half's; then ``_COUNT_TRIALS``
-    trials at a time share one ``_rule_sums`` of both halves."""
-    counts1, counts2 = cell_sums(cell, first), cell_sums(cell, second)
-    _require_nonzero_cells(counts1, "first half")
-    _require_nonzero_cells(counts2, "second half")
-    auto = auto_tolerance(counts1 + counts2, config.delta)
+def _train_on_counts(rules, rows: Dataset, halves: np.ndarray, config: TwoStepConfig):
+    """``train_two_step`` for N trials whose two halves weigh the m ``rows`` (a file's
+    rows or a finite law's atoms) by the (2, N, m) stack ``halves``: the ``_select``
+    result over ``rules``, both (N,) tolerances, and the step-2 accept tables and picked
+    rules' second-half cell sums, (N, 2, 2) each. Both halves' cell counts come from one
+    ``cell_sums``, and every first half's cells are checked before any second half's;
+    then ``_COUNT_TRIALS`` trials at a time share one ``_rule_sums`` of both halves."""
+    counts = cell_sums(rows.cell, halves)  # (2, N, 2, 2)
+    _require_nonzero_cells(counts[0], "first half")
+    _require_nonzero_cells(counts[1], "second half")
+    auto = auto_tolerance(counts[0] + counts[1], config.delta)
     t_train, t_correct = (auto if t == "auto" else np.full(len(auto), float(t))
                           for t in (config.train_tolerance, config.correct_tolerance))
     rules = tuple(rules) + _CONSTANTS  # second-half sums for a forced constant
-    parts, derived, picked = [], np.empty((len(first), 2, 2)), np.empty((len(first), 2, 2))
-    for lo in range(0, len(first), _COUNT_TRIALS):
+    parts, derived, picked = [], np.empty_like(counts[1]), np.empty_like(counts[1])
+    for lo in range(0, len(derived), _COUNT_TRIALS):
         at = slice(lo, lo + _COUNT_TRIALS)
-        sums = _rule_sums(rules, x, attr, cell, np.stack([first[at], second[at]]))
-        parts.append(_select(sums[0, :, :-len(_CONSTANTS)], counts1[at], t_train[at]))
+        sums = _rule_sums(rules, rows, halves[:, at])
+        parts.append(_select(sums[0, :, :-len(_CONSTANTS)], counts[0, at], t_train[at]))
         picked[at] = sums[1, np.arange(sums.shape[1]), parts[-1][0]]
         del sums  # freed before the LP's temporaries
-        s2, counts = picked[at], counts2[at]
-        derived[at] = _derived_accept(
-            s2 / counts, counts / counts.sum(axis=(1, 2), keepdims=True), t_correct[at])
+        s2, c2 = picked[at], counts[1, at]
+        derived[at] = _derived_accept(s2 / c2, c2 / c2.sum(axis=(1, 2), keepdims=True),
+                                      t_correct[at])
     return tuple(np.concatenate(part) for part in zip(*parts)), t_train, t_correct, derived, picked
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a finite 1-D array, by the sort and neighbour mask it runs on
+    one, without the ``numpy.ma`` import it makes on first use."""
+    values = np.sort(values)
+    return values[np.concatenate([[True], values[1:] != values[:-1]])]
 
 
 def threshold_class(dataset: Dataset, feature: int, max_cuts: int) -> FiniteHypothesisClass:
@@ -271,11 +275,10 @@ def threshold_class(dataset: Dataset, feature: int, max_cuts: int) -> FiniteHypo
     rule is named ``x{feature}>={cut:.6g}``, or ``x{feature}>={cut!r}`` for
     every cut when six significant digits would give two cuts one name.
     """
-    vals = np.unique(dataset.features[:, feature])
+    vals = _distinct(dataset.features[:, feature])
     mids = (vals[1:] + vals[:-1]) / 2.0
     if mids.shape[0] > max_cuts:
-        idx = np.linspace(0, mids.shape[0] - 1, max_cuts).astype(int)
-        mids = mids[np.unique(idx)]
+        mids = mids[_distinct(np.linspace(0, mids.shape[0] - 1, max_cuts).astype(int))]
     # a cut can round onto another (the midpoint of two adjacent floats): keep one
     cuts = list(dict.fromkeys([float(vals[0]) - 1.0, *mids.tolist()]))
     names = [f"x{feature}>={cut:.6g}" for cut in cuts]

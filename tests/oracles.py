@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 
-from eqodds.core import (BinaryPredictor, CellProbabilities, ConstantRule,
+from eqodds.core import (BinaryPredictor, CellProbabilities, ConstantRule, Dataset,
                          _require_nonzero_cells, empirical_loss, empirical_rates, rate_gap)
 from eqodds.posthoc import RateStatistics, expected_loss_from_rates, induced_rates
 from eqodds.synthetic import FiniteJointLaw
@@ -103,7 +103,7 @@ def product_law_atoms(law):
                 attrs.append(a)
                 labels.append(y)
                 probs.append(p)
-    return FiniteJointLaw(np.array(xs, dtype=np.float64), attrs, labels, probs)
+    return FiniteJointLaw(Dataset(np.array(xs, dtype=np.float64), attrs, labels), probs)
 
 
 def dict_writer_csv(columns, path):
@@ -133,15 +133,17 @@ def counting_rates_oracle(dataset, values):
     return rates, counts
 
 
-def rule_sums_by_row(rules, x, attr, cell, weights):
-    """Each rule's (2, 2) cell sums under a (..., m) weight stack, one row at a time:
-    ``acceptance`` times the row's weights, added into the row's (y, a) cell."""
+def rule_sums_by_row(rules, rows, weights):
+    """Each rule's (2, 2) cell sums under a (..., m) weight stack over a dataset's
+    rows, one row at a time: ``acceptance`` times the row's weights, added into the
+    row's (y, a) cell, read from its own label and attribute."""
     weights = np.asarray(weights, dtype=np.float64)
     out = np.zeros((*weights.shape[:-1], len(rules), 2, 2))
+    cells = list(zip(rows.labels.astype(int).tolist(), rows.attr.astype(int).tolist()))
     for r, rule in enumerate(rules):
-        accept = rule.acceptance(x, attr)
-        for i, code in enumerate(np.asarray(cell).tolist()):
-            out[..., r, code // 2, code % 2] += accept[i] * weights[..., i]
+        accept = rule.acceptance(rows.features, rows.attr)
+        for i, (y, a) in enumerate(cells):
+            out[..., r, y, a] += accept[i] * weights[..., i]
     return out
 
 

@@ -794,6 +794,24 @@ def test_monte_carlo_experiments_leave_numpy_ma_unimported(tmp_path):
     assert done.stdout == "[0, 0, 0] False\n"
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_train_and_sweep_leave_numpy_ma_unimported(tmp_path, command):
+    # np.unique and np.median import numpy.ma on first use; neither command calls them
+    if command == "train":
+        rng = np.random.default_rng(2)
+        write_csv(Dataset(rng.normal(size=(400, 2)), rng.integers(0, 2, 400),
+                          rng.integers(0, 2, 400)), tmp_path / "d.csv")
+        (tmp_path / "rules.json").write_text(json.dumps({"rules": [
+            {"type": "threshold-grid", "feature": 1, "max_cuts": 16}]}))
+        argv = ["train", "--data", str(tmp_path / "d.csv"),
+                "--hypotheses", str(tmp_path / "rules.json")]
+    else:
+        argv = ["reproduce", "--experiment", "two-step-rate-sweep", "--trials", "30"]
+    done = _run_python(f"import sys; from eqodds.cli import main; code = main({argv!r}); "
+                       f"print(code, 'numpy.ma' in sys.modules, file=sys.stderr)")
+    assert done.stderr == "0 False\n"
+
+
 @pytest.mark.parametrize("argv, needle", [
     # alpha = 1e-8 asks for about 1.8e19 rows per trial, past exact float64 counts
     (["reproduce", "--experiment", "detection-error-rates", "--alpha", "1e-8"],

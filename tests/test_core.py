@@ -291,6 +291,7 @@ def test_loaded_columns_are_read_only_views_of_one_table(tmp_path):
     [0.0, 0.25, 1.0],                         # in range: the column itself
     [-1e-12, 0.5, 1 + 1e-12, -5e-13],         # in the slack: clipped onto [0, 1]
     [0.5, -0.0, 1.0],                         # -0.0: clip gives +0.0
+    [0.25, 1 + 5e-13],                        # in the slack above 1 alone: clipped
     np.arange(12.0)[::3] / 9.0,               # strided
 ])
 def test_acceptance_values_have_the_bits_of_clip(values):
@@ -324,9 +325,10 @@ def test_cell_index_and_counts_cached():
      "rate statistics: empty (y, a) cells: [(1, 1)]"),
     (lambda ds: required_sample_size(0.5, 0.1, CellProbabilities.from_dataset(ds)),
      "required sample size: empty (y, a) cells: [(1, 1)]"),
-    (lambda ds: _train_on_counts((ConstantRule(1.0),), np.zeros((4, 1)), np.zeros(4),
-                                 np.arange(4), np.array([[1, 1, 1, 1], [1, 0, 1, 1]]),
-                                 np.array([[1, 1, 0, 1], [1, 1, 1, 1]]), TwoStepConfig()),
+    (lambda ds: _train_on_counts((ConstantRule(1.0),),
+                                 Dataset(np.zeros((4, 1)), [0, 1, 0, 1], [0, 0, 1, 1]),
+                                 np.array([[[1, 1, 1, 1], [1, 0, 1, 1]],
+                                           [[1, 1, 0, 1], [1, 1, 1, 1]]]), TwoStepConfig()),
      "first half: empty (y, a) cells: [(0, 1)]"),
 ], ids=["constrained_erm", "detect", "from_sample", "required_sample_size", "train_on_counts"])
 def test_empty_cell_message_names_the_caller(call, message):
@@ -416,7 +418,8 @@ def test_sample_law_equals_checked_dataset_of_the_same_draws(kind):
     rng = np.random.default_rng(4)
     if kind == "finite":
         idx = rng.choice(law.probs.shape[0], size=700, p=law.probs)
-        want = Dataset(law.x[idx], law.attr[idx], law.labels[idx])
+        atoms = law.atoms
+        want = Dataset(atoms.features[idx], atoms.attr[idx], atoms.labels[idx])
     else:
         cell = rng.choice(4, size=700, p=law.cells.table.ravel())
         u = rng.random(size=(700, law.n_features))
@@ -458,4 +461,27 @@ def test_probability_tables_reject_nan_and_inf(bad):
     with pytest.raises(InvalidParameterError, match="head probabilities"):
         CellProductLaw(CellProbabilities.uniform(), np.full((2, 2, 1), bad))
     with pytest.raises(InvalidParameterError, match="atom probabilities"):
-        FiniteJointLaw(np.zeros((2, 1)), [0, 1], [1, 0], [bad, 0.5])
+        FiniteJointLaw(Dataset(np.zeros((2, 1)), [0, 1], [1, 0]), [bad, 0.5])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_finite_law_refuses_a_non_finite_atom_feature(bad):
+    # such an atom would read as rejected by every threshold rule
+    x = np.array([[0.0, bad], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(InvalidParameterError, match="feature column x1 holds nan or inf"):
+        FiniteJointLaw(Dataset(x, [0, 1, 0, 1], [0, 0, 1, 1]), [0.25] * 4)
+
+
+def test_finite_law_takes_only_checked_probabilities_for_binary_atoms():
+    atoms = Dataset(np.zeros((3, 1)), [0, 1, 0], [0, 1, 1])
+    with pytest.raises(InvalidParameterError, match="2 probabilities for 3 atoms"):
+        FiniteJointLaw(atoms, [0.5, 0.5])
+    with pytest.raises(InvalidParameterError, match="must be positive"):
+        FiniteJointLaw(atoms, [0.5, 0.5, 0.0])
+    with pytest.raises(InvalidParameterError, match="sum to"):
+        FiniteJointLaw(atoms, [0.5, 0.5, 0.5])
+    with pytest.raises(InvalidParameterError, match="values in"):
+        FiniteJointLaw(Dataset(np.zeros((2, 1)), [0, 2], [0, 1]), [0.5, 0.5])
+    law = FiniteJointLaw(atoms, [0.25, 0.25, 0.5])
+    assert law.atoms is atoms and law.n_features == 1
+    assert law.cell_probabilities().table.tolist() == [[0.25, 0.0], [0.5, 0.25]]

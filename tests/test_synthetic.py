@@ -15,7 +15,7 @@ from eqodds.core import (
     InvalidParameterError,
     rate_gap,
 )
-from eqodds.experiments import run_two_step_rate_sweep
+from eqodds.experiments import _median, run_two_step_rate_sweep
 from eqodds.posthoc import expected_loss_from_rates
 from eqodds.second_moment import SecondMomentModel
 from eqodds.synthetic import (
@@ -52,27 +52,27 @@ class TestTwoProxyLaw:
     def test_conditional_independence_factorizes(self):
         law = two_proxy_law(0.13)
         for y in (0, 1):
-            mask = law.labels == y
+            mask = law.atoms.labels == y
             py = law.probs[mask].sum()
             for a in (0, 1):
                 for xv in (0, 1):
-                    atom = mask & (law.attr == a) & (law.x[:, 0] == xv)
+                    atom = mask & (law.atoms.attr == a) & (law.atoms.features[:, 0] == xv)
                     p_xa = law.probs[atom].sum() / py
-                    p_x = law.probs[mask & (law.x[:, 0] == xv)].sum() / py
-                    p_a = law.probs[mask & (law.attr == a)].sum() / py
+                    p_x = law.probs[mask & (law.atoms.features[:, 0] == xv)].sum() / py
+                    p_a = law.probs[mask & (law.atoms.attr == a)].sum() / py
                     assert p_xa == pytest.approx(p_x * p_a, abs=1e-15)
 
     def test_small_eps_concentrates_on_diagonal(self):
         law = two_proxy_law(1e-6)
-        diag = (law.x[:, 0] == law.attr) & (law.attr == law.labels)
+        diag = (law.atoms.features[:, 0] == law.atoms.attr) & (law.atoms.attr == law.atoms.labels)
         assert law.probs[diag].sum() > 1.0 - 1e-5
 
     def test_moments_match_hand_formulas(self):
         for eps in (0.05, 0.1, 0.2):
             law = two_proxy_law(eps)
-            exa = float((law.probs * law.x[:, 0] * law.attr).sum())
-            exy = float((law.probs * law.x[:, 0] * law.labels).sum())
-            eay = float((law.probs * law.attr * law.labels).sum())
+            exa = float((law.probs * law.atoms.features[:, 0] * law.atoms.attr).sum())
+            exy = float((law.probs * law.atoms.features[:, 0] * law.atoms.labels).sum())
+            eay = float((law.probs * law.atoms.attr * law.atoms.labels).sum())
             assert exa == pytest.approx(0.5 - 1.5 * eps + 2 * eps**2, abs=1e-12)
             assert exy == pytest.approx((1 - 2 * eps) / 2, abs=1e-12)
             assert eay == pytest.approx((1 - eps) / 2, abs=1e-12)
@@ -163,12 +163,13 @@ class TestErmTrapFamily:
         finite = product_law_atoms(law)
         for y in (0, 1):
             for a in (0, 1):
-                mask = (finite.labels == y) & (finite.attr == a)
+                x = finite.atoms.features
+                mask = (finite.atoms.labels == y) & (finite.atoms.attr == a)
                 pc = finite.probs[mask].sum()
                 for i, j in [(0, 1), (1, 2), (0, 3)]:
-                    pi = (finite.probs[mask] * finite.x[mask, i]).sum() / pc
-                    pj = (finite.probs[mask] * finite.x[mask, j]).sum() / pc
-                    pij = (finite.probs[mask] * finite.x[mask, i] * finite.x[mask, j]).sum() / pc
+                    pi = (finite.probs[mask] * x[mask, i]).sum() / pc
+                    pj = (finite.probs[mask] * x[mask, j]).sum() / pc
+                    pij = (finite.probs[mask] * x[mask, i] * x[mask, j]).sum() / pc
                     assert pij == pytest.approx(pi * pj, abs=1e-12)
 
     def test_parameter_validation(self):
@@ -316,6 +317,23 @@ class TestCountDraws:
                 median = np.median(a, axis=1)
                 inside = (interval[:, 0] <= median) & (median <= interval[:, 1])
                 assert inside.all(), (n, median, interval)
+
+
+@pytest.mark.parametrize("values", [
+    [3.0], [5.0, -1.0, 2.0], [2.0, 1.0], [4.0, 1.0, 3.0, 2.0],  # odd and even lengths
+    [0.1, 0.2, 0.7, 0.4],                                       # a middle sum that rounds
+    [-0.0], [-0.0, 1.0, -0.0], [-0.0, -0.0], [0.0, -0.0, -1.0, 1.0],  # signed-zero middles
+    [math.nan], [1.0, math.nan, 2.0], [math.nan, 1.0],
+    [math.inf, 1.0], [-math.inf, -math.inf], [-math.inf, 1.0, 2.0],
+    [-math.inf, math.inf], [-math.inf, math.inf, 0.0, 1.0],     # inf - inf in the middle
+    [1.7e308, 1.7e308],                                         # a middle sum that overflows
+])
+def test_median_has_the_bits_of_np_median(values):
+    values = np.array(values)
+    with np.errstate(invalid="ignore", over="ignore"):  # np.median warns on these too
+        got, want = _median(values), np.median(values)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == want.tobytes()
 
 
 def optimal_loss(case, eps):

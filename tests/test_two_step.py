@@ -267,14 +267,12 @@ class TestRuleSums:
 
     def rows(self):
         x = np.column_stack([self.COLUMNS[0] * 2, self.COLUMNS[1] * 2])  # 24 rows
-        attr = np.tile([0.0, 1.0, 1.0], 8)
-        cell = (2 * np.repeat([0, 1, 1, 0, 1, 0], 4) + attr).astype(np.intp)
-        return x, attr, cell
+        return Dataset(x, np.tile([0.0, 1.0, 1.0], 8), np.repeat([0, 1, 1, 0, 1, 0], 4))
 
     @pytest.mark.parametrize("weights", ["unit", "halves", "atoms"])
     def test_equals_row_by_row_sums(self, weights):
-        x, attr, cell = self.rows()
-        m = len(cell)
+        rows = self.rows()
+        m = len(rows)
         if weights == "unit":
             w = np.ones(m)
         elif weights == "halves":  # train_two_step's 0/1 row weights
@@ -283,8 +281,8 @@ class TestRuleSums:
                 row[0, half] = 1.0
         else:  # integer atom counts, as sample_counts draws them
             w = np.random.default_rng(4).integers(0, 1000, size=(3, 5, m))
-        got = _rule_sums(self.RULES, x, attr, cell, w)
-        want = rule_sums_by_row(self.RULES, x, attr, cell, w)
+        got = _rule_sums(self.RULES, rows, w)
+        want = rule_sums_by_row(self.RULES, rows, w)
         assert got.shape == want.shape == (*np.shape(w)[:-1], len(self.RULES), 2, 2)
         assert got.tobytes() == want.tobytes()
         # the subclass took its own acceptance: rows at the cut make it differ
@@ -297,14 +295,14 @@ class TestRuleSums:
         values = np.array([-2.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0])
         for _ in range(40):
             m, d = int(rng.integers(1, 50)), int(rng.integers(1, 4))
-            x = rng.choice(values, size=(m, d))
-            attr, cell = rng.integers(0, 2, m).astype(float), rng.integers(0, 4, m)
+            cell = rng.integers(0, 4, m)
+            rows = Dataset(rng.choice(values, size=(m, d)), cell % 2, cell // 2)
             cuts = np.concatenate([values, (values[1:] + values[:-1]) / 2, [-math.inf, 5.0]])
             rules = tuple(FeatureThresholdRule(int(rng.integers(0, d)), float(c), name=f"t{k}")
                           for k, c in enumerate(rng.choice(cuts, size=int(rng.integers(1, 30)))))
             w = rng.integers(0, 3, size=(2, m))
-            assert (_rule_sums(rules, x, attr, cell, w).tobytes()
-                    == rule_sums_by_row(rules, x, attr, cell, w).tobytes())
+            assert (_rule_sums(rules, rows, w).tobytes()
+                    == rule_sums_by_row(rules, rows, w).tobytes())
 
 
 class TestFitCorrection:
@@ -441,10 +439,9 @@ class TestCountPath:
         law = two_proxy_law(eps)
         for n in [2 ** k for k in range(9, 15)]:
             seeds = [100_000 * n + i for i in range(12)]
-            first, second = np.array([tallied_halves(law, n, seed) for seed in seeds]
-                                     ).transpose(1, 0, 2)
+            halves = np.array([tallied_halves(law, n, seed) for seed in seeds]).transpose(1, 0, 2)
             selection, t_train, t_correct, accepts, _ = _train_on_counts(
-                SMALL_CLASS.rules, law.x, law.attr, law.cell, first, second, TwoStepConfig())
+                SMALL_CLASS.rules, law.atoms, halves, TwoStepConfig())
             for i, seed in enumerate(seeds):
                 rows = train_two_step(sample_law(law, n, seed), SMALL_CLASS,
                                       TwoStepConfig(seed=seed))
@@ -456,9 +453,8 @@ class TestCountPath:
         law = two_proxy_law(0.2)
         config = TwoStepConfig(train_tolerance=0.0, seed=3)
         rows = train_two_step(sample_law(law, 101, 3), SMALL_CLASS, config)
-        first, second = (half[None] for half in tallied_halves(law, 101, 3))
-        selection, _, _, accepts, _ = _train_on_counts(
-            SMALL_CLASS.rules, law.x, law.attr, law.cell, first, second, config)
+        halves = np.array(tallied_halves(law, 101, 3))[:, None]
+        selection, _, _, accepts, _ = _train_on_counts(SMALL_CLASS.rules, law.atoms, halves, config)
         assert rows.step1.forced_constant
         assert selected(SMALL_CLASS, selection, 0) == step1_fields(rows.step1)
         assert accepts[0].tobytes() == rows.derived.accept.tobytes()
@@ -466,9 +462,9 @@ class TestCountPath:
         config = TwoStepConfig(seed=100_000 * 512)
         with pytest.raises(EmptyCellError) as want:
             train_two_step(sample_law(law, 512, config.seed), SMALL_CLASS, config)
-        first, second = (half[None] for half in tallied_halves(law, 512, config.seed))
+        halves = np.array(tallied_halves(law, 512, config.seed))[:, None]
         with pytest.raises(EmptyCellError) as got:
-            _train_on_counts(SMALL_CLASS.rules, law.x, law.attr, law.cell, first, second, config)
+            _train_on_counts(SMALL_CLASS.rules, law.atoms, halves, config)
         assert str(got.value) == str(want.value)
 
     def test_sweep_reports_empty_cells_in_the_order_of_its_sample_sizes(self, monkeypatch):
