@@ -348,7 +348,7 @@ def run_two_step_rate_sweep(eps: float = 0.1, delta: float = 0.1,
         if not row.any():
             raise InvalidParameterError(f"every trial at n = {n} has an empty (y, a) cell in a half")
     halves = halves[:, kept]  # (2, kept trials, atoms); the full draw is freed
-    (pick, *_), _, _, derived, _ = _train_on_counts(
+    (pick, *_), _, _, derived, *_ = _train_on_counts(
         hclass.rules, law.atoms, halves, TwoStepConfig(delta=delta))
     del halves  # freed before the population rates are computed
     rates = _mixed_rates(derived, base[pick])  # of each corrected rule, on the population

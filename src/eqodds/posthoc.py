@@ -21,8 +21,15 @@ A vertex is where 4 of the 12 constraint rows are active. The rows come in
 six antipodal pairs (v_i <= 1 and -v_i <= 0, and the two caps on each gap),
 and 4 rows holding both rows of a pair are singular, so only the 240 picks
 of one row from each of 4 distinct pairs can be vertices, not all 495. All
-240 are solved in closed form, by Cramer's rule on a 2x2 system, and checked
-in one pass; of the rows only the two gap rows differ between trials.
+240 are solved in closed form, by Cramer's rule on a 2x2 system; of the rows
+only the two gap rows differ between trials.
+
+The LP's dual has one multiplier per gap row, so its optimum is the best of
+15 points, and it bounds the LP optimum from below. Only the picks whose
+objective lies within 1e-9 of that bound take the vertex checks and the
+tie-break; a trial whose screened picks do not settle it takes all 240. The
+dual only sets a threshold, so the result is that of all 240 picks, bit for
+bit, whether or not the bound is tight.
 """
 
 from __future__ import annotations
@@ -48,9 +55,13 @@ from .synthetic import population_rates
 _FEAS_TOL = 1e-9      # vertex feasibility slack
 _TIE_TOL = 1e-12      # objective tie window for the lexicographic tie-break
 _SINGULAR_TOL = 1e-12  # a pick whose |det| is no larger has no unique vertex
+_SCREEN_MARGIN = 1e-9  # picks whose objective is within this of the dual bound are checked
 # trials per block of the batched LP, the fastest of 16-48 in a bench loop: its largest
 # temporaries are (32, 4, 240) float64, 240 KiB, and a block peaks under 1 MiB
 _LP_TRIALS = 32
+# trials per block of the dual bound: most of a call's cost is fixed at 32 trials, and its
+# largest temporaries at 256, (256, 4, 15) float64, are 120 KiB, under a vertex block's
+_DUAL_TRIALS = 256
 
 
 def _vertex_picks() -> Tuple[np.ndarray, ...]:
@@ -85,6 +96,28 @@ def _vertex_picks() -> Tuple[np.ndarray, ...]:
 _COMBOS, _CORNER, _COLS, _SYSTEM = _vertex_picks()
 _CORNERS = (np.arange(16) >> np.arange(4)[:, None] & 1).astype(float)  # (4, 16) bits of b
 _BASE = _CORNERS[:, _CORNER]
+# the picks holding one gap row and two
+_ONE_GAP, _TWO_GAPS = (np.flatnonzero((_COMBOS >= 8).sum(axis=1) == n) for n in (1, 2))
+# offsets of a vertex's coordinates in a (k, 4, 240) block and of a trial's (2, 2) cells
+_COORDS, _CELLS = 240 * np.arange(4)[:, None], np.arange(4).reshape(2, 2, 1)
+
+
+def _crossings() -> np.ndarray:
+    """Where ``_dual_bound`` reads the 2x2 system of each of the 15 crossings of the
+    dual's six break lines, (12, 15): the two lines' normals a and b, then the pairs
+    whose products give the numerators of lam_0 and lam_1 (ra b1, rb a1, a0 rb, b0 ra).
+    Among a trial's values gap_y,i sits at 4y + i, -c_i at 8 + i, 0 at 12 and 1 at 13;
+    line i < 4 is G_i . lam = -c_i, line 4 lam_0 = 0 and line 5 lam_1 = 0."""
+    normal = [(i, 4 + i) for i in range(4)] + [(13, 12), (12, 13)]
+    right = [8, 9, 10, 11, 12, 12]
+    out = []
+    for p, q in itertools.combinations(range(6), 2):
+        (a0, a1), (b0, b1), ra, rb = normal[p], normal[q], right[p], right[q]
+        out.append([a0, a1, b0, b1, ra, a0, b1, rb, rb, b0, a1, ra])
+    return np.array(out).T.copy()
+
+
+_CROSSINGS = _crossings()
 
 # expected per-sample 0-1 loss of outputting `out` when the label is `y`
 LOSS_01 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -186,48 +219,123 @@ def _gap_rows(g: np.ndarray) -> np.ndarray:
 def _vertices(gap: np.ndarray, cap: np.ndarray):
     """Each pick's vertex, (k, 4, 240): its base point plus its 2x2 system's Cramer
     solution (a finite stand-in if singular), and the system's |det|, (k, 240), for
-    the (k, 2, 4) gap rows and (k, 1) caps of k trials."""
+    the (k, 2, 4) gap rows and (k, 1) caps of k trials.
+
+    Only the 96 picks of two gap rows take the full rule. A pick of four box rows is
+    its base point, |det| 1. A pick of one gap row pads it with a box row on its own
+    coordinate (m10 = r1 = 0, m11 = +-1), so the rule moves one coordinate, by exactly
+    r0 / m00, and |det| is |m00|.
+    """
     k, at_corners = len(gap), (gap @ _CORNERS).reshape(-1, 32)  # gap_y at each corner
     entries = np.concatenate([np.broadcast_to([0.0, 1.0, -1.0], (k, 3)), gap.reshape(k, 8),
                               -gap.reshape(k, 8), cap - at_corners, cap + at_corners], axis=1)
-    (m00, m01, r0), (m10, m11, r1) = (np.moveaxis(entries[:, row], 1, 0) for row in _SYSTEM)
-    det = m00 * m11 - m01 * m10
-    div = np.where(np.abs(det) > _SINGULAR_TOL, det, 1.0)
-    v, (c0, c1), picks = np.repeat(_BASE[None], k, axis=0), _COLS, np.arange(240)
-    v[:, c0, picks] = _BASE[c0, picks] + (r0 * m11 - m01 * r1) / div
-    v[:, c1, picks] = _BASE[c1, picks] + (m00 * r1 - r0 * m10) / div
-    return v, np.abs(det)
+    v, det = np.repeat(_BASE[None], k, axis=0), np.ones((k, 240))
+    m00, r0 = np.moveaxis(entries[:, _SYSTEM[0, ::2][:, _ONE_GAP]], 1, 0)
+    det[:, _ONE_GAP] = size = np.abs(m00)
+    v[:, _COLS[0, _ONE_GAP], _ONE_GAP] += r0 / np.where(size > _SINGULAR_TOL, m00, 1.0)
+    (m00, m01, r0), (m10, m11, r1) = (np.moveaxis(entries[:, row], 1, 0)
+                                      for row in _SYSTEM[..., _TWO_GAPS])
+    full = m00 * m11 - m01 * m10
+    det[:, _TWO_GAPS] = size = np.abs(full)
+    div, (c0, c1) = np.where(size > _SINGULAR_TOL, full, 1.0), _COLS[:, _TWO_GAPS]
+    v[:, c0, _TWO_GAPS] += (r0 * m11 - m01 * r1) / div
+    v[:, c1, _TWO_GAPS] += (m00 * r1 - r0 * m10) / div
+    return v, det
+
+
+def _dual_bound(c: np.ndarray, gap: np.ndarray, cap: np.ndarray) -> np.ndarray:
+    """The LP optimum of k trials from its dual, (k,), for objectives ``c`` (k, 4), gap
+    rows ``gap`` (k, 2, 4) and caps ``cap`` (k, 1).
+
+    With one multiplier per gap row, the dual is to maximize the concave, piecewise
+    linear D(lam) = sum_i min(0, c_i + lam . G_i) - cap (|lam_0| + |lam_1|), G_i column
+    i of the gap rows. Its maximum lies where two of its six break lines cross
+    (c_i + lam . G_i = 0, lam_0 = 0, lam_1 = 0): the axes cross every other line, so
+    even a maximum along a line or a strip reaches one of the 15 crossings, each
+    solved by Cramer's rule. A crossing of lines within 1e-12 of parallel counts as
+    -inf, so the bound errs low there.
+    """
+    values = np.concatenate([gap.reshape(-1, 8), 0.0 - c, np.zeros((len(c), 1)),
+                             np.ones((len(c), 1))], axis=1)
+    a0, a1, b0, b1 = np.moveaxis(values[:, _CROSSINGS[:4]], 1, 0)  # (k, 15) each
+    num = values[:, _CROSSINGS[4:]]
+    det = a0 * b1 - a1 * b0
+    apart = np.abs(det) > _SINGULAR_TOL
+    lam = num[:, :2] * num[:, 2:4] - num[:, 4:6] * num[:, 6:]  # (k, 2, 15), times det
+    lam /= np.where(apart, det, 1.0)[:, None]
+    reduced = c[:, :, None] + gap[:, :1].transpose(0, 2, 1) * lam[:, :1] \
+        + gap[:, 1:].transpose(0, 2, 1) * lam[:, 1:]  # (k, 4, 15)
+    dual = np.minimum(reduced, 0.0).sum(axis=1) - cap * np.abs(lam).sum(axis=1)
+    return np.where(apart, dual, -np.inf).max(axis=1)
+
+
+def _least_vertex(at, v, det, gap_max, objs, g, caps):
+    """The winning pick of each trial among the candidates ``at``, flat places in the
+    (k, 240) picks of a block's trials, and each trial's least kept objective among
+    them (inf when it keeps none, and then pick 0), for the block's vertices ``v``
+    (k, 4, 240), unclipped, and their |det|, max |gap_y . v| and clipped objectives,
+    (k, 240) each. The checks, the objective window and the tie-break are those of
+    ``_derived_accept``."""
+    at = at[det.reshape(-1)[at] > _SINGULAR_TOL]
+    trial, pick = np.divmod(at, 240)
+    cap = caps[trial, 0]
+    found = v.reshape(-1)[at + 720 * trial + _COORDS]  # (4, n)
+    keep = ((found.max(axis=0) <= 1.0 + _FEAS_TOL) & (found.min(axis=0) >= -_FEAS_TOL)
+            & (gap_max.reshape(-1)[at] <= cap + _FEAS_TOL))
+    np.clip(found, 0.0, 1.0, out=found)
+    # inside the 1e-9 row slack a vertex can still miss the cap by over 1e-10: its
+    # induced rates are ``_mixed_rates``' formula, with the candidates on the last axis
+    accept = found.reshape(2, 2, -1)  # [yhat][a]
+    g_ya = g.reshape(-1)[4 * trial + _CELLS]  # [y][a]
+    induced = accept[1:] * g_ya
+    induced += accept[:1] * (1.0 - g_ya)
+    np.clip(induced, 0.0, 1.0, out=induced)
+    keep &= np.abs(induced[:, 0] - induced[:, 1]).max(axis=0) <= cap + 1e-10
+    score = np.where(keep, objs.reshape(-1)[at], np.inf)
+    best = np.full(len(v), np.inf)
+    np.minimum.at(best, trial, score)
+    tied = np.flatnonzero(score <= best[trial] + _TIE_TOL)
+    # lexicographic: the least vertex, coordinate by coordinate, then the first pick
+    order = tied[np.lexsort((pick[tied], *found[::-1, tied], trial[tied]))]
+    first = order[np.diff(trial[order], prepend=-1) != 0]  # each trial's first
+    win = np.zeros(len(v), dtype=np.intp)
+    win[trial[first]] = pick[first]
+    return win, best
 
 
 def _derived_accept(g: np.ndarray, table: np.ndarray, tolerance: np.ndarray) -> np.ndarray:
     """Accept tables (T, 2, 2) of the derived-rule LP for base rates ``g``, cell tables
     ``table`` and gap caps ``min(tolerance, 1)`` of T trials, ``_LP_TRIALS`` at a time.
-    A vertex is kept if its system is nonsingular, it holds every row within 1e-9 and,
+
+    Every pick's vertex and clipped objective comes in closed form (``_vertices``). A
+    vertex is kept if its system is nonsingular, it holds every row within 1e-9 and,
     clipped to the box, induces a gap within 1e-10 of the cap (vertex 0 always is); the
     least objective wins, ties within ``_TIE_TOL`` going to the lexicographically least
-    vertex, the first in pick order. Zeros are +0.0: 0.0 or 1.0 plus a step, or clipped."""
+    vertex, the first in pick order. Zeros are +0.0: 0.0 or 1.0 plus a step, or clipped.
+
+    Only the picks whose objective is at most the dual bound (``_dual_bound``) plus
+    ``_SCREEN_MARGIN`` take those checks. A trial that keeps none of them, or whose
+    least kept objective is not ``_TIE_TOL`` below bound + margin, takes them on all
+    240 picks, one trial at a time. Otherwise every pick left out lies above bound + margin, so it can
+    neither win nor tie the winner: the result is that of all 240 picks, bit for bit,
+    however far the bound is off; only the speed depends on it.
+    """
     out, c, gaps = np.empty((len(g), 4)), _lp_coefficients(g, table, LOSS_01), _gap_rows(g)
     caps = np.minimum(tolerance, 1.0)[:, None]  # a gap never exceeds 1
+    limits = np.concatenate([_dual_bound(c[lo:lo + _DUAL_TRIALS], gaps[lo:lo + _DUAL_TRIALS],
+                                         caps[lo:lo + _DUAL_TRIALS])
+                             for lo in range(0, len(g), _DUAL_TRIALS)]) + _SCREEN_MARGIN
     for lo in range(0, len(g), _LP_TRIALS):
         at = slice(lo, lo + _LP_TRIALS)
         v, det = _vertices(gaps[at], caps[at])
-        keep = ((det > _SINGULAR_TOL) & (v.max(axis=1) <= 1.0 + _FEAS_TOL)
-                & (v.min(axis=1) >= -_FEAS_TOL)
-                & (np.abs(gaps[at] @ v).max(axis=1) <= caps[at] + _FEAS_TOL))
-        np.clip(v, 0.0, 1.0, out=v)
-        # inside the 1e-9 row slack a vertex can still miss the cap by over 1e-10: its
-        # induced rates are ``_mixed_rates``' formula, with the picks on the last axis
-        accept, g_ya = v.reshape(-1, 2, 2, 240), g[at, ..., None]  # [yhat][a][pick], [y][a]
-        induced = accept[:, 1:] * g_ya
-        induced += accept[:, :1] * (1.0 - g_ya)  # two temporaries of (k, 2, 2, 240), not four
-        np.clip(induced, 0.0, 1.0, out=induced)
-        keep &= np.abs(induced[:, :, 0] - induced[:, :, 1]).max(axis=1) <= caps[at] + 1e-10
-        objs = np.where(keep, (c[at, None] @ v)[:, 0], np.inf)
-        tied = objs <= objs.min(axis=1, keepdims=True) + _TIE_TOL
-        for j in range(4):  # lexicographic: narrow the ties coordinate by coordinate
-            col = np.where(tied, v[:, j], np.inf)
-            tied &= col == col.min(axis=1, keepdims=True)
-        out[at] = v[np.arange(len(v)), :, tied.argmax(axis=1)]  # the first of equal vertices
+        gap_max = np.abs(gaps[at] @ v).max(axis=1)
+        objs = (c[at, None] @ np.clip(v, 0.0, 1.0))[:, 0]
+        args = v, det, gap_max, objs, g[at], caps[at]
+        win, best = _least_vertex(np.flatnonzero(objs <= limits[at, None]), *args)
+        # one trial at a time, so a block whose every trial falls back stays small
+        for trial in np.flatnonzero(~(best + _TIE_TOL < limits[at])):  # NaN bounds too
+            win[trial] = _least_vertex(240 * trial + np.arange(240), *args)[0][trial]
+        out[at] = np.clip(v[np.arange(len(v)), :, win], 0.0, 1.0)
     return out.reshape(-1, 2, 2)
 
 
@@ -235,10 +343,11 @@ def optimal_derived(stats: RateStatistics, tolerance: float) -> DerivedPredictor
     """Loss-minimizing derived rule with cross-group gap at most ``tolerance``.
 
     Solved by enumerating vertices of the feasible polytope (the unit box
-    cut by the four gap half-spaces); the feasible set is never empty since
-    constant mixes have zero gap. Among optimal vertices the
-    lexicographically smallest acceptance vector wins, so the result is
-    deterministic. This is the one-trial case of ``_derived_accept``.
+    cut by the four gap half-spaces), screened by the LP's dual bound; the
+    feasible set is never empty since constant mixes have zero gap. Among
+    optimal vertices the lexicographically smallest acceptance vector wins,
+    so the result is deterministic. This is the one-trial case of
+    ``_derived_accept``.
     """
     if not tolerance >= 0.0:  # NaN fails too
         raise InvalidParameterError(f"tolerance must be nonnegative, got {tolerance}")

@@ -217,9 +217,9 @@ def train_two_step(data: Dataset, hclass: FiniteHypothesisClass,
     halves = np.zeros((2, 1, len(data)))
     for weights, rows in zip(halves, _halves(len(data), config.seed)):
         weights[0, rows] = 1.0
-    selection, (t_train,), (t_correct,), (accept,), (sums,) = _train_on_counts(
+    selection, (t_train,), (t_correct,), (accept,), (sums,), counts = _train_on_counts(
         hclass.rules, data, halves, config)
-    step1, counts = _step1(hclass.rules, selection), cell_sums(data.cell, halves[1, 0])
+    step1, counts = _step1(hclass.rules, selection), counts[1, 0]
     rates = sums / counts
     induced = _mixed_rates(accept, rates)
     return TwoStepResult(step1, DerivedPredictor(accept), float(t_train), float(t_correct), {
@@ -236,10 +236,11 @@ def train_two_step(data: Dataset, hclass: FiniteHypothesisClass,
 def _train_on_counts(rules, rows: Dataset, halves: np.ndarray, config: TwoStepConfig):
     """``train_two_step`` for N trials whose two halves weigh the m ``rows`` (a file's
     rows or a finite law's atoms) by the (2, N, m) stack ``halves``: the ``_select``
-    result over ``rules``, both (N,) tolerances, and the step-2 accept tables and picked
-    rules' second-half cell sums, (N, 2, 2) each. Both halves' cell counts come from one
-    ``cell_sums``, and every first half's cells are checked before any second half's;
-    then ``_COUNT_TRIALS`` trials at a time share one ``_rule_sums`` of both halves."""
+    result over ``rules``, both (N,) tolerances, the step-2 accept tables and picked
+    rules' second-half cell sums, (N, 2, 2) each, and both halves' cell counts,
+    (2, N, 2, 2). Those come from one ``cell_sums``, and every first half's cells are
+    checked before any second half's; then ``_COUNT_TRIALS`` trials at a time share one
+    ``_rule_sums`` of both halves."""
     counts = cell_sums(rows.cell, halves)  # (2, N, 2, 2)
     _require_nonzero_cells(counts[0], "first half")
     _require_nonzero_cells(counts[1], "second half")
@@ -257,7 +258,8 @@ def _train_on_counts(rules, rows: Dataset, halves: np.ndarray, config: TwoStepCo
         s2, c2 = picked[at], counts[1, at]
         derived[at] = _derived_accept(s2 / c2, c2 / c2.sum(axis=(1, 2), keepdims=True),
                                       t_correct[at])
-    return tuple(np.concatenate(part) for part in zip(*parts)), t_train, t_correct, derived, picked
+    return (tuple(np.concatenate(part) for part in zip(*parts)), t_train, t_correct, derived,
+            picked, counts)
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:

@@ -13,7 +13,8 @@ import numpy as np
 
 from eqodds.core import (BinaryPredictor, CellProbabilities, ConstantRule, Dataset,
                          _require_nonzero_cells, empirical_loss, empirical_rates, rate_gap)
-from eqodds.posthoc import RateStatistics, expected_loss_from_rates, induced_rates
+from eqodds.posthoc import (_BASE, _COLS, _CORNERS, _SYSTEM, LOSS_01, RateStatistics, _gap_rows,
+                            _lp_coefficients, expected_loss_from_rates, induced_rates)
 from eqodds.synthetic import FiniteJointLaw
 from eqodds.two_step import Step1Result
 
@@ -229,6 +230,52 @@ def optimal_derived_all_picks(stats, tolerance):
     objs = verts @ lp_objective(stats)
     tied = verts[objs <= objs.min() + 1e-12]
     return np.clip(min(tied, key=tuple).reshape(2, 2), 0.0, 1.0)
+
+
+def vertices_all_picks(gap, cap):
+    """Each pick's vertex, (k, 4, 240): its base point plus its 2x2 system's Cramer
+    solution (a finite stand-in if singular), and the system's |det|, (k, 240), for
+    the (k, 2, 4) gap rows and (k, 1) caps of k trials, every pick through the full
+    rule. The closed-form vertices of ``derived_accept_one_pass``."""
+    k, at_corners = len(gap), (gap @ _CORNERS).reshape(-1, 32)  # gap_y at each corner
+    entries = np.concatenate([np.broadcast_to([0.0, 1.0, -1.0], (k, 3)), gap.reshape(k, 8),
+                              -gap.reshape(k, 8), cap - at_corners, cap + at_corners], axis=1)
+    (m00, m01, r0), (m10, m11, r1) = (np.moveaxis(entries[:, row], 1, 0) for row in _SYSTEM)
+    det = m00 * m11 - m01 * m10
+    div = np.where(np.abs(det) > 1e-12, det, 1.0)
+    v, (c0, c1), picks = np.repeat(_BASE[None], k, axis=0), _COLS, np.arange(240)
+    v[:, c0, picks] = _BASE[c0, picks] + (r0 * m11 - m01 * r1) / div
+    v[:, c1, picks] = _BASE[c1, picks] + (m00 * r1 - r0 * m10) / div
+    return v, np.abs(det)
+
+
+def derived_accept_one_pass(g, table, tolerance, feas=1e-9, tie=1e-12):
+    """Accept tables (T, 2, 2) of the derived-rule LP by checking all 240 closed-form
+    vertices of every trial in one pass, 32 trials at a time: the solver the dual screen
+    must match bit for bit. A vertex is kept if its system is nonsingular, it holds
+    every row within ``feas`` and, clipped to the box, induces a gap within 1e-10 of
+    the cap; the least objective wins, ties within ``tie`` going to the
+    lexicographically least vertex, the first in pick order."""
+    out, c, gaps = np.empty((len(g), 4)), _lp_coefficients(g, table, LOSS_01), _gap_rows(g)
+    caps = np.minimum(tolerance, 1.0)[:, None]
+    for lo in range(0, len(g), 32):
+        at = slice(lo, lo + 32)
+        v, det = vertices_all_picks(gaps[at], caps[at])
+        keep = ((det > 1e-12) & (v.max(axis=1) <= 1.0 + feas) & (v.min(axis=1) >= -feas)
+                & (np.abs(gaps[at] @ v).max(axis=1) <= caps[at] + feas))
+        np.clip(v, 0.0, 1.0, out=v)
+        accept, g_ya = v.reshape(-1, 2, 2, 240), g[at, ..., None]
+        induced = accept[:, 1:] * g_ya
+        induced += accept[:, :1] * (1.0 - g_ya)
+        np.clip(induced, 0.0, 1.0, out=induced)
+        keep &= np.abs(induced[:, :, 0] - induced[:, :, 1]).max(axis=1) <= caps[at] + 1e-10
+        objs = np.where(keep, (c[at, None] @ v)[:, 0], np.inf)
+        tied = objs <= objs.min(axis=1, keepdims=True) + tie
+        for j in range(4):
+            col = np.where(tied, v[:, j], np.inf)
+            tied &= col == col.min(axis=1, keepdims=True)
+        out[at] = v[np.arange(len(v)), :, tied.argmax(axis=1)]
+    return out.reshape(-1, 2, 2)
 
 
 def exact_checks(stats, tolerance, verts):

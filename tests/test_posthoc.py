@@ -7,15 +7,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eqodds import posthoc, two_step
 from eqodds.core import AttributeRule, CellProbabilities, InvalidParameterError, rate_gap
+from eqodds.experiments import run_two_step_rate_sweep
 from eqodds.posthoc import (
     _COMBOS,
     _LP_TRIALS,
     _TIE_TOL,
     _derived_accept,
     DerivedPredictor,
+    LOSS_01,
     RateStatistics,
+    _dual_bound,
     _gap_rows,
+    _least_vertex,
+    _lp_coefficients,
     _vertices,
     conservative_correction,
     derived_loss,
@@ -25,9 +31,9 @@ from eqodds.posthoc import (
 )
 from eqodds.synthetic import two_proxy_law
 
-from oracles import (ALL_PICKS, derived_grid_minima, exact_checks, lp_objective,
-                     optimal_derived_all_picks, point_in_hull, random_rate_statistics,
-                     tied_picks)
+from oracles import (ALL_PICKS, derived_accept_one_pass, derived_grid_minima, exact_checks,
+                     lp_objective, optimal_derived_all_picks, point_in_hull,
+                     random_rate_statistics, tied_picks, traced_peak)
 
 
 # rates 1e-9 apart in group 1: the best vertex passes the 1e-9 row check but its
@@ -37,6 +43,18 @@ CAP_MISS = (RateStatistics([[0.5241109706003458, 0.9794259644111981],
                            CellProbabilities([[0.34364081963267484, 0.24929332004352026],
                                               [0.049636426504731435, 0.3574294338190736]])),
             0.11190490194696745)
+
+
+# a group's two rates 3.4e-9 and 1.7e-10 apart: a vertex past the 1e-9 row slack, but
+# within 1e-6, would beat the result, moving a coordinate by 2.4e-11 and 7.8e-11 (base
+# rates, cell table, tolerance)
+ROW_SLACK_MOVES = [
+    ([[0.4809468988266292, 0.4620652719837637], [0.4809468953794535, 0.00864638645871929]],
+     [[0.32344332869250736, 0.29038934147505585], [0.3363487117846781, 0.04981861804775868]],
+     0.1),
+    ([[0.754026313756372, 7.90149066495216e-05], [0.5729367546620727, 7.901473344478041e-05]],
+     [[0.12337488947126232, 0.4079868426595206], [0.054108453145359045, 0.41452981472385786]],
+     1.0)]
 
 
 # base rates whose picks have a determinant of 0 or subnormal: equal, constant,
@@ -71,6 +89,72 @@ def check_against_all_picks(stats, tolerance, case):
     objs = np.where(keep & (det > 1e-12), verts @ c, np.inf)
     assert np.array_equal(v, min(verts[objs <= objs.min() + _TIE_TOL], key=tuple)), case
     return tied, dets, det
+
+
+def pruning_corpus():
+    """3,200 (stats, tolerance) cases, a fifth of each kind: random rates; a group whose
+    two rates are equal; rates and cells on a 1/50 grid; both groups equal; a group
+    whose rates differ by 1e-13, 1e-11 or 1e-9. Tolerances are 0, random, 1 and 1.5 in
+    turn."""
+    rng = np.random.default_rng(20)
+    for k in range(3200):
+        kind = k % 5
+        rates = rng.random((2, 2))
+        cells = rng.random(4) + 0.08
+        cells = (cells / cells.sum()).reshape(2, 2)
+        if kind == 1:
+            a = rng.integers(2)
+            rates[1, a] = rates[0, a]
+        elif kind == 2:
+            rates = rng.integers(0, 51, (2, 2)) / 50
+            parts = np.diff(np.r_[0, np.sort(rng.choice(np.arange(1, 50), 3, False)), 50])
+            cells = parts.reshape(2, 2) / 50
+        elif kind == 3:
+            rates[:, 1] = rates[:, 0]
+        elif kind == 4:
+            a = rng.integers(2)
+            rates[1, a] = rates[0, a] + (1e-13, 1e-11, 1e-9)[k // 5 % 3]
+        tol = (0.0, rng.random() * 0.5, 1.0, 1.5)[k // 5 % 4]
+        yield RateStatistics(rates, CellProbabilities(cells)), tol
+
+
+def random_lp_corpus(seed, n=25_600):
+    """Base rates, cell tables and tolerances of n LP trials, an eighth of each kind:
+    random rates; rates on a 1/4 lattice; on a 1/2 lattice; one group's two rates
+    equal; both groups' rates equal; one group's rates 1e-13, 1e-11 or 1e-9 apart;
+    cells of small whole weights; one group's rates 1e-10 to 1e-6 apart. Tolerances
+    are 0, 0.01, 0.1, 0.3, 1 or 2, or a uniform fraction of one of them."""
+    rng = np.random.default_rng(seed)
+    rates, cells, kind = rng.random((n, 2, 2)), rng.random((n, 4)) + 0.08, np.arange(n) % 8
+    for k, steps in ((1, 4), (2, 2)):
+        rates[kind == k] = rng.integers(0, steps + 1, ((kind == k).sum(), 2, 2)) / steps
+    group = rng.integers(2, size=n)
+    apart = np.select([kind == 3, kind == 5, kind == 7],
+                      [0.0, rng.choice([1e-13, 1e-11, 1e-9], n),
+                       10.0 ** rng.uniform(-10, -6, n)], np.nan)
+    at = np.flatnonzero(~np.isnan(apart))
+    rates[at, 1, group[at]] = np.clip(rates[at, 0, group[at]] + apart[at], 0.0, 1.0)
+    rates[kind == 4, :, 1] = rates[kind == 4, :, 0]
+    cells[kind == 6] = rng.integers(1, 5, ((kind == 6).sum(), 4))
+    tols = rng.choice([0.0, 0.01, 0.1, 0.3, 1.0, 2.0], n) * np.where(rng.random(n) < 0.5, 1.0,
+                                                                      rng.random(n))
+    return rates, (cells / cells.sum(axis=1, keepdims=True)).reshape(n, 2, 2), tols
+
+
+def sweep_lp_inputs(monkeypatch, seed):
+    """The base rates, cell tables and tolerances of every LP that ``two-step-rate-sweep``
+    solves at 50 trials a sample size (300 trials)."""
+    seen = []
+
+    def recorded(g, table, tolerance):
+        seen.append((g.copy(), table.copy(), np.array(tolerance)))
+        return derived(g, table, tolerance)
+
+    derived = two_step._derived_accept
+    with monkeypatch.context() as patch:
+        patch.setattr(two_step, "_derived_accept", recorded)
+        run_two_step_rate_sweep(trials=50, seed=seed)
+    return tuple(np.concatenate(part) for part in zip(*seen))
 
 
 def attr_rule_stats(eps=0.1):
@@ -209,26 +293,7 @@ class TestOptimalDerived:
         """
         pruned = (ALL_PICKS[:, None, :] == _COMBOS[None]).all(axis=2).any(axis=1)
         assert pruned.sum() == 240 and np.array_equal(ALL_PICKS[pruned], _COMBOS)
-        rng = np.random.default_rng(20)
-        for k in range(3200):
-            kind = k % 5
-            rates = rng.random((2, 2))
-            cells = rng.random(4) + 0.08
-            cells = (cells / cells.sum()).reshape(2, 2)
-            if kind == 1:
-                a = rng.integers(2)
-                rates[1, a] = rates[0, a]
-            elif kind == 2:
-                rates = rng.integers(0, 51, (2, 2)) / 50
-                parts = np.diff(np.r_[0, np.sort(rng.choice(np.arange(1, 50), 3, False)), 50])
-                cells = parts.reshape(2, 2) / 50
-            elif kind == 3:
-                rates[:, 1] = rates[:, 0]
-            elif kind == 4:
-                a = rng.integers(2)
-                rates[1, a] = rates[0, a] + (1e-13, 1e-11, 1e-9)[k // 5 % 3]
-            tol = (0.0, rng.random() * 0.5, 1.0, 1.5)[k // 5 % 4]
-            stats = RateStatistics(rates, CellProbabilities(cells))
+        for k, (stats, tol) in enumerate(pruning_corpus()):
             tied, dets, det = check_against_all_picks(stats, tol, k)
             assert np.array_equal(det > 1e-12, dets[pruned] > 1e-12), k
             assert (dets[~pruned] <= 1e-12).all() and not tied[~pruned].any(), k
@@ -329,7 +394,7 @@ class TestOptimalDerived:
     def test_one_block_stays_under_one_mib(self):
         """A block of ``_LP_TRIALS`` trials allocates under 1 MiB at its peak: each
         pick's system comes from the two gap rows alone, and the largest temporaries,
-        the vertices and their induced rates, are (k, 4, 240) float64."""
+        the vertices and their objectives, are (k, 4, 240) float64."""
         rng = np.random.default_rng(23)
         stats = [random_rate_statistics(rng) for _ in range(_LP_TRIALS)]
         rates = np.array([s.rates for s in stats])
@@ -342,6 +407,18 @@ class TestOptimalDerived:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
+    def test_a_block_whose_every_trial_takes_all_picks_stays_under_one_mib(self, monkeypatch):
+        """With the dual bound 1 too low no pick is screened in, and every trial of the
+        block takes all 240 picks: the block still peaks under 1 MiB."""
+        rng = np.random.default_rng(23)
+        stats = [random_rate_statistics(rng) for _ in range(_LP_TRIALS)]
+        args = (np.array([s.rates for s in stats]), np.array([s.cells.table for s in stats]),
+                rng.choice([0.0, 0.02, 0.3, 1.0], size=_LP_TRIALS))
+        bound = posthoc._dual_bound
+        monkeypatch.setattr(posthoc, "_dual_bound", lambda *a: bound(*a) - 1.0)
+        _, peak = traced_peak(lambda: _derived_accept(*args))
         assert peak < 1 << 20, peak
 
     def test_batch_blocks_equal_one_trial_at_a_time(self):
@@ -362,6 +439,127 @@ class TestOptimalDerived:
         # above-1 tolerances are legal (schedules can exceed 1) and inert
         derived = optimal_derived(attr_rule_stats(), 1.7)
         assert derived_loss(derived, attr_rule_stats()) <= 0.1 + 1e-12
+
+
+def one_block(vertices, objs, cap=1.0):
+    """A block of one trial whose candidate picks 0, 1, ... have the given (4,) vertices
+    and objectives, nonsingular and inside the gap rows, for ``_least_vertex``."""
+    v, full_objs = np.zeros((1, 4, 240)), np.full((1, 240), np.inf)
+    v[0, :, :len(vertices)], full_objs[0, :len(objs)] = np.array(vertices).T, objs
+    rates = np.array([[[0.2, 0.4], [0.6, 0.8]]])
+    return (np.arange(len(vertices)), v, np.ones((1, 240)), np.zeros((1, 240)), full_objs,
+            rates, np.array([[cap]]))
+
+
+class TestDualScreen:
+    """``_derived_accept`` screens the picks by the LP's dual bound; the one-pass
+    enumeration it replaced, which checks all 240 vertices of every trial, is kept as
+    ``oracles.derived_accept_one_pass``, and every result must have its bits."""
+
+    def test_equals_the_one_pass_enumeration_on_the_pruning_corpus(self):
+        stats, tols = zip(*pruning_corpus())
+        args = (np.array([s.rates for s in stats]), np.array([s.cells.table for s in stats]),
+                np.array(tols))
+        assert _derived_accept(*args).tobytes() == derived_accept_one_pass(*args).tobytes()
+
+    def test_equals_the_one_pass_enumeration_on_a_random_corpus(self):
+        """25,600 trials of eight kinds (``random_lp_corpus``). The corpus holds trials
+        whose result moves when the tie window is 1e-9 instead of 1e-12, so a drift of
+        that tolerance shows here; ``ROW_SLACK_MOVES`` does the same for the row slack."""
+        args = random_lp_corpus(34)
+        want = derived_accept_one_pass(*args)
+        assert _derived_accept(*args).tobytes() == want.tobytes()
+        assert derived_accept_one_pass(*args, tie=1e-9).tobytes() != want.tobytes()
+
+    def test_equals_the_one_pass_enumeration_where_the_row_slack_decides(self):
+        args = (np.array([g for g, _, _ in ROW_SLACK_MOVES]),
+                np.array([t for _, t, _ in ROW_SLACK_MOVES]),
+                np.array([tol for _, _, tol in ROW_SLACK_MOVES]))
+        want = derived_accept_one_pass(*args)
+        assert _derived_accept(*args).tobytes() == want.tobytes()
+        moved = derived_accept_one_pass(*args, feas=1e-6)
+        assert (moved != want).reshape(len(want), -1).any(axis=1).all()
+
+    @pytest.mark.parametrize("seed", [0, 941])
+    def test_equals_the_one_pass_enumeration_on_the_sweep(self, monkeypatch, seed):
+        args = sweep_lp_inputs(monkeypatch, seed)
+        assert len(args[0]) == 300
+        assert _derived_accept(*args).tobytes() == derived_accept_one_pass(*args).tobytes()
+
+    def test_the_dual_bound_is_the_returned_objective(self, monkeypatch):
+        """Strong duality, checked without enumerating vertices: the returned table's
+        objective c . v equals the dual bound within 1e-15 on the sweep's LPs (measured
+        1.1e-16), within 1e-13 on the trials of the random and pruning corpora whose
+        rates are not nearly equal in a group (measured 2.5e-14 over random seeds
+        34-36, 3.3e-15 on the pruning corpus) and within 1e-10 on those whose rates are
+        1e-13 to 1e-6 apart (measured 2.2e-11 and 1.8e-12: the solve's rounding over
+        such near-singular systems)."""
+        def gap(g, table, tolerance):
+            c = _lp_coefficients(g, table, LOSS_01)
+            got = (c * _derived_accept(g, table, tolerance).reshape(-1, 4)).sum(axis=1)
+            caps = np.minimum(tolerance, 1.0)[:, None]
+            return np.abs(got - _dual_bound(c, _gap_rows(g), caps))
+
+        for seed in (0, 941):
+            assert gap(*sweep_lp_inputs(monkeypatch, seed)).max() <= 1e-15
+        args = random_lp_corpus(34)
+        near = np.isin(np.arange(len(args[0])) % 8, (5, 7))
+        found = gap(*args)
+        assert found[~near].max() <= 1e-13 and found[near].max() <= 1e-10
+        stats, tols = zip(*pruning_corpus())
+        found = gap(np.array([s.rates for s in stats]), np.array([s.cells.table for s in stats]),
+                    np.array(tols))
+        near = np.arange(len(found)) % 5 == 4
+        assert found[~near].max() <= 1e-13 and found[near].max() <= 1e-10
+
+    def test_the_screen_settles_every_sweep_lp(self, monkeypatch):
+        """On the sweep's LPs no trial takes the all-picks pass: each block of
+        ``_LP_TRIALS`` trials is settled by one ``_least_vertex`` call over the picks
+        within 1e-9 of the bound, well under a sixth of all. With no margin, rounding
+        puts the optimum above the bound and every trial would take all 240 picks."""
+        args = sweep_lp_inputs(monkeypatch, 0)
+        calls = []
+
+        def counted(at, *rest):
+            calls.append(len(at))
+            return least(at, *rest)
+
+        least = posthoc._least_vertex
+        monkeypatch.setattr(posthoc, "_least_vertex", counted)
+        _derived_accept(*args)
+        assert len(calls) == -(-300 // _LP_TRIALS) and sum(calls) < 300 * 240 / 6, calls
+
+    @pytest.mark.parametrize("shift", [-1.0, 1.0, np.nan, -np.inf, np.inf])
+    def test_a_bound_off_either_way_leaves_every_result(self, monkeypatch, shift):
+        """The dual only sets a threshold: with the bound 1 too low (every trial finds no
+        kept pick under it and takes all 240), 1 too high (every pick is screened in),
+        NaN, -inf or inf, every table keeps its bits."""
+        args = tuple(a[:3200] for a in random_lp_corpus(35))
+        want = _derived_accept(*args)
+        bound = posthoc._dual_bound
+        monkeypatch.setattr(posthoc, "_dual_bound", lambda *a: bound(*a) + shift)
+        assert _derived_accept(*args).tobytes() == want.tobytes()
+
+    def test_a_vertex_missing_a_row_by_1e_8_is_refused(self):
+        """The row slack is 1e-9: a vertex 1e-8 outside the box or past a gap row is not
+        kept, however low its objective; 1e-10 outside it is, and is clipped."""
+        inside = (0.5, 0.5, 0.5, 0.5)
+        for miss, kept in ((1e-8, False), (1e-10, True)):
+            args = one_block([(-miss, 0.5, 0.5, 0.5), inside], [-1.0, -0.5])
+            win, best = _least_vertex(*args)
+            assert (win[0], best[0]) == ((0, -1.0) if kept else (1, -0.5)), miss
+            args = one_block([inside, (0.25, 0.5, 0.5, 0.5)], [-1.0, -0.5], cap=0.5)
+            args[3][0, 0] = 0.5 + miss  # pick 0 misses its gap row by that much
+            win, best = _least_vertex(*args)
+            assert (win[0], best[0]) == ((0, -1.0) if kept else (1, -0.5)), miss
+
+    def test_objectives_1e_10_apart_do_not_tie(self):
+        """The tie window is 1e-12: of two kept vertices whose objectives differ by
+        1e-10 the lower wins, though the other is lexicographically less; 1e-13 apart
+        they tie and the lexicographically least wins."""
+        for apart, win in ((1e-10, 0), (1e-13, 1)):
+            args = one_block([(0.5, 0.5, 0.5, 0.5), (0.25, 0.5, 0.5, 0.5)], [0.0, apart])
+            assert _least_vertex(*args)[0][0] == win, apart
 
 
 class TestConservativeCorrection:

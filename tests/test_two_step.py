@@ -440,7 +440,7 @@ class TestCountPath:
         for n in [2 ** k for k in range(9, 15)]:
             seeds = [100_000 * n + i for i in range(12)]
             halves = np.array([tallied_halves(law, n, seed) for seed in seeds]).transpose(1, 0, 2)
-            selection, t_train, t_correct, accepts, _ = _train_on_counts(
+            selection, t_train, t_correct, accepts, *_ = _train_on_counts(
                 SMALL_CLASS.rules, law.atoms, halves, TwoStepConfig())
             for i, seed in enumerate(seeds):
                 rows = train_two_step(sample_law(law, n, seed), SMALL_CLASS,
@@ -454,7 +454,8 @@ class TestCountPath:
         config = TwoStepConfig(train_tolerance=0.0, seed=3)
         rows = train_two_step(sample_law(law, 101, 3), SMALL_CLASS, config)
         halves = np.array(tallied_halves(law, 101, 3))[:, None]
-        selection, _, _, accepts, _ = _train_on_counts(SMALL_CLASS.rules, law.atoms, halves, config)
+        selection, _, _, accepts, *_ = _train_on_counts(SMALL_CLASS.rules, law.atoms, halves,
+                                                        config)
         assert rows.step1.forced_constant
         assert selected(SMALL_CLASS, selection, 0) == step1_fields(rows.step1)
         assert accepts[0].tobytes() == rows.derived.accept.tobytes()
