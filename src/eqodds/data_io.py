@@ -18,14 +18,19 @@ table, C-ordered and its columns in ``x0.., a, y[, score]`` order, is the
 one full-size copy of the file: the loaded ``Dataset``'s columns are
 read-only views of it.
 
-Writing runs a block of rows at a time. A table whose every column holds
-whole numbers of small range (the 0/1 ``x0,a,y`` of ``simulate``) formats
-each distinct row once and indexes those lines by each row's pattern code;
-any other block formats each column in one pass. Integer-valued floats
-below 1e15 are written as integers and every other value with ``repr``,
-signed zero as ``-0.0``, so a load -> write -> load round trip is
-bit-identical. Output files get mode 0o666 less the umask, as a plain
-``open()`` would give them.
+Writing runs a block of rows at a time, in bytes through a binary handle.
+A table whose every column holds whole numbers of small range (the 0/1
+``x0,a,y`` of ``simulate``) formats each distinct row once, into one
+``S{width}`` array whose shorter lines numpy pads with NUL bytes. Each block
+of ``_PATTERN_ROWS`` rows gets its rows' codes in integers, a column at a
+time, and is written as the gathered lines' bytes with the padding removed:
+no Python object is made per row. A block holding a value no line prints (a
+fraction or -0.0), and any other table, is formatted a column at a time,
+``_BLOCK_ROWS`` rows at a time. Both paths write the bytes ``csv.writer``
+wrote. Integer-valued floats below 1e15 are written as integers and every
+other value with ``repr``, signed zero as ``-0.0``, so a load -> write ->
+load round trip is bit-identical. Output files get mode 0o666 less the umask,
+as a plain ``open()`` would give them.
 """
 
 from __future__ import annotations
@@ -46,9 +51,13 @@ import numpy as np
 
 from .core import Dataset, EqoddsError
 
-# Rows formatted per write: the formatted strings of one block are all that is
-# held, so memory does not grow with the dataset.
+# Rows formatted per write a column at a time: the formatted strings of one block
+# are all that is held, so memory does not grow with the dataset.
 _BLOCK_ROWS = 1024
+# Rows per write of the row-pattern path: its int64 codes, one column's checks and
+# the gathered lines, under 40 bytes a row for ``simulate``'s 7-byte lines, keep its
+# traced peak near 0.6 MiB; 1,024-row blocks wrote 2e5 rows 1.7-2.5 times slower.
+_PATTERN_ROWS = 16_384
 # Most distinct row patterns the writer formats ahead (never more than rows).
 _PATTERNS = 4096
 # Names np.loadtxt would decompress (numpy's _datasource openers): a plain
@@ -263,9 +272,11 @@ def _format_column(col: np.ndarray):
 def _row_patterns(columns: list):
     """The line of every row the columns' ranges can hold, and how to index
     them: ``(lows, strides, lines)``, where row r's line is
-    ``lines[(r - lows) @ strides]``. None when a column's min or max is not a
-    whole number below 1e15 in magnitude, or the ranges span more than
-    min(rows, ``_PATTERNS``) rows."""
+    ``lines[(r - lows) @ strides]``. ``lines`` is one ``S{width}`` array of
+    the encoded lines, each padded with NUL bytes to the longest, which no
+    line holds. None when a column's min or max is not a whole number below
+    1e15 in magnitude, or the ranges span more than min(rows, ``_PATTERNS``)
+    rows."""
     lows, highs = [c.min() for c in columns], [c.max() for c in columns]
     if not all(float(v).is_integer() and abs(v) < 1e15 for v in lows + highs):
         return None  # nan and inf fail is_integer too
@@ -274,21 +285,36 @@ def _row_patterns(columns: list):
         return None
     cells = [[_format_value(v) for v in range(int(lo), int(hi) + 1)]
              for lo, hi in zip(lows, highs)]
-    lines = np.array([",".join(row) + "\r\n" for row in itertools.product(*cells)],
-                     dtype=object)
-    strides = np.array([math.prod(spans[j + 1:]) for j in range(len(spans))])
-    return np.array(lows, dtype=np.int64), strides, lines
+    lines = np.array([(",".join(row) + "\r\n").encode() for row in itertools.product(*cells)])
+    strides = [math.prod(spans[j + 1:]) for j in range(len(spans))]
+    return [int(v) for v in lows], strides, lines
 
 
-def _block_text(block: list, patterns) -> str:
-    """The CSV lines of one block of columns, each ending in \\r\\n."""
-    if patterns is not None:
-        lows, strides, lines = patterns
-        table = np.column_stack(block)
-        whole = table.astype(np.int64)  # in range: the lows and highs are below 1e15
+def _pattern_bytes(block: list, patterns):
+    """The CSV lines of one block of columns as ``_row_patterns`` holds them, or
+    None if a value is not whole or is -0.0 (its line is not among them).
+
+    Each row's code is summed one column at a time in integers; the lines it
+    picks are gathered as one ``S{width}`` array, whose bytes less the NUL
+    padding are the rows' lines end to end."""
+    lows, strides, lines = patterns
+    codes = np.zeros(len(block[0]), dtype=np.int64)
+    for col, low, stride in zip(block, lows, strides):
+        whole = col.astype(np.int64)  # in range: the lows and highs are below 1e15
         # bit for bit back: every value whole and none -0.0, which prints as such
-        if whole.astype(np.float64).tobytes() == table.tobytes():
-            return "".join(lines[(whole - lows) @ strides].tolist())
+        if not np.array_equal(whole.astype(np.float64).view(np.int64), col.view(np.int64)):
+            return None
+        whole -= low
+        whole *= stride
+        codes += whole
+    # take copies S{width} items faster than an index does; with no padding in
+    # the block, replace hands back the bytes as they are
+    return lines.take(codes).tobytes().replace(b"\0", b"")
+
+
+def _column_text(block: list) -> str:
+    """The CSV lines of one block of columns, each ending in \\r\\n, formatted
+    one column at a time."""
     cells = (_format_column(c) for c in block)
     # numbers need no quoting, so joining matches csv.writer byte for byte
     return "\r\n".join(map(",".join, zip(*cells))) + "\r\n"
@@ -296,29 +322,41 @@ def _block_text(block: list, patterns) -> str:
 
 def write_csv(dataset: Dataset, path) -> None:
     """Write columns x0..x{d-1}, a, y[, score], as ``load_csv`` reads them by
-    default (atomic: temp file + rename)."""
+    default (atomic: temp file + rename).
+
+    The body goes out in bytes. A table ``_row_patterns`` can index is written
+    ``_PATTERN_ROWS`` rows at a time as one gather of its padded lines; a block
+    that holds a value no line prints, and any other table, is formatted a column
+    at a time, ``_BLOCK_ROWS`` rows at a time. Either way the bytes are the ones
+    ``csv.writer`` would write."""
     header = [f"x{i}" for i in range(dataset.n_features)] + ["a", "y"]
     columns = [*dataset.features.T, dataset.attr, dataset.labels]  # load_csv's order
     if dataset.scores is not None:
         header.append("score")
         columns.append(dataset.scores)
     patterns = _row_patterns(columns)
-    with _atomic_open(path, newline="") as fh:
-        csv.writer(fh).writerow(header)
-        for start in range(0, len(dataset), _BLOCK_ROWS):
-            fh.write(_block_text([c[start:start + _BLOCK_ROWS] for c in columns],
-                                 patterns))
+    step = _BLOCK_ROWS if patterns is None else _PATTERN_ROWS
+    with _atomic_open(path) as fh:
+        fh.write(",".join(header).encode() + b"\r\n")
+        for start in range(0, len(dataset), step):
+            block = [c[start:start + step] for c in columns]
+            body = None if patterns is None else _pattern_bytes(block, patterns)
+            if body is not None:
+                fh.write(body)
+                continue
+            for lo in range(0, len(block[0]), _BLOCK_ROWS):
+                fh.write(_column_text([c[lo:lo + _BLOCK_ROWS] for c in block]).encode())
 
 
 def write_rows_csv(columns: dict, path) -> None:
     """Write named 1-D columns of numbers or plain names (none that csv would quote)
     as CSV rows under a header of the names, ``_BLOCK_ROWS`` rows at a time, each
     value ``str`` of its Python scalar, as ``csv`` would (atomic: temp file + rename)."""
-    with _atomic_open(path, newline="") as fh:
-        fh.write(",".join(columns) + "\r\n")
+    with _atomic_open(path) as fh:
+        fh.write((",".join(columns) + "\r\n").encode())
         for lo in range(0, len(next(iter(columns.values()))), _BLOCK_ROWS):
             cells = (map(str, c[lo:lo + _BLOCK_ROWS].tolist()) for c in columns.values())
-            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+            fh.write(("\r\n".join(map(",".join, zip(*cells))) + "\r\n").encode())
 
 
 def write_json_atomic(obj, path) -> None:
@@ -329,12 +367,12 @@ def write_json_atomic(obj, path) -> None:
     """
     text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with _atomic_open(path) as fh:
-        fh.write(text)
+        fh.write(text.encode())
 
 
 @contextmanager
-def _atomic_open(path, newline=None):
-    """A text handle on a new file beside ``path``, renamed onto it on success.
+def _atomic_open(path):
+    """A binary handle on a new file beside ``path``, renamed onto it on success.
 
     The file is created with mode 0o666, which the umask narrows, so the
     result has the permissions a plain ``open(path, "w")`` would give it.
@@ -343,7 +381,7 @@ def _atomic_open(path, newline=None):
     tmp = os.path.join(directory, f"tmp{secrets.token_hex(8)}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", newline=newline, encoding="utf-8") as fh:
+        with os.fdopen(fd, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

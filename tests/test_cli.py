@@ -238,12 +238,17 @@ class TestCsv:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_pattern_writer_matches_block_formatter(self, tmp_path, data):
         """Whole-number tables of small range, with -0.0, a fractional value or a
-        wider range put in, write the bytes of the per-column formatter."""
-        n = data.draw(st.sampled_from([1, 2, 1023, 1024, 1025, 2049]) | st.integers(1, 40))
+        wider range put in, write the bytes of the per-column formatter: row counts
+        on both sides of both block sizes, and ranges such as -3..11 whose lines
+        differ in width, so the gathered lines carry NUL padding between them."""
+        rows = data_io._PATTERN_ROWS
+        n = data.draw(st.sampled_from([1, 2, 1023, 1024, 1025, 2049, rows - 1, rows,
+                                       rows + 1, 2 * rows + 1]) | st.integers(1, 40))
         d = data.draw(st.integers(1, 3))
         low = data.draw(st.integers(-3, 3))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        features = rng.integers(low, low + data.draw(st.integers(1, 3)), (n, d)).astype(float)
+        span = data.draw(st.sampled_from([1, 2, 3, 15]))
+        features = rng.integers(low, low + span, (n, d)).astype(float)
         attr, labels = rng.integers(0, 2, (2, n)).astype(float)
         scores = data.draw(st.sampled_from([None, None, "whole", "half"]))
         if scores is not None:
@@ -274,6 +279,21 @@ class TestCsv:
         monkeypatch.setattr(data_io, "_format_column", None)  # any column pass fails
         assert written_bytes(ds, tmp_path / "p.csv") == want
         assert want.startswith(b"x0,a,y\r\n") and want.count(b"\r\n") == 3001
+
+    @pytest.mark.parametrize("table", ["simulate", "gaussian"])
+    def test_write_peak_stays_under_a_mib(self, tmp_path, monkeypatch, table):
+        """One block is held at a time: the row codes and gathered lines of the
+        pattern path on a 2e5-row ``simulate`` table, and the strings of the column
+        path on a 2e4 x 10 float table, the benchmark's fit sample."""
+        if table == "simulate":
+            ds = sample_law(two_proxy_law(0.1), 200_000, seed=7)
+            monkeypatch.setattr(data_io, "_format_column", None)  # the pattern path alone
+        else:
+            ds = sample_law(gaussian_law(8, seed=0), 20_000, seed=0)
+        path = tmp_path / "w.csv"
+        write_csv(ds, path)  # one-time allocations: not the write's
+        _, peak = traced_peak(lambda: write_csv(ds, path))
+        assert peak < 2**20, peak / 2**20
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None,

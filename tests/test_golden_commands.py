@@ -1,7 +1,7 @@
 """Fixed-seed command outputs must not change across code versions.
 
-Each case runs one ``eqodds`` command on small seeded inputs (2,000 rows)
-and compares the SHA-256 of what it writes, the ``simulate`` CSV or the
+Each case runs one ``eqodds`` command on small seeded inputs (2,000 rows;
+two ``simulate`` cases write 50,000, several blocks of the writer) and compares the SHA-256 of what it writes, the ``simulate`` CSV or the
 JSON report, with ``GOLDEN``. The inputs are written here with numpy's
 generator and Python's ``repr`` of each value, not with the package, so a
 change to the reader or the writer cannot change them. A refactor that
@@ -24,11 +24,15 @@ import pytest
 from eqodds.cli import main
 
 ROWS = 2_000
+# rows of the two ``simulate`` cases that span several blocks of the writer
+BLOCK_ROWS = 50_000
 
 GOLDEN = {
     "simulate-two-proxy": "b91ff3b492fbcf459061200e8819e97f3ccae5a68c6f26e05ae15615ca08c52a",
     "simulate-erm-trap": "e2d2f701085da1c9b33cf38901b6c9f468b518adb938ef86d1fa616f5a4a6149",
     "simulate-gaussian": "92c10dc914cdbdbf17c527a5e7b6a3a1c1cb5e3b8025e2a9237d01b9dbf8f6cd",
+    "simulate-two-proxy-blocks": "64f8a257d5c813b119ab3c153830fd6de2009b11c6ae37ba307668271e480bfd",
+    "simulate-erm-trap-blocks": "8adacf81fb3d4072ccbffb05b92e6b401be31f012224ac387f53dead1bf701f2",
     "audit": "5dffb6ce91f7ec2bd648feee6bc27cad2501b3c9ce8768a65caa43a339516876",
     "audit-supplied": "9ed83cd7004874c9d4b03edb4fcf61236c85a78ec1f10c47187841e2443b5260",
     "correct": "ce73b5f93d0ba59906413d5a7514009e68b537a08b224175171c50f03000cd13",
@@ -95,6 +99,12 @@ def cases(tmp):
                               "--n", str(ROWS), "--seed", "4"],
         "simulate-gaussian": ["simulate", "--law", "gaussian", "--dim", "3",
                               "--n", str(ROWS), "--seed", "5"],
+        # several blocks of the row-pattern writer: one column code, and six binary
+        # columns (64 patterns) combined into one code
+        "simulate-two-proxy-blocks": ["simulate", "--law", "two-proxy", "--noise", "0.15",
+                                      "--n", str(BLOCK_ROWS), "--seed", "3"],
+        "simulate-erm-trap-blocks": ["simulate", "--law", "erm-trap", "--features", "4",
+                                     "--n", str(BLOCK_ROWS), "--seed", "4"],
         "audit": ["audit", "--data", scored, "--alpha", "0.5", "--delta", "0.1"],
         "audit-supplied": ["audit", "--data", scored, "--alpha", "0.5", "--delta", "0.1",
                            "--cell-probs", "0.4,0.1,0.1,0.4", "--threshold", "0.5"],

@@ -304,6 +304,14 @@ class TestRuleSums:
             assert (_rule_sums(rules, rows, w).tobytes()
                     == rule_sums_by_row(rules, rows, w).tobytes())
 
+    @pytest.mark.parametrize("weights", ["unit", "halves", "atoms"])
+    def test_sorted_columns_bin_as_the_search_does(self, weights, monkeypatch):
+        """The two cases above with every feature binned from its sorted column,
+        as a grid of ``_SORT_CUTS`` or more cuts is."""
+        monkeypatch.setattr(two_step, "_SORT_CUTS", 1)
+        self.test_equals_row_by_row_sums(weights)
+        self.test_random_cuts_and_values()
+
 
 class TestFitCorrection:
     """Step 2: the optimal derived rule fitted on an independent sample."""
