@@ -91,7 +91,8 @@ def _score_predictions(args) -> Tuple[Dataset, np.ndarray]:
         raise CliError("dataset has no score column; audit/correct need one")
     if args.threshold is not None:
         return dataset, (dataset.scores >= args.threshold).astype(float)
-    if not (dataset.scores.min() >= 0 and dataset.scores.max() <= 1):
+    lo, hi = dataset._score_range  # cached: the rates and the loss check the column by it
+    if not (lo >= 0 and hi <= 1):
         raise CliError("scores outside [0, 1]; pass --threshold to binarize them")
     return dataset, dataset.scores
 

@@ -170,6 +170,11 @@ class Dataset:
         return np.add(cell, self.attr, out=cell, casting="unsafe")  # whole 0/1 values: exact
 
     @cached_property
+    def _score_range(self) -> tuple:
+        """(min, max) of the score column, scanned once for every range check of it."""
+        return self.scores.min(), self.scores.max()
+
+    @cached_property
     def cell_counts(self) -> np.ndarray:
         """Rows per (y, a) cell, a read-only (2, 2) integer table."""
         counts = cell_sums(self.cell)
@@ -184,8 +189,9 @@ class Dataset:
         if idx.size and not np.issubdtype(idx.dtype, np.integer):  # a mask would read as 0/1
             raise InvalidParameterError(f"subset indices must be integers, got dtype {idx.dtype}")
         idx = idx.astype(np.intp, copy=False)  # [] reads as float; the constructor names it
-        scores = None if self.scores is None else self.scores[idx]
-        return Dataset(self.features[idx], self.attr[idx], self.labels[idx], scores)
+        scores = None if self.scores is None else self.scores.take(idx)
+        return Dataset(self.features.take(idx, axis=0), self.attr.take(idx),
+                       self.labels.take(idx), scores)
 
 
 @dataclass(frozen=True)
@@ -315,6 +321,16 @@ def acceptance_values(values, n: int, what: str = "acceptance values") -> np.nda
     return vals
 
 
+def _acceptance(dataset: Dataset, values) -> np.ndarray:
+    """``acceptance_values`` of per-row ``values``, but the dataset's own score column
+    is taken as is when its cached range lies in [0, 1]: a -0.0 among its values, which
+    ``acceptance_values`` would make +0.0, sums and subtracts as +0.0 does."""
+    if values is None or values is not dataset.scores:
+        return acceptance_values(values, len(dataset))
+    lo, hi = dataset._score_range
+    return values if lo >= 0 and hi <= 1 else acceptance_values(values, len(dataset))
+
+
 def empirical_rates(dataset: Dataset, values) -> np.ndarray:
     """Sample conditional acceptance rates, cell by cell: the (2, 2) [y][a] table.
 
@@ -324,7 +340,7 @@ def empirical_rates(dataset: Dataset, values) -> np.ndarray:
     ``_require_nonzero_cells``.
     """
     counts = dataset.cell_counts  # checks binarity on first use
-    vals = acceptance_values(values, len(dataset))
+    vals = _acceptance(dataset, values)
     with np.errstate(invalid="ignore"):  # 0 / 0 marks an empty cell NaN
         return cell_sums(dataset.cell, vals) / counts
 
@@ -333,7 +349,7 @@ def empirical_loss(dataset: Dataset, values) -> float:
     """Mean expected 0-1 loss of per-row acceptance probabilities ``values``;
     randomized rules contribute expected mistakes."""
     dataset.require_binary()
-    mistakes = acceptance_values(values, len(dataset)) - dataset.labels
+    mistakes = _acceptance(dataset, values) - dataset.labels
     return float(np.mean(np.abs(mistakes, out=mistakes)))
 
 

@@ -19,18 +19,18 @@ one full-size copy of the file: the loaded ``Dataset``'s columns are
 read-only views of it.
 
 Writing runs a block of rows at a time, in bytes through a binary handle.
-A table whose every column holds whole numbers of small range (the 0/1
-``x0,a,y`` of ``simulate``) formats each distinct row once, into one
-``S{width}`` array whose shorter lines numpy pads with NUL bytes. Each block
-of ``_PATTERN_ROWS`` rows gets its rows' codes in integers, a column at a
-time, and is written as the gathered lines' bytes with the padding removed:
-no Python object is made per row. A block holding a value no line prints (a
-fraction or -0.0), and any other table, is formatted a column at a time,
-``_BLOCK_ROWS`` rows at a time. Both paths write the bytes ``csv.writer``
-wrote. Integer-valued floats below 1e15 are written as integers and every
-other value with ``repr``, signed zero as ``-0.0``, so a load -> write ->
-load round trip is bit-identical. Output files get mode 0o666 less the umask,
-as a plain ``open()`` would give them.
+A table whose min and max, of the feature block and of each other column,
+are whole numbers 0-9 (the 0/1 files of ``simulate``) goes out in digit
+blocks of ``_DIGIT_BYTES`` of text: a ``bytearray`` of ``0,0,...,0\\r\\n``
+lines viewed as (rows, 2c + 1) uint8, the feature block's digits added in
+one cast and one strided store, then the other columns', written from its
+own buffer. A block holding a fraction or -0.0, and any other table, is
+formatted a column at a time, ``_BLOCK_ROWS`` rows at a time. Both paths
+write the bytes ``csv.writer`` wrote, so a file is the same whichever path
+wrote it. Integer-valued floats below 1e15 are written as integers and
+every other value with ``repr``, signed zero as ``-0.0``, so a load ->
+write -> load round trip is bit-identical. Output files get mode 0o666
+less the umask, as a plain ``open()`` would give them.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ import json
 import math
 import operator
 import os
-import secrets
 import warnings
 from contextlib import contextmanager
 from functools import partial
@@ -54,12 +53,8 @@ from .core import Dataset, EqoddsError
 # Rows formatted per write a column at a time: the formatted strings of one block
 # are all that is held, so memory does not grow with the dataset.
 _BLOCK_ROWS = 1024
-# Rows per write of the row-pattern path: its int64 codes, one column's checks and
-# the gathered lines, under 40 bytes a row for ``simulate``'s 7-byte lines, keep its
-# traced peak near 0.6 MiB; 1,024-row blocks wrote 2e5 rows 1.7-2.5 times slower.
-_PATTERN_ROWS = 16_384
-# Most distinct row patterns the writer formats ahead (never more than rows).
-_PATTERNS = 4096
+# Text bytes per digit-path write: a block holds under twice this, 1 MiB at 18 columns.
+_DIGIT_BYTES = 1 << 18
 # Names np.loadtxt would decompress (numpy's _datasource openers): a plain
 # file named so takes the row loop.
 _COMPRESSED = (".bz2", ".gz", ".lzma", ".xz")
@@ -269,83 +264,56 @@ def _format_column(col: np.ndarray):
     return map(_format_value, col.tolist())
 
 
-def _row_patterns(columns: list):
-    """The line of every row the columns' ranges can hold, and how to index
-    them: ``(lows, strides, lines)``, where row r's line is
-    ``lines[(r - lows) @ strides]``. ``lines`` is one ``S{width}`` array of
-    the encoded lines, each padded with NUL bytes to the longest, which no
-    line holds. None when a column's min or max is not a whole number below
-    1e15 in magnitude, or the ranges span more than min(rows, ``_PATTERNS``)
-    rows."""
-    lows, highs = [c.min() for c in columns], [c.max() for c in columns]
-    if not all(float(v).is_integer() and abs(v) < 1e15 for v in lows + highs):
-        return None  # nan and inf fail is_integer too
-    spans = [int(hi - lo) + 1 for lo, hi in zip(lows, highs)]
-    if math.prod(spans) > min(len(columns[0]), _PATTERNS):
-        return None
-    cells = [[_format_value(v) for v in range(int(lo), int(hi) + 1)]
-             for lo, hi in zip(lows, highs)]
-    lines = np.array([(",".join(row) + "\r\n").encode() for row in itertools.product(*cells)])
-    strides = [math.prod(spans[j + 1:]) for j in range(len(spans))]
-    return [int(v) for v in lows], strides, lines
+def _write_digits(fh, parts: list) -> bool:
+    """Write one block whose every value is a digit 0-9, as one ``bytearray`` of
+    ``0,0,...,0\\r\\n`` lines viewed as (rows, 2c + 1) uint8, each 2-D part's digits
+    added in one cast and one strided store; False, with nothing written, if a value is
+    not whole or is -0.0 (it does not print as one digit)."""
+    widths = [p.shape[1] for p in parts]
+    lines = bytearray(b"0," * (sum(widths) - 1) + b"0\r\n") * len(parts[0])
+    grid = np.frombuffer(lines, np.uint8).reshape(len(parts[0]), -1)
+    for part, at, width in zip(parts, itertools.accumulate([0] + widths), widths):
+        digits = part.astype(np.uint8)  # in range: the table's lows and highs are 0-9
+        # bit for bit: every value whole, and no sign bit, which only -0.0 can set here
+        if not np.array_equal(digits, part) or part.view(np.int64).min(initial=0) < 0:
+            return False
+        grid[:, 2 * at:2 * (at + width):2] += digits
+    fh.write(lines)  # the array's own buffer, no copy
+    return True
 
 
-def _pattern_bytes(block: list, patterns):
-    """The CSV lines of one block of columns as ``_row_patterns`` holds them, or
-    None if a value is not whole or is -0.0 (its line is not among them).
-
-    Each row's code is summed one column at a time in integers; the lines it
-    picks are gathered as one ``S{width}`` array, whose bytes less the NUL
-    padding are the rows' lines end to end."""
-    lows, strides, lines = patterns
-    codes = np.zeros(len(block[0]), dtype=np.int64)
-    for col, low, stride in zip(block, lows, strides):
-        whole = col.astype(np.int64)  # in range: the lows and highs are below 1e15
-        # bit for bit back: every value whole and none -0.0, which prints as such
-        if not np.array_equal(whole.astype(np.float64).view(np.int64), col.view(np.int64)):
-            return None
-        whole -= low
-        whole *= stride
-        codes += whole
-    # take copies S{width} items faster than an index does; with no padding in
-    # the block, replace hands back the bytes as they are
-    return lines.take(codes).tobytes().replace(b"\0", b"")
-
-
-def _column_text(block: list) -> str:
-    """The CSV lines of one block of columns, each ending in \\r\\n, formatted
-    one column at a time."""
-    cells = (_format_column(c) for c in block)
-    # numbers need no quoting, so joining matches csv.writer byte for byte
-    return "\r\n".join(map(",".join, zip(*cells))) + "\r\n"
+def _lines(cells) -> bytes:
+    """The CSV lines of columns of cell texts, each line ending in \\r\\n: numbers and
+    plain names need no quoting, so joining matches csv.writer byte for byte."""
+    return ("\r\n".join(map(",".join, zip(*cells))) + "\r\n").encode()
 
 
 def write_csv(dataset: Dataset, path) -> None:
     """Write columns x0..x{d-1}, a, y[, score], as ``load_csv`` reads them by
     default (atomic: temp file + rename).
 
-    The body goes out in bytes. A table ``_row_patterns`` can index is written
-    ``_PATTERN_ROWS`` rows at a time as one gather of its padded lines; a block
-    that holds a value no line prints, and any other table, is formatted a column
-    at a time, ``_BLOCK_ROWS`` rows at a time. Either way the bytes are the ones
-    ``csv.writer`` would write."""
+    The body goes out in bytes. A table whose min and max, of the feature block and of
+    each other column, are whole numbers 0-9 is written ``_DIGIT_BYTES`` of text at a
+    time by ``_write_digits``; a block holding a fraction or -0.0, and any other table,
+    is formatted a column at a time, ``_BLOCK_ROWS`` rows at a time. Either way the
+    bytes are the ones ``csv.writer`` would write."""
     header = [f"x{i}" for i in range(dataset.n_features)] + ["a", "y"]
-    columns = [*dataset.features.T, dataset.attr, dataset.labels]  # load_csv's order
+    parts = [dataset.features, dataset.attr[:, None], dataset.labels[:, None]]
     if dataset.scores is not None:
         header.append("score")
-        columns.append(dataset.scores)
-    patterns = _row_patterns(columns)
-    step = _BLOCK_ROWS if patterns is None else _PATTERN_ROWS
+        parts.append(dataset.scores[:, None])
+    columns = [c for p in parts for c in p.T]  # load_csv's order
+    digits = all(v.is_integer() and 0 <= v <= 9
+                 for p in parts for v in (float(p.min(initial=0)), float(p.max(initial=0))))
+    step = max(1, _DIGIT_BYTES // (2 * len(header) + 1)) if digits else _BLOCK_ROWS
     with _atomic_open(path) as fh:
         fh.write(",".join(header).encode() + b"\r\n")
         for start in range(0, len(dataset), step):
-            block = [c[start:start + step] for c in columns]
-            body = None if patterns is None else _pattern_bytes(block, patterns)
-            if body is not None:
-                fh.write(body)
+            if digits and _write_digits(fh, [p[start:start + step] for p in parts]):
                 continue
+            block = [c[start:start + step] for c in columns]
             for lo in range(0, len(block[0]), _BLOCK_ROWS):
-                fh.write(_column_text([c[lo:lo + _BLOCK_ROWS] for c in block]).encode())
+                fh.write(_lines(_format_column(c[lo:lo + _BLOCK_ROWS]) for c in block))
 
 
 def write_rows_csv(columns: dict, path) -> None:
@@ -355,8 +323,7 @@ def write_rows_csv(columns: dict, path) -> None:
     with _atomic_open(path) as fh:
         fh.write((",".join(columns) + "\r\n").encode())
         for lo in range(0, len(next(iter(columns.values()))), _BLOCK_ROWS):
-            cells = (map(str, c[lo:lo + _BLOCK_ROWS].tolist()) for c in columns.values())
-            fh.write(("\r\n".join(map(",".join, zip(*cells))) + "\r\n").encode())
+            fh.write(_lines(map(str, c[lo:lo + _BLOCK_ROWS].tolist()) for c in columns.values()))
 
 
 def write_json_atomic(obj, path) -> None:
@@ -378,7 +345,7 @@ def _atomic_open(path):
     result has the permissions a plain ``open(path, "w")`` would give it.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    tmp = os.path.join(directory, f"tmp{secrets.token_hex(8)}.tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:

@@ -270,9 +270,30 @@ def sample_counts(law: Law, n, rng: np.random.Generator) -> np.ndarray:
     return table
 
 
+def _draw_indices(rng: np.random.Generator, probs: np.ndarray, n: int) -> np.ndarray:
+    """``rng.choice(len(probs), n, p=probs)``'s indices from its draws: numpy's normalized
+    ``cdf`` and one ``rng.random(n)``, each index the count of ``cdf[:-1]`` at or below its
+    uniform (``cdf[-1]`` is 1), one compare per atom in place of a binary search. That is
+    a pass over all n uniforms per atom, O(n m) against the search's O(n log m): it is
+    meant for the few atoms of the laws built here (8 atoms, 4 cells), and a law of
+    hundreds of atoms should be timed against ``rng.choice`` before it is drawn so."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(n)
+    idx, below = np.zeros(n, np.min_scalar_type(len(cdf) - 1)), np.empty(n, bool)
+    for c in cdf[:-1]:
+        idx += np.greater_equal(u, c, out=below)
+    return idx
+
+
 def sample_law(law: Union[Law, SecondMomentModel], n: int, seed: int) -> Dataset:
     """Draw n i.i.d. rows, a ``SecondMomentModel`` as a Gaussian; deterministic per seed.
-    More than ``_MAX_VALUES`` values (n rows of d + 2) are refused before allocating."""
+    More than ``_MAX_VALUES`` values (n rows of d + 2) are refused before allocating.
+
+    Atoms and cells are drawn as ``rng.choice`` draws them (``_draw_indices``, one pass
+    per atom: for the handful of atoms built here), rows taken with ``take``; product-law
+    coordinates are uniforms compared in place with their cell's heads,
+    ``_BLOCK_VALUES`` at a time: one ``rng.random((n, d))`` stream."""
     width = law.n_features + 2
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
@@ -282,7 +303,7 @@ def sample_law(law: Union[Law, SecondMomentModel], n: int, seed: int) -> Dataset
             f"({_MAX_VALUES // width} rows of {width} values)")
     rng = np.random.default_rng(seed)
     if isinstance(law, FiniteJointLaw):
-        return law.atoms.subset(rng.choice(law.probs.shape[0], size=n, p=law.probs))
+        return law.atoms.subset(_draw_indices(rng, law.probs, n))
     if isinstance(law, SecondMomentModel):
         try:
             z = rng.multivariate_normal(law.mean, law.cov, size=n, method="cholesky")
@@ -291,10 +312,13 @@ def sample_law(law: Union[Law, SecondMomentModel], n: int, seed: int) -> Dataset
                 "covariance is not positive definite; cannot sample") from None
         d = law.n_features
         return Dataset(z[:, :d], z[:, d], z[:, d + 1])
-    cell_idx = rng.choice(4, size=n, p=law.cells.table.ravel())
-    ys, as_ = cell_idx // 2, cell_idx % 2
-    u = rng.random(size=(n, law.n_features))
-    return Dataset((u < law.heads[ys, as_, :]).astype(np.float64), as_, ys)
+    cell = _draw_indices(rng, law.cells.table.ravel(), n)  # the flat [y][a] code 2y + a
+    x, heads = np.empty((n, law.n_features)), law.heads.reshape(4, -1)
+    step = max(1, _BLOCK_VALUES // max(1, heads.shape[1]))
+    for lo in range(0, n, step):  # blocks in order draw what one (n, d) call draws
+        block = rng.random(out=x[lo:lo + step])
+        np.less(block, heads.take(cell[lo:lo + step], axis=0), out=block, casting="unsafe")
+    return Dataset(x, np.take((0.0, 1.0, 0.0, 1.0), cell), np.take((0.0, 0.0, 1.0, 1.0), cell))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from eqodds.core import Dataset
 from eqodds.data_io import (ParseError, SchemaError, _format_column, _format_value,
                             load_csv, write_csv, write_json_atomic, write_rows_csv)
 from eqodds.experiments import EXPERIMENTS
-from eqodds.synthetic import gaussian_law, sample_law, two_proxy_law
+from eqodds.synthetic import erm_trap_family, gaussian_law, sample_law, two_proxy_law
 from oracles import dict_writer_csv, traced_peak
 
 
@@ -49,11 +49,18 @@ def row_loop_outcome(path):
         return load_outcome(path)
 
 
-def written_bytes(dataset, path, patterns=True):
-    """The bytes ``write_csv`` writes, by default or with the row-pattern lookup off."""
-    with mock.patch.object(data_io, "_PATTERNS", data_io._PATTERNS if patterns else 0):
+def written_bytes(dataset, path, digits=True):
+    """The bytes ``write_csv`` writes, by default or with every block refused by the
+    digit path, so the column formatter writes it all."""
+    with mock.patch.object(data_io, "_write_digits",
+                           data_io._write_digits if digits else lambda fh, parts: False):
         write_csv(dataset, path)
     return path.read_bytes()
+
+
+def digit_rows(columns: int) -> int:
+    """Rows per block of the digit path for a table of ``columns`` columns."""
+    return data_io._DIGIT_BYTES // (2 * columns + 1)
 
 
 # 13 KB of rows: past the first 8 KB chunk, which is decoded with the header
@@ -236,60 +243,76 @@ class TestCsv:
     @given(data=st.data())
     @settings(max_examples=100, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_pattern_writer_matches_block_formatter(self, tmp_path, data):
-        """Whole-number tables of small range, with -0.0, a fractional value or a
-        wider range put in, write the bytes of the per-column formatter: row counts
-        on both sides of both block sizes, and ranges such as -3..11 whose lines
-        differ in width, so the gathered lines carry NUL padding between them."""
-        rows = data_io._PATTERN_ROWS
-        n = data.draw(st.sampled_from([1, 2, 1023, 1024, 1025, 2049, rows - 1, rows,
-                                       rows + 1, 2 * rows + 1]) | st.integers(1, 40))
-        d = data.draw(st.integers(1, 3))
-        low = data.draw(st.integers(-3, 3))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        span = data.draw(st.sampled_from([1, 2, 3, 15]))
-        features = rng.integers(low, low + span, (n, d)).astype(float)
-        attr, labels = rng.integers(0, 2, (2, n)).astype(float)
+    def test_digit_writer_matches_column_formatter(self, tmp_path, data):
+        """Digit tables of 2 to 19 columns, with a whole or fractional score column and
+        edge values put in (0 and 9 stay on the digit path, 10 and -1 take the whole
+        table off it, -0.0 and 0.5 one block), write the bytes of the per-column
+        formatter, at row counts on both sides of the digit block and of ``_BLOCK_ROWS``."""
+        d = data.draw(st.integers(0, 16))
         scores = data.draw(st.sampled_from([None, None, "whole", "half"]))
+        rows = digit_rows(d + 2 + (scores is not None))
+        n = data.draw(st.sampled_from([1, 2, 1023, 1024, 1025, rows - 1, rows, rows + 1,
+                                       2 * rows + 1]) | st.integers(1, 40))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        high = data.draw(st.sampled_from([1, 2, 10]))
+        features = rng.integers(0, high, (n, d)).astype(float)
+        attr, labels = rng.integers(0, 2, (2, n)).astype(float)
         if scores is not None:
-            scores = rng.integers(-2, 3, n) / (2.0 if scores == "half" else 1.0)
-        for _ in range(data.draw(st.sampled_from([0, 0, 1, 2]))):
+            scores = rng.integers(0, 10, n) / (2.0 if scores == "half" else 1.0)
+        for _ in range(data.draw(st.sampled_from([0, 0, 1, 2])) if d else 0):
             row, col = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, d - 1))
-            features[row, col] = data.draw(st.sampled_from([-0.0, -0.0, 0.5, low - 100,
-                                                             1e15]))
+            features[row, col] = data.draw(st.sampled_from([0.0, 9.0, 10.0, -1.0, -0.0,
+                                                             -0.0, 0.5]))
         ds = Dataset(features, attr, labels, scores)
         assert written_bytes(ds, tmp_path / "p.csv") == written_bytes(
-            ds, tmp_path / "b.csv", patterns=False)
+            ds, tmp_path / "b.csv", digits=False)
 
-    @pytest.mark.parametrize("span", [data_io._PATTERNS // 4, data_io._PATTERNS // 4 + 1])
-    def test_pattern_bound_edge_matches_block_formatter(self, tmp_path, span):
-        """x0 over ``span`` values and binary a, y: 4 * span row patterns, at the
-        bound and one range step past it."""
-        n = 4 * span
-        ds = Dataset(np.arange(n)[:, None] % span - 7.0, np.arange(n) // span % 2,
-                     np.arange(n) // (2 * span))
-        assert written_bytes(ds, tmp_path / "p.csv") == written_bytes(
-            ds, tmp_path / "b.csv", patterns=False)
-        assert (data_io._row_patterns([*ds.features.T, ds.attr, ds.labels]) is None) == (
-            span > data_io._PATTERNS // 4)
+    @pytest.mark.parametrize("value, digit_blocks", [
+        (9.0, 2), (0.0, 2), (10.0, 0), (-1.0, 0), (-0.0, 1), (0.5, 1)],
+        ids=["nine", "zero", "ten", "minus-one", "minus-zero", "half"])
+    def test_digit_edge_matches_column_formatter(self, tmp_path, value, digit_blocks):
+        """A two-block 0/1 table with one edge value in its first block: 0 and 9 keep
+        both blocks on the digit path, 10 and -1 take the whole table off it, and -0.0
+        and 0.5 only their own block."""
+        n = digit_rows(3) + 5
+        ds = sample_law(two_proxy_law(0.1), n, seed=3)
+        features = ds.features.copy()
+        features[7, 0] = value
+        ds = Dataset(features, ds.attr, ds.labels)
+        taken = []
+        real = data_io._write_digits
+        with mock.patch.object(data_io, "_write_digits",
+                               lambda fh, parts: taken.append(real(fh, parts)) or taken[-1]):
+            got = written_bytes(ds, tmp_path / "p.csv")
+        assert got == written_bytes(ds, tmp_path / "b.csv", digits=False)
+        assert taken.count(True) == digit_blocks
 
-    def test_simulate_table_takes_the_pattern_writer(self, tmp_path, monkeypatch):
-        ds = sample_law(two_proxy_law(0.1), 3000, seed=5)
-        want = written_bytes(ds, tmp_path / "b.csv", patterns=False)
+    @pytest.mark.parametrize("law", ["two-proxy", "erm-trap"])
+    def test_simulate_table_takes_the_digit_writer(self, tmp_path, monkeypatch, law):
+        """``simulate``'s 0/1 tables, two-proxy's three columns and erm-trap's 18 at its
+        default 16 features, go out on the digit path alone, over several blocks."""
+        if law == "two-proxy":
+            ds = sample_law(two_proxy_law(0.1), 3 * digit_rows(3) + 1, seed=5)
+        else:
+            ds = sample_law(erm_trap_family(16, 0.2)[0], 3 * digit_rows(18) + 1, seed=5)
+        want = written_bytes(ds, tmp_path / "b.csv", digits=False)
         monkeypatch.setattr(data_io, "_format_column", None)  # any column pass fails
         assert written_bytes(ds, tmp_path / "p.csv") == want
-        assert want.startswith(b"x0,a,y\r\n") and want.count(b"\r\n") == 3001
+        header = ",".join([f"x{j}" for j in range(ds.n_features)] + ["a", "y"])
+        assert want.startswith(header.encode() + b"\r\n")
+        assert want.count(b"\r\n") == len(ds) + 1
 
-    @pytest.mark.parametrize("table", ["simulate", "gaussian"])
+    @pytest.mark.parametrize("table", ["simulate", "erm-trap", "gaussian"])
     def test_write_peak_stays_under_a_mib(self, tmp_path, monkeypatch, table):
-        """One block is held at a time: the row codes and gathered lines of the
-        pattern path on a 2e5-row ``simulate`` table, and the strings of the column
-        path on a 2e4 x 10 float table, the benchmark's fit sample."""
-        if table == "simulate":
-            ds = sample_law(two_proxy_law(0.1), 200_000, seed=7)
-            monkeypatch.setattr(data_io, "_format_column", None)  # the pattern path alone
-        else:
+        """One block is held at a time: the lines, digits and checks of the digit path
+        on 2e5-row ``simulate`` tables (two-proxy's 3 columns, erm-trap's 18), and the
+        strings of the column path on a 2e4 x 10 float table, the benchmark's fit sample."""
+        if table == "gaussian":
             ds = sample_law(gaussian_law(8, seed=0), 20_000, seed=0)
+        else:
+            law = two_proxy_law(0.1) if table == "simulate" else erm_trap_family(16, 0.2)[0]
+            ds = sample_law(law, 200_000, seed=7)
+            monkeypatch.setattr(data_io, "_format_column", None)  # the digit path alone
         path = tmp_path / "w.csv"
         write_csv(ds, path)  # one-time allocations: not the write's
         _, peak = traced_peak(lambda: write_csv(ds, path))
@@ -530,6 +553,48 @@ class TestCliCommands:
         code = main(["audit", "--data", str(data), "--alpha", "0.5",
                      "--delta", "0.1", "--threshold", "0.5"])
         assert code == 0
+
+
+@pytest.mark.parametrize("command", ["audit", "correct"])
+@pytest.mark.parametrize("threshold", [None, "0.5"])
+def test_score_column_is_range_checked_once(command, threshold, tmp_path, monkeypatch,
+                                            capsys):
+    """The command's range check takes the score column's min and max once, cached on
+    the dataset; the rates and the loss reuse them and never pass the column to
+    ``acceptance_values``. ``--threshold`` makes a new 0/1 float column, which
+    ``acceptance_values`` checks as any other values."""
+    from eqodds import cli, core
+    data = tmp_path / "d.csv"
+    write_scored_csv(data, n=400, seed=3)
+    argv = [command, "--data", str(data)] + (["--alpha", "0.5", "--delta", "0.1"]
+                                             if command == "audit" else ["--tolerance", "0"])
+    argv += ["--threshold", threshold] if threshold else []
+    loaded, checked = [], []
+    real_load, real_check = cli._load_data, core.acceptance_values
+    monkeypatch.setattr(cli, "_load_data", lambda *a, **k: loaded.append(
+        real_load(*a, **k)) or loaded[-1])
+    monkeypatch.setattr(core, "acceptance_values", lambda values, n, *rest: checked.append(
+        np.asarray(values).dtype) or real_check(values, n, *rest))
+    assert main(argv) == 0
+    if threshold:
+        assert checked == [np.dtype(float)] * {"audit": 1, "correct": 2}[command]
+    else:
+        assert checked == [] and loaded[0]._score_range == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("score", [1.0 + 1e-13, -1e-13, 1.5])
+def test_scores_just_outside_the_unit_range_exit_2(score, tmp_path, capsys):
+    """The command's check is strict: a score within ``acceptance_values``' 1e-12 slack
+    is still refused, with the message that points at ``--threshold``."""
+    data = tmp_path / "d.csv"
+    ds = sample_law(two_proxy_law(0.1), 400, seed=4)
+    scores = ds.attr.copy()
+    scores[5] = score
+    write_csv(Dataset(ds.features, ds.attr, ds.labels, scores), data)
+    for argv in (["audit", "--data", str(data), "--alpha", "0.5", "--delta", "0.1"],
+                 ["correct", "--data", str(data), "--tolerance", "0"]):
+        assert main(argv) == 2
+        assert "scores outside [0, 1]; pass --threshold" in capsys.readouterr().err
 
 
 def test_nan_score_audit_exits_2(tmp_path, capsys):

@@ -254,6 +254,8 @@ def test_nan_acceptance_values_rejected():
     ds = Dataset(np.zeros((4, 1)), [0, 1, 0, 1], [0, 0, 1, 1])
     with pytest.raises(InvalidParameterError):
         empirical_rates(ds, np.array([0.2, np.nan, 0.4, 0.9]))
+    with pytest.raises(InvalidParameterError):  # None is not the missing score column
+        empirical_rates(ds, None)
     nan_rule = FunctionRule(lambda X, a: np.full(len(a), np.nan), "nan")
     with pytest.raises(InvalidParameterError):
         nan_rule.acceptance(ds.features, ds.attr)
@@ -293,6 +295,8 @@ def test_loaded_columns_are_read_only_views_of_one_table(tmp_path):
     [0.5, -0.0, 1.0],                         # -0.0: clip gives +0.0
     [0.25, 1 + 5e-13],                        # in the slack above 1 alone: clipped
     np.arange(12.0)[::3] / 9.0,               # strided
+    [0.25, 0.5, 1.0],                         # no zero: no sign bit to look for
+    [-5e-13, 0.5, 1.0],                       # in the slack below 0 alone: clipped
 ])
 def test_acceptance_values_have_the_bits_of_clip(values):
     vals = np.asarray(values, dtype=np.float64)
@@ -302,6 +306,12 @@ def test_acceptance_values_have_the_bits_of_clip(values):
         assert np.shares_memory(got, vals)
     with pytest.raises(InvalidParameterError, match="outside"):
         acceptance_values(np.append(vals, np.nan), len(vals) + 1)
+    # a dataset's own score column, checked from its cached range, gives the same bits
+    n = len(vals)
+    ds = Dataset(np.zeros((n, 1)), np.arange(n) % 2, np.arange(n) // 2 % 2, vals)
+    for stat in (empirical_rates, empirical_loss):
+        assert np.asarray(stat(ds, ds.scores)).tobytes() == \
+            np.asarray(stat(ds, vals.copy())).tobytes()
 
 
 def test_cell_index_and_counts_cached():

@@ -1,7 +1,8 @@
 """Fixed-seed command outputs must not change across code versions.
 
 Each case runs one ``eqodds`` command on small seeded inputs (2,000 rows;
-two ``simulate`` cases write 50,000, several blocks of the writer) and compares the SHA-256 of what it writes, the ``simulate`` CSV or the
+three ``simulate`` cases write 50,000, several blocks of the writer, and one
+writes 200,000) and compares the SHA-256 of what it writes, the ``simulate`` CSV or the
 JSON report, with ``GOLDEN``. The inputs are written here with numpy's
 generator and Python's ``repr`` of each value, not with the package, so a
 change to the reader or the writer cannot change them. A refactor that
@@ -33,6 +34,8 @@ GOLDEN = {
     "simulate-gaussian": "92c10dc914cdbdbf17c527a5e7b6a3a1c1cb5e3b8025e2a9237d01b9dbf8f6cd",
     "simulate-two-proxy-blocks": "64f8a257d5c813b119ab3c153830fd6de2009b11c6ae37ba307668271e480bfd",
     "simulate-erm-trap-blocks": "8adacf81fb3d4072ccbffb05b92e6b401be31f012224ac387f53dead1bf701f2",
+    "simulate-erm-trap-16-blocks": "dd06e06af56d5bb697d01e20730c95db37367f3faf013b5bf0ee8adc4132b67d",
+    "simulate-two-proxy-bench": "f2fdc65a9d842dc18cf2fbba61bb95ad4ef4dfc279d756223e4169c75a204ff4",
     "audit": "5dffb6ce91f7ec2bd648feee6bc27cad2501b3c9ce8768a65caa43a339516876",
     "audit-supplied": "9ed83cd7004874c9d4b03edb4fcf61236c85a78ec1f10c47187841e2443b5260",
     "correct": "ce73b5f93d0ba59906413d5a7514009e68b537a08b224175171c50f03000cd13",
@@ -99,12 +102,17 @@ def cases(tmp):
                               "--n", str(ROWS), "--seed", "4"],
         "simulate-gaussian": ["simulate", "--law", "gaussian", "--dim", "3",
                               "--n", str(ROWS), "--seed", "5"],
-        # several blocks of the row-pattern writer: one column code, and six binary
-        # columns (64 patterns) combined into one code
+        # several blocks of the writer: three and six binary columns
         "simulate-two-proxy-blocks": ["simulate", "--law", "two-proxy", "--noise", "0.15",
                                       "--n", str(BLOCK_ROWS), "--seed", "3"],
         "simulate-erm-trap-blocks": ["simulate", "--law", "erm-trap", "--features", "4",
                                      "--n", str(BLOCK_ROWS), "--seed", "4"],
+        # the default 16 features (18 columns, 37-byte lines) over several blocks of the
+        # digit writer, and a 2e5-row two-proxy draw, the benchmark's simulate size
+        "simulate-erm-trap-16-blocks": ["simulate", "--law", "erm-trap",
+                                        "--n", str(BLOCK_ROWS), "--seed", "8"],
+        "simulate-two-proxy-bench": ["simulate", "--law", "two-proxy", "--noise", "0.15",
+                                     "--n", "200000", "--seed", "9"],
         "audit": ["audit", "--data", scored, "--alpha", "0.5", "--delta", "0.1"],
         "audit-supplied": ["audit", "--data", scored, "--alpha", "0.5", "--delta", "0.1",
                            "--cell-probs", "0.4,0.1,0.1,0.4", "--threshold", "0.5"],

@@ -20,6 +20,7 @@ from eqodds.posthoc import expected_loss_from_rates
 from eqodds.second_moment import SecondMomentModel
 from eqodds.synthetic import (
     CellProductLaw,
+    _draw_indices,
     _population_rates,
     erm_trap_family,
     gaussian_law,
@@ -237,6 +238,64 @@ class TestSampling:
         mask = (ds.labels == 1) & (ds.attr == 1)
         emp = ds.features[mask, 1].mean()
         assert emp == pytest.approx(0.7, abs=0.02)
+
+    def test_draw_indices_are_rng_choice(self):
+        """The one-compare-per-atom draw gives ``rng.choice``'s indices and leaves the
+        generator where ``choice`` leaves it: 3,000 fuzzed laws of 1 to 40 atoms, some
+        with zero-probability atoms (first, last or inside), for 1 to 3,000 draws.
+        A numpy whose ``choice`` draws otherwise fails here."""
+        fuzz = np.random.default_rng(2024)
+        for case in range(3000):
+            m, n = int(fuzz.integers(1, 41)), int(fuzz.integers(1, 3001))
+            weights = fuzz.random(m) ** 3
+            weights[fuzz.random(m) < 0.2] = 0.0
+            if not weights.any():
+                weights[fuzz.integers(m)] = 1.0
+            p = weights / weights.sum()
+            want = np.random.default_rng(case)
+            got = np.random.default_rng(case)
+            assert np.array_equal(_draw_indices(got, p, n), want.choice(m, n, p=p)), case
+            assert got.random() == want.random(), case
+
+    def test_draw_indices_follow_choice_at_ties_and_normalization(self):
+        """Uniforms equal to a cdf entry, and a law summing to 1 - 1e-9 (within what
+        ``choice`` accepts), index as numpy's ``choice`` steps do: the cdf divided by its
+        last entry, then ``searchsorted(..., side="right")``."""
+        class Fixed:
+            def __init__(self, u):
+                self.u = np.asarray(u, dtype=float)
+
+            def random(self, n):
+                return self.u[:n]
+
+        p = np.array([0.25, 0.0, 0.25, 0.5 - 1e-9])
+        cdf = p.cumsum() / p.sum()
+        u = np.array([0.0, 0.25, cdf[0], cdf[2], np.nextafter(cdf[2], 0), 0.5 + 5e-10, 0.75])
+        want = np.searchsorted(cdf, u, side="right")
+        assert np.array_equal(_draw_indices(Fixed(u), p, len(u)), want)
+        # the inputs reach both steps: a left search or an unnormalized cdf differs
+        assert not np.array_equal(want, np.searchsorted(cdf, u, side="left"))
+        assert not np.array_equal(want, np.searchsorted(p.cumsum(), u, side="right"))
+
+    @pytest.mark.parametrize("law", ["two-proxy", "erm-trap"])
+    def test_rows_are_those_of_a_choice_draw(self, law):
+        """``sample_law``'s rows equal the rows gathered from a ``rng.choice`` draw and,
+        on a product law, one (n, d) ``rng.random`` call, over several draw blocks."""
+        n, rng = 10_000, np.random.default_rng(17)
+        if law == "two-proxy":
+            law = two_proxy_law(0.15)
+            idx = rng.choice(8, n, p=law.probs)
+            atoms = law.atoms
+            want = (atoms.features[idx], atoms.attr[idx], atoms.labels[idx])
+        else:
+            law = erm_trap_family(16, 0.2)[0]
+            cell = rng.choice(4, n, p=law.cells.table.ravel())
+            ys, as_ = cell // 2, cell % 2
+            u = rng.random((n, 16))
+            want = ((u < law.heads[ys, as_]).astype(float), as_, ys)
+        ds = sample_law(law, n, seed=17)
+        for got, column in zip((ds.features, ds.attr, ds.labels), want):
+            assert got.tobytes() == np.asarray(column, dtype=float).tobytes()
 
     def test_gaussian_sampling_moments(self):
         law = gaussian_law(2, seed=1)
